@@ -216,6 +216,32 @@ def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
     return out
 
 
+def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of t1..t5 in M2 (+) C: 2x2 blocks X of shape (5, 2, 2) and scalars c of shape (5,).
+
+    In the invariant basis each ti acts as X_i on (m1_0, m2_0), as
+    D X_i D on (m1_1, m2_1) with D = diag(1, -1), and as c_i times the
+    identity on the m3 remainder.  Raises RuntimeError if t departs from
+    that structure by more than 1e-12.
+    """
+    m = build_invariant_basis().stacked()
+    b = np.stack([m.conj() @ ti @ m.T for ti in t.as_list()])
+    first, second = np.array([0, 2]), np.array([1, 3])
+    x = b[:, first[:, None], first]
+    # Exactly Hermitian blocks keep every real combination of their
+    # products exactly Hermitian, so the solver never re-symmetrizes.
+    x = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
+    c = b[:, 4, 4].real
+    d = np.diag([1.0, -1.0])
+    expect = np.zeros_like(b)
+    expect[:, first[:, None], first] = x
+    expect[:, second[:, None], second] = d @ x @ d
+    expect[:, 4:, 4:] = c[:, None, None] * np.eye(4)
+    if np.abs(b - expect).max() > 1e-12:
+        raise RuntimeError("t1..t5 do not split into M2 (+) C blocks in the invariant basis")
+    return x, c
+
+
 def basis_stack(t: TOperators) -> np.ndarray:
     """All 25 products ti (x) tj as a (25, 64, 64) stack, row-major in (i, j)."""
     ts = t.as_list()

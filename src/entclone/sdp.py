@@ -6,12 +6,22 @@ clone-symmetry equalities and positivity of the assembled two-party
 operator; an optional second cone adds positivity of its partial
 transpose over one party, which models the one-bit-LOCC relaxation.
 
+No cone is formed as a 64x64 matrix.  Per party the commutant is
+M2 (+) C (see covariant.commutant_blocks), so sum_ij a_ij ti (x) tj is
+unitarily a direct sum of four distinct blocks: sum a_ij Xi (x) Xj
+(4x4, four copies), sum a_ij c_j Xi and sum a_ij c_i Xj (2x2, eight
+copies each) and sum a_ij c_i c_j (1x1, sixteen copies).  The invariant
+basis is real, so the partial transpose over the second party is the
+same construction with Xj replaced by its transpose.  The barrier
+weights each block's log det by its copy count, which makes it equal to
+log det of the full operator, and the barrier parameter
+nu = sum of weight * block size stays 64 per cone.
+
 The solver follows the classic path: equalities are eliminated through
 an orthonormal null-space parametrization, then damped Newton steps
 maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by 10
-down to tol / (2 * total cone dimension).  Everything is dense numpy;
-the path following is deterministic, the seed argument is kept for
-interface stability only.
+down to tol / (2 * nu).  The path following is deterministic; the seed
+argument is kept for interface stability only.
 """
 
 from __future__ import annotations
@@ -22,21 +32,35 @@ from typing import Sequence
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import TOperators, basis_stack, build_t_operators, kron
+from entclone.covariant import TOperators, build_t_operators, commutant_blocks
 
 MU_INITIAL = 1e-1
 ARMIJO_SLOPE = 0.01
 BACKTRACK = 0.5
+# A cone is the tuple of its four distinct blocks, each a (25, d, d)
+# stack over the flat a vector: Xi (x) Xj, c_j Xi, c_i Xj and c_i c_j.
+# Its 64x64 operator at x is unitarily the direct sum of BLOCK_WEIGHTS[k]
+# copies of sum_p x_p cone[k][p] over the four blocks k.
+BLOCK_WEIGHTS = (4, 8, 8, 16)
+_Cone = tuple[np.ndarray, ...]
+
+# A size group: (barrier weight, owning cone of each block, (25, n, d, d) block stack).
+_Group = tuple[int, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, equality rows, and cone basis stacks over the flat a vector."""
+    """Linear objective, equality rows, and block cones over the flat a vector."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    cones: tuple[np.ndarray, ...]
+    cones: tuple[_Cone, ...]
+
+    @property
+    def nu(self) -> float:
+        """Barrier parameter: the summed dimension of the cones' full operators."""
+        return float(sum(w * block.shape[-1] for cone in self.cones for w, block in zip(BLOCK_WEIGHTS, cone)))
 
 
 @dataclass(frozen=True)
@@ -62,36 +86,60 @@ class ThresholdDetectionError(ValueError):
     """Raised when a sweep has no kink above the noise floor."""
 
 
-def _ppt_stack(t: TOperators) -> np.ndarray:
-    # Partial transpose over the whole second-party triple turns
-    # ti (x) tj into ti (x) tj^T.
-    ts = t.as_list()
-    return np.stack([kron(ti, tj.T) for ti in ts for tj in ts])
+def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> _Cone:
+    """Distinct blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j), each stacked over the 25 (i, j)."""
+    return (
+        np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4),
+        (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2),
+        (c[:, None, None, None] * xb[None, :]).reshape(25, 2, 2),
+        np.outer(c, c).reshape(25, 1, 1),
+    )
+
+
+def _fixed_parts(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, np.ndarray, tuple[_Cone, ...]]:
+    """Equality rows, their right-hand side and the cones: everything that does not depend on alpha."""
+    trace_row, sym_rows = constraint_matrices(t)
+    eq = np.vstack([trace_row[None, :], sym_rows])
+    rhs = np.zeros(eq.shape[0])
+    rhs[0] = 1.0
+    x, c = commutant_blocks(t)
+    cones = [_block_cone(x, x, c)]
+    if with_ppt:
+        cones.append(_block_cone(x, np.swapaxes(x, 1, 2), c))
+    return eq, rhs, tuple(cones)
 
 
 def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight."""
     f = fidelity_coefficients(alpha, t).reshape(-1)
-    trace_row, sym_rows = constraint_matrices(t)
-    eq = np.vstack([trace_row[None, :], sym_rows])
-    rhs = np.zeros(eq.shape[0])
-    rhs[0] = 1.0
-    cones: list[np.ndarray] = [basis_stack(t)]
-    if with_ppt:
-        cones.append(_ppt_stack(t))
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=tuple(cones))
+    eq, rhs, cones = _fixed_parts(t, with_ppt)
+    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones)
 
 
-def _cone_value(cone: np.ndarray, x: np.ndarray) -> np.ndarray:
-    c = np.tensordot(x, cone, axes=(0, 0))
-    return (c + c.conj().T) / 2
+def _size_groups(cones: Sequence[_Cone]) -> list[_Group]:
+    """All cones' blocks batched by size; blocks of one size share their weight."""
+    groups = []
+    for fields in ((0,), (1, 2), (3,)):
+        stack = np.stack([cone[k] for cone in cones for k in fields], axis=1)
+        owner = np.repeat(np.arange(len(cones)), len(fields))
+        groups.append((BLOCK_WEIGHTS[fields[0]], owner, stack))
+    return groups
 
 
-def _min_cone_eig(cones: Sequence[np.ndarray], x: np.ndarray) -> float:
-    return min(float(np.linalg.eigvalsh(_cone_value(c, x)).min()) for c in cones)
+def _block_values(groups: list[_Group], x: np.ndarray) -> list[np.ndarray]:
+    """Every block at x, one (n, d, d) array per size group."""
+    return [(x @ stack.reshape(25, -1)).reshape(stack.shape[1:]) for _, _, stack in groups]
 
 
-def _interior_start(problem: SdpProblem) -> np.ndarray:
+def _cone_min_eigenvalues(groups: list[_Group], x: np.ndarray) -> tuple[float, ...]:
+    """Smallest eigenvalue of each cone's full operator at x: the minimum over its blocks."""
+    mins = np.full(int(groups[0][1].max()) + 1, np.inf)
+    for (_, owner, _), c in zip(groups, _block_values(groups, x)):
+        np.minimum.at(mins, owner, np.linalg.eigvalsh(c)[:, 0])
+    return tuple(float(v) for v in mins)
+
+
+def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
     The inward target is the least-squares projection onto the equality
@@ -110,7 +158,7 @@ def _interior_start(problem: SdpProblem) -> np.ndarray:
             x0 = (1.0 - eps) * x_bh + eps * target
             if np.linalg.norm(problem.eq_matrix @ x0 - problem.eq_rhs) > 1e-9:
                 continue
-            if _min_cone_eig(problem.cones, x0) > 1e-8:
+            if min(_cone_min_eigenvalues(groups, x0)) > 1e-8:
                 return x0
     raise ConvergenceError("could not find a strictly feasible starting point")
 
@@ -121,13 +169,14 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int
     tol bounds the objective suboptimality through the final barrier
     weight; max_iter caps the total number of Newton steps across all
     barrier stages.  Identical inputs always produce identical output.
-    The cones are stacked into one batched array so every eigensolve,
-    Cholesky feasibility test, and Hessian contraction runs through a
-    single vendored-BLAS call per Newton step.
+    The blocks of all cones are batched by size (4, 2, 1), so each
+    Newton step runs one eigensolve and one Hessian contraction per
+    size, and each line-search trial one batched Cholesky test per size;
+    every term carries its block's copy count as weight.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nu = float(sum(cone.shape[1] for cone in problem.cones))
+    nu = problem.nu
     if tol < 2.0 * nu * 1e-12:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
     f = problem.objective
@@ -137,22 +186,22 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int
     k = null.shape[1]
     if k == 0:
         raise ConvergenceError("equality constraints leave no degrees of freedom")
-    x0 = _interior_start(problem)
-    cones = np.stack(problem.cones)
-    dirs = np.einsum("ph,cpij->chij", null, cones)
+    groups = _size_groups(problem.cones)
+    x0 = _interior_start(problem, groups)
+    weights = [w for w, _, _ in groups]
+    dirs = [np.einsum("ph,pnij->nhij", null, stack) for _, _, stack in groups]
     f_null = null.T @ f
     mu_min = max(tol / (2.0 * nu), 1e-12)
 
-    def cone_matrices(x: np.ndarray) -> np.ndarray:
-        c = np.tensordot(x, cones, axes=(0, 1))
-        return (c + np.conj(np.swapaxes(c, 1, 2))) / 2
-
     def log_det_sum(x: np.ndarray) -> float | None:
-        try:
-            chol = np.linalg.cholesky(cone_matrices(x))
-        except np.linalg.LinAlgError:
-            return None
-        return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))))
+        total = 0.0
+        for w, c in zip(weights, _block_values(groups, x)):
+            try:
+                chol = np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                return None
+            total += 2.0 * w * float(np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))))
+        return total
 
     z = np.zeros(k)
     mu = MU_INITIAL
@@ -160,11 +209,10 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int
     best: SdpSolution | None = None
 
     def snapshot(x: np.ndarray) -> SdpSolution:
-        mins = tuple(float(v) for v in np.linalg.eigvalsh(cone_matrices(x))[:, 0])
         return SdpSolution(
             a_star=x.reshape(5, 5).copy(),
             f_star=float(f @ x),
-            min_eigenvalues=mins,
+            min_eigenvalues=_cone_min_eigenvalues(groups, x),
             iterations=iterations,
             duality_gap_estimate=float(mu * nu),
             mu_final=float(mu),
@@ -174,15 +222,20 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int
         centred = False
         while not centred:
             x = x0 + null @ z
-            vals, vecs = np.linalg.eigh(cone_matrices(x))
-            if float(vals[:, 0].min()) <= 0.0:
-                raise ConvergenceError("iterate left the cone interior", best=best)
-            inv = np.matmul(vecs / vals[:, None, :], np.conj(np.swapaxes(vecs, 1, 2)))
-            prods = np.matmul(inv[:, None, :, :], dirs)
-            grad = f_null + mu * np.real(np.einsum("chii->h", prods))
-            flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
-            flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
-            hess = mu * np.real(flat @ flat_t.T)
+            grad = f_null.copy()
+            hess = np.zeros((k, k))
+            log_det = 0.0
+            for w, d, c in zip(weights, dirs, _block_values(groups, x)):
+                vals, vecs = np.linalg.eigh(c)
+                if float(vals[:, 0].min()) <= 0.0:
+                    raise ConvergenceError("iterate left the cone interior", best=best)
+                inv = np.matmul(vecs / vals[:, None, :], np.conj(np.swapaxes(vecs, 1, 2)))
+                prods = np.matmul(inv[:, None, :, :], d)
+                grad += mu * w * np.real(np.einsum("nhii->h", prods))
+                flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
+                flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
+                hess += mu * w * np.real(flat @ flat_t.T)
+                log_det += w * float(np.sum(np.log(vals)))
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -197,7 +250,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int
                     f"no convergence within {max_iter} Newton steps", best=best or snapshot(x)
                 )
             iterations += 1
-            base = float(f @ x) + mu * float(np.sum(np.log(vals)))
+            base = float(f @ x) + mu * log_det
             slope = ARMIJO_SLOPE * lam2
             scale = 1.0
             while scale > 1e-14:
@@ -226,17 +279,11 @@ def _sweep_solutions(
 ) -> list[tuple[float, SdpSolution]]:
     if t is None:
         t = build_t_operators()
-    trace_row, sym_rows = constraint_matrices(t)
-    eq = np.vstack([trace_row[None, :], sym_rows])
-    rhs = np.zeros(eq.shape[0])
-    rhs[0] = 1.0
-    cones: list[np.ndarray] = [basis_stack(t)]
-    if with_ppt:
-        cones.append(_ppt_stack(t))
+    eq, rhs, cones = _fixed_parts(t, with_ppt)
     out = []
     for idx, alpha in enumerate(alphas):
         f = fidelity_coefficients(alpha, t).reshape(-1)
-        prob = SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=tuple(cones))
+        prob = SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones)
         try:
             sol = solve(prob, tol=tol, max_iter=max_iter, seed=seed)
         except ConvergenceError as err:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from entclone.covariant import (
     basis_stack,
     build_invariant_basis,
     build_t_operators,
+    commutant_blocks,
     reorder_from_choi,
     reorder_to_choi,
     triple_rep,
@@ -63,6 +66,18 @@ def test_t4_commutes_with_triple_rep(t_ops):
         comm = t_ops.t4 @ rep - rep @ t_ops.t4
         worst = max(worst, np.abs(comm).max())
     assert worst < 1e-10
+
+
+def test_commutant_blocks(t_ops):
+    x, c = commutant_blocks(t_ops)
+    assert np.abs(x[0] - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(x[1] - np.diag([0.0, 1.0])).max() < 1e-12
+    assert np.abs(x[2]).max() < 1e-12
+    assert np.abs(c - [0.0, 0.0, 1.0, 0.0, 0.0]).max() < 1e-12
+    stray = np.zeros((8, 8))
+    stray[0, 1] = stray[1, 0] = 1e-9
+    with pytest.raises(RuntimeError):
+        commutant_blocks(dataclasses.replace(t_ops, t4=t_ops.t4 + stray))
 
 
 def test_twirl_seed_stability(t_ops):

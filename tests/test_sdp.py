@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
+from entclone.covariant import PTILDE_LAYOUT, assemble_ptilde, basis_stack
+from entclone.linalg import partial_transpose
 from entclone.sdp import (
+    BLOCK_WEIGHTS,
     ConvergenceError,
     ThresholdDetectionError,
     build_problem,
     detect_threshold,
     solve,
 )
+
+SECOND_PARTY = {"1B", "2B", "B"}
+
+# Newton steps and optima of the PPT program as the dense 64x64 cones
+# gave them.  The weighted block barrier equals the dense log det, so
+# the path and its end point must not move.
+DENSE_PPT_PATH = {
+    0.2: (51, 0.6773777309645838),
+    0.5: (47, 0.6281249563076853),
+    ALPHA_MAX: (48, 0.6249999563076856),
+}
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +35,41 @@ def bell_solutions(t_ops):
 
 
 def test_problem_shapes(t_ops):
+    """Cone counts, nu, and block spectra equal to the dense operators' for random a."""
     plain = build_problem(0.4, t_ops)
     ppt = build_problem(0.4, t_ops, with_ppt=True)
     assert plain.objective.shape == (25,)
     assert plain.eq_matrix.shape[1] == 25
     assert len(plain.cones) == 1
     assert len(ppt.cones) == 2
-    assert all(cone.shape == (25, 64, 64) for cone in ppt.cones)
+    assert (plain.nu, ppt.nu) == (64.0, 128.0)
+    assert all(np.array_equal(p, q) for p, q in zip(plain.cones[0], ppt.cones[0]))
+    rng = np.random.default_rng(20050203)
+    stack = basis_stack(t_ops)
+    for _ in range(4):
+        a = rng.normal(size=25)
+        dense = np.tensordot(a, stack, axes=(0, 0))
+        for cone, full in zip(ppt.cones, (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))):
+            weighted = np.concatenate([
+                np.repeat(np.linalg.eigvalsh(np.tensordot(a, block, axes=(0, 0))), w)
+                for w, block in zip(BLOCK_WEIGHTS, cone)
+            ])
+            expected = np.linalg.eigvalsh((full + full.conj().T) / 2)
+            assert np.abs(np.sort(weighted) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
+def test_ppt_solution_matches_dense_witness(t_ops, alpha):
+    sol = solve(build_problem(alpha, t_ops, with_ppt=True))
+    dense = assemble_ptilde(sol.a_star, t_ops)
+    witness = [
+        float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        for m in (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))
+    ]
+    assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
+    iterations, f_star = DENSE_PPT_PATH[alpha]
+    assert sol.iterations == iterations
+    assert abs(sol.f_star - f_star) < 1e-12
 
 
 def test_bell_state_optima(bell_solutions):
