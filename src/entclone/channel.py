@@ -55,8 +55,12 @@ def apply_choi(p_e: np.ndarray, rho: np.ndarray, dims: tuple[int, int] = (16, 4)
     return np.einsum("aibj,ij->ab", p4, np.asarray(rho))
 
 
-def apply(ch: CloningChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a two-qubit density matrix, output on (1A,1B,2A,2B)."""
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """Validate a two-qubit density matrix and return it as a complex array.
+
+    Raises ValueError unless rho is 4x4, Hermitian, positive semidefinite
+    and of unit trace, each to 1e-10.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"input state must be 4x4, got {rho.shape}")
@@ -66,6 +70,12 @@ def apply(ch: CloningChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError("input state has a negative eigenvalue")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("input state does not have unit trace")
+    return rho
+
+
+def apply(ch: CloningChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a two-qubit density matrix, output on (1A,1B,2A,2B)."""
+    rho = check_state(rho)
     if ch.kraus is not None:
         out = np.zeros((16, 16), dtype=complex)
         for k in ch.kraus:

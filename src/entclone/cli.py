@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -30,6 +29,7 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
+from entclone.channel import fidelity_coefficients
 from entclone.covariant import build_t_operators
 from entclone.protocol import (
     average_clone_fidelity,
@@ -39,8 +39,9 @@ from entclone.protocol import (
 )
 from entclone.sdp import (
     ConvergenceError,
+    SdpProblem,
     ThresholdDetectionError,
-    build_problem,
+    _fixed_parts,
     detect_threshold,
     solve,
 )
@@ -56,11 +57,6 @@ _MODE_FIELDS = {
     "sdp": "f_sdp",
     "sdp-ppt": "f_sdp_ppt",
 }
-
-
-@functools.cache
-def _t_operators():
-    return build_t_operators()
 
 
 def _parse_alpha(text: str) -> float:
@@ -117,7 +113,7 @@ def _metadata(seed: int, tol: float) -> dict:
         "version": __version__,
         "seed": seed,
         "tol": tol,
-        "sign_convention": _t_operators().sign_convention,
+        "sign_convention": "t12",
     }
 
 
@@ -163,7 +159,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = ["alpha"] + [_MODE_FIELDS[m] for m in modes] + ["error"]
     analytic = {"global": fidelity_global, "bh": fidelity_bh, "locc": fidelity_locc}
     needs_solver = [m for m in modes if m in ("sdp", "sdp-ppt")]
-    t = _t_operators() if needs_solver else None
+    t = build_t_operators() if needs_solver else None
+    fixed = {mode: _fixed_parts(t, with_ppt=(mode == "sdp-ppt")) for mode in needs_solver}
 
     records: list[dict] = []
     failure: str | None = None
@@ -174,8 +171,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rec[_MODE_FIELDS[mode]] = analytic[mode](float(alpha))
         try:
             for mode in needs_solver:
-                prob = build_problem(float(alpha), t, with_ppt=(mode == "sdp-ppt"))
-                sol = solve(prob, tol=args.tol, seed=seed)
+                f = fidelity_coefficients(float(alpha), t).reshape(-1)
+                eq, rhs, cones = fixed[mode]
+                sol = solve(SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones), tol=args.tol)
                 rec[_MODE_FIELDS[mode]] = sol.f_star
         except (ConvergenceError, ValueError) as exc:
             rec["error"] = f"solver failure: {exc}"

@@ -14,9 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered labeled tensor factors annotating a square matrix."""
@@ -63,47 +60,9 @@ class SubsystemLayout:
         return SubsystemLayout(tuple(self.factors[self.position(lab)] for lab in new_order))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product, first argument most significant."""
-    return np.kron(a, b)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with the usual shape check."""
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the difference."""
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
-def is_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return float(np.linalg.norm(m - m.conj().T)) <= rtol * scale
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized as (m + m^dag)/2 before the solve; inputs
-    failing the Hermiticity tolerance are rejected.  Returns eigenvalues
-    in ascending order and the matching unitary of column eigenvectors.
-    """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    h = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
 
 
 def _reshaped(m: np.ndarray, layout: SubsystemLayout) -> np.ndarray:

@@ -18,8 +18,7 @@ import numpy as np
 
 from entclone.analytic import CloneFamily, params_for, schmidt_state
 from entclone.covariant import reorder_from_choi
-from entclone.channel import clone_reductions
-from entclone.linalg import kron
+from entclone.channel import check_state, clone_reductions
 
 KRAUS_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-14
@@ -53,7 +52,7 @@ class ProtocolTranscript:
 
 def _pair_kraus(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """sqrt(2) * Ma (x) Mb with output rows regrouped to (1A, 1B, 2A, 2B)."""
-    block = math.sqrt(2.0) * kron(ma, mb)
+    block = math.sqrt(2.0) * np.kron(ma, mb)
     return block.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
 
 
@@ -102,19 +101,6 @@ def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
     return reorder_from_choi(p)
 
 
-def _check_state(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"input state must be 4x4, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("input state must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("input state must have unit trace")
-    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()) < -1e-10:
-        raise ValueError("input state must be positive semidefinite")
-    return rho
-
-
 def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[ProtocolTranscript]:
     """Enumerate all eight (alice, bob) branches on the given input state.
 
@@ -125,7 +111,7 @@ def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[Pr
     if state is None:
         phi = schmidt_state(alpha)
         state = np.outer(phi, phi.conj())
-    rho = _check_state(state)
+    rho = check_state(state)
     ks = build_kraus(alpha)
     out: list[ProtocolTranscript] = []
     for (ai, bi), kmat in zip(_BRANCHES, ks.k):

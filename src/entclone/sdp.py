@@ -20,8 +20,7 @@ nu = sum of weight * block size stays 64 per cone.
 The solver follows the classic path: equalities are eliminated through
 an orthonormal null-space parametrization, then damped Newton steps
 maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by 10
-down to tol / (2 * nu).  The path following is deterministic; the seed
-argument is kept for interface stability only.
+down to tol / (2 * nu).  The path following is deterministic.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
     raise ConvergenceError("could not find a strictly feasible starting point")
 
 
-def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200, seed: int = 0) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
     """Maximize the objective; returns the final iterate and diagnostics.
 
     tol bounds the objective suboptimality through the final barrier
@@ -274,7 +273,6 @@ def _sweep_solutions(
     with_ppt: bool,
     t: TOperators | None = None,
     tol: float = 1e-7,
-    seed: int = 0,
     max_iter: int = 200,
 ) -> list[tuple[float, SdpSolution]]:
     if t is None:
@@ -285,7 +283,7 @@ def _sweep_solutions(
         f = fidelity_coefficients(alpha, t).reshape(-1)
         prob = SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones)
         try:
-            sol = solve(prob, tol=tol, max_iter=max_iter, seed=seed)
+            sol = solve(prob, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"sweep point {idx} (alpha={alpha:.6f}) did not converge: {err}",
@@ -301,11 +299,10 @@ def solve_sweep(
     with_ppt: bool = False,
     t: TOperators | None = None,
     tol: float = 1e-7,
-    seed: int = 0,
     max_iter: int = 200,
 ) -> list[tuple[float, float]]:
     """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
-    sols = _sweep_solutions(alphas, with_ppt, t=t, tol=tol, seed=seed, max_iter=max_iter)
+    sols = _sweep_solutions(alphas, with_ppt, t=t, tol=tol, max_iter=max_iter)
     return [(alpha, sol.f_star) for alpha, sol in sols]
 
 

@@ -5,5 +5,5 @@ from entclone.covariant import build_t_operators
 
 @pytest.fixture(scope="session")
 def t_ops():
-    """Shared commutant operators so each test module skips the twirl cost."""
+    """Commutant operators shared by every test module."""
     return build_t_operators()

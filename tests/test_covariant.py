@@ -9,14 +9,13 @@ from entclone.covariant import (
     assemble_ptilde,
     basis_stack,
     build_invariant_basis,
-    build_t_operators,
     commutant_blocks,
     reorder_from_choi,
     reorder_to_choi,
     triple_rep,
     two_party_rep,
 )
-from entclone.linalg import hermitian_eig, partial_transpose, random_su2
+from entclone.linalg import partial_transpose, random_su2
 
 
 def projector(columns):
@@ -63,8 +62,8 @@ def test_t4_commutes_with_triple_rep(t_ops):
     worst = 0.0
     for _ in range(20):
         rep = triple_rep(random_su2(rng))
-        comm = t_ops.t4 @ rep - rep @ t_ops.t4
-        worst = max(worst, np.abs(comm).max())
+        for op in (t_ops.t4, t_ops.t5):
+            worst = max(worst, np.abs(op @ rep - rep @ op).max())
     assert worst < 1e-10
 
 
@@ -80,18 +79,35 @@ def test_commutant_blocks(t_ops):
         commutant_blocks(dataclasses.replace(t_ops, t4=t_ops.t4 + stray))
 
 
-def test_twirl_seed_stability(t_ops):
-    other = build_t_operators(seed=423134)
-    for lhs, rhs in zip(t_ops.as_list(), other.as_list()):
-        assert np.abs(lhs - rhs).max() < 1e-8
-    assert other.sign_convention == t_ops.sign_convention
+def test_t_operators_span_commutant(t_ops):
+    """The closed-form t1..t5 span the numerical commutant of seeded group draws."""
+    rng = np.random.default_rng(720517)
+    eye = np.eye(8)
+    gram = np.zeros((64, 64), dtype=complex)
+    for _ in range(20):
+        g = triple_rep(random_su2(rng))
+        # vec(g T - T g) = (g (x) I - I (x) g^T) vec(T) for row-major vec
+        lhs = np.kron(g, eye) - np.kron(eye, g.T)
+        gram += lhs.conj().T @ lhs
+    vals, vecs = np.linalg.eigh(gram)
+    null = vecs[:, vals < 1e-9 * vals[-1]]
+    assert null.shape[1] == 5
+    span, _ = np.linalg.qr(np.stack([ti.reshape(-1) for ti in t_ops.as_list()], axis=1))
+    for ti in t_ops.as_list():
+        v = ti.reshape(-1)
+        assert np.linalg.norm(v - null @ (null.conj().T @ v)) < 1e-12 * np.linalg.norm(v)
+    assert np.abs(null - span @ (span.conj().T @ null)).max() < 1e-12
+    basis = build_invariant_basis()
+    t12 = (t_ops.t4 - 1j * t_ops.t5) / 2
+    lead = basis.m2[0].conj() @ t12 @ basis.m1[0]
+    assert abs(lead.imag) < 1e-15 and lead.real > 0
 
 
 def test_assemble_zero_and_projector(t_ops):
     assert np.abs(assemble_ptilde(np.zeros((5, 5)), t_ops)).max() == 0.0
     a = np.zeros((5, 5))
     a[1, 1] = 1.0
-    vals, _ = hermitian_eig(assemble_ptilde(a, t_ops))
+    vals = np.linalg.eigvalsh(assemble_ptilde(a, t_ops))
     counts = np.isclose(vals, 1.0, atol=1e-10).sum(), np.isclose(vals, 0.0, atol=1e-10).sum()
     assert counts == (4, 60)
 
@@ -111,7 +127,7 @@ def test_family_operators_are_positive(t_ops):
         (CloneFamily.LOCC_OPTIMAL, 0.6),
     ):
         ptilde = assemble_ptilde(params_for(family, alpha), t_ops)
-        vals, _ = hermitian_eig(ptilde)
+        vals = np.linalg.eigvalsh(ptilde)
         assert vals.min() > -1e-10
 
 
@@ -138,8 +154,8 @@ def test_reorder_round_trip(t_ops):
     p_e = reorder_to_choi(ptilde)
     assert np.array_equal(reorder_from_choi(p_e), ptilde)
     assert abs(np.trace(p_e) - np.trace(ptilde)) < 1e-12
-    vals_p, _ = hermitian_eig(ptilde)
-    vals_c, _ = hermitian_eig(p_e)
+    vals_p = np.linalg.eigvalsh(ptilde)
+    vals_c = np.linalg.eigvalsh(p_e)
     assert np.abs(np.sort(vals_p) - np.sort(vals_c)).max() < 1e-12
 
 
