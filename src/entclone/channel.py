@@ -5,6 +5,13 @@ Channels map a two-qubit input (A, B) to a four-qubit output ordered
 P = sum_ij E(|i><j|) (x) |i><j| on (output, input), so trace
 preservation reads Tr_out P = I_4 and the action recovers as
 E(rho) = Tr_in [P (I (x) rho^T)].
+
+For a covariant cloner P = sum_ij a_ij ti (x) tj every quantity the
+program needs (the clone-fidelity functional, the output trace and the
+clone difference) factors over the two parties, so the SDP's objective
+and equality rows are built from partial traces of the 8x8 operators
+t1..t5 alone; the 64x64 Choi operator is formed only when a channel is
+actually applied.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entclone.analytic import schmidt_state
-from entclone.covariant import CHOI_LAYOUT, TOperators, basis_stack, reorder_to_choi
+from entclone.covariant import TOperators, assemble_ptilde, reorder_to_choi
 from entclone.linalg import SubsystemLayout, frobenius_distance, partial_trace
 
 OUTPUT_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2)))
@@ -86,8 +93,6 @@ def apply(ch: CloningChannel, rho: np.ndarray) -> np.ndarray:
 
 def channel_from_params(a: np.ndarray, t: TOperators) -> CloningChannel:
     """Choi-represented channel for a covariant parameter matrix."""
-    from entclone.covariant import assemble_ptilde
-
     return CloningChannel.from_choi(reorder_to_choi(assemble_ptilde(a, t)))
 
 
@@ -99,13 +104,6 @@ def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r1 = partial_trace(rho_out, OUTPUT_LAYOUT, {"2A", "2B"})
     r2 = partial_trace(rho_out, OUTPUT_LAYOUT, {"1A", "1B"})
     return r1, r2
-
-
-def _mean_clone_overlap(rho_out: np.ndarray, phi: np.ndarray) -> float:
-    r1, r2 = clone_reductions(rho_out)
-    f1 = phi.conj() @ r1 @ phi
-    f2 = phi.conj() @ r2 @ phi
-    return float(np.real(f1 + f2) / 2.0)
 
 
 def local_fidelity(ch: CloningChannel, alpha: float) -> float:
@@ -123,20 +121,52 @@ def local_fidelity(ch: CloningChannel, alpha: float) -> float:
     return float(np.real(f))
 
 
+def _party_reductions(t: TOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-party clone reductions of t1..t5: (R1, R2, s).
+
+    On one party's (clone 1, clone 2, input) triple, R1_i = Tr_clone2 ti
+    and R2_i = Tr_clone1 ti are 4x4 operators on (clone, input), stacked
+    as (5, 4, 4); s holds the real scalars with Tr_clones ti = s_i I2.
+    Raises RuntimeError if some Tr_clones ti is not a real multiple of
+    I2 to 1e-12.
+    """
+    ts = np.stack(t.as_list()).reshape(5, 2, 2, 2, 2, 2, 2)
+    r1 = np.einsum("iabxcbz->iaxcz", ts).reshape(5, 4, 4)
+    r2 = np.einsum("iabxadz->ibxdz", ts).reshape(5, 4, 4)
+    tr_out = np.einsum("iabxabz->ixz", ts)
+    s = np.trace(tr_out, axis1=1, axis2=2) / 2.0
+    if np.linalg.norm(tr_out - s[:, None, None] * np.eye(2), axis=(1, 2)).max() > 1e-12:
+        raise RuntimeError("basis element traced out to a non-scalar operator")
+    if np.abs(s.imag).max() > 1e-12:
+        raise RuntimeError("basis element has a complex output trace")
+    return r1, r2, s.real
+
+
 def fidelity_coefficients(alpha: float, t: TOperators) -> np.ndarray:
     """Linear functional f_ij with F(a) = sum_ij f_ij a_ij on the representative state.
 
     Each coefficient is the symmetrized clone overlap produced by the
     basis operator ti (x) tj alone, so the functional stays meaningful
-    even before the symmetry constraints are imposed.
+    even before the symmetry constraints are imposed.  Clone k of
+    ti (x) tj is Rk_i (x) Rk_j on (clone, input) per party (see
+    _party_reductions), so with psi = phi (x) phi regrouped by party,
+    f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2; no 64x64 operator
+    is formed.
     """
-    phi = schmidt_state(alpha)
-    rho = np.outer(phi, phi.conj())
+    phi = schmidt_state(alpha).reshape(2, 2)
+    # psi as a 4x4 matrix: rows (clone A, input A), columns (clone B, input B).
+    psi = np.einsum("ab,xy->axby", phi, phi).reshape(4, 4)
     f = np.zeros((5, 5))
-    for p, g in enumerate(basis_stack(t)):
-        out = apply_choi(reorder_to_choi(g), rho)
-        f[p // 5, p % 5] = _mean_clone_overlap(out, phi)
+    for r in _party_reductions(t)[:2]:
+        sandwich = psi.conj().T @ r @ psi
+        f += np.real(sandwich.reshape(5, 16) @ r.reshape(5, 16).T) / 2.0
     return f
+
+
+def _clone_products(r: np.ndarray) -> np.ndarray:
+    """Every Rk_i (x) Rk_j on (clone A, clone B, input A, input B), flattened to (25, 256)."""
+    r = r.reshape(5, 2, 2, 2, 2)
+    return np.einsum("iaxcz,jbydw->ijabxycdzw", r, r).reshape(25, 256)
 
 
 def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -146,25 +176,13 @@ def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     (row-major, length 25).  The trace constraint is trace_row . a = 1;
     every symmetry row r satisfies r . a = 0 on symmetric channels.  The
     symmetry rows are an orthonormal basis of the row space discovered
-    by a rank-revealing SVD; their count is data, not a promise.
+    by a rank-revealing SVD; their count is data, not a promise.  Both
+    come from the per-party reductions: Tr_out ti (x) tj = s_i s_j I4,
+    and the clone difference of ti (x) tj is R1_i (x) R1_j - R2_i (x) R2_j.
     """
-    stack = basis_stack(t)
-    trace_row = np.zeros(25)
-    columns = np.zeros((512, 25))
-    for p, g in enumerate(stack):
-        pe = reorder_to_choi(g)
-        tr_out = partial_trace(pe, CHOI_LAYOUT, {"1A", "1B", "2A", "2B"})
-        c = complex(np.trace(tr_out)) / 4.0
-        if np.linalg.norm(tr_out - c * np.eye(4)) > 1e-12:
-            raise RuntimeError("basis element traced out to a non-scalar operator")
-        if abs(c.imag) > 1e-12:
-            raise RuntimeError("basis element has a complex output trace")
-        trace_row[p] = c.real
-        r1 = partial_trace(pe, CHOI_LAYOUT, {"2A", "2B"})
-        r2 = partial_trace(pe, CHOI_LAYOUT, {"1A", "1B"})
-        d = (r1 - r2).reshape(-1)
-        columns[:256, p] = d.real
-        columns[256:, p] = d.imag
+    r1, r2, s = _party_reductions(t)
+    d = (_clone_products(r1) - _clone_products(r2)).T
+    columns = np.vstack([d.real, d.imag])
     _, sv, vh = np.linalg.svd(columns, full_matrices=False)
     keep = sv > 1e-10 * max(sv[0], 1.0)
-    return trace_row, vh[keep]
+    return np.outer(s, s).reshape(-1), vh[keep]

@@ -29,7 +29,6 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
-from entclone.channel import fidelity_coefficients
 from entclone.covariant import build_t_operators
 from entclone.protocol import (
     average_clone_fidelity,
@@ -39,9 +38,8 @@ from entclone.protocol import (
 )
 from entclone.sdp import (
     ConvergenceError,
-    SdpProblem,
     ThresholdDetectionError,
-    _fixed_parts,
+    build_problem,
     detect_threshold,
     solve,
 )
@@ -100,12 +98,18 @@ def _render(records: list[dict], columns: Sequence[str], fmt: str, metadata: dic
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(text: str, out_path: str | None) -> int:
+    """Write text to stdout or out_path; returns the exit code, 2 if the file cannot be written."""
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _metadata(seed: int, tol: float) -> dict:
@@ -115,10 +119,6 @@ def _metadata(seed: int, tol: float) -> dict:
         "tol": tol,
         "sign_convention": "t12",
     }
-
-
-def _grid(alpha_min: float, alpha_max: float, steps: int) -> np.ndarray:
-    return np.linspace(alpha_min, alpha_max, steps)
 
 
 def _check_range(alpha_min: float, alpha_max: float, steps: int) -> str | None:
@@ -150,30 +150,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if mode not in modes:
             modes.append(mode)
     modes.sort(key=_SWEEP_MODES.index)
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     columns = ["alpha"] + [_MODE_FIELDS[m] for m in modes] + ["error"]
     analytic = {"global": fidelity_global, "bh": fidelity_bh, "locc": fidelity_locc}
     needs_solver = [m for m in modes if m in ("sdp", "sdp-ppt")]
     t = build_t_operators() if needs_solver else None
-    fixed = {mode: _fixed_parts(t, with_ppt=(mode == "sdp-ppt")) for mode in needs_solver}
 
     records: list[dict] = []
     failure: str | None = None
-    for alpha in _grid(args.alpha_min, args.alpha_max, args.steps):
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
         rec: dict = {"alpha": float(alpha)}
         for mode in modes:
             if mode in analytic:
                 rec[_MODE_FIELDS[mode]] = analytic[mode](float(alpha))
         try:
             for mode in needs_solver:
-                f = fidelity_coefficients(float(alpha), t).reshape(-1)
-                eq, rhs, cones = fixed[mode]
-                sol = solve(SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones), tol=args.tol)
+                sol = solve(build_problem(float(alpha), t, with_ppt=(mode == "sdp-ppt")), tol=args.tol)
                 rec[_MODE_FIELDS[mode]] = sol.f_star
         except (ConvergenceError, ValueError) as exc:
             rec["error"] = f"solver failure: {exc}"
@@ -182,12 +174,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if failure:
             break
 
-    text = _render(records, columns, args.format, _metadata(seed, args.tol))
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    status = _write(_render(records, columns, args.format, _metadata(args.seed, args.tol)), args.out)
+    if status:
+        return status
     if failure:
         print(f"error: sweep aborted: {failure}", file=sys.stderr)
         return 3
@@ -208,14 +197,9 @@ def cmd_params(args: argparse.Namespace) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     labels = (("a11", 0, 0), ("a12", 0, 1), ("a21", 1, 0), ("a22", 1, 1), ("a44", 3, 3))
     records = []
-    for alpha in _grid(args.alpha_min, args.alpha_max, args.steps):
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
         a = params_for(CloneFamily.LOCC_OPTIMAL, float(alpha))
         rec: dict = {"alpha": float(alpha)}
         for name, i, j in labels:
@@ -223,22 +207,11 @@ def cmd_params(args: argparse.Namespace) -> int:
                 rec[name] = float(a[i, j])
         records.append(rec)
     columns = ["alpha"] + [name for name, _, _ in labels]
-    text = _render(records, columns, args.format, _metadata(seed, DEFAULT_TOL))
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _write(_render(records, columns, args.format, _metadata(args.seed, DEFAULT_TOL)), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = run_all(tol=args.tol, seed=seed)
+    results = run_all(tol=args.tol, seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -246,11 +219,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_protocol(args: argparse.Namespace) -> int:
     if args.trials < 0:
         print(f"error: trials must be nonnegative, got {args.trials}", file=sys.stderr)
-        return 2
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         transcripts = run_protocol_exact(args.alpha)
@@ -272,7 +240,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         )
     records.append({"kind": "exact", "fidelity": average_clone_fidelity(transcripts, reference)})
     if args.trials >= 1:
-        estimate, stderr = run_protocol_sampled(args.alpha, trials=args.trials, seed=seed)
+        estimate, stderr = run_protocol_sampled(args.alpha, trials=args.trials, seed=args.seed)
         records.append({"kind": "sampled", "fidelity": estimate, "stderr": stderr})
     columns = [
         "kind",
@@ -284,13 +252,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         "fidelity",
         "stderr",
     ]
-    text = _render(records, columns, args.format, _metadata(seed, DEFAULT_TOL))
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _write(_render(records, columns, args.format, _metadata(args.seed, DEFAULT_TOL)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,6 +308,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        args.seed = _resolve_seed(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

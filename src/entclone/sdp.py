@@ -17,6 +17,11 @@ weights each block's log det by its copy count, which makes it equal to
 log det of the full operator, and the barrier parameter
 nu = sum of weight * block size stays 64 per cone.
 
+The objective and the equality rows are built per party too, from the
+partial traces of the 8x8 operators t1..t5 (see
+channel.fidelity_coefficients and channel.constraint_matrices), so no
+64x64 operator is formed anywhere on the solve path.
+
 The solver follows the classic path: equalities are eliminated through
 an orthonormal null-space parametrization, then damped Newton steps
 maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by 10
@@ -95,8 +100,8 @@ def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> _Cone:
     )
 
 
-def _fixed_parts(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, np.ndarray, tuple[_Cone, ...]]:
-    """Equality rows, their right-hand side and the cones: everything that does not depend on alpha."""
+def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
+    """Assemble the program for one Schmidt weight."""
     trace_row, sym_rows = constraint_matrices(t)
     eq = np.vstack([trace_row[None, :], sym_rows])
     rhs = np.zeros(eq.shape[0])
@@ -105,14 +110,8 @@ def _fixed_parts(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, np.ndarray,
     cones = [_block_cone(x, x, c)]
     if with_ppt:
         cones.append(_block_cone(x, np.swapaxes(x, 1, 2), c))
-    return eq, rhs, tuple(cones)
-
-
-def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
-    """Assemble the program for one Schmidt weight."""
     f = fidelity_coefficients(alpha, t).reshape(-1)
-    eq, rhs, cones = _fixed_parts(t, with_ppt)
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones)
+    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=tuple(cones))
 
 
 def _size_groups(cones: Sequence[_Cone]) -> list[_Group]:
@@ -268,22 +267,24 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         mu = max(mu / 10.0, mu_min)
 
 
-def _sweep_solutions(
+def sweep_solutions(
     alphas: Sequence[float],
     with_ppt: bool,
     t: TOperators | None = None,
     tol: float = 1e-7,
     max_iter: int = 200,
 ) -> list[tuple[float, SdpSolution]]:
+    """Solve the program at each alpha in turn; returns (alpha, solution) pairs.
+
+    The first point that does not converge aborts the sweep with a
+    ConvergenceError naming its index and alpha.
+    """
     if t is None:
         t = build_t_operators()
-    eq, rhs, cones = _fixed_parts(t, with_ppt)
     out = []
     for idx, alpha in enumerate(alphas):
-        f = fidelity_coefficients(alpha, t).reshape(-1)
-        prob = SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=cones)
         try:
-            sol = solve(prob, tol=tol, max_iter=max_iter)
+            sol = solve(build_problem(alpha, t, with_ppt), tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"sweep point {idx} (alpha={alpha:.6f}) did not converge: {err}",
@@ -302,7 +303,7 @@ def solve_sweep(
     max_iter: int = 200,
 ) -> list[tuple[float, float]]:
     """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
-    sols = _sweep_solutions(alphas, with_ppt, t=t, tol=tol, max_iter=max_iter)
+    sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol, max_iter=max_iter)
     return [(alpha, sol.f_star) for alpha, sol in sols]
 
 

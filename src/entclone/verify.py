@@ -47,8 +47,8 @@ from entclone.protocol import (
 )
 from entclone.sdp import (
     ThresholdDetectionError,
-    _sweep_solutions,
     detect_threshold,
+    sweep_solutions,
 )
 
 
@@ -88,16 +88,16 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     coarse_plain = coarse_ppt = fine_ppt = fine_plain = None
     try:
         grid = np.linspace(0.0, ALPHA_MAX, 50)
-        coarse_plain = _sweep_solutions(grid, False, t=t, tol=tol)
-        coarse_ppt = _sweep_solutions(grid, True, t=t, tol=tol)
+        coarse_plain = sweep_solutions(grid, False, t=t, tol=tol)
+        coarse_ppt = sweep_solutions(grid, True, t=t, tol=tol)
         fine_grid = np.arange(0.30, 0.37 + 1e-12, 0.002)
         fine_ppt = [
             (alpha, sol.f_star)
-            for alpha, sol in _sweep_solutions(fine_grid, True, t=t, tol=tol)
+            for alpha, sol in sweep_solutions(fine_grid, True, t=t, tol=tol)
         ]
         fine_plain = [
             (alpha, sol.f_star)
-            for alpha, sol in _sweep_solutions(fine_grid, False, t=t, tol=tol)
+            for alpha, sol in sweep_solutions(fine_grid, False, t=t, tol=tol)
         ]
     except Exception as exc:
         sweep_error = exc
@@ -156,7 +156,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     def criterion_5() -> tuple[bool, str]:
         worst = 0.0
         for alpha in (0.05, 0.15, 0.25, 0.33):
-            sols = _sweep_solutions([alpha], True, t=t, tol=tol)
+            sols = sweep_solutions([alpha], True, t=t, tol=tol)
             worst = max(worst, abs(sols[0][1].f_star - fidelity_bh(alpha)))
         return worst <= 1e-6, f"worst |ppt - no-communication| {_fmt(worst)} (tol 1e-6)"
 

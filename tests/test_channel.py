@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from entclone.channel import (
     fidelity_coefficients,
     local_fidelity,
 )
+from entclone.covariant import CHOI_LAYOUT, basis_stack, reorder_to_choi
 from entclone.linalg import SubsystemLayout, partial_trace, random_su2
 
 
@@ -151,6 +153,50 @@ def test_constraint_trace_row(t_ops):
     assert np.abs(trace_row.reshape(5, 5) - pattern).max() < 1e-10
     assert sym_rows.shape[1] == 25
     assert sym_rows.shape[0] >= 1
+
+
+def dense_fidelity_coefficients(alpha, t_ops):
+    """Reference f: each ti (x) tj as a 64x64 Choi operator applied to the representative state."""
+    phi = schmidt_state(alpha)
+    f = np.zeros(25)
+    for p, g in enumerate(basis_stack(t_ops)):
+        clone_1, clone_2 = clone_reductions(apply_choi(reorder_to_choi(g), density(phi)))
+        f[p] = np.real(phi.conj() @ (clone_1 + clone_2) @ phi) / 2.0
+    return f.reshape(5, 5)
+
+
+def dense_constraint_matrices(t_ops):
+    """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators."""
+    trace_row = np.zeros(25)
+    columns = np.zeros((512, 25))
+    for p, g in enumerate(basis_stack(t_ops)):
+        p_e = reorder_to_choi(g)
+        trace_row[p] = np.real(np.trace(partial_trace(p_e, CHOI_LAYOUT, {"1A", "1B", "2A", "2B"}))) / 4.0
+        d = partial_trace(p_e, CHOI_LAYOUT, {"2A", "2B"}) - partial_trace(p_e, CHOI_LAYOUT, {"1A", "1B"})
+        columns[:256, p] = d.real.reshape(-1)
+        columns[256:, p] = d.imag.reshape(-1)
+    _, sv, vh = np.linalg.svd(columns, full_matrices=False)
+    return trace_row, vh[sv > 1e-10 * max(sv[0], 1.0)]
+
+
+def test_party_assembly_matches_dense(t_ops):
+    """The per-party reductions give the same objective and equalities as the 64x64 operators."""
+    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
+        assert np.abs(fidelity_coefficients(alpha, t_ops) - dense_fidelity_coefficients(alpha, t_ops)).max() < 1e-14
+    trace_row, sym_rows = constraint_matrices(t_ops)
+    dense_trace, dense_sym = dense_constraint_matrices(t_ops)
+    assert np.abs(trace_row - dense_trace).max() < 1e-14
+    assert sym_rows.shape == dense_sym.shape
+    assert np.abs(sym_rows.T @ sym_rows - dense_sym.T @ dense_sym).max() < 1e-12
+
+
+def test_constraint_matrices_reject_non_covariant_operators(t_ops):
+    rng = np.random.default_rng(26)
+    h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    with pytest.raises(RuntimeError, match="non-scalar"):
+        constraint_matrices(dataclasses.replace(t_ops, t1=h + h.conj().T))
+    with pytest.raises(RuntimeError, match="complex output trace"):
+        constraint_matrices(dataclasses.replace(t_ops, t1=1j * t_ops.t1))
 
 
 def test_families_satisfy_constraints(t_ops):
