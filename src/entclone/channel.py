@@ -1,10 +1,11 @@
 """Channel action, clone fidelities, and the linear constraint system.
 
 Channels map a two-qubit input (A, B) to a four-qubit output ordered
-(1A, 1B, 2A, 2B).  The Choi operator convention is unnormalized,
-P = sum_ij E(|i><j|) (x) |i><j| on (output, input), so trace
-preservation reads Tr_out P = I_4 and the action recovers as
-E(rho) = Tr_in [P (I (x) rho^T)].
+(1A, 1B, 2A, 2B).  A channel is its Choi operator, a plain 64x64
+array: the convention is unnormalized, P = sum_ij E(|i><j|) (x) |i><j|
+on (output, input), so trace preservation reads Tr_out P = I_4 and the
+action recovers as E(rho) = Tr_in [P (I (x) rho^T)].  Kraus operators
+appear only in the protocol module, which applies them itself.
 
 For a covariant cloner P = sum_ij a_ij ti (x) tj every quantity the
 program needs (the clone-fidelity functional, the output trace and the
@@ -16,8 +17,6 @@ actually applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from entclone.analytic import schmidt_state
@@ -27,32 +26,6 @@ from entclone.linalg import SubsystemLayout, frobenius_distance, partial_trace
 OUTPUT_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2)))
 
 SYMMETRY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CloningChannel:
-    """A cloning channel in Choi or Kraus representation (at least one set)."""
-
-    choi: np.ndarray | None = None
-    kraus: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.choi is None and self.kraus is None:
-            raise ValueError("channel needs a Choi operator or Kraus operators")
-
-    @classmethod
-    def from_choi(cls, p_e: np.ndarray) -> "CloningChannel":
-        p_e = np.asarray(p_e, dtype=complex)
-        if p_e.shape != (64, 64):
-            raise ValueError(f"Choi operator must be 64x64, got {p_e.shape}")
-        return cls(choi=p_e)
-
-    @classmethod
-    def from_kraus(cls, ops: "list[np.ndarray] | tuple[np.ndarray, ...]") -> "CloningChannel":
-        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
-        if any(k.shape != (16, 4) for k in ops):
-            raise ValueError("Kraus operators must be 16x4")
-        return cls(kraus=ops)
 
 
 def apply_choi(p_e: np.ndarray, rho: np.ndarray, dims: tuple[int, int] = (16, 4)) -> np.ndarray:
@@ -80,20 +53,14 @@ def check_state(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def apply(ch: CloningChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a two-qubit density matrix, output on (1A,1B,2A,2B)."""
-    rho = check_state(rho)
-    if ch.kraus is not None:
-        out = np.zeros((16, 16), dtype=complex)
-        for k in ch.kraus:
-            out += k @ rho @ k.conj().T
-        return out
-    return apply_choi(ch.choi, rho)
+def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel with Choi operator p_e to a two-qubit density matrix, output on (1A,1B,2A,2B)."""
+    return apply_choi(p_e, check_state(rho))
 
 
-def channel_from_params(a: np.ndarray, t: TOperators) -> CloningChannel:
-    """Choi-represented channel for a covariant parameter matrix."""
-    return CloningChannel.from_choi(reorder_to_choi(assemble_ptilde(a, t)))
+def channel_from_params(a: np.ndarray, t: TOperators) -> np.ndarray:
+    """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a."""
+    return reorder_to_choi(assemble_ptilde(a, t))
 
 
 def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +73,14 @@ def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
-def local_fidelity(ch: CloningChannel, alpha: float) -> float:
-    """Clone fidelity on the representative input state.
+def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
+    """Clone fidelity of the channel with Choi operator p_e on the representative input state.
 
     The two clones must agree within the symmetry tolerance; their mean
     overlap with the input is returned.
     """
     phi = schmidt_state(alpha)
-    rho_out = apply(ch, np.outer(phi, phi.conj()))
+    rho_out = apply(p_e, np.outer(phi, phi.conj()))
     r1, r2 = clone_reductions(rho_out)
     if frobenius_distance(r1, r2) > SYMMETRY_TOL:
         raise ValueError("channel output violates clone symmetry on the representative state")

@@ -5,12 +5,13 @@ U (x) U (x) U* applied per party to (clone 1, clone 2, input).  On one
 party's eight-dimensional triple that action decomposes as
 spin 3/2 (+) spin 1/2 (+) spin 1/2: two equivalent two-dimensional
 invariant subspaces and a four-dimensional remainder, so its commutant
-is M2 (+) C, of dimension 5.  The module builds an orthonormal basis
-adapted to that decomposition and, in closed form, the five operators
-t1..t5 spanning the commutant: three projectors plus the Hermitian pair
-built from the intertwiner between the two equivalent blocks.  It then
-assembles the full two-party operator sum_ij a_ij ti (x) tj on the
-(1A,2A,A,1B,2B,B) factor order.
+is M2 (+) C, of dimension 5.  The module holds that decomposition as
+constants: the isometry BLOCK_BASIS onto the two equivalent blocks and
+the M2 (+) C coordinates BLOCK_X, BLOCK_C of the five operators t1..t5
+spanning the commutant (three projectors plus the Hermitian pair built
+from the intertwiner between the two equivalent blocks).  It builds
+t1..t5 from those coordinates and assembles the full two-party operator
+sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) factor order.
 """
 
 from __future__ import annotations
@@ -24,21 +25,31 @@ from entclone.linalg import SubsystemLayout, permute_subsystems
 PTILDE_LAYOUT = SubsystemLayout((("1A", 2), ("2A", 2), ("A", 2), ("1B", 2), ("2B", 2), ("B", 2)))
 CHOI_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2), ("A", 2), ("B", 2)))
 
-
-@dataclass(frozen=True)
-class InvariantBasis:
-    """Orthonormal vectors spanning the invariant subspaces of one triple.
-
-    m1 and m2 each hold two rows (the equivalent two-dimensional blocks),
-    m3 holds the four rows completing the basis.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.m1, self.m2, self.m3])
+_E = np.eye(8)
+# Columns m1_0, m1_1, m2_0, m2_1: the antisymmetric pair state tensored
+# with either input basis vector, then the symmetric-triple combinations
+# orthogonal to it, signed so that m1_k -> m2_k commutes with the triple
+# action.  Index 2b + k holds block b's vector k.  The columns are real,
+# so V^dag is V.T.
+BLOCK_BASIS = np.stack(
+    [
+        (_E[3] - _E[5]) / np.sqrt(2),
+        (_E[2] - _E[4]) / np.sqrt(2),
+        (2 * _E[0] + _E[3] + _E[5]) / np.sqrt(6),
+        -(_E[2] + _E[4] + 2 * _E[7]) / np.sqrt(6),
+    ],
+    axis=1,
+)
+# ti = V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) with V = BLOCK_BASIS:
+# the two block projectors, the remainder, and the intertwiner
+# t12 = sum_k |m2_k><m1_k| made Hermitian as t12 + t21 and i t12 - i t21.
+BLOCK_X = np.array(
+    [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]],
+    dtype=complex,
+)
+BLOCK_C = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+for _table in (BLOCK_BASIS, BLOCK_X, BLOCK_C):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -60,32 +71,6 @@ class TOperators:
         return [self.t1, self.t2, self.t3, self.t4, self.t5]
 
 
-def build_invariant_basis() -> InvariantBasis:
-    """Construct the adapted basis with a deterministic completion.
-
-    The first block is spanned by the antisymmetric pair state tensored
-    with either input basis vector; the second by the symmetric-triple
-    combinations orthogonal to it, signed so that m1_k -> m2_k commutes
-    with the triple action.  The remainder is completed by Gram-Schmidt
-    over the standard basis in index order.
-    """
-    e = np.eye(8, dtype=complex)
-    m1 = np.stack([(e[3] - e[5]) / np.sqrt(2), (e[2] - e[4]) / np.sqrt(2)])
-    m2 = np.stack([(2 * e[0] + e[3] + e[5]) / np.sqrt(6), -(e[2] + e[4] + 2 * e[7]) / np.sqrt(6)])
-    accepted = [m1[0], m1[1], m2[0], m2[1]]
-    m3: list[np.ndarray] = []
-    for k in range(8):
-        v = e[k].copy()
-        for w in accepted + m3:
-            v = v - (w.conj() @ v) * w
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            m3.append(v / nrm)
-    if len(m3) != 4:
-        raise RuntimeError(f"basis completion produced {len(m3)} vectors, expected 4")
-    return InvariantBasis(m1=m1, m2=m2, m3=np.stack(m3))
-
-
 def triple_rep(u: np.ndarray) -> np.ndarray:
     """Action of a local unitary on (clone 1, clone 2, input): u (x) u (x) u*."""
     return np.kron(np.kron(u, u), u.conj())
@@ -96,20 +81,15 @@ def two_party_rep(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     return np.kron(triple_rep(u_a), triple_rep(u_b))
 
 
-def build_t_operators() -> TOperators:
-    """Build t1..t5 from the invariant basis in closed form.
+def _from_blocks(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Operators V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) as an (n, 8, 8) stack."""
+    v = BLOCK_BASIS
+    return v @ np.kron(x, np.eye(2)) @ v.T + np.asarray(c)[:, None, None] * (np.eye(8) - v @ v.T)
 
-    With the basis sign of build_invariant_basis the map m1_k -> m2_k
-    commutes with the triple action, so the intertwiner is
-    t12 = sum_k |m2_k><m1_k|; its matrix element <m2_0| t12 |m1_0> is 1.
-    """
-    basis = build_invariant_basis()
-    t1 = basis.m1.T @ basis.m1.conj()
-    t2 = basis.m2.T @ basis.m2.conj()
-    t3 = np.eye(8, dtype=complex) - t1 - t2
-    t12 = basis.m2.T @ basis.m1.conj()
-    t21 = t12.conj().T
-    return TOperators(t1=t1, t2=t2, t3=t3, t4=t12 + t21, t5=1j * t12 - 1j * t21)
+
+def build_t_operators() -> TOperators:
+    """Build t1..t5 from their M2 (+) C coordinates BLOCK_X, BLOCK_C."""
+    return TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
 
 
 def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
@@ -129,22 +109,21 @@ def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
 def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of t1..t5 in M2 (+) C: 2x2 blocks X of shape (5, 2, 2) and scalars c of shape (5,).
 
-    In the invariant basis (m1_0, m1_1, m2_0, m2_1, m3) each ti is
-    X_i (x) I2 (+) c_i I4: X_i acts on (m1_k, m2_k) alike for k = 0, 1.
+    Each ti is V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) with V =
+    BLOCK_BASIS: X_i is read off V^dag ti V and acts on (m1_k, m2_k)
+    alike for k = 0, 1, and c_i is Tr[(I8 - V V^dag) ti] / 4, its trace
+    on the four-dimensional complement.
     Raises RuntimeError if t departs from that structure by more than
     1e-12.
     """
-    m = build_invariant_basis().stacked()
-    b = np.stack([m.conj() @ ti @ m.T for ti in t.as_list()])
-    x = b[:, 0:4:2, 0:4:2]
+    ts = np.stack(t.as_list())
+    b = BLOCK_BASIS.T @ ts @ BLOCK_BASIS
+    x = b[:, 0::2, 0::2]
     # Exactly Hermitian blocks keep every real combination of their
     # products exactly Hermitian, so the solver never re-symmetrizes.
     x = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
-    c = b[:, 4, 4].real
-    expect = np.zeros_like(b)
-    expect[:, :4, :4] = np.kron(x, np.eye(2))
-    expect[:, 4:, 4:] = c[:, None, None] * np.eye(4)
-    if np.abs(b - expect).max() > 1e-12:
+    c = (np.trace(ts, axis1=1, axis2=2) - np.trace(b, axis1=1, axis2=2)).real / 4
+    if np.abs(ts - _from_blocks(x, c)).max() > 1e-12:
         raise RuntimeError("t1..t5 do not split into M2 (+) C blocks in the invariant basis")
     return x, c
 

@@ -48,17 +48,6 @@ class SubsystemLayout:
                 return k
         raise ValueError(f"unknown factor label {label!r}")
 
-    def drop(self, labels: Iterable[str]) -> "SubsystemLayout":
-        gone = set(labels)
-        for lab in gone:
-            self.position(lab)
-        return SubsystemLayout(tuple(f for f in self.factors if f[0] not in gone))
-
-    def permuted(self, new_order: Sequence[str]) -> "SubsystemLayout":
-        if sorted(new_order) != sorted(self.labels) or len(new_order) != len(self.labels):
-            raise ValueError(f"{tuple(new_order)} is not a permutation of {self.labels}")
-        return SubsystemLayout(tuple(self.factors[self.position(lab)] for lab in new_order))
-
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the difference."""

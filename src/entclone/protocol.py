@@ -152,12 +152,7 @@ def average_clone_fidelity(transcripts: list[ProtocolTranscript], reference: np.
     return sum(tr.joint_probability * branch_fidelity(tr, reference) for tr in transcripts)
 
 
-def run_protocol_sampled(
-    alpha: float,
-    state: np.ndarray | None = None,
-    trials: int = 100_000,
-    seed: int = 7,
-) -> tuple[float, float]:
+def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> tuple[float, float]:
     """Monte Carlo companion to the exact enumeration.
 
     Branches are drawn with their exact probabilities from a seeded
@@ -167,7 +162,7 @@ def run_protocol_sampled(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    transcripts = run_protocol_exact(alpha, state)
+    transcripts = run_protocol_exact(alpha)
     reference = schmidt_state(alpha)
     scores = np.array([branch_fidelity(tr, reference) for tr in transcripts])
     probs = np.array([tr.joint_probability for tr in transcripts])

@@ -7,14 +7,15 @@ operator; an optional second cone adds positivity of its partial
 transpose over one party, which models the one-bit-LOCC relaxation.
 
 No cone is formed as a 64x64 matrix.  Per party the commutant is
-M2 (+) C (see covariant.commutant_blocks), so sum_ij a_ij ti (x) tj is
-unitarily a direct sum of four distinct blocks: sum a_ij Xi (x) Xj
-(4x4, four copies), sum a_ij c_j Xi and sum a_ij c_i Xj (2x2, eight
-copies each) and sum a_ij c_i c_j (1x1, sixteen copies).  The invariant
-basis is real, so the partial transpose over the second party is the
-same construction with Xj replaced by its transpose.  The barrier
-weights each block's log det by its copy count, which makes it equal to
-log det of the full operator, and the barrier parameter
+M2 (+) C, and covariant.commutant_blocks reads the coordinates X_i, c_i
+of each ti there off t, so sum_ij a_ij ti (x) tj is unitarily a direct
+sum of four distinct blocks: sum a_ij Xi (x) Xj (4x4, four copies),
+sum a_ij c_j Xi and sum a_ij c_i Xj (2x2, eight copies each) and
+sum a_ij c_i c_j (1x1, sixteen copies).  The basis covariant.BLOCK_BASIS
+is real, so the partial transpose over the second party is the same
+construction with Xj replaced by its transpose.  The barrier weights
+each block's log det by its copy count, which makes it equal to log det
+of the full operator, and the barrier parameter
 nu = sum of weight * block size stays 64 per cone.
 
 The objective and the equality rows are built per party too, from the
@@ -36,11 +37,15 @@ from typing import Sequence
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import TOperators, build_t_operators, commutant_blocks
+from entclone.covariant import TOperators, commutant_blocks
 
 MU_INITIAL = 1e-1
 ARMIJO_SLOPE = 0.01
 BACKTRACK = 0.5
+# detect_threshold's bar for a curvature jump, tuned for grid steps near
+# 0.002 and solver tolerances near 1e-7.
+THRESHOLD_RATIO = 10.0
+THRESHOLD_FLOOR = 1e-7
 # A cone is the tuple of its four distinct blocks, each a (25, d, d)
 # stack over the flat a vector: Xi (x) Xj, c_j Xi, c_i Xj and c_i c_j.
 # Its 64x64 operator at x is unitarily the direct sum of BLOCK_WEIGHTS[k]
@@ -268,23 +273,17 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
 
 
 def sweep_solutions(
-    alphas: Sequence[float],
-    with_ppt: bool,
-    t: TOperators | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 200,
+    alphas: Sequence[float], with_ppt: bool, t: TOperators, tol: float = 1e-7
 ) -> list[tuple[float, SdpSolution]]:
     """Solve the program at each alpha in turn; returns (alpha, solution) pairs.
 
     The first point that does not converge aborts the sweep with a
     ConvergenceError naming its index and alpha.
     """
-    if t is None:
-        t = build_t_operators()
     out = []
     for idx, alpha in enumerate(alphas):
         try:
-            sol = solve(build_problem(alpha, t, with_ppt), tol=tol, max_iter=max_iter)
+            sol = solve(build_problem(alpha, t, with_ppt), tol=tol)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"sweep point {idx} (alpha={alpha:.6f}) did not converge: {err}",
@@ -296,30 +295,26 @@ def sweep_solutions(
 
 
 def solve_sweep(
-    alphas: Sequence[float],
-    with_ppt: bool = False,
-    t: TOperators | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 200,
+    alphas: Sequence[float], with_ppt: bool = False, *, t: TOperators, tol: float = 1e-7
 ) -> list[tuple[float, float]]:
     """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
-    sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol, max_iter=max_iter)
+    sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol)
     return [(alpha, sol.f_star) for alpha, sol in sols]
 
 
-def detect_threshold(sweep: Sequence[tuple[float, float]], *, ratio: float = 10.0, floor: float = 1e-7) -> float:
+def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     """Locate the constraint-activation threshold of a swept fidelity curve.
 
     The optimal curve stays differentiable through the threshold but its
     curvature jumps there, so a bare spike test on second differences
     cannot separate the kink from smooth background curvature.  Instead
     the detector scans consecutive second differences for their largest
-    change (a third difference).  That change must clear both a
-    median-based ratio test and an absolute floor, otherwise the curve
-    is declared smooth and ThresholdDetectionError is raised.  The
-    reported alpha is the grid point with the larger second-difference
-    magnitude among the two that straddle the jump.  Defaults are tuned
-    for grid steps near 0.002 and solver tolerances near 1e-7.
+    change (a third difference).  That change must clear both
+    THRESHOLD_RATIO times the median of the others and the absolute
+    THRESHOLD_FLOOR, otherwise the curve is declared smooth and
+    ThresholdDetectionError is raised.  The reported alpha is the grid
+    point with the larger second-difference magnitude among the two that
+    straddle the jump.
     """
     pts = sorted((float(a), float(v)) for a, v in sweep)
     if len(pts) < 7:
@@ -333,7 +328,7 @@ def detect_threshold(sweep: Sequence[tuple[float, float]], *, ratio: float = 10.
     jumps = np.abs(np.diff(d2))
     peak = int(np.argmax(jumps))
     med = float(np.median(np.delete(jumps, peak)))
-    if jumps[peak] < max(ratio * med, floor):
+    if jumps[peak] < max(THRESHOLD_RATIO * med, THRESHOLD_FLOOR):
         raise ThresholdDetectionError("no curvature jump above the noise floor")
     pick = peak + 1 if abs(d2[peak]) >= abs(d2[peak + 1]) else peak + 2
     return float(alphas[pick])

@@ -5,10 +5,12 @@ import pytest
 
 from entclone.analytic import ALPHA_MAX, CloneFamily, params_for
 from entclone.covariant import (
+    BLOCK_BASIS,
+    BLOCK_C,
+    BLOCK_X,
     PTILDE_LAYOUT,
     assemble_ptilde,
     basis_stack,
-    build_invariant_basis,
     commutant_blocks,
     reorder_from_choi,
     reorder_to_choi,
@@ -18,30 +20,21 @@ from entclone.covariant import (
 from entclone.linalg import partial_transpose, random_su2
 
 
-def projector(columns):
-    q = np.stack(columns, axis=1)
-    return q @ q.conj().T
-
-
 def test_basis_vector_amplitudes():
-    basis = build_invariant_basis()
-    first = basis.m1[0]
+    first = BLOCK_BASIS[:, 0]
     assert abs(first[3] - 1.0 / np.sqrt(2.0)) < 1e-15
     assert abs(first[5] + 1.0 / np.sqrt(2.0)) < 1e-15
     assert np.abs(np.delete(first, [3, 5])).max() < 1e-15
-    second = basis.m2[0]
+    second = BLOCK_BASIS[:, 2]
     assert abs(second[0] - 2.0 / np.sqrt(6.0)) < 1e-15
     assert abs(second[3] - 1.0 / np.sqrt(6.0)) < 1e-15
     assert abs(second[5] - 1.0 / np.sqrt(6.0)) < 1e-15
 
 
-def test_basis_is_orthonormal_and_complete():
-    basis = build_invariant_basis()
-    vectors = list(basis.m1) + list(basis.m2) + list(basis.m3)
-    gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-    assert np.abs(gram - np.eye(8)).max() < 1e-14
-    p3 = np.eye(8) - projector(basis.m1) - projector(basis.m2)
-    assert np.abs(projector(basis.m3) - p3).max() < 1e-13
+def test_basis_is_orthonormal_and_complete(t_ops):
+    v = BLOCK_BASIS
+    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-15
+    assert np.abs(v @ v.conj().T - (t_ops.t1 + t_ops.t2)).max() < 1e-15
 
 
 def test_t_operator_algebra(t_ops):
@@ -73,6 +66,11 @@ def test_commutant_blocks(t_ops):
     assert np.abs(x[1] - np.diag([0.0, 1.0])).max() < 1e-12
     assert np.abs(x[2]).max() < 1e-12
     assert np.abs(c - [0.0, 0.0, 1.0, 0.0, 0.0]).max() < 1e-12
+    assert np.abs(x - BLOCK_X).max() < 1e-15
+    assert np.abs(c - BLOCK_C).max() < 1e-15
+    swapped_x, swapped_c = commutant_blocks(dataclasses.replace(t_ops, t4=t_ops.t5, t5=t_ops.t4))
+    assert np.abs(swapped_x - BLOCK_X[[0, 1, 2, 4, 3]]).max() < 1e-15
+    assert np.abs(swapped_c - BLOCK_C).max() < 1e-15
     stray = np.zeros((8, 8))
     stray[0, 1] = stray[1, 0] = 1e-9
     with pytest.raises(RuntimeError):
@@ -97,9 +95,8 @@ def test_t_operators_span_commutant(t_ops):
         v = ti.reshape(-1)
         assert np.linalg.norm(v - null @ (null.conj().T @ v)) < 1e-12 * np.linalg.norm(v)
     assert np.abs(null - span @ (span.conj().T @ null)).max() < 1e-12
-    basis = build_invariant_basis()
     t12 = (t_ops.t4 - 1j * t_ops.t5) / 2
-    lead = basis.m2[0].conj() @ t12 @ basis.m1[0]
+    lead = BLOCK_BASIS[:, 2].conj() @ t12 @ BLOCK_BASIS[:, 0]
     assert abs(lead.imag) < 1e-15 and lead.real > 0
 
 

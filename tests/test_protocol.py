@@ -82,11 +82,11 @@ def test_exact_average_matches_closed_form():
     assert fidelity_locc(0.0) == fidelity_bh(0.0)
 
 
-def test_branch_mixture_reproduces_channel(t_ops):
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_branch_mixture_reproduces_channel(alpha):
     from entclone.channel import apply_choi
     from entclone.covariant import reorder_to_choi
 
-    alpha = 0.6
     rng = np.random.default_rng(31)
     rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = rho @ rho.conj().T
