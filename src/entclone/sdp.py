@@ -6,17 +6,25 @@ clone-symmetry equalities and positivity of the assembled two-party
 operator; an optional second cone adds positivity of its partial
 transpose over one party, which models the one-bit-LOCC relaxation.
 
+The input is real and symmetric under A <-> B, so the program is
+invariant under a -> a^T and under conjugation (t5 -> -t5, so
+a_i5 -> -a_i5 for i != 5).  The path starts at a point both fix and the
+barrier is invariant, so it never leaves their fixed subspace: real
+symmetric a with a_i5 = 0 for i != 5, spanned by the 11 orthonormal
+columns of FIXED, of which the equalities leave k = 8 free.
+
 No cone is formed as a 64x64 matrix.  Per party the commutant is
 M2 (+) C, and covariant.commutant_blocks reads the coordinates X_i, c_i
-of each ti there off t, so sum_ij a_ij ti (x) tj is unitarily a direct
-sum of four distinct blocks: sum a_ij Xi (x) Xj (4x4, four copies),
-sum a_ij c_j Xi and sum a_ij c_i Xj (2x2, eight copies each) and
-sum a_ij c_i c_j (1x1, sixteen copies).  The basis covariant.BLOCK_BASIS
-is real, so the partial transpose over the second party is the same
-construction with Xj replaced by its transpose.  The barrier weights
-each block's log det by its copy count, which makes it equal to log det
-of the full operator, and the barrier parameter
-nu = sum of weight * block size stays 64 per cone.
+of each ti there off t, so on the fixed subspace sum_ij a_ij ti (x) tj
+is unitarily a direct sum of three distinct blocks, real because FIXED
+is zero wherever X5 = sigma_y enters off a_55:
+sum a_ij Xi (x) Xj (4x4, four copies), sum a_ij c_j Xi = sum a_ij c_i Xj
+(2x2, sixteen copies) and sum a_ij c_i c_j (1x1, sixteen copies).  The
+basis covariant.BLOCK_BASIS is real, so the partial transpose over the
+second party is the same construction with Xj replaced by its
+transpose.  The barrier weights each block's log det by its copy count,
+which makes it equal to log det of the full operator, and the barrier
+parameter nu = sum of weight * block size stays 64 per cone.
 
 The objective and the equality rows are built per party too, from the
 partial traces of the 8x8 operators t1..t5 (see
@@ -46,20 +54,26 @@ BACKTRACK = 0.5
 # 0.002 and solver tolerances near 1e-7.
 THRESHOLD_RATIO = 10.0
 THRESHOLD_FLOOR = 1e-7
-# A cone is the tuple of its four distinct blocks, each a (25, d, d)
-# stack over the flat a vector: Xi (x) Xj, c_j Xi, c_i Xj and c_i c_j.
-# Its 64x64 operator at x is unitarily the direct sum of BLOCK_WEIGHTS[k]
-# copies of sum_p x_p cone[k][p] over the four blocks k.
-BLOCK_WEIGHTS = (4, 8, 8, 16)
+# The fixed subspace as orthonormal columns over the flat a vector:
+# e_ii, then (e_ij + e_ji)/sqrt(2) for i < j <= 4 (1-based).
+FIXED = np.zeros((25, 11))
+for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(i, j) for i in range(4) for j in range(i + 1, 4)]):
+    FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)
+FIXED.flags.writeable = False
+# A cone is the tuple of its three distinct blocks, each an (11, d, d)
+# stack over FIXED: Xi (x) Xj, c_j Xi and c_i c_j.  Its 64x64 operator
+# at x is unitarily the direct sum of BLOCK_WEIGHTS[k] copies of
+# sum_p x_p cone[k][p] over the blocks k.
+BLOCK_WEIGHTS = (4, 16, 16)
 _Cone = tuple[np.ndarray, ...]
 
-# A size group: (barrier weight, owning cone of each block, (25, n, d, d) block stack).
-_Group = tuple[int, np.ndarray, np.ndarray]
+# A size group: (barrier weight, (11, n_cones, d, d) stack of one block of every cone).
+_Group = tuple[int, np.ndarray]
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, equality rows, and block cones over the flat a vector."""
+    """Linear objective, equality rows, and block cones over the fixed-subspace coordinates."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
@@ -79,7 +93,6 @@ class SdpSolution:
     min_eigenvalues: tuple[float, ...]
     iterations: int
     duality_gap_estimate: float
-    mu_final: float
 
 
 class ConvergenceError(RuntimeError):
@@ -96,74 +109,59 @@ class ThresholdDetectionError(ValueError):
 
 
 def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> _Cone:
-    """Distinct blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j), each stacked over the 25 (i, j)."""
-    return (
+    """Distinct blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j), each stacked over the 11 FIXED columns."""
+    blocks = (
         np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4),
         (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2),
-        (c[:, None, None, None] * xb[None, :]).reshape(25, 2, 2),
         np.outer(c, c).reshape(25, 1, 1),
     )
+    return tuple(np.tensordot(FIXED, block, axes=(0, 0)).real for block in blocks)
 
 
 def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
-    """Assemble the program for one Schmidt weight."""
+    """Assemble the program for one Schmidt weight on the fixed subspace."""
     trace_row, sym_rows = constraint_matrices(t)
-    eq = np.vstack([trace_row[None, :], sym_rows])
+    eq = np.vstack([trace_row[None, :], sym_rows]) @ FIXED
     rhs = np.zeros(eq.shape[0])
     rhs[0] = 1.0
     x, c = commutant_blocks(t)
     cones = [_block_cone(x, x, c)]
     if with_ppt:
         cones.append(_block_cone(x, np.swapaxes(x, 1, 2), c))
-    f = fidelity_coefficients(alpha, t).reshape(-1)
+    f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
     return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=tuple(cones))
 
 
 def _size_groups(cones: Sequence[_Cone]) -> list[_Group]:
     """All cones' blocks batched by size; blocks of one size share their weight."""
-    groups = []
-    for fields in ((0,), (1, 2), (3,)):
-        stack = np.stack([cone[k] for cone in cones for k in fields], axis=1)
-        owner = np.repeat(np.arange(len(cones)), len(fields))
-        groups.append((BLOCK_WEIGHTS[fields[0]], owner, stack))
-    return groups
+    return [(w, np.stack([cone[k] for cone in cones], axis=1)) for k, w in enumerate(BLOCK_WEIGHTS)]
 
 
 def _block_values(groups: list[_Group], x: np.ndarray) -> list[np.ndarray]:
-    """Every block at x, one (n, d, d) array per size group."""
-    return [(x @ stack.reshape(25, -1)).reshape(stack.shape[1:]) for _, _, stack in groups]
+    """Every block at x, one (n_cones, d, d) array per size group."""
+    return [(x @ stack.reshape(len(x), -1)).reshape(stack.shape[1:]) for _, stack in groups]
 
 
 def _cone_min_eigenvalues(groups: list[_Group], x: np.ndarray) -> tuple[float, ...]:
     """Smallest eigenvalue of each cone's full operator at x: the minimum over its blocks."""
-    mins = np.full(int(groups[0][1].max()) + 1, np.inf)
-    for (_, owner, _), c in zip(groups, _block_values(groups, x)):
-        np.minimum.at(mins, owner, np.linalg.eigvalsh(c)[:, 0])
+    mins = np.min([np.linalg.eigvalsh(c)[:, 0] for c in _block_values(groups, x)], axis=0)
     return tuple(float(v) for v in mins)
 
 
 def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
-    The inward target is the least-squares projection onto the equality
-    set (the maximally mixed feasible point); a uniform mix over the
-    three projector products backs it up if the projection lands too
-    close to the cone boundary.
+    It is 0.9 times the no-communication point a = e_22 (FIXED[6], as
+    a_22 sits at flat index 6) plus 0.1 times the least-squares point of
+    the equalities (the maximally mixed feasible point).  Neither depends
+    on alpha; the mix clears both cones by 2.8e-3.
     """
-    a_dep = np.zeros((5, 5))
-    a_dep[:3, :3] = 1.0 / 16.0
-    x_dep = a_dep.reshape(-1)
     x_mm = np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
-    x_bh = np.zeros(25)
-    x_bh[6] = 1.0
-    for eps in (0.1, 0.3, 0.5):
-        for target in (x_mm, x_dep):
-            x0 = (1.0 - eps) * x_bh + eps * target
-            if np.linalg.norm(problem.eq_matrix @ x0 - problem.eq_rhs) > 1e-9:
-                continue
-            if min(_cone_min_eigenvalues(groups, x0)) > 1e-8:
-                return x0
-    raise ConvergenceError("could not find a strictly feasible starting point")
+    x0 = 0.9 * FIXED[6] + 0.1 * x_mm
+    feasible = np.linalg.norm(problem.eq_matrix @ x0 - problem.eq_rhs) <= 1e-9
+    if not feasible or min(_cone_min_eigenvalues(groups, x0)) <= 1e-8:
+        raise ConvergenceError("could not find a strictly feasible starting point")
+    return x0
 
 
 def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
@@ -172,10 +170,11 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     tol bounds the objective suboptimality through the final barrier
     weight; max_iter caps the total number of Newton steps across all
     barrier stages.  Identical inputs always produce identical output.
-    The blocks of all cones are batched by size (4, 2, 1), so each
-    Newton step runs one eigensolve and one Hessian contraction per
-    size, and each line-search trial one batched Cholesky test per size;
-    every term carries its block's copy count as weight.
+    The path runs on the fixed subspace (k = 8 free coordinates) in real
+    arithmetic.  The three blocks of all cones, sizes (4, 2, 1) weighted
+    4, 16, 16, are batched by size, so each Newton step runs one
+    eigensolve and one Hessian contraction per size, and each line-search
+    trial one batched Cholesky test per size; each term carries its copy count.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -191,8 +190,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         raise ConvergenceError("equality constraints leave no degrees of freedom")
     groups = _size_groups(problem.cones)
     x0 = _interior_start(problem, groups)
-    weights = [w for w, _, _ in groups]
-    dirs = [np.einsum("ph,pnij->nhij", null, stack) for _, _, stack in groups]
+    weights = [w for w, _ in groups]
+    dirs = [np.einsum("ph,pnij->nhij", null, stack) for _, stack in groups]
     f_null = null.T @ f
     mu_min = max(tol / (2.0 * nu), 1e-12)
 
@@ -203,7 +202,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
                 chol = np.linalg.cholesky(c)
             except np.linalg.LinAlgError:
                 return None
-            total += 2.0 * w * float(np.sum(np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))))
+            total += 2.0 * w * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
         return total
 
     z = np.zeros(k)
@@ -213,12 +212,11 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
 
     def snapshot(x: np.ndarray) -> SdpSolution:
         return SdpSolution(
-            a_star=x.reshape(5, 5).copy(),
+            a_star=(FIXED @ x).reshape(5, 5),
             f_star=float(f @ x),
             min_eigenvalues=_cone_min_eigenvalues(groups, x),
             iterations=iterations,
             duality_gap_estimate=float(mu * nu),
-            mu_final=float(mu),
         )
 
     while True:
@@ -232,12 +230,12 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
                 vals, vecs = np.linalg.eigh(c)
                 if float(vals[:, 0].min()) <= 0.0:
                     raise ConvergenceError("iterate left the cone interior", best=best)
-                inv = np.matmul(vecs / vals[:, None, :], np.conj(np.swapaxes(vecs, 1, 2)))
+                inv = np.matmul(vecs / vals[:, None, :], np.swapaxes(vecs, 1, 2))
                 prods = np.matmul(inv[:, None, :, :], d)
-                grad += mu * w * np.real(np.einsum("nhii->h", prods))
+                grad += mu * w * np.einsum("nhii->h", prods)
                 flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
                 flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
-                hess += mu * w * np.real(flat @ flat_t.T)
+                hess += mu * w * (flat @ flat_t.T)
                 log_det += w * float(np.sum(np.log(vals)))
             try:
                 step = np.linalg.solve(hess, grad)

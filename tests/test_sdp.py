@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
+from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone.covariant import PTILDE_LAYOUT, assemble_ptilde, basis_stack
 from entclone.linalg import partial_transpose
 from entclone.sdp import (
     BLOCK_WEIGHTS,
+    FIXED,
     ConvergenceError,
     ThresholdDetectionError,
     build_problem,
@@ -34,27 +36,67 @@ def bell_solutions(t_ops):
     return plain, ppt
 
 
+def _dense_spectra(a, stack):
+    """Spectra of sum_ij a_ij ti (x) tj and of its partial transpose over the second party."""
+    dense = np.tensordot(np.reshape(a, -1), stack, axes=(0, 0))
+    return [
+        np.linalg.eigvalsh((m + m.conj().T) / 2)
+        for m in (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))
+    ]
+
+
+def test_program_is_invariant_under_swap_and_conjugation(t_ops):
+    """The symmetries the fixed-subspace reduction rests on, on all 25 coordinates.
+
+    Party swap acts as a -> a^T and complex conjugation as a_i5 -> -a_i5
+    for i != 5; the objective, the equality row space and both cones'
+    spectra must be invariant under each, and FIXED must be orthonormal.
+    """
+    assert np.abs(FIXED.T @ FIXED - np.eye(11)).max() < 1e-15
+    flip = np.ones((5, 5))
+    flip[4, :4] = flip[:4, 4] = -1.0
+    rng = np.random.default_rng(19)
+    for alpha in rng.uniform(0.0, ALPHA_MAX, size=5):
+        f = fidelity_coefficients(alpha, t_ops)
+        assert np.abs(f - f.T).max() < 1e-14
+        assert np.abs(f[:4, 4]).max() < 1e-14
+    trace_row, sym_rows = constraint_matrices(t_ops)
+    _, sv, vh = np.linalg.svd(np.vstack([trace_row, sym_rows]))
+    rows = vh[: int(np.sum(sv > 1e-12 * sv[0]))]
+    proj = rows.T @ rows
+    swap = np.eye(25).reshape(5, 5, 25).transpose(1, 0, 2).reshape(25, 25)
+    for action in (swap, np.diag(flip.reshape(-1))):
+        assert np.abs(proj @ action - action @ proj).max() < 1e-14
+    stack = basis_stack(t_ops)
+    for _ in range(4):
+        a = rng.normal(size=(5, 5))
+        spectra = _dense_spectra(a, stack)
+        for b in (a.T, flip * a):
+            assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b, stack), spectra)) < 1e-12
+
+
 def test_problem_shapes(t_ops):
-    """Cone counts, nu, and block spectra equal to the dense operators' for random a."""
+    """Fixed-subspace shapes, real arrays, nu, and block spectra equal to the dense operators' at a = FIXED x."""
     plain = build_problem(0.4, t_ops)
     ppt = build_problem(0.4, t_ops, with_ppt=True)
-    assert plain.objective.shape == (25,)
-    assert plain.eq_matrix.shape[1] == 25
+    assert plain.objective.shape == (11,)
+    assert plain.eq_matrix.shape[1] == 11
     assert len(plain.cones) == 1
     assert len(ppt.cones) == 2
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert all(np.array_equal(p, q) for p, q in zip(plain.cones[0], ppt.cones[0]))
+    for problem in (plain, ppt):
+        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *(b for cone in problem.cones for b in cone)]
+        assert all(arr.dtype == np.float64 for arr in arrays)
     rng = np.random.default_rng(20050203)
     stack = basis_stack(t_ops)
     for _ in range(4):
-        a = rng.normal(size=25)
-        dense = np.tensordot(a, stack, axes=(0, 0))
-        for cone, full in zip(ppt.cones, (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))):
+        x = rng.normal(size=11)
+        for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x, stack)):
             weighted = np.concatenate([
-                np.repeat(np.linalg.eigvalsh(np.tensordot(a, block, axes=(0, 0))), w)
+                np.repeat(np.linalg.eigvalsh(np.tensordot(x, block, axes=(0, 0))), w)
                 for w, block in zip(BLOCK_WEIGHTS, cone)
             ])
-            expected = np.linalg.eigvalsh((full + full.conj().T) / 2)
             assert np.abs(np.sort(weighted) - expected).max() < 1e-12
 
 
@@ -85,10 +127,11 @@ def test_transposition_constraint_only_tightens(bell_solutions):
 
 
 def test_solution_is_feasible(bell_solutions, t_ops):
-    problem = build_problem(ALPHA_MAX, t_ops, with_ppt=True)
+    """The lifted a_star meets the full 25-column equality rows."""
     sol = bell_solutions[1]
     x = sol.a_star.reshape(-1)
-    residual = problem.eq_matrix @ x - problem.eq_rhs
+    trace_row, sym_rows = constraint_matrices(t_ops)
+    residual = np.concatenate([[trace_row @ x - 1.0], sym_rows @ x])
     assert np.abs(residual).max() < 1e-9
     assert len(sol.min_eigenvalues) == 2
     assert min(sol.min_eigenvalues) > -1e-8
