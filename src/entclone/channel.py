@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from entclone.analytic import schmidt_state
-from entclone.covariant import TOperators, assemble_ptilde, reorder_to_choi
+from entclone.covariant import TOperators, assemble_ptilde, cache_on_value, reorder_to_choi
 from entclone.linalg import SubsystemLayout, frobenius_distance, partial_trace
 
 OUTPUT_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2)))
@@ -136,6 +136,7 @@ def _clone_products(r: np.ndarray) -> np.ndarray:
     return np.einsum("iaxcz,jbydw->ijabxycdzw", r, r).reshape(25, 256)
 
 
+@cache_on_value
 def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     """Trace-preservation row and independent clone-symmetry rows.
 
@@ -146,6 +147,8 @@ def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     by a rank-revealing SVD; their count is data, not a promise.  Both
     come from the per-party reductions: Tr_out ti (x) tj = s_i s_j I4,
     and the clone difference of ti (x) tj is R1_i (x) R1_j - R2_i (x) R2_j.
+    Neither depends on alpha, so the pair is cached on the value of t
+    (covariant.cache_on_value) and its arrays are read-only.
     """
     r1, r2, s = _party_reductions(t)
     d = (_clone_products(r1) - _clone_products(r2)).T

@@ -16,7 +16,9 @@ sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) factor order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -69,6 +71,42 @@ class TOperators:
 
     def as_list(self) -> list[np.ndarray]:
         return [self.t1, self.t2, self.t3, self.t4, self.t5]
+
+
+_Built = TypeVar("_Built")
+
+
+def _freeze(value) -> None:
+    """Make every array in a nest of tuples and lists read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+
+
+def cache_on_value(build: Callable[[TOperators], _Built]) -> Callable[[TOperators], _Built]:
+    """One-entry cache of build(t), keyed on the values of t1..t5, never on the object.
+
+    A call whose t1..t5 equal the previous call's entry by entry
+    (np.array_equal against copies taken then, so an in-place edit of t
+    misses) returns the previous result.  Every array in a result is
+    made read-only, because all callers with an equal t share it.
+    """
+    last: list = [None]
+
+    @functools.wraps(build)
+    def cached(t: TOperators) -> _Built:
+        ts = t.as_list()
+        entry = last[0]
+        if entry is not None and all(np.array_equal(p, q) for p, q in zip(entry[0], ts)):
+            return entry[1]
+        result = build(t)
+        _freeze(result)
+        last[0] = ([np.array(a, copy=True) for a in ts], result)
+        return result
+
+    return cached
 
 
 def triple_rep(u: np.ndarray) -> np.ndarray:

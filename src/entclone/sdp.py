@@ -33,8 +33,21 @@ channel.fidelity_coefficients and channel.constraint_matrices), so no
 
 The solver follows the classic path: equalities are eliminated through
 an orthonormal null-space parametrization, then damped Newton steps
-maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by 10
-down to tol / (2 * nu).  The path following is deterministic.
+maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by
+MU_FACTOR (1000, a long step that halves the Newton steps against 10)
+down to tol / (2 * nu), where the last stage is centred.  The path
+following is deterministic.
+
+Each centred point carries a dual certificate (Boyd & Vandenberghe,
+Convex Optimization, 11.2.2 and 11.7).  From the Newton step Delta
+already solved at x, each block gets
+Z_k = mu (C_k^-1 - C_k^-1 dC_k C_k^-1), dC_k the block of Delta, so
+r = f + sum_k w_k A_k*(Z_k) has N^T r = g - H Delta = 0: r lies in
+the row space of the equalities, y solves A^T y = r in least squares,
+and when every Z_k is positive semidefinite U = b^T y gives
+f.x <= optimum <= U.  U only witnesses the end point: at this
+MU_FACTOR stopping once U - f.x <= tol ends on the same stage as the
+floor on mu.
 """
 
 from __future__ import annotations
@@ -45,9 +58,10 @@ from typing import Sequence
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import TOperators, commutant_blocks
+from entclone.covariant import TOperators, cache_on_value, commutant_blocks
 
 MU_INITIAL = 1e-1
+MU_FACTOR = 1000.0
 ARMIJO_SLOPE = 0.01
 BACKTRACK = 0.5
 # detect_threshold's bar for a curvature jump, tuned for grid steps near
@@ -88,11 +102,16 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """An iterate and its dual certificate: upper_bound bounds the optimum
+    when min_dual_eigenvalue > 0 and dual_residual is at rounding level."""
+
     a_star: np.ndarray
     f_star: float
     min_eigenvalues: tuple[float, ...]
     iterations: int
-    duality_gap_estimate: float
+    upper_bound: float
+    dual_residual: float
+    min_dual_eigenvalue: float
 
 
 class ConvergenceError(RuntimeError):
@@ -118,18 +137,25 @@ def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> _Cone:
     return tuple(np.tensordot(FIXED, block, axes=(0, 0)).real for block in blocks)
 
 
+@cache_on_value
+def _cones(t: TOperators) -> tuple[_Cone, _Cone]:
+    """The plain cone's blocks and those of its partial transpose over the second party."""
+    x, c = commutant_blocks(t)
+    return _block_cone(x, x, c), _block_cone(x, np.swapaxes(x, 1, 2), c)
+
+
 def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
-    """Assemble the program for one Schmidt weight on the fixed subspace."""
+    """Assemble the program for one Schmidt weight on the fixed subspace.
+
+    Only the objective depends on alpha: the equality rows and the cone
+    blocks are cached on the value of t, and shared read-only.
+    """
     trace_row, sym_rows = constraint_matrices(t)
     eq = np.vstack([trace_row[None, :], sym_rows]) @ FIXED
     rhs = np.zeros(eq.shape[0])
     rhs[0] = 1.0
-    x, c = commutant_blocks(t)
-    cones = [_block_cone(x, x, c)]
-    if with_ppt:
-        cones.append(_block_cone(x, np.swapaxes(x, 1, 2), c))
     f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=tuple(cones))
+    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=_cones(t)[: 2 if with_ppt else 1])
 
 
 def _size_groups(cones: Sequence[_Cone]) -> list[_Group]:
@@ -165,16 +191,23 @@ def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
 
 
 def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
-    """Maximize the objective; returns the final iterate and diagnostics.
+    """Maximize the objective; returns the final iterate, diagnostics and its dual certificate.
 
     tol bounds the objective suboptimality through the final barrier
-    weight; max_iter caps the total number of Newton steps across all
-    barrier stages.  Identical inputs always produce identical output.
+    weight mu_min = tol / (2 nu); mu starts at MU_INITIAL and is divided
+    by MU_FACTOR per stage, clipped at mu_min.  max_iter caps the total
+    number of Newton steps across all barrier stages.  Identical inputs
+    always produce identical output.
     The path runs on the fixed subspace (k = 8 free coordinates) in real
     arithmetic.  The three blocks of all cones, sizes (4, 2, 1) weighted
     4, 16, 16, are batched by size, so each Newton step runs one
     eigensolve and one Hessian contraction per size, and each line-search
     trial one batched Cholesky test per size; each term carries its copy count.
+
+    Every centred point, and the iterate a ConvergenceError carries, is
+    certified from the Newton step already solved for there (see the
+    module docstring): upper_bound = b^T y, dual_residual =
+    max |A^T y - r| and min_dual_eigenvalue = min eig over the Z_k.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -210,45 +243,60 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     iterations = 0
     best: SdpSolution | None = None
 
-    def snapshot(x: np.ndarray) -> SdpSolution:
+    def newton_system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+        """Gradient, Newton step, weighted log det and block inverses of f.x + mu log det C at x."""
+        grad = f_null.copy()
+        hess = np.zeros((k, k))
+        log_det = 0.0
+        invs = []
+        for w, d, c in zip(weights, dirs, _block_values(groups, x)):
+            vals, vecs = np.linalg.eigh(c)
+            if float(vals[:, 0].min()) <= 0.0:
+                raise ConvergenceError("iterate left the cone interior", best=best)
+            inv = np.matmul(vecs / vals[:, None, :], np.swapaxes(vecs, 1, 2))
+            invs.append(inv)
+            prods = np.matmul(inv[:, None, :, :], d)
+            grad += mu * w * np.einsum("nhii->h", prods)
+            flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
+            flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
+            hess += mu * w * (flat @ flat_t.T)
+            log_det += w * float(np.sum(np.log(vals)))
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            jitter = 1e-14 * max(float(np.max(np.diag(hess))), 1.0)
+            step = np.linalg.solve(hess + jitter * np.eye(k), grad)
+        return grad, step, log_det, invs
+
+    def snapshot(x: np.ndarray, invs: list[np.ndarray], step: np.ndarray) -> SdpSolution:
+        """The iterate x with the dual point built from its Newton step."""
+        r = f.copy()
+        min_dual = np.inf
+        for (w, stack), d, inv in zip(groups, dirs, invs):
+            zk = mu * (inv - inv @ np.tensordot(step, d, axes=(0, 1)) @ inv)
+            min_dual = min(min_dual, float(np.linalg.eigvalsh(zk)[:, 0].min()))
+            r += w * np.einsum("pnij,nji->p", stack, zk)
+        y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
         return SdpSolution(
             a_star=(FIXED @ x).reshape(5, 5),
             f_star=float(f @ x),
             min_eigenvalues=_cone_min_eigenvalues(groups, x),
             iterations=iterations,
-            duality_gap_estimate=float(mu * nu),
+            upper_bound=float(problem.eq_rhs @ y),
+            dual_residual=float(np.abs(problem.eq_matrix.T @ y - r).max()),
+            min_dual_eigenvalue=min_dual,
         )
 
     while True:
-        centred = False
-        while not centred:
+        while True:
             x = x0 + null @ z
-            grad = f_null.copy()
-            hess = np.zeros((k, k))
-            log_det = 0.0
-            for w, d, c in zip(weights, dirs, _block_values(groups, x)):
-                vals, vecs = np.linalg.eigh(c)
-                if float(vals[:, 0].min()) <= 0.0:
-                    raise ConvergenceError("iterate left the cone interior", best=best)
-                inv = np.matmul(vecs / vals[:, None, :], np.swapaxes(vecs, 1, 2))
-                prods = np.matmul(inv[:, None, :, :], d)
-                grad += mu * w * np.einsum("nhii->h", prods)
-                flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
-                flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
-                hess += mu * w * (flat @ flat_t.T)
-                log_det += w * float(np.sum(np.log(vals)))
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                jitter = 1e-14 * max(float(np.max(np.diag(hess))), 1.0)
-                step = np.linalg.solve(hess + jitter * np.eye(k), grad)
+            grad, step, log_det, invs = newton_system(x)
             lam2 = float(grad @ step)
             if lam2 / 2.0 <= max(1e-13, 1e-3 * mu):
-                centred = True
-                continue
+                break
             if iterations >= max_iter:
                 raise ConvergenceError(
-                    f"no convergence within {max_iter} Newton steps", best=best or snapshot(x)
+                    f"no convergence within {max_iter} Newton steps", best=best or snapshot(x, invs, step)
                 )
             iterations += 1
             base = float(f @ x) + mu * log_det
@@ -263,11 +311,11 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
                     break
                 scale *= BACKTRACK
             else:
-                raise ConvergenceError("line search stalled", best=best or snapshot(x))
-        best = snapshot(x0 + null @ z)
+                raise ConvergenceError("line search stalled", best=best or snapshot(x, invs, step))
+        best = snapshot(x, invs, step)
         if mu <= mu_min * (1.0 + 1e-12):
             return best
-        mu = max(mu / 10.0, mu_min)
+        mu = max(mu / MU_FACTOR, mu_min)
 
 
 def sweep_solutions(

@@ -1,12 +1,12 @@
 """Acceptance checks shared by the test suite and the CLI verify command.
 
-run_all executes nine numbered criteria covering the analytic formulas,
+run_all executes ten numbered criteria covering the analytic formulas,
 the barrier solver against its analytic oracles, threshold detection,
 the Kraus/Choi equivalence of the one-bit protocol, protocol sampling,
-measurement validity, and the structural invariants of the covariant
-parametrization.  Each criterion reports pass/fail plus the measured
-quantities; exceptions inside a criterion mark it failed instead of
-aborting the run.
+measurement validity, the structural invariants of the covariant
+parametrization, and the dual certificate of every swept optimum.  Each
+criterion reports pass/fail plus the measured quantities; exceptions
+inside a criterion mark it failed instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _fmt(x: float) -> str:
 
 
 def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
-    """Run the nine acceptance criteria; returns one result per criterion.
+    """Run the ten acceptance criteria; returns one result per criterion.
 
     tol is handed to every semidefinite solve; the pass thresholds of
     the criteria themselves are fixed.  seed controls the random draws
@@ -83,7 +83,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
             passed, detail = False, f"exception: {exc}"
         results.append(CriterionResult(number=number, name=name, passed=passed, detail=detail))
 
-    # The solver sweeps feed criteria 3 and 4; compute them once.
+    # The solver sweeps feed criteria 3, 4 and 10; compute them once.
     sweep_error: Exception | None = None
     coarse_plain = coarse_ppt = fine_ppt = fine_plain = None
     try:
@@ -252,6 +252,22 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
             f"(floor -1e-10)"
         )
 
+    def criterion_10() -> tuple[bool, str]:
+        if sweep_error is not None:
+            raise sweep_error
+        solved = [(s, fidelity_global(a)) for a, s in coarse_plain]
+        solved += [(s, fidelity_locc(a)) for a, s in coarse_ppt]
+        below = min(closed - s.f_star for s, closed in solved)
+        above = min(s.upper_bound - closed for s, closed in solved)
+        gap = max(s.upper_bound - s.f_star for s, _ in solved)
+        residual = max(s.dual_residual for s, _ in solved)
+        dual_eig = min(s.min_dual_eigenvalue for s, _ in solved)
+        ok = below >= 0.0 and above >= 0.0 and gap <= tol and residual <= 1e-12 and dual_eig > 0.0
+        return ok, (
+            f"min F - f* {_fmt(below)}, min U - F {_fmt(above)} (floor 0), max U - f* {_fmt(gap)} "
+            f"(tol {tol:g}), max dual residual {_fmt(residual)} (tol 1e-12), min eig Z {_fmt(dual_eig)} (floor 0)"
+        )
+
     record(1, "analytic endpoint fidelities", criterion_1)
     record(2, "critical weight and tangency", criterion_2)
     record(3, "solver matches analytic optima", criterion_3)
@@ -261,6 +277,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     record(7, "protocol fidelity, exact and sampled", criterion_7)
     record(8, "measurement validity and dilations", criterion_8)
     record(9, "structural invariants", criterion_9)
+    record(10, "certified optima", criterion_10)
     return results
 
 

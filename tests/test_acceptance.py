@@ -14,6 +14,7 @@ CRITERION_IDS = [
     "7-sampled-protocol-coverage",
     "8-measurement-and-dilation-invariants",
     "9-structural-invariants",
+    "10-certified-optima",
 ]
 
 
@@ -25,7 +26,7 @@ def results():
     return out
 
 
-@pytest.mark.parametrize("number", range(1, 10), ids=CRITERION_IDS)
+@pytest.mark.parametrize("number", range(1, 11), ids=CRITERION_IDS)
 def test_criterion(results, number):
     result = next(r for r in results if r.number == number)
     status = "PASS" if result.passed else "FAIL"

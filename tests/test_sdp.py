@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,12 @@ from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone.covariant import PTILDE_LAYOUT, assemble_ptilde, basis_stack
 from entclone.linalg import partial_transpose
 from entclone.sdp import (
+    ARMIJO_SLOPE,
+    BACKTRACK,
     BLOCK_WEIGHTS,
     FIXED,
+    MU_FACTOR,
+    MU_INITIAL,
     ConvergenceError,
     ThresholdDetectionError,
     build_problem,
@@ -20,13 +25,70 @@ from entclone.sdp import (
 SECOND_PARTY = {"1B", "2B", "B"}
 
 # Newton steps and optima of the PPT program as the dense 64x64 cones
-# gave them.  The weighted block barrier equals the dense log det, so
-# the path and its end point must not move.
+# gave them with mu divided by 10 per stage, the schedule before
+# MU_FACTOR.  They pin the dense reference below, which must reproduce
+# that solver's path before it is trusted as the witness of solve's.
 DENSE_PPT_PATH = {
     0.2: (51, 0.6773777309645838),
     0.5: (47, 0.6281249563076853),
     ALPHA_MAX: (48, 0.6249999563076856),
 }
+
+
+def dense_path(problem, t, mu_factor, tol=1e-7):
+    """The barrier path of sdp.solve run on the dense 64x64 operators; returns (Newton steps, f*).
+
+    It keeps solve's null space, start point, constants, centring and
+    Armijo tests, and its floor mu_min = tol / (2 nu), and divides mu by
+    mu_factor per stage.  Only the cones differ: the operator
+    assemble_ptilde((FIXED @ x).reshape(5, 5), t) and, for a PPT
+    problem, its partial transpose over the second party, each
+    eigensolved whole.
+    """
+    def cones(x):
+        dense = assemble_ptilde((FIXED @ x).reshape(5, 5), t)
+        return [dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY)][: len(problem.cones)]
+
+    def log_det(x):
+        try:
+            return sum(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(c)).real)) for c in cones(x))
+        except np.linalg.LinAlgError:
+            return None
+
+    f = problem.objective
+    _, sv, vh = np.linalg.svd(problem.eq_matrix)
+    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+    x0 = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
+    dirs = [cones(null[:, h]) for h in range(null.shape[1])]
+    mu, mu_min, z, steps = MU_INITIAL, max(tol / (2.0 * problem.nu), 1e-12), np.zeros(null.shape[1]), 0
+    while True:
+        while True:
+            x = x0 + null @ z
+            grad, hess, base = null.T @ f, np.zeros((len(z), len(z))), f @ x
+            for n, c in enumerate(cones(x)):
+                vals, vecs = np.linalg.eigh(c)
+                inv = (vecs / vals) @ vecs.conj().T
+                prods = np.stack([inv @ d[n] for d in dirs])
+                grad += mu * np.einsum("hii->h", prods).real
+                hess += mu * np.einsum("hij,gji->hg", prods, prods).real
+                base += mu * np.sum(np.log(vals))
+            step = np.linalg.solve(hess, grad)
+            lam2 = grad @ step
+            if lam2 / 2.0 <= max(1e-13, 1e-3 * mu):
+                break
+            steps += 1
+            scale = 1.0
+            while True:
+                assert scale > 1e-14, "dense line search stalled"
+                x_trial = x0 + null @ (z + scale * step)
+                ld = log_det(x_trial)
+                if ld is not None and f @ x_trial + mu * ld >= base + scale * ARMIJO_SLOPE * lam2:
+                    z = z + scale * step
+                    break
+                scale *= BACKTRACK
+        if mu <= mu_min * (1.0 + 1e-12):
+            return steps, float(f @ x)
+        mu = max(mu / mu_factor, mu_min)
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +163,47 @@ def test_problem_shapes(t_ops):
 
 
 @pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
+def test_dense_reference_reproduces_the_factor_ten_path(t_ops, alpha):
+    iterations, f_star = dense_path(build_problem(alpha, t_ops, with_ppt=True), t_ops, mu_factor=10.0)
+    assert iterations == DENSE_PPT_PATH[alpha][0]
+    assert abs(f_star - DENSE_PPT_PATH[alpha][1]) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
 def test_ppt_solution_matches_dense_witness(t_ops, alpha):
-    sol = solve(build_problem(alpha, t_ops, with_ppt=True))
+    """solve's blocks against the dense operators: the same minimum eigenvalues, Newton steps and optimum."""
+    problem = build_problem(alpha, t_ops, with_ppt=True)
+    sol = solve(problem)
     dense = assemble_ptilde(sol.a_star, t_ops)
     witness = [
         float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         for m in (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))
     ]
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
-    iterations, f_star = DENSE_PPT_PATH[alpha]
+    iterations, f_star = dense_path(problem, t_ops, mu_factor=MU_FACTOR)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
+
+
+def test_fixed_parts_are_cached_on_the_value_of_t(t_ops):
+    """Equal t shares the equality rows and cone blocks read-only; any other value, or an edited t, rebuilds them."""
+    first = build_problem(0.3, t_ops, with_ppt=True)
+    again = build_problem(0.6, dataclasses.replace(t_ops), with_ppt=True)
+    assert all(p is q for cone, other in zip(first.cones, again.cones) for p, q in zip(cone, other))
+    rows = constraint_matrices(t_ops)
+    assert all(p is q for p, q in zip(rows, constraint_matrices(dataclasses.replace(t_ops))))
+    for arr in (*first.cones[0], *first.cones[1], *rows):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    flipped = dataclasses.replace(t_ops, t4=-t_ops.t4)
+    fresh = build_problem(0.3, flipped, with_ppt=True)
+    assert not np.array_equal(fresh.cones[0][0], first.cones[0][0])
+    assert not np.array_equal(constraint_matrices(flipped)[1], rows[1])
+    edited = dataclasses.replace(t_ops, t4=t_ops.t4.copy())
+    before = build_problem(0.3, edited).cones[0][0]
+    edited.t4[...] = -edited.t4
+    assert np.array_equal(build_problem(0.3, edited).cones[0][0], fresh.cones[0][0])
+    assert not np.array_equal(before, fresh.cones[0][0])
 
 
 def test_bell_state_optima(bell_solutions):
@@ -135,7 +227,7 @@ def test_solution_is_feasible(bell_solutions, t_ops):
     assert np.abs(residual).max() < 1e-9
     assert len(sol.min_eigenvalues) == 2
     assert min(sol.min_eigenvalues) > -1e-8
-    assert sol.duality_gap_estimate < 1e-6
+    assert 0.0 < sol.upper_bound - sol.f_star < 1e-6
     assert sol.iterations <= 200
 
 
@@ -174,6 +266,8 @@ def test_solve_reports_convergence_failure(t_ops):
     with pytest.raises(ConvergenceError) as info:
         solve(problem, max_iter=1)
     assert info.value.best is not None
+    assert info.value.best.dual_residual <= 1e-12
+    assert math.isfinite(info.value.best.upper_bound)
 
 
 def test_detect_threshold_on_closed_form_curves():
