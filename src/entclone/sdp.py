@@ -7,24 +7,33 @@ operator; an optional second cone adds positivity of its partial
 transpose over one party, which models the one-bit-LOCC relaxation.
 
 The input is real and symmetric under A <-> B, so the program is
-invariant under a -> a^T and under conjugation (t5 -> -t5, so
-a_i5 -> -a_i5 for i != 5).  The path starts at a point both fix and the
-barrier is invariant, so it never leaves their fixed subspace: real
-symmetric a with a_i5 = 0 for i != 5, spanned by the 11 orthonormal
-columns of FIXED, of which the equalities leave k = 8 free.
+invariant under a -> a^T, under conjugation (t5 -> -t5, so
+a_i5 -> -a_i5 for i != 5) and under a_i4 -> -a_i4 for i != 4.  The path
+starts at a point all three fix and the barrier is invariant, so it
+never leaves their fixed subspace: real symmetric a whose only
+off-diagonal entries are a12, a13 and a23, spanned by the 8 orthonormal
+columns of FIXED.  There the clone-symmetry rows vanish and only the
+trace row is left, so k = 7 coordinates are free.
 
-No cone is formed as a 64x64 matrix.  Per party the commutant is
-M2 (+) C, and covariant.commutant_blocks reads the coordinates X_i, c_i
-of each ti there off t, so on the fixed subspace sum_ij a_ij ti (x) tj
-is unitarily a direct sum of three distinct blocks, real because FIXED
-is zero wherever X5 = sigma_y enters off a_55:
-sum a_ij Xi (x) Xj (4x4, four copies), sum a_ij c_j Xi = sum a_ij c_i Xj
-(2x2, sixteen copies) and sum a_ij c_i c_j (1x1, sixteen copies).  The
-basis covariant.BLOCK_BASIS is real, so the partial transpose over the
-second party is the same construction with Xj replaced by its
-transpose.  The barrier weights each block's log det by its copy count,
-which makes it equal to log det of the full operator, and the barrier
-parameter nu = sum of weight * block size stays 64 per cone.
+No cone is formed as a 64x64 matrix, and none is eigensolved.  Per party
+the commutant is M2 (+) C, and covariant.commutant_blocks reads the
+coordinates X_i, c_i of each ti there off t.  On the fixed subspace
+sum_ij a_ij ti (x) tj is unitarily a direct sum of sum a_ij Xi (x) Xj
+(4x4, four copies), sum a_ij c_j Xi (2x2, sixteen copies) and a33
+(sixteen copies).  In the real basis PAIR_BASIS = |00>, |11>,
+(|01> +- |10>)/sqrt(2) the first is the 2x2 block
+[[a11, a44 - a55], [a44 - a55, a22]] plus the scalars
+a12 +- (a44 + a55); the second is diag(a13, a23).  So each cone is one
+2x2 block of weight 4 and five scalars of weights (4, 4, 16, 16, 16).
+The basis covariant.BLOCK_BASIS is real, so the partial transpose over
+the second party is the same construction with Xj replaced by its
+transpose, which flips the sign of a55 and nothing else.  The barrier
+weights each block's log det by its copy count, which makes it equal to
+log det of the full operator, and the barrier parameter
+nu = sum of weight * block size stays 64 per cone.  A cone is stored as
+the eight linear forms (p, q, r of the 2x2 block, then the scalars) over
+the coordinates, so one mat-vec gives every block at x and the barrier,
+its gradient and its Hessian follow in closed form.
 
 The objective and the equality rows are built per party too, from the
 partial traces of the 8x8 operators t1..t5 (see
@@ -69,20 +78,20 @@ BACKTRACK = 0.5
 THRESHOLD_RATIO = 10.0
 THRESHOLD_FLOOR = 1e-7
 # The fixed subspace as orthonormal columns over the flat a vector:
-# e_ii, then (e_ij + e_ji)/sqrt(2) for i < j <= 4 (1-based).
-FIXED = np.zeros((25, 11))
-for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(i, j) for i in range(4) for j in range(i + 1, 4)]):
+# e_ii for i = 1..5, then (e_ij + e_ji)/sqrt(2) for (1,2), (1,3), (2,3).
+FIXED = np.zeros((25, 8))
+for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
     FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)
-FIXED.flags.writeable = False
-# A cone is the tuple of its three distinct blocks, each an (11, d, d)
-# stack over FIXED: Xi (x) Xj, c_j Xi and c_i c_j.  Its 64x64 operator
-# at x is unitarily the direct sum of BLOCK_WEIGHTS[k] copies of
-# sum_p x_p cone[k][p] over the blocks k.
-BLOCK_WEIGHTS = (4, 16, 16)
-_Cone = tuple[np.ndarray, ...]
-
-# A size group: (barrier weight, (11, n_cones, d, d) stack of one block of every cone).
-_Group = tuple[int, np.ndarray]
+# Columns |00>, |11>, (|01> + |10>)/sqrt(2), (|01> - |10>)/sqrt(2) of M2 (x) M2.
+PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
+for _table in (FIXED, PAIR_BASIS):
+    _table.flags.writeable = False
+# A cone is an (8, 8) array of linear forms over the FIXED coordinates:
+# rows p, q, r of its 2x2 block [[p, q], [q, r]], then its five scalars.
+# Its 64x64 operator at x is unitarily the direct sum of
+# BLOCK_WEIGHTS[0] copies of the 2x2 block and BLOCK_WEIGHTS[1 + j]
+# copies of scalar j.
+BLOCK_WEIGHTS = (4, 4, 4, 16, 16, 16)
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,12 @@ class SdpProblem:
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    cones: tuple[_Cone, ...]
+    cones: tuple[np.ndarray, ...]
 
     @property
     def nu(self) -> float:
         """Barrier parameter: the summed dimension of the cones' full operators."""
-        return float(sum(w * block.shape[-1] for cone in self.cones for w, block in zip(BLOCK_WEIGHTS, cone)))
+        return float(len(self.cones) * (2 * BLOCK_WEIGHTS[0] + sum(BLOCK_WEIGHTS[1:])))
 
 
 @dataclass(frozen=True)
@@ -127,19 +136,33 @@ class ThresholdDetectionError(ValueError):
     """Raised when a sweep has no kink above the noise floor."""
 
 
-def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> _Cone:
-    """Distinct blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j), each stacked over the 11 FIXED columns."""
-    blocks = (
-        np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4),
-        (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2),
-        np.outer(c, c).reshape(25, 1, 1),
-    )
-    return tuple(np.tensordot(FIXED, block, axes=(0, 0)).real for block in blocks)
+def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Linear forms over the 8 FIXED coordinates of the blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j).
+
+    The Xa_i (x) Xb_j block is rotated into PAIR_BASIS; its 2x2 corner
+    gives p, q, r and its last two diagonal entries the first two
+    scalars.  The c_j Xa_i block gives the next two from its diagonal and
+    c_i c_j the last.  Raises RuntimeError if any other entry, or any
+    imaginary part, exceeds 1e-12: t then breaks the parity this
+    splitting rests on.
+    """
+    products = np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4)
+    pair = PAIR_BASIS.T @ np.tensordot(FIXED, products, axes=(0, 0)) @ PAIR_BASIS
+    side = np.tensordot(FIXED, (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2), axes=(0, 0))
+    corner = FIXED.T @ np.outer(c, c).reshape(-1, 1)
+    forms = np.hstack([pair[:, [0, 0, 1, 2, 3], [0, 1, 1, 2, 3]], side[:, [0, 1], [0, 1]], corner]).T.real
+    split_pair = np.zeros_like(pair)
+    split_pair[:, [0, 0, 1, 1, 2, 3], [0, 1, 0, 1, 2, 3]] = forms[[0, 1, 1, 2, 3, 4]].T
+    split_side = np.zeros_like(side)
+    split_side[:, [0, 1], [0, 1]] = forms[[5, 6]].T
+    if max(np.abs(pair - split_pair).max(), np.abs(side - split_side).max()) > 1e-12:
+        raise RuntimeError("the cone does not split into one 2x2 block and five scalars on the fixed subspace")
+    return forms
 
 
 @cache_on_value
-def _cones(t: TOperators) -> tuple[_Cone, _Cone]:
-    """The plain cone's blocks and those of its partial transpose over the second party."""
+def _cones(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The plain cone's forms and those of its partial transpose over the second party."""
     x, c = commutant_blocks(t)
     return _block_cone(x, x, c), _block_cone(x, np.swapaxes(x, 1, 2), c)
 
@@ -148,7 +171,7 @@ def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpPro
     """Assemble the program for one Schmidt weight on the fixed subspace.
 
     Only the objective depends on alpha: the equality rows and the cone
-    blocks are cached on the value of t, and shared read-only.
+    forms are cached on the value of t, and shared read-only.
     """
     trace_row, sym_rows = constraint_matrices(t)
     eq = np.vstack([trace_row[None, :], sym_rows]) @ FIXED
@@ -158,23 +181,18 @@ def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpPro
     return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=_cones(t)[: 2 if with_ppt else 1])
 
 
-def _size_groups(cones: Sequence[_Cone]) -> list[_Group]:
-    """All cones' blocks batched by size; blocks of one size share their weight."""
-    return [(w, np.stack([cone[k] for cone in cones], axis=1)) for k, w in enumerate(BLOCK_WEIGHTS)]
+def _pair_min(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric [[p, q], [q, r]], in closed form."""
+    return (p + r) / 2.0 - np.hypot((p - r) / 2.0, q)
 
 
-def _block_values(groups: list[_Group], x: np.ndarray) -> list[np.ndarray]:
-    """Every block at x, one (n_cones, d, d) array per size group."""
-    return [(x @ stack.reshape(len(x), -1)).reshape(stack.shape[1:]) for _, stack in groups]
-
-
-def _cone_min_eigenvalues(groups: list[_Group], x: np.ndarray) -> tuple[float, ...]:
+def _cone_min_eigenvalues(forms: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
     """Smallest eigenvalue of each cone's full operator at x: the minimum over its blocks."""
-    mins = np.min([np.linalg.eigvalsh(c)[:, 0] for c in _block_values(groups, x)], axis=0)
-    return tuple(float(v) for v in mins)
+    v = forms @ x
+    return tuple(float(m) for m in np.minimum(_pair_min(v[:, 0], v[:, 1], v[:, 2]), v[:, 3:].min(axis=1)))
 
 
-def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
+def _interior_start(problem: SdpProblem, forms: np.ndarray) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
     It is 0.9 times the no-communication point a = e_22 (FIXED[6], as
@@ -185,7 +203,7 @@ def _interior_start(problem: SdpProblem, groups: list[_Group]) -> np.ndarray:
     x_mm = np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
     x0 = 0.9 * FIXED[6] + 0.1 * x_mm
     feasible = np.linalg.norm(problem.eq_matrix @ x0 - problem.eq_rhs) <= 1e-9
-    if not feasible or min(_cone_min_eigenvalues(groups, x0)) <= 1e-8:
+    if not feasible or min(_cone_min_eigenvalues(forms, x0)) <= 1e-8:
         raise ConvergenceError("could not find a strictly feasible starting point")
     return x0
 
@@ -198,11 +216,13 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     by MU_FACTOR per stage, clipped at mu_min.  max_iter caps the total
     number of Newton steps across all barrier stages.  Identical inputs
     always produce identical output.
-    The path runs on the fixed subspace (k = 8 free coordinates) in real
-    arithmetic.  The three blocks of all cones, sizes (4, 2, 1) weighted
-    4, 16, 16, are batched by size, so each Newton step runs one
-    eigensolve and one Hessian contraction per size, and each line-search
-    trial one batched Cholesky test per size; each term carries its copy count.
+    The path runs on the fixed subspace (k = 7 free coordinates) in real
+    arithmetic.  One mat-vec gives every cone's 2x2 block [[p, q], [q, r]]
+    and five scalars s; the interior is p > 0, pr - q^2 > 0 and s > 0.
+    The gradient and Hessian come from the closed-form Cholesky whitening
+    L^-1 dC L^-T of each 2x2 block and ds / s of each scalar, each term
+    weighted by its copy count, so the k x k Newton system is the only
+    matrix factorized per step.
 
     Every centred point, and the iterate a ConvergenceError carries, is
     certified from the Newton step already solved for there (see the
@@ -221,66 +241,66 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     k = null.shape[1]
     if k == 0:
         raise ConvergenceError("equality constraints leave no degrees of freedom")
-    groups = _size_groups(problem.cones)
-    x0 = _interior_start(problem, groups)
-    weights = [w for w, _ in groups]
-    dirs = [np.einsum("ph,pnij->nhij", null, stack) for _, stack in groups]
+    forms = np.stack(problem.cones)
+    x0 = _interior_start(problem, forms)
+    dirs = forms @ null
     f_null = null.T @ f
     mu_min = max(tol / (2.0 * nu), 1e-12)
+    pair_w, scalar_w = BLOCK_WEIGHTS[0], np.array(BLOCK_WEIGHTS[1:], dtype=float)
+    # The weight of each form in sum over copies of <Z, block>: the 2x2
+    # block holds q twice.  Its whitened rows are w11, w12, w22, then
+    # ds / s per scalar; the gradient, a weighted trace, skips w12.
+    form_w = np.array([pair_w, 2.0 * pair_w, pair_w, *scalar_w])
+    hess_w, grad_w = np.tile(form_w, len(forms)), np.tile(form_w * [1, 0, 1, 1, 1, 1, 1, 1], len(forms))
 
-    def log_det_sum(x: np.ndarray) -> float | None:
-        total = 0.0
-        for w, c in zip(weights, _block_values(groups, x)):
-            try:
-                chol = np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                return None
-            total += 2.0 * w * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
-        return total
+    def log_det_sum(v: np.ndarray) -> float | None:
+        """Weighted log det of the cones whose blocks are v, or None outside the interior."""
+        det = v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
+        if min(v[:, 0].min(), det.min(), v[:, 3:].min()) <= 0.0:
+            return None
+        return pair_w * float(np.sum(np.log(det))) + float(np.sum(scalar_w * np.log(v[:, 3:])))
 
     z = np.zeros(k)
     mu = MU_INITIAL
     iterations = 0
     best: SdpSolution | None = None
 
-    def newton_system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
-        """Gradient, Newton step, weighted log det and block inverses of f.x + mu log det C at x."""
-        grad = f_null.copy()
-        hess = np.zeros((k, k))
-        log_det = 0.0
-        invs = []
-        for w, d, c in zip(weights, dirs, _block_values(groups, x)):
-            vals, vecs = np.linalg.eigh(c)
-            if float(vals[:, 0].min()) <= 0.0:
-                raise ConvergenceError("iterate left the cone interior", best=best)
-            inv = np.matmul(vecs / vals[:, None, :], np.swapaxes(vecs, 1, 2))
-            invs.append(inv)
-            prods = np.matmul(inv[:, None, :, :], d)
-            grad += mu * w * np.einsum("nhii->h", prods)
-            flat = prods.transpose(1, 0, 2, 3).reshape(k, -1)
-            flat_t = prods.transpose(1, 0, 3, 2).reshape(k, -1)
-            hess += mu * w * (flat @ flat_t.T)
-            log_det += w * float(np.sum(np.log(vals)))
+    def newton_system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """Gradient, Newton step, weighted log det and block values of f.x + mu log det C at x."""
+        v = forms @ x
+        log_det = log_det_sum(v)
+        if log_det is None:
+            raise ConvergenceError("iterate left the cone interior", best=best)
+        p, q, r = v[:, :1], v[:, 1:2], v[:, 2:3]
+        det = p * r - q * q
+        e = q / p
+        dp, dq, dr = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+        pair = np.stack([dp / p, (dq - e * dp) / np.sqrt(det), (dr - 2.0 * e * dq + e * e * dp) * (p / det)], axis=1)
+        white = np.concatenate([pair, dirs[:, 3:] / v[:, 3:, None]], axis=1).reshape(-1, k)
+        grad = f_null + mu * (grad_w @ white)
+        hess = mu * (white.T * hess_w) @ white
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             jitter = 1e-14 * max(float(np.max(np.diag(hess))), 1.0)
             step = np.linalg.solve(hess + jitter * np.eye(k), grad)
-        return grad, step, log_det, invs
+        return grad, step, log_det, v
 
-    def snapshot(x: np.ndarray, invs: list[np.ndarray], step: np.ndarray) -> SdpSolution:
+    def snapshot(x: np.ndarray, v: np.ndarray, step: np.ndarray) -> SdpSolution:
         """The iterate x with the dual point built from its Newton step."""
-        r = f.copy()
-        min_dual = np.inf
-        for (w, stack), d, inv in zip(groups, dirs, invs):
-            zk = mu * (inv - inv @ np.tensordot(step, d, axes=(0, 1)) @ inv)
-            min_dual = min(min_dual, float(np.linalg.eigvalsh(zk)[:, 0].min()))
-            r += w * np.einsum("pnij,nji->p", stack, zk)
+        dv = dirs @ step
+        det = v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
+        inv = v[:, [[2, 1], [1, 0]]] * np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None]
+        z_pair = mu * (inv - inv @ dv[:, [[0, 1], [1, 2]]] @ inv)
+        z_scalar = mu * (1.0 - dv[:, 3:] / v[:, 3:]) / v[:, 3:]
+        min_dual = min(float(_pair_min(z_pair[:, 0, 0], z_pair[:, 0, 1], z_pair[:, 1, 1]).min()), float(z_scalar.min()))
+        coef = np.concatenate([z_pair[:, [0, 0, 1], [0, 1, 1]], z_scalar], axis=1) * form_w
+        r = f + np.einsum("nj,njp->p", coef, forms)
         y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
         return SdpSolution(
             a_star=(FIXED @ x).reshape(5, 5),
             f_star=float(f @ x),
-            min_eigenvalues=_cone_min_eigenvalues(groups, x),
+            min_eigenvalues=_cone_min_eigenvalues(forms, x),
             iterations=iterations,
             upper_bound=float(problem.eq_rhs @ y),
             dual_residual=float(np.abs(problem.eq_matrix.T @ y - r).max()),
@@ -290,13 +310,13 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     while True:
         while True:
             x = x0 + null @ z
-            grad, step, log_det, invs = newton_system(x)
+            grad, step, log_det, v = newton_system(x)
             lam2 = float(grad @ step)
             if lam2 / 2.0 <= max(1e-13, 1e-3 * mu):
                 break
             if iterations >= max_iter:
                 raise ConvergenceError(
-                    f"no convergence within {max_iter} Newton steps", best=best or snapshot(x, invs, step)
+                    f"no convergence within {max_iter} Newton steps", best=best or snapshot(x, v, step)
                 )
             iterations += 1
             base = float(f @ x) + mu * log_det
@@ -305,14 +325,14 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             while scale > 1e-14:
                 trial = z + scale * step
                 x_trial = x0 + null @ trial
-                ld = log_det_sum(x_trial)
+                ld = log_det_sum(forms @ x_trial)
                 if ld is not None and float(f @ x_trial) + mu * ld >= base + scale * slope:
                     z = trial
                     break
                 scale *= BACKTRACK
             else:
-                raise ConvergenceError("line search stalled", best=best or snapshot(x, invs, step))
-        best = snapshot(x, invs, step)
+                raise ConvergenceError("line search stalled", best=best or snapshot(x, v, step))
+        best = snapshot(x, v, step)
         if mu <= mu_min * (1.0 + 1e-12):
             return best
         mu = max(mu / MU_FACTOR, mu_min)

@@ -18,8 +18,8 @@ def private_imports(source: str) -> list[str]:
 
 
 def test_detector_sees_parenthesized_imports():
-    source = "from entclone.sdp import (\n    solve,\n    _size_groups,\n)\nfrom entclone import __version__\n"
-    assert private_imports(source) == ["entclone.sdp._size_groups"]
+    source = "from entclone.sdp import (\n    solve,\n    _block_cone,\n)\nfrom entclone import __version__\n"
+    assert private_imports(source) == ["entclone.sdp._block_cone"]
     assert private_imports("from .channel import _party_reductions\n") == ["channel._party_reductions"]
 
 

@@ -110,56 +110,72 @@ def _dense_spectra(a, stack):
 def test_program_is_invariant_under_swap_and_conjugation(t_ops):
     """The symmetries the fixed-subspace reduction rests on, on all 25 coordinates.
 
-    Party swap acts as a -> a^T and complex conjugation as a_i5 -> -a_i5
-    for i != 5; the objective, the equality row space and both cones'
-    spectra must be invariant under each, and FIXED must be orthonormal.
+    Party swap acts as a -> a^T, complex conjugation as a_i5 -> -a_i5
+    for i != 5, and the parity flip as a_i4 -> -a_i4 for i != 4; the
+    objective, the equality row space and both cones' spectra must be
+    invariant under each, and FIXED must be orthonormal.
     """
-    assert np.abs(FIXED.T @ FIXED - np.eye(11)).max() < 1e-15
-    flip = np.ones((5, 5))
-    flip[4, :4] = flip[:4, 4] = -1.0
+    assert np.abs(FIXED.T @ FIXED - np.eye(8)).max() < 1e-15
+    flips = []
+    for axis in (4, 3):
+        flip = np.ones((5, 5))
+        flip[axis, :] = flip[:, axis] = -1.0
+        flip[axis, axis] = 1.0
+        flips.append(flip)
     rng = np.random.default_rng(19)
     for alpha in rng.uniform(0.0, ALPHA_MAX, size=5):
         f = fidelity_coefficients(alpha, t_ops)
         assert np.abs(f - f.T).max() < 1e-14
         assert np.abs(f[:4, 4]).max() < 1e-14
+        assert np.abs(f[[0, 1, 2, 4], 3]).max() < 1e-14
     trace_row, sym_rows = constraint_matrices(t_ops)
     _, sv, vh = np.linalg.svd(np.vstack([trace_row, sym_rows]))
     rows = vh[: int(np.sum(sv > 1e-12 * sv[0]))]
     proj = rows.T @ rows
     swap = np.eye(25).reshape(5, 5, 25).transpose(1, 0, 2).reshape(25, 25)
-    for action in (swap, np.diag(flip.reshape(-1))):
+    for action in (swap, *(np.diag(flip.reshape(-1)) for flip in flips)):
         assert np.abs(proj @ action - action @ proj).max() < 1e-14
     stack = basis_stack(t_ops)
     for _ in range(4):
         a = rng.normal(size=(5, 5))
         spectra = _dense_spectra(a, stack)
-        for b in (a.T, flip * a):
+        for b in (a.T, *(flip * a for flip in flips)):
             assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b, stack), spectra)) < 1e-12
 
 
 def test_problem_shapes(t_ops):
-    """Fixed-subspace shapes, real arrays, nu, and block spectra equal to the dense operators' at a = FIXED x."""
+    """Fixed-subspace shapes, real arrays, nu, k = 7, and block spectra equal to the dense operators' at a = FIXED x."""
     plain = build_problem(0.4, t_ops)
     ppt = build_problem(0.4, t_ops, with_ppt=True)
-    assert plain.objective.shape == (11,)
-    assert plain.eq_matrix.shape[1] == 11
+    assert plain.objective.shape == (8,)
+    assert plain.eq_matrix.shape[1] == 8
+    sv = np.linalg.svd(plain.eq_matrix, compute_uv=False)
+    assert 8 - int(np.sum(sv > 1e-12 * sv[0])) == 7
     assert len(plain.cones) == 1
     assert len(ppt.cones) == 2
+    assert all(cone.shape == (8, 8) for cone in ppt.cones)
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
-    assert all(np.array_equal(p, q) for p, q in zip(plain.cones[0], ppt.cones[0]))
+    assert np.array_equal(plain.cones[0], ppt.cones[0])
     for problem in (plain, ppt):
-        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *(b for cone in problem.cones for b in cone)]
+        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     rng = np.random.default_rng(20050203)
     stack = basis_stack(t_ops)
     for _ in range(4):
-        x = rng.normal(size=11)
+        x = rng.normal(size=8)
         for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x, stack)):
+            p, q, r, *scalars = cone @ x
             weighted = np.concatenate([
-                np.repeat(np.linalg.eigvalsh(np.tensordot(x, block, axes=(0, 0))), w)
-                for w, block in zip(BLOCK_WEIGHTS, cone)
+                np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), BLOCK_WEIGHTS[0]),
+                np.repeat(scalars, BLOCK_WEIGHTS[1:]),
             ])
             assert np.abs(np.sort(weighted) - expected).max() < 1e-12
+
+
+def test_block_split_rejects_a_t_that_breaks_parity(t_ops):
+    """A structurally valid t whose blocks do not split into one 2x2 block and five scalars is refused."""
+    with pytest.raises(RuntimeError, match="2x2 block and five scalars"):
+        build_problem(0.4, dataclasses.replace(t_ops, t1=t_ops.t4))
 
 
 @pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
@@ -186,24 +202,24 @@ def test_ppt_solution_matches_dense_witness(t_ops, alpha):
 
 
 def test_fixed_parts_are_cached_on_the_value_of_t(t_ops):
-    """Equal t shares the equality rows and cone blocks read-only; any other value, or an edited t, rebuilds them."""
+    """Equal t shares the equality rows and cone forms read-only; any other value, or an edited t, rebuilds them."""
     first = build_problem(0.3, t_ops, with_ppt=True)
     again = build_problem(0.6, dataclasses.replace(t_ops), with_ppt=True)
-    assert all(p is q for cone, other in zip(first.cones, again.cones) for p, q in zip(cone, other))
+    assert all(p is q for p, q in zip(first.cones, again.cones))
     rows = constraint_matrices(t_ops)
     assert all(p is q for p, q in zip(rows, constraint_matrices(dataclasses.replace(t_ops))))
-    for arr in (*first.cones[0], *first.cones[1], *rows):
+    for arr in (*first.cones, *rows):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
-    flipped = dataclasses.replace(t_ops, t4=-t_ops.t4)
-    fresh = build_problem(0.3, flipped, with_ppt=True)
-    assert not np.array_equal(fresh.cones[0][0], first.cones[0][0])
-    assert not np.array_equal(constraint_matrices(flipped)[1], rows[1])
-    edited = dataclasses.replace(t_ops, t4=t_ops.t4.copy())
-    before = build_problem(0.3, edited).cones[0][0]
-    edited.t4[...] = -edited.t4
-    assert np.array_equal(build_problem(0.3, edited).cones[0][0], fresh.cones[0][0])
-    assert not np.array_equal(before, fresh.cones[0][0])
+    swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
+    fresh = build_problem(0.3, swapped, with_ppt=True)
+    assert not np.array_equal(fresh.cones[0], first.cones[0])
+    assert not np.array_equal(constraint_matrices(swapped)[1], rows[1])
+    edited = dataclasses.replace(t_ops, t1=t_ops.t1.copy(), t2=t_ops.t2.copy())
+    before = build_problem(0.3, edited).cones[0]
+    edited.t1[...], edited.t2[...] = t_ops.t2, t_ops.t1
+    assert np.array_equal(build_problem(0.3, edited).cones[0], fresh.cones[0])
+    assert not np.array_equal(before, fresh.cones[0])
 
 
 def test_bell_state_optima(bell_solutions):
