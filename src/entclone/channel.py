@@ -1,11 +1,16 @@
 """Channel action, clone fidelities, and the linear constraint system.
 
-Channels map a two-qubit input (A, B) to a four-qubit output ordered
-(1A, 1B, 2A, 2B).  A channel is its Choi operator, a plain 64x64
-array: the convention is unnormalized, P = sum_ij E(|i><j|) (x) |i><j|
-on (output, input), so trace preservation reads Tr_out P = I_4 and the
-action recovers as E(rho) = Tr_in [P (I (x) rho^T)].  Kraus operators
-appear only in the protocol module, which applies them itself.
+Channels map a two-qubit input (A, B) to a four-qubit output in the
+clone order (1A, 1B, 2A, 2B): clone 1, then clone 2, so an output state
+reshaped to (4, 4, 4, 4) reads (clone 1, clone 2) by (clone 1, clone 2)
+and clone_reductions is one trace over either pair.  A channel is its
+Choi operator, a plain 64x64 array on the Choi order
+(1A, 1B, 2A, 2B, A, B), the output then the input (see
+covariant.reorder_to_choi).  The convention is unnormalized,
+P = sum_ij E(|i><j|) (x) |i><j|, so reshaped to (16, 4, 16, 4) the
+trace-preservation condition reads trace_output(P) = I_4 and the action
+recovers as E(rho) = Tr_in [P (I (x) rho^T)].  Kraus operators appear
+only in the protocol module, which applies them itself.
 
 For a covariant cloner P = sum_ij a_ij ti (x) tj every quantity the
 program needs (the clone-fidelity functional, the output trace and the
@@ -21,18 +26,19 @@ import numpy as np
 
 from entclone.analytic import schmidt_state
 from entclone.covariant import TOperators, assemble_ptilde, cache_on_value, reorder_to_choi
-from entclone.linalg import SubsystemLayout, frobenius_distance, partial_trace
-
-OUTPUT_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2)))
 
 SYMMETRY_TOL = 1e-8
 
 
-def apply_choi(p_e: np.ndarray, rho: np.ndarray, dims: tuple[int, int] = (16, 4)) -> np.ndarray:
-    """Channel action from a Choi operator: E(rho) = Tr_in [P (I (x) rho^T)]."""
-    dout, din = dims
-    p4 = np.asarray(p_e).reshape(dout, din, dout, din)
+def apply_choi(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Channel action from a Choi operator: E(rho) = Tr_in [P (I (x) rho^T)], a 16x16 output."""
+    p4 = np.asarray(p_e).reshape(16, 4, 16, 4)
     return np.einsum("aibj,ij->ab", p4, np.asarray(rho))
+
+
+def trace_output(p_e: np.ndarray) -> np.ndarray:
+    """Tr_out of a Choi operator: the 4x4 operator left on the input (A, B)."""
+    return np.einsum("aiaj->ij", np.asarray(p_e).reshape(16, 4, 16, 4))
 
 
 def check_state(rho: np.ndarray) -> np.ndarray:
@@ -44,7 +50,7 @@ def check_state(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"input state must be 4x4, got {rho.shape}")
-    if frobenius_distance(rho, rho.conj().T) > 1e-10:
+    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
         raise ValueError("input state is not Hermitian")
     if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-10:
         raise ValueError("input state has a negative eigenvalue")
@@ -68,9 +74,8 @@ def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho_out = np.asarray(rho_out)
     if rho_out.shape != (16, 16):
         raise ValueError(f"output state must be 16x16, got {rho_out.shape}")
-    r1 = partial_trace(rho_out, OUTPUT_LAYOUT, {"2A", "2B"})
-    r2 = partial_trace(rho_out, OUTPUT_LAYOUT, {"1A", "1B"})
-    return r1, r2
+    clones = rho_out.reshape(4, 4, 4, 4)
+    return np.einsum("abcb->ac", clones), np.einsum("abad->bd", clones)
 
 
 def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
@@ -82,7 +87,7 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     phi = schmidt_state(alpha)
     rho_out = apply(p_e, np.outer(phi, phi.conj()))
     r1, r2 = clone_reductions(rho_out)
-    if frobenius_distance(r1, r2) > SYMMETRY_TOL:
+    if np.linalg.norm(r1 - r2) > SYMMETRY_TOL:
         raise ValueError("channel output violates clone symmetry on the representative state")
     f = phi.conj() @ ((r1 + r2) / 2.0) @ phi
     return float(np.real(f))

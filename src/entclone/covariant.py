@@ -11,7 +11,16 @@ the M2 (+) C coordinates BLOCK_X, BLOCK_C of the five operators t1..t5
 spanning the commutant (three projectors plus the Hermitian pair built
 from the intertwiner between the two equivalent blocks).  It builds
 t1..t5 from those coordinates and assembles the full two-party operator
-sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) factor order.
+sum_ij a_ij ti (x) tj.
+
+Two fixed qubit orders meet here.  The party order (1A,2A,A,1B,2B,B)
+is the one of assemble_ptilde: Alice's triple, then Bob's.  The Choi
+order (1A,1B,2A,2B,A,B) is channel's: the four output qubits, then the
+two inputs.  CHOI_AXES lists each Choi-order qubit's position in the
+party order and PARTY_AXES inverts it, so reorder_to_choi and
+reorder_from_choi are one transpose of the 12 qubit axes each.  In the
+party order the partial transpose over Bob's triple swaps his row and
+column index (partial_transpose_b).
 """
 
 from __future__ import annotations
@@ -22,10 +31,9 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from entclone.linalg import SubsystemLayout, permute_subsystems
-
-PTILDE_LAYOUT = SubsystemLayout((("1A", 2), ("2A", 2), ("A", 2), ("1B", 2), ("2B", 2), ("B", 2)))
-CHOI_LAYOUT = SubsystemLayout((("1A", 2), ("1B", 2), ("2A", 2), ("2B", 2), ("A", 2), ("B", 2)))
+# The party-order position of each Choi-order qubit, and the inverse.
+CHOI_AXES = (0, 3, 1, 4, 2, 5)
+PARTY_AXES = (0, 2, 4, 1, 3, 5)
 
 _E = np.eye(8)
 # Columns m1_0, m1_1, m2_0, m2_1: the antisymmetric pair state tensored
@@ -109,6 +117,14 @@ def cache_on_value(build: Callable[[TOperators], _Built]) -> Callable[[TOperator
     return cached
 
 
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random SU(2) element from a normalized normal quaternion."""
+    q = rng.normal(size=4)
+    q = q / np.linalg.norm(q)
+    a, b, c, d = q
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
 def triple_rep(u: np.ndarray) -> np.ndarray:
     """Action of a local unitary on (clone 1, clone 2, input): u (x) u (x) u*."""
     return np.kron(np.kron(u, u), u.conj())
@@ -172,11 +188,22 @@ def basis_stack(t: TOperators) -> np.ndarray:
     return np.stack([np.kron(ti, tj) for ti in ts for tj in ts])
 
 
+def partial_transpose_b(ptilde: np.ndarray) -> np.ndarray:
+    """Partial transpose over Bob's triple (1B,2B,B) of a 64x64 operator on the party order."""
+    return np.asarray(ptilde).reshape(8, 8, 8, 8).transpose(0, 3, 2, 1).reshape(64, 64)
+
+
+def _permute_qubits(m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Reorder the six qubits of a 64x64 operator: new qubit k is old qubit axes[k]."""
+    rows_cols = axes + tuple(6 + k for k in axes)
+    return np.asarray(m).reshape((2,) * 12).transpose(rows_cols).reshape(64, 64)
+
+
 def reorder_to_choi(ptilde: np.ndarray) -> np.ndarray:
-    """Reorder (1A,2A,A,1B,2B,B) to the channel order (1A,1B,2A,2B,A,B)."""
-    return permute_subsystems(ptilde, PTILDE_LAYOUT, CHOI_LAYOUT.labels)
+    """Reorder the party order (1A,2A,A,1B,2B,B) to the Choi order (1A,1B,2A,2B,A,B)."""
+    return _permute_qubits(ptilde, CHOI_AXES)
 
 
 def reorder_from_choi(p_e: np.ndarray) -> np.ndarray:
     """Inverse of reorder_to_choi."""
-    return permute_subsystems(p_e, CHOI_LAYOUT, PTILDE_LAYOUT.labels)
+    return _permute_qubits(p_e, PARTY_AXES)

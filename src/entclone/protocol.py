@@ -88,11 +88,11 @@ def _check_kraus(ks: LocalKrausSet) -> None:
 
 
 def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
-    """Choi operator of rho -> sum_i Ki rho Ki^dag in the grouped party layout.
+    """Choi operator of rho -> sum_i Ki rho Ki^dag on the party order.
 
-    The operator is assembled in the (output, input) convention and then
-    reordered to (1A, 2A, A, 1B, 2B, B) so it compares directly with the
-    covariant parametrization.
+    The operator is assembled on the Choi order (output, input) and then
+    reordered to the party order (1A, 2A, A, 1B, 2B, B) so it compares
+    directly with the covariant parametrization.
     """
     p = np.zeros((64, 64), dtype=complex)
     for kmat in ks.k:

@@ -126,10 +126,9 @@ class SdpSolution:
 class ConvergenceError(RuntimeError):
     """Raised when the barrier path stalls; carries the best iterate found."""
 
-    def __init__(self, message: str, best: SdpSolution | None = None, index: int | None = None):
+    def __init__(self, message: str, best: SdpSolution | None = None):
         super().__init__(message)
         self.best = best
-        self.index = index
 
 
 class ThresholdDetectionError(ValueError):
@@ -170,15 +169,15 @@ def _cones(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
 def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight on the fixed subspace.
 
-    Only the objective depends on alpha: the equality rows and the cone
-    forms are cached on the value of t, and shared read-only.
+    Only the objective depends on alpha: the trace row and the cone
+    forms are cached on the value of t, and shared read-only.  The
+    clone-symmetry rows vanish on FIXED, so the trace row is the only
+    equality.
     """
-    trace_row, sym_rows = constraint_matrices(t)
-    eq = np.vstack([trace_row[None, :], sym_rows]) @ FIXED
-    rhs = np.zeros(eq.shape[0])
-    rhs[0] = 1.0
+    trace_row, _ = constraint_matrices(t)
+    eq = (trace_row @ FIXED)[None, :]
     f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=rhs, cones=_cones(t)[: 2 if with_ppt else 1])
+    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=_cones(t)[: 2 if with_ppt else 1])
 
 
 def _pair_min(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -354,7 +353,6 @@ def sweep_solutions(
             raise ConvergenceError(
                 f"sweep point {idx} (alpha={alpha:.6f}) did not converge: {err}",
                 best=err.best,
-                index=idx,
             ) from err
         out.append((float(alpha), sol))
     return out

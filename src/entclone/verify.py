@@ -27,16 +27,15 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
-from entclone.channel import apply_choi, clone_reductions, constraint_matrices
+from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output
 from entclone.covariant import (
-    CHOI_LAYOUT,
-    PTILDE_LAYOUT,
     assemble_ptilde,
     build_t_operators,
+    partial_transpose_b,
+    random_su2,
     reorder_to_choi,
     two_party_rep,
 )
-from entclone.linalg import partial_trace, partial_transpose, random_su2
 from entclone.protocol import (
     average_clone_fidelity,
     build_dilations,
@@ -229,8 +228,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         for _ in range(5):
             x = x_part + null @ (0.3 * rng.normal(size=null.shape[1]))
             choi = reorder_to_choi(assemble_ptilde(x.reshape(5, 5), t))
-            tr_out = partial_trace(choi, CHOI_LAYOUT, {"1A", "1B", "2A", "2B"})
-            feas = max(feas, float(np.max(np.abs(tr_out - np.eye(4)))))
+            feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))))
             for _ in range(2):
                 g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                 g = (g + g.conj().T) / 2.0
@@ -240,8 +238,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         ppt_eig = 0.0
         for family in (CloneFamily.BUZEK_HILLERY_SQUARED, CloneFamily.LOCC_OPTIMAL):
             for alpha in (0.0, 0.15, 0.3, a0, 0.45, 0.6, ALPHA_MAX):
-                ptilde = assemble_ptilde(params_for(family, alpha), t)
-                flipped = partial_transpose(ptilde, PTILDE_LAYOUT, {"1B", "2B", "B"})
+                flipped = partial_transpose_b(assemble_ptilde(params_for(family, alpha), t))
                 low = float(np.linalg.eigvalsh((flipped + flipped.conj().T) / 2.0).min())
                 ppt_eig = min(ppt_eig, low)
 

@@ -22,9 +22,9 @@ from entclone.channel import (
     constraint_matrices,
     fidelity_coefficients,
     local_fidelity,
+    trace_output,
 )
-from entclone.covariant import CHOI_LAYOUT, basis_stack, reorder_to_choi
-from entclone.linalg import SubsystemLayout, partial_trace, random_su2
+from entclone.covariant import basis_stack, random_su2, reorder_to_choi
 
 
 def density(vec):
@@ -36,24 +36,24 @@ def family_channel(family, alpha, t_ops):
 
 
 def test_identity_channel_choi_round_trip():
-    """Unnormalized Choi operator of the single-qubit identity map."""
-    p_id = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            out = np.zeros((2, 2))
-            out[i, j] = 1.0
-            p_id += np.kron(out, out)
+    """The unnormalized Choi operator P = sum_ij E(|i><j|) (x) |i><j| of the isometric
+    two-to-four-qubit channel E(X) = V X V^dag acts as E and traces out to I_4."""
     rng = np.random.default_rng(21)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.abs(apply_choi(p_id, m, dims=(2, 2)) - m).max() < 1e-14
-    assert np.abs(partial_trace(p_id, SubsystemLayout((("out", 2), ("in", 2))), ("out",)) - np.eye(2)).max() < 1e-14
+    v, _ = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))
+    p_v = np.zeros((64, 64), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            unit = np.zeros((4, 4))
+            unit[i, j] = 1.0
+            p_v += np.kron(v @ unit @ v.conj().T, unit)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert np.abs(apply_choi(p_v, m) - v @ m @ v.conj().T).max() < 1e-14
+    assert np.abs(trace_output(p_v) - np.eye(4)).max() < 1e-14
 
 
 def test_choi_is_trace_preserving(t_ops):
     ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, 0.4, t_ops)
-    layout = SubsystemLayout((("out", 16), ("in", 4)))
-    marginal = partial_trace(ch, layout, ("out",))
-    assert np.abs(marginal - np.eye(4)).max() < 1e-10
+    assert np.abs(trace_output(ch) - np.eye(4)).max() < 1e-10
 
 
 def test_bh_channel_on_product_input(t_ops):
@@ -170,8 +170,10 @@ def dense_constraint_matrices(t_ops):
     columns = np.zeros((512, 25))
     for p, g in enumerate(basis_stack(t_ops)):
         p_e = reorder_to_choi(g)
-        trace_row[p] = np.real(np.trace(partial_trace(p_e, CHOI_LAYOUT, {"1A", "1B", "2A", "2B"}))) / 4.0
-        d = partial_trace(p_e, CHOI_LAYOUT, {"2A", "2B"}) - partial_trace(p_e, CHOI_LAYOUT, {"1A", "1B"})
+        trace_row[p] = np.real(np.trace(trace_output(p_e))) / 4.0
+        # Rows and columns (clone 1, clone 2, input): trace out clone 2, then clone 1.
+        p6 = p_e.reshape(4, 4, 4, 4, 4, 4)
+        d = np.einsum("abixbj->aixj", p6) - np.einsum("abiayj->biyj", p6)
         columns[:256, p] = d.real.reshape(-1)
         columns[256:, p] = d.imag.reshape(-1)
     _, sv, vh = np.linalg.svd(columns, full_matrices=False)

@@ -8,16 +8,16 @@ from entclone.covariant import (
     BLOCK_BASIS,
     BLOCK_C,
     BLOCK_X,
-    PTILDE_LAYOUT,
     assemble_ptilde,
     basis_stack,
     commutant_blocks,
+    partial_transpose_b,
+    random_su2,
     reorder_from_choi,
     reorder_to_choi,
     triple_rep,
     two_party_rep,
 )
-from entclone.linalg import partial_transpose, random_su2
 
 
 def test_basis_vector_amplitudes():
@@ -140,7 +140,7 @@ def test_b_side_transpose_structure(t_ops):
     """Transposing every B factor maps T_i x T_j to T_i x T_j^T."""
     rng = np.random.default_rng(14)
     a = rng.standard_normal((5, 5))
-    flipped = partial_transpose(assemble_ptilde(a, t_ops), PTILDE_LAYOUT, ("1B", "2B", "B"))
+    flipped = partial_transpose_b(assemble_ptilde(a, t_ops))
     ts = t_ops.as_list()
     direct = sum(a[i, j] * np.kron(ts[i], ts[j].T) for i in range(5) for j in range(5))
     assert np.abs(flipped - direct).max() < 1e-12

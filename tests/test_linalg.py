@@ -1,18 +1,12 @@
+"""Identities of the fixed-order helpers: the Choi reorder and Bob's partial transpose
+in covariant, Tr_out and the clone reductions in channel, and random_su2."""
+
 import numpy as np
-import pytest
 
-from entclone.linalg import (
-    SubsystemLayout,
-    frobenius_distance,
-    partial_trace,
-    partial_transpose,
-    permute_subsystems,
-    random_su2,
-)
+from entclone.channel import apply_choi, clone_reductions, trace_output
+from entclone.covariant import partial_transpose_b, random_su2, reorder_from_choi, reorder_to_choi
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-TWO_QUBITS = SubsystemLayout((("A", 2), ("B", 2)))
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
 
 def random_hermitian(dim, rng):
@@ -20,94 +14,85 @@ def random_hermitian(dim, rng):
     return m + m.conj().T
 
 
+def kron_all(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
 def test_partial_trace_product_state():
+    """Tr_out of X (x) Y on (output, input) is Tr X times Y."""
     rng = np.random.default_rng(0)
-    rho = random_hermitian(2, rng)
-    sig = random_hermitian(2, rng)
-    reduced = partial_trace(np.kron(rho, sig), TWO_QUBITS, ("B",))
-    assert np.abs(reduced - rho * np.trace(sig)).max() < 1e-12
+    x = random_hermitian(16, rng)
+    y = random_hermitian(4, rng)
+    assert np.abs(trace_output(np.kron(x, y)) - np.trace(x) * y).max() < 1e-12
 
 
 def test_partial_trace_all_factors():
+    """Tr_out then the input trace is the full trace, and each clone keeps the output's trace."""
     rng = np.random.default_rng(1)
-    m = random_hermitian(4, rng)
-    full = partial_trace(m, TWO_QUBITS, ("A", "B"))
-    assert full.shape == (1, 1)
-    assert abs(full[0, 0] - np.trace(m)) < 1e-12
-
-
-def test_partial_trace_unknown_label():
-    with pytest.raises(Exception):
-        partial_trace(np.eye(4), TWO_QUBITS, ("C",))
+    m = random_hermitian(64, rng)
+    assert abs(np.trace(trace_output(m)) - np.trace(m)) < 1e-12
+    rho_out = random_hermitian(16, rng)
+    for clone in clone_reductions(rho_out):
+        assert abs(np.trace(clone) - np.trace(rho_out)) < 1e-12
 
 
 def test_partial_traces_commute_on_disjoint_sets():
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
+    """Tracing the output then the input equals tracing the input then the output;
+    on a product of two clones each reduction is its own factor times the other's trace."""
     rng = np.random.default_rng(2)
-    m = random_hermitian(8, rng)
-    ab_first = partial_trace(partial_trace(m, layout, ("A",)), SubsystemLayout((("B", 2), ("C", 2))), ("C",))
-    c_first = partial_trace(partial_trace(m, layout, ("C",)), SubsystemLayout((("A", 2), ("B", 2))), ("A",))
-    assert np.abs(ab_first - c_first).max() < 1e-13
+    m = random_hermitian(64, rng)
+    assert abs(np.trace(apply_choi(m, np.eye(4))) - np.trace(trace_output(m))) < 1e-12
+    c1 = random_hermitian(4, rng)
+    c2 = random_hermitian(4, rng)
+    r1, r2 = clone_reductions(np.kron(c1, c2))
+    assert np.abs(r1 - c1 * np.trace(c2)).max() < 1e-12
+    assert np.abs(r2 - c2 * np.trace(c1)).max() < 1e-12
 
 
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(3)
-    rho = random_hermitian(2, rng)
-    sig = random_hermitian(2, rng)
-    flipped = partial_transpose(np.kron(rho, sig), TWO_QUBITS, ("B",))
-    assert np.abs(flipped - np.kron(rho, sig.T)).max() < 1e-14
+    rho = random_hermitian(8, rng)
+    sig = random_hermitian(8, rng)
+    assert np.array_equal(partial_transpose_b(np.kron(rho, sig)), np.kron(rho, sig.T))
 
 
 def test_partial_transpose_singlet():
-    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    proj = np.outer(v, v)
-    flipped = partial_transpose(proj, TWO_QUBITS, ("B",))
-    vals = np.linalg.eigvalsh(flipped)
-    assert abs(vals.min() + 0.5) < 1e-12
+    """A singlet on each of (1A,1B), (2A,2B), (A,B) is maximally entangled across A|B:
+    its partial transpose has minimum eigenvalue -1/8."""
+    proj = reorder_from_choi(kron_all([np.outer(SINGLET, SINGLET)] * 3))
+    vals = np.linalg.eigvalsh(partial_transpose_b(proj))
+    assert abs(vals.min() + 1.0 / 8.0) < 1e-12
 
 
 def test_partial_transpose_involution_and_invariants():
     rng = np.random.default_rng(4)
-    m = random_hermitian(4, rng)
-    once = partial_transpose(m, TWO_QUBITS, ("A",))
-    twice = partial_transpose(once, TWO_QUBITS, ("A",))
-    assert np.array_equal(twice, m)
+    m = random_hermitian(64, rng)
+    once = partial_transpose_b(m)
+    assert np.array_equal(partial_transpose_b(once), m)
     assert abs(np.trace(once) - np.trace(m)) < 1e-12
     assert abs(np.linalg.norm(once) - np.linalg.norm(m)) < 1e-12
 
 
 def test_permute_identity_and_swap():
+    """Six distinct factors kron'd in the party order land in the Choi order."""
     rng = np.random.default_rng(5)
-    rho = random_hermitian(2, rng)
-    sig = random_hermitian(2, rng)
-    m = np.kron(rho, sig)
-    assert np.array_equal(permute_subsystems(m, TWO_QUBITS, ("A", "B")), m)
-    swapped = permute_subsystems(m, TWO_QUBITS, ("B", "A"))
-    assert np.abs(swapped - np.kron(sig, rho)).max() < 1e-14
+    one_a, two_a, in_a, one_b, two_b, in_b = (random_hermitian(2, rng) for _ in range(6))
+    party = kron_all([one_a, two_a, in_a, one_b, two_b, in_b])
+    choi = kron_all([one_a, one_b, two_a, two_b, in_a, in_b])
+    scale = np.abs(choi).max()
+    assert np.abs(reorder_to_choi(party) - choi).max() < 1e-14 * scale
+    assert np.abs(reorder_from_choi(choi) - party).max() < 1e-14 * scale
 
 
 def test_permute_round_trip_and_spectrum():
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
     rng = np.random.default_rng(6)
-    m = random_hermitian(8, rng)
-    cycled = permute_subsystems(m, layout, ("C", "A", "B"))
-    back = permute_subsystems(cycled, SubsystemLayout((("C", 2), ("A", 2), ("B", 2))), ("A", "B", "C"))
-    assert np.array_equal(back, m)
-    vals_before = np.linalg.eigvalsh(m)
-    vals_after = np.linalg.eigvalsh(cycled)
-    assert np.abs(np.sort(vals_before) - np.sort(vals_after)).max() < 1e-10
-
-
-def test_permute_rejects_bad_order():
-    with pytest.raises(Exception):
-        permute_subsystems(np.eye(4), TWO_QUBITS, ("A", "A"))
-
-
-def test_small_helpers():
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert frobenius_distance(m, m) == 0.0
-    assert frobenius_distance(np.eye(2), PAULI_X) == 2.0
+    m = random_hermitian(64, rng)
+    p_e = reorder_to_choi(m)
+    assert np.array_equal(reorder_from_choi(p_e), m)
+    assert np.abs(np.linalg.eigvalsh(m) - np.linalg.eigvalsh(p_e)).max() < 1e-10
 
 
 def test_random_su2_is_special_unitary():

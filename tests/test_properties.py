@@ -8,9 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, schmidt_state  # noqa: E402
-from entclone.channel import apply_choi, clone_reductions, constraint_matrices  # noqa: E402
-from entclone.covariant import CHOI_LAYOUT, assemble_ptilde, reorder_to_choi, two_party_rep  # noqa: E402
-from entclone.linalg import partial_trace  # noqa: E402
+from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output  # noqa: E402
+from entclone.covariant import assemble_ptilde, reorder_to_choi, two_party_rep  # noqa: E402
 from entclone.protocol import run_protocol_exact  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0)
@@ -18,7 +17,7 @@ unit = st.floats(min_value=-1.0, max_value=1.0)
 
 @st.composite
 def su2(draw) -> np.ndarray:
-    """An SU(2) element from a normalized quaternion, as linalg.random_su2 builds it."""
+    """An SU(2) element from a normalized quaternion, as covariant.random_su2 builds it."""
     q = np.array(draw(st.lists(unit, min_size=4, max_size=4)))
     assume(np.linalg.norm(q) > 0.1)
     a, b, c, d = q / np.linalg.norm(q)
@@ -50,8 +49,7 @@ def test_random_parameters_are_covariant_and_stay_feasible(t_ops, entries, u_a, 
     rhs[0] = 1.0
     x = a.reshape(-1) - np.linalg.lstsq(rows, rows @ a.reshape(-1) - rhs, rcond=None)[0]
     choi = reorder_to_choi(assemble_ptilde(x.reshape(5, 5), t_ops))
-    tr_out = partial_trace(choi, CHOI_LAYOUT, {"1A", "1B", "2A", "2B"})
-    assert np.abs(tr_out - np.eye(4)).max() < 1e-10
+    assert np.abs(trace_output(choi) - np.eye(4)).max() < 1e-10
 
     phi = schmidt_state(alpha)
     rho = np.outer(phi, phi.conj())

@@ -6,8 +6,8 @@ import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import PTILDE_LAYOUT, assemble_ptilde, basis_stack
-from entclone.linalg import partial_transpose
+from entclone import sdp
+from entclone.covariant import assemble_ptilde, basis_stack, partial_transpose_b
 from entclone.sdp import (
     ARMIJO_SLOPE,
     BACKTRACK,
@@ -20,9 +20,8 @@ from entclone.sdp import (
     build_problem,
     detect_threshold,
     solve,
+    sweep_solutions,
 )
-
-SECOND_PARTY = {"1B", "2B", "B"}
 
 # Newton steps and optima of the PPT program as the dense 64x64 cones
 # gave them with mu divided by 10 per stage, the schedule before
@@ -47,7 +46,7 @@ def dense_path(problem, t, mu_factor, tol=1e-7):
     """
     def cones(x):
         dense = assemble_ptilde((FIXED @ x).reshape(5, 5), t)
-        return [dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY)][: len(problem.cones)]
+        return [dense, partial_transpose_b(dense)][: len(problem.cones)]
 
     def log_det(x):
         try:
@@ -103,7 +102,7 @@ def _dense_spectra(a, stack):
     dense = np.tensordot(np.reshape(a, -1), stack, axes=(0, 0))
     return [
         np.linalg.eigvalsh((m + m.conj().T) / 2)
-        for m in (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))
+        for m in (dense, partial_transpose_b(dense))
     ]
 
 
@@ -141,6 +140,15 @@ def test_program_is_invariant_under_swap_and_conjugation(t_ops):
         spectra = _dense_spectra(a, stack)
         for b in (a.T, *(flip * a for flip in flips)):
             assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b, stack), spectra)) < 1e-12
+
+
+def test_symmetry_rows_vanish_on_the_fixed_subspace(t_ops):
+    """build_problem keeps only the trace row: every clone-symmetry row is zero on FIXED."""
+    trace_row, sym_rows = constraint_matrices(t_ops)
+    assert np.abs(sym_rows @ FIXED).max() <= 1e-15
+    problem = build_problem(0.4, t_ops)
+    assert np.array_equal(problem.eq_matrix, (trace_row @ FIXED)[None, :])
+    assert np.array_equal(problem.eq_rhs, [1.0])
 
 
 def test_problem_shapes(t_ops):
@@ -193,7 +201,7 @@ def test_ppt_solution_matches_dense_witness(t_ops, alpha):
     dense = assemble_ptilde(sol.a_star, t_ops)
     witness = [
         float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        for m in (dense, partial_transpose(dense, PTILDE_LAYOUT, SECOND_PARTY))
+        for m in (dense, partial_transpose_b(dense))
     ]
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
     iterations, f_star = dense_path(problem, t_ops, mu_factor=MU_FACTOR)
@@ -284,6 +292,27 @@ def test_solve_reports_convergence_failure(t_ops):
     assert info.value.best is not None
     assert info.value.best.dual_residual <= 1e-12
     assert math.isfinite(info.value.best.upper_bound)
+
+
+def test_sweep_failure_names_its_point(t_ops, monkeypatch):
+    """A failing sweep point raises a ConvergenceError naming its index and alpha, carrying the
+    failed solve's best iterate and chained to the original error."""
+    best = solve(build_problem(0.4, t_ops))
+    original = ConvergenceError("line search stalled", best=best)
+    solved = []
+
+    def solve_or_fail(problem, tol):
+        if solved:
+            raise original
+        solved.append(problem)
+        return best
+
+    monkeypatch.setattr(sdp, "solve", solve_or_fail)
+    message = r"^sweep point 1 \(alpha=0\.450000\) did not converge: line search stalled$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        sweep_solutions([0.3, 0.45, 0.6], False, t=t_ops)
+    assert info.value.best is best
+    assert info.value.__cause__ is original
 
 
 def test_detect_threshold_on_closed_form_curves():
