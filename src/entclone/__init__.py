@@ -4,7 +4,7 @@ The package computes the best achievable clone fidelity for the family
 of states a|00> + sqrt(1-a^2)|11> under three resource models: arbitrary
 joint operations, independent local cloners with no communication, and
 local operations assisted by one bit of classical communication.  It
-ships closed-form fidelity curves, a hand-rolled log-barrier SDP over
+ships closed-form fidelity curves, a hand-rolled primal-dual SDP over
 the covariant Choi family (with an optional PPT cone), and an explicit
 measure-and-feedforward protocol realizing the one-bit optimum.
 """

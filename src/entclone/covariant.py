@@ -93,25 +93,40 @@ def _freeze(value) -> None:
             _freeze(item)
 
 
-def cache_on_value(build: Callable[[TOperators], _Built]) -> Callable[[TOperators], _Built]:
-    """One-entry cache of build(t), keyed on the values of t1..t5, never on the object.
+def _key_arrays(args: tuple) -> list[np.ndarray]:
+    """The arrays a cache entry compares: t1..t5 of a TOperators, the items of a tuple, or the array itself."""
+    out: list[np.ndarray] = []
+    for arg in args:
+        if isinstance(arg, TOperators):
+            out += arg.as_list()
+        elif isinstance(arg, tuple):
+            out += _key_arrays(arg)
+        else:
+            out.append(np.asarray(arg))
+    return out
 
-    A call whose t1..t5 equal the previous call's entry by entry
-    (np.array_equal against copies taken then, so an in-place edit of t
-    misses) returns the previous result.  Every array in a result is
-    made read-only, because all callers with an equal t share it.
+
+def cache_on_value(build: Callable[..., _Built]) -> Callable[..., _Built]:
+    """Two-entry cache of build(*args), keyed on the values of the arrays in args, never on the objects.
+
+    A call whose arrays (t1..t5 for a TOperators) equal those of one of
+    the last two distinct calls entry by entry (np.array_equal against
+    copies taken then, so an in-place edit misses) returns that call's
+    result.  Two entries let a sweep alternate the plain and the PPT
+    program without rebuilding.  Every array in a result is made
+    read-only, because all callers with equal arguments share it.
     """
-    last: list = [None]
+    entries: list = []
 
     @functools.wraps(build)
-    def cached(t: TOperators) -> _Built:
-        ts = t.as_list()
-        entry = last[0]
-        if entry is not None and all(np.array_equal(p, q) for p, q in zip(entry[0], ts)):
-            return entry[1]
-        result = build(t)
+    def cached(*args) -> _Built:
+        key = _key_arrays(args)
+        for arrays, result in entries:
+            if len(arrays) == len(key) and all(map(np.array_equal, arrays, key)):
+                return result
+        result = build(*args)
         _freeze(result)
-        last[0] = ([np.array(a, copy=True) for a in ts], result)
+        entries[:] = [([np.array(a, copy=True) for a in key], result), *entries[:1]]
         return result
 
     return cached

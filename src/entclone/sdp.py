@@ -1,4 +1,4 @@
-"""Log-barrier semidefinite solver for the covariant cloning program.
+"""Primal-dual semidefinite solver for the covariant cloning program.
 
 The program maximizes the linear clone-fidelity functional over the
 25-dimensional covariant parameter space subject to the trace and
@@ -8,12 +8,13 @@ transpose over one party, which models the one-bit-LOCC relaxation.
 
 The input is real and symmetric under A <-> B, so the program is
 invariant under a -> a^T, under conjugation (t5 -> -t5, so
-a_i5 -> -a_i5 for i != 5) and under a_i4 -> -a_i4 for i != 4.  The path
-starts at a point all three fix and the barrier is invariant, so it
-never leaves their fixed subspace: real symmetric a whose only
-off-diagonal entries are a12, a13 and a23, spanned by the 8 orthonormal
-columns of FIXED.  There the clone-symmetry rows vanish and only the
-trace row is left, so k = 7 coordinates are free.
+a_i5 -> -a_i5 for i != 5) and under a_i4 -> -a_i4 for i != 4.  The
+program is convex, so averaging an optimum over the three maps gives
+one in their fixed subspace, and the central path, being unique, lies
+there too: real symmetric a whose only off-diagonal
+entries are a12, a13 and a23, spanned by the 8 orthonormal columns of
+FIXED.  There the clone-symmetry rows vanish and only the trace row is
+left, so k = 7 coordinates are free.
 
 No cone is formed as a 64x64 matrix, and none is eigensolved.  Per party
 the commutant is M2 (+) C, and covariant.commutant_blocks reads the
@@ -27,52 +28,68 @@ a12 +- (a44 + a55); the second is diag(a13, a23).  So each cone is one
 2x2 block of weight 4 and five scalars of weights (4, 4, 16, 16, 16).
 The basis covariant.BLOCK_BASIS is real, so the partial transpose over
 the second party is the same construction with Xj replaced by its
-transpose, which flips the sign of a55 and nothing else.  The barrier
-weights each block's log det by its copy count, which makes it equal to
-log det of the full operator, and the barrier parameter
-nu = sum of weight * block size stays 64 per cone.  A cone is stored as
-the eight linear forms (p, q, r of the 2x2 block, then the scalars) over
-the coordinates, so one mat-vec gives every block at x and the barrier,
-its gradient and its Hessian follow in closed form.
+transpose, which flips the sign of a55 and nothing else.  A cone is
+stored as the eight linear forms (p, q, r of the 2x2 block, then the
+scalars) over the coordinates, so one mat-vec gives every block at x;
+nu = sum of weight * block size, the dimension of the full operator,
+stays 64 per cone.
 
 The objective and the equality rows are built per party too, from the
 partial traces of the 8x8 operators t1..t5 (see
 channel.fidelity_coefficients and channel.constraint_matrices), so no
 64x64 operator is formed anywhere on the solve path.
 
-The solver follows the classic path: equalities are eliminated through
-an orthonormal null-space parametrization, then damped Newton steps
-maximize  f.x + mu * sum_cones log det C(x)  while mu is divided by
-MU_FACTOR (1000, a long step that halves the Newton steps against 10)
-down to tol / (2 * nu), where the last stage is centred.  The path
-following is deterministic.
-
-Each centred point carries a dual certificate (Boyd & Vandenberghe,
-Convex Optimization, 11.2.2 and 11.7).  From the Newton step Delta
-already solved at x, each block gets
-Z_k = mu (C_k^-1 - C_k^-1 dC_k C_k^-1), dC_k the block of Delta, so
-r = f + sum_k w_k A_k*(Z_k) has N^T r = g - H Delta = 0: r lies in
-the row space of the equalities, y solves A^T y = r in least squares,
-and when every Z_k is positive semidefinite U = b^T y gives
-f.x <= optimum <= U.  U only witnesses the end point: at this
-MU_FACTOR stopping once U - f.x <= tol ends on the same stage as the
-floor on mu.
+The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
+Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
+program solvers", 2010).  The primal iterate x = x0 + N z stays on the
+equalities through an orthonormal null-space basis N.  The dual iterate
+is one 2x2 block Z_k and five scalars per cone, standing for the same
+copies as the primal blocks; it stays on the dual equalities
+N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
+exists and U = b^T y bounds the optimum from above whenever every
+Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
+weighted central path S_k Z_k = mu I is the log-barrier central path of
+f.x + mu log det C(x), the path of the dense 64x64 program.
+ - Start: x0 is alpha-independent (see _interior_start).  The dual
+   starts at y0 I / (4n) - C(h) for n cones: h solves the weighted Gram
+   system G h = f, which makes the stationarity residual zero (the
+   cones' traces sum to 4n times the trace row, so the identity term
+   adds y0 A^T), and y0 / (4n) is twice the absolute value of C(h)'s
+   largest eigenvalue, which puts Z inside the cone.
+ - Step: each iteration solves one k x k system for the NT direction
+   towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
+   closed-form NT scaling W = S # Z^-1 of every 2x2 block and
+   sqrt(s / z) of every scalar.  The dual step is projected onto the
+   null space of the dual equalities, and both iterates move by
+   STEP_FRACTION of the largest step that keeps every block positive
+   definite (one quadratic per 2x2 block, one ratio per scalar),
+   capped at 1.  There is no line search.
+ - Stop: once every block's complementarity is within 1e-3 mu_min of
+   mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
+   centred point at mu_min, so f*'s error is a smooth function of
+   alpha, and U - f* = nu mu_min = tol / 2.
+Every iterate is interior and dual feasible, so every iterate, not only
+the last, is certified: the solution's upper_bound, dual_residual and
+min_dual_eigenvalue are read off the dual iterate.  The alpha-
+independent parts of a solve (N, x0, the rotated forms, the Gram
+inverse and the dual projector) are cached on the values of the
+problem's equality rows and cones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone.covariant import TOperators, cache_on_value, commutant_blocks
 
-MU_INITIAL = 1e-1
-MU_FACTOR = 1000.0
-ARMIJO_SLOPE = 0.01
-BACKTRACK = 0.5
+# Each iteration targets CENTRING times the current mu and takes
+# STEP_FRACTION of the largest step that stays interior.
+CENTRING = 0.03
+STEP_FRACTION = 0.99
 # detect_threshold's bar for a curvature jump, tuned for grid steps near
 # 0.002 and solver tolerances near 1e-7.
 THRESHOLD_RATIO = 10.0
@@ -92,6 +109,18 @@ for _table in (FIXED, PAIR_BASIS):
 # BLOCK_WEIGHTS[0] copies of the 2x2 block and BLOCK_WEIGHTS[1 + j]
 # copies of scalar j.
 BLOCK_WEIGHTS = (4, 4, 4, 16, 16, 16)
+# The weight of each form in sum over copies of <Z, block>: the 2x2
+# block holds q twice.  The identity's forms are _IDENTITY.
+_FORM_WEIGHTS = np.array([BLOCK_WEIGHTS[0], 2 * BLOCK_WEIGHTS[0], *BLOCK_WEIGHTS], dtype=float)
+_IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+# A 2x2 block (p, q, r) unpacked to [[p, q], [q, r]]; _SELECT reads
+# (p, q, r) off a flattened 2x2 matrix and _DUPLICATE writes them into one.
+_UNPACK = np.array([[0, 1], [1, 2]])
+_SELECT = np.eye(4)[[0, 1, 3]]
+_DUPLICATE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_SCALARS = np.arange(3, 8)
+for _table in (_FORM_WEIGHTS, _IDENTITY, _UNPACK, _SELECT, _DUPLICATE, _SCALARS):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -124,7 +153,7 @@ class SdpSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the barrier path stalls; carries the best iterate found."""
+    """Raised when a solve does not converge; carries its last interior iterate and its certificate, if any."""
 
     def __init__(self, message: str, best: SdpSolution | None = None):
         super().__init__(message)
@@ -180,18 +209,53 @@ def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpPro
     return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=_cones(t)[: 2 if with_ppt else 1])
 
 
-def _pair_min(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric [[p, q], [q, r]], in closed form."""
-    return (p + r) / 2.0 - np.hypot((p - r) / 2.0, q)
+def _block_min(v: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each cone whose blocks are the rows of v: the closed-form
+    minimum over its 2x2 block [[p, q], [q, r]] and its scalars."""
+    pair = (v[:, 0] + v[:, 2]) / 2.0 - np.hypot((v[:, 0] - v[:, 2]) / 2.0, v[:, 1])
+    return np.minimum(pair, v[:, 3:].min(axis=1))
 
 
-def _cone_min_eigenvalues(forms: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
-    """Smallest eigenvalue of each cone's full operator at x: the minimum over its blocks."""
-    v = forms @ x
-    return tuple(float(m) for m in np.minimum(_pair_min(v[:, 0], v[:, 1], v[:, 2]), v[:, 3:].min(axis=1)))
+def _det(v: np.ndarray) -> np.ndarray:
+    """Determinant of the 2x2 block (p, q, r) in each row of v."""
+    return v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
 
 
-def _interior_start(problem: SdpProblem, forms: np.ndarray) -> np.ndarray:
+def _adj(v: np.ndarray) -> np.ndarray:
+    """Adjugate (r, -q, p) of the 2x2 block (p, q, r) in each row of v."""
+    return v[:, 2::-1] * [1.0, -1.0, 1.0]
+
+
+def _off_centre(s: np.ndarray, zs: np.ndarray, target: float) -> float:
+    """Largest distance from target of an eigenvalue of some block's S_k Z_k.
+
+    A 2x2 block's eigenvalues are half +- radius, half = tr(S Z) / 2 and
+    radius^2 = half^2 - det S det Z.
+    """
+    half = (s[:, 0] * zs[:, 0] + 2.0 * s[:, 1] * zs[:, 1] + s[:, 2] * zs[:, 2]) / 2.0
+    radius = np.sqrt(np.maximum(half * half - _det(s) * _det(zs), 0.0))
+    return max(float((np.abs(half - target) + radius).max()), float(np.abs(s[:, 3:] * zs[:, 3:] - target).max()))
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest s with every block of v + s dv positive definite.
+
+    It is the smallest positive root of det(block + s dblock) = a s^2 + b s + c,
+    c > 0, over every block: quadratic for a 2x2 block, linear for a
+    scalar.  Over the real roots the largest reciprocal is
+    (sqrt(b^2 - 4ac) - b) / (2c); it is positive exactly when a positive
+    root exists, and then it is the reciprocal of the smallest one.
+    """
+    p, q, r, dp, dq, dr = v[:, 0], v[:, 1], v[:, 2], dv[:, 0], dv[:, 1], dv[:, 2]
+    a = np.concatenate([dp * dr - dq * dq, np.zeros(dv[:, 3:].size)])
+    b = np.concatenate([p * dr + r * dp - 2.0 * q * dq, dv[:, 3:].ravel()])
+    c = np.concatenate([_det(v), v[:, 3:].ravel()])
+    disc = b * b - 4.0 * a * c
+    top = float((np.where(disc >= 0.0, np.sqrt(np.maximum(disc, 0.0)) - b, 0.0) / c).max())
+    return 2.0 / top if top > 0.0 else np.inf
+
+
+def _interior_start(eq_matrix: np.ndarray, eq_rhs: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
     It is 0.9 times the no-communication point a = e_22 (FIXED[6], as
@@ -199,142 +263,128 @@ def _interior_start(problem: SdpProblem, forms: np.ndarray) -> np.ndarray:
     the equalities (the maximally mixed feasible point).  Neither depends
     on alpha; the mix clears both cones by 2.8e-3.
     """
-    x_mm = np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
-    x0 = 0.9 * FIXED[6] + 0.1 * x_mm
-    feasible = np.linalg.norm(problem.eq_matrix @ x0 - problem.eq_rhs) <= 1e-9
-    if not feasible or min(_cone_min_eigenvalues(forms, x0)) <= 1e-8:
+    x0 = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(eq_matrix, eq_rhs, rcond=None)[0]
+    feasible = np.linalg.norm(eq_matrix @ x0 - eq_rhs) <= 1e-9
+    if not feasible or _block_min(forms @ x0).min() <= 1e-8:
         raise ConvergenceError("could not find a strictly feasible starting point")
     return x0
+
+
+class _Setup(NamedTuple):
+    """The parts of solve that depend on the equalities and cones only, not on the objective."""
+
+    null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
+    x0: np.ndarray  # (8,) strictly feasible primal start
+    forms: np.ndarray  # (n, 8, 8) the cones stacked
+    dirs: np.ndarray  # (n, 8, k) the forms along the null basis
+    dual_map: np.ndarray  # (8n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
+    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
+    project: np.ndarray  # (8n, 8n) orthogonal projector onto the null space of dual_map^T
+
+
+@cache_on_value
+def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.ndarray, ...]) -> _Setup:
+    """Null basis, start, rotated forms, Gram inverse and dual projector of one program's constraints."""
+    _, sv, vh = np.linalg.svd(eq_matrix)
+    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+    if null.shape[1] == 0:
+        raise ConvergenceError("equality constraints leave no degrees of freedom")
+    forms = np.stack(cones)
+    dirs = forms @ null
+    dual_map = (dirs * _FORM_WEIGHTS[:, None]).reshape(-1, null.shape[1])
+    gram = np.einsum("nep,e,neq->pq", forms, _FORM_WEIGHTS, forms)
+    project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
+    return _Setup(
+        null, _interior_start(eq_matrix, eq_rhs, forms), forms, dirs, dual_map, np.linalg.inv(gram), project
+    )
+
+
+def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
+    """The primal iterate x and the dual point whose blocks are the rows of zs."""
+    r = problem.objective + np.einsum("ne,nep->p", zs * _FORM_WEIGHTS, forms)
+    y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
+    return SdpSolution(
+        a_star=(FIXED @ x).reshape(5, 5),
+        f_star=float(problem.objective @ x),
+        min_eigenvalues=tuple(float(m) for m in _block_min(forms @ x)),
+        iterations=iterations,
+        upper_bound=float(problem.eq_rhs @ y),
+        dual_residual=float(np.abs(problem.eq_matrix.T @ y - r).max()),
+        min_dual_eigenvalue=float(_block_min(zs).min()),
+    )
 
 
 def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
     """Maximize the objective; returns the final iterate, diagnostics and its dual certificate.
 
-    tol bounds the objective suboptimality through the final barrier
-    weight mu_min = tol / (2 nu); mu starts at MU_INITIAL and is divided
-    by MU_FACTOR per stage, clipped at mu_min.  max_iter caps the total
-    number of Newton steps across all barrier stages.  Identical inputs
+    Feasible primal-dual path following with the Nesterov-Todd direction
+    (see the module docstring).  Each iteration targets
+    tau = max(CENTRING * mu, mu_min), mu_min = tol / (2 nu), and takes
+    STEP_FRACTION of the largest step that keeps both iterates interior,
+    capped at 1.  The solve ends once every block's complementarity
+    S_k Z_k is within 1e-3 mu_min of mu_min I: the barrier path's
+    centred point at mu_min, with duality gap nu mu_min = tol / 2.
+    max_iter caps the number of iterations; the ConvergenceError raised
+    past it carries the current iterate, certified like every other.
+    Rounding can still leave the interior when mu_min is within a few
+    times of its floor (tol near 2 nu * 1e-12); the ConvergenceError
+    raised then carries the last interior iterate.  Identical inputs
     always produce identical output.
-    The path runs on the fixed subspace (k = 7 free coordinates) in real
-    arithmetic.  One mat-vec gives every cone's 2x2 block [[p, q], [q, r]]
-    and five scalars s; the interior is p > 0, pr - q^2 > 0 and s > 0.
-    The gradient and Hessian come from the closed-form Cholesky whitening
-    L^-1 dC L^-T of each 2x2 block and ds / s of each scalar, each term
-    weighted by its copy count, so the k x k Newton system is the only
-    matrix factorized per step.
-
-    Every centred point, and the iterate a ConvergenceError carries, is
-    certified from the Newton step already solved for there (see the
-    module docstring): upper_bound = b^T y, dual_residual =
-    max |A^T y - r| and min_dual_eigenvalue = min eig over the Z_k.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     nu = problem.nu
     if tol < 2.0 * nu * 1e-12:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
-    f = problem.objective
-    _, sv, vh = np.linalg.svd(problem.eq_matrix)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))
-    null = vh[rank:].T
-    k = null.shape[1]
-    if k == 0:
-        raise ConvergenceError("equality constraints leave no degrees of freedom")
-    forms = np.stack(problem.cones)
-    x0 = _interior_start(problem, forms)
-    dirs = forms @ null
-    f_null = null.T @ f
+    setup = _solver_setup(problem.eq_matrix, problem.eq_rhs, problem.cones)
+    forms, dirs, dual_map = setup.forms, setup.dirs, setup.dual_map
     mu_min = max(tol / (2.0 * nu), 1e-12)
-    pair_w, scalar_w = BLOCK_WEIGHTS[0], np.array(BLOCK_WEIGHTS[1:], dtype=float)
-    # The weight of each form in sum over copies of <Z, block>: the 2x2
-    # block holds q twice.  Its whitened rows are w11, w12, w22, then
-    # ds / s per scalar; the gradient, a weighted trace, skips w12.
-    form_w = np.array([pair_w, 2.0 * pair_w, pair_w, *scalar_w])
-    hess_w, grad_w = np.tile(form_w, len(forms)), np.tile(form_w * [1, 0, 1, 1, 1, 1, 1, 1], len(forms))
-
-    def log_det_sum(v: np.ndarray) -> float | None:
-        """Weighted log det of the cones whose blocks are v, or None outside the interior."""
-        det = v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
-        if min(v[:, 0].min(), det.min(), v[:, 3:].min()) <= 0.0:
-            return None
-        return pair_w * float(np.sum(np.log(det))) + float(np.sum(scalar_w * np.log(v[:, 3:])))
-
-    z = np.zeros(k)
-    mu = MU_INITIAL
-    iterations = 0
-    best: SdpSolution | None = None
-
-    def newton_system(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """Gradient, Newton step, weighted log det and block values of f.x + mu log det C at x."""
-        v = forms @ x
-        log_det = log_det_sum(v)
-        if log_det is None:
-            raise ConvergenceError("iterate left the cone interior", best=best)
-        p, q, r = v[:, :1], v[:, 1:2], v[:, 2:3]
-        det = p * r - q * q
-        e = q / p
-        dp, dq, dr = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-        pair = np.stack([dp / p, (dq - e * dp) / np.sqrt(det), (dr - 2.0 * e * dq + e * e * dp) * (p / det)], axis=1)
-        white = np.concatenate([pair, dirs[:, 3:] / v[:, 3:, None]], axis=1).reshape(-1, k)
-        grad = f_null + mu * (grad_w @ white)
-        hess = mu * (white.T * hess_w) @ white
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            jitter = 1e-14 * max(float(np.max(np.diag(hess))), 1.0)
-            step = np.linalg.solve(hess + jitter * np.eye(k), grad)
-        return grad, step, log_det, v
-
-    def snapshot(x: np.ndarray, v: np.ndarray, step: np.ndarray) -> SdpSolution:
-        """The iterate x with the dual point built from its Newton step."""
-        dv = dirs @ step
-        det = v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
-        inv = v[:, [[2, 1], [1, 0]]] * np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None]
-        z_pair = mu * (inv - inv @ dv[:, [[0, 1], [1, 2]]] @ inv)
-        z_scalar = mu * (1.0 - dv[:, 3:] / v[:, 3:]) / v[:, 3:]
-        min_dual = min(float(_pair_min(z_pair[:, 0, 0], z_pair[:, 0, 1], z_pair[:, 1, 1]).min()), float(z_scalar.min()))
-        coef = np.concatenate([z_pair[:, [0, 0, 1], [0, 1, 1]], z_scalar], axis=1) * form_w
-        r = f + np.einsum("nj,njp->p", coef, forms)
-        y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
-        return SdpSolution(
-            a_star=(FIXED @ x).reshape(5, 5),
-            f_star=float(f @ x),
-            min_eigenvalues=_cone_min_eigenvalues(forms, x),
-            iterations=iterations,
-            upper_bound=float(problem.eq_rhs @ y),
-            dual_residual=float(np.abs(problem.eq_matrix.T @ y - r).max()),
-            min_dual_eigenvalue=min_dual,
-        )
-
+    # The dual start y0 I / (4n) - C(h) of the module docstring.
+    ch = forms @ (setup.gram_inv @ problem.objective)
+    zs = 2.0 * abs(float(-_block_min(-ch).min())) * _IDENTITY - ch
+    if _block_min(zs).min() <= 0.0:
+        raise ConvergenceError("could not find a strictly feasible dual start")
+    k = dirs.shape[2]
+    scaling = np.zeros_like(forms)
+    x, iterations = setup.x0, 0
     while True:
-        while True:
-            x = x0 + null @ z
-            grad, step, log_det, v = newton_system(x)
-            lam2 = float(grad @ step)
-            if lam2 / 2.0 <= max(1e-13, 1e-3 * mu):
-                break
-            if iterations >= max_iter:
-                raise ConvergenceError(
-                    f"no convergence within {max_iter} Newton steps", best=best or snapshot(x, v, step)
-                )
-            iterations += 1
-            base = float(f @ x) + mu * log_det
-            slope = ARMIJO_SLOPE * lam2
-            scale = 1.0
-            while scale > 1e-14:
-                trial = z + scale * step
-                x_trial = x0 + null @ trial
-                ld = log_det_sum(forms @ x_trial)
-                if ld is not None and float(f @ x_trial) + mu * ld >= base + scale * slope:
-                    z = trial
-                    break
-                scale *= BACKTRACK
-            else:
-                raise ConvergenceError("line search stalled", best=best or snapshot(x, v, step))
-        best = snapshot(x, v, step)
-        if mu <= mu_min * (1.0 + 1e-12):
-            return best
-        mu = max(mu / MU_FACTOR, mu_min)
+        s = forms @ x
+        det_s, det_z = _det(s), _det(zs)
+        if not min(det_s.min(), det_z.min(), s[:, 3:].min(), zs[:, 3:].min()) > 0.0:
+            # Rounding, not the step rule, put a block on the boundary; seen
+            # only with mu_min within a few times of its floor.
+            raise ConvergenceError("the iterate left the cone interior", best=_certificate(problem, forms, *last))
+        mu = float(np.sum(_FORM_WEIGHTS * s * zs)) / nu
+        if mu <= (1.0 + 1e-3) * mu_min and _off_centre(s, zs, mu_min) <= 1e-3 * mu_min:
+            return _certificate(problem, forms, x, zs, iterations)
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"no convergence within {max_iter} iterations", best=_certificate(problem, forms, x, zs, iterations)
+            )
+        last = (x, zs, iterations)
+        iterations += 1
+        tau = max(CENTRING * mu, mu_min)
+        # NT scaling of each 2x2 block, W = S # Z^-1 (W Z W = S), in closed
+        # form: with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
+        # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The
+        # packed matrix of X -> W^-1 X W^-1 is _SELECT (W^-1 (x) W^-1) _DUPLICATE;
+        # on a scalar the map is multiplication by z / s.
+        rs, rz = np.sqrt(det_s), np.sqrt(det_z)
+        m = s[:, :3] / rs[:, None] + _adj(zs) / rz[:, None]
+        v = (_adj(m) * np.sqrt(rz / rs / _det(m))[:, None])[:, _UNPACK]
+        scaling[:, :3, :3] = _SELECT @ (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 4, 4) @ _DUPLICATE
+        scaling[:, _SCALARS, _SCALARS] = zs[:, 3:] / s[:, 3:]
+        # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
+        # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
+        # back onto the dual equalities so rounding cannot build up in the
+        # residual.
+        target = tau * np.concatenate([_adj(s) / det_s[:, None], 1.0 / s[:, 3:]], axis=1) - zs
+        dz = np.linalg.solve(dual_map.T @ (scaling @ dirs).reshape(-1, k), dual_map.T @ target.reshape(-1))
+        ds = dirs @ dz
+        dzs = (setup.project @ (target - (scaling @ ds[:, :, None])[:, :, 0]).reshape(-1)).reshape(zs.shape)
+        step = min(1.0, STEP_FRACTION * _max_step(np.concatenate([s, zs]), np.concatenate([ds, dzs])))
+        x = x + step * (setup.null @ dz)
+        zs = zs + step * dzs
 
 
 def sweep_solutions(

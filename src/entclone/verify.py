@@ -1,7 +1,7 @@
 """Acceptance checks shared by the test suite and the CLI verify command.
 
 run_all executes ten numbered criteria covering the analytic formulas,
-the barrier solver against its analytic oracles, threshold detection,
+the SDP solver against its analytic oracles, threshold detection,
 the Kraus/Choi equivalence of the one-bit protocol, protocol sampling,
 measurement validity, the structural invariants of the covariant
 parametrization, and the dual certificate of every swept optimum.  Each
@@ -134,7 +134,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         ok = sup_plain <= 1e-6 and sup_ppt <= 1e-6 and iters <= 200
         return ok, (
             f"sup err plain {_fmt(sup_plain)}, ppt {_fmt(sup_ppt)} (tol 1e-6), "
-            f"max Newton steps {iters} (cap 200)"
+            f"max iterations {iters} (cap 200)"
         )
 
     def criterion_4() -> tuple[bool, str]:

@@ -9,12 +9,10 @@ from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone import sdp
 from entclone.covariant import assemble_ptilde, basis_stack, partial_transpose_b
 from entclone.sdp import (
-    ARMIJO_SLOPE,
-    BACKTRACK,
     BLOCK_WEIGHTS,
+    CENTRING,
     FIXED,
-    MU_FACTOR,
-    MU_INITIAL,
+    STEP_FRACTION,
     ConvergenceError,
     ThresholdDetectionError,
     build_problem,
@@ -23,10 +21,18 @@ from entclone.sdp import (
     sweep_solutions,
 )
 
+# The log-barrier path solve followed before the primal-dual method:
+# damped Newton steps from mu = MU_INITIAL, divided by a factor per
+# stage down to mu_min, with an Armijo backtracking line search.
+MU_INITIAL = 1e-1
+MU_FACTOR = 1000.0
+ARMIJO_SLOPE = 0.01
+BACKTRACK = 0.5
 # Newton steps and optima of the PPT program as the dense 64x64 cones
-# gave them with mu divided by 10 per stage, the schedule before
-# MU_FACTOR.  They pin the dense reference below, which must reproduce
-# that solver's path before it is trusted as the witness of solve's.
+# gave them with mu divided by 10 per stage.  They pin the dense barrier
+# reference below, which must reproduce that solver's path before its
+# end point, the barrier's centred point at mu_min, is trusted as the
+# witness of solve's.
 DENSE_PPT_PATH = {
     0.2: (51, 0.6773777309645838),
     0.5: (47, 0.6281249563076853),
@@ -34,19 +40,88 @@ DENSE_PPT_PATH = {
 }
 
 
-def dense_path(problem, t, mu_factor, tol=1e-7):
-    """The barrier path of sdp.solve run on the dense 64x64 operators; returns (Newton steps, f*).
-
-    It keeps solve's null space, start point, constants, centring and
-    Armijo tests, and its floor mu_min = tol / (2 nu), and divides mu by
-    mu_factor per stage.  Only the cones differ: the operator
-    assemble_ptilde((FIXED @ x).reshape(5, 5), t) and, for a PPT
-    problem, its partial transpose over the second party, each
-    eigensolved whole.
-    """
+def _dense_cones(problem, t):
+    """x -> the dense 64x64 operator assemble_ptilde((FIXED @ x).reshape(5, 5), t) and, for a PPT
+    problem, its partial transpose over the second party."""
     def cones(x):
         dense = assemble_ptilde((FIXED @ x).reshape(5, 5), t)
         return [dense, partial_transpose_b(dense)][: len(problem.cones)]
+
+    return cones
+
+
+def _psd_root(m, power):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * vals**power) @ vecs.conj().T
+
+
+def _dense_step(m, dm):
+    """Largest s with m + s dm positive definite, from the spectrum of m^-1/2 dm m^-1/2."""
+    root = _psd_root(m, -0.5)
+    low = np.linalg.eigvalsh(root @ dm @ root)[0]
+    return -1.0 / low if low < 0.0 else np.inf
+
+
+def dense_nt_path(problem, t, tol=1e-7):
+    """solve's primal-dual iteration run on the dense 64x64 operators; returns (iterations, f*).
+
+    It keeps solve's null space, primal start, CENTRING, STEP_FRACTION,
+    floor mu_min = tol / (2 nu) and stop rule.  The dual start is the
+    same basis-free y0 I / (4n) - C(h), with h from the Frobenius Gram
+    matrix of the dense operators and y0 from C(h)'s largest
+    eigenvalue.  The NT scaling W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2,
+    the complementarity spectra and the step bounds come from eigh of
+    the whole operators.  Each dual step is made Hermitian, because the
+    dense products leave rounding-level anti-Hermitian parts that the
+    block solver cannot have, and projected onto the dual equalities in
+    the Frobenius inner product.
+    """
+    cones = _dense_cones(problem, t)
+    inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
+    f = problem.objective
+    _, sv, vh = np.linalg.svd(problem.eq_matrix)
+    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
+    units = [cones(e) for e in np.eye(8)]
+    ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
+    top = max(np.linalg.eigvalsh(c)[-1] for c in ch)
+    zs = [2.0 * abs(top) * np.eye(64) - c for c in ch]
+    dirs = [cones(n) for n in null.T]
+    dir_gram = np.array([[inner(a, b) for b in dirs] for a in dirs])
+    mu_min, iterations = max(tol / (2.0 * problem.nu), 1e-12), 0
+    while True:
+        ss = cones(x)
+        roots = [_psd_root(s, 0.5) for s in ss]
+        comp = np.concatenate([np.linalg.eigvalsh(r @ z @ r) for r, z in zip(roots, zs)])
+        if np.abs(comp - mu_min).max() <= 1e-3 * mu_min:
+            return iterations, float(f @ x)
+        iterations += 1
+        tau = max(CENTRING * inner(ss, zs) / problem.nu, mu_min)
+        w_inv = [np.linalg.inv(r @ _psd_root(r @ z @ r, -0.5) @ r) for r, z in zip(roots, zs)]
+        scaled = [[w @ d @ w for w, d in zip(w_inv, dn)] for dn in dirs]
+        target = [tau * np.linalg.inv(s) - z for s, z in zip(ss, zs)]
+        dz = np.linalg.solve([[inner(a, b) for b in scaled] for a in dirs], [inner(a, target) for a in dirs])
+        ds = cones(null @ dz)
+        dzs = [g - w @ d @ w for g, w, d in zip(target, w_inv, ds)]
+        dzs = [(d + d.conj().T) / 2.0 for d in dzs]
+        coef = np.linalg.solve(dir_gram, [inner(a, dzs) for a in dirs])
+        dzs = [z - sum(c * dn[i] for c, dn in zip(coef, dirs)) for i, z in enumerate(dzs)]
+        bound = min(_dense_step(m, dm) for m, dm in zip(ss + zs, ds + dzs))
+        step = min(1.0, STEP_FRACTION * bound)
+        x = x + step * (null @ dz)
+        zs = [z + step * d for z, d in zip(zs, dzs)]
+
+
+def dense_path(problem, t, mu_factor, tol=1e-7):
+    """The log-barrier path solve followed before, run on the dense 64x64 operators; returns (Newton steps, f*).
+
+    It starts from solve's null space and start point, uses the barrier
+    constants above and the floor mu_min = tol / (2 nu), and divides mu
+    by mu_factor per stage; every stage is centred until half the
+    squared Newton decrement is at most 1e-3 mu.  The cones are the
+    dense operators of _dense_cones, each eigensolved whole.
+    """
+    cones = _dense_cones(problem, t)
 
     def log_det(x):
         try:
@@ -193,9 +268,10 @@ def test_dense_reference_reproduces_the_factor_ten_path(t_ops, alpha):
     assert abs(f_star - DENSE_PPT_PATH[alpha][1]) < 1e-12
 
 
-@pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
+@pytest.mark.parametrize("alpha", [*sorted(DENSE_PPT_PATH), alpha_critical()])
 def test_ppt_solution_matches_dense_witness(t_ops, alpha):
-    """solve's blocks against the dense operators: the same minimum eigenvalues, Newton steps and optimum."""
+    """solve's blocks against the dense operators: the same minimum eigenvalues, the same
+    primal-dual iterations and optimum, and the end point of the dense barrier path."""
     problem = build_problem(alpha, t_ops, with_ppt=True)
     sol = solve(problem)
     dense = assemble_ptilde(sol.a_star, t_ops)
@@ -204,25 +280,44 @@ def test_ppt_solution_matches_dense_witness(t_ops, alpha):
         for m in (dense, partial_transpose_b(dense))
     ]
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
-    iterations, f_star = dense_path(problem, t_ops, mu_factor=MU_FACTOR)
+    iterations, f_star = dense_nt_path(problem, t_ops)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
+    _, barrier_f_star = dense_path(problem, t_ops, mu_factor=MU_FACTOR)
+    assert abs(sol.f_star - barrier_f_star) < 1e-9
+
+
+def _setup(problem):
+    return sdp._solver_setup(problem.eq_matrix, problem.eq_rhs, problem.cones)
 
 
 def test_fixed_parts_are_cached_on_the_value_of_t(t_ops):
-    """Equal t shares the equality rows and cone forms read-only; any other value, or an edited t, rebuilds them."""
+    """Equal t shares the equality rows, cone forms and solver setup read-only; any other value,
+    or an edited t, rebuilds them."""
     first = build_problem(0.3, t_ops, with_ppt=True)
     again = build_problem(0.6, dataclasses.replace(t_ops), with_ppt=True)
     assert all(p is q for p, q in zip(first.cones, again.cones))
     rows = constraint_matrices(t_ops)
     assert all(p is q for p, q in zip(rows, constraint_matrices(dataclasses.replace(t_ops))))
-    for arr in (*first.cones, *rows):
+    setup = _setup(first)
+    assert _setup(again) is setup
+    # The plain program has its own setup, one cone and a smaller projector,
+    # and a sweep that alternates the two programs rebuilds neither.
+    plain = _setup(build_problem(0.3, t_ops))
+    assert plain.project.shape == (8, 8) and setup.project.shape == (16, 16)
+    assert _setup(first) is setup and _setup(build_problem(0.4, t_ops)) is plain
+    assert set(setup._fields) == {"null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    for arr in (*first.cones, *rows, *setup):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
     swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
     fresh = build_problem(0.3, swapped, with_ppt=True)
     assert not np.array_equal(fresh.cones[0], first.cones[0])
     assert not np.array_equal(constraint_matrices(swapped)[1], rows[1])
+    fresh_setup = _setup(fresh)
+    assert fresh_setup is not setup
+    assert not np.array_equal(fresh_setup.dirs, setup.dirs)
+    assert not np.array_equal(fresh_setup.gram_inv, setup.gram_inv)
     edited = dataclasses.replace(t_ops, t1=t_ops.t1.copy(), t2=t_ops.t2.copy())
     before = build_problem(0.3, edited).cones[0]
     edited.t1[...], edited.t2[...] = t_ops.t2, t_ops.t1
@@ -294,11 +389,43 @@ def test_solve_reports_convergence_failure(t_ops):
     assert math.isfinite(info.value.best.upper_bound)
 
 
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+@pytest.mark.parametrize("alpha", [0.2, alpha_critical(), 0.6])
+def test_every_iterate_is_certified(t_ops, alpha, with_ppt):
+    """The iterate a ConvergenceError carries after 1..5 iterations brackets the closed form:
+    f* <= F_closed <= U, with a rounding-level dual residual and a positive definite Z."""
+    closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
+    problem = build_problem(alpha, t_ops, with_ppt)
+    for max_iter in range(1, 6):
+        with pytest.raises(ConvergenceError) as info:
+            solve(problem, max_iter=max_iter)
+        best = info.value.best
+        assert best.iterations == max_iter
+        assert best.f_star <= closed <= best.upper_bound
+        assert best.dual_residual <= 1e-12
+        assert best.min_dual_eigenvalue > 0.0
+
+
+def test_solve_at_the_tolerance_floor_fails_loudly(t_ops):
+    """Near the smallest tol solve accepts, rounding may stop the path short of mu_min.  Then a
+    ConvergenceError carries the last interior iterate, with a finite, dual-feasible certificate;
+    no NaN or other exception escapes, and every returned optimum meets the closed form."""
+    tol = 1.3e-10
+    for alpha in np.linspace(0.0, ALPHA_MAX, 51):
+        try:
+            sol = solve(build_problem(alpha, t_ops), tol=tol)
+        except ConvergenceError as err:
+            sol = err.best
+        assert np.isfinite([sol.f_star, sol.upper_bound, sol.min_dual_eigenvalue]).all()
+        assert sol.dual_residual <= 1e-12
+        assert abs(sol.f_star - fidelity_global(alpha)) < 1e-8
+
+
 def test_sweep_failure_names_its_point(t_ops, monkeypatch):
     """A failing sweep point raises a ConvergenceError naming its index and alpha, carrying the
     failed solve's best iterate and chained to the original error."""
     best = solve(build_problem(0.4, t_ops))
-    original = ConvergenceError("line search stalled", best=best)
+    original = ConvergenceError("the iterate left the cone interior", best=best)
     solved = []
 
     def solve_or_fail(problem, tol):
@@ -308,7 +435,7 @@ def test_sweep_failure_names_its_point(t_ops, monkeypatch):
         return best
 
     monkeypatch.setattr(sdp, "solve", solve_or_fail)
-    message = r"^sweep point 1 \(alpha=0\.450000\) did not converge: line search stalled$"
+    message = r"^sweep point 1 \(alpha=0\.450000\) did not converge: the iterate left the cone interior$"
     with pytest.raises(ConvergenceError, match=message) as info:
         sweep_solutions([0.3, 0.45, 0.6], False, t=t_ops)
     assert info.value.best is best
