@@ -107,26 +107,25 @@ def _key_arrays(args: tuple) -> list[np.ndarray]:
 
 
 def cache_on_value(build: Callable[..., _Built]) -> Callable[..., _Built]:
-    """Two-entry cache of build(*args), keyed on the values of the arrays in args, never on the objects.
+    """One-entry cache of build(*args), keyed on the values of the arrays in args, never on the objects.
 
-    A call whose arrays (t1..t5 for a TOperators) equal those of one of
-    the last two distinct calls entry by entry (np.array_equal against
-    copies taken then, so an in-place edit misses) returns that call's
-    result.  Two entries let a sweep alternate the plain and the PPT
-    program without rebuilding.  Every array in a result is made
-    read-only, because all callers with equal arguments share it.
+    A call whose arrays (t1..t5 for a TOperators) equal the previous
+    call's entry by entry (np.array_equal against copies taken then, so
+    an in-place edit misses) returns the previous result.  Every array
+    in a result is made read-only, because all callers with equal
+    arguments share it.
     """
-    entries: list = []
+    last: list = [None]
 
     @functools.wraps(build)
     def cached(*args) -> _Built:
         key = _key_arrays(args)
-        for arrays, result in entries:
-            if len(arrays) == len(key) and all(map(np.array_equal, arrays, key)):
-                return result
+        entry = last[0]
+        if entry is not None and len(entry[0]) == len(key) and all(map(np.array_equal, entry[0], key)):
+            return entry[1]
         result = build(*args)
         _freeze(result)
-        entries[:] = [([np.array(a, copy=True) for a in key], result), *entries[:1]]
+        last[0] = ([np.array(a, copy=True) for a in key], result)
         return result
 
     return cached

@@ -70,7 +70,9 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
-min_dual_eigenvalue are read off the dual iterate.  The alpha-
+min_dual_eigenvalue are read off the dual iterate.  Both iterates are
+carried in long double, so a 2x2 block's small eigenvalue keeps its
+sign down to the smallest mu_min solve accepts.  The alpha-
 independent parts of a solve (N, x0, the rotated forms, the Gram
 inverse and the dual projector) are cached on the values of the
 problem's equality rows and cones.
@@ -153,7 +155,7 @@ class SdpSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a solve does not converge; carries its last interior iterate and its certificate, if any."""
+    """Raised when a solve does not converge; carries the iterate it stopped at and its certificate, if any."""
 
     def __init__(self, message: str, best: SdpSolution | None = None):
         super().__init__(message)
@@ -280,6 +282,7 @@ class _Setup(NamedTuple):
     dual_map: np.ndarray  # (8n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
     gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
     project: np.ndarray  # (8n, 8n) orthogonal projector onto the null space of dual_map^T
+    # All but gram_inv are long double: solve computes in it (see there).
 
 
 @cache_on_value
@@ -294,15 +297,19 @@ def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.nda
     dual_map = (dirs * _FORM_WEIGHTS[:, None]).reshape(-1, null.shape[1])
     gram = np.einsum("nep,e,neq->pq", forms, _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
+    x0 = _interior_start(eq_matrix, eq_rhs, forms)
     return _Setup(
-        null, _interior_start(eq_matrix, eq_rhs, forms), forms, dirs, dual_map, np.linalg.inv(gram), project
+        *(a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map)),
+        np.linalg.inv(gram),
+        project.astype(np.longdouble),
     )
 
 
 def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
     """The primal iterate x and the dual point whose blocks are the rows of zs."""
-    r = problem.objective + np.einsum("ne,nep->p", zs * _FORM_WEIGHTS, forms)
+    r = (problem.objective + np.einsum("ne,nep->p", zs * _FORM_WEIGHTS, forms)).astype(float)
     y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
+    x = x.astype(float)
     return SdpSolution(
         a_star=(FIXED @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
@@ -326,10 +333,16 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     centred point at mu_min, with duality gap nu mu_min = tol / 2.
     max_iter caps the number of iterations; the ConvergenceError raised
     past it carries the current iterate, certified like every other.
-    Rounding can still leave the interior when mu_min is within a few
-    times of its floor (tol near 2 nu * 1e-12); the ConvergenceError
-    raised then carries the last interior iterate.  Identical inputs
-    always produce identical output.
+    An iterate that rounding put on the cone boundary raises a
+    ConvergenceError that carries no iterate.  Identical inputs always
+    produce identical output.
+
+    Iterates and step arithmetic are long double, and the k x k system
+    is factored in double and refined once against its long-double
+    residual.  At mu_min near 1e-12 a 2x2 block's small eigenvalue is
+    ~1e-12 of its entries, which double leaves only 4 digits of, and
+    the system's condition reaches ~1e11, so steps computed in double
+    can leave the interior there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -341,7 +354,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     mu_min = max(tol / (2.0 * nu), 1e-12)
     # The dual start y0 I / (4n) - C(h) of the module docstring.
     ch = forms @ (setup.gram_inv @ problem.objective)
-    zs = 2.0 * abs(float(-_block_min(-ch).min())) * _IDENTITY - ch
+    zs = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch
     if _block_min(zs).min() <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
     k = dirs.shape[2]
@@ -351,9 +364,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         s = forms @ x
         det_s, det_z = _det(s), _det(zs)
         if not min(det_s.min(), det_z.min(), s[:, 3:].min(), zs[:, 3:].min()) > 0.0:
-            # Rounding, not the step rule, put a block on the boundary; seen
-            # only with mu_min within a few times of its floor.
-            raise ConvergenceError("the iterate left the cone interior", best=_certificate(problem, forms, *last))
+            raise ConvergenceError("the iterate left the cone interior")
         mu = float(np.sum(_FORM_WEIGHTS * s * zs)) / nu
         if mu <= (1.0 + 1e-3) * mu_min and _off_centre(s, zs, mu_min) <= 1e-3 * mu_min:
             return _certificate(problem, forms, x, zs, iterations)
@@ -361,7 +372,6 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             raise ConvergenceError(
                 f"no convergence within {max_iter} iterations", best=_certificate(problem, forms, x, zs, iterations)
             )
-        last = (x, zs, iterations)
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
         # NT scaling of each 2x2 block, W = S # Z^-1 (W Z W = S), in closed
@@ -379,7 +389,11 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         # back onto the dual equalities so rounding cannot build up in the
         # residual.
         target = tau * np.concatenate([_adj(s) / det_s[:, None], 1.0 / s[:, 3:]], axis=1) - zs
-        dz = np.linalg.solve(dual_map.T @ (scaling @ dirs).reshape(-1, k), dual_map.T @ target.reshape(-1))
+        system = dual_map.T @ (scaling @ dirs).reshape(-1, k)
+        rhs = dual_map.T @ target.reshape(-1)
+        factored = system.astype(float)
+        dz = np.linalg.solve(factored, rhs.astype(float)).astype(np.longdouble)
+        dz += np.linalg.solve(factored, (rhs - system @ dz).astype(float))
         ds = dirs @ dz
         dzs = (setup.project @ (target - (scaling @ ds[:, :, None])[:, :, 0]).reshape(-1)).reshape(zs.shape)
         step = min(1.0, STEP_FRACTION * _max_step(np.concatenate([s, zs]), np.concatenate([ds, dzs])))
