@@ -23,16 +23,17 @@ sum_ij a_ij ti (x) tj is unitarily a direct sum of sum a_ij Xi (x) Xj
 (4x4, four copies), sum a_ij c_j Xi (2x2, sixteen copies) and a33
 (sixteen copies).  In the real basis PAIR_BASIS = |00>, |11>,
 (|01> +- |10>)/sqrt(2) the first is the 2x2 block
-[[a11, a44 - a55], [a44 - a55, a22]] plus the scalars
-a12 +- (a44 + a55); the second is diag(a13, a23).  So each cone is one
-2x2 block of weight 4 and five scalars of weights (4, 4, 16, 16, 16).
-The basis covariant.BLOCK_BASIS is real, so the partial transpose over
-the second party is the same construction with Xj replaced by its
-transpose, which flips the sign of a55 and nothing else.  A cone is
-stored as the eight linear forms (p, q, r of the 2x2 block, then the
-scalars) over the coordinates, so one mat-vec gives every block at x;
-nu = sum of weight * block size, the dimension of the full operator,
-stays 64 per cone.
+[[a11, a44 - a55], [a44 - a55, a22]] plus
+diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
+and the third, taken in pairs, diag(a33, a33).  So each cone is four
+real 2x2 blocks of weights (4, 4, 16, 8), and one formula serves each
+step of the solver on all of them.  The basis covariant.BLOCK_BASIS is
+real, so the partial transpose over the second party is the same
+construction with Xj replaced by its transpose, which flips the sign of
+a55 and nothing else.  A cone is stored as the twelve linear forms
+(p, q, r of each block in turn) over the coordinates, so one mat-vec
+gives every block at x; nu = sum of weight * block size, the dimension
+of the full operator, stays 64 per cone.
 
 The objective and the equality rows are built per party too, from the
 partial traces of the 8x8 operators t1..t5 (see
@@ -43,8 +44,8 @@ The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
 Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers", 2010).  The primal iterate x = x0 + N z stays on the
 equalities through an orthonormal null-space basis N.  The dual iterate
-is one 2x2 block Z_k and five scalars per cone, standing for the same
-copies as the primal blocks; it stays on the dual equalities
+is four 2x2 blocks Z_k per cone, standing for the same copies as the
+primal blocks; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
 exists and U = b^T y bounds the optimum from above whenever every
 Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
@@ -58,12 +59,11 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    largest eigenvalue, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
-   closed-form NT scaling W = S # Z^-1 of every 2x2 block and
-   sqrt(s / z) of every scalar.  The dual step is projected onto the
-   null space of the dual equalities, and both iterates move by
-   STEP_FRACTION of the largest step that keeps every block positive
-   definite (one quadratic per 2x2 block, one ratio per scalar),
-   capped at 1.  There is no line search.
+   closed-form NT scaling W = S # Z^-1 of every block.  The dual step
+   is projected onto the null space of the dual equalities, and both
+   iterates move by STEP_FRACTION of the largest step that keeps every
+   block positive definite (one quadratic per block), capped at 1.
+   There is no line search.
  - Stop: once every block's complementarity is within 1e-3 mu_min of
    mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
    centred point at mu_min, so f*'s error is a smooth function of
@@ -105,23 +105,21 @@ for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 
 PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
 for _table in (FIXED, PAIR_BASIS):
     _table.flags.writeable = False
-# A cone is an (8, 8) array of linear forms over the FIXED coordinates:
-# rows p, q, r of its 2x2 block [[p, q], [q, r]], then its five scalars.
-# Its 64x64 operator at x is unitarily the direct sum of
-# BLOCK_WEIGHTS[0] copies of the 2x2 block and BLOCK_WEIGHTS[1 + j]
-# copies of scalar j.
-BLOCK_WEIGHTS = (4, 4, 4, 16, 16, 16)
-# The weight of each form in sum over copies of <Z, block>: the 2x2
-# block holds q twice.  The identity's forms are _IDENTITY.
-_FORM_WEIGHTS = np.array([BLOCK_WEIGHTS[0], 2 * BLOCK_WEIGHTS[0], *BLOCK_WEIGHTS], dtype=float)
-_IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+# A cone is a (12, 8) array of linear forms over the FIXED coordinates:
+# rows p, q, r of each of its four real 2x2 blocks [[p, q], [q, r]] in
+# turn.  Its 64x64 operator at x is unitarily the direct sum of
+# BLOCK_WEIGHTS[j] copies of block j.
+BLOCK_WEIGHTS = (4, 4, 16, 8)
+# The weight of each form in sum over copies of <Z, block>: a block holds
+# q twice.  The identity's forms are _IDENTITY.
+_FORM_WEIGHTS = np.outer(BLOCK_WEIGHTS, [1.0, 2.0, 1.0])
+_IDENTITY = np.array([1.0, 0.0, 1.0])
 # A 2x2 block (p, q, r) unpacked to [[p, q], [q, r]]; _SELECT reads
 # (p, q, r) off a flattened 2x2 matrix and _DUPLICATE writes them into one.
 _UNPACK = np.array([[0, 1], [1, 2]])
 _SELECT = np.eye(4)[[0, 1, 3]]
 _DUPLICATE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-_SCALARS = np.arange(3, 8)
-for _table in (_FORM_WEIGHTS, _IDENTITY, _UNPACK, _SELECT, _DUPLICATE, _SCALARS):
+for _table in (_FORM_WEIGHTS, _IDENTITY, _UNPACK, _SELECT, _DUPLICATE):
     _table.flags.writeable = False
 
 
@@ -137,7 +135,7 @@ class SdpProblem:
     @property
     def nu(self) -> float:
         """Barrier parameter: the summed dimension of the cones' full operators."""
-        return float(len(self.cones) * (2 * BLOCK_WEIGHTS[0] + sum(BLOCK_WEIGHTS[1:])))
+        return float(len(self.cones) * 2 * sum(BLOCK_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -169,25 +167,22 @@ class ThresholdDetectionError(ValueError):
 def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Linear forms over the 8 FIXED coordinates of the blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j).
 
-    The Xa_i (x) Xb_j block is rotated into PAIR_BASIS; its 2x2 corner
-    gives p, q, r and its last two diagonal entries the first two
-    scalars.  The c_j Xa_i block gives the next two from its diagonal and
-    c_i c_j the last.  Raises RuntimeError if any other entry, or any
-    imaginary part, exceeds 1e-12: t then breaks the parity this
+    The Xa_i (x) Xb_j block is rotated into PAIR_BASIS, where it splits
+    into its upper and lower 2x2 blocks; the c_j Xa_i block is the third
+    and c_i c_j times I2 the fourth.  Raises RuntimeError if the rotated
+    block does not split 2 + 2, or if any block is not real and
+    symmetric, by more than 1e-12: t then breaks the parity this
     splitting rests on.
     """
     products = np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4)
     pair = PAIR_BASIS.T @ np.tensordot(FIXED, products, axes=(0, 0)) @ PAIR_BASIS
     side = np.tensordot(FIXED, (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2), axes=(0, 0))
-    corner = FIXED.T @ np.outer(c, c).reshape(-1, 1)
-    forms = np.hstack([pair[:, [0, 0, 1, 2, 3], [0, 1, 1, 2, 3]], side[:, [0, 1], [0, 1]], corner]).T.real
-    split_pair = np.zeros_like(pair)
-    split_pair[:, [0, 0, 1, 1, 2, 3], [0, 1, 0, 1, 2, 3]] = forms[[0, 1, 1, 2, 3, 4]].T
-    split_side = np.zeros_like(side)
-    split_side[:, [0, 1], [0, 1]] = forms[[5, 6]].T
-    if max(np.abs(pair - split_pair).max(), np.abs(side - split_side).max()) > 1e-12:
-        raise RuntimeError("the cone does not split into one 2x2 block and five scalars on the fixed subspace")
-    return forms
+    corner = (FIXED.T @ np.outer(c, c).reshape(-1))[:, None, None] * np.eye(2)
+    blocks = np.stack([pair[:, :2, :2], pair[:, 2:, 2:], side, corner], axis=1)
+    off = max(np.abs(pair[:, :2, 2:]).max(), np.abs(pair[:, 2:, :2]).max())
+    if max(off, np.abs(blocks.imag).max(), np.abs(blocks - np.swapaxes(blocks, 2, 3)).max()) > 1e-12:
+        raise RuntimeError("the cone does not split into four real symmetric 2x2 blocks on the fixed subspace")
+    return blocks[:, :, [0, 0, 1], [0, 1, 1]].real.reshape(8, -1).T
 
 
 @cache_on_value
@@ -212,20 +207,19 @@ def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpPro
 
 
 def _block_min(v: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each cone whose blocks are the rows of v: the closed-form
-    minimum over its 2x2 block [[p, q], [q, r]] and its scalars."""
-    pair = (v[:, 0] + v[:, 2]) / 2.0 - np.hypot((v[:, 0] - v[:, 2]) / 2.0, v[:, 1])
-    return np.minimum(pair, v[:, 3:].min(axis=1))
+    """Smallest eigenvalue of each cone whose blocks (p, q, r) are v[k]: the closed-form
+    minimum over its 2x2 blocks [[p, q], [q, r]]."""
+    return ((v[..., 0] + v[..., 2]) / 2.0 - np.hypot((v[..., 0] - v[..., 2]) / 2.0, v[..., 1])).min(axis=-1)
 
 
 def _det(v: np.ndarray) -> np.ndarray:
-    """Determinant of the 2x2 block (p, q, r) in each row of v."""
-    return v[:, 0] * v[:, 2] - v[:, 1] * v[:, 1]
+    """Determinant of each 2x2 block (p, q, r) along the last axis of v."""
+    return v[..., 0] * v[..., 2] - v[..., 1] * v[..., 1]
 
 
 def _adj(v: np.ndarray) -> np.ndarray:
-    """Adjugate (r, -q, p) of the 2x2 block (p, q, r) in each row of v."""
-    return v[:, 2::-1] * [1.0, -1.0, 1.0]
+    """Adjugate (r, -q, p) of each 2x2 block (p, q, r) along the last axis of v."""
+    return v[..., ::-1] * [1.0, -1.0, 1.0]
 
 
 def _off_centre(s: np.ndarray, zs: np.ndarray, target: float) -> float:
@@ -234,26 +228,26 @@ def _off_centre(s: np.ndarray, zs: np.ndarray, target: float) -> float:
     A 2x2 block's eigenvalues are half +- radius, half = tr(S Z) / 2 and
     radius^2 = half^2 - det S det Z.
     """
-    half = (s[:, 0] * zs[:, 0] + 2.0 * s[:, 1] * zs[:, 1] + s[:, 2] * zs[:, 2]) / 2.0
+    half = (s[..., 0] * zs[..., 0] + 2.0 * s[..., 1] * zs[..., 1] + s[..., 2] * zs[..., 2]) / 2.0
     radius = np.sqrt(np.maximum(half * half - _det(s) * _det(zs), 0.0))
-    return max(float((np.abs(half - target) + radius).max()), float(np.abs(s[:, 3:] * zs[:, 3:] - target).max()))
+    return float((np.abs(half - target) + radius).max())
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest s with every block of v + s dv positive definite.
 
     It is the smallest positive root of det(block + s dblock) = a s^2 + b s + c,
-    c > 0, over every block: quadratic for a 2x2 block, linear for a
-    scalar.  Over the real roots the largest reciprocal is
-    (sqrt(b^2 - 4ac) - b) / (2c); it is positive exactly when a positive
-    root exists, and then it is the reciprocal of the smallest one.
+    c > 0, over every block.  Both roots are real, -1 over the
+    eigenvalues of B^-1/2 dB B^-1/2, so b^2 - 4ac is clamped at 0
+    against rounding (a double root, as on the fourth block, is the
+    common case).  The largest reciprocal is (sqrt(b^2 - 4ac) - b) / (2c);
+    it is positive exactly when a positive root exists, and then it is
+    the reciprocal of the smallest one.
     """
-    p, q, r, dp, dq, dr = v[:, 0], v[:, 1], v[:, 2], dv[:, 0], dv[:, 1], dv[:, 2]
-    a = np.concatenate([dp * dr - dq * dq, np.zeros(dv[:, 3:].size)])
-    b = np.concatenate([p * dr + r * dp - 2.0 * q * dq, dv[:, 3:].ravel()])
-    c = np.concatenate([_det(v), v[:, 3:].ravel()])
-    disc = b * b - 4.0 * a * c
-    top = float((np.where(disc >= 0.0, np.sqrt(np.maximum(disc, 0.0)) - b, 0.0) / c).max())
+    p, q, r, dp, dq, dr = v[..., 0], v[..., 1], v[..., 2], dv[..., 0], dv[..., 1], dv[..., 2]
+    b = p * dr + r * dp - 2.0 * q * dq
+    c = _det(v)
+    top = float(((np.sqrt(np.maximum(b * b - 4.0 * _det(dv) * c, 0.0)) - b) / c).max())
     return 2.0 / top if top > 0.0 else np.inf
 
 
@@ -277,11 +271,11 @@ class _Setup(NamedTuple):
 
     null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (8,) strictly feasible primal start
-    forms: np.ndarray  # (n, 8, 8) the cones stacked
-    dirs: np.ndarray  # (n, 8, k) the forms along the null basis
-    dual_map: np.ndarray  # (8n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
+    forms: np.ndarray  # (n, 4, 3, 8) the cones' blocks stacked
+    dirs: np.ndarray  # (n, 4, 3, k) the forms along the null basis
+    dual_map: np.ndarray  # (12n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
     gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
-    project: np.ndarray  # (8n, 8n) orthogonal projector onto the null space of dual_map^T
+    project: np.ndarray  # (12n, 12n) orthogonal projector onto the null space of dual_map^T
     # All but gram_inv are long double: solve computes in it (see there).
 
 
@@ -292,10 +286,10 @@ def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.nda
     null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
     if null.shape[1] == 0:
         raise ConvergenceError("equality constraints leave no degrees of freedom")
-    forms = np.stack(cones)
+    forms = np.stack(cones).reshape(len(cones), len(BLOCK_WEIGHTS), 3, -1)
     dirs = forms @ null
-    dual_map = (dirs * _FORM_WEIGHTS[:, None]).reshape(-1, null.shape[1])
-    gram = np.einsum("nep,e,neq->pq", forms, _FORM_WEIGHTS, forms)
+    dual_map = (dirs * _FORM_WEIGHTS[..., None]).reshape(-1, null.shape[1])
+    gram = np.einsum("nbep,be,nbeq->pq", forms, _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     x0 = _interior_start(eq_matrix, eq_rhs, forms)
     return _Setup(
@@ -306,8 +300,8 @@ def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.nda
 
 
 def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
-    """The primal iterate x and the dual point whose blocks are the rows of zs."""
-    r = (problem.objective + np.einsum("ne,nep->p", zs * _FORM_WEIGHTS, forms)).astype(float)
+    """The primal iterate x and the dual point whose blocks are zs."""
+    r = (problem.objective + np.einsum("nbe,nbep->p", zs * _FORM_WEIGHTS, forms)).astype(float)
     y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
     x = x.astype(float)
     return SdpSolution(
@@ -357,13 +351,12 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     zs = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch
     if _block_min(zs).min() <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
-    k = dirs.shape[2]
-    scaling = np.zeros_like(forms)
+    k = dirs.shape[-1]
     x, iterations = setup.x0, 0
     while True:
         s = forms @ x
         det_s, det_z = _det(s), _det(zs)
-        if not min(det_s.min(), det_z.min(), s[:, 3:].min(), zs[:, 3:].min()) > 0.0:
+        if not min(det_s.min(), det_z.min(), s[..., 0].min(), zs[..., 0].min()) > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
         mu = float(np.sum(_FORM_WEIGHTS * s * zs)) / nu
         if mu <= (1.0 + 1e-3) * mu_min and _off_centre(s, zs, mu_min) <= 1e-3 * mu_min:
@@ -374,28 +367,27 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        # NT scaling of each 2x2 block, W = S # Z^-1 (W Z W = S), in closed
-        # form: with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
+        # NT scaling of each block, W = S # Z^-1 (W Z W = S), in closed form:
+        # with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
         # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The
-        # packed matrix of X -> W^-1 X W^-1 is _SELECT (W^-1 (x) W^-1) _DUPLICATE;
-        # on a scalar the map is multiplication by z / s.
+        # packed matrix of X -> W^-1 X W^-1 is _SELECT (W^-1 (x) W^-1) _DUPLICATE.
         rs, rz = np.sqrt(det_s), np.sqrt(det_z)
-        m = s[:, :3] / rs[:, None] + _adj(zs) / rz[:, None]
-        v = (_adj(m) * np.sqrt(rz / rs / _det(m))[:, None])[:, _UNPACK]
-        scaling[:, :3, :3] = _SELECT @ (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 4, 4) @ _DUPLICATE
-        scaling[:, _SCALARS, _SCALARS] = zs[:, 3:] / s[:, 3:]
+        m = s / rs[..., None] + _adj(zs) / rz[..., None]
+        v = (_adj(m) * np.sqrt(rz / rs / _det(m))[..., None])[..., _UNPACK]
+        outer = (v[..., :, None, :, None] * v[..., None, :, None, :]).reshape(*v.shape[:-2], 4, 4)
+        scaling = _SELECT @ outer @ _DUPLICATE
         # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
         # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
         # back onto the dual equalities so rounding cannot build up in the
         # residual.
-        target = tau * np.concatenate([_adj(s) / det_s[:, None], 1.0 / s[:, 3:]], axis=1) - zs
+        target = tau * _adj(s) / det_s[..., None] - zs
         system = dual_map.T @ (scaling @ dirs).reshape(-1, k)
         rhs = dual_map.T @ target.reshape(-1)
         factored = system.astype(float)
         dz = np.linalg.solve(factored, rhs.astype(float)).astype(np.longdouble)
         dz += np.linalg.solve(factored, (rhs - system @ dz).astype(float))
         ds = dirs @ dz
-        dzs = (setup.project @ (target - (scaling @ ds[:, :, None])[:, :, 0]).reshape(-1)).reshape(zs.shape)
+        dzs = (setup.project @ (target - (scaling @ ds[..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
         step = min(1.0, STEP_FRACTION * _max_step(np.concatenate([s, zs]), np.concatenate([ds, dzs])))
         x = x + step * (setup.null @ dz)
         zs = zs + step * dzs

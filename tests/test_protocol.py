@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
-from entclone.covariant import assemble_ptilde
+from entclone.channel import local_fidelity
+from entclone.covariant import assemble_ptilde, reorder_to_choi
 from entclone.protocol import (
     average_clone_fidelity,
     branch_fidelity,
@@ -39,6 +40,23 @@ def test_kraus_choi_matches_family_operator(t_ops):
         ks = build_kraus(alpha)
         direct = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, alpha), t_ops)
         assert np.abs(kraus_to_choi(ks) - direct).max() < 1e-10
+
+
+def test_one_bit_cloner_is_a_coin_mixture_of_two_products(t_ops):
+    """Above alpha0 the LOCC-optimal a is (u u^T + v v^T) / 2 with u = (s, 1 - s, 0, sqrt(s (1 - s)), 0),
+    s = sqrt(a11), and v = u with u4 and u5 negated, so the protocol's Choi operator is an equal
+    mixture of two product cloners; neither product alone is clone-symmetric."""
+    for alpha in np.linspace(alpha_critical(), ALPHA_MAX, 61)[1:]:
+        a = params_for(CloneFamily.LOCC_OPTIMAL, alpha)
+        s = math.sqrt(a[0, 0])
+        u = np.array([s, 1.0 - s, 0.0, math.sqrt(s * (1.0 - s)), 0.0])
+        v = u * [1.0, 1.0, 1.0, -1.0, -1.0]
+        assert np.abs(a - (np.outer(u, u) + np.outer(v, v)) / 2.0).max() < 1e-15
+        products = [assemble_ptilde(np.outer(w, w), t_ops) for w in (u, v)]
+        assert np.abs((products[0] + products[1]) / 2.0 - kraus_to_choi(build_kraus(alpha))).max() < 1e-12
+        for product in products:
+            with pytest.raises(ValueError, match="clone symmetry"):
+                local_fidelity(reorder_to_choi(product), alpha)
 
 
 def test_below_threshold_collapses_to_product_family(t_ops):

@@ -236,7 +236,7 @@ def test_problem_shapes(t_ops):
     assert 8 - int(np.sum(sv > 1e-12 * sv[0])) == 7
     assert len(plain.cones) == 1
     assert len(ppt.cones) == 2
-    assert all(cone.shape == (8, 8) for cone in ppt.cones)
+    assert all(cone.shape == (12, 8) for cone in ppt.cones)
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert np.array_equal(plain.cones[0], ppt.cones[0])
     for problem in (plain, ppt):
@@ -247,18 +247,32 @@ def test_problem_shapes(t_ops):
     for _ in range(4):
         x = rng.normal(size=8)
         for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x, stack)):
-            p, q, r, *scalars = cone @ x
             weighted = np.concatenate([
-                np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), BLOCK_WEIGHTS[0]),
-                np.repeat(scalars, BLOCK_WEIGHTS[1:]),
+                np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weight)
+                for (p, q, r), weight in zip((cone @ x).reshape(-1, 3), BLOCK_WEIGHTS)
             ])
             assert np.abs(np.sort(weighted) - expected).max() < 1e-12
 
 
 def test_block_split_rejects_a_t_that_breaks_parity(t_ops):
-    """A structurally valid t whose blocks do not split into one 2x2 block and five scalars is refused."""
-    with pytest.raises(RuntimeError, match="2x2 block and five scalars"):
+    """A structurally valid t whose blocks do not split into four real symmetric 2x2 blocks is refused."""
+    with pytest.raises(RuntimeError, match="four real symmetric 2x2 blocks"):
         build_problem(0.4, dataclasses.replace(t_ops, t1=t_ops.t4))
+
+
+def test_max_step_keeps_a_double_root():
+    """v + s dv with dv = -c v is singular at s = 1/c, a double root of the block's determinant.
+    Rounding can make b^2 - 4ac slightly negative there; the limit must still be 1/c, not inf."""
+    rng = np.random.default_rng(7450)
+    # One cone's S and Z blocks, all the identity and fixed but for S's first block.
+    v = np.tile([1.0, 0.0, 1.0], (2, 4, 1))
+    dv = np.zeros_like(v)
+    for _ in range(2000):
+        m = rng.normal(size=(2, 2))
+        c = rng.uniform(0.1, 10.0)
+        v[0, 0] = (m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]]
+        dv[0, 0] = -c * v[0, 0]
+        assert abs(sdp._max_step(v, dv) * c - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
@@ -304,7 +318,7 @@ def test_fixed_parts_are_cached_on_the_value_of_t(t_ops):
     # The plain program has its own setup, with one cone and a smaller projector.
     plain = _setup(build_problem(0.3, t_ops))
     assert plain is not setup
-    assert plain.project.shape == (8, 8) and setup.project.shape == (16, 16)
+    assert plain.project.shape == (12, 12) and setup.project.shape == (24, 24)
     assert _setup(build_problem(0.4, t_ops)) is plain
     setup = _setup(first)
     assert set(setup._fields) == {"null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
