@@ -22,10 +22,12 @@ actually applied.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from entclone.analytic import schmidt_state
-from entclone.covariant import TOperators, assemble_ptilde, cache_on_value, reorder_to_choi
+from entclone.covariant import TOperators, assemble_ptilde, reorder_to_choi
 
 SYMMETRY_TOL = 1e-8
 
@@ -141,7 +143,7 @@ def _clone_products(r: np.ndarray) -> np.ndarray:
     return np.einsum("iaxcz,jbydw->ijabxycdzw", r, r).reshape(25, 256)
 
 
-@cache_on_value
+@functools.lru_cache(maxsize=1)
 def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     """Trace-preservation row and independent clone-symmetry rows.
 
@@ -152,12 +154,15 @@ def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     by a rank-revealing SVD; their count is data, not a promise.  Both
     come from the per-party reductions: Tr_out ti (x) tj = s_i s_j I4,
     and the clone difference of ti (x) tj is R1_i (x) R1_j - R2_i (x) R2_j.
-    Neither depends on alpha, so the pair is cached on the value of t
-    (covariant.cache_on_value) and its arrays are read-only.
+    Neither depends on alpha, and t is immutable, so the pair is cached
+    for the last t object and its arrays are read-only.
     """
     r1, r2, s = _party_reductions(t)
     d = (_clone_products(r1) - _clone_products(r2)).T
     columns = np.vstack([d.real, d.imag])
     _, sv, vh = np.linalg.svd(columns, full_matrices=False)
     keep = sv > 1e-10 * max(sv[0], 1.0)
-    return np.outer(s, s).reshape(-1), vh[keep]
+    rows = np.outer(s, s).reshape(-1), vh[keep]
+    for arr in rows:
+        arr.flags.writeable = False
+    return rows

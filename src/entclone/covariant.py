@@ -25,9 +25,7 @@ column index (partial_transpose_b).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -62,13 +60,18 @@ for _table in (BLOCK_BASIS, BLOCK_X, BLOCK_C):
     _table.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TOperators:
     """Commutant generators on one party's triple.
 
     t1, t2, t3 are the orthogonal projectors onto the two equivalent
     blocks and the remainder; t4 and t5 are the Hermitian and
     anti-Hermitian-made-Hermitian combinations of the intertwiner.
+    The value is immutable: construction stores read-only copies of
+    t1..t5, so later edits to the caller's arrays do not reach it.
+    It compares and hashes by identity, so the parts built from it
+    (channel.constraint_matrices, the programs of sdp.build_problem)
+    are cached per object.
     """
 
     t1: np.ndarray
@@ -77,58 +80,14 @@ class TOperators:
     t4: np.ndarray
     t5: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("t1", "t2", "t3", "t4", "t5"):
+            op = np.array(getattr(self, name))
+            op.flags.writeable = False
+            object.__setattr__(self, name, op)
+
     def as_list(self) -> list[np.ndarray]:
         return [self.t1, self.t2, self.t3, self.t4, self.t5]
-
-
-_Built = TypeVar("_Built")
-
-
-def _freeze(value) -> None:
-    """Make every array in a nest of tuples and lists read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _freeze(item)
-
-
-def _key_arrays(args: tuple) -> list[np.ndarray]:
-    """The arrays a cache entry compares: t1..t5 of a TOperators, the items of a tuple, or the array itself."""
-    out: list[np.ndarray] = []
-    for arg in args:
-        if isinstance(arg, TOperators):
-            out += arg.as_list()
-        elif isinstance(arg, tuple):
-            out += _key_arrays(arg)
-        else:
-            out.append(np.asarray(arg))
-    return out
-
-
-def cache_on_value(build: Callable[..., _Built]) -> Callable[..., _Built]:
-    """One-entry cache of build(*args), keyed on the values of the arrays in args, never on the objects.
-
-    A call whose arrays (t1..t5 for a TOperators) equal the previous
-    call's entry by entry (np.array_equal against copies taken then, so
-    an in-place edit misses) returns the previous result.  Every array
-    in a result is made read-only, because all callers with equal
-    arguments share it.
-    """
-    last: list = [None]
-
-    @functools.wraps(build)
-    def cached(*args) -> _Built:
-        key = _key_arrays(args)
-        entry = last[0]
-        if entry is not None and len(entry[0]) == len(key) and all(map(np.array_equal, entry[0], key)):
-            return entry[1]
-        result = build(*args)
-        _freeze(result)
-        last[0] = ([np.array(a, copy=True) for a in key], result)
-        return result
-
-    return cached
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:

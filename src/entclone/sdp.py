@@ -73,20 +73,23 @@ the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  Both iterates are
 carried in long double, so a 2x2 block's small eigenvalue keeps its
 sign down to the smallest mu_min solve accepts.  The alpha-
-independent parts of a solve (N, x0, the rotated forms, the Gram
-inverse and the dual projector) are cached on the values of the
-problem's equality rows and cones.
+independent parts of a solve (the cones, N, x0, the rotated forms, the
+Gram inverse and the dual projector) are built once per immutable
+covariant.TOperators and cone set, plain or PPT, and travel with the
+problem as SdpProblem.setup, so solve looks nothing up.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import TOperators, cache_on_value, commutant_blocks
+from entclone.covariant import TOperators, commutant_blocks
 
 # Each iteration targets CENTRING times the current mu and takes
 # STEP_FRACTION of the largest step that stays interior.
@@ -123,14 +126,29 @@ for _table in (_FORM_WEIGHTS, _IDENTITY, _UNPACK, _SELECT, _DUPLICATE):
     _table.flags.writeable = False
 
 
+class _Setup(NamedTuple):
+    """The parts of solve that do not depend on alpha, built once per program by _program
+    and carried as SdpProblem.setup.  All but gram_inv are long double: solve computes in it."""
+
+    null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
+    x0: np.ndarray  # (8,) strictly feasible primal start
+    forms: np.ndarray  # (n, 4, 3, 8) the cones' blocks stacked
+    dirs: np.ndarray  # (n, 4, 3, k) the forms along the null basis
+    dual_map: np.ndarray  # (12n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
+    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
+    project: np.ndarray  # (12n, 12n) orthogonal projector onto the null space of dual_map^T
+
+
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, equality rows, and block cones over the fixed-subspace coordinates."""
+    """Linear objective, equality rows, and block cones over the fixed-subspace coordinates,
+    with the solver's alpha-independent setup for them."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     cones: tuple[np.ndarray, ...]
+    setup: _Setup
 
     @property
     def nu(self) -> float:
@@ -183,27 +201,6 @@ def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> np.ndarray:
     if max(off, np.abs(blocks.imag).max(), np.abs(blocks - np.swapaxes(blocks, 2, 3)).max()) > 1e-12:
         raise RuntimeError("the cone does not split into four real symmetric 2x2 blocks on the fixed subspace")
     return blocks[:, :, [0, 0, 1], [0, 1, 1]].real.reshape(8, -1).T
-
-
-@cache_on_value
-def _cones(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The plain cone's forms and those of its partial transpose over the second party."""
-    x, c = commutant_blocks(t)
-    return _block_cone(x, x, c), _block_cone(x, np.swapaxes(x, 1, 2), c)
-
-
-def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
-    """Assemble the program for one Schmidt weight on the fixed subspace.
-
-    Only the objective depends on alpha: the trace row and the cone
-    forms are cached on the value of t, and shared read-only.  The
-    clone-symmetry rows vanish on FIXED, so the trace row is the only
-    equality.
-    """
-    trace_row, _ = constraint_matrices(t)
-    eq = (trace_row @ FIXED)[None, :]
-    f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=_cones(t)[: 2 if with_ppt else 1])
 
 
 def _block_min(v: np.ndarray) -> np.ndarray:
@@ -266,23 +263,20 @@ def _interior_start(eq_matrix: np.ndarray, eq_rhs: np.ndarray, forms: np.ndarray
     return x0
 
 
-class _Setup(NamedTuple):
-    """The parts of solve that depend on the equalities and cones only, not on the objective."""
+@functools.lru_cache(maxsize=2)
+def _program(t: TOperators, with_ppt: bool) -> tuple[tuple[np.ndarray, ...], _Setup]:
+    """The cone forms and solver setup of the plain or PPT program for t: all of it but the objective.
 
-    null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
-    x0: np.ndarray  # (8,) strictly feasible primal start
-    forms: np.ndarray  # (n, 4, 3, 8) the cones' blocks stacked
-    dirs: np.ndarray  # (n, 4, 3, k) the forms along the null basis
-    dual_map: np.ndarray  # (12n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
-    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
-    project: np.ndarray  # (12n, 12n) orthogonal projector onto the null space of dual_map^T
-    # All but gram_inv are long double: solve computes in it (see there).
-
-
-@cache_on_value
-def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.ndarray, ...]) -> _Setup:
-    """Null basis, start, rotated forms, Gram inverse and dual projector of one program's constraints."""
-    _, sv, vh = np.linalg.svd(eq_matrix)
+    The cones are the plain cone's forms and, with_ppt, those of its
+    partial transpose over the second party.  t is immutable, so both
+    programs are cached per t object, and every array in them is
+    read-only.  Raises ConvergenceError if the equalities leave no
+    freedom or the start is not strictly feasible.
+    """
+    x, c = commutant_blocks(t)
+    cones = (_block_cone(x, x, c), _block_cone(x, np.swapaxes(x, 1, 2), c))[: 2 if with_ppt else 1]
+    eq = (constraint_matrices(t)[0] @ FIXED)[None, :]
+    _, sv, vh = np.linalg.svd(eq)
     null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
     if null.shape[1] == 0:
         raise ConvergenceError("equality constraints leave no degrees of freedom")
@@ -291,12 +285,30 @@ def _solver_setup(eq_matrix: np.ndarray, eq_rhs: np.ndarray, cones: tuple[np.nda
     dual_map = (dirs * _FORM_WEIGHTS[..., None]).reshape(-1, null.shape[1])
     gram = np.einsum("nbep,be,nbeq->pq", forms, _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
-    x0 = _interior_start(eq_matrix, eq_rhs, forms)
-    return _Setup(
+    x0 = _interior_start(eq, np.ones(1), forms)
+    setup = _Setup(
         *(a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map)),
         np.linalg.inv(gram),
         project.astype(np.longdouble),
     )
+    for arr in (*cones, *setup):
+        arr.flags.writeable = False
+    return cones, setup
+
+
+def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
+    """Assemble the program for one Schmidt weight on the fixed subspace.
+
+    Only the objective depends on alpha: the cone forms and the solver
+    setup come from the program cached for t (see _program) and are
+    shared read-only.  The clone-symmetry rows vanish on FIXED, so the
+    trace row is the only equality.  Raises ConvergenceError if the
+    program has no strictly feasible start.
+    """
+    trace_row, _ = constraint_matrices(t)
+    f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
+    cones, setup = _program(t, with_ppt)
+    return SdpProblem(objective=f, eq_matrix=(trace_row @ FIXED)[None, :], eq_rhs=np.ones(1), cones=cones, setup=setup)
 
 
 def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
@@ -338,14 +350,14 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     the system's condition reaches ~1e11, so steps computed in double
     can leave the interior there.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     nu = problem.nu
     if tol < 2.0 * nu * 1e-12:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
-    setup = _solver_setup(problem.eq_matrix, problem.eq_rhs, problem.cones)
+    setup = problem.setup
     forms, dirs, dual_map = setup.forms, setup.dirs, setup.dual_map
-    mu_min = max(tol / (2.0 * nu), 1e-12)
+    mu_min = tol / (2.0 * nu)
     # The dual start y0 I / (4n) - C(h) of the module docstring.
     ch = forms @ (setup.gram_inv @ problem.objective)
     zs = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch

@@ -100,13 +100,27 @@ def test_sweep_reports_missing_kink(capsys):
 
 
 def test_sweep_solver_failure_sets_error_column(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
-        "--modes", "sdp", "--format", "csv", "--tol", "1e-30",
-    )
-    assert code == 3
-    _, rows = parse_csv(out)
-    assert rows[0][2] != ""
+    for tol in ("1e-30", "inf"):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
+            "--modes", "sdp", "--format", "csv", "--tol", tol,
+        )
+        assert code == 3
+        _, rows = parse_csv(out)
+        assert rows[0][1] == "" and rows[0][2] != ""
+
+
+def test_two_solver_modes_match_single_mode_sweeps(capsys):
+    """Both programs cached side by side give each mode's column byte for byte as a sweep of that mode alone."""
+    grid = ("sweep", "--alpha-min", "0.30", "--alpha-max", "0.37", "--steps", "36", "--format", "csv")
+    code, out, _ = run_cli(capsys, *grid, "--modes", "sdp,sdp-ppt")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["alpha", "f_sdp", "f_sdp_ppt", "error"]
+    for column, mode in ((1, "sdp"), (2, "sdp-ppt")):
+        code, single, _ = run_cli(capsys, *grid, "--modes", mode)
+        assert code == 0
+        assert [row[column] for row in rows] == [row[1] for row in parse_csv(single)[1]]
 
 
 def test_sweep_byte_identical_reruns(tmp_path, capsys):

@@ -301,43 +301,40 @@ def test_ppt_solution_matches_dense_witness(t_ops, alpha):
     assert abs(sol.f_star - barrier_f_star) < 1e-9
 
 
-def _setup(problem):
-    return sdp._solver_setup(problem.eq_matrix, problem.eq_rhs, problem.cones)
-
-
-def test_fixed_parts_are_cached_on_the_value_of_t(t_ops):
-    """Equal t shares the equality rows, cone forms and solver setup read-only; any other value,
-    or an edited t, rebuilds them."""
+def test_fixed_parts_are_built_once_per_t(t_ops):
+    """The same t shares the equality rows, cone forms and solver setup read-only, and keeps both
+    programs across alternating builds; any other t object, even an equal one, builds its own, and
+    no t changes once built."""
     first = build_problem(0.3, t_ops, with_ppt=True)
-    again = build_problem(0.6, dataclasses.replace(t_ops), with_ppt=True)
-    assert all(p is q for p, q in zip(first.cones, again.cones))
+    plain = build_problem(0.3, t_ops)
     rows = constraint_matrices(t_ops)
-    assert all(p is q for p, q in zip(rows, constraint_matrices(dataclasses.replace(t_ops))))
-    setup = _setup(first)
-    assert _setup(again) is setup
-    # The plain program has its own setup, with one cone and a smaller projector.
-    plain = _setup(build_problem(0.3, t_ops))
-    assert plain is not setup
-    assert plain.project.shape == (12, 12) and setup.project.shape == (24, 24)
-    assert _setup(build_problem(0.4, t_ops)) is plain
-    setup = _setup(first)
-    assert set(setup._fields) == {"null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
-    for arr in (*first.cones, *rows, *setup):
+    assert all(p is q for p, q in zip(rows, constraint_matrices(t_ops)))
+    for alpha in (0.1, 0.4, 0.6):
+        for problem, shared in ((build_problem(alpha, t_ops, with_ppt=True), first), (build_problem(alpha, t_ops), plain)):
+            assert problem.setup is shared.setup
+            assert all(p is q for p, q in zip(problem.cones, shared.cones))
+    assert plain.setup is not first.setup
+    assert plain.setup.project.shape == (12, 12) and first.setup.project.shape == (24, 24)
+    assert set(first.setup._fields) == {"null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    for arr in (*rows, *first.cones, *first.setup, *plain.cones, *plain.setup):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+    copy = build_problem(0.3, dataclasses.replace(t_ops), with_ppt=True)
+    assert copy.setup is not first.setup
+    assert all(np.array_equal(p, q) for p, q in zip((*copy.cones, *copy.setup), (*first.cones, *first.setup)))
     swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
     fresh = build_problem(0.3, swapped, with_ppt=True)
     assert not np.array_equal(fresh.cones[0], first.cones[0])
     assert not np.array_equal(constraint_matrices(swapped)[1], rows[1])
-    fresh_setup = _setup(fresh)
-    assert fresh_setup is not setup
-    assert not np.array_equal(fresh_setup.dirs, setup.dirs)
-    assert not np.array_equal(fresh_setup.gram_inv, setup.gram_inv)
-    edited = dataclasses.replace(t_ops, t1=t_ops.t1.copy(), t2=t_ops.t2.copy())
-    before = build_problem(0.3, edited).cones[0]
-    edited.t1[...], edited.t2[...] = t_ops.t2, t_ops.t1
-    assert np.array_equal(build_problem(0.3, edited).cones[0], fresh.cones[0])
-    assert not np.array_equal(before, fresh.cones[0])
+    assert not np.array_equal(fresh.setup.dirs, first.setup.dirs)
+    assert not np.array_equal(fresh.setup.gram_inv, first.setup.gram_inv)
+    source = t_ops.t1.copy()
+    edited = dataclasses.replace(t_ops, t1=source)
+    for op in edited.as_list():
+        with pytest.raises(ValueError):
+            op[...] = t_ops.t2
+    source[...] = t_ops.t2
+    assert np.array_equal(edited.t1, t_ops.t1)
 
 
 def test_bell_state_optima(bell_solutions):
@@ -393,6 +390,9 @@ def test_solve_rejects_bad_tolerances(t_ops):
         solve(problem, tol=-1e-7)
     with pytest.raises(ValueError):
         solve(problem, tol=1e-30)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve(problem, tol=tol)
 
 
 def test_solve_reports_convergence_failure(t_ops):
