@@ -22,11 +22,14 @@ from entclone.channel import check_state, clone_reductions
 
 KRAUS_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-14
+# Uniforms drawn per pass of the sampler; bounds its memory at any trials.
+_SAMPLE_CHUNK = 1 << 17
 
 # (alice outcome, bob outcome) pairs in the fixed K1..K8 order; Bob hears
 # bit 0 for alice in {1, 3} and applies sqrt(2)*M1 or sqrt(2)*M3, bit 1
 # for alice in {2, 4} and applies sqrt(2)*M2 or sqrt(2)*M4.
 _BRANCHES = ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2), (2, 4), (4, 2), (4, 4))
+_ALICE_M, _BOB_M = np.array(_BRANCHES).T - 1
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,6 @@ class ProtocolTranscript:
     post_state: np.ndarray
 
 
-def _pair_kraus(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """sqrt(2) * Ma (x) Mb with output rows regrouped to (1A, 1B, 2A, 2B)."""
-    block = math.sqrt(2.0) * np.kron(ma, mb)
-    return block.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
-
-
 def build_kraus(alpha: float) -> LocalKrausSet:
     """Kraus data of the optimal one-bit protocol at Schmidt weight alpha.
 
@@ -74,7 +71,12 @@ def build_kraus(alpha: float) -> LocalKrausSet:
     m3 = np.array([[0, 0], [hi, 0], [lo, 0], [0, w]], dtype=complex)
     m4 = np.array([[0, 0], [lo, 0], [hi, 0], [0, w]], dtype=complex)
     m = (m1, m2, m3, m4)
-    k = tuple(_pair_kraus(m[ai - 1], m[bi - 1]) for ai, bi in _BRANCHES)
+    # K_n = sqrt(2) * Ma (x) Mb with output rows regrouped to (1A, 1B, 2A, 2B):
+    # each M's output row splits into (clone 1, clone 2) = (a, c) for Alice
+    # and (b, d) for Bob, and its input column is x for Alice, y for Bob.
+    stack = np.stack(m).reshape(4, 2, 2, 2)
+    pairs = np.einsum("nacx,nbdy->nabcdxy", stack[_ALICE_M], stack[_BOB_M])
+    k = tuple(math.sqrt(2.0) * pairs.reshape(8, 16, 4))
     return LocalKrausSet(w=w, v=v, m=m, k=k)
 
 
@@ -159,6 +161,12 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     generator; each draw scores the fidelity of its branch against the
     representative state at this alpha.  Returns the sample mean and its
     standard error (zero when trials < 2).
+
+    The branch counts equal those of
+    ``np.bincount(np.random.default_rng(seed).choice(8, size=trials, p=p))``
+    draw for draw, with p the normalized branch probabilities: the same
+    uniforms are compared with the same cumulative table that ``choice``
+    builds, without keeping the draws.  Memory stays bounded at any trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -167,10 +175,21 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     scores = np.array([branch_fidelity(tr, reference) for tr in transcripts])
     probs = np.array([tr.joint_probability for tr in transcripts])
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if not np.all(np.isfinite(probs)) or total == 0.0:
+        raise ValueError(f"branch probabilities must be finite and not all zero, got {probs}")
+    probs = probs / total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    # below[k] counts the draws u < cdf[k], i.e. branch index <= k as
+    # cdf.searchsorted(u, side="right") assigns it; cdf[-1] == 1 > u always.
+    below = np.zeros(len(scores), dtype=np.int64)
+    below[-1] = trials
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(scores), size=trials, p=probs)
-    counts = np.bincount(draws, minlength=len(scores))
+    for start in range(0, trials, _SAMPLE_CHUNK):
+        u = rng.random(min(_SAMPLE_CHUNK, trials - start))
+        below[:-1] += [np.count_nonzero(u < c) for c in cdf[:-1]]
+    counts = np.diff(below, prepend=0)
     estimate = float(counts @ scores / trials)
     if trials < 2:
         return estimate, 0.0

@@ -176,8 +176,8 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     def criterion_7() -> tuple[bool, str]:
         transcripts = run_protocol_exact(ALPHA_MAX)
         prob_err = abs(sum(tr.joint_probability for tr in transcripts) - 1.0)
-        f_err = abs(average_clone_fidelity(transcripts, schmidt_state(ALPHA_MAX)) - 0.625)
         exact = average_clone_fidelity(transcripts, schmidt_state(ALPHA_MAX))
+        f_err = abs(exact - 0.625)
         covered = 0
         for offset in range(100):
             est, stderr = run_protocol_sampled(ALPHA_MAX, trials=100_000, seed=seed + offset)

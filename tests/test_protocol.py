@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entclone import protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
 from entclone.channel import local_fidelity
 from entclone.covariant import assemble_ptilde, reorder_to_choi
@@ -133,6 +134,56 @@ def test_sampled_estimator():
     assert spread == 0.0
     with pytest.raises(ValueError):
         run_protocol_sampled(0.5, trials=0)
+
+
+def _choice_sampled(alpha, trials, seed):
+    """The sampler as numpy's own Generator.choice draws it: the reference for the counts."""
+    transcripts = run_protocol_exact(alpha)
+    reference = schmidt_state(alpha)
+    scores = np.array([branch_fidelity(tr, reference) for tr in transcripts])
+    probs = np.clip([tr.joint_probability for tr in transcripts], 0.0, None)
+    probs = probs / probs.sum()
+    draws = np.random.default_rng(seed).choice(len(scores), size=trials, p=probs)
+    counts = np.bincount(draws, minlength=len(scores))
+    estimate = float(counts @ scores / trials)
+    if trials < 2:
+        return estimate, 0.0
+    variance = float(counts @ (scores - estimate) ** 2 / (trials - 1))
+    return estimate, math.sqrt(variance / trials)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX])
+def test_sampled_counts_equal_numpy_choice(alpha, monkeypatch):
+    for seed in (0, 7, 2024):
+        for trials in (1, 2, 20_000, protocol._SAMPLE_CHUNK + 1):
+            assert run_protocol_sampled(alpha, trials, seed) == _choice_sampled(alpha, trials, seed)
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 5)
+    for trials in (4, 5, 6, 101):
+        assert run_protocol_sampled(alpha, trials, 11) == _choice_sampled(alpha, trials, 11)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "all-zero"])
+def test_sampled_rejects_invalid_branch_probabilities(bad, monkeypatch):
+    transcripts = run_protocol_exact(0.5)
+    if bad == "all-zero":
+        broken = [dataclasses.replace(tr, joint_probability=0.0) for tr in transcripts]
+    else:
+        broken = [dataclasses.replace(transcripts[0], joint_probability=bad), *transcripts[1:]]
+    monkeypatch.setattr(protocol, "run_protocol_exact", lambda alpha: broken)
+    with pytest.raises(ValueError, match="branch probabilities"):
+        run_protocol_sampled(0.5, trials=10, seed=1)
+
+
+def test_batched_kraus_equals_kron_reference():
+    """K_n = sqrt(2) * Ma (x) Mb with rows regrouped to (1A, 1B, 2A, 2B), bit for bit."""
+    for alpha in [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]:
+        ks = build_kraus(alpha)
+        assert isinstance(ks.k, tuple) and len(ks.k) == 8
+        for (ai, bi), kmat in zip(protocol._BRANCHES, ks.k):
+            block = math.sqrt(2.0) * np.kron(ks.m[ai - 1], ks.m[bi - 1])
+            expected = block.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
+            assert kmat.shape == (16, 4)
+            assert np.array_equal(kmat, expected)
 
 
 def test_run_protocol_validates_state():
