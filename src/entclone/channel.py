@@ -72,12 +72,16 @@ def channel_from_params(a: np.ndarray, t: TOperators) -> np.ndarray:
 
 
 def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced states of clone 1 (on 1A,1B) and clone 2 (on 2A,2B)."""
+    """Reduced states of clone 1 (on 1A,1B) and clone 2 (on 2A,2B).
+
+    rho_out is one 16x16 output or a stack of them, (..., 16, 16); the
+    reductions keep its leading axes.
+    """
     rho_out = np.asarray(rho_out)
-    if rho_out.shape != (16, 16):
+    if rho_out.shape[-2:] != (16, 16):
         raise ValueError(f"output state must be 16x16, got {rho_out.shape}")
-    clones = rho_out.reshape(4, 4, 4, 4)
-    return np.einsum("abcb->ac", clones), np.einsum("abad->bd", clones)
+    clones = rho_out.reshape(*rho_out.shape[:-2], 4, 4, 4, 4)
+    return np.einsum("...abcb->...ac", clones), np.einsum("...abad->...bd", clones)
 
 
 def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
@@ -95,12 +99,15 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     return float(np.real(f))
 
 
+@functools.lru_cache(maxsize=1)
 def _party_reductions(t: TOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-party clone reductions of t1..t5: (R1, R2, s).
 
     On one party's (clone 1, clone 2, input) triple, R1_i = Tr_clone2 ti
     and R2_i = Tr_clone1 ti are 4x4 operators on (clone, input), stacked
     as (5, 4, 4); s holds the real scalars with Tr_clones ti = s_i I2.
+    None of them depends on alpha, and t is immutable, so the triple is
+    cached for the last t object and its arrays are read-only.
     Raises RuntimeError if some Tr_clones ti is not a real multiple of
     I2 to 1e-12.
     """
@@ -113,7 +120,10 @@ def _party_reductions(t: TOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise RuntimeError("basis element traced out to a non-scalar operator")
     if np.abs(s.imag).max() > 1e-12:
         raise RuntimeError("basis element has a complex output trace")
-    return r1, r2, s.real
+    parts = r1, r2, s.real
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def fidelity_coefficients(alpha: float, t: TOperators) -> np.ndarray:

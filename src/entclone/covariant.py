@@ -120,17 +120,19 @@ def build_t_operators() -> TOperators:
 
 
 def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
-    """Assemble sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) order."""
+    """Assemble sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) order.
+
+    The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
+    ti with their a-weighted sums gives the entries indexed (Alice row,
+    Alice column, Bob row, Bob column), then one axis transpose puts both
+    rows first.
+    """
     a = np.asarray(a, dtype=float)
     if a.shape != (5, 5):
         raise ValueError(f"parameter matrix must be 5x5, got {a.shape}")
-    ts = t.as_list()
-    out = np.zeros((64, 64), dtype=complex)
-    for i in range(5):
-        for j in range(5):
-            if a[i, j] != 0.0:
-                out += a[i, j] * np.kron(ts[i], ts[j])
-    return out
+    ts = np.array(t.as_list()).reshape(5, 64)
+    out = ts.T @ (a @ ts)
+    return out.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
 
 
 def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:

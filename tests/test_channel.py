@@ -15,6 +15,7 @@ from entclone.analytic import (
     schmidt_state,
 )
 from entclone.channel import (
+    _party_reductions,
     apply,
     apply_choi,
     channel_from_params,
@@ -24,7 +25,7 @@ from entclone.channel import (
     local_fidelity,
     trace_output,
 )
-from entclone.covariant import basis_stack, random_su2, reorder_to_choi
+from entclone.covariant import basis_stack, build_t_operators, random_su2, reorder_to_choi
 
 
 def density(vec):
@@ -189,6 +190,24 @@ def test_party_assembly_matches_dense(t_ops):
     assert np.abs(trace_row - dense_trace).max() < 1e-14
     assert sym_rows.shape == dense_sym.shape
     assert np.abs(sym_rows.T @ sym_rows - dense_sym.T @ dense_sym).max() < 1e-12
+
+
+def test_party_reductions_are_built_once_per_t(t_ops):
+    """The same t shares its read-only reductions; any other t object builds its own, and the
+    objective read through the cache equals a fresh build bit for bit."""
+    parts = _party_reductions(t_ops)
+    assert all(p is q for p, q in zip(parts, _party_reductions(t_ops)))
+    for arr in parts:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    rebuilt = _party_reductions(build_t_operators())
+    assert all(p is not q and np.array_equal(p, q) for p, q in zip(rebuilt, parts))
+    swapped = _party_reductions(dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1))
+    assert not np.array_equal(swapped[0], parts[0])
+    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
+        cached = fidelity_coefficients(alpha, t_ops)
+        _party_reductions.cache_clear()
+        assert np.array_equal(fidelity_coefficients(alpha, t_ops), cached)
 
 
 def test_constraint_matrices_reject_non_covariant_operators(t_ops):

@@ -117,6 +117,19 @@ def test_assemble_is_linear_in_basis(t_ops):
     assert np.abs(assemble_ptilde(a, t_ops) - direct).max() < 1e-13
 
 
+def test_assemble_equals_kron_double_sum(t_ops):
+    """The single contraction equals the 25-term double sum of a_ij ti (x) tj, zero terms included."""
+    rng = np.random.default_rng(50)
+    ts = t_ops.as_list()
+    for k in range(50):
+        a = rng.standard_normal((5, 5)) * (rng.uniform(size=(5, 5)) < 0.5 if k % 2 else 1.0)
+        expected = sum(a[i, j] * np.kron(ts[i], ts[j]) for i in range(5) for j in range(5))
+        assert np.abs(assemble_ptilde(a, t_ops) - expected).max() <= 1e-14
+    for shape in ((5,), (4, 4), (5, 6), (25,)):
+        with pytest.raises(ValueError, match="5x5"):
+            assemble_ptilde(np.zeros(shape), t_ops)
+
+
 def test_family_operators_are_positive(t_ops):
     for family, alpha in (
         (CloneFamily.GLOBAL_OPTIMAL, ALPHA_MAX),

@@ -7,7 +7,7 @@ import pytest
 from entclone import protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
 from entclone.channel import local_fidelity
-from entclone.covariant import assemble_ptilde, reorder_to_choi
+from entclone.covariant import assemble_ptilde, reorder_from_choi, reorder_to_choi
 from entclone.protocol import (
     average_clone_fidelity,
     branch_fidelity,
@@ -184,6 +184,71 @@ def test_batched_kraus_equals_kron_reference():
             expected = block.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
             assert kmat.shape == (16, 4)
             assert np.array_equal(kmat, expected)
+
+
+GRID = [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]
+
+
+def _per_branch_loop(ks, rho):
+    """Reference: each branch as its own K rho K^dag, giving (probability, post-state) per K."""
+    out = []
+    for kmat in ks.k:
+        raw = kmat @ rho @ kmat.conj().T
+        prob = float(np.trace(raw).real)
+        if prob > protocol.PROBABILITY_FLOOR:
+            out.append((prob, raw / prob))
+        else:
+            out.append((max(prob, 0.0), np.zeros((16, 16), dtype=complex)))
+    return out
+
+
+def _assert_matches_loop(transcripts, ks, rho):
+    assert len(transcripts) == 8
+    for (ai, bi), tr, (prob, post) in zip(protocol._BRANCHES, transcripts, _per_branch_loop(ks, rho)):
+        assert (tr.alice_outcome, tr.classical_bit, tr.bob_outcome) == (ai, 0 if ai in (1, 3) else 1, bi)
+        assert abs(tr.joint_probability - prob) <= 1e-15
+        assert tr.post_state.shape == (16, 16)
+        assert np.abs(tr.post_state - post).max() <= 1e-15
+
+
+def test_batched_exact_equals_per_branch_loop():
+    for alpha in GRID:
+        phi = schmidt_state(alpha)
+        transcripts = run_protocol_exact(alpha)
+        _assert_matches_loop(transcripts, build_kraus(alpha), np.outer(phi, phi.conj()))
+        # One scoring path: the average is the weighted sum of the branch scores, bit for bit.
+        weighted = sum(tr.joint_probability * branch_fidelity(tr, phi) for tr in transcripts)
+        assert average_clone_fidelity(transcripts, phi) == weighted
+    rng = np.random.default_rng(41)
+    for alpha in rng.uniform(0.0, ALPHA_MAX, 20):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        _assert_matches_loop(run_protocol_exact(alpha, state=rho), build_kraus(alpha), rho)
+
+
+def test_floor_branches_get_zero_post_states(monkeypatch):
+    ks = build_kraus(0.5)
+    weak = dataclasses.replace(ks, k=(0.0 * ks.k[0], 1e-8 * ks.k[1], *ks.k[2:]))
+    monkeypatch.setattr(protocol, "build_kraus", lambda alpha: weak)
+    phi = schmidt_state(0.5)
+    transcripts = run_protocol_exact(0.5)
+    _assert_matches_loop(transcripts, weak, np.outer(phi, phi.conj()))
+    for tr in transcripts[:2]:
+        assert 0.0 <= tr.joint_probability <= protocol.PROBABILITY_FLOOR
+        assert np.array_equal(tr.post_state, np.zeros((16, 16)))
+        assert branch_fidelity(tr, phi) == 0.0
+    for tr in transcripts[2:]:
+        assert abs(np.trace(tr.post_state) - 1.0) < 1e-12
+
+
+def test_kraus_to_choi_equals_outer_product_sum():
+    """The single (64x8)(8x64) product equals the sum of the eight outer products vec(Ki) vec(Ki)^dag."""
+    for alpha in GRID:
+        ks = build_kraus(alpha)
+        vecs = [kmat.reshape(-1) for kmat in ks.k]
+        expected = reorder_from_choi(sum(np.outer(vec, vec.conj()) for vec in vecs))
+        assert np.abs(kraus_to_choi(ks) - expected).max() <= 1e-14
 
 
 def test_run_protocol_validates_state():
