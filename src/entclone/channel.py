@@ -5,8 +5,9 @@ clone order (1A, 1B, 2A, 2B): clone 1, then clone 2, so an output state
 reshaped to (4, 4, 4, 4) reads (clone 1, clone 2) by (clone 1, clone 2)
 and clone_reductions is one trace over either pair.  A channel is its
 Choi operator, a plain 64x64 array on the Choi order
-(1A, 1B, 2A, 2B, A, B), the output then the input (see
-covariant.reorder_to_choi).  The convention is unnormalized,
+(1A, 1B, 2A, 2B, A, B), the output then the input; it is the one
+64x64 layout of the package, and covariant and protocol build their
+operators on it.  The convention is unnormalized,
 P = sum_ij E(|i><j|) (x) |i><j|, so reshaped to (16, 4, 16, 4) the
 trace-preservation condition reads trace_output(P) = I_4 and the action
 recovers as E(rho) = Tr_in [P (I (x) rho^T)].  Kraus operators appear
@@ -27,7 +28,7 @@ import functools
 import numpy as np
 
 from entclone.analytic import schmidt_state
-from entclone.covariant import TOperators, assemble_ptilde, reorder_to_choi
+from entclone.covariant import TOperators, assemble_ptilde
 
 SYMMETRY_TOL = 1e-8
 
@@ -46,10 +47,12 @@ def trace_output(p_e: np.ndarray) -> np.ndarray:
 def check_state(rho: np.ndarray) -> np.ndarray:
     """Validate a two-qubit density matrix and return it as a complex array.
 
-    Raises ValueError unless rho is 4x4, Hermitian, positive semidefinite
-    and of unit trace, each to 1e-10.
+    Raises ValueError unless rho is finite, 4x4, Hermitian, positive
+    semidefinite and of unit trace, the last three to 1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("input state has non-finite entries")
     if rho.shape != (4, 4):
         raise ValueError(f"input state must be 4x4, got {rho.shape}")
     if np.linalg.norm(rho - rho.conj().T) > 1e-10:
@@ -67,8 +70,13 @@ def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def channel_from_params(a: np.ndarray, t: TOperators) -> np.ndarray:
-    """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a."""
-    return reorder_to_choi(assemble_ptilde(a, t))
+    """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a.
+
+    It is covariant.assemble_ptilde under the channel's name, kept a
+    separate function, not an alias, so a tracer that swaps functions by
+    identity tells the two apart.
+    """
+    return assemble_ptilde(a, t)
 
 
 def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,14 +13,12 @@ from the intertwiner between the two equivalent blocks).  It builds
 t1..t5 from those coordinates and assembles the full two-party operator
 sum_ij a_ij ti (x) tj.
 
-Two fixed qubit orders meet here.  The party order (1A,2A,A,1B,2B,B)
-is the one of assemble_ptilde: Alice's triple, then Bob's.  The Choi
-order (1A,1B,2A,2B,A,B) is channel's: the four output qubits, then the
-two inputs.  CHOI_AXES lists each Choi-order qubit's position in the
-party order and PARTY_AXES inverts it, so reorder_to_choi and
-reorder_from_choi are one transpose of the 12 qubit axes each.  In the
-party order the partial transpose over Bob's triple swaps his row and
-column index (partial_transpose_b).
+Every 64x64 operator is on the Choi order (1A,1B,2A,2B,A,B) that
+channel reads: the four output qubits, then the two inputs, so Bob's
+qubits sit at positions 1, 3 and 5.  assemble_ptilde and basis_stack
+form products indexed (Alice row, Alice column) by (Bob row, Bob
+column) and move them to that order with one fixed transpose;
+partial_transpose_b swaps the row and column index of Bob's qubits.
 """
 
 from __future__ import annotations
@@ -29,9 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The party-order position of each Choi-order qubit, and the inverse.
-CHOI_AXES = (0, 3, 1, 4, 2, 5)
-PARTY_AXES = (0, 2, 4, 1, 3, 5)
+# A product of Alice's and Bob's 8x8 operators has 12 qubit axes:
+# Alice's (1A,2A,A) rows 0-2 and columns 3-5, then Bob's (1B,2B,B) rows
+# 6-8 and columns 9-11.  This transpose gives Choi-order rows, then columns.
+_PARTIES_TO_CHOI = (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)
+# Bob's rows (Choi positions 1, 3, 5) swapped with his columns (7, 9, 11).
+_TRANSPOSE_B = (0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10, 5)
 
 _E = np.eye(8)
 # Columns m1_0, m1_1, m2_0, m2_1: the antisymmetric pair state tensored
@@ -104,8 +105,9 @@ def triple_rep(u: np.ndarray) -> np.ndarray:
 
 
 def two_party_rep(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """Joint action on the (1A,2A,A,1B,2B,B) factor order."""
-    return np.kron(triple_rep(u_a), triple_rep(u_b))
+    """Joint action on the Choi order (1A,1B,2A,2B,A,B): ab (x) ab (x) ab* with ab = u_a (x) u_b."""
+    ab = np.kron(u_a, u_b)
+    return np.kron(np.kron(ab, ab), ab.conj())
 
 
 def _from_blocks(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -119,20 +121,24 @@ def build_t_operators() -> TOperators:
     return TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
 
 
+def _choi_order(products: np.ndarray) -> np.ndarray:
+    """A 64x64 array indexed (Alice row, Alice column) by (Bob row, Bob column), on the Choi order."""
+    return products.reshape((2,) * 12).transpose(_PARTIES_TO_CHOI).reshape(64, 64)
+
+
 def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
-    """Assemble sum_ij a_ij ti (x) tj on the (1A,2A,A,1B,2B,B) order.
+    """Assemble sum_ij a_ij ti (x) tj, Alice's ti and Bob's tj, on the Choi order.
 
     The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
     ti with their a-weighted sums gives the entries indexed (Alice row,
-    Alice column, Bob row, Bob column), then one axis transpose puts both
-    rows first.
+    Alice column) by (Bob row, Bob column), then one axis transpose puts
+    them on the Choi order.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (5, 5):
         raise ValueError(f"parameter matrix must be 5x5, got {a.shape}")
     ts = np.array(t.as_list()).reshape(5, 64)
-    out = ts.T @ (a @ ts)
-    return out.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
+    return _choi_order(ts.T @ (a @ ts))
 
 
 def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -158,27 +164,11 @@ def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
 
 
 def basis_stack(t: TOperators) -> np.ndarray:
-    """All 25 products ti (x) tj as a (25, 64, 64) stack, row-major in (i, j)."""
-    ts = t.as_list()
-    return np.stack([np.kron(ti, tj) for ti in ts for tj in ts])
+    """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
+    ts = [ti.reshape(-1) for ti in t.as_list()]
+    return np.stack([_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts])
 
 
 def partial_transpose_b(ptilde: np.ndarray) -> np.ndarray:
-    """Partial transpose over Bob's triple (1B,2B,B) of a 64x64 operator on the party order."""
-    return np.asarray(ptilde).reshape(8, 8, 8, 8).transpose(0, 3, 2, 1).reshape(64, 64)
-
-
-def _permute_qubits(m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Reorder the six qubits of a 64x64 operator: new qubit k is old qubit axes[k]."""
-    rows_cols = axes + tuple(6 + k for k in axes)
-    return np.asarray(m).reshape((2,) * 12).transpose(rows_cols).reshape(64, 64)
-
-
-def reorder_to_choi(ptilde: np.ndarray) -> np.ndarray:
-    """Reorder the party order (1A,2A,A,1B,2B,B) to the Choi order (1A,1B,2A,2B,A,B)."""
-    return _permute_qubits(ptilde, CHOI_AXES)
-
-
-def reorder_from_choi(p_e: np.ndarray) -> np.ndarray:
-    """Inverse of reorder_to_choi."""
-    return _permute_qubits(p_e, PARTY_AXES)
+    """Partial transpose over Bob's qubits (1B,2B,B), Choi positions 1, 3 and 5, of a 64x64 operator."""
+    return np.asarray(ptilde).reshape((2,) * 12).transpose(_TRANSPOSE_B).reshape(64, 64)

@@ -5,8 +5,9 @@ one classical bit (whether her outcome lies in {1, 3} or {2, 4}), and
 Bob applies the matching two-outcome operation.  The module builds the
 four local matrices M1..M4, the eight product Kraus operators K1..K8,
 runs the protocol exactly or by Monte Carlo sampling, exports the Choi
-operator of the summed channel, and constructs the ancilla dilations
-that implement both measurements unitarily.
+operator of the summed channel on the Choi order (1A,1B,2A,2B,A,B)
+that channel reads and covariant assembles on, and constructs the
+ancilla dilations that implement both measurements unitarily.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from entclone.analytic import CloneFamily, params_for, schmidt_state
-from entclone.covariant import reorder_from_choi
 from entclone.channel import check_state, clone_reductions
 
 KRAUS_TOL = 1e-10
@@ -90,15 +90,14 @@ def _check_kraus(ks: LocalKrausSet) -> None:
 
 
 def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
-    """Choi operator of rho -> sum_i Ki rho Ki^dag on the party order.
+    """Choi operator of rho -> sum_i Ki rho Ki^dag on the Choi order (1A,1B,2A,2B,A,B).
 
     The operator sum_i vec(Ki) vec(Ki)^dag is one product of the stacked,
-    flattened Ki on the Choi order (output, input), then reordered to the
-    party order (1A, 2A, A, 1B, 2B, B) so it compares directly with the
-    covariant parametrization.
+    flattened Ki, whose rows are (1A,1B,2A,2B) and columns (A,B); it
+    compares directly with the covariant parametrization.
     """
     vecs = np.array(ks.k).reshape(8, 64)
-    return reorder_from_choi(vecs.T @ vecs.conj())
+    return vecs.T @ vecs.conj()
 
 
 def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[ProtocolTranscript]:

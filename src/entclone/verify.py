@@ -33,7 +33,6 @@ from entclone.covariant import (
     build_t_operators,
     partial_transpose_b,
     random_su2,
-    reorder_to_choi,
     two_party_rep,
 )
 from entclone.protocol import (
@@ -153,10 +152,8 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         return ok, f"kink at {found:.4f}, err {_fmt(err)} (tol 5e-3){extra}"
 
     def criterion_5() -> tuple[bool, str]:
-        worst = 0.0
-        for alpha in (0.05, 0.15, 0.25, 0.33):
-            sols = sweep_solutions([alpha], True, t=t, tol=tol)
-            worst = max(worst, abs(sols[0][1].f_star - fidelity_bh(alpha)))
+        sols = sweep_solutions([0.05, 0.15, 0.25, 0.33], True, t=t, tol=tol)
+        worst = max(abs(s.f_star - fidelity_bh(alpha)) for alpha, s in sols)
         return worst <= 1e-6, f"worst |ppt - no-communication| {_fmt(worst)} (tol 1e-6)"
 
     def criterion_6() -> tuple[bool, str]:
@@ -227,7 +224,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         feas = 0.0
         for _ in range(5):
             x = x_part + null @ (0.3 * rng.normal(size=null.shape[1]))
-            choi = reorder_to_choi(assemble_ptilde(x.reshape(5, 5), t))
+            choi = assemble_ptilde(x.reshape(5, 5), t)
             feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))))
             for _ in range(2):
                 g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -25,7 +25,7 @@ from entclone.channel import (
     local_fidelity,
     trace_output,
 )
-from entclone.covariant import basis_stack, build_t_operators, random_su2, reorder_to_choi
+from entclone.covariant import assemble_ptilde, basis_stack, build_t_operators, random_su2
 
 
 def density(vec):
@@ -134,14 +134,12 @@ def test_fidelity_coefficients_against_families(t_ops):
 
 def test_fidelity_coefficients_are_linear_functional(t_ops):
     """f gives the mean clone overlap for any operator in the invariant span."""
-    from entclone.covariant import assemble_ptilde, reorder_to_choi
-
     alpha = 0.37
     f = fidelity_coefficients(alpha, t_ops)
     rng = np.random.default_rng(24)
     a = rng.standard_normal((5, 5))
     state = density(schmidt_state(alpha))
-    p_e = reorder_to_choi(assemble_ptilde(a, t_ops))
+    p_e = assemble_ptilde(a, t_ops)
     clone_1, clone_2 = clone_reductions(apply_choi(p_e, state))
     direct = np.real(np.trace(clone_1 @ state) + np.trace(clone_2 @ state)) / 2.0
     assert abs(float(np.sum(f * a)) - direct) < 1e-12
@@ -160,7 +158,7 @@ def dense_fidelity_coefficients(alpha, t_ops):
     phi = schmidt_state(alpha)
     f = np.zeros(25)
     for p, g in enumerate(basis_stack(t_ops)):
-        clone_1, clone_2 = clone_reductions(apply_choi(reorder_to_choi(g), density(phi)))
+        clone_1, clone_2 = clone_reductions(apply_choi(g, density(phi)))
         f[p] = np.real(phi.conj() @ (clone_1 + clone_2) @ phi) / 2.0
     return f.reshape(5, 5)
 
@@ -169,8 +167,7 @@ def dense_constraint_matrices(t_ops):
     """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators."""
     trace_row = np.zeros(25)
     columns = np.zeros((512, 25))
-    for p, g in enumerate(basis_stack(t_ops)):
-        p_e = reorder_to_choi(g)
+    for p, p_e in enumerate(basis_stack(t_ops)):
         trace_row[p] = np.real(np.trace(trace_output(p_e))) / 4.0
         # Rows and columns (clone 1, clone 2, input): trace out clone 2, then clone 1.
         p6 = p_e.reshape(4, 4, 4, 4, 4, 4)
@@ -236,6 +233,9 @@ def test_apply_validates_input(t_ops):
         apply(ch, np.diag([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
         apply(ch, np.eye(3) / 3.0)
+    for bad in (np.diag([np.nan, 1.0, 0.0, 0.0]), np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply(ch, bad)
 
 
 def test_local_fidelity_rejects_asymmetric_channel():

@@ -13,11 +13,23 @@ from entclone.covariant import (
     commutant_blocks,
     partial_transpose_b,
     random_su2,
-    reorder_from_choi,
-    reorder_to_choi,
     triple_rep,
     two_party_rep,
 )
+
+
+def choi_kron(x, y):
+    """x on Alice's (1A,2A,A) tensor y on Bob's (1B,2B,B), written out on the Choi order (1A,1B,2A,2B,A,B)."""
+    xs = np.reshape(x, (2,) * 6)
+    ys = np.reshape(y, (2,) * 6)
+    return np.einsum("pqrstu,PQRSTU->pPqQrRsStTuU", xs, ys).reshape(64, 64)
+
+
+def kron_all(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
 
 
 def test_basis_vector_amplitudes():
@@ -123,7 +135,7 @@ def test_assemble_equals_kron_double_sum(t_ops):
     ts = t_ops.as_list()
     for k in range(50):
         a = rng.standard_normal((5, 5)) * (rng.uniform(size=(5, 5)) < 0.5 if k % 2 else 1.0)
-        expected = sum(a[i, j] * np.kron(ts[i], ts[j]) for i in range(5) for j in range(5))
+        expected = sum(a[i, j] * choi_kron(ts[i], ts[j]) for i in range(5) for j in range(5))
         assert np.abs(assemble_ptilde(a, t_ops) - expected).max() <= 1e-14
     for shape in ((5,), (4, 4), (5, 6), (25,)):
         with pytest.raises(ValueError, match="5x5"):
@@ -155,20 +167,31 @@ def test_b_side_transpose_structure(t_ops):
     a = rng.standard_normal((5, 5))
     flipped = partial_transpose_b(assemble_ptilde(a, t_ops))
     ts = t_ops.as_list()
-    direct = sum(a[i, j] * np.kron(ts[i], ts[j].T) for i in range(5) for j in range(5))
+    direct = sum(a[i, j] * choi_kron(ts[i], ts[j].T) for i in range(5) for j in range(5))
     assert np.abs(flipped - direct).max() < 1e-12
 
 
-def test_reorder_round_trip(t_ops):
-    ptilde = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, 0.5), t_ops)
-    p_e = reorder_to_choi(ptilde)
-    assert np.array_equal(reorder_from_choi(p_e), ptilde)
-    assert abs(np.trace(p_e) - np.trace(ptilde)) < 1e-12
-    vals_p = np.linalg.eigvalsh(ptilde)
-    vals_c = np.linalg.eigvalsh(p_e)
-    assert np.abs(np.sort(vals_p) - np.sort(vals_c)).max() < 1e-12
+def test_choi_kron_writes_out_the_choi_order():
+    """The test-local choi_kron interleaves Alice's and Bob's factors as (1A,1B,2A,2B,A,B)."""
+    rng = np.random.default_rng(5)
+    f = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(6)]
+    choi = kron_all(f)
+    assert np.abs(choi_kron(kron_all(f[0::2]), kron_all(f[1::2])) - choi).max() < 1e-14 * np.abs(choi).max()
 
 
-def test_reorder_rejects_wrong_shape():
-    with pytest.raises(Exception):
-        reorder_to_choi(np.eye(16))
+def test_two_party_rep_is_on_the_choi_order():
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        u_a, u_b = random_su2(rng), random_su2(rng)
+        expected = choi_kron(triple_rep(u_a), triple_rep(u_b))
+        assert np.abs(two_party_rep(u_a, u_b) - expected).max() < 1e-15
+
+
+def test_assemble_unit_matrices_on_the_choi_order(t_ops):
+    """assemble_ptilde(e_ij) is Alice's ti tensor Bob's tj written out on the Choi order."""
+    ts = t_ops.as_list()
+    for i in range(5):
+        for j in range(5):
+            unit = np.zeros((5, 5))
+            unit[i, j] = 1.0
+            assert np.abs(assemble_ptilde(unit, t_ops) - choi_kron(ts[i], ts[j])).max() < 1e-15

@@ -1,10 +1,10 @@
-"""Identities of the fixed-order helpers: the Choi reorder and Bob's partial transpose
-in covariant, Tr_out and the clone reductions in channel, and random_su2."""
+"""Identities of the fixed-order helpers on the Choi order (1A,1B,2A,2B,A,B): Bob's partial
+transpose in covariant, Tr_out and the clone reductions in channel, and random_su2."""
 
 import numpy as np
 
 from entclone.channel import apply_choi, clone_reductions, trace_output
-from entclone.covariant import partial_transpose_b, random_su2, reorder_from_choi, reorder_to_choi
+from entclone.covariant import partial_transpose_b, random_su2
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -53,16 +53,17 @@ def test_partial_traces_commute_on_disjoint_sets():
 
 
 def test_partial_transpose_product_state():
+    """On a product of operators on the pairs (1A,1B), (2A,2B), (A,B), each pair's B qubit is transposed."""
     rng = np.random.default_rng(3)
-    rho = random_hermitian(8, rng)
-    sig = random_hermitian(8, rng)
-    assert np.array_equal(partial_transpose_b(np.kron(rho, sig)), np.kron(rho, sig.T))
+    pairs = [random_hermitian(4, rng) for _ in range(3)]
+    flipped = [m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) for m in pairs]
+    assert np.array_equal(partial_transpose_b(kron_all(pairs)), kron_all(flipped))
 
 
 def test_partial_transpose_singlet():
-    """A singlet on each of (1A,1B), (2A,2B), (A,B) is maximally entangled across A|B:
-    its partial transpose has minimum eigenvalue -1/8."""
-    proj = reorder_from_choi(kron_all([np.outer(SINGLET, SINGLET)] * 3))
+    """A singlet on each of the adjacent pairs (1A,1B), (2A,2B), (A,B) is maximally entangled
+    across A|B: its partial transpose has minimum eigenvalue -1/8."""
+    proj = kron_all([np.outer(SINGLET, SINGLET)] * 3)
     vals = np.linalg.eigvalsh(partial_transpose_b(proj))
     assert abs(vals.min() + 1.0 / 8.0) < 1e-12
 
@@ -76,23 +77,12 @@ def test_partial_transpose_involution_and_invariants():
     assert abs(np.linalg.norm(once) - np.linalg.norm(m)) < 1e-12
 
 
-def test_permute_identity_and_swap():
-    """Six distinct factors kron'd in the party order land in the Choi order."""
+def test_partial_transpose_acts_on_bob_positions():
+    """On six distinct factors f0..f5 in the Choi order, Bob's are f1, f3 and f5, and only they are transposed."""
     rng = np.random.default_rng(5)
-    one_a, two_a, in_a, one_b, two_b, in_b = (random_hermitian(2, rng) for _ in range(6))
-    party = kron_all([one_a, two_a, in_a, one_b, two_b, in_b])
-    choi = kron_all([one_a, one_b, two_a, two_b, in_a, in_b])
-    scale = np.abs(choi).max()
-    assert np.abs(reorder_to_choi(party) - choi).max() < 1e-14 * scale
-    assert np.abs(reorder_from_choi(choi) - party).max() < 1e-14 * scale
-
-
-def test_permute_round_trip_and_spectrum():
-    rng = np.random.default_rng(6)
-    m = random_hermitian(64, rng)
-    p_e = reorder_to_choi(m)
-    assert np.array_equal(reorder_from_choi(p_e), m)
-    assert np.abs(np.linalg.eigvalsh(m) - np.linalg.eigvalsh(p_e)).max() < 1e-10
+    f = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(6)]
+    transposed = [fk.T if k % 2 else fk for k, fk in enumerate(f)]
+    assert np.array_equal(partial_transpose_b(kron_all(f)), kron_all(transposed))
 
 
 def test_random_su2_is_special_unitary():

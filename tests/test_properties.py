@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, schmidt_state  # noqa: E402
 from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output  # noqa: E402
-from entclone.covariant import assemble_ptilde, reorder_to_choi, two_party_rep  # noqa: E402
+from entclone.covariant import assemble_ptilde, two_party_rep  # noqa: E402
 from entclone.protocol import run_protocol_exact  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0)
@@ -48,7 +48,7 @@ def test_random_parameters_are_covariant_and_stay_feasible(t_ops, entries, u_a, 
     rhs = np.zeros(len(rows))
     rhs[0] = 1.0
     x = a.reshape(-1) - np.linalg.lstsq(rows, rows @ a.reshape(-1) - rhs, rcond=None)[0]
-    choi = reorder_to_choi(assemble_ptilde(x.reshape(5, 5), t_ops))
+    choi = assemble_ptilde(x.reshape(5, 5), t_ops)
     assert np.abs(trace_output(choi) - np.eye(4)).max() < 1e-10
 
     phi = schmidt_state(alpha)

@@ -6,8 +6,8 @@ import pytest
 
 from entclone import protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
-from entclone.channel import local_fidelity
-from entclone.covariant import assemble_ptilde, reorder_from_choi, reorder_to_choi
+from entclone.channel import apply_choi, channel_from_params, local_fidelity, trace_output
+from entclone.covariant import assemble_ptilde
 from entclone.protocol import (
     average_clone_fidelity,
     branch_fidelity,
@@ -57,7 +57,18 @@ def test_one_bit_cloner_is_a_coin_mixture_of_two_products(t_ops):
         assert np.abs((products[0] + products[1]) / 2.0 - kraus_to_choi(build_kraus(alpha))).max() < 1e-12
         for product in products:
             with pytest.raises(ValueError, match="clone symmetry"):
-                local_fidelity(reorder_to_choi(product), alpha)
+                local_fidelity(product, alpha)
+
+
+def test_kraus_choi_is_a_channel_choi_operator(t_ops):
+    """kraus_to_choi is on the Choi order that channel reads: it traces out to I_4, gives the
+    one-bit fidelity through local_fidelity, and equals channel_from_params of the LOCC family."""
+    for alpha in [*np.linspace(0.0, ALPHA_MAX, 25), alpha_critical()]:
+        choi = kraus_to_choi(build_kraus(alpha))
+        assert np.abs(trace_output(choi) - np.eye(4)).max() < 1e-12
+        assert abs(local_fidelity(choi, alpha) - fidelity_locc(alpha)) < 1e-12
+        family = channel_from_params(params_for(CloneFamily.LOCC_OPTIMAL, alpha), t_ops)
+        assert np.abs(choi - family).max() < 1e-10
 
 
 def test_below_threshold_collapses_to_product_family(t_ops):
@@ -103,16 +114,13 @@ def test_exact_average_matches_closed_form():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.6])
 def test_branch_mixture_reproduces_channel(alpha):
-    from entclone.channel import apply_choi
-    from entclone.covariant import reorder_to_choi
-
     rng = np.random.default_rng(31)
     rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
     transcripts = run_protocol_exact(alpha, state=rho)
     mixture = sum(tr.joint_probability * tr.post_state for tr in transcripts)
-    p_e = reorder_to_choi(kraus_to_choi(build_kraus(alpha)))
+    p_e = kraus_to_choi(build_kraus(alpha))
     assert np.abs(mixture - apply_choi(p_e, rho)).max() < 1e-12
 
 
@@ -247,7 +255,7 @@ def test_kraus_to_choi_equals_outer_product_sum():
     for alpha in GRID:
         ks = build_kraus(alpha)
         vecs = [kmat.reshape(-1) for kmat in ks.k]
-        expected = reorder_from_choi(sum(np.outer(vec, vec.conj()) for vec in vecs))
+        expected = sum(np.outer(vec, vec.conj()) for vec in vecs)
         assert np.abs(kraus_to_choi(ks) - expected).max() <= 1e-14
 
 
@@ -256,6 +264,9 @@ def test_run_protocol_validates_state():
         run_protocol_exact(0.5, state=np.eye(4))
     with pytest.raises(ValueError):
         run_protocol_exact(0.5, state=np.diag([2.0, -1.0, 0.0, 0.0]))
+    for bad in (np.diag([np.nan, 1.0, 0.0, 0.0]), np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            run_protocol_exact(0.5, state=bad)
     with pytest.raises(ValueError):
         build_kraus(0.9)
 
