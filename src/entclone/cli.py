@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -31,10 +32,10 @@ from entclone.analytic import (
 )
 from entclone.covariant import build_t_operators
 from entclone.protocol import (
-    average_clone_fidelity,
-    branch_fidelity,
+    branch_scores,
     run_protocol_exact,
     run_protocol_sampled,
+    weighted_fidelity,
 )
 from entclone.sdp import (
     ConvergenceError,
@@ -67,16 +68,30 @@ def _parse_alpha(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid alpha value: {text!r}") from exc
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CLONER_SEED")
-    if env is None:
-        return DEFAULT_SEED
+def _parse_tol(text: str) -> float:
+    """Solver tolerance: a finite, positive float."""
     try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"CLONER_SEED must be an integer, got {env!r}") from exc
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}")
+    return tol
+
+
+def _resolve_seed(value: int | None) -> int:
+    """The --seed value, else CLONER_SEED, else DEFAULT_SEED; a seed must be a non-negative integer."""
+    if value is None:
+        env = os.environ.get("CLONER_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ValueError(f"CLONER_SEED must be an integer, got {env!r}") from exc
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _fmt_value(value) -> str:
@@ -225,20 +240,19 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reference = schmidt_state(args.alpha)
-    records: list[dict] = []
-    for tr in transcripts:
-        records.append(
-            {
-                "kind": "branch",
-                "alice_outcome": tr.alice_outcome,
-                "classical_bit": tr.classical_bit,
-                "bob_outcome": tr.bob_outcome,
-                "probability": tr.joint_probability,
-                "branch_fidelity": branch_fidelity(tr, reference),
-            }
-        )
-    records.append({"kind": "exact", "fidelity": average_clone_fidelity(transcripts, reference)})
+    scores = branch_scores(transcripts, schmidt_state(args.alpha))
+    records: list[dict] = [
+        {
+            "kind": "branch",
+            "alice_outcome": tr.alice_outcome,
+            "classical_bit": tr.classical_bit,
+            "bob_outcome": tr.bob_outcome,
+            "probability": tr.joint_probability,
+            "branch_fidelity": float(score),
+        }
+        for tr, score in zip(transcripts, scores)
+    ]
+    records.append({"kind": "exact", "fidelity": weighted_fidelity(transcripts, scores)})
     if args.trials >= 1:
         estimate, stderr = run_protocol_sampled(args.alpha, trials=args.trials, seed=args.seed)
         records.append({"kind": "sampled", "fidelity": estimate, "stderr": stderr})
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sweep.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     params.set_defaults(func=cmd_params)
 
     verify = sub.add_parser("verify", help="run the acceptance criteria and report pass/fail")
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    verify.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     verify.add_argument("--seed", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 

@@ -23,6 +23,7 @@ partial_transpose_b swaps the row and column index of Bob's qubits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +138,16 @@ def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (5, 5):
         raise ValueError(f"parameter matrix must be 5x5, got {a.shape}")
-    ts = np.array(t.as_list()).reshape(5, 64)
+    ts = _flat_stack(t)
     return _choi_order(ts.T @ (a @ ts))
+
+
+@functools.lru_cache(maxsize=1)
+def _flat_stack(t: TOperators) -> np.ndarray:
+    """t1..t5 flattened to a read-only (5, 64) stack, kept for the last t object."""
+    ts = np.array(t.as_list()).reshape(5, 64)
+    ts.flags.writeable = False
+    return ts
 
 
 def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +174,7 @@ def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_stack(t: TOperators) -> np.ndarray:
     """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
-    ts = [ti.reshape(-1) for ti in t.as_list()]
+    ts = _flat_stack(t)
     return np.stack([_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts])
 
 

@@ -8,12 +8,21 @@ runs the protocol exactly or by Monte Carlo sampling, exports the Choi
 operator of the summed channel on the Choi order (1A,1B,2A,2B,A,B)
 that channel reads and covariant assembles on, and constructs the
 ancilla dilations that implement both measurements unitarily.
+
+Each alpha's protocol data is computed once: build_kraus keeps the
+Kraus set of the last alpha it was asked for, and the eight branches on
+the representative state at that alpha (probabilities, post-states and
+clone scores) are kept in one table that run_protocol_exact and
+run_protocol_sampled both read.  Every array either hands out is
+read-only.  An explicit input state is enumerated afresh on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,24 +69,35 @@ def build_kraus(alpha: float) -> LocalKrausSet:
     product of two symmetric single-qubit cloners; that limit is reached
     here with v = 0 and w = 1/sqrt(3) in the same matrix layout, so the
     protocol stays total in alpha (the classical bit is then vacuous).
+    The set of the last alpha is kept; its arrays are read-only.
     """
+    return _kraus_set(float(alpha))
+
+
+@functools.lru_cache(maxsize=1)
+def _kraus_set(alpha: float) -> LocalKrausSet:
     a = params_for(CloneFamily.LOCC_OPTIMAL, alpha)
     w = float(a[1, 1]) ** 0.25 / math.sqrt(3.0)
     v = float(a[0, 0]) ** 0.25 / 2.0
     hi = w / 2.0 + v
     lo = w / 2.0 - v
-    m1 = np.array([[w, 0], [0, lo], [0, hi], [0, 0]], dtype=complex)
-    m2 = np.array([[w, 0], [0, hi], [0, lo], [0, 0]], dtype=complex)
-    m3 = np.array([[0, 0], [hi, 0], [lo, 0], [0, w]], dtype=complex)
-    m4 = np.array([[0, 0], [lo, 0], [hi, 0], [0, w]], dtype=complex)
-    m = (m1, m2, m3, m4)
+    m = np.array(
+        [
+            [[w, 0], [0, lo], [0, hi], [0, 0]],
+            [[w, 0], [0, hi], [0, lo], [0, 0]],
+            [[0, 0], [hi, 0], [lo, 0], [0, w]],
+            [[0, 0], [lo, 0], [hi, 0], [0, w]],
+        ],
+        dtype=complex,
+    )
     # K_n = sqrt(2) * Ma (x) Mb with output rows regrouped to (1A, 1B, 2A, 2B):
     # each M's output row splits into (clone 1, clone 2) = (a, c) for Alice
     # and (b, d) for Bob, and its input column is x for Alice, y for Bob.
-    stack = np.stack(m).reshape(4, 2, 2, 2)
-    pairs = np.einsum("nacx,nbdy->nabcdxy", stack[_ALICE_M], stack[_BOB_M])
-    k = tuple(math.sqrt(2.0) * pairs.reshape(8, 16, 4))
-    return LocalKrausSet(w=w, v=v, m=m, k=k)
+    blocks = m.reshape(4, 2, 2, 2)
+    pairs = np.einsum("nacx,nbdy->nabcdxy", blocks[_ALICE_M], blocks[_BOB_M])
+    k = math.sqrt(2.0) * pairs.reshape(8, 16, 4)
+    m.flags.writeable = k.flags.writeable = False
+    return LocalKrausSet(w=w, v=v, m=tuple(m), k=tuple(k))
 
 
 def _check_kraus(ks: LocalKrausSet) -> None:
@@ -103,20 +123,26 @@ def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
 def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[ProtocolTranscript]:
     """Enumerate all eight (alice, bob) branches on the given input state.
 
-    state defaults to the representative pure state at this alpha.  The
-    eight raw branch states Ki rho Ki^dag are one batched product over the
-    stacked Ki.  Each transcript carries the normalized post-measurement
-    state; branches of negligible probability get a zero matrix instead.
+    state defaults to the representative pure state at this alpha, whose
+    branches come from the table kept for the last alpha.  The eight raw
+    branch states Ki rho Ki^dag are one batched product over the stacked
+    Ki.  Each transcript carries the normalized, read-only
+    post-measurement state; branches of negligible probability get a
+    zero matrix instead.
     """
     if state is None:
-        phi = schmidt_state(alpha)
-        state = np.outer(phi, phi.conj())
+        return list(_branch_table(float(alpha))[0])
+    return _enumerate_branches(alpha, state)
+
+
+def _enumerate_branches(alpha: float, state: np.ndarray) -> list[ProtocolTranscript]:
     rho = check_state(state)
     k = np.array(build_kraus(alpha).k)
     raw = k @ rho @ k.conj().transpose(0, 2, 1)
     probs = np.trace(raw, axis1=1, axis2=2).real
     kept = (probs > PROBABILITY_FLOOR)[:, None, None]
     posts = np.divide(raw, probs[:, None, None], out=np.zeros_like(raw), where=kept)
+    posts.flags.writeable = False
     return [
         ProtocolTranscript(
             alice_outcome=ai,
@@ -129,7 +155,22 @@ def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[Pr
     ]
 
 
-def _branch_scores(transcripts: list[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _branch_table(alpha: float) -> tuple[tuple[ProtocolTranscript, ...], np.ndarray, np.ndarray]:
+    """The eight branches on the representative state at alpha: transcripts, probabilities, scores.
+
+    The scores are branch_scores against that same state, so the table
+    holds everything the exact enumeration and the sampler read.
+    """
+    phi = schmidt_state(alpha)
+    transcripts = tuple(_enumerate_branches(alpha, np.outer(phi, phi.conj())))
+    probs = np.array([tr.joint_probability for tr in transcripts])
+    scores = branch_scores(transcripts, phi)
+    probs.flags.writeable = scores.flags.writeable = False
+    return transcripts, probs, scores
+
+
+def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
     """Mean overlap of the two clones of each branch with a pure reference, as one array.
 
     Both clone reductions of every branch come from one batched trace,
@@ -148,12 +189,16 @@ def _branch_scores(transcripts: list[ProtocolTranscript], reference: np.ndarray)
 
 def branch_fidelity(transcript: ProtocolTranscript, reference: np.ndarray) -> float:
     """Mean overlap of the two clones of one branch with a pure reference."""
-    return float(_branch_scores([transcript], reference)[0])
+    return float(branch_scores([transcript], reference)[0])
 
 
-def average_clone_fidelity(transcripts: list[ProtocolTranscript], reference: np.ndarray) -> float:
+def average_clone_fidelity(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> float:
     """Probability-weighted mean branch fidelity against a pure reference."""
-    scores = _branch_scores(transcripts, reference)
+    return weighted_fidelity(transcripts, branch_scores(transcripts, reference))
+
+
+def weighted_fidelity(transcripts: Sequence[ProtocolTranscript], scores: np.ndarray) -> float:
+    """Probability-weighted sum of per-branch scores, as branch_scores returns them."""
     return float(sum(tr.joint_probability * score for tr, score in zip(transcripts, scores)))
 
 
@@ -163,7 +208,9 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     Branches are drawn with their exact probabilities from a seeded
     generator; each draw scores the fidelity of its branch against the
     representative state at this alpha.  Returns the sample mean and its
-    standard error (zero when trials < 2).
+    standard error (zero when trials < 2).  Probabilities and scores come
+    from the branch table run_protocol_exact keeps, so sampling an alpha
+    just enumerated repeats none of that work.
 
     The branch counts equal those of
     ``np.bincount(np.random.default_rng(seed).choice(8, size=trials, p=p))``
@@ -173,9 +220,7 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    transcripts = run_protocol_exact(alpha)
-    scores = _branch_scores(transcripts, schmidt_state(alpha))
-    probs = np.array([tr.joint_probability for tr in transcripts])
+    _, probs, scores = _branch_table(float(alpha))
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not np.all(np.isfinite(probs)) or total == 0.0:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, fidelity_bh, fidelity_global, fidelity_locc
+from entclone import cli
 from entclone.cli import main
 
 
@@ -100,14 +101,49 @@ def test_sweep_reports_missing_kink(capsys):
 
 
 def test_sweep_solver_failure_sets_error_column(capsys):
-    for tol in ("1e-30", "inf"):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
-            "--modes", "sdp", "--format", "csv", "--tol", tol,
-        )
-        assert code == 3
-        _, rows = parse_csv(out)
-        assert rows[0][1] == "" and rows[0][2] != ""
+    code, out, _ = run_cli(
+        capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
+        "--modes", "sdp", "--format", "csv", "--tol", "1e-30",
+    )
+    assert code == 3
+    _, rows = parse_csv(out)
+    assert rows[0][1] == "" and rows[0][2] != ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7", "tiny"])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
+    """A bad --tol is a usage error, raised before any solve."""
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli, "solve", no_solver)
+    monkeypatch.setattr(cli, "run_all", no_solver)
+    argv = ["--steps", "3", "--modes", "sdp"] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "tol must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("protocol", "--alpha", "0.5", "--trials", "5", "--seed", "-1"), ("verify", "--seed", "-1")]
+)
+def test_negative_seed_flag_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("verification ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_negative_env_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLONER_SEED", "-4")
+    code, out, err = run_cli(capsys, "protocol", "--alpha", "0.5", "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -4\n"
 
 
 def test_two_solver_modes_match_single_mode_sweeps(capsys):

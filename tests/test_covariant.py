@@ -8,6 +8,7 @@ from entclone.covariant import (
     BLOCK_BASIS,
     BLOCK_C,
     BLOCK_X,
+    _flat_stack,
     assemble_ptilde,
     basis_stack,
     commutant_blocks,
@@ -140,6 +141,21 @@ def test_assemble_equals_kron_double_sum(t_ops):
     for shape in ((5,), (4, 4), (5, 6), (25,)):
         with pytest.raises(ValueError, match="5x5"):
             assemble_ptilde(np.zeros(shape), t_ops)
+
+
+def test_flat_stack_is_built_once_per_t(t_ops):
+    """assemble_ptilde reads one read-only (5, 64) stack per t object, and a fresh build gives the same bits."""
+    stack = _flat_stack(t_ops)
+    assert _flat_stack(t_ops) is stack
+    with pytest.raises(ValueError):
+        stack.flat[0] = 1.0
+    assert np.array_equal(stack, np.array(t_ops.as_list()).reshape(5, 64))
+    a = params_for(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX)
+    cached = assemble_ptilde(a, t_ops)
+    _flat_stack.cache_clear()
+    assert np.array_equal(assemble_ptilde(a, t_ops), cached)
+    swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
+    assert np.array_equal(_flat_stack(swapped)[0], stack[1])
 
 
 def test_family_operators_are_positive(t_ops):

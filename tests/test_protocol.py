@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entclone import protocol
+from entclone import cli, protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
 from entclone.channel import apply_choi, channel_from_params, local_fidelity, trace_output
 from entclone.covariant import assemble_ptilde
@@ -17,6 +17,16 @@ from entclone.protocol import (
     run_protocol_exact,
     run_protocol_sampled,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memos():
+    """Each test starts and ends with empty memos, so one that patches build_kraus sees its patch."""
+    protocol._kraus_set.cache_clear()
+    protocol._branch_table.cache_clear()
+    yield
+    protocol._kraus_set.cache_clear()
+    protocol._branch_table.cache_clear()
 
 
 def test_bell_point_parameters():
@@ -172,14 +182,77 @@ def test_sampled_counts_equal_numpy_choice(alpha, monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "all-zero"])
 def test_sampled_rejects_invalid_branch_probabilities(bad, monkeypatch):
-    transcripts = run_protocol_exact(0.5)
-    if bad == "all-zero":
-        broken = [dataclasses.replace(tr, joint_probability=0.0) for tr in transcripts]
-    else:
-        broken = [dataclasses.replace(transcripts[0], joint_probability=bad), *transcripts[1:]]
-    monkeypatch.setattr(protocol, "run_protocol_exact", lambda alpha: broken)
+    transcripts, probs, scores = protocol._branch_table(0.5)
+    broken = np.zeros(8) if bad == "all-zero" else np.array([bad, *probs[1:]])
+    monkeypatch.setattr(protocol, "_branch_table", lambda alpha: (transcripts, broken, scores))
     with pytest.raises(ValueError, match="branch probabilities"):
         run_protocol_sampled(0.5, trials=10, seed=1)
+
+
+def test_memo_arrays_are_read_only():
+    ks = build_kraus(0.5)
+    transcripts, probs, scores = protocol._branch_table(0.5)
+    arrays = [*ks.m, *ks.k, *(tr.post_state for tr in transcripts), probs, scores]
+    phi = schmidt_state(0.5)
+    arrays += [tr.post_state for tr in run_protocol_exact(0.5, state=np.outer(phi, phi.conj()))]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+
+
+def test_memos_rebuild_bit_identical_after_clear():
+    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
+        ks = build_kraus(alpha)
+        table = protocol._branch_table(alpha)
+        protocol._kraus_set.cache_clear()
+        protocol._branch_table.cache_clear()
+        again = build_kraus(alpha)
+        assert again is not ks and (again.w, again.v) == (ks.w, ks.v)
+        assert all(np.array_equal(x, y) for x, y in zip((*again.m, *again.k), (*ks.m, *ks.k)))
+        rebuilt = protocol._branch_table(alpha)
+        assert rebuilt[0] is not table[0]
+        assert np.array_equal(rebuilt[1], table[1]) and np.array_equal(rebuilt[2], table[2])
+        for tr, old in zip(rebuilt[0], table[0]):
+            assert tr.joint_probability == old.joint_probability
+            assert np.array_equal(tr.post_state, old.post_state)
+
+
+def test_explicit_state_bypasses_the_table():
+    phi = schmidt_state(0.5)
+    fresh = run_protocol_exact(0.5, state=np.outer(phi, phi.conj()))
+    info = protocol._branch_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    for tr, cached in zip(fresh, run_protocol_exact(0.5)):
+        assert tr.post_state is not cached.post_state
+        assert tr.joint_probability == cached.joint_probability
+        assert np.array_equal(tr.post_state, cached.post_state)
+
+
+def test_exact_then_sampled_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_branches = protocol._enumerate_branches
+
+    def counted(alpha, state):
+        calls.append(alpha)
+        return enumerate_branches(alpha, state)
+
+    monkeypatch.setattr(protocol, "_enumerate_branches", counted)
+    transcripts = run_protocol_exact(0.3)
+    run_protocol_sampled(0.3, trials=1000, seed=2)
+    run_protocol_sampled(np.float64(0.3), trials=1000, seed=3)
+    assert all(a is b for a, b in zip(run_protocol_exact(0.3), transcripts))
+    assert calls == [0.3]
+    assert protocol._kraus_set.cache_info().misses == 1
+
+
+def test_protocol_command_reruns_identically_in_one_process(capsys):
+    argv = ["protocol", "--alpha", "0.2", "--trials", "100000", "--seed", "9"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert protocol._branch_table.cache_info().misses == 1
 
 
 def test_batched_kraus_equals_kron_reference():
