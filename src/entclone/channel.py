@@ -28,7 +28,7 @@ import functools
 import numpy as np
 
 from entclone.analytic import schmidt_state
-from entclone.covariant import TOperators, assemble_ptilde
+from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde
 
 SYMMETRY_TOL = 1e-8
 
@@ -69,7 +69,7 @@ def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return apply_choi(p_e, check_state(rho))
 
 
-def channel_from_params(a: np.ndarray, t: TOperators) -> np.ndarray:
+def channel_from_params(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a.
 
     It is covariant.assemble_ptilde under the channel's name, kept a
@@ -134,7 +134,7 @@ def _party_reductions(t: TOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return parts
 
 
-def fidelity_coefficients(alpha: float, t: TOperators) -> np.ndarray:
+def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarray:
     """Linear functional f_ij with F(a) = sum_ij f_ij a_ij on the representative state.
 
     Each coefficient is the symmetrized clone overlap produced by the
@@ -161,8 +161,7 @@ def _clone_products(r: np.ndarray) -> np.ndarray:
     return np.einsum("iaxcz,jbydw->ijabxycdzw", r, r).reshape(25, 256)
 
 
-@functools.lru_cache(maxsize=1)
-def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
+def constraint_matrices(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarray]:
     """Trace-preservation row and independent clone-symmetry rows.
 
     Returns (trace_row, symmetry_rows) against the flattened a_ij vector
@@ -173,8 +172,14 @@ def constraint_matrices(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     come from the per-party reductions: Tr_out ti (x) tj = s_i s_j I4,
     and the clone difference of ti (x) tj is R1_i (x) R1_j - R2_i (x) R2_j.
     Neither depends on alpha, and t is immutable, so the pair is cached
-    for the last t object and its arrays are read-only.
+    for the last t object, passed or defaulted, and its arrays are
+    read-only.
     """
+    return _constraint_rows(t)
+
+
+@functools.lru_cache(maxsize=1)
+def _constraint_rows(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     r1, r2, s = _party_reductions(t)
     d = (_clone_products(r1) - _clone_products(r2)).T
     columns = np.vstack([d.real, d.imag])

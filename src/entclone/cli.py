@@ -30,7 +30,6 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
-from entclone.covariant import build_t_operators
 from entclone.protocol import (
     branch_scores,
     run_protocol_exact,
@@ -148,6 +147,11 @@ def _check_range(alpha_min: float, alpha_max: float, steps: int) -> str | None:
     return None
 
 
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    """The alpha grid, its endpoints clamped to [0, ALPHA_MAX] so that no row prints an alpha in _check_range's slack."""
+    return np.linspace(max(args.alpha_min, 0.0), min(args.alpha_max, ALPHA_MAX), args.steps)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     problem = _check_range(args.alpha_min, args.alpha_max, args.steps)
     if problem:
@@ -169,18 +173,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = ["alpha"] + [_MODE_FIELDS[m] for m in modes] + ["error"]
     analytic = {"global": fidelity_global, "bh": fidelity_bh, "locc": fidelity_locc}
     needs_solver = [m for m in modes if m in ("sdp", "sdp-ppt")]
-    t = build_t_operators() if needs_solver else None
 
     records: list[dict] = []
     failure: str | None = None
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
+    for alpha in _grid(args):
         rec: dict = {"alpha": float(alpha)}
         for mode in modes:
             if mode in analytic:
                 rec[_MODE_FIELDS[mode]] = analytic[mode](float(alpha))
         try:
             for mode in needs_solver:
-                sol = solve(build_problem(float(alpha), t, with_ppt=(mode == "sdp-ppt")), tol=args.tol)
+                sol = solve(build_problem(float(alpha), with_ppt=(mode == "sdp-ppt")), tol=args.tol)
                 rec[_MODE_FIELDS[mode]] = sol.f_star
         except (ConvergenceError, ValueError) as exc:
             rec["error"] = f"solver failure: {exc}"
@@ -214,7 +217,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         return 2
     labels = (("a11", 0, 0), ("a12", 0, 1), ("a21", 1, 0), ("a22", 1, 1), ("a44", 3, 3))
     records = []
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
+    for alpha in _grid(args):
         a = params_for(CloneFamily.LOCC_OPTIMAL, float(alpha))
         rec: dict = {"alpha": float(alpha)}
         for name, i, j in labels:

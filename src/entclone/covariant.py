@@ -122,12 +122,16 @@ def build_t_operators() -> TOperators:
     return TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
 
 
+# The one operator set every t parameter of the package defaults to.
+T_OPERATORS = build_t_operators()
+
+
 def _choi_order(products: np.ndarray) -> np.ndarray:
     """A 64x64 array indexed (Alice row, Alice column) by (Bob row, Bob column), on the Choi order."""
     return products.reshape((2,) * 12).transpose(_PARTIES_TO_CHOI).reshape(64, 64)
 
 
-def assemble_ptilde(a: np.ndarray, t: TOperators) -> np.ndarray:
+def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     """Assemble sum_ij a_ij ti (x) tj, Alice's ti and Bob's tj, on the Choi order.
 
     The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
@@ -150,7 +154,7 @@ def _flat_stack(t: TOperators) -> np.ndarray:
     return ts
 
 
-def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
+def commutant_blocks(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of t1..t5 in M2 (+) C: 2x2 blocks X of shape (5, 2, 2) and scalars c of shape (5,).
 
     Each ti is V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) with V =
@@ -172,7 +176,7 @@ def commutant_blocks(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
     return x, c
 
 
-def basis_stack(t: TOperators) -> np.ndarray:
+def basis_stack(t: TOperators = T_OPERATORS) -> np.ndarray:
     """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
     ts = _flat_stack(t)
     return np.stack([_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts])

@@ -89,7 +89,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import TOperators, commutant_blocks
+from entclone.covariant import T_OPERATORS, TOperators, commutant_blocks
 
 # Each iteration targets CENTRING times the current mu and takes
 # STEP_FRACTION of the largest step that stays interior.
@@ -296,7 +296,7 @@ def _program(t: TOperators, with_ppt: bool) -> tuple[tuple[np.ndarray, ...], _Se
     return cones, setup
 
 
-def build_problem(alpha: float, t: TOperators, with_ppt: bool = False) -> SdpProblem:
+def build_problem(alpha: float, t: TOperators = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight on the fixed subspace.
 
     Only the objective depends on alpha: the cone forms and the solver
@@ -406,7 +406,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
 
 
 def sweep_solutions(
-    alphas: Sequence[float], with_ppt: bool, t: TOperators, tol: float = 1e-7
+    alphas: Sequence[float], with_ppt: bool, t: TOperators = T_OPERATORS, tol: float = 1e-7
 ) -> list[tuple[float, SdpSolution]]:
     """Solve the program at each alpha in turn; returns (alpha, solution) pairs.
 
@@ -427,7 +427,7 @@ def sweep_solutions(
 
 
 def solve_sweep(
-    alphas: Sequence[float], with_ppt: bool = False, *, t: TOperators, tol: float = 1e-7
+    alphas: Sequence[float], with_ppt: bool = False, *, t: TOperators = T_OPERATORS, tol: float = 1e-7
 ) -> list[tuple[float, float]]:
     """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
     sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol)

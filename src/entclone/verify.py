@@ -28,13 +28,7 @@ from entclone.analytic import (
     schmidt_state,
 )
 from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output
-from entclone.covariant import (
-    assemble_ptilde,
-    build_t_operators,
-    partial_transpose_b,
-    random_su2,
-    two_party_rep,
-)
+from entclone.covariant import T_OPERATORS, assemble_ptilde, partial_transpose_b, random_su2, two_party_rep
 from entclone.protocol import (
     average_clone_fidelity,
     build_dilations,
@@ -70,7 +64,6 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     of the structural checks and the sampling seeds, so repeated calls
     with the same seed give identical reports.
     """
-    t = build_t_operators()
     a0 = alpha_critical()
     results: list[CriterionResult] = []
 
@@ -86,17 +79,11 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     coarse_plain = coarse_ppt = fine_ppt = fine_plain = None
     try:
         grid = np.linspace(0.0, ALPHA_MAX, 50)
-        coarse_plain = sweep_solutions(grid, False, t=t, tol=tol)
-        coarse_ppt = sweep_solutions(grid, True, t=t, tol=tol)
+        coarse_plain = sweep_solutions(grid, False, tol=tol)
+        coarse_ppt = sweep_solutions(grid, True, tol=tol)
         fine_grid = np.arange(0.30, 0.37 + 1e-12, 0.002)
-        fine_ppt = [
-            (alpha, sol.f_star)
-            for alpha, sol in sweep_solutions(fine_grid, True, t=t, tol=tol)
-        ]
-        fine_plain = [
-            (alpha, sol.f_star)
-            for alpha, sol in sweep_solutions(fine_grid, False, t=t, tol=tol)
-        ]
+        fine_ppt = [(alpha, sol.f_star) for alpha, sol in sweep_solutions(fine_grid, True, tol=tol)]
+        fine_plain = [(alpha, sol.f_star) for alpha, sol in sweep_solutions(fine_grid, False, tol=tol)]
     except Exception as exc:
         sweep_error = exc
 
@@ -152,7 +139,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         return ok, f"kink at {found:.4f}, err {_fmt(err)} (tol 5e-3){extra}"
 
     def criterion_5() -> tuple[bool, str]:
-        sols = sweep_solutions([0.05, 0.15, 0.25, 0.33], True, t=t, tol=tol)
+        sols = sweep_solutions([0.05, 0.15, 0.25, 0.33], True, tol=tol)
         worst = max(abs(s.f_star - fidelity_bh(alpha)) for alpha, s in sols)
         return worst <= 1e-6, f"worst |ppt - no-communication| {_fmt(worst)} (tol 1e-6)"
 
@@ -160,7 +147,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         worst_frob = worst_complete = 0.0
         for alpha in (0.4, 0.5, 0.6, ALPHA_MAX):
             ks = build_kraus(alpha)
-            ptilde = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, alpha), t)
+            ptilde = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, alpha))
             worst_frob = max(worst_frob, float(np.linalg.norm(kraus_to_choi(ks) - ptilde)))
             total = sum(k.conj().T @ k for k in ks.k)
             worst_complete = max(worst_complete, float(np.max(np.abs(total - np.eye(4)))))
@@ -199,7 +186,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         return worst <= 1e-12, f"worst measurement identity dev {_fmt(worst)} (tol 1e-12)"
 
     def criterion_9() -> tuple[bool, str]:
-        ts = t.as_list()
+        ts = T_OPERATORS.as_list()
         algebra = max(
             float(np.max(np.abs(ts[i] @ ts[i] - ts[i]))) for i in range(3)
         )
@@ -210,11 +197,11 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         cov = 0.0
         for _ in range(20):
             a_rand = rng.normal(size=(5, 5))
-            ptilde = assemble_ptilde(a_rand, t)
+            ptilde = assemble_ptilde(a_rand)
             w = two_party_rep(random_su2(rng), random_su2(rng))
             cov = max(cov, float(np.max(np.abs(w @ ptilde @ w.conj().T - ptilde))))
 
-        eq, sym_rows = constraint_matrices(t)
+        eq, sym_rows = constraint_matrices()
         rows = np.vstack([eq[None, :], sym_rows])
         rhs = np.zeros(rows.shape[0])
         rhs[0] = 1.0
@@ -224,7 +211,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         feas = 0.0
         for _ in range(5):
             x = x_part + null @ (0.3 * rng.normal(size=null.shape[1]))
-            choi = assemble_ptilde(x.reshape(5, 5), t)
+            choi = assemble_ptilde(x.reshape(5, 5))
             feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))))
             for _ in range(2):
                 g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -235,7 +222,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         ppt_eig = 0.0
         for family in (CloneFamily.BUZEK_HILLERY_SQUARED, CloneFamily.LOCC_OPTIMAL):
             for alpha in (0.0, 0.15, 0.3, a0, 0.45, 0.6, ALPHA_MAX):
-                flipped = partial_transpose_b(assemble_ptilde(params_for(family, alpha), t))
+                flipped = partial_transpose_b(assemble_ptilde(params_for(family, alpha)))
                 low = float(np.linalg.eigvalsh((flipped + flipped.conj().T) / 2.0).min())
                 ppt_eig = min(ppt_eig, low)
 

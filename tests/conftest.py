@@ -1,9 +1,9 @@
 import pytest
 
-from entclone.covariant import build_t_operators
+from entclone.covariant import T_OPERATORS
 
 
 @pytest.fixture(scope="session")
 def t_ops():
-    """Commutant operators shared by every test module."""
-    return build_t_operators()
+    """The package's one operator set, for tests about t: calls with it and calls that leave t out share every cache."""
+    return T_OPERATORS

@@ -18,9 +18,9 @@ TOL = 1e-7
 @example(alpha=0.0)
 @example(alpha=alpha_critical())
 @example(alpha=ALPHA_MAX)
-def test_certificate_brackets_closed_form(t_ops, with_ppt, alpha):
+def test_certificate_brackets_closed_form(with_ppt, alpha):
     """f* <= F_closed <= U, U - f* <= tol, a rounding-level dual residual and a positive definite Z."""
-    sol = solve(build_problem(alpha, t_ops, with_ppt), tol=TOL)
+    sol = solve(build_problem(alpha, with_ppt=with_ppt), tol=TOL)
     closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
     assert sol.f_star <= closed <= sol.upper_bound
     assert sol.upper_bound - sol.f_star <= TOL

@@ -32,8 +32,8 @@ def density(vec):
     return np.outer(vec, vec.conj())
 
 
-def family_channel(family, alpha, t_ops):
-    return channel_from_params(params_for(family, alpha), t_ops)
+def family_channel(family, alpha):
+    return channel_from_params(params_for(family, alpha))
 
 
 def test_identity_channel_choi_round_trip():
@@ -52,13 +52,13 @@ def test_identity_channel_choi_round_trip():
     assert np.abs(trace_output(p_v) - np.eye(4)).max() < 1e-14
 
 
-def test_choi_is_trace_preserving(t_ops):
-    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, 0.4, t_ops)
+def test_choi_is_trace_preserving():
+    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, 0.4)
     assert np.abs(trace_output(ch) - np.eye(4)).max() < 1e-10
 
 
-def test_bh_channel_on_product_input(t_ops):
-    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.3, t_ops)
+def test_bh_channel_on_product_input():
+    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.3)
     rho_in = density(np.array([1.0, 0.0, 0.0, 0.0]))
     rho_out = apply(ch, rho_in)
     assert abs(np.trace(rho_out) - 1.0) < 1e-10
@@ -68,8 +68,8 @@ def test_bh_channel_on_product_input(t_ops):
         assert abs(overlap - 25.0 / 36.0) < 1e-10
 
 
-def test_locc_channel_on_bell_input(t_ops):
-    ch = family_channel(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX, t_ops)
+def test_locc_channel_on_bell_input():
+    ch = family_channel(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX)
     bell = density(schmidt_state(ALPHA_MAX))
     clone_1, clone_2 = clone_reductions(apply(ch, bell))
     for clone in (clone_1, clone_2):
@@ -89,14 +89,14 @@ def test_clone_reductions_of_product_operator():
     assert np.abs(clone_2 - sig).max() < 1e-12
 
 
-def test_local_fidelity_closed_forms(t_ops):
-    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, 0.0, t_ops)
+def test_local_fidelity_closed_forms():
+    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, 0.0)
     assert abs(local_fidelity(ch, 0.0) - (17.0 + math.sqrt(73.0)) / 36.0) < 1e-10
-    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, ALPHA_MAX, t_ops)
+    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, ALPHA_MAX)
     assert abs(local_fidelity(ch, ALPHA_MAX) - 7.0 / 12.0) < 1e-10
 
 
-def test_local_fidelity_matches_closed_forms_on_grid(t_ops):
+def test_local_fidelity_matches_closed_forms_on_grid():
     cases = (
         (CloneFamily.GLOBAL_OPTIMAL, fidelity_global),
         (CloneFamily.BUZEK_HILLERY_SQUARED, fidelity_bh),
@@ -104,13 +104,13 @@ def test_local_fidelity_matches_closed_forms_on_grid(t_ops):
     )
     for family, closed_form in cases:
         for alpha in np.linspace(0.0, ALPHA_MAX, 7):
-            ch = family_channel(family, alpha, t_ops)
+            ch = family_channel(family, alpha)
             assert abs(local_fidelity(ch, alpha) - closed_form(alpha)) < 1e-10
 
 
-def test_rotated_inputs_give_same_fidelity(t_ops):
+def test_rotated_inputs_give_same_fidelity():
     alpha = 0.45
-    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, alpha, t_ops)
+    ch = family_channel(CloneFamily.GLOBAL_OPTIMAL, alpha)
     base = density(schmidt_state(alpha))
     reference = local_fidelity(ch, alpha)
     rng = np.random.default_rng(23)
@@ -122,9 +122,9 @@ def test_rotated_inputs_give_same_fidelity(t_ops):
         assert abs(overlap - reference) < 1e-10
 
 
-def test_fidelity_coefficients_against_families(t_ops):
+def test_fidelity_coefficients_against_families():
     for alpha in np.linspace(0.0, ALPHA_MAX, 21):
-        f = fidelity_coefficients(alpha, t_ops)
+        f = fidelity_coefficients(alpha)
         assert abs(f[1, 1] - fidelity_bh(alpha)) < 1e-12
         a_global = params_for(CloneFamily.GLOBAL_OPTIMAL, alpha)
         assert abs(float(np.sum(f * a_global)) - fidelity_global(alpha)) < 1e-10
@@ -132,21 +132,21 @@ def test_fidelity_coefficients_against_families(t_ops):
         assert abs(float(np.sum(f * a_locc)) - fidelity_locc(alpha)) < 1e-10
 
 
-def test_fidelity_coefficients_are_linear_functional(t_ops):
+def test_fidelity_coefficients_are_linear_functional():
     """f gives the mean clone overlap for any operator in the invariant span."""
     alpha = 0.37
-    f = fidelity_coefficients(alpha, t_ops)
+    f = fidelity_coefficients(alpha)
     rng = np.random.default_rng(24)
     a = rng.standard_normal((5, 5))
     state = density(schmidt_state(alpha))
-    p_e = assemble_ptilde(a, t_ops)
+    p_e = assemble_ptilde(a)
     clone_1, clone_2 = clone_reductions(apply_choi(p_e, state))
     direct = np.real(np.trace(clone_1 @ state) + np.trace(clone_2 @ state)) / 2.0
     assert abs(float(np.sum(f * a)) - direct) < 1e-12
 
 
-def test_constraint_trace_row(t_ops):
-    trace_row, sym_rows = constraint_matrices(t_ops)
+def test_constraint_trace_row():
+    trace_row, sym_rows = constraint_matrices()
     pattern = np.outer([1.0, 1.0, 2.0, 0.0, 0.0], [1.0, 1.0, 2.0, 0.0, 0.0])
     assert np.abs(trace_row.reshape(5, 5) - pattern).max() < 1e-10
     assert sym_rows.shape[1] == 25
@@ -216,8 +216,8 @@ def test_constraint_matrices_reject_non_covariant_operators(t_ops):
         constraint_matrices(dataclasses.replace(t_ops, t1=1j * t_ops.t1))
 
 
-def test_families_satisfy_constraints(t_ops):
-    trace_row, sym_rows = constraint_matrices(t_ops)
+def test_families_satisfy_constraints():
+    trace_row, sym_rows = constraint_matrices()
     for family in CloneFamily:
         for alpha in (0.1, alpha_critical(), 0.55, ALPHA_MAX):
             a = params_for(family, alpha).reshape(-1)
@@ -225,8 +225,8 @@ def test_families_satisfy_constraints(t_ops):
             assert np.abs(sym_rows @ a).max() < 1e-12
 
 
-def test_apply_validates_input(t_ops):
-    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.2, t_ops)
+def test_apply_validates_input():
+    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.2)
     with pytest.raises(ValueError):
         apply(ch, np.eye(4))
     with pytest.raises(ValueError):

@@ -280,3 +280,13 @@ def test_verify_rejects_unattainable_tolerance(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tol", "1e-30")
     assert code == 1
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize("command", ["sweep", "params"])
+def test_grid_endpoints_in_the_slack_print_clamped(capsys, command):
+    """Endpoints that the range check lets past by under 1e-12 print as 0.0 and ALPHA_MAX, the alphas computed at."""
+    code, out, _ = run_cli(capsys, command, "--alpha-min=-1e-13", "--alpha-max=0.7071067811866", "--steps", "3")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0][0]) == 0.0
+    assert float(rows[-1][0]) == ALPHA_MAX

@@ -113,21 +113,21 @@ def test_t_operators_span_commutant(t_ops):
     assert abs(lead.imag) < 1e-15 and lead.real > 0
 
 
-def test_assemble_zero_and_projector(t_ops):
-    assert np.abs(assemble_ptilde(np.zeros((5, 5)), t_ops)).max() == 0.0
+def test_assemble_zero_and_projector():
+    assert np.abs(assemble_ptilde(np.zeros((5, 5)))).max() == 0.0
     a = np.zeros((5, 5))
     a[1, 1] = 1.0
-    vals = np.linalg.eigvalsh(assemble_ptilde(a, t_ops))
+    vals = np.linalg.eigvalsh(assemble_ptilde(a))
     counts = np.isclose(vals, 1.0, atol=1e-10).sum(), np.isclose(vals, 0.0, atol=1e-10).sum()
     assert counts == (4, 60)
 
 
-def test_assemble_is_linear_in_basis(t_ops):
+def test_assemble_is_linear_in_basis():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((5, 5))
     a = (a + a.T) / 2.0
-    direct = np.tensordot(a.reshape(-1), basis_stack(t_ops), axes=(0, 0))
-    assert np.abs(assemble_ptilde(a, t_ops) - direct).max() < 1e-13
+    direct = np.tensordot(a.reshape(-1), basis_stack(), axes=(0, 0))
+    assert np.abs(assemble_ptilde(a) - direct).max() < 1e-13
 
 
 def test_assemble_equals_kron_double_sum(t_ops):
@@ -137,10 +137,10 @@ def test_assemble_equals_kron_double_sum(t_ops):
     for k in range(50):
         a = rng.standard_normal((5, 5)) * (rng.uniform(size=(5, 5)) < 0.5 if k % 2 else 1.0)
         expected = sum(a[i, j] * choi_kron(ts[i], ts[j]) for i in range(5) for j in range(5))
-        assert np.abs(assemble_ptilde(a, t_ops) - expected).max() <= 1e-14
+        assert np.abs(assemble_ptilde(a) - expected).max() <= 1e-14
     for shape in ((5,), (4, 4), (5, 6), (25,)):
         with pytest.raises(ValueError, match="5x5"):
-            assemble_ptilde(np.zeros(shape), t_ops)
+            assemble_ptilde(np.zeros(shape))
 
 
 def test_flat_stack_is_built_once_per_t(t_ops):
@@ -158,20 +158,20 @@ def test_flat_stack_is_built_once_per_t(t_ops):
     assert np.array_equal(_flat_stack(swapped)[0], stack[1])
 
 
-def test_family_operators_are_positive(t_ops):
+def test_family_operators_are_positive():
     for family, alpha in (
         (CloneFamily.GLOBAL_OPTIMAL, ALPHA_MAX),
         (CloneFamily.BUZEK_HILLERY_SQUARED, 0.3),
         (CloneFamily.LOCC_OPTIMAL, 0.6),
     ):
-        ptilde = assemble_ptilde(params_for(family, alpha), t_ops)
+        ptilde = assemble_ptilde(params_for(family, alpha))
         vals = np.linalg.eigvalsh(ptilde)
         assert vals.min() > -1e-10
 
 
-def test_covariance_under_local_unitaries(t_ops):
+def test_covariance_under_local_unitaries():
     rng = np.random.default_rng(13)
-    ptilde = assemble_ptilde(params_for(CloneFamily.GLOBAL_OPTIMAL, 0.45), t_ops)
+    ptilde = assemble_ptilde(params_for(CloneFamily.GLOBAL_OPTIMAL, 0.45))
     for _ in range(10):
         rep = two_party_rep(random_su2(rng), random_su2(rng))
         assert np.abs(rep @ ptilde @ rep.conj().T - ptilde).max() < 1e-10
@@ -181,7 +181,7 @@ def test_b_side_transpose_structure(t_ops):
     """Transposing every B factor maps T_i x T_j to T_i x T_j^T."""
     rng = np.random.default_rng(14)
     a = rng.standard_normal((5, 5))
-    flipped = partial_transpose_b(assemble_ptilde(a, t_ops))
+    flipped = partial_transpose_b(assemble_ptilde(a))
     ts = t_ops.as_list()
     direct = sum(a[i, j] * choi_kron(ts[i], ts[j].T) for i in range(5) for j in range(5))
     assert np.abs(flipped - direct).max() < 1e-12
@@ -210,4 +210,4 @@ def test_assemble_unit_matrices_on_the_choi_order(t_ops):
         for j in range(5):
             unit = np.zeros((5, 5))
             unit[i, j] = 1.0
-            assert np.abs(assemble_ptilde(unit, t_ops) - choi_kron(ts[i], ts[j])).max() < 1e-15
+            assert np.abs(assemble_ptilde(unit) - choi_kron(ts[i], ts[j])).max() < 1e-15

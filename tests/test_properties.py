@@ -31,7 +31,7 @@ def su2(draw) -> np.ndarray:
     u_b=su2(),
     alpha=st.floats(min_value=0.0, max_value=ALPHA_MAX),
 )
-def test_random_parameters_are_covariant_and_stay_feasible(t_ops, entries, u_a, u_b, alpha):
+def test_random_parameters_are_covariant_and_stay_feasible(entries, u_a, u_b, alpha):
     """For any a, sum_ij a_ij ti (x) tj commutes with every local U (x) U (x) U*.
 
     Projected onto the trace and clone-symmetry equalities, a gives a
@@ -40,15 +40,15 @@ def test_random_parameters_are_covariant_and_stay_feasible(t_ops, entries, u_a, 
     """
     a = np.array(entries).reshape(5, 5)
     rep = two_party_rep(u_a, u_b)
-    ptilde = assemble_ptilde(a, t_ops)
+    ptilde = assemble_ptilde(a)
     assert np.abs(rep @ ptilde @ rep.conj().T - ptilde).max() < 1e-12
 
-    trace_row, sym_rows = constraint_matrices(t_ops)
+    trace_row, sym_rows = constraint_matrices()
     rows = np.vstack([trace_row, sym_rows])
     rhs = np.zeros(len(rows))
     rhs[0] = 1.0
     x = a.reshape(-1) - np.linalg.lstsq(rows, rows @ a.reshape(-1) - rhs, rcond=None)[0]
-    choi = assemble_ptilde(x.reshape(5, 5), t_ops)
+    choi = assemble_ptilde(x.reshape(5, 5))
     assert np.abs(trace_output(choi) - np.eye(4)).max() < 1e-10
 
     phi = schmidt_state(alpha)

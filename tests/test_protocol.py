@@ -46,14 +46,14 @@ def test_measurement_normalizations():
         assert np.abs(completeness - np.eye(4)).max() < 1e-12
 
 
-def test_kraus_choi_matches_family_operator(t_ops):
+def test_kraus_choi_matches_family_operator():
     for alpha in (0.2, 0.5, ALPHA_MAX):
         ks = build_kraus(alpha)
-        direct = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, alpha), t_ops)
+        direct = assemble_ptilde(params_for(CloneFamily.LOCC_OPTIMAL, alpha))
         assert np.abs(kraus_to_choi(ks) - direct).max() < 1e-10
 
 
-def test_one_bit_cloner_is_a_coin_mixture_of_two_products(t_ops):
+def test_one_bit_cloner_is_a_coin_mixture_of_two_products():
     """Above alpha0 the LOCC-optimal a is (u u^T + v v^T) / 2 with u = (s, 1 - s, 0, sqrt(s (1 - s)), 0),
     s = sqrt(a11), and v = u with u4 and u5 negated, so the protocol's Choi operator is an equal
     mixture of two product cloners; neither product alone is clone-symmetric."""
@@ -63,30 +63,30 @@ def test_one_bit_cloner_is_a_coin_mixture_of_two_products(t_ops):
         u = np.array([s, 1.0 - s, 0.0, math.sqrt(s * (1.0 - s)), 0.0])
         v = u * [1.0, 1.0, 1.0, -1.0, -1.0]
         assert np.abs(a - (np.outer(u, u) + np.outer(v, v)) / 2.0).max() < 1e-15
-        products = [assemble_ptilde(np.outer(w, w), t_ops) for w in (u, v)]
+        products = [assemble_ptilde(np.outer(w, w)) for w in (u, v)]
         assert np.abs((products[0] + products[1]) / 2.0 - kraus_to_choi(build_kraus(alpha))).max() < 1e-12
         for product in products:
             with pytest.raises(ValueError, match="clone symmetry"):
                 local_fidelity(product, alpha)
 
 
-def test_kraus_choi_is_a_channel_choi_operator(t_ops):
+def test_kraus_choi_is_a_channel_choi_operator():
     """kraus_to_choi is on the Choi order that channel reads: it traces out to I_4, gives the
     one-bit fidelity through local_fidelity, and equals channel_from_params of the LOCC family."""
     for alpha in [*np.linspace(0.0, ALPHA_MAX, 25), alpha_critical()]:
         choi = kraus_to_choi(build_kraus(alpha))
         assert np.abs(trace_output(choi) - np.eye(4)).max() < 1e-12
         assert abs(local_fidelity(choi, alpha) - fidelity_locc(alpha)) < 1e-12
-        family = channel_from_params(params_for(CloneFamily.LOCC_OPTIMAL, alpha), t_ops)
+        family = channel_from_params(params_for(CloneFamily.LOCC_OPTIMAL, alpha))
         assert np.abs(choi - family).max() < 1e-10
 
 
-def test_below_threshold_collapses_to_product_family(t_ops):
+def test_below_threshold_collapses_to_product_family():
     ks = build_kraus(0.2)
     assert ks.v == 0.0
     a = np.zeros((5, 5))
     a[1, 1] = 1.0
-    assert np.abs(kraus_to_choi(ks) - assemble_ptilde(a, t_ops)).max() < 1e-10
+    assert np.abs(kraus_to_choi(ks) - assemble_ptilde(a)).max() < 1e-10
 
 
 def test_bell_branches():

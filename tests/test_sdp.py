@@ -166,9 +166,9 @@ def dense_path(problem, t, mu_factor, tol=1e-7):
 
 
 @pytest.fixture(scope="module")
-def bell_solutions(t_ops):
-    plain = solve(build_problem(ALPHA_MAX, t_ops))
-    ppt = solve(build_problem(ALPHA_MAX, t_ops, with_ppt=True))
+def bell_solutions():
+    plain = solve(build_problem(ALPHA_MAX))
+    ppt = solve(build_problem(ALPHA_MAX, with_ppt=True))
     return plain, ppt
 
 
@@ -181,7 +181,7 @@ def _dense_spectra(a, stack):
     ]
 
 
-def test_program_is_invariant_under_swap_and_conjugation(t_ops):
+def test_program_is_invariant_under_swap_and_conjugation():
     """The symmetries the fixed-subspace reduction rests on, on all 25 coordinates.
 
     Party swap acts as a -> a^T, complex conjugation as a_i5 -> -a_i5
@@ -198,18 +198,18 @@ def test_program_is_invariant_under_swap_and_conjugation(t_ops):
         flips.append(flip)
     rng = np.random.default_rng(19)
     for alpha in rng.uniform(0.0, ALPHA_MAX, size=5):
-        f = fidelity_coefficients(alpha, t_ops)
+        f = fidelity_coefficients(alpha)
         assert np.abs(f - f.T).max() < 1e-14
         assert np.abs(f[:4, 4]).max() < 1e-14
         assert np.abs(f[[0, 1, 2, 4], 3]).max() < 1e-14
-    trace_row, sym_rows = constraint_matrices(t_ops)
+    trace_row, sym_rows = constraint_matrices()
     _, sv, vh = np.linalg.svd(np.vstack([trace_row, sym_rows]))
     rows = vh[: int(np.sum(sv > 1e-12 * sv[0]))]
     proj = rows.T @ rows
     swap = np.eye(25).reshape(5, 5, 25).transpose(1, 0, 2).reshape(25, 25)
     for action in (swap, *(np.diag(flip.reshape(-1)) for flip in flips)):
         assert np.abs(proj @ action - action @ proj).max() < 1e-14
-    stack = basis_stack(t_ops)
+    stack = basis_stack()
     for _ in range(4):
         a = rng.normal(size=(5, 5))
         spectra = _dense_spectra(a, stack)
@@ -217,19 +217,19 @@ def test_program_is_invariant_under_swap_and_conjugation(t_ops):
             assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b, stack), spectra)) < 1e-12
 
 
-def test_symmetry_rows_vanish_on_the_fixed_subspace(t_ops):
+def test_symmetry_rows_vanish_on_the_fixed_subspace():
     """build_problem keeps only the trace row: every clone-symmetry row is zero on FIXED."""
-    trace_row, sym_rows = constraint_matrices(t_ops)
+    trace_row, sym_rows = constraint_matrices()
     assert np.abs(sym_rows @ FIXED).max() <= 1e-15
-    problem = build_problem(0.4, t_ops)
+    problem = build_problem(0.4)
     assert np.array_equal(problem.eq_matrix, (trace_row @ FIXED)[None, :])
     assert np.array_equal(problem.eq_rhs, [1.0])
 
 
-def test_problem_shapes(t_ops):
+def test_problem_shapes():
     """Fixed-subspace shapes, real arrays, nu, k = 7, and block spectra equal to the dense operators' at a = FIXED x."""
-    plain = build_problem(0.4, t_ops)
-    ppt = build_problem(0.4, t_ops, with_ppt=True)
+    plain = build_problem(0.4)
+    ppt = build_problem(0.4, with_ppt=True)
     assert plain.objective.shape == (8,)
     assert plain.eq_matrix.shape[1] == 8
     sv = np.linalg.svd(plain.eq_matrix, compute_uv=False)
@@ -243,7 +243,7 @@ def test_problem_shapes(t_ops):
         arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     rng = np.random.default_rng(20050203)
-    stack = basis_stack(t_ops)
+    stack = basis_stack()
     for _ in range(4):
         x = rng.normal(size=8)
         for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x, stack)):
@@ -309,6 +309,8 @@ def test_fixed_parts_are_built_once_per_t(t_ops):
     plain = build_problem(0.3, t_ops)
     rows = constraint_matrices(t_ops)
     assert all(p is q for p, q in zip(rows, constraint_matrices(t_ops)))
+    assert all(p is q for p, q in zip(rows, constraint_matrices()))
+    assert build_problem(0.3, with_ppt=True).setup is first.setup
     for alpha in (0.1, 0.4, 0.6):
         for problem, shared in ((build_problem(alpha, t_ops, with_ppt=True), first), (build_problem(alpha, t_ops), plain)):
             assert problem.setup is shared.setup
@@ -349,11 +351,11 @@ def test_transposition_constraint_only_tightens(bell_solutions):
     assert plain.f_star <= fidelity_global(ALPHA_MAX) + 1e-6
 
 
-def test_solution_is_feasible(bell_solutions, t_ops):
+def test_solution_is_feasible(bell_solutions):
     """The lifted a_star meets the full 25-column equality rows."""
     sol = bell_solutions[1]
     x = sol.a_star.reshape(-1)
-    trace_row, sym_rows = constraint_matrices(t_ops)
+    trace_row, sym_rows = constraint_matrices()
     residual = np.concatenate([[trace_row @ x - 1.0], sym_rows @ x])
     assert np.abs(residual).max() < 1e-9
     assert len(sol.min_eigenvalues) == 2
@@ -362,9 +364,9 @@ def test_solution_is_feasible(bell_solutions, t_ops):
     assert sol.iterations <= 200
 
 
-def test_ppt_below_threshold_recovers_product_family(t_ops):
+def test_ppt_below_threshold_recovers_product_family():
     alpha = 0.2
-    sol = solve(build_problem(alpha, t_ops, with_ppt=True))
+    sol = solve(build_problem(alpha, with_ppt=True))
     assert abs(sol.f_star - fidelity_bh(alpha)) < 1e-6
     a = sol.a_star
     assert abs(a[1, 1] - 1.0) < 1e-3
@@ -373,8 +375,8 @@ def test_ppt_below_threshold_recovers_product_family(t_ops):
     assert np.abs(a[mask]).max() < 1e-3
 
 
-def test_solver_is_deterministic(t_ops):
-    problem = build_problem(0.5, t_ops, with_ppt=True)
+def test_solver_is_deterministic():
+    problem = build_problem(0.5, with_ppt=True)
     first = solve(problem)
     second = solve(problem)
     assert first.iterations == second.iterations
@@ -382,8 +384,8 @@ def test_solver_is_deterministic(t_ops):
     assert abs(first.f_star - fidelity_locc(0.5)) < 1e-6
 
 
-def test_solve_rejects_bad_tolerances(t_ops):
-    problem = build_problem(0.4, t_ops)
+def test_solve_rejects_bad_tolerances():
+    problem = build_problem(0.4)
     with pytest.raises(ValueError):
         solve(problem, tol=0.0)
     with pytest.raises(ValueError):
@@ -395,8 +397,8 @@ def test_solve_rejects_bad_tolerances(t_ops):
             solve(problem, tol=tol)
 
 
-def test_solve_reports_convergence_failure(t_ops):
-    problem = build_problem(0.4, t_ops)
+def test_solve_reports_convergence_failure():
+    problem = build_problem(0.4)
     with pytest.raises(ConvergenceError) as info:
         solve(problem, max_iter=1)
     assert info.value.best is not None
@@ -406,11 +408,11 @@ def test_solve_reports_convergence_failure(t_ops):
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 @pytest.mark.parametrize("alpha", [0.2, alpha_critical(), 0.6])
-def test_every_iterate_is_certified(t_ops, alpha, with_ppt):
+def test_every_iterate_is_certified(alpha, with_ppt):
     """The iterate a ConvergenceError carries after 1..5 iterations brackets the closed form:
     f* <= F_closed <= U, with a rounding-level dual residual and a positive definite Z."""
     closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
-    problem = build_problem(alpha, t_ops, with_ppt)
+    problem = build_problem(alpha, with_ppt=with_ppt)
     for max_iter in range(1, 6):
         with pytest.raises(ConvergenceError) as info:
             solve(problem, max_iter=max_iter)
@@ -422,7 +424,7 @@ def test_every_iterate_is_certified(t_ops, alpha, with_ppt):
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
-def test_solve_converges_at_the_tolerance_floor(t_ops, with_ppt):
+def test_solve_converges_at_the_tolerance_floor(with_ppt):
     """Down to tol near its floor 2 nu 1e-12, every solve on the 51-point grid, the 36-point kink
     grid and alpha0 returns a certified optimum: f* <= F_closed <= U, U - f* <= tol, a
     rounding-level dual residual and a positive definite Z."""
@@ -430,16 +432,16 @@ def test_solve_converges_at_the_tolerance_floor(t_ops, with_ppt):
     grid = [*np.linspace(0.0, ALPHA_MAX, 51), alpha_critical(), *np.arange(0.30, 0.37 + 1e-12, 0.002)]
     for alpha in grid:
         closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
-        sol = solve(build_problem(alpha, t_ops, with_ppt), tol=tol)
+        sol = solve(build_problem(alpha, with_ppt=with_ppt), tol=tol)
         assert sol.f_star <= closed <= sol.upper_bound <= sol.f_star + tol
         assert sol.dual_residual <= 1e-12
         assert sol.min_dual_eigenvalue > 0.0
 
 
-def test_sweep_failure_names_its_point(t_ops, monkeypatch):
+def test_sweep_failure_names_its_point(monkeypatch):
     """A failing sweep point raises a ConvergenceError naming its index and alpha, carrying the
     failed solve's best iterate and chained to the original error."""
-    best = solve(build_problem(0.4, t_ops))
+    best = solve(build_problem(0.4))
     original = ConvergenceError("the iterate left the cone interior", best=best)
     solved = []
 
@@ -452,7 +454,7 @@ def test_sweep_failure_names_its_point(t_ops, monkeypatch):
     monkeypatch.setattr(sdp, "solve", solve_or_fail)
     message = r"^sweep point 1 \(alpha=0\.450000\) did not converge: the iterate left the cone interior$"
     with pytest.raises(ConvergenceError, match=message) as info:
-        sweep_solutions([0.3, 0.45, 0.6], False, t=t_ops)
+        sweep_solutions([0.3, 0.45, 0.6], False)
     assert info.value.best is best
     assert info.value.__cause__ is original
 
