@@ -18,7 +18,14 @@ program needs (the clone-fidelity functional, the output trace and the
 clone difference) factors over the two parties, so the SDP's objective
 and equality rows are built from partial traces of the 8x8 operators
 t1..t5 alone; the 64x64 Choi operator is formed only when a channel is
-actually applied.
+actually applied.  The functional depends on alpha only through
+x = alpha^2 (1 - alpha^2): it is G0 + x G1, with the two 5x5 tables
+computed once per t and checked at a third x.
+
+The representative input's density matrix is validated once per alpha
+and kept, read-only, for the last alpha (representative_density);
+local_fidelity and the protocol's branch table both read it.  An
+explicit state passed to apply is validated on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import functools
 
 import numpy as np
 
-from entclone.analytic import schmidt_state
+from entclone.analytic import ALPHA_MAX, schmidt_state
 from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde
 
 SYMMETRY_TOL = 1e-8
@@ -69,6 +76,19 @@ def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return apply_choi(p_e, check_state(rho))
 
 
+def representative_density(alpha: float) -> np.ndarray:
+    """Validated, read-only density matrix of schmidt_state(alpha), kept for the last alpha."""
+    return _representative_density(float(alpha))
+
+
+@functools.lru_cache(maxsize=1)
+def _representative_density(alpha: float) -> np.ndarray:
+    phi = schmidt_state(alpha)
+    rho = check_state(np.outer(phi, phi.conj()))
+    rho.flags.writeable = False
+    return rho
+
+
 def channel_from_params(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a.
 
@@ -99,7 +119,7 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     overlap with the input is returned.
     """
     phi = schmidt_state(alpha)
-    rho_out = apply(p_e, np.outer(phi, phi.conj()))
+    rho_out = apply_choi(p_e, representative_density(alpha))
     r1, r2 = clone_reductions(rho_out)
     if np.linalg.norm(r1 - r2) > SYMMETRY_TOL:
         raise ValueError("channel output violates clone symmetry on the representative state")
@@ -139,11 +159,24 @@ def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarr
 
     Each coefficient is the symmetrized clone overlap produced by the
     basis operator ti (x) tj alone, so the functional stays meaningful
-    even before the symmetry constraints are imposed.  Clone k of
-    ti (x) tj is Rk_i (x) Rk_j on (clone, input) per party (see
-    _party_reductions), so with psi = phi (x) phi regrouped by party,
-    f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2; no 64x64 operator
-    is formed.
+    even before the symmetry constraints are imposed.  It depends on
+    alpha only through x = alpha^2 (1 - alpha^2), and affinely, so it
+    is returned as G0 + x G1 from the tables kept for the last t (see
+    _functional_table).
+    """
+    # alpha as schmidt_state validates and clamps it.
+    a = float(schmidt_state(alpha)[0].real)
+    g0, g1 = _functional_table(t)
+    return g0 + (a * a * (1.0 - a * a)) * g1
+
+
+def _sandwich(alpha: float, t: TOperators) -> np.ndarray:
+    """The functional at alpha, from the per-party reductions.
+
+    Clone k of ti (x) tj is Rk_i (x) Rk_j on (clone, input) per party
+    (see _party_reductions), so with psi = phi (x) phi regrouped by
+    party, f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2; no 64x64
+    operator is formed.
     """
     phi = schmidt_state(alpha).reshape(2, 2)
     # psi as a 4x4 matrix: rows (clone A, input A), columns (clone B, input B).
@@ -153,6 +186,25 @@ def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarr
         sandwich = psi.conj().T @ r @ psi
         f += np.real(sandwich.reshape(5, 16) @ r.reshape(5, 16).T) / 2.0
     return f
+
+
+@functools.lru_cache(maxsize=1)
+def _functional_table(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (G0, G1) with fidelity_coefficients = G0 + x G1, for the last t object.
+
+    G0 is the functional at x = 0 (alpha = 0) and G1 its slope to
+    x = 1/4 (alpha = ALPHA_MAX); both arrays are read-only.
+    Raises RuntimeError if the functional at alpha = 1/2 (x = 3/16)
+    departs from G0 + x G1 by more than 1e-12.
+    """
+    g0 = _sandwich(0.0, t)
+    x_max = ALPHA_MAX * ALPHA_MAX * (1.0 - ALPHA_MAX * ALPHA_MAX)
+    g1 = (_sandwich(ALPHA_MAX, t) - g0) / x_max
+    if np.abs(_sandwich(0.5, t) - (g0 + 0.1875 * g1)).max() > 1e-12:
+        raise RuntimeError("fidelity functional is not affine in x = alpha^2 (1 - alpha^2)")
+    for arr in (g0, g1):
+        arr.flags.writeable = False
+    return g0, g1
 
 
 def _clone_products(r: np.ndarray) -> np.ndarray:

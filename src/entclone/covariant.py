@@ -17,8 +17,10 @@ Every 64x64 operator is on the Choi order (1A,1B,2A,2B,A,B) that
 channel reads: the four output qubits, then the two inputs, so Bob's
 qubits sit at positions 1, 3 and 5.  assemble_ptilde and basis_stack
 form products indexed (Alice row, Alice column) by (Bob row, Bob
-column) and move them to that order with one fixed transpose;
-partial_transpose_b swaps the row and column index of Bob's qubits.
+column) and move them to that order with one gather through a
+read-only 4096-entry index table, the flat form of the 12-axis qubit
+transpose; partial_transpose_b gathers through a second table that
+swaps the row and column index of Bob's qubits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,19 @@ import numpy as np
 _PARTIES_TO_CHOI = (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)
 # Bob's rows (Choi positions 1, 3, 5) swapped with his columns (7, 9, 11).
 _TRANSPOSE_B = (0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10, 5)
+
+
+def _flat_permutation(axes: tuple[int, ...]) -> np.ndarray:
+    """Read-only (64, 64) table of the flat source index each entry of a 12-qubit-axis transpose reads."""
+    index = np.arange(4096).reshape((2,) * 12).transpose(axes).reshape(64, 64).copy()
+    index.flags.writeable = False
+    return index
+
+
+# Gathering a flattened 64x64 array through one of these tables is the
+# transpose above, bit for bit, in one indexing pass.
+_CHOI_INDEX = _flat_permutation(_PARTIES_TO_CHOI)
+_TRANSPOSE_B_INDEX = _flat_permutation(_TRANSPOSE_B)
 
 _E = np.eye(8)
 # Columns m1_0, m1_1, m2_0, m2_1: the antisymmetric pair state tensored
@@ -127,8 +142,11 @@ T_OPERATORS = build_t_operators()
 
 
 def _choi_order(products: np.ndarray) -> np.ndarray:
-    """A 64x64 array indexed (Alice row, Alice column) by (Bob row, Bob column), on the Choi order."""
-    return products.reshape((2,) * 12).transpose(_PARTIES_TO_CHOI).reshape(64, 64)
+    """64x64 arrays indexed (Alice row, Alice column) by (Bob row, Bob column), on the Choi order.
+
+    products is one such array or a stack (..., 64, 64); the leading axes are kept.
+    """
+    return products.reshape(*products.shape[:-2], 4096)[..., _CHOI_INDEX]
 
 
 def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
@@ -136,8 +154,8 @@ def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
 
     The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
     ti with their a-weighted sums gives the entries indexed (Alice row,
-    Alice column) by (Bob row, Bob column), then one axis transpose puts
-    them on the Choi order.
+    Alice column) by (Bob row, Bob column), then one gather puts them on
+    the Choi order.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (5, 5):
@@ -179,9 +197,9 @@ def commutant_blocks(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarra
 def basis_stack(t: TOperators = T_OPERATORS) -> np.ndarray:
     """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
     ts = _flat_stack(t)
-    return np.stack([_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts])
+    return _choi_order(np.einsum("ix,jy->ijxy", ts, ts).reshape(25, 64, 64))
 
 
 def partial_transpose_b(ptilde: np.ndarray) -> np.ndarray:
     """Partial transpose over Bob's qubits (1B,2B,B), Choi positions 1, 3 and 5, of a 64x64 operator."""
-    return np.asarray(ptilde).reshape((2,) * 12).transpose(_TRANSPOSE_B).reshape(64, 64)
+    return np.asarray(ptilde).reshape(4096)[_TRANSPOSE_B_INDEX]

@@ -10,24 +10,29 @@ that channel reads and covariant assembles on, and constructs the
 ancilla dilations that implement both measurements unitarily.
 
 Each alpha's protocol data is computed once: build_kraus keeps the
-Kraus set of the last alpha it was asked for, and the eight branches on
+Kraus set of the last alpha it was asked for, with its eight Kraus
+operators as one read-only (8, 16, 4) stack, and the eight branches on
 the representative state at that alpha (probabilities, post-states and
 clone scores) are kept in one table that run_protocol_exact and
-run_protocol_sampled both read.  Every array either hands out is
-read-only.  An explicit input state is enumerated afresh on each call.
+run_protocol_sampled both read.  The table is built from that stack and
+from channel.representative_density, the validated density matrix
+local_fidelity reads too, and scores its post-state stack directly.
+Every array either hands out is read-only.  An explicit input state is
+validated and enumerated afresh on each call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from entclone.analytic import CloneFamily, params_for, schmidt_state
-from entclone.channel import check_state, clone_reductions
+from entclone.channel import check_state, clone_reductions, representative_density
 
 KRAUS_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-14
@@ -40,15 +45,50 @@ _SAMPLE_CHUNK = 1 << 17
 _BRANCHES = ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2), (2, 4), (4, 2), (4, 4))
 _ALICE_M, _BOB_M = np.array(_BRANCHES).T - 1
 
+# M1..M4 = w * _M_W + v * _M_V: the entries w, and hi = w/2 + v and
+# lo = w/2 - v, in one (4, 4, 2) layout; output rows (clone 1, clone 2),
+# input columns.
+_M_W = np.array(
+    [
+        [[1, 0], [0, 0.5], [0, 0.5], [0, 0]],
+        [[1, 0], [0, 0.5], [0, 0.5], [0, 0]],
+        [[0, 0], [0.5, 0], [0.5, 0], [0, 1]],
+        [[0, 0], [0.5, 0], [0.5, 0], [0, 1]],
+    ],
+    dtype=float,
+)
+_M_V = np.array(
+    [
+        [[0, 0], [0, -1], [0, 1], [0, 0]],
+        [[0, 0], [0, 1], [0, -1], [0, 0]],
+        [[0, 0], [1, 0], [-1, 0], [0, 0]],
+        [[0, 0], [-1, 0], [1, 0], [0, 0]],
+    ],
+    dtype=float,
+)
+for _table in (_M_W, _M_V):
+    _table.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class LocalKrausSet:
-    """Protocol matrices: scalars w, v, the four M_i, and the eight K_i."""
+    """Protocol matrices: scalars w, v, the four M_i, and the eight K_i.
+
+    Construction stores the K_i as one read-only (8, 16, 4) stack,
+    k_stack, and k as the tuple of its eight views.
+    """
 
     w: float
     v: float
     m: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     k: tuple[np.ndarray, ...]
+    k_stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        stack = np.array(self.k, dtype=complex)
+        stack.flags.writeable = False
+        object.__setattr__(self, "k_stack", stack)
+        object.__setattr__(self, "k", tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -79,25 +119,14 @@ def _kraus_set(alpha: float) -> LocalKrausSet:
     a = params_for(CloneFamily.LOCC_OPTIMAL, alpha)
     w = float(a[1, 1]) ** 0.25 / math.sqrt(3.0)
     v = float(a[0, 0]) ** 0.25 / 2.0
-    hi = w / 2.0 + v
-    lo = w / 2.0 - v
-    m = np.array(
-        [
-            [[w, 0], [0, lo], [0, hi], [0, 0]],
-            [[w, 0], [0, hi], [0, lo], [0, 0]],
-            [[0, 0], [hi, 0], [lo, 0], [0, w]],
-            [[0, 0], [lo, 0], [hi, 0], [0, w]],
-        ],
-        dtype=complex,
-    )
+    m = (w * _M_W + v * _M_V).astype(complex)
     # K_n = sqrt(2) * Ma (x) Mb with output rows regrouped to (1A, 1B, 2A, 2B):
     # each M's output row splits into (clone 1, clone 2) = (a, c) for Alice
     # and (b, d) for Bob, and its input column is x for Alice, y for Bob.
     blocks = m.reshape(4, 2, 2, 2)
     pairs = np.einsum("nacx,nbdy->nabcdxy", blocks[_ALICE_M], blocks[_BOB_M])
-    k = math.sqrt(2.0) * pairs.reshape(8, 16, 4)
-    m.flags.writeable = k.flags.writeable = False
-    return LocalKrausSet(w=w, v=v, m=tuple(m), k=tuple(k))
+    m.flags.writeable = False
+    return LocalKrausSet(w=w, v=v, m=tuple(m), k=math.sqrt(2.0) * pairs.reshape(8, 16, 4))
 
 
 def _check_kraus(ks: LocalKrausSet) -> None:
@@ -116,7 +145,7 @@ def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
     flattened Ki, whose rows are (1A,1B,2A,2B) and columns (A,B); it
     compares directly with the covariant parametrization.
     """
-    vecs = np.array(ks.k).reshape(8, 64)
+    vecs = ks.k_stack.reshape(8, 64)
     return vecs.T @ vecs.conj()
 
 
@@ -124,31 +153,35 @@ def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[Pr
     """Enumerate all eight (alice, bob) branches on the given input state.
 
     state defaults to the representative pure state at this alpha, whose
-    branches come from the table kept for the last alpha.  The eight raw
-    branch states Ki rho Ki^dag are one batched product over the stacked
-    Ki.  Each transcript carries the normalized, read-only
-    post-measurement state; branches of negligible probability get a
-    zero matrix instead.
+    branches come from the table kept for the last alpha; an explicit
+    state is validated first.  The eight raw branch states Ki rho Ki^dag
+    are one batched product over the stacked Ki.  Each transcript
+    carries the normalized, read-only post-measurement state; branches
+    of negligible probability get a zero matrix instead.
     """
     if state is None:
         return list(_branch_table(float(alpha))[0])
-    return _enumerate_branches(alpha, state)
+    return _transcripts(*_enumerate_branches(alpha, check_state(state)))
 
 
-def _enumerate_branches(alpha: float, state: np.ndarray) -> list[ProtocolTranscript]:
-    rho = check_state(state)
-    k = np.array(build_kraus(alpha).k)
+def _enumerate_branches(alpha: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities, clipped at 0, and read-only post-states of the eight branches on a validated rho."""
+    k = build_kraus(alpha).k_stack
     raw = k @ rho @ k.conj().transpose(0, 2, 1)
     probs = np.trace(raw, axis1=1, axis2=2).real
     kept = (probs > PROBABILITY_FLOOR)[:, None, None]
     posts = np.divide(raw, probs[:, None, None], out=np.zeros_like(raw), where=kept)
     posts.flags.writeable = False
+    return np.maximum(probs, 0.0), posts
+
+
+def _transcripts(probs: np.ndarray, posts: np.ndarray) -> list[ProtocolTranscript]:
     return [
         ProtocolTranscript(
             alice_outcome=ai,
             classical_bit=0 if ai in (1, 3) else 1,
             bob_outcome=bi,
-            joint_probability=max(float(prob), 0.0),
+            joint_probability=float(prob),
             post_state=post,
         )
         for (ai, bi), prob, post in zip(_BRANCHES, probs, posts)
@@ -159,15 +192,14 @@ def _enumerate_branches(alpha: float, state: np.ndarray) -> list[ProtocolTranscr
 def _branch_table(alpha: float) -> tuple[tuple[ProtocolTranscript, ...], np.ndarray, np.ndarray]:
     """The eight branches on the representative state at alpha: transcripts, probabilities, scores.
 
-    The scores are branch_scores against that same state, so the table
+    The scores are branch_scores against that same state, taken from the
+    post-state stack before it is split into transcripts, so the table
     holds everything the exact enumeration and the sampler read.
     """
-    phi = schmidt_state(alpha)
-    transcripts = tuple(_enumerate_branches(alpha, np.outer(phi, phi.conj())))
-    probs = np.array([tr.joint_probability for tr in transcripts])
-    scores = branch_scores(transcripts, phi)
+    probs, posts = _enumerate_branches(alpha, representative_density(alpha))
+    scores = _stack_scores(probs, posts, schmidt_state(alpha))
     probs.flags.writeable = scores.flags.writeable = False
-    return transcripts, probs, scores
+    return tuple(_transcripts(probs, posts)), probs, scores
 
 
 def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
@@ -178,13 +210,18 @@ def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarr
     branch, so a branch scores the same bits alone as in the stack.
     Branches of zero probability score 0.
     """
+    probs = np.array([tr.joint_probability for tr in transcripts])
+    return _stack_scores(probs, np.array([tr.post_state for tr in transcripts]), reference)
+
+
+def _stack_scores(probs: np.ndarray, posts: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """branch_scores of the branches with these probabilities and (n, 16, 16) post-states."""
     ref = np.asarray(reference, dtype=complex).reshape(-1)
     if ref.shape != (4,):
         raise ValueError("reference must be a two-qubit state vector")
-    reductions = np.array(clone_reductions(np.array([tr.post_state for tr in transcripts])))
+    reductions = np.array(clone_reductions(posts))
     overlaps = np.real(ref.conj()[None, :] @ reductions @ ref[:, None]).reshape(2, -1)
-    dead = np.array([tr.joint_probability <= 0.0 for tr in transcripts])
-    return np.where(dead, 0.0, (overlaps[0] + overlaps[1]) / 2.0)
+    return np.where(probs <= 0.0, 0.0, (overlaps[0] + overlaps[1]) / 2.0)
 
 
 def branch_fidelity(transcript: ProtocolTranscript, reference: np.ndarray) -> float:
@@ -217,7 +254,11 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     draw for draw, with p the normalized branch probabilities: the same
     uniforms are compared with the same cumulative table that ``choice``
     builds, without keeping the draws.  Memory stays bounded at any trials.
+    trials must be a Python or numpy integer, not a bool.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _, probs, scores = _branch_table(float(alpha))

@@ -446,9 +446,12 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     THRESHOLD_FLOOR, otherwise the curve is declared smooth and
     ThresholdDetectionError is raised.  The reported alpha is the grid
     point with the larger second-difference magnitude among the two that
-    straddle the jump.
+    straddle the jump.  A non-finite alpha or value raises ValueError.
     """
-    pts = sorted((float(a), float(v)) for a, v in sweep)
+    pts = [(float(a), float(v)) for a, v in sweep]
+    if not np.isfinite(pts).all():
+        raise ValueError("sweep alphas and values must be finite")
+    pts.sort()
     if len(pts) < 7:
         raise ValueError("threshold detection needs at least seven sweep points")
     alphas = np.array([a for a, _ in pts])

@@ -14,18 +14,22 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
+from entclone import channel
 from entclone.channel import (
+    _functional_table,
     _party_reductions,
     apply,
     apply_choi,
     channel_from_params,
+    check_state,
     clone_reductions,
     constraint_matrices,
     fidelity_coefficients,
     local_fidelity,
+    representative_density,
     trace_output,
 )
-from entclone.covariant import assemble_ptilde, basis_stack, build_t_operators, random_su2
+from entclone.covariant import T_OPERATORS, assemble_ptilde, basis_stack, build_t_operators, random_su2
 
 
 def density(vec):
@@ -204,6 +208,7 @@ def test_party_reductions_are_built_once_per_t(t_ops):
     for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
         cached = fidelity_coefficients(alpha, t_ops)
         _party_reductions.cache_clear()
+        _functional_table.cache_clear()
         assert np.array_equal(fidelity_coefficients(alpha, t_ops), cached)
 
 
@@ -246,3 +251,63 @@ def test_local_fidelity_rejects_asymmetric_channel():
     vec_k = k.reshape(-1)
     with pytest.raises(ValueError, match="clone symmetry"):
         local_fidelity(np.outer(vec_k, vec_k.conj()), 0.4)
+
+
+def sandwich_fidelity_coefficients(alpha, t_ops):
+    """Reference f at one alpha: f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2 with psi = phi (x) phi by party."""
+    phi = schmidt_state(alpha).reshape(2, 2)
+    psi = np.einsum("ab,xy->axby", phi, phi).reshape(4, 4)
+    f = np.zeros((5, 5))
+    for r in _party_reductions(t_ops)[:2]:
+        sandwich = psi.conj().T @ r @ psi
+        f += np.real(sandwich.reshape(5, 16) @ r.reshape(5, 16).T) / 2.0
+    return f
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["default-t", "fresh-t"])
+def test_functional_table_matches_the_per_alpha_sandwich(fresh):
+    """G0 + x G1 equals the functional computed at each alpha; measured 6.7e-16 at worst."""
+    t_ops = build_t_operators() if fresh else T_OPERATORS
+    worst = 0.0
+    for alpha in np.linspace(0.0, ALPHA_MAX, 501):
+        got = fidelity_coefficients(alpha, t_ops)
+        worst = max(worst, np.abs(got - sandwich_fidelity_coefficients(alpha, t_ops)).max())
+    assert worst <= 1e-15
+
+
+def test_functional_table_is_built_once_per_t(t_ops):
+    g0, g1 = _functional_table(t_ops)
+    assert all(p is q for p, q in zip((g0, g1), _functional_table(t_ops)))
+    for arr in (g0, g1):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    f = fidelity_coefficients(0.4, t_ops)
+    f[0, 0] = 7.0  # the caller owns the returned array; the tables are untouched
+    assert np.array_equal(fidelity_coefficients(0.4, t_ops), fidelity_coefficients(0.4))
+    with pytest.raises(ValueError):
+        fidelity_coefficients(0.8)
+
+
+def test_functional_table_rejects_a_non_affine_functional(monkeypatch):
+    sandwich = channel._sandwich
+    monkeypatch.setattr(channel, "_sandwich", lambda alpha, t: sandwich(alpha, t) + alpha**4)
+    with pytest.raises(RuntimeError, match="not affine"):
+        fidelity_coefficients(0.3, build_t_operators())
+
+
+def test_representative_density_is_validated_once_and_read_only(monkeypatch):
+    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
+        rho = representative_density(alpha)
+        phi = schmidt_state(alpha)
+        assert not rho.flags.writeable
+        assert np.array_equal(rho, check_state(np.outer(phi, phi.conj())))
+    calls = []
+    monkeypatch.setattr(channel, "check_state", lambda rho: calls.append(1) or check_state(rho))
+    channel._representative_density.cache_clear()
+    p_e = family_channel(CloneFamily.LOCC_OPTIMAL, 0.45)
+    first = local_fidelity(p_e, 0.45)
+    assert local_fidelity(p_e, np.float64(0.45)) == first
+    assert representative_density(0.45) is representative_density(0.45)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        representative_density(0.9)

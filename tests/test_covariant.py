@@ -8,6 +8,9 @@ from entclone.covariant import (
     BLOCK_BASIS,
     BLOCK_C,
     BLOCK_X,
+    _PARTIES_TO_CHOI,
+    _TRANSPOSE_B,
+    _choi_order,
     _flat_stack,
     assemble_ptilde,
     basis_stack,
@@ -211,3 +214,20 @@ def test_assemble_unit_matrices_on_the_choi_order(t_ops):
             unit = np.zeros((5, 5))
             unit[i, j] = 1.0
             assert np.abs(assemble_ptilde(unit) - choi_kron(ts[i], ts[j])).max() < 1e-15
+
+
+def test_index_tables_equal_the_12_axis_transposes():
+    """The flat gathers equal the qubit-axis transposes they replace, bit for bit."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    axes = (2,) * 12
+    assert np.array_equal(_choi_order(x), x.reshape(axes).transpose(_PARTIES_TO_CHOI).reshape(64, 64))
+    assert np.array_equal(partial_transpose_b(x), x.reshape(axes).transpose(_TRANSPOSE_B).reshape(64, 64))
+    stack = rng.standard_normal((3, 64, 64))
+    assert np.array_equal(_choi_order(stack), np.array([_choi_order(m) for m in stack]))
+
+
+def test_basis_stack_is_the_outer_products_on_the_choi_order(t_ops):
+    ts = _flat_stack(t_ops)
+    expected = [_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts]
+    assert np.array_equal(basis_stack(), np.array(expected))

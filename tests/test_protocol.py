@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entclone import cli, protocol
+from entclone import channel, cli, protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
 from entclone.channel import apply_choi, channel_from_params, local_fidelity, trace_output
 from entclone.covariant import assemble_ptilde
@@ -154,6 +154,17 @@ def test_sampled_estimator():
         run_protocol_sampled(0.5, trials=0)
 
 
+@pytest.mark.parametrize("trials", [True, False, 2.0, 1e5, "10", None])
+def test_sampled_requires_integer_trials(trials):
+    with pytest.raises(ValueError, match="integer"):
+        run_protocol_sampled(0.5, trials=trials)
+
+
+def test_sampled_accepts_numpy_integers():
+    for kind in (np.int64, np.int32, np.uint16):
+        assert run_protocol_sampled(0.5, kind(1000), 3) == run_protocol_sampled(0.5, 1000, 3)
+
+
 def _choice_sampled(alpha, trials, seed):
     """The sampler as numpy's own Generator.choice draws it: the reference for the counts."""
     transcripts = run_protocol_exact(alpha)
@@ -215,6 +226,28 @@ def test_memos_rebuild_bit_identical_after_clear():
         for tr, old in zip(rebuilt[0], table[0]):
             assert tr.joint_probability == old.joint_probability
             assert np.array_equal(tr.post_state, old.post_state)
+
+
+def test_table_and_local_fidelity_validate_the_representative_state_once(monkeypatch):
+    calls = []
+    check_state = channel.check_state
+    monkeypatch.setattr(channel, "check_state", lambda rho: calls.append(1) or check_state(rho))
+    channel._representative_density.cache_clear()
+    alpha = 0.41
+    run_protocol_exact(alpha)
+    local_fidelity(channel_from_params(params_for(CloneFamily.LOCC_OPTIMAL, alpha)), alpha)
+    assert len(calls) == 1
+    transcripts, probs, scores = protocol._branch_table(alpha)
+    assert np.array_equal(scores, protocol.branch_scores(transcripts, schmidt_state(alpha)))
+    assert np.array_equal(probs, [tr.joint_probability for tr in transcripts])
+
+
+def test_kraus_stack_is_read_only_and_backs_the_tuple():
+    ks = build_kraus(0.5)
+    assert ks.k_stack.shape == (8, 16, 4) and not ks.k_stack.flags.writeable
+    assert all(kmat.base is ks.k_stack for kmat in ks.k)
+    weak = dataclasses.replace(ks, k=(0.0 * ks.k[0], *ks.k[1:]))
+    assert np.array_equal(weak.k_stack[0], np.zeros((16, 4))) and np.array_equal(weak.k_stack[1:], ks.k_stack[1:])
 
 
 def test_explicit_state_bypasses_the_table():

@@ -475,3 +475,11 @@ def test_detect_threshold_input_validation():
     alphas = [0.30, 0.302, 0.304, 0.306, 0.31, 0.312, 0.314, 0.316]
     with pytest.raises(ValueError):
         detect_threshold([(a, fidelity_bh(a)) for a in alphas])
+    # A non-finite value or alpha in a 36-point closed-form sweep is refused, not read as a kink.
+    grid = 0.30 + 0.002 * np.arange(36)
+    curve = [(a, fidelity_locc(a)) for a in grid]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            detect_threshold([*curve[:4], (curve[4][0], bad), *curve[5:]])
+        with pytest.raises(ValueError, match="finite"):
+            detect_threshold([*curve[:4], (bad, curve[4][1]), *curve[5:]])
