@@ -27,7 +27,12 @@ class CloneFamily(enum.Enum):
     LOCC_OPTIMAL = "locc"
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """The Schmidt weight as a float in [0, 1/sqrt(2)].
+
+    A value outside the range by at most 1e-12 is clamped to the nearer
+    end; any other value, nan included, raises ValueError.
+    """
     alpha = float(alpha)
     if not (-_ALPHA_SLACK <= alpha <= ALPHA_MAX + _ALPHA_SLACK):
         raise ValueError(f"alpha must lie in [0, 1/sqrt(2)], got {alpha!r}")
@@ -36,7 +41,7 @@ def _check_alpha(alpha: float) -> float:
 
 def schmidt_state(alpha: float) -> np.ndarray:
     """Representative input a|00> + sqrt(1-a^2)|11> as a 4-vector on (A, B)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     v = np.zeros(4, dtype=complex)
     v[0] = alpha
     v[3] = math.sqrt(1.0 - alpha * alpha)
@@ -45,21 +50,21 @@ def schmidt_state(alpha: float) -> np.ndarray:
 
 def c_of_alpha(alpha: float) -> float:
     """Discriminant entering the unconstrained optimum."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a2 = alpha * alpha
     return math.sqrt(73.0 + 16.0 * a2 * (1.0 - a2) * (1.0 + 40.0 * a2 - 40.0 * a2 * a2))
 
 
 def fidelity_global(alpha: float) -> float:
     """Best clone fidelity over all joint operations."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a2 = alpha * alpha
     return (16.0 + (1.0 - 4.0 * a2) ** 2 - 8.0 * a2 * a2 + c_of_alpha(alpha)) / 36.0
 
 
 def fidelity_bh(alpha: float) -> float:
     """Clone fidelity of two independent optimal local cloners."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a2 = alpha * alpha
     return (25.0 - 16.0 * a2 + 16.0 * a2 * a2) / 36.0
 
@@ -77,7 +82,7 @@ def _locc_sqrt_a11(alpha: float) -> float:
 
 def fidelity_locc(alpha: float) -> float:
     """Best clone fidelity for local operations plus one classical bit."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if alpha <= alpha_critical():
         return fidelity_bh(alpha)
     a2 = alpha * alpha
@@ -93,7 +98,7 @@ def params_for(family: CloneFamily, alpha: float) -> np.ndarray:
     LOCC family is piecewise and returns the no-communication point at
     and below the critical weight.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a = np.zeros((5, 5))
     if family is CloneFamily.GLOBAL_OPTIMAL:
         a2 = alpha * alpha

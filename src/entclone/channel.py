@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from entclone.analytic import ALPHA_MAX, schmidt_state
+from entclone.analytic import ALPHA_MAX, check_alpha, schmidt_state
 from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde
 
 SYMMETRY_TOL = 1e-8
@@ -115,13 +115,14 @@ def clone_reductions(rho_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     """Clone fidelity of the channel with Choi operator p_e on the representative input state.
 
-    The two clones must agree within the symmetry tolerance; their mean
-    overlap with the input is returned.
+    The two clones must agree within the symmetry tolerance, else (a
+    non-finite output included) ValueError; their mean overlap with the
+    input is returned.
     """
     phi = schmidt_state(alpha)
     rho_out = apply_choi(p_e, representative_density(alpha))
     r1, r2 = clone_reductions(rho_out)
-    if np.linalg.norm(r1 - r2) > SYMMETRY_TOL:
+    if not (np.linalg.norm(r1 - r2) <= SYMMETRY_TOL):
         raise ValueError("channel output violates clone symmetry on the representative state")
     f = phi.conj() @ ((r1 + r2) / 2.0) @ phi
     return float(np.real(f))
@@ -164,8 +165,7 @@ def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarr
     is returned as G0 + x G1 from the tables kept for the last t (see
     _functional_table).
     """
-    # alpha as schmidt_state validates and clamps it.
-    a = float(schmidt_state(alpha)[0].real)
+    a = check_alpha(alpha)
     g0, g1 = _functional_table(t)
     return g0 + (a * a * (1.0 - a * a)) * g1
 

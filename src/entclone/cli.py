@@ -24,6 +24,7 @@ from entclone import __version__
 from entclone.analytic import (
     ALPHA_MAX,
     CloneFamily,
+    check_alpha,
     fidelity_bh,
     fidelity_global,
     fidelity_locc,
@@ -47,24 +48,29 @@ from entclone.verify import format_report, run_all
 
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-7
-_SWEEP_MODES = ("global", "bh", "locc", "sdp", "sdp-ppt")
-_MODE_FIELDS = {
-    "global": "f_global",
-    "bh": "f_bh",
-    "locc": "f_locc",
-    "sdp": "f_sdp",
-    "sdp-ppt": "f_sdp_ppt",
+
+
+# Every sweep mode in its canonical column order: its output column and
+# its value at (alpha, tol), a closed form or the optimum over one cone.
+_SWEEP_MODES = {
+    "global": ("f_global", lambda alpha, tol: fidelity_global(alpha)),
+    "bh": ("f_bh", lambda alpha, tol: fidelity_bh(alpha)),
+    "locc": ("f_locc", lambda alpha, tol: fidelity_locc(alpha)),
+    "sdp": ("f_sdp", lambda alpha, tol: solve(build_problem(alpha), tol=tol).f_star),
+    "sdp-ppt": ("f_sdp_ppt", lambda alpha, tol: solve(build_problem(alpha, with_ppt=True), tol=tol).f_star),
 }
 
 
 def _parse_alpha(text: str) -> float:
-    """Decimal Schmidt weight; the token "max" maps to the exact endpoint."""
-    if text.strip().lower() == "max":
-        return ALPHA_MAX
+    """Schmidt weight, "max" for the exact endpoint, validated and clamped by analytic.check_alpha."""
     try:
-        return float(text)
+        alpha = ALPHA_MAX if text.strip().lower() == "max" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid alpha value: {text!r}") from None
+    try:
+        return check_alpha(alpha)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid alpha value: {text!r}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_tol(text: str) -> float:
@@ -76,6 +82,30 @@ def _parse_tol(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}")
     return tol
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _parse_modes(text: str) -> list[str]:
+    """Comma-separated sweep modes, each once, in canonical order."""
+    modes = [mode.strip() for mode in text.split(",")]
+    for mode in modes:
+        if mode not in _SWEEP_MODES:
+            raise argparse.ArgumentTypeError(f"unknown mode {mode!r}; choose from {','.join(_SWEEP_MODES)}")
+    return [mode for mode in _SWEEP_MODES if mode in modes]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -135,56 +165,16 @@ def _metadata(seed: int, tol: float) -> dict:
     }
 
 
-def _check_range(alpha_min: float, alpha_max: float, steps: int) -> str | None:
-    slack = 1e-12
-    if not (-slack <= alpha_min <= alpha_max <= ALPHA_MAX + slack):
-        return (
-            f"alpha range must satisfy 0 <= min <= max <= {ALPHA_MAX:.6f}, "
-            f"got [{alpha_min}, {alpha_max}]"
-        )
-    if steps < 1:
-        return f"steps must be at least 1, got {steps}"
-    return None
-
-
-def _grid(args: argparse.Namespace) -> np.ndarray:
-    """The alpha grid, its endpoints clamped to [0, ALPHA_MAX] so that no row prints an alpha in _check_range's slack."""
-    return np.linspace(max(args.alpha_min, 0.0), min(args.alpha_max, ALPHA_MAX), args.steps)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    problem = _check_range(args.alpha_min, args.alpha_max, args.steps)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    modes = []
-    for raw in args.modes.split(","):
-        mode = raw.strip()
-        if mode not in _SWEEP_MODES:
-            print(
-                f"error: unknown mode {mode!r}; choose from {','.join(_SWEEP_MODES)}",
-                file=sys.stderr,
-            )
-            return 2
-        if mode not in modes:
-            modes.append(mode)
-    modes.sort(key=_SWEEP_MODES.index)
-
-    columns = ["alpha"] + [_MODE_FIELDS[m] for m in modes] + ["error"]
-    analytic = {"global": fidelity_global, "bh": fidelity_bh, "locc": fidelity_locc}
-    needs_solver = [m for m in modes if m in ("sdp", "sdp-ppt")]
-
+    columns = ["alpha"] + [_SWEEP_MODES[mode][0] for mode in args.modes] + ["error"]
     records: list[dict] = []
     failure: str | None = None
-    for alpha in _grid(args):
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
         rec: dict = {"alpha": float(alpha)}
-        for mode in modes:
-            if mode in analytic:
-                rec[_MODE_FIELDS[mode]] = analytic[mode](float(alpha))
         try:
-            for mode in needs_solver:
-                sol = solve(build_problem(float(alpha), with_ppt=(mode == "sdp-ppt")), tol=args.tol)
-                rec[_MODE_FIELDS[mode]] = sol.f_star
+            for mode in args.modes:
+                column, value = _SWEEP_MODES[mode]
+                rec[column] = value(float(alpha), args.tol)
         except (ConvergenceError, ValueError) as exc:
             rec["error"] = f"solver failure: {exc}"
             failure = str(exc)
@@ -198,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if failure:
         print(f"error: sweep aborted: {failure}", file=sys.stderr)
         return 3
-    if "sdp-ppt" in modes:
+    if "sdp-ppt" in args.modes:
         pairs = [(rec["alpha"], rec["f_sdp_ppt"]) for rec in records]
         try:
             kink = detect_threshold(pairs)
@@ -211,13 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    problem = _check_range(args.alpha_min, args.alpha_max, args.steps)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     labels = (("a11", 0, 0), ("a12", 0, 1), ("a21", 1, 0), ("a22", 1, 1), ("a44", 3, 3))
     records = []
-    for alpha in _grid(args):
+    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
         a = params_for(CloneFamily.LOCC_OPTIMAL, float(alpha))
         rec: dict = {"alpha": float(alpha)}
         for name, i, j in labels:
@@ -235,14 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
-    if args.trials < 0:
-        print(f"error: trials must be nonnegative, got {args.trials}", file=sys.stderr)
-        return 2
-    try:
-        transcripts = run_protocol_exact(args.alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    transcripts = run_protocol_exact(args.alpha)
     scores = branch_scores(transcripts, schmidt_state(args.alpha))
     records: list[dict] = [
         {
@@ -280,53 +259,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="tabulate fidelity curves over a Schmidt-weight grid")
-    sweep.add_argument("--alpha-min", type=_parse_alpha, default="0")
-    sweep.add_argument("--alpha-max", type=_parse_alpha, default="max")
-    sweep.add_argument("--steps", type=int, default=50)
+    # The options shared between subcommands, each declared once.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--alpha-min", type=_parse_alpha, default="0")
+    grid.add_argument("--alpha-max", type=_parse_alpha, default="max")
+    grid.add_argument("--steps", type=_int_at_least(1), default=50)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default=None)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+
+    sweep = sub.add_parser(
+        "sweep", parents=[grid, output, tol, seed], help="tabulate fidelity curves over a Schmidt-weight grid"
+    )
     sweep.add_argument(
         "--modes",
+        type=_parse_modes,
         default="global,bh,locc",
         help=f"comma-separated subset of {{{','.join(_SWEEP_MODES)}}}",
     )
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
-    sweep.add_argument("--seed", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
 
-    params = sub.add_parser("params", help="tabulate the optimal one-bit family parameters")
-    params.add_argument("--alpha-min", type=_parse_alpha, default="0")
-    params.add_argument("--alpha-max", type=_parse_alpha, default="max")
-    params.add_argument("--steps", type=int, default=50)
-    params.add_argument("--format", choices=("csv", "json"), default="csv")
-    params.add_argument("--out", default=None)
-    params.add_argument("--seed", type=int, default=None)
+    params = sub.add_parser(
+        "params", parents=[grid, output, seed], help="tabulate the optimal one-bit family parameters"
+    )
     params.set_defaults(func=cmd_params)
 
-    verify = sub.add_parser("verify", help="run the acceptance criteria and report pass/fail")
-    verify.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
-    verify.add_argument("--seed", type=int, default=None)
+    verify = sub.add_parser("verify", parents=[tol, seed], help="run the acceptance criteria and report pass/fail")
     verify.set_defaults(func=cmd_verify)
 
-    protocol = sub.add_parser("protocol", help="run the one-bit protocol exactly and sampled")
+    protocol = sub.add_parser("protocol", parents=[output, seed], help="run the one-bit protocol exactly and sampled")
     protocol.add_argument("--alpha", type=_parse_alpha, default="max")
-    protocol.add_argument("--trials", type=int, default=0)
-    protocol.add_argument("--seed", type=int, default=None)
-    protocol.add_argument("--format", choices=("csv", "json"), default="csv")
-    protocol.add_argument("--out", default=None)
+    protocol.add_argument("--trials", type=_int_at_least(0), default=0)
     protocol.set_defaults(func=cmd_protocol)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         args.seed = _resolve_seed(args.seed)
+        if "alpha_min" in args and args.alpha_min > args.alpha_max:
+            raise ValueError(f"alpha range must satisfy min <= max, got [{args.alpha_min}, {args.alpha_max}]")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,11 +130,12 @@ def _kraus_set(alpha: float) -> LocalKrausSet:
 
 
 def _check_kraus(ks: LocalKrausSet) -> None:
+    # Written as not (err <= tol) so that a nan entry fails too.
     povm = sum(mi.conj().T @ mi for mi in ks.m)
-    if np.max(np.abs(povm - np.eye(2))) > KRAUS_TOL:
+    if not (np.max(np.abs(povm - np.eye(2))) <= KRAUS_TOL):
         raise ValueError("POVM completeness violated: sum Mi^dag Mi != I")
     total = sum(ki.conj().T @ ki for ki in ks.k)
-    if np.max(np.abs(total - np.eye(4))) > KRAUS_TOL:
+    if not (np.max(np.abs(total - np.eye(4))) <= KRAUS_TOL):
         raise ValueError("Kraus completeness violated: sum Ki^dag Ki != I")
 
 
@@ -208,8 +209,12 @@ def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarr
     Both clone reductions of every branch come from one batched trace,
     and each overlap <ref| r |ref> is a (1, 4) @ (4, 4) @ (4, 1) product per
     branch, so a branch scores the same bits alone as in the stack.
-    Branches of zero probability score 0.
+    Branches of zero probability score 0.  The reference must be finite
+    and of unit norm to 1e-10, else ValueError.
     """
+    # A non-finite entry makes the norm nan or inf, which fails this test too.
+    if not (abs(np.linalg.norm(reference) - 1.0) <= 1e-10):
+        raise ValueError("reference must be a finite state vector of unit norm")
     probs = np.array([tr.joint_probability for tr in transcripts])
     return _stack_scores(probs, np.array([tr.post_state for tr in transcripts]), reference)
 
@@ -254,11 +259,14 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     draw for draw, with p the normalized branch probabilities: the same
     uniforms are compared with the same cumulative table that ``choice``
     builds, without keeping the draws.  Memory stays bounded at any trials.
-    trials must be a Python or numpy integer, not a bool.
+    trials and seed must be Python or numpy integers, not bools; trials
+    at least 1, seed non-negative.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
         raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    trials, seed = int(trials), int(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _, probs, scores = _branch_table(float(alpha))

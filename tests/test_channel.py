@@ -251,6 +251,9 @@ def test_local_fidelity_rejects_asymmetric_channel():
     vec_k = k.reshape(-1)
     with pytest.raises(ValueError, match="clone symmetry"):
         local_fidelity(np.outer(vec_k, vec_k.conj()), 0.4)
+    # A nan output must not slip past the tolerance comparison.
+    with pytest.raises(ValueError, match="clone symmetry"):
+        local_fidelity(np.full((64, 64), np.nan), 0.5)
 
 
 def sandwich_fidelity_coefficients(alpha, t_ops):

@@ -270,10 +270,21 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
         ("bogus-command",),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
-    code = main(list(argv))
-    capsys.readouterr()
+def test_usage_errors_exit_2(capsys, monkeypatch, argv):
+    """Every usage error exits 2 before any work: nothing is solved, tabulated, run or written."""
+    for name in ("solve", "params_for", "run_protocol_exact", "run_all"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "protocol"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
 def test_verify_rejects_unattainable_tolerance(capsys):

@@ -160,9 +160,31 @@ def test_sampled_requires_integer_trials(trials):
         run_protocol_sampled(0.5, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, "3", -1, None])
+def test_sampled_requires_non_negative_integer_seed(seed, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("generator drawn"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        run_protocol_sampled(0.5, trials=10, seed=seed)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, np.nan, np.inf])
+def test_branch_scores_reject_a_reference_off_the_unit_sphere(scale):
+    """A reference not of unit norm, or not finite, would score fidelities outside [0, 1]."""
+    transcripts = run_protocol_exact(0.5)
+    reference = np.array([scale, 0.0, 0.0, 1.0]) * ALPHA_MAX
+    with pytest.raises(ValueError, match="unit norm"):
+        protocol.branch_scores(transcripts, reference)
+    with pytest.raises(ValueError, match="unit norm"):
+        average_clone_fidelity(transcripts, reference)
+    with pytest.raises(ValueError, match="unit norm"):
+        branch_fidelity(transcripts[0], reference)
+    assert 0.0 <= average_clone_fidelity(transcripts, (1.0 + 1e-12) * schmidt_state(ALPHA_MAX)) <= 1.0
+
+
 def test_sampled_accepts_numpy_integers():
     for kind in (np.int64, np.int32, np.uint16):
         assert run_protocol_sampled(0.5, kind(1000), 3) == run_protocol_sampled(0.5, 1000, 3)
+    assert run_protocol_sampled(0.5, 1000, np.int64(9)) == run_protocol_sampled(0.5, 1000, 9)
 
 
 def _choice_sampled(alpha, trials, seed):
@@ -408,6 +430,8 @@ def test_dilation_column_amplitudes():
 
 def test_dilations_reject_corrupted_kraus():
     ks = build_kraus(0.5)
-    bad = dataclasses.replace(ks, m=tuple(1.01 * m for m in ks.m))
-    with pytest.raises(ValueError):
-        build_dilations(bad)
+    with_nan = [m.copy() for m in ks.m]
+    with_nan[2][1, 0] = np.nan
+    for m in (tuple(1.01 * m for m in ks.m), tuple(with_nan)):
+        with pytest.raises(ValueError, match="POVM completeness"):
+            build_dilations(dataclasses.replace(ks, m=m))
