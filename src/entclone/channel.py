@@ -22,10 +22,9 @@ actually applied.  The functional depends on alpha only through
 x = alpha^2 (1 - alpha^2): it is G0 + x G1, with the two 5x5 tables
 computed once per t and checked at a third x.
 
-The representative input's density matrix is validated once per alpha
-and kept, read-only, for the last alpha (representative_density);
-local_fidelity and the protocol's branch table both read it.  An
-explicit state passed to apply is validated on every call.
+A state passed to apply is validated on every call; local_fidelity
+builds the representative input's density matrix itself from a
+checked alpha, so it needs no validation.
 """
 
 from __future__ import annotations
@@ -76,19 +75,6 @@ def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return apply_choi(p_e, check_state(rho))
 
 
-def representative_density(alpha: float) -> np.ndarray:
-    """Validated, read-only density matrix of schmidt_state(alpha), kept for the last alpha."""
-    return _representative_density(float(alpha))
-
-
-@functools.lru_cache(maxsize=1)
-def _representative_density(alpha: float) -> np.ndarray:
-    phi = schmidt_state(alpha)
-    rho = check_state(np.outer(phi, phi.conj()))
-    rho.flags.writeable = False
-    return rho
-
-
 def channel_from_params(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a.
 
@@ -120,7 +106,7 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     input is returned.
     """
     phi = schmidt_state(alpha)
-    rho_out = apply_choi(p_e, representative_density(alpha))
+    rho_out = apply_choi(p_e, np.outer(phi, phi.conj()))
     r1, r2 = clone_reductions(rho_out)
     if not (np.linalg.norm(r1 - r2) <= SYMMETRY_TOL):
         raise ValueError("channel output violates clone symmetry on the representative state")

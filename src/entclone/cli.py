@@ -29,14 +29,8 @@ from entclone.analytic import (
     fidelity_global,
     fidelity_locc,
     params_for,
-    schmidt_state,
 )
-from entclone.protocol import (
-    branch_scores,
-    run_protocol_exact,
-    run_protocol_sampled,
-    weighted_fidelity,
-)
+from entclone.protocol import run_protocol_exact, run_protocol_sampled
 from entclone.sdp import (
     ConvergenceError,
     ThresholdDetectionError,
@@ -222,7 +216,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_protocol(args: argparse.Namespace) -> int:
     transcripts = run_protocol_exact(args.alpha)
-    scores = branch_scores(transcripts, schmidt_state(args.alpha))
     records: list[dict] = [
         {
             "kind": "branch",
@@ -230,11 +223,12 @@ def cmd_protocol(args: argparse.Namespace) -> int:
             "classical_bit": tr.classical_bit,
             "bob_outcome": tr.bob_outcome,
             "probability": tr.joint_probability,
-            "branch_fidelity": float(score),
+            "branch_fidelity": tr.fidelity,
         }
-        for tr, score in zip(transcripts, scores)
+        for tr in transcripts
     ]
-    records.append({"kind": "exact", "fidelity": weighted_fidelity(transcripts, scores)})
+    exact = sum(tr.joint_probability * tr.fidelity for tr in transcripts)
+    records.append({"kind": "exact", "fidelity": exact})
     if args.trials >= 1:
         estimate, stderr = run_protocol_sampled(args.alpha, trials=args.trials, seed=args.seed)
         records.append({"kind": "sampled", "fidelity": estimate, "stderr": stderr})

@@ -10,15 +10,14 @@ that channel reads and covariant assembles on, and constructs the
 ancilla dilations that implement both measurements unitarily.
 
 Each alpha's protocol data is computed once: build_kraus keeps the
-Kraus set of the last alpha it was asked for, with its eight Kraus
-operators as one read-only (8, 16, 4) stack, and the eight branches on
-the representative state at that alpha (probabilities, post-states and
-clone scores) are kept in one table that run_protocol_exact and
-run_protocol_sampled both read.  The table is built from that stack and
-from channel.representative_density, the validated density matrix
-local_fidelity reads too, and scores its post-state stack directly.
-Every array either hands out is read-only.  An explicit input state is
-validated and enumerated afresh on each call.
+Kraus set of the last alpha it was asked for, its four M_i and eight
+Kraus operators each one read-only array, and the eight branches on the
+representative state at that alpha are kept as one tuple of scored
+transcripts that run_protocol_exact and run_protocol_sampled both read.
+Every transcript carries its probability, its read-only post-state and
+its clone fidelity on the representative state, scored once from the
+batched post-state stack.  An explicit input state is validated and
+enumerated, and its branches scored, afresh on each call.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from entclone.analytic import CloneFamily, params_for, schmidt_state
-from entclone.channel import check_state, clone_reductions, representative_density
+from entclone.channel import check_state, clone_reductions
 
 KRAUS_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-14
@@ -72,34 +71,28 @@ for _table in (_M_W, _M_V):
 
 @dataclass(frozen=True)
 class LocalKrausSet:
-    """Protocol matrices: scalars w, v, the four M_i, and the eight K_i.
-
-    Construction stores the K_i as one read-only (8, 16, 4) stack,
-    k_stack, and k as the tuple of its eight views.
-    """
+    """Protocol matrices: scalars w, v, and the M_i and the K_i as read-only (4, 4, 2) and (8, 16, 4) arrays."""
 
     w: float
     v: float
-    m: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    k: tuple[np.ndarray, ...]
-    k_stack: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        stack = np.array(self.k, dtype=complex)
-        stack.flags.writeable = False
-        object.__setattr__(self, "k_stack", stack)
-        object.__setattr__(self, "k", tuple(stack))
+    m: np.ndarray
+    k: np.ndarray
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """One measurement branch: outcomes, the communicated bit, and the result."""
+    """One measurement branch: outcomes, the communicated bit, and the result.
+
+    fidelity is the branch's clone fidelity on schmidt_state(alpha), as
+    branch_scores gives it; 0 for a branch of zero probability.
+    """
 
     alice_outcome: int
     classical_bit: int
     bob_outcome: int
     joint_probability: float
     post_state: np.ndarray
+    fidelity: float
 
 
 def build_kraus(alpha: float) -> LocalKrausSet:
@@ -125,8 +118,9 @@ def _kraus_set(alpha: float) -> LocalKrausSet:
     # and (b, d) for Bob, and its input column is x for Alice, y for Bob.
     blocks = m.reshape(4, 2, 2, 2)
     pairs = np.einsum("nacx,nbdy->nabcdxy", blocks[_ALICE_M], blocks[_BOB_M])
-    m.flags.writeable = False
-    return LocalKrausSet(w=w, v=v, m=tuple(m), k=math.sqrt(2.0) * pairs.reshape(8, 16, 4))
+    k = math.sqrt(2.0) * pairs.reshape(8, 16, 4)
+    m.flags.writeable = k.flags.writeable = False
+    return LocalKrausSet(w=w, v=v, m=m, k=k)
 
 
 def _check_kraus(ks: LocalKrausSet) -> None:
@@ -146,7 +140,7 @@ def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
     flattened Ki, whose rows are (1A,1B,2A,2B) and columns (A,B); it
     compares directly with the covariant parametrization.
     """
-    vecs = ks.k_stack.reshape(8, 64)
+    vecs = ks.k.reshape(8, 64)
     return vecs.T @ vecs.conj()
 
 
@@ -157,50 +151,43 @@ def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[Pr
     branches come from the table kept for the last alpha; an explicit
     state is validated first.  The eight raw branch states Ki rho Ki^dag
     are one batched product over the stacked Ki.  Each transcript
-    carries the normalized, read-only post-measurement state; branches
-    of negligible probability get a zero matrix instead.
+    carries the normalized, read-only post-measurement state (a zero
+    matrix for a branch of negligible probability) and its clone
+    fidelity on the representative state at this alpha.
     """
     if state is None:
-        return list(_branch_table(float(alpha))[0])
-    return _transcripts(*_enumerate_branches(alpha, check_state(state)))
+        return list(_branch_table(float(alpha)))
+    return list(_enumerate_branches(alpha, check_state(state)))
 
 
-def _enumerate_branches(alpha: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities, clipped at 0, and read-only post-states of the eight branches on a validated rho."""
-    k = build_kraus(alpha).k_stack
+def _enumerate_branches(alpha: float, rho: np.ndarray) -> tuple[ProtocolTranscript, ...]:
+    """The eight branches on a validated rho, probabilities clipped at 0, each scored once."""
+    k = build_kraus(alpha).k
     raw = k @ rho @ k.conj().transpose(0, 2, 1)
     probs = np.trace(raw, axis1=1, axis2=2).real
     kept = (probs > PROBABILITY_FLOOR)[:, None, None]
     posts = np.divide(raw, probs[:, None, None], out=np.zeros_like(raw), where=kept)
     posts.flags.writeable = False
-    return np.maximum(probs, 0.0), posts
-
-
-def _transcripts(probs: np.ndarray, posts: np.ndarray) -> list[ProtocolTranscript]:
-    return [
+    probs = np.maximum(probs, 0.0)
+    scores = _stack_scores(probs, posts, schmidt_state(alpha))
+    return tuple(
         ProtocolTranscript(
             alice_outcome=ai,
             classical_bit=0 if ai in (1, 3) else 1,
             bob_outcome=bi,
             joint_probability=float(prob),
             post_state=post,
+            fidelity=float(score),
         )
-        for (ai, bi), prob, post in zip(_BRANCHES, probs, posts)
-    ]
+        for (ai, bi), prob, post, score in zip(_BRANCHES, probs, posts, scores)
+    )
 
 
 @functools.lru_cache(maxsize=1)
-def _branch_table(alpha: float) -> tuple[tuple[ProtocolTranscript, ...], np.ndarray, np.ndarray]:
-    """The eight branches on the representative state at alpha: transcripts, probabilities, scores.
-
-    The scores are branch_scores against that same state, taken from the
-    post-state stack before it is split into transcripts, so the table
-    holds everything the exact enumeration and the sampler read.
-    """
-    probs, posts = _enumerate_branches(alpha, representative_density(alpha))
-    scores = _stack_scores(probs, posts, schmidt_state(alpha))
-    probs.flags.writeable = scores.flags.writeable = False
-    return tuple(_transcripts(probs, posts)), probs, scores
+def _branch_table(alpha: float) -> tuple[ProtocolTranscript, ...]:
+    """The eight scored branches on the representative state at alpha, read by both run_protocol functions."""
+    phi = schmidt_state(alpha)
+    return _enumerate_branches(alpha, np.outer(phi, phi.conj()))
 
 
 def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
@@ -229,18 +216,9 @@ def _stack_scores(probs: np.ndarray, posts: np.ndarray, reference: np.ndarray) -
     return np.where(probs <= 0.0, 0.0, (overlaps[0] + overlaps[1]) / 2.0)
 
 
-def branch_fidelity(transcript: ProtocolTranscript, reference: np.ndarray) -> float:
-    """Mean overlap of the two clones of one branch with a pure reference."""
-    return float(branch_scores([transcript], reference)[0])
-
-
 def average_clone_fidelity(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> float:
     """Probability-weighted mean branch fidelity against a pure reference."""
-    return weighted_fidelity(transcripts, branch_scores(transcripts, reference))
-
-
-def weighted_fidelity(transcripts: Sequence[ProtocolTranscript], scores: np.ndarray) -> float:
-    """Probability-weighted sum of per-branch scores, as branch_scores returns them."""
+    scores = branch_scores(transcripts, reference)
     return float(sum(tr.joint_probability * score for tr, score in zip(transcripts, scores)))
 
 
@@ -250,9 +228,9 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     Branches are drawn with their exact probabilities from a seeded
     generator; each draw scores the fidelity of its branch against the
     representative state at this alpha.  Returns the sample mean and its
-    standard error (zero when trials < 2).  Probabilities and scores come
-    from the branch table run_protocol_exact keeps, so sampling an alpha
-    just enumerated repeats none of that work.
+    standard error (zero when trials < 2).  Probabilities and scores are
+    those of the transcripts run_protocol_exact keeps for this alpha, so
+    sampling an alpha just enumerated repeats none of that work.
 
     The branch counts equal those of
     ``np.bincount(np.random.default_rng(seed).choice(8, size=trials, p=p))``
@@ -269,8 +247,9 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     trials, seed = int(trials), int(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _, probs, scores = _branch_table(float(alpha))
-    probs = np.clip(probs, 0.0, None)
+    table = _branch_table(float(alpha))
+    probs = np.clip([tr.joint_probability for tr in table], 0.0, None)
+    scores = np.array([tr.fidelity for tr in table])
     total = probs.sum()
     if not np.all(np.isfinite(probs)) or total == 0.0:
         raise ValueError(f"branch probabilities must be finite and not all zero, got {probs}")

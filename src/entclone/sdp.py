@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -339,6 +340,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     centred point at mu_min, with duality gap nu mu_min = tol / 2.
     max_iter caps the number of iterations; the ConvergenceError raised
     past it carries the current iterate, certified like every other.
+    max_iter must be a non-negative integer (Python or numpy, not bool),
+    and tol finite and positive, else ValueError.
     An iterate that rounding put on the cone boundary raises a
     ConvergenceError that carries no iterate.  Identical inputs always
     produce identical output.
@@ -352,6 +355,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     nu = problem.nu
     if tol < 2.0 * nu * 1e-12:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
@@ -446,7 +451,9 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     THRESHOLD_FLOOR, otherwise the curve is declared smooth and
     ThresholdDetectionError is raised.  The reported alpha is the grid
     point with the larger second-difference magnitude among the two that
-    straddle the jump.  A non-finite alpha or value raises ValueError.
+    straddle the jump.  A non-finite alpha or value, fewer than seven
+    points, or steps whose spread exceeds 1e-9 of the smallest raise
+    ValueError.
     """
     pts = [(float(a), float(v)) for a, v in sweep]
     if not np.isfinite(pts).all():
@@ -457,7 +464,9 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     alphas = np.array([a for a, _ in pts])
     values = np.array([v for _, v in pts])
     steps = np.diff(alphas)
-    if steps.min() <= 0 or steps.max() > 1.5 * steps.min():
+    # Grids from arange or linspace spread by ~1e-14 relative; a
+    # non-uniform step bends a straight line's differences like a kink.
+    if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.min():
         raise ValueError("sweep grid must be uniform")
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     jumps = np.abs(np.diff(d2))

@@ -25,12 +25,10 @@ from entclone.analytic import (
     fidelity_global,
     fidelity_locc,
     params_for,
-    schmidt_state,
 )
 from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output
 from entclone.covariant import T_OPERATORS, assemble_ptilde, partial_transpose_b, random_su2, two_party_rep
 from entclone.protocol import (
-    average_clone_fidelity,
     build_dilations,
     build_kraus,
     kraus_to_choi,
@@ -160,7 +158,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     def criterion_7() -> tuple[bool, str]:
         transcripts = run_protocol_exact(ALPHA_MAX)
         prob_err = abs(sum(tr.joint_probability for tr in transcripts) - 1.0)
-        exact = average_clone_fidelity(transcripts, schmidt_state(ALPHA_MAX))
+        exact = sum(tr.joint_probability * tr.fidelity for tr in transcripts)
         f_err = abs(exact - 0.625)
         covered = 0
         for offset in range(100):

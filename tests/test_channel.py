@@ -26,7 +26,6 @@ from entclone.channel import (
     constraint_matrices,
     fidelity_coefficients,
     local_fidelity,
-    representative_density,
     trace_output,
 )
 from entclone.covariant import T_OPERATORS, assemble_ptilde, basis_stack, build_t_operators, random_su2
@@ -298,19 +297,20 @@ def test_functional_table_rejects_a_non_affine_functional(monkeypatch):
         fidelity_coefficients(0.3, build_t_operators())
 
 
-def test_representative_density_is_validated_once_and_read_only(monkeypatch):
-    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
-        rho = representative_density(alpha)
-        phi = schmidt_state(alpha)
-        assert not rho.flags.writeable
-        assert np.array_equal(rho, check_state(np.outer(phi, phi.conj())))
-    calls = []
-    monkeypatch.setattr(channel, "check_state", lambda rho: calls.append(1) or check_state(rho))
-    channel._representative_density.cache_clear()
+def test_local_fidelity_needs_no_state_check(monkeypatch):
+    """The representative density of a checked alpha always passes check_state unchanged, so
+    local_fidelity skips the check and scores the same bits as apply does on that density."""
+    grid = [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]
     p_e = family_channel(CloneFamily.LOCC_OPTIMAL, 0.45)
-    first = local_fidelity(p_e, 0.45)
-    assert local_fidelity(p_e, np.float64(0.45)) == first
-    assert representative_density(0.45) is representative_density(0.45)
-    assert len(calls) == 1
+    expected = []
+    for alpha in grid:
+        phi = schmidt_state(alpha)
+        rho = density(phi)
+        assert np.array_equal(check_state(rho), rho)
+        r1, r2 = clone_reductions(apply(p_e, rho))
+        expected.append(float(np.real(phi.conj() @ ((r1 + r2) / 2.0) @ phi)))
+    monkeypatch.setattr(channel, "check_state", lambda rho: pytest.fail("state checked"))
+    assert [local_fidelity(p_e, alpha) for alpha in grid] == expected
+    assert local_fidelity(p_e, np.float64(0.45)) == local_fidelity(p_e, 0.45)
     with pytest.raises(ValueError):
-        representative_density(0.9)
+        local_fidelity(p_e, 0.9)

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from entclone import channel, cli, protocol
+from entclone import cli, protocol
 from entclone.analytic import ALPHA_MAX, CloneFamily, alpha_critical, fidelity_bh, fidelity_locc, params_for, schmidt_state
-from entclone.channel import apply_choi, channel_from_params, local_fidelity, trace_output
+from entclone.channel import apply_choi, channel_from_params, clone_reductions, local_fidelity, trace_output
 from entclone.covariant import assemble_ptilde
 from entclone.protocol import (
     average_clone_fidelity,
-    branch_fidelity,
+    branch_scores,
     build_dilations,
     build_kraus,
     kraus_to_choi,
@@ -96,7 +96,8 @@ def test_bell_branches():
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.abs(probs - 0.125).max() < 1e-12
     assert abs(average_clone_fidelity(transcripts, bell) - 5.0 / 8.0) < 1e-12
-    fids = sorted(branch_fidelity(tr, bell) for tr in transcripts)
+    assert abs(sum(tr.joint_probability * tr.fidelity for tr in transcripts) - 5.0 / 8.0) < 1e-12
+    fids = sorted(tr.fidelity for tr in transcripts)
     assert abs(fids[0] - 0.5) < 1e-12
     assert abs(fids[-1] - 0.75) < 1e-12
 
@@ -173,11 +174,11 @@ def test_branch_scores_reject_a_reference_off_the_unit_sphere(scale):
     transcripts = run_protocol_exact(0.5)
     reference = np.array([scale, 0.0, 0.0, 1.0]) * ALPHA_MAX
     with pytest.raises(ValueError, match="unit norm"):
-        protocol.branch_scores(transcripts, reference)
+        branch_scores(transcripts, reference)
     with pytest.raises(ValueError, match="unit norm"):
         average_clone_fidelity(transcripts, reference)
     with pytest.raises(ValueError, match="unit norm"):
-        branch_fidelity(transcripts[0], reference)
+        branch_scores(transcripts[:1], reference)
     assert 0.0 <= average_clone_fidelity(transcripts, (1.0 + 1e-12) * schmidt_state(ALPHA_MAX)) <= 1.0
 
 
@@ -190,8 +191,7 @@ def test_sampled_accepts_numpy_integers():
 def _choice_sampled(alpha, trials, seed):
     """The sampler as numpy's own Generator.choice draws it: the reference for the counts."""
     transcripts = run_protocol_exact(alpha)
-    reference = schmidt_state(alpha)
-    scores = np.array([branch_fidelity(tr, reference) for tr in transcripts])
+    scores = branch_scores(transcripts, schmidt_state(alpha))
     probs = np.clip([tr.joint_probability for tr in transcripts], 0.0, None)
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).choice(len(scores), size=trials, p=probs)
@@ -215,22 +215,24 @@ def test_sampled_counts_equal_numpy_choice(alpha, monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "all-zero"])
 def test_sampled_rejects_invalid_branch_probabilities(bad, monkeypatch):
-    transcripts, probs, scores = protocol._branch_table(0.5)
-    broken = np.zeros(8) if bad == "all-zero" else np.array([bad, *probs[1:]])
-    monkeypatch.setattr(protocol, "_branch_table", lambda alpha: (transcripts, broken, scores))
+    table = protocol._branch_table(0.5)
+    probs = [0.0] * 8 if bad == "all-zero" else [bad, *(tr.joint_probability for tr in table[1:])]
+    broken = tuple(dataclasses.replace(tr, joint_probability=p) for tr, p in zip(table, probs))
+    monkeypatch.setattr(protocol, "_branch_table", lambda alpha: broken)
     with pytest.raises(ValueError, match="branch probabilities"):
         run_protocol_sampled(0.5, trials=10, seed=1)
 
 
 def test_memo_arrays_are_read_only():
     ks = build_kraus(0.5)
-    transcripts, probs, scores = protocol._branch_table(0.5)
-    arrays = [*ks.m, *ks.k, *(tr.post_state for tr in transcripts), probs, scores]
     phi = schmidt_state(0.5)
-    arrays += [tr.post_state for tr in run_protocol_exact(0.5, state=np.outer(phi, phi.conj()))]
-    for arr in arrays:
+    transcripts = [*protocol._branch_table(0.5), *run_protocol_exact(0.5, state=np.outer(phi, phi.conj()))]
+    for arr in [ks.m, ks.k, *(tr.post_state for tr in transcripts)]:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+    for tr in transcripts:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.fidelity = 1.0
 
 
 def test_memos_rebuild_bit_identical_after_clear():
@@ -241,35 +243,22 @@ def test_memos_rebuild_bit_identical_after_clear():
         protocol._branch_table.cache_clear()
         again = build_kraus(alpha)
         assert again is not ks and (again.w, again.v) == (ks.w, ks.v)
-        assert all(np.array_equal(x, y) for x, y in zip((*again.m, *again.k), (*ks.m, *ks.k)))
+        assert np.array_equal(again.m, ks.m) and np.array_equal(again.k, ks.k)
         rebuilt = protocol._branch_table(alpha)
-        assert rebuilt[0] is not table[0]
-        assert np.array_equal(rebuilt[1], table[1]) and np.array_equal(rebuilt[2], table[2])
-        for tr, old in zip(rebuilt[0], table[0]):
-            assert tr.joint_probability == old.joint_probability
+        assert rebuilt is not table and len(rebuilt) == len(table) == 8
+        for tr, old in zip(rebuilt, table):
+            assert (tr.joint_probability, tr.fidelity) == (old.joint_probability, old.fidelity)
             assert np.array_equal(tr.post_state, old.post_state)
 
 
-def test_table_and_local_fidelity_validate_the_representative_state_once(monkeypatch):
-    calls = []
-    check_state = channel.check_state
-    monkeypatch.setattr(channel, "check_state", lambda rho: calls.append(1) or check_state(rho))
-    channel._representative_density.cache_clear()
-    alpha = 0.41
-    run_protocol_exact(alpha)
-    local_fidelity(channel_from_params(params_for(CloneFamily.LOCC_OPTIMAL, alpha)), alpha)
-    assert len(calls) == 1
-    transcripts, probs, scores = protocol._branch_table(alpha)
-    assert np.array_equal(scores, protocol.branch_scores(transcripts, schmidt_state(alpha)))
-    assert np.array_equal(probs, [tr.joint_probability for tr in transcripts])
-
-
-def test_kraus_stack_is_read_only_and_backs_the_tuple():
-    ks = build_kraus(0.5)
-    assert ks.k_stack.shape == (8, 16, 4) and not ks.k_stack.flags.writeable
-    assert all(kmat.base is ks.k_stack for kmat in ks.k)
-    weak = dataclasses.replace(ks, k=(0.0 * ks.k[0], *ks.k[1:]))
-    assert np.array_equal(weak.k_stack[0], np.zeros((16, 4))) and np.array_equal(weak.k_stack[1:], ks.k_stack[1:])
+def test_kraus_set_holds_one_read_only_array_each():
+    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
+        ks = build_kraus(alpha)
+        assert ks.m.shape == (4, 4, 2) and ks.k.shape == (8, 16, 4)
+        for arr in (ks.m, ks.k):
+            assert arr.dtype == complex and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_explicit_state_bypasses_the_table():
@@ -279,7 +268,7 @@ def test_explicit_state_bypasses_the_table():
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     for tr, cached in zip(fresh, run_protocol_exact(0.5)):
         assert tr.post_state is not cached.post_state
-        assert tr.joint_probability == cached.joint_probability
+        assert (tr.joint_probability, tr.fidelity) == (cached.joint_probability, cached.fidelity)
         assert np.array_equal(tr.post_state, cached.post_state)
 
 
@@ -314,7 +303,7 @@ def test_batched_kraus_equals_kron_reference():
     """K_n = sqrt(2) * Ma (x) Mb with rows regrouped to (1A, 1B, 2A, 2B), bit for bit."""
     for alpha in [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]:
         ks = build_kraus(alpha)
-        assert isinstance(ks.k, tuple) and len(ks.k) == 8
+        assert ks.k.shape == (8, 16, 4)
         for (ai, bi), kmat in zip(protocol._BRANCHES, ks.k):
             block = math.sqrt(2.0) * np.kron(ks.m[ai - 1], ks.m[bi - 1])
             expected = block.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
@@ -338,44 +327,67 @@ def _per_branch_loop(ks, rho):
     return out
 
 
-def _assert_matches_loop(transcripts, ks, rho):
+def _assert_matches_loop(transcripts, ks, rho, phi):
+    """Each branch against the loop reference, its fidelity against one clone overlap per branch with phi."""
     assert len(transcripts) == 8
     for (ai, bi), tr, (prob, post) in zip(protocol._BRANCHES, transcripts, _per_branch_loop(ks, rho)):
         assert (tr.alice_outcome, tr.classical_bit, tr.bob_outcome) == (ai, 0 if ai in (1, 3) else 1, bi)
         assert abs(tr.joint_probability - prob) <= 1e-15
         assert tr.post_state.shape == (16, 16)
         assert np.abs(tr.post_state - post).max() <= 1e-15
+        r1, r2 = clone_reductions(post)
+        assert abs(tr.fidelity - float(np.real(phi.conj() @ (r1 + r2) @ phi)) / 2.0) <= 1e-15
 
 
 def test_batched_exact_equals_per_branch_loop():
     for alpha in GRID:
         phi = schmidt_state(alpha)
         transcripts = run_protocol_exact(alpha)
-        _assert_matches_loop(transcripts, build_kraus(alpha), np.outer(phi, phi.conj()))
-        # One scoring path: the average is the weighted sum of the branch scores, bit for bit.
-        weighted = sum(tr.joint_probability * branch_fidelity(tr, phi) for tr in transcripts)
+        _assert_matches_loop(transcripts, build_kraus(alpha), np.outer(phi, phi.conj()), phi)
+        # One scoring path: the average is the weighted sum of the transcripts' fidelities, bit for bit.
+        weighted = sum(tr.joint_probability * tr.fidelity for tr in transcripts)
         assert average_clone_fidelity(transcripts, phi) == weighted
     rng = np.random.default_rng(41)
     for alpha in rng.uniform(0.0, ALPHA_MAX, 20):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        _assert_matches_loop(run_protocol_exact(alpha, state=rho), build_kraus(alpha), rho)
+        _assert_matches_loop(run_protocol_exact(alpha, state=rho), build_kraus(alpha), rho, schmidt_state(alpha))
 
 
 def test_floor_branches_get_zero_post_states(monkeypatch):
     ks = build_kraus(0.5)
-    weak = dataclasses.replace(ks, k=(0.0 * ks.k[0], 1e-8 * ks.k[1], *ks.k[2:]))
+    weak = dataclasses.replace(ks, k=ks.k * np.array([0.0, 1e-8, 1, 1, 1, 1, 1, 1])[:, None, None])
     monkeypatch.setattr(protocol, "build_kraus", lambda alpha: weak)
     phi = schmidt_state(0.5)
     transcripts = run_protocol_exact(0.5)
-    _assert_matches_loop(transcripts, weak, np.outer(phi, phi.conj()))
+    _assert_matches_loop(transcripts, weak, np.outer(phi, phi.conj()), phi)
     for tr in transcripts[:2]:
         assert 0.0 <= tr.joint_probability <= protocol.PROBABILITY_FLOOR
         assert np.array_equal(tr.post_state, np.zeros((16, 16)))
-        assert branch_fidelity(tr, phi) == 0.0
+        assert tr.fidelity == 0.0
+    assert np.array_equal(branch_scores(transcripts[:2], phi), [0.0, 0.0])
     for tr in transcripts[2:]:
         assert abs(np.trace(tr.post_state) - 1.0) < 1e-12
+
+
+def test_transcript_fidelity_equals_branch_scores():
+    """Every transcript carries branch_scores against schmidt_state(alpha), bit for bit, whether it
+    comes from the table or an explicit state, and the sampler draws exactly those scores."""
+    rng = np.random.default_rng(43)
+    for alpha in GRID:
+        phi = schmidt_state(alpha)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        for state in (None, np.outer(phi, phi.conj()), rho / np.trace(rho).real):
+            transcripts = run_protocol_exact(alpha, state=state)
+            assert np.array_equal([tr.fidelity for tr in transcripts], branch_scores(transcripts, phi))
+        table = run_protocol_exact(alpha)
+        scores = branch_scores(table, phi)
+        probs = np.array([tr.joint_probability for tr in table])
+        for seed in range(4):
+            drawn = np.random.default_rng(seed).choice(8, p=probs / probs.sum())
+            assert run_protocol_sampled(alpha, 1, seed) == (scores[drawn], 0.0)
 
 
 def test_kraus_to_choi_equals_outer_product_sum():
@@ -430,8 +442,8 @@ def test_dilation_column_amplitudes():
 
 def test_dilations_reject_corrupted_kraus():
     ks = build_kraus(0.5)
-    with_nan = [m.copy() for m in ks.m]
-    with_nan[2][1, 0] = np.nan
-    for m in (tuple(1.01 * m for m in ks.m), tuple(with_nan)):
+    with_nan = ks.m.copy()
+    with_nan[2, 1, 0] = np.nan
+    for m in (1.01 * ks.m, with_nan):
         with pytest.raises(ValueError, match="POVM completeness"):
             build_dilations(dataclasses.replace(ks, m=m))

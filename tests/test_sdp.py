@@ -397,6 +397,21 @@ def test_solve_rejects_bad_tolerances():
             solve(problem, tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [-1, True, False, 2.0, 1.5, "5", None])
+def test_solve_rejects_a_bad_iteration_cap(max_iter):
+    """A negative, bool or non-integer max_iter is refused before any iteration."""
+    with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+        solve(build_problem(0.4), max_iter=max_iter)
+
+
+def test_solve_accepts_a_zero_or_numpy_iteration_cap():
+    problem = build_problem(0.4)
+    with pytest.raises(ConvergenceError) as info:
+        solve(problem, max_iter=0)
+    assert info.value.best.iterations == 0
+    assert solve(problem, max_iter=np.int64(200)).f_star == solve(problem).f_star
+
+
 def test_solve_reports_convergence_failure():
     problem = build_problem(0.4)
     with pytest.raises(ConvergenceError) as info:
@@ -477,6 +492,12 @@ def test_detect_threshold_input_validation():
         detect_threshold([(a, fidelity_bh(a)) for a in alphas])
     # A non-finite value or alpha in a 36-point closed-form sweep is refused, not read as a kink.
     grid = 0.30 + 0.002 * np.arange(36)
+    # So is a grid with one step 1.4 times the others: on it a straight line has a "kink" at 0.338.
+    stretched = grid + 0.0008 * (np.arange(36) > 19)
+    with pytest.raises(ValueError, match="uniform"):
+        detect_threshold([(a, 0.6 + 0.1 * a) for a in stretched])
+    with pytest.raises(ThresholdDetectionError):
+        detect_threshold([(a, 0.6 + 0.1 * a) for a in grid])
     curve = [(a, fidelity_locc(a)) for a in grid]
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
