@@ -115,11 +115,6 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
-def triple_rep(u: np.ndarray) -> np.ndarray:
-    """Action of a local unitary on (clone 1, clone 2, input): u (x) u (x) u*."""
-    return np.kron(np.kron(u, u), u.conj())
-
-
 def two_party_rep(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     """Joint action on the Choi order (1A,1B,2A,2B,A,B): ab (x) ab (x) ab* with ab = u_a (x) u_b."""
     ab = np.kron(u_a, u_b)

@@ -54,6 +54,27 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
+# Criterion 7's bar.  At alpha = 1/sqrt(2) every branch scores 1/2 or 3/4, so
+# one 100,000-trial estimate misses its 3-sigma band with probability 0.00269
+# (its exact binomial law), so a correct program falls short with probability 1.7e-4.
+COVERAGE_BAR, FALSE_ALARM_RATE = 97, 1.7e-4
+
+
+def _criterion_7(seed: int) -> tuple[bool, str]:
+    """The exact one-bit fidelity at the Bell point and the 3-sigma coverage of 100 sampled estimates."""
+    transcripts = run_protocol_exact(ALPHA_MAX)
+    prob_err = abs(sum(tr.joint_probability for tr in transcripts) - 1.0)
+    exact = sum(tr.joint_probability * tr.fidelity for tr in transcripts)
+    f_err = abs(exact - 0.625)
+    samples = [run_protocol_sampled(ALPHA_MAX, trials=100_000, seed=seed + offset) for offset in range(100)]
+    covered = sum(abs(est - exact) <= 3.0 * stderr for est, stderr in samples)
+    ok = f_err <= 1e-12 and prob_err <= 1e-12 and covered >= COVERAGE_BAR
+    return ok, (
+        f"F err {_fmt(f_err)}, prob sum err {_fmt(prob_err)} (tol 1e-12), "
+        f"3-sigma coverage {covered}/100 (need {COVERAGE_BAR}), false-alarm rate {FALSE_ALARM_RATE:.1e}"
+    )
+
+
 def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     """Run the ten acceptance criteria; returns one result per criterion.
 
@@ -155,22 +176,6 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
             f"completeness dev {_fmt(worst_complete)} (tol 1e-12)"
         )
 
-    def criterion_7() -> tuple[bool, str]:
-        transcripts = run_protocol_exact(ALPHA_MAX)
-        prob_err = abs(sum(tr.joint_probability for tr in transcripts) - 1.0)
-        exact = sum(tr.joint_probability * tr.fidelity for tr in transcripts)
-        f_err = abs(exact - 0.625)
-        covered = 0
-        for offset in range(100):
-            est, stderr = run_protocol_sampled(ALPHA_MAX, trials=100_000, seed=seed + offset)
-            if abs(est - exact) <= 3.0 * stderr:
-                covered += 1
-        ok = f_err <= 1e-12 and prob_err <= 1e-12 and covered >= 99
-        return ok, (
-            f"F err {_fmt(f_err)}, prob sum err {_fmt(prob_err)} (tol 1e-12), "
-            f"3-sigma coverage {covered}/100 (need 99)"
-        )
-
     def criterion_8() -> tuple[bool, str]:
         worst = 0.0
         for alpha in np.linspace(0.0, ALPHA_MAX, 15):
@@ -253,7 +258,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     record(4, "curvature-jump detection", criterion_4)
     record(5, "ppt equals no-communication below threshold", criterion_5)
     record(6, "kraus channel equals covariant family", criterion_6)
-    record(7, "protocol fidelity, exact and sampled", criterion_7)
+    record(7, "protocol fidelity, exact and sampled", lambda: _criterion_7(seed))
     record(8, "measurement validity and dilations", criterion_8)
     record(9, "structural invariants", criterion_9)
     record(10, "certified optima", criterion_10)

@@ -1,0 +1,186 @@
+"""Dense references for the tests, one per layer; pytest does not collect this module.
+
+- Products: kron_all, choi_kron and triple_rep, written out.
+- Objective and constraints: each ti (x) tj as a 64x64 Choi operator.
+- Kraus enumeration: each Kraus operator applied alone.
+- Solver: solve's primal-dual iteration on the 64x64 operators, and the
+  Newton decrement of the dense log-barrier as a certificate of centrality.
+"""
+
+import functools
+
+import numpy as np
+
+from entclone import protocol
+from entclone.analytic import schmidt_state
+from entclone.covariant import T_OPERATORS, partial_transpose_b
+from entclone.sdp import CENTRING, FIXED, STEP_FRACTION
+
+
+def kron_all(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def choi_kron(x, y):
+    """x on Alice's (1A,2A,A) tensor y on Bob's (1B,2B,B), written out on the Choi order (1A,1B,2A,2B,A,B)."""
+    xs = np.reshape(x, (2,) * 6)
+    ys = np.reshape(y, (2,) * 6)
+    return np.einsum("pqrstu,PQRSTU->pPqQrRsStTuU", xs, ys).reshape(64, 64)
+
+
+def triple_rep(u):
+    """Action of a local unitary on (clone 1, clone 2, input): u (x) u (x) u*."""
+    return np.kron(np.kron(u, u), u.conj())
+
+
+@functools.lru_cache(maxsize=2)
+def dense_stack(t):
+    """The 25 products choi_kron(ti, tj) as a read-only (25, 64, 64) stack, row-major in (i, j)."""
+    ts = t.as_list()
+    stack = np.array([choi_kron(ti, tj) for ti in ts for tj in ts])
+    stack.flags.writeable = False
+    return stack
+
+
+@functools.lru_cache(maxsize=2)
+def _dense_maps(t):
+    """dense_stack as read-only linear maps on vec(rho): entry ((p, a, b), (i, j)) is <a| E_p(|i><j|) |b>."""
+    maps = dense_stack(t).reshape(25, 16, 4, 16, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16)
+    maps.flags.writeable = False
+    return maps
+
+
+def dense_fidelity_coefficients(alpha, t=T_OPERATORS):
+    """Reference f: each ti (x) tj as a 64x64 Choi operator applied to the representative state, all 25 at once."""
+    phi = schmidt_state(alpha)
+    clones = (_dense_maps(t) @ np.outer(phi, phi.conj()).reshape(-1)).reshape(25, 4, 4, 4, 4)
+    reduced = np.einsum("pabcb->pac", clones) + np.einsum("pabad->pbd", clones)
+    return (np.real(phi.conj() @ reduced @ phi) / 2.0).reshape(5, 5)
+
+
+def dense_constraint_matrices(t=T_OPERATORS):
+    """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators."""
+    stack = dense_stack(t)
+    trace_row = np.trace(stack, axis1=1, axis2=2).real / 4.0
+    # Rows and columns (clone 1, clone 2, input): trace out clone 2, then clone 1.
+    p7 = stack.reshape(25, 4, 4, 4, 4, 4, 4)
+    d = (np.einsum("pabixbj->paixj", p7) - np.einsum("pabiayj->pbiyj", p7)).reshape(25, -1).T
+    _, sv, vh = np.linalg.svd(np.vstack([d.real, d.imag]), full_matrices=False)
+    return trace_row, vh[sv > 1e-10 * max(sv[0], 1.0)]
+
+
+def _per_branch_loop(ks, rho):
+    """Reference: each branch as its own K rho K^dag, giving (probability, post-state) per K."""
+    out = []
+    for kmat in ks.k:
+        raw = kmat @ rho @ kmat.conj().T
+        prob = float(np.trace(raw).real)
+        if prob > protocol.PROBABILITY_FLOOR:
+            out.append((prob, raw / prob))
+        else:
+            out.append((max(prob, 0.0), np.zeros((16, 16), dtype=complex)))
+    return out
+
+
+def _dense_operators(a, t=T_OPERATORS):
+    """sum_ij a_ij ti (x) tj from the written-out products, and its partial transpose over the second party."""
+    dense = np.tensordot(np.reshape(a, -1), dense_stack(t), axes=(0, 0))
+    return [dense, partial_transpose_b(dense)]
+
+
+def _dense_spectra(a, t=T_OPERATORS):
+    """Spectra of sum_ij a_ij ti (x) tj and of its partial transpose over the second party."""
+    return [np.linalg.eigvalsh((m + m.conj().T) / 2) for m in _dense_operators(a, t)]
+
+
+def _dense_cones(problem, t):
+    """x -> the dense operator at a = FIXED @ x and, for a PPT problem, its partial transpose."""
+    return lambda x: _dense_operators(FIXED @ x, t)[: len(problem.cones)]
+
+
+def _null_basis(problem):
+    """Orthonormal columns spanning the null space of the problem's equalities, as solve takes them."""
+    _, sv, vh = np.linalg.svd(problem.eq_matrix)
+    return vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+
+
+def _psd_root(m, power):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * vals**power) @ vecs.conj().T
+
+
+def _dense_step(m, dm):
+    """Largest s with m + s dm positive definite, from the spectrum of m^-1/2 dm m^-1/2."""
+    root = _psd_root(m, -0.5)
+    low = np.linalg.eigvalsh(root @ dm @ root)[0]
+    return -1.0 / low if low < 0.0 else np.inf
+
+
+def dense_nt_path(problem, t, tol=1e-7):
+    """solve's primal-dual iteration run on the dense 64x64 operators; returns (iterations, f*).
+
+    It keeps solve's null space, primal start, CENTRING, STEP_FRACTION,
+    floor mu_min = tol / (2 nu) and stop rule.  The dual start is the
+    same basis-free y0 I / (4n) - C(h), with h from the Frobenius Gram
+    matrix of the dense operators and y0 from C(h)'s largest
+    eigenvalue.  The NT scaling W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2,
+    the complementarity spectra and the step bounds come from eigh of
+    the whole operators.  Each dual step is made Hermitian, because the
+    dense products leave rounding-level anti-Hermitian parts that the
+    block solver cannot have, and projected onto the dual equalities in
+    the Frobenius inner product.
+    """
+    cones = _dense_cones(problem, t)
+    inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
+    f = problem.objective
+    null = _null_basis(problem)
+    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
+    units = [cones(e) for e in np.eye(8)]
+    ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
+    top = max(np.linalg.eigvalsh(c)[-1] for c in ch)
+    zs = [2.0 * abs(top) * np.eye(64) - c for c in ch]
+    dirs = [cones(n) for n in null.T]
+    dir_gram = np.array([[inner(a, b) for b in dirs] for a in dirs])
+    mu_min, iterations = max(tol / (2.0 * problem.nu), 1e-12), 0
+    while True:
+        ss = cones(x)
+        roots = [_psd_root(s, 0.5) for s in ss]
+        comp = np.concatenate([np.linalg.eigvalsh(r @ z @ r) for r, z in zip(roots, zs)])
+        if np.abs(comp - mu_min).max() <= 1e-3 * mu_min:
+            return iterations, float(f @ x)
+        iterations += 1
+        tau = max(CENTRING * inner(ss, zs) / problem.nu, mu_min)
+        w_inv = [np.linalg.inv(r @ _psd_root(r @ z @ r, -0.5) @ r) for r, z in zip(roots, zs)]
+        scaled = [[w @ d @ w for w, d in zip(w_inv, dn)] for dn in dirs]
+        target = [tau * np.linalg.inv(s) - z for s, z in zip(ss, zs)]
+        dz = np.linalg.solve([[inner(a, b) for b in scaled] for a in dirs], [inner(a, target) for a in dirs])
+        ds = cones(null @ dz)
+        dzs = [g - w @ d @ w for g, w, d in zip(target, w_inv, ds)]
+        dzs = [(d + d.conj().T) / 2.0 for d in dzs]
+        coef = np.linalg.solve(dir_gram, [inner(a, dzs) for a in dirs])
+        dzs = [z - sum(c * dn[i] for c, dn in zip(coef, dirs)) for i, z in enumerate(dzs)]
+        bound = min(_dense_step(m, dm) for m, dm in zip(ss + zs, ds + dzs))
+        step = min(1.0, STEP_FRACTION * bound)
+        x = x + step * (null @ dz)
+        zs = [z + step * d for z, d in zip(zs, dzs)]
+
+
+def barrier_decrement(problem, x, mu, t=T_OPERATORS):
+    """Squared Newton decrement g^T H^-1 g at x of the dense barrier f.x + mu log det C(x), with g and H its
+    gradient and negated Hessian along the null basis of the equalities.  It is 0 on the central path, and
+    half of it bounds how far the barrier lies below its centred value (Boyd & Vandenberghe, Convex
+    Optimization, 9.5 and 11.2)."""
+    cones = _dense_cones(problem, t)
+    null = _null_basis(problem)
+    dirs = [cones(n) for n in null.T]
+    grad, hess = null.T @ problem.objective, np.zeros((null.shape[1],) * 2)
+    for n, c in enumerate(cones(x)):
+        vals, vecs = np.linalg.eigh(c)
+        inv = (vecs / vals) @ vecs.conj().T
+        prods = np.stack([inv @ d[n] for d in dirs])
+        grad += mu * np.einsum("hii->h", prods).real
+        hess += mu * np.einsum("hij,gji->hg", prods, prods).real
+    return float(grad @ np.linalg.solve(hess, grad))

@@ -28,7 +28,8 @@ from entclone.channel import (
     local_fidelity,
     trace_output,
 )
-from entclone.covariant import T_OPERATORS, assemble_ptilde, basis_stack, build_t_operators, random_su2
+from entclone.covariant import T_OPERATORS, assemble_ptilde, build_t_operators, random_su2
+from reference import dense_constraint_matrices, dense_fidelity_coefficients
 
 
 def density(vec):
@@ -53,6 +54,35 @@ def test_identity_channel_choi_round_trip():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.abs(apply_choi(p_v, m) - v @ m @ v.conj().T).max() < 1e-14
     assert np.abs(trace_output(p_v) - np.eye(4)).max() < 1e-14
+
+
+def test_partial_trace_product_state():
+    """Tr_out of X (x) Y on (output, input) is Tr X times Y."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((16, 16, 2)) @ [1, 1j], rng.standard_normal((4, 4, 2)) @ [1, 1j]
+    assert np.abs(trace_output(np.kron(x, y)) - np.trace(x) * y).max() < 1e-12
+
+
+def test_partial_trace_all_factors():
+    """Tr_out then the input trace is the full trace, and each clone keeps the output's trace."""
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((64, 64, 2)) @ [1, 1j]
+    assert abs(np.trace(trace_output(m)) - np.trace(m)) < 1e-12
+    rho_out = rng.standard_normal((16, 16, 2)) @ [1, 1j]
+    for clone in clone_reductions(rho_out):
+        assert abs(np.trace(clone) - np.trace(rho_out)) < 1e-12
+
+
+def test_partial_traces_commute_on_disjoint_sets():
+    """Tracing the output then the input equals tracing the input then the output;
+    on a product of two clones each reduction is its own factor times the other's trace."""
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((64, 64, 2)) @ [1, 1j]
+    assert abs(np.trace(apply_choi(m, np.eye(4))) - np.trace(trace_output(m))) < 1e-12
+    c1, c2 = rng.standard_normal((2, 4, 4, 2)) @ [1, 1j]
+    r1, r2 = clone_reductions(np.kron(c1, c2))
+    assert np.abs(r1 - c1 * np.trace(c2)).max() < 1e-12
+    assert np.abs(r2 - c2 * np.trace(c1)).max() < 1e-12
 
 
 def test_choi_is_trace_preserving():
@@ -156,31 +186,6 @@ def test_constraint_trace_row():
     assert sym_rows.shape[0] >= 1
 
 
-def dense_fidelity_coefficients(alpha, t_ops):
-    """Reference f: each ti (x) tj as a 64x64 Choi operator applied to the representative state."""
-    phi = schmidt_state(alpha)
-    f = np.zeros(25)
-    for p, g in enumerate(basis_stack(t_ops)):
-        clone_1, clone_2 = clone_reductions(apply_choi(g, density(phi)))
-        f[p] = np.real(phi.conj() @ (clone_1 + clone_2) @ phi) / 2.0
-    return f.reshape(5, 5)
-
-
-def dense_constraint_matrices(t_ops):
-    """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators."""
-    trace_row = np.zeros(25)
-    columns = np.zeros((512, 25))
-    for p, p_e in enumerate(basis_stack(t_ops)):
-        trace_row[p] = np.real(np.trace(trace_output(p_e))) / 4.0
-        # Rows and columns (clone 1, clone 2, input): trace out clone 2, then clone 1.
-        p6 = p_e.reshape(4, 4, 4, 4, 4, 4)
-        d = np.einsum("abixbj->aixj", p6) - np.einsum("abiayj->biyj", p6)
-        columns[:256, p] = d.real.reshape(-1)
-        columns[256:, p] = d.imag.reshape(-1)
-    _, sv, vh = np.linalg.svd(columns, full_matrices=False)
-    return trace_row, vh[sv > 1e-10 * max(sv[0], 1.0)]
-
-
 def test_party_assembly_matches_dense(t_ops):
     """The per-party reductions give the same objective and equalities as the 64x64 operators."""
     for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
@@ -243,37 +248,30 @@ def test_apply_validates_input():
 
 
 def test_local_fidelity_rejects_asymmetric_channel():
-    """A map that parks clone 2 in a fixed state is not clone symmetric."""
+    """A map that parks clone 2 in a fixed state is not clone symmetric, nor is a symmetric channel
+    mixed with 1e-6 of it; 1e-10 of it stays inside the symmetry tolerance."""
     e0 = np.zeros((4, 1))
     e0[0, 0] = 1.0
-    k = np.kron(np.eye(4), e0)
-    vec_k = k.reshape(-1)
-    with pytest.raises(ValueError, match="clone symmetry"):
-        local_fidelity(np.outer(vec_k, vec_k.conj()), 0.4)
+    vec_k = np.kron(np.eye(4), e0).reshape(-1)
+    parking = np.outer(vec_k, vec_k.conj())
+    symmetric = family_channel(CloneFamily.LOCC_OPTIMAL, 0.4)
+    for weight in (1.0, 1e-6):
+        with pytest.raises(ValueError, match="clone symmetry"):
+            local_fidelity((1.0 - weight) * symmetric + weight * parking, 0.4)
+    assert abs(local_fidelity((1.0 - 1e-10) * symmetric + 1e-10 * parking, 0.4) - fidelity_locc(0.4)) < 1e-9
     # A nan output must not slip past the tolerance comparison.
     with pytest.raises(ValueError, match="clone symmetry"):
         local_fidelity(np.full((64, 64), np.nan), 0.5)
 
 
-def sandwich_fidelity_coefficients(alpha, t_ops):
-    """Reference f at one alpha: f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2 with psi = phi (x) phi by party."""
-    phi = schmidt_state(alpha).reshape(2, 2)
-    psi = np.einsum("ab,xy->axby", phi, phi).reshape(4, 4)
-    f = np.zeros((5, 5))
-    for r in _party_reductions(t_ops)[:2]:
-        sandwich = psi.conj().T @ r @ psi
-        f += np.real(sandwich.reshape(5, 16) @ r.reshape(5, 16).T) / 2.0
-    return f
-
-
 @pytest.mark.parametrize("fresh", [False, True], ids=["default-t", "fresh-t"])
 def test_functional_table_matches_the_per_alpha_sandwich(fresh):
-    """G0 + x G1 equals the functional computed at each alpha; measured 6.7e-16 at worst."""
+    """G0 + x G1 equals the dense functional at each alpha; measured 6.7e-16 at worst."""
     t_ops = build_t_operators() if fresh else T_OPERATORS
     worst = 0.0
     for alpha in np.linspace(0.0, ALPHA_MAX, 501):
         got = fidelity_coefficients(alpha, t_ops)
-        worst = max(worst, np.abs(got - sandwich_fidelity_coefficients(alpha, t_ops)).max())
+        worst = max(worst, np.abs(got - dense_fidelity_coefficients(alpha, t_ops)).max())
     assert worst <= 1e-15
 
 

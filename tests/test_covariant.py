@@ -17,23 +17,9 @@ from entclone.covariant import (
     commutant_blocks,
     partial_transpose_b,
     random_su2,
-    triple_rep,
     two_party_rep,
 )
-
-
-def choi_kron(x, y):
-    """x on Alice's (1A,2A,A) tensor y on Bob's (1B,2B,B), written out on the Choi order (1A,1B,2A,2B,A,B)."""
-    xs = np.reshape(x, (2,) * 6)
-    ys = np.reshape(y, (2,) * 6)
-    return np.einsum("pqrstu,PQRSTU->pPqQrRsStTuU", xs, ys).reshape(64, 64)
-
-
-def kron_all(factors):
-    out = np.eye(1)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+from reference import choi_kron, kron_all, triple_rep
 
 
 def test_basis_vector_amplitudes():
@@ -191,7 +177,7 @@ def test_b_side_transpose_structure(t_ops):
 
 
 def test_choi_kron_writes_out_the_choi_order():
-    """The test-local choi_kron interleaves Alice's and Bob's factors as (1A,1B,2A,2B,A,B)."""
+    """The reference choi_kron interleaves Alice's and Bob's factors as (1A,1B,2A,2B,A,B)."""
     rng = np.random.default_rng(5)
     f = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(6)]
     choi = kron_all(f)
@@ -231,3 +217,45 @@ def test_basis_stack_is_the_outer_products_on_the_choi_order(t_ops):
     ts = _flat_stack(t_ops)
     expected = [_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts]
     assert np.array_equal(basis_stack(), np.array(expected))
+
+
+def test_partial_transpose_product_state():
+    """On a product of operators on the pairs (1A,1B), (2A,2B), (A,B), each pair's B qubit is transposed."""
+    rng = np.random.default_rng(3)
+    pairs = [rng.standard_normal((4, 4, 2)) @ [1, 1j] for _ in range(3)]
+    flipped = [m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) for m in pairs]
+    assert np.array_equal(partial_transpose_b(kron_all(pairs)), kron_all(flipped))
+
+
+def test_partial_transpose_singlet():
+    """A singlet on each of the adjacent pairs (1A,1B), (2A,2B), (A,B) is maximally entangled
+    across A|B: its partial transpose has minimum eigenvalue -1/8."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    proj = kron_all([np.outer(singlet, singlet)] * 3)
+    vals = np.linalg.eigvalsh(partial_transpose_b(proj))
+    assert abs(vals.min() + 1.0 / 8.0) < 1e-12
+
+
+def test_partial_transpose_involution_and_invariants():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((64, 64, 2)) @ [1, 1j]
+    once = partial_transpose_b(m)
+    assert np.array_equal(partial_transpose_b(once), m)
+    assert abs(np.trace(once) - np.trace(m)) < 1e-12
+    assert abs(np.linalg.norm(once) - np.linalg.norm(m)) < 1e-12
+
+
+def test_partial_transpose_acts_on_bob_positions():
+    """On six distinct factors f0..f5 in the Choi order, Bob's are f1, f3 and f5, and only they are transposed."""
+    rng = np.random.default_rng(5)
+    f = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(6)]
+    transposed = [fk.T if k % 2 else fk for k, fk in enumerate(f)]
+    assert np.array_equal(partial_transpose_b(kron_all(f)), kron_all(transposed))
+
+
+def test_random_su2_is_special_unitary():
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        u = random_su2(rng)
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+        assert abs(np.linalg.det(u) - 1.0) < 1e-12

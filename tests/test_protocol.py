@@ -17,6 +17,7 @@ from entclone.protocol import (
     run_protocol_exact,
     run_protocol_sampled,
 )
+from reference import _per_branch_loop
 
 
 @pytest.fixture(autouse=True)
@@ -314,22 +315,11 @@ def test_batched_kraus_equals_kron_reference():
 GRID = [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]
 
 
-def _per_branch_loop(ks, rho):
-    """Reference: each branch as its own K rho K^dag, giving (probability, post-state) per K."""
-    out = []
-    for kmat in ks.k:
-        raw = kmat @ rho @ kmat.conj().T
-        prob = float(np.trace(raw).real)
-        if prob > protocol.PROBABILITY_FLOOR:
-            out.append((prob, raw / prob))
-        else:
-            out.append((max(prob, 0.0), np.zeros((16, 16), dtype=complex)))
-    return out
-
-
 def _assert_matches_loop(transcripts, ks, rho, phi):
-    """Each branch against the loop reference, its fidelity against one clone overlap per branch with phi."""
+    """Each branch against the loop reference, its fidelity against one clone overlap per branch with phi
+    and, bit for bit, against branch_scores."""
     assert len(transcripts) == 8
+    assert np.array_equal([tr.fidelity for tr in transcripts], branch_scores(transcripts, phi))
     for (ai, bi), tr, (prob, post) in zip(protocol._BRANCHES, transcripts, _per_branch_loop(ks, rho)):
         assert (tr.alice_outcome, tr.classical_bit, tr.bob_outcome) == (ai, 0 if ai in (1, 3) else 1, bi)
         assert abs(tr.joint_probability - prob) <= 1e-15
@@ -356,8 +346,10 @@ def test_batched_exact_equals_per_branch_loop():
 
 
 def test_floor_branches_get_zero_post_states(monkeypatch):
+    """Branches at or below PROBABILITY_FLOOR get zero post-states; one of probability ~1e-10, far
+    below any branch of a valid Kraus set but above the floor, keeps its normalized post-state."""
     ks = build_kraus(0.5)
-    weak = dataclasses.replace(ks, k=ks.k * np.array([0.0, 1e-8, 1, 1, 1, 1, 1, 1])[:, None, None])
+    weak = dataclasses.replace(ks, k=ks.k * np.array([0.0, 1e-8, 3e-5, 1, 1, 1, 1, 1])[:, None, None])
     monkeypatch.setattr(protocol, "build_kraus", lambda alpha: weak)
     phi = schmidt_state(0.5)
     transcripts = run_protocol_exact(0.5)
@@ -367,23 +359,17 @@ def test_floor_branches_get_zero_post_states(monkeypatch):
         assert np.array_equal(tr.post_state, np.zeros((16, 16)))
         assert tr.fidelity == 0.0
     assert np.array_equal(branch_scores(transcripts[:2], phi), [0.0, 0.0])
+    assert 1e-11 < transcripts[2].joint_probability < 1e-9 and transcripts[2].fidelity > 0.1
     for tr in transcripts[2:]:
         assert abs(np.trace(tr.post_state) - 1.0) < 1e-12
 
 
 def test_transcript_fidelity_equals_branch_scores():
-    """Every transcript carries branch_scores against schmidt_state(alpha), bit for bit, whether it
-    comes from the table or an explicit state, and the sampler draws exactly those scores."""
-    rng = np.random.default_rng(43)
+    """One trial draws the table's branch_scores against schmidt_state(alpha) as numpy's choice picks the
+    branch, bit for bit; _assert_matches_loop pins every transcript's fidelity to the same scores."""
     for alpha in GRID:
-        phi = schmidt_state(alpha)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = g @ g.conj().T
-        for state in (None, np.outer(phi, phi.conj()), rho / np.trace(rho).real):
-            transcripts = run_protocol_exact(alpha, state=state)
-            assert np.array_equal([tr.fidelity for tr in transcripts], branch_scores(transcripts, phi))
         table = run_protocol_exact(alpha)
-        scores = branch_scores(table, phi)
+        scores = branch_scores(table, schmidt_state(alpha))
         probs = np.array([tr.joint_probability for tr in table])
         for seed in range(4):
             drawn = np.random.default_rng(seed).choice(8, p=probs / probs.sum())

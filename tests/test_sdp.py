@@ -7,12 +7,9 @@ import pytest
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
 from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone import sdp
-from entclone.covariant import assemble_ptilde, basis_stack, partial_transpose_b
 from entclone.sdp import (
     BLOCK_WEIGHTS,
-    CENTRING,
     FIXED,
-    STEP_FRACTION,
     ConvergenceError,
     ThresholdDetectionError,
     build_problem,
@@ -20,149 +17,7 @@ from entclone.sdp import (
     solve,
     sweep_solutions,
 )
-
-# The log-barrier path solve followed before the primal-dual method:
-# damped Newton steps from mu = MU_INITIAL, divided by a factor per
-# stage down to mu_min, with an Armijo backtracking line search.
-MU_INITIAL = 1e-1
-MU_FACTOR = 1000.0
-ARMIJO_SLOPE = 0.01
-BACKTRACK = 0.5
-# Newton steps and optima of the PPT program as the dense 64x64 cones
-# gave them with mu divided by 10 per stage.  They pin the dense barrier
-# reference below, which must reproduce that solver's path before its
-# end point, the barrier's centred point at mu_min, is trusted as the
-# witness of solve's.
-DENSE_PPT_PATH = {
-    0.2: (51, 0.6773777309645838),
-    0.5: (47, 0.6281249563076853),
-    ALPHA_MAX: (48, 0.6249999563076856),
-}
-
-
-def _dense_cones(problem, t):
-    """x -> the dense 64x64 operator assemble_ptilde((FIXED @ x).reshape(5, 5), t) and, for a PPT
-    problem, its partial transpose over the second party."""
-    def cones(x):
-        dense = assemble_ptilde((FIXED @ x).reshape(5, 5), t)
-        return [dense, partial_transpose_b(dense)][: len(problem.cones)]
-
-    return cones
-
-
-def _psd_root(m, power):
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * vals**power) @ vecs.conj().T
-
-
-def _dense_step(m, dm):
-    """Largest s with m + s dm positive definite, from the spectrum of m^-1/2 dm m^-1/2."""
-    root = _psd_root(m, -0.5)
-    low = np.linalg.eigvalsh(root @ dm @ root)[0]
-    return -1.0 / low if low < 0.0 else np.inf
-
-
-def dense_nt_path(problem, t, tol=1e-7):
-    """solve's primal-dual iteration run on the dense 64x64 operators; returns (iterations, f*).
-
-    It keeps solve's null space, primal start, CENTRING, STEP_FRACTION,
-    floor mu_min = tol / (2 nu) and stop rule.  The dual start is the
-    same basis-free y0 I / (4n) - C(h), with h from the Frobenius Gram
-    matrix of the dense operators and y0 from C(h)'s largest
-    eigenvalue.  The NT scaling W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2,
-    the complementarity spectra and the step bounds come from eigh of
-    the whole operators.  Each dual step is made Hermitian, because the
-    dense products leave rounding-level anti-Hermitian parts that the
-    block solver cannot have, and projected onto the dual equalities in
-    the Frobenius inner product.
-    """
-    cones = _dense_cones(problem, t)
-    inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
-    f = problem.objective
-    _, sv, vh = np.linalg.svd(problem.eq_matrix)
-    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
-    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
-    units = [cones(e) for e in np.eye(8)]
-    ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
-    top = max(np.linalg.eigvalsh(c)[-1] for c in ch)
-    zs = [2.0 * abs(top) * np.eye(64) - c for c in ch]
-    dirs = [cones(n) for n in null.T]
-    dir_gram = np.array([[inner(a, b) for b in dirs] for a in dirs])
-    mu_min, iterations = max(tol / (2.0 * problem.nu), 1e-12), 0
-    while True:
-        ss = cones(x)
-        roots = [_psd_root(s, 0.5) for s in ss]
-        comp = np.concatenate([np.linalg.eigvalsh(r @ z @ r) for r, z in zip(roots, zs)])
-        if np.abs(comp - mu_min).max() <= 1e-3 * mu_min:
-            return iterations, float(f @ x)
-        iterations += 1
-        tau = max(CENTRING * inner(ss, zs) / problem.nu, mu_min)
-        w_inv = [np.linalg.inv(r @ _psd_root(r @ z @ r, -0.5) @ r) for r, z in zip(roots, zs)]
-        scaled = [[w @ d @ w for w, d in zip(w_inv, dn)] for dn in dirs]
-        target = [tau * np.linalg.inv(s) - z for s, z in zip(ss, zs)]
-        dz = np.linalg.solve([[inner(a, b) for b in scaled] for a in dirs], [inner(a, target) for a in dirs])
-        ds = cones(null @ dz)
-        dzs = [g - w @ d @ w for g, w, d in zip(target, w_inv, ds)]
-        dzs = [(d + d.conj().T) / 2.0 for d in dzs]
-        coef = np.linalg.solve(dir_gram, [inner(a, dzs) for a in dirs])
-        dzs = [z - sum(c * dn[i] for c, dn in zip(coef, dirs)) for i, z in enumerate(dzs)]
-        bound = min(_dense_step(m, dm) for m, dm in zip(ss + zs, ds + dzs))
-        step = min(1.0, STEP_FRACTION * bound)
-        x = x + step * (null @ dz)
-        zs = [z + step * d for z, d in zip(zs, dzs)]
-
-
-def dense_path(problem, t, mu_factor, tol=1e-7):
-    """The log-barrier path solve followed before, run on the dense 64x64 operators; returns (Newton steps, f*).
-
-    It starts from solve's null space and start point, uses the barrier
-    constants above and the floor mu_min = tol / (2 nu), and divides mu
-    by mu_factor per stage; every stage is centred until half the
-    squared Newton decrement is at most 1e-3 mu.  The cones are the
-    dense operators of _dense_cones, each eigensolved whole.
-    """
-    cones = _dense_cones(problem, t)
-
-    def log_det(x):
-        try:
-            return sum(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(c)).real)) for c in cones(x))
-        except np.linalg.LinAlgError:
-            return None
-
-    f = problem.objective
-    _, sv, vh = np.linalg.svd(problem.eq_matrix)
-    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
-    x0 = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
-    dirs = [cones(null[:, h]) for h in range(null.shape[1])]
-    mu, mu_min, z, steps = MU_INITIAL, max(tol / (2.0 * problem.nu), 1e-12), np.zeros(null.shape[1]), 0
-    while True:
-        while True:
-            x = x0 + null @ z
-            grad, hess, base = null.T @ f, np.zeros((len(z), len(z))), f @ x
-            for n, c in enumerate(cones(x)):
-                vals, vecs = np.linalg.eigh(c)
-                inv = (vecs / vals) @ vecs.conj().T
-                prods = np.stack([inv @ d[n] for d in dirs])
-                grad += mu * np.einsum("hii->h", prods).real
-                hess += mu * np.einsum("hij,gji->hg", prods, prods).real
-                base += mu * np.sum(np.log(vals))
-            step = np.linalg.solve(hess, grad)
-            lam2 = grad @ step
-            if lam2 / 2.0 <= max(1e-13, 1e-3 * mu):
-                break
-            steps += 1
-            scale = 1.0
-            while True:
-                assert scale > 1e-14, "dense line search stalled"
-                x_trial = x0 + null @ (z + scale * step)
-                ld = log_det(x_trial)
-                if ld is not None and f @ x_trial + mu * ld >= base + scale * ARMIJO_SLOPE * lam2:
-                    z = z + scale * step
-                    break
-                scale *= BACKTRACK
-        if mu <= mu_min * (1.0 + 1e-12):
-            return steps, float(f @ x)
-        mu = max(mu / mu_factor, mu_min)
+from reference import _dense_spectra, barrier_decrement, dense_nt_path
 
 
 @pytest.fixture(scope="module")
@@ -170,15 +25,6 @@ def bell_solutions():
     plain = solve(build_problem(ALPHA_MAX))
     ppt = solve(build_problem(ALPHA_MAX, with_ppt=True))
     return plain, ppt
-
-
-def _dense_spectra(a, stack):
-    """Spectra of sum_ij a_ij ti (x) tj and of its partial transpose over the second party."""
-    dense = np.tensordot(np.reshape(a, -1), stack, axes=(0, 0))
-    return [
-        np.linalg.eigvalsh((m + m.conj().T) / 2)
-        for m in (dense, partial_transpose_b(dense))
-    ]
 
 
 def test_program_is_invariant_under_swap_and_conjugation():
@@ -209,12 +55,11 @@ def test_program_is_invariant_under_swap_and_conjugation():
     swap = np.eye(25).reshape(5, 5, 25).transpose(1, 0, 2).reshape(25, 25)
     for action in (swap, *(np.diag(flip.reshape(-1)) for flip in flips)):
         assert np.abs(proj @ action - action @ proj).max() < 1e-14
-    stack = basis_stack()
     for _ in range(4):
         a = rng.normal(size=(5, 5))
-        spectra = _dense_spectra(a, stack)
+        spectra = _dense_spectra(a)
         for b in (a.T, *(flip * a for flip in flips)):
-            assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b, stack), spectra)) < 1e-12
+            assert max(np.abs(p - q).max() for p, q in zip(_dense_spectra(b), spectra)) < 1e-12
 
 
 def test_symmetry_rows_vanish_on_the_fixed_subspace():
@@ -243,10 +88,9 @@ def test_problem_shapes():
         arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     rng = np.random.default_rng(20050203)
-    stack = basis_stack()
     for _ in range(4):
         x = rng.normal(size=8)
-        for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x, stack)):
+        for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x)):
             weighted = np.concatenate([
                 np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weight)
                 for (p, q, r), weight in zip((cone @ x).reshape(-1, 3), BLOCK_WEIGHTS)
@@ -275,30 +119,21 @@ def test_max_step_keeps_a_double_root():
         assert abs(sdp._max_step(v, dv) * c - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("alpha", sorted(DENSE_PPT_PATH))
-def test_dense_reference_reproduces_the_factor_ten_path(t_ops, alpha):
-    iterations, f_star = dense_path(build_problem(alpha, t_ops, with_ppt=True), t_ops, mu_factor=10.0)
-    assert iterations == DENSE_PPT_PATH[alpha][0]
-    assert abs(f_star - DENSE_PPT_PATH[alpha][1]) < 1e-12
-
-
-@pytest.mark.parametrize("alpha", [*sorted(DENSE_PPT_PATH), alpha_critical()])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
 def test_ppt_solution_matches_dense_witness(t_ops, alpha):
     """solve's blocks against the dense operators: the same minimum eigenvalues, the same
-    primal-dual iterations and optimum, and the end point of the dense barrier path."""
+    primal-dual iterations and optimum, and an end point on the dense barrier's central path at
+    mu_min, certified by its Newton decrement."""
     problem = build_problem(alpha, t_ops, with_ppt=True)
     sol = solve(problem)
-    dense = assemble_ptilde(sol.a_star, t_ops)
-    witness = [
-        float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        for m in (dense, partial_transpose_b(dense))
-    ]
+    witness = [spectrum[0] for spectrum in _dense_spectra(sol.a_star, t_ops)]
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
     iterations, f_star = dense_nt_path(problem, t_ops)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
-    _, barrier_f_star = dense_path(problem, t_ops, mu_factor=MU_FACTOR)
-    assert abs(sol.f_star - barrier_f_star) < 1e-9
+    mu_min = 1e-7 / (2.0 * problem.nu)
+    lam2 = barrier_decrement(problem, FIXED.T @ sol.a_star.reshape(-1), mu_min, t_ops)
+    assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
 def test_fixed_parts_are_built_once_per_t(t_ops):
@@ -504,3 +339,19 @@ def test_detect_threshold_input_validation():
             detect_threshold([*curve[:4], (curve[4][0], bad), *curve[5:]])
         with pytest.raises(ValueError, match="finite"):
             detect_threshold([*curve[:4], (bad, curve[4][1]), *curve[5:]])
+
+
+@pytest.mark.parametrize("ratio, kinked", [(5.0, False), (20.0, True)])
+def test_detect_threshold_ratio_boundary(ratio, kinked):
+    """A curve whose third differences are all 1e-6 but one, ratio times larger: 5x is smooth, 20x a kink."""
+    grid = 0.30 + 0.002 * np.arange(36)
+    third = np.full(33, 1e-6)
+    third[16] *= ratio
+    values = 0.6 + 0.1 * grid + np.concatenate([[0.0, 0.0, 0.0], np.cumsum(np.cumsum(np.cumsum(third)))])
+    jumps = np.abs(np.diff(values, 3))
+    assert abs(jumps.max() / np.median(jumps) - ratio) < 1e-3 * ratio
+    if kinked:
+        assert detect_threshold(list(zip(grid, values))) in grid[17:20]
+    else:
+        with pytest.raises(ThresholdDetectionError):
+            detect_threshold(list(zip(grid, values)))
