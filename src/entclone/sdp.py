@@ -35,8 +35,7 @@ a55 and nothing else.  A cone is stored as the twelve linear forms
 gives every block at x; nu = sum of weight * block size, the dimension
 of the full operator, stays 64 per cone.
 
-The objective and the equality rows are built per party too, from the
-partial traces of the 8x8 operators t1..t5 (see
+The objective and the equality rows are built per party too (see
 channel.fidelity_coefficients and channel.constraint_matrices), so no
 64x64 operator is formed anywhere on the solve path.
 
@@ -59,7 +58,8 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    largest eigenvalue, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
-   closed-form NT scaling W = S # Z^-1 of every block.  The dual step
+   closed-form NT scaling W = S # Z^-1 of every block, whose packed 3x3
+   map X -> W^-1 X W^-1 is read off W^-1's entries.  The dual step
    is projected onto the null space of the dual equalities, and both
    iterates move by STEP_FRACTION of the largest step that keeps every
    block positive definite (one quadratic per block), capped at 1.
@@ -70,13 +70,14 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
-min_dual_eigenvalue are read off the dual iterate.  Both iterates are
-carried in long double, so a 2x2 block's small eigenvalue keeps its
-sign down to the smallest mu_min solve accepts.  The alpha-
-independent parts of a solve (the cones, N, x0, the rotated forms, the
-Gram inverse and the dual projector) are built once per immutable
-covariant.TOperators and cone set, plain or PPT, and travel with the
-problem as SdpProblem.setup, so solve looks nothing up.
+min_dual_eigenvalue are read off the dual iterate.  S and Z are one
+packed (2, n, 4, 3) array of blocks (p, q, r), their step another, so
+determinants, interior test and step bound run once over both.  Both are
+long double: a block's small eigenvalue keeps its sign down to the
+smallest mu_min solve accepts.  The alpha-independent parts of a solve
+(the cones, N, x0, the rotated forms, the dual projector and the Gram
+inverse) are built once per immutable covariant.TOperators and cone
+set, plain or PPT, and travel as SdpProblem.setup.
 """
 
 from __future__ import annotations
@@ -115,29 +116,35 @@ for _table in (FIXED, PAIR_BASIS):
 # BLOCK_WEIGHTS[j] copies of block j.
 BLOCK_WEIGHTS = (4, 4, 16, 8)
 # The weight of each form in sum over copies of <Z, block>: a block holds
-# q twice.  The identity's forms are _IDENTITY.
-_FORM_WEIGHTS = np.outer(BLOCK_WEIGHTS, [1.0, 2.0, 1.0])
+# q twice, so tr(X Y) of two blocks is their dot with _PAIRING.  The
+# identity's forms are _IDENTITY, and the adjugate (r, -q, p) of a block
+# (p, q, r) is its reverse times _FLIP.
+_PAIRING = np.array([1.0, 2.0, 1.0])
+_FORM_WEIGHTS = np.outer(BLOCK_WEIGHTS, _PAIRING)
 _IDENTITY = np.array([1.0, 0.0, 1.0])
-# A 2x2 block (p, q, r) unpacked to [[p, q], [q, r]]; _SELECT reads
-# (p, q, r) off a flattened 2x2 matrix and _DUPLICATE writes them into one.
-_UNPACK = np.array([[0, 1], [1, 2]])
-_SELECT = np.eye(4)[[0, 1, 3]]
-_DUPLICATE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-for _table in (_FORM_WEIGHTS, _IDENTITY, _UNPACK, _SELECT, _DUPLICATE):
+_FLIP = np.array([1.0, -1.0, 1.0])
+# X -> V X V for V = [[a, b], [b, c]], packed, is the 3x3 matrix
+# [[a^2, 2ab, b^2], [ab, ac + b^2, bc], [b^2, 2bc, c^2]]: row by row, the
+# products of (a, b, c)[_NT_LEFT] and (a, b, c)[_NT_RIGHT] times _NT_TWICE,
+# plus b^2 in the middle entry.
+_NT_LEFT = np.array([0, 0, 1, 0, 0, 1, 1, 1, 2])
+_NT_RIGHT = np.array([0, 1, 1, 1, 2, 2, 1, 2, 2])
+_NT_TWICE = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+for _table in (_PAIRING, _FORM_WEIGHTS, _IDENTITY, _FLIP, _NT_LEFT, _NT_RIGHT, _NT_TWICE):
     _table.flags.writeable = False
 
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup.  All but gram_inv are long double: solve computes in it."""
+    and carried as SdpProblem.setup.  All but gram_inv are long double: solve computes in their dtype."""
 
     null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (8,) strictly feasible primal start
     forms: np.ndarray  # (n, 4, 3, 8) the cones' blocks stacked
     dirs: np.ndarray  # (n, 4, 3, k) the forms along the null basis
     dual_map: np.ndarray  # (12n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
-    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
     project: np.ndarray  # (12n, 12n) orthogonal projector onto the null space of dual_map^T
+    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
 
 
 @dataclass(frozen=True)
@@ -217,22 +224,11 @@ def _det(v: np.ndarray) -> np.ndarray:
 
 def _adj(v: np.ndarray) -> np.ndarray:
     """Adjugate (r, -q, p) of each 2x2 block (p, q, r) along the last axis of v."""
-    return v[..., ::-1] * [1.0, -1.0, 1.0]
+    return v[..., ::-1] * _FLIP
 
 
-def _off_centre(s: np.ndarray, zs: np.ndarray, target: float) -> float:
-    """Largest distance from target of an eigenvalue of some block's S_k Z_k.
-
-    A 2x2 block's eigenvalues are half +- radius, half = tr(S Z) / 2 and
-    radius^2 = half^2 - det S det Z.
-    """
-    half = (s[..., 0] * zs[..., 0] + 2.0 * s[..., 1] * zs[..., 1] + s[..., 2] * zs[..., 2]) / 2.0
-    radius = np.sqrt(np.maximum(half * half - _det(s) * _det(zs), 0.0))
-    return float((np.abs(half - target) + radius).max())
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest s with every block of v + s dv positive definite.
+def _max_step(v: np.ndarray, dv: np.ndarray, c: np.ndarray) -> float:
+    """Largest s with every block of v + s dv positive definite, given c = _det(v).
 
     It is the smallest positive root of det(block + s dblock) = a s^2 + b s + c,
     c > 0, over every block.  Both roots are real, -1 over the
@@ -242,9 +238,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     it is positive exactly when a positive root exists, and then it is
     the reciprocal of the smallest one.
     """
-    p, q, r, dp, dq, dr = v[..., 0], v[..., 1], v[..., 2], dv[..., 0], dv[..., 1], dv[..., 2]
-    b = p * dr + r * dp - 2.0 * q * dq
-    c = _det(v)
+    b = np.dot(_adj(v) * dv, _PAIRING)  # tr(adj(B) dB)
     top = float(((np.sqrt(np.maximum(b * b - 4.0 * _det(dv) * c, 0.0)) - b) / c).max())
     return 2.0 / top if top > 0.0 else np.inf
 
@@ -287,11 +281,7 @@ def _program(t: TOperators, with_ppt: bool) -> tuple[tuple[np.ndarray, ...], _Se
     gram = np.einsum("nbep,be,nbeq->pq", forms, _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     x0 = _interior_start(eq, np.ones(1), forms)
-    setup = _Setup(
-        *(a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map)),
-        np.linalg.inv(gram),
-        project.astype(np.longdouble),
-    )
+    setup = _Setup(*(a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project)), np.linalg.inv(gram))
     for arr in (*cones, *setup):
         arr.flags.writeable = False
     return cones, setup
@@ -313,17 +303,19 @@ def build_problem(alpha: float, t: TOperators = T_OPERATORS, with_ppt: bool = Fa
 
 
 def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
-    """The primal iterate x and the dual point whose blocks are zs."""
+    """The primal iterate x and the dual point whose blocks are zs; y solves A^T y = r in
+    least squares, which for the one trace row e is y = e.r / e.e."""
     r = (problem.objective + np.einsum("nbe,nbep->p", zs * _FORM_WEIGHTS, forms)).astype(float)
-    y = np.linalg.lstsq(problem.eq_matrix.T, r, rcond=None)[0]
+    (e,) = problem.eq_matrix
+    y = (e @ r) / (e @ e)
     x = x.astype(float)
     return SdpSolution(
         a_star=(FIXED @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
         min_eigenvalues=tuple(float(m) for m in _block_min(forms @ x)),
         iterations=iterations,
-        upper_bound=float(problem.eq_rhs @ y),
-        dual_residual=float(np.abs(problem.eq_matrix.T @ y - r).max()),
+        upper_bound=float(problem.eq_rhs[0] * y),
+        dual_residual=float(np.abs(e * y - r).max()),
         min_dual_eigenvalue=float(_block_min(zs).min()),
     )
 
@@ -361,23 +353,29 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     if tol < 2.0 * nu * 1e-12:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
     setup = problem.setup
-    forms, dirs, dual_map = setup.forms, setup.dirs, setup.dual_map
+    forms, dirs, dual_map, null, project = setup.forms, setup.dirs, setup.dual_map, setup.null, setup.project
     mu_min = tol / (2.0 * nu)
-    # The dual start y0 I / (4n) - C(h) of the module docstring.
+    # S and Z packed as sz[0] and sz[1], their step as dsz; Z starts at y0 I / (4n) - C(h).
     ch = forms @ (setup.gram_inv @ problem.objective)
-    zs = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch
-    if _block_min(zs).min() <= 0.0:
+    sz = np.empty((2, *ch.shape), forms.dtype)
+    sz[1] = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch
+    if _block_min(sz[1]).min() <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
-    k = dirs.shape[-1]
+    dsz = np.empty_like(sz)
     x, iterations = setup.x0, 0
     while True:
-        s = forms @ x
-        det_s, det_z = _det(s), _det(zs)
-        if not min(det_s.min(), det_z.min(), s[..., 0].min(), zs[..., 0].min()) > 0.0:
+        np.dot(forms, x, out=sz[0])
+        s, zs = sz
+        det = _det(sz)
+        if not (det.min() > 0.0 and sz[..., 0].min() > 0.0):
             raise ConvergenceError("the iterate left the cone interior")
-        mu = float(np.sum(_FORM_WEIGHTS * s * zs)) / nu
-        if mu <= (1.0 + 1e-3) * mu_min and _off_centre(s, zs, mu_min) <= 1e-3 * mu_min:
-            return _certificate(problem, forms, x, zs, iterations)
+        mu = float(np.vdot(_FORM_WEIGHTS * s, zs)) / nu
+        if mu <= (1.0 + 1e-3) * mu_min:
+            # S_k Z_k's eigenvalues are half +- radius, half = tr(S_k Z_k) / 2, radius^2 = half^2 - det S_k det Z_k.
+            half = np.dot(s * zs, _PAIRING) / 2.0
+            radius = np.sqrt(np.maximum(half * half - det[0] * det[1], 0.0))
+            if (np.abs(half - mu_min) + radius).max() <= 1e-3 * mu_min:
+                return _certificate(problem, forms, x, zs, iterations)
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"no convergence within {max_iter} iterations", best=_certificate(problem, forms, x, zs, iterations)
@@ -386,28 +384,30 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         tau = max(CENTRING * mu, mu_min)
         # NT scaling of each block, W = S # Z^-1 (W Z W = S), in closed form:
         # with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
-        # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The
-        # packed matrix of X -> W^-1 X W^-1 is _SELECT (W^-1 (x) W^-1) _DUPLICATE.
-        rs, rz = np.sqrt(det_s), np.sqrt(det_z)
-        m = s / rs[..., None] + _adj(zs) / rz[..., None]
-        v = (_adj(m) * np.sqrt(rz / rs / _det(m))[..., None])[..., _UNPACK]
-        outer = (v[..., :, None, :, None] * v[..., None, :, None, :]).reshape(*v.shape[:-2], 4, 4)
-        scaling = _SELECT @ outer @ _DUPLICATE
+        # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The packed
+        # matrix of X -> W^-1 X W^-1 is read off W^-1's entries (see _NT_TWICE).
+        root = np.sqrt(det)
+        scaled = sz / root[..., None]
+        m = scaled[0] + _adj(scaled[1])
+        w = _adj(m) * np.sqrt(root[1] / root[0] / _det(m))[..., None]
+        scaling = w[..., _NT_LEFT] * w[..., _NT_RIGHT] * _NT_TWICE
+        scaling[..., 4] += scaling[..., 2]
+        scaling = scaling.reshape(*m.shape, 3)
         # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
         # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
         # back onto the dual equalities so rounding cannot build up in the
         # residual.
-        target = tau * _adj(s) / det_s[..., None] - zs
-        system = dual_map.T @ (scaling @ dirs).reshape(-1, k)
-        rhs = dual_map.T @ target.reshape(-1)
+        target = (tau / det[0])[..., None] * _adj(s) - zs
+        system = np.dot(dual_map.T, (scaling @ dirs).reshape(len(dual_map), -1))
+        rhs = np.dot(dual_map.T, target.reshape(-1))
         factored = system.astype(float)
-        dz = np.linalg.solve(factored, rhs.astype(float)).astype(np.longdouble)
-        dz += np.linalg.solve(factored, (rhs - system @ dz).astype(float))
-        ds = dirs @ dz
-        dzs = (setup.project @ (target - (scaling @ ds[..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
-        step = min(1.0, STEP_FRACTION * _max_step(np.concatenate([s, zs]), np.concatenate([ds, dzs])))
-        x = x + step * (setup.null @ dz)
-        zs = zs + step * dzs
+        dz = np.linalg.solve(factored, rhs.astype(float)).astype(forms.dtype)
+        dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))
+        np.dot(dirs, dz, out=dsz[0])
+        dsz[1] = np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
+        step = min(1.0, STEP_FRACTION * _max_step(sz, dsz, det))
+        x = x + step * np.dot(null, dz)
+        sz[1] += step * dsz[1]
 
 
 def sweep_solutions(

@@ -13,9 +13,10 @@ values, not bytes, because CI runs two numpy builds (Python 3.10 and
   a "(tol X)", "(cap X)", "(floor X)" or "(need X)" is checked against
   that bound, and every other number agrees to 1e-13 absolute.
 
-Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py --regen``.
-A rewrite moves committed values, so list every moved value in
-CHANGES.md.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py --regen``.
+It rewrites only the files whose run no longer matches them, so a file
+that still passes keeps its committed bytes, and it prints every value
+that moved; list those in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ def same_field(field: str, got, want) -> bool:
     return got == want
 
 
-def compare_records(got: list[dict], want: list[dict]) -> None:
-    assert len(got) == len(want)
-    for row, ref in zip(got, want):
-        assert list(row) == list(ref)
-        for field, value in ref.items():
-            assert same_field(field, row[field], value), (field, row[field], value)
-
-
 def compare_verify_line(got: str, want: str) -> None:
     bounded, ref_bounded = _BOUNDED.findall(got), _BOUNDED.findall(want)
     assert [b[1:] for b in bounded] == [b[1:] for b in ref_bounded], (got, want)
@@ -91,26 +84,46 @@ def compare_verify_line(got: str, want: str) -> None:
     assert _FREE.sub("#", got) == _FREE.sub("#", want)
 
 
-def compare(name: str, got: str, want: str) -> None:
-    """Raise AssertionError unless the output got of run name matches its golden text want."""
-    if name.endswith(".csv"):
-        compare_records(list(csv.DictReader(io.StringIO(got))), list(csv.DictReader(io.StringIO(want))))
-    elif name.endswith(".json"):
-        payload, ref = json.loads(got), json.loads(want)
-        assert payload["metadata"] == ref["metadata"]
-        compare_records(payload["records"], ref["records"])
-    else:
+def records(name: str, text: str) -> list[dict]:
+    """The records of a CSV or JSON output."""
+    return list(csv.DictReader(io.StringIO(text))) if name.endswith(".csv") else json.loads(text)["records"]
+
+
+def moved_values(name: str, got: str, want: str) -> list[str]:
+    """Each value of the output got of run name that moved from its golden text want by more than
+    the rules above allow, or what changed shape; empty when they match."""
+    if not name.endswith((".csv", ".json")):
         lines, ref_lines = got.splitlines(), want.splitlines()
-        assert len(lines) == len(ref_lines)
+        if len(lines) != len(ref_lines):
+            return [f"{len(ref_lines)} lines -> {len(lines)} lines"]
+        moved = []
         for line, ref_line in zip(lines, ref_lines):
-            compare_verify_line(line, ref_line)
+            try:
+                compare_verify_line(line, ref_line)
+            except AssertionError:
+                moved.append(f"{ref_line} -> {line}")
+        return moved
+    moved = []
+    if name.endswith(".json") and json.loads(got)["metadata"] != json.loads(want)["metadata"]:
+        moved.append(f"metadata {json.loads(want)['metadata']} -> {json.loads(got)['metadata']}")
+    rows, refs = records(name, got), records(name, want)
+    if [list(row) for row in rows] != [list(ref) for ref in refs]:
+        return [*moved, f"{len(refs)} records -> {len(rows)} records, or their fields changed"]
+    return moved + [f"row {i} {field}: {ref[field]} -> {row[field]}" for i, (row, ref) in enumerate(zip(rows, refs))
+                    for field in ref if not same_field(field, row[field], ref[field])]
+
+
+def stderr_file(name: str) -> Path:
+    """The golden stderr of run name; when there is none, the run must print nothing there."""
+    return GOLDEN / f"{Path(name).stem}.stderr"
 
 
 def check(name: str) -> None:
     code, out, err = run(RUNS[name])
     assert code == 0
-    compare(name, out, (GOLDEN / name).read_text(encoding="utf-8"))
-    stderr = GOLDEN / f"{Path(name).stem}.stderr"
+    moved = moved_values(name, out, (GOLDEN / name).read_text(encoding="utf-8"))
+    assert not moved, moved
+    stderr = stderr_file(name)
     assert err == (stderr.read_text(encoding="utf-8") if stderr.exists() else "")
 
 
@@ -139,16 +152,45 @@ def test_golden_check_passes_one_ulp_and_catches_1e_12(monkeypatch, shift, passe
             check("sweep.csv")
 
 
-def regen() -> None:
-    """Rewrite every golden file from the current code."""
+def test_regen_keeps_matching_files_and_rewrites_moved_ones(monkeypatch, tmp_path, capsys):
+    """A golden file its run still matches keeps its bytes, even bytes a rewrite would change; a file
+    with a moved value is rewritten from the run, and regen prints that value."""
+    params, protocol = ((GOLDEN / name).read_text(encoding="utf-8") for name in ("params.csv", "protocol_max.json"))
+    kept = params.replace("0.014430750636460153,", "1.4430750636460153e-02,")
+    moved = protocol.replace('"probability": 0.125', '"probability": 0.126', 1)
+    assert kept != params and moved != protocol
+    (tmp_path / "params.csv").write_text(kept, encoding="utf-8")
+    (tmp_path / "protocol_max.json").write_text(moved, encoding="utf-8")
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    regen(["params.csv", "protocol_max.json"])
+    assert (tmp_path / "params.csv").read_text(encoding="utf-8") == kept
+    assert (tmp_path / "protocol_max.json").read_text(encoding="utf-8") == run(RUNS["protocol_max.json"])[1]
+    assert capsys.readouterr().out == "protocol_max.json: row 0 probability: 0.126 -> 0.125\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["params.csv", "protocol_max.json"]
+
+
+def regen(names=tuple(RUNS)) -> None:
+    """Rewrite the golden files of each named run that no longer matches them, printing what moved.
+
+    A file whose run still matches keeps its committed bytes, so a regen of
+    an unchanged program rewrites nothing.
+    """
     os.environ.pop("CLONER_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in RUNS.items():
-        code, out, err = run(argv)
+    for name in names:
+        code, out, err = run(RUNS[name])
         if code != 0:
-            raise SystemExit(f"{name}: entclone {' '.join(argv)} exited {code}")
-        (GOLDEN / name).write_text(out, encoding="utf-8")
-        stderr = GOLDEN / f"{Path(name).stem}.stderr"
+            raise SystemExit(f"{name}: entclone {' '.join(RUNS[name])} exited {code}")
+        golden, stderr = GOLDEN / name, stderr_file(name)
+        moved = moved_values(name, out, golden.read_text(encoding="utf-8")) if golden.exists() else ["new file"]
+        old_err = stderr.read_text(encoding="utf-8") if stderr.exists() else ""
+        if err != old_err:
+            moved.append(f"stderr {old_err!r} -> {err!r}")
+        if not moved:
+            continue
+        for line in moved:
+            print(f"{name}: {line}")
+        golden.write_text(out, encoding="utf-8")
         if err:
             stderr.write_text(err, encoding="utf-8")
         else:

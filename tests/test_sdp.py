@@ -116,7 +116,7 @@ def test_max_step_keeps_a_double_root():
         c = rng.uniform(0.1, 10.0)
         v[0, 0] = (m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]]
         dv[0, 0] = -c * v[0, 0]
-        assert abs(sdp._max_step(v, dv) * c - 1.0) < 1e-6
+        assert abs(sdp._max_step(v, dv, sdp._det(v)) * c - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
@@ -219,6 +219,23 @@ def test_solver_is_deterministic():
     assert abs(first.f_star - fidelity_locc(0.5)) < 1e-6
 
 
+# Iterations at each alpha of verify's 50-point grid at the default tol, as the solver took them
+# before its iterates were packed into one array: a faster loop must walk the same path.
+PATH_ITERATIONS = {
+    False: (9, 9, 10, 10, 9, 9, 9, 9, 10, 9, 8, 10, 10, 9, 8, 9, 11, 11, 11, 10, 9, 10, 10, 10, 10,
+            10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12, 12, 12, 12, 12, 12, 11, 11, 12, 12, 12, 12, 12, 12, 12),
+    True: (10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 11, 11, 11, 11, 10, 9, 8, 9, 10, 10, 11,
+           11, 10, 11, 11, 11, 12, 13, 14, 14, 14, 14, 14, 14, 14, 14, 13, 14, 11, 11, 10, 13, 13, 12, 13, 13),
+}
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_iteration_counts_are_pinned(with_ppt):
+    """Every solve on verify's grid takes the pinned number of iterations."""
+    grid = np.linspace(0.0, ALPHA_MAX, 50)
+    assert tuple(sol.iterations for _, sol in sweep_solutions(grid, with_ppt)) == PATH_ITERATIONS[with_ppt]
+
+
 def test_solve_rejects_bad_tolerances():
     problem = build_problem(0.4)
     with pytest.raises(ValueError):
@@ -277,7 +294,8 @@ def test_every_iterate_is_certified(alpha, with_ppt):
 def test_solve_converges_at_the_tolerance_floor(with_ppt):
     """Down to tol near its floor 2 nu 1e-12, every solve on the 51-point grid, the 36-point kink
     grid and alpha0 returns a certified optimum: f* <= F_closed <= U, U - f* <= tol, a
-    rounding-level dual residual and a positive definite Z."""
+    rounding-level dual residual and a positive definite Z.  Each plain solve takes at most 24
+    iterations: 16 at most with the NT direction refined in long double, up to 35 without."""
     tol = 1.3e-10 if not with_ppt else 2.6e-10
     grid = [*np.linspace(0.0, ALPHA_MAX, 51), alpha_critical(), *np.arange(0.30, 0.37 + 1e-12, 0.002)]
     for alpha in grid:
@@ -286,6 +304,7 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt):
         assert sol.f_star <= closed <= sol.upper_bound <= sol.f_star + tol
         assert sol.dual_residual <= 1e-12
         assert sol.min_dual_eigenvalue > 0.0
+        assert with_ppt or sol.iterations <= 24
 
 
 def test_sweep_failure_names_its_point(monkeypatch):
