@@ -3,8 +3,7 @@
 Run from the repository root, outside Tier-1 (pytest does not collect this
 file, as its name has no test_ prefix):
 
-    python tests/mutants.py             # every mutant
-    python tests/mutants.py CENTRING    # the mutants whose name contains CENTRING
+    python tests/mutants.py
 
 Each mutant is one exact string replacement in one package file, and its
 text must occur there exactly once.  It is applied to a fresh copy of
@@ -98,15 +97,12 @@ def run(mutant: Mutant | None) -> tuple[bool, str]:
         return tier1(root)
 
 
-def main(patterns: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not patterns or any(p in m.name for p in patterns)]
-    if not chosen:
-        raise SystemExit(f"no mutant matches {patterns}")
+def main() -> int:
     passed, detail = run(None)
     if not passed:
         raise SystemExit(f"the unmutated copy fails Tier-1: {detail}")
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         passed, detail = run(mutant)
         if not passed:
             verdict = f"killed by {detail}"
@@ -115,9 +111,11 @@ def main(patterns: list[str]) -> int:
         else:
             verdict, survivors = "SURVIVED", survivors + 1
         print(f"{mutant.name}: {verdict}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed or equivalent")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed or equivalent")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    if sys.argv[1:]:
+        raise SystemExit("usage: python tests/mutants.py")
+    sys.exit(main())
