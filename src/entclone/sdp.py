@@ -3,21 +3,22 @@
 The program maximizes the linear clone-fidelity functional over the
 25-dimensional covariant parameter space subject to the trace and
 clone-symmetry equalities and positivity of the assembled two-party
-operator; an optional second cone adds positivity of its partial
-transpose over one party, which models the one-bit-LOCC relaxation.
+operator; the PPT program adds positivity of its partial transpose over
+one party, which models the one-bit-LOCC relaxation.
 
 The input is real and symmetric under A <-> B, so the program is
-invariant under a -> a^T, under conjugation (t5 -> -t5, so
-a_i5 -> -a_i5 for i != 5) and under a_i4 -> -a_i4 for i != 4.  The
-program is convex, so averaging an optimum over the three maps gives
-one in their fixed subspace, and the central path, being unique, lies
-there too: real symmetric a whose only off-diagonal
-entries are a12, a13 and a23, spanned by the 8 orthonormal columns of
-FIXED.  There the clone-symmetry rows vanish and only the trace row is
-left, so k = 7 coordinates are free.
+invariant under a -> a^T, under conjugation (t5 -> -t5, so a_i5 -> -a_i5
+for i != 5) and under a_i4 -> -a_i4 for i != 4.  The program is convex,
+so averaging an optimum over the three maps gives one in their fixed
+subspace, and the central path, being unique, lies there too: real
+symmetric a whose only off-diagonal entries are a12, a13 and a23,
+spanned by the 8 orthonormal columns of FIXED.  There the clone-symmetry
+rows vanish, leaving the trace row and k = 7 free coordinates.
 
-No cone is formed as a 64x64 matrix, and none is eigensolved.  Per party
-the commutant is M2 (+) C, and covariant.commutant_blocks reads the
+No 64x64 operator is formed on the solve path: the objective and the
+equality rows are built per party (see channel.fidelity_coefficients and
+channel.constraint_matrices), and so is the cone.  Per party the
+commutant is M2 (+) C, and covariant.commutant_blocks reads the
 coordinates X_i, c_i of each ti there off t.  On the fixed subspace
 sum_ij a_ij ti (x) tj is unitarily a direct sum of sum a_ij Xi (x) Xj
 (4x4, four copies), sum a_ij c_j Xi (2x2, sixteen copies) and a33
@@ -25,37 +26,41 @@ sum_ij a_ij ti (x) tj is unitarily a direct sum of sum a_ij Xi (x) Xj
 (|01> +- |10>)/sqrt(2) the first is the 2x2 block
 [[a11, a44 - a55], [a44 - a55, a22]] plus
 diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
-and the third, taken in pairs, diag(a33, a33).  So each cone is four
-real 2x2 blocks of weights (4, 4, 16, 8), and one formula serves each
-step of the solver on all of them.  The basis covariant.BLOCK_BASIS is
-real, so the partial transpose over the second party is the same
-construction with Xj replaced by its transpose, which flips the sign of
-a55 and nothing else.  A cone is stored as the twelve linear forms
-(p, q, r of each block in turn) over the coordinates, so one mat-vec
-gives every block at x; nu = sum of weight * block size, the dimension
-of the full operator, stays 64 per cone.
+and the third, taken in pairs, diag(a33, a33).  So the cone is four
+real 2x2 blocks of weights (4, 4, 16, 8), stored as their twelve linear
+forms (p, q, r of each block in turn) over the coordinates, and one
+formula serves each step of the solver on all of them; nu = sum of
+weight * block size, the dimension of the full operator, is 64.
 
-The objective and the equality rows are built per party too (see
-channel.fidelity_coefficients and channel.constraint_matrices), so no
-64x64 operator is formed anywhere on the solve path.
+The basis covariant.BLOCK_BASIS is real, so the partial transpose over
+the second party is the same construction with Xj transposed: it flips
+the sign of a55 and nothing else.  The objective and the trace row do
+not involve a55, so the flip swaps the PPT program's two cones and
+leaves the program unchanged; by the argument above its optimum and
+central path lie on a55 = 0, where the two cones are one.  So the PPT
+program is solved there, on the 7 FIXED coordinates without a55
+(k = 6), with the plain cone counted twice (nu = 128).  Its dual stands
+for Z_plain = Z_ppt, whose a55 terms cancel in the two-cone
+stationarity, leaving in that row the objective's a55 coefficient alone:
+the certificate is one of the PPT program itself.  The three premises
+are checked in tests/test_tables.py.
 
 The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
 Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers", 2010).  The primal iterate x = x0 + N z stays on the
 equalities through an orthonormal null-space basis N.  The dual iterate
-is four 2x2 blocks Z_k per cone, standing for the same copies as the
-primal blocks; it stays on the dual equalities
+is four 2x2 blocks Z_k, standing for the same copies as the primal
+blocks; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
 exists and U = b^T y bounds the optimum from above whenever every
 Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
 weighted central path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
  - Start: x0 is alpha-independent (see _interior_start).  The dual
-   starts at y0 I / (4n) - C(h) for n cones: h solves the weighted Gram
-   system G h = f, which makes the stationarity residual zero (the
-   cones' traces sum to 4n times the trace row, so the identity term
-   adds y0 A^T), and y0 / (4n) is twice the absolute value of C(h)'s
-   largest eigenvalue, which puts Z inside the cone.
+   starts at y0 I / (4c) - C(h) for c copies of the cone: h solves the
+   weighted Gram system G h = f and the copies' traces sum to 4c times
+   the trace row, so the stationarity residual is zero; y0 / (4c) is
+   twice |lambda_max(C(h))|, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
    closed-form NT scaling W = S # Z^-1 of every block, whose packed 3x3
@@ -70,14 +75,9 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
-min_dual_eigenvalue are read off the dual iterate.  S and Z are one
-packed (2, n, 4, 3) array of blocks (p, q, r), their step another, so
-determinants, interior test and step bound run once over both.  Both are
-long double: a block's small eigenvalue keeps its sign down to the
-smallest mu_min solve accepts.  The alpha-independent parts of a solve
-(the cones, N, x0, the rotated forms, the dual projector and the Gram
-inverse) are built once per immutable covariant.TOperators and cone
-set, plain or PPT, and travel as SdpProblem.setup.
+min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
+parts of a solve are built once per immutable covariant.TOperators and
+program, plain or PPT, and travel as SdpProblem.setup.
 """
 
 from __future__ import annotations
@@ -110,10 +110,8 @@ for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 
 PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
 for _table in (FIXED, PAIR_BASIS):
     _table.flags.writeable = False
-# A cone is a (12, 8) array of linear forms over the FIXED coordinates:
-# rows p, q, r of each of its four real 2x2 blocks [[p, q], [q, r]] in
-# turn.  Its 64x64 operator at x is unitarily the direct sum of
-# BLOCK_WEIGHTS[j] copies of block j.
+_A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
+# The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
 BLOCK_WEIGHTS = (4, 4, 16, 8)
 # The weight of each form in sum over copies of <Z, block>: a block holds
 # q twice, so tr(X Y) of two blocks is their dot with _PAIRING.  The
@@ -136,32 +134,34 @@ for _table in (_PAIRING, _FORM_WEIGHTS, _IDENTITY, _FLIP, _NT_LEFT, _NT_RIGHT, _
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup.  All but gram_inv are long double: solve computes in their dtype."""
+    and carried as SdpProblem.setup.  null to project are long double: solve computes in their dtype."""
 
-    null: np.ndarray  # (8, k) orthonormal basis of the equalities' null space
-    x0: np.ndarray  # (8,) strictly feasible primal start
-    forms: np.ndarray  # (n, 4, 3, 8) the cones' blocks stacked
-    dirs: np.ndarray  # (n, 4, 3, k) the forms along the null basis
-    dual_map: np.ndarray  # (12n, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
-    project: np.ndarray  # (12n, 12n) orthogonal projector onto the null space of dual_map^T
-    gram_inv: np.ndarray  # (8, 8) inverse of the weighted Gram matrix sum forms^T diag(_FORM_WEIGHTS) forms
+    basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
+    copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
+    null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
+    x0: np.ndarray  # (m,) strictly feasible primal start
+    forms: np.ndarray  # (4, 3, m) the cone's blocks
+    dirs: np.ndarray  # (4, 3, k) the forms along the null basis
+    dual_map: np.ndarray  # (12, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
+    project: np.ndarray  # (12, 12) orthogonal projector onto the null space of dual_map^T
+    gram_inv: np.ndarray  # (m, m) inverse of the weighted Gram matrix copies sum forms^T diag(_FORM_WEIGHTS) forms
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, equality rows, and block cones over the fixed-subspace coordinates,
-    with the solver's alpha-independent setup for them."""
+    """Linear objective, equality rows, and the (12, m) forms of the block cone over the program's
+    coordinates (see _program), with the solver's alpha-independent setup for them."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    cones: tuple[np.ndarray, ...]
+    cones: np.ndarray
     setup: _Setup
 
     @property
     def nu(self) -> float:
-        """Barrier parameter: the summed dimension of the cones' full operators."""
-        return float(len(self.cones) * 2 * sum(BLOCK_WEIGHTS))
+        """Barrier parameter: the summed dimension of the full operators the cone stands for."""
+        return float(self.setup.copies * 2 * sum(BLOCK_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,7 @@ def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _block_min(v: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each cone whose blocks (p, q, r) are v[k]: the closed-form
-    minimum over its 2x2 blocks [[p, q], [q, r]]."""
+    """Smallest eigenvalue of the cone whose blocks (p, q, r) are v, the minimum over its 2x2 blocks."""
     return ((v[..., 0] + v[..., 2]) / 2.0 - np.hypot((v[..., 0] - v[..., 2]) / 2.0, v[..., 1])).min(axis=-1)
 
 
@@ -243,80 +242,83 @@ def _max_step(v: np.ndarray, dv: np.ndarray, c: np.ndarray) -> float:
     return 2.0 / top if top > 0.0 else np.inf
 
 
-def _interior_start(eq_matrix: np.ndarray, eq_rhs: np.ndarray, forms: np.ndarray) -> np.ndarray:
+def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
-    It is 0.9 times the no-communication point a = e_22 (FIXED[6], as
+    It is 0.9 times the no-communication point a = e_22 (basis[6], as
     a_22 sits at flat index 6) plus 0.1 times the least-squares point of
     the equalities (the maximally mixed feasible point).  Neither depends
-    on alpha; the mix clears both cones by 2.8e-3.
+    on alpha; the mix clears the cone by 2.8e-3.
     """
-    x0 = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(eq_matrix, eq_rhs, rcond=None)[0]
+    x0 = 0.9 * basis[6] + 0.1 * np.linalg.lstsq(eq_matrix, eq_rhs, rcond=None)[0]
     feasible = np.linalg.norm(eq_matrix @ x0 - eq_rhs) <= 1e-9
-    if not feasible or _block_min(forms @ x0).min() <= 1e-8:
+    if not feasible or _block_min(forms @ x0) <= 1e-8:
         raise ConvergenceError("could not find a strictly feasible starting point")
     return x0
 
 
 @functools.lru_cache(maxsize=2)
-def _program(t: TOperators, with_ppt: bool) -> tuple[tuple[np.ndarray, ...], _Setup]:
+def _program(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     """The cone forms and solver setup of the plain or PPT program for t: all of it but the objective.
 
-    The cones are the plain cone's forms and, with_ppt, those of its
-    partial transpose over the second party.  t is immutable, so both
-    programs are cached per t object, and every array in them is
-    read-only.  Raises ConvergenceError if the equalities leave no
-    freedom or the start is not strictly feasible.
+    The plain program runs on the 8 FIXED coordinates, the PPT program on
+    the 7 without a55 with the plain cone counted twice.  t is immutable,
+    so both are cached per t object, and every array in them is read-only.
+    Raises ConvergenceError if the equalities leave no freedom or the
+    start is not strictly feasible.
     """
     x, c = commutant_blocks(t)
-    cones = (_block_cone(x, x, c), _block_cone(x, np.swapaxes(x, 1, 2), c))[: 2 if with_ppt else 1]
-    eq = (constraint_matrices(t)[0] @ FIXED)[None, :]
+    basis, cone, copies = FIXED, _block_cone(x, x, c), 1
+    if with_ppt:
+        basis, cone, copies = np.delete(basis, _A55, axis=1), np.delete(cone, _A55, axis=1), 2
+    eq = (constraint_matrices(t)[0] @ basis)[None, :]
     _, sv, vh = np.linalg.svd(eq)
     null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
     if null.shape[1] == 0:
         raise ConvergenceError("equality constraints leave no degrees of freedom")
-    forms = np.stack(cones).reshape(len(cones), len(BLOCK_WEIGHTS), 3, -1)
+    forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
     dirs = forms @ null
-    dual_map = (dirs * _FORM_WEIGHTS[..., None]).reshape(-1, null.shape[1])
-    gram = np.einsum("nbep,be,nbeq->pq", forms, _FORM_WEIGHTS, forms)
+    dual_map = (dirs * (copies * _FORM_WEIGHTS)[..., None]).reshape(-1, null.shape[1])
+    gram = np.einsum("bep,be,beq->pq", forms, copies * _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
-    x0 = _interior_start(eq, np.ones(1), forms)
-    setup = _Setup(*(a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project)), np.linalg.inv(gram))
-    for arr in (*cones, *setup):
+    x0 = _interior_start(basis, eq, np.ones(1), forms)
+    longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
+    setup = _Setup(basis, copies, *longs, np.linalg.inv(gram))
+    for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
-    return cones, setup
+    return cone, setup
 
 
 def build_problem(alpha: float, t: TOperators = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
-    """Assemble the program for one Schmidt weight on the fixed subspace.
+    """Assemble the program for one Schmidt weight on its coordinates (see _program).
 
-    Only the objective depends on alpha: the cone forms and the solver
-    setup come from the program cached for t (see _program) and are
-    shared read-only.  The clone-symmetry rows vanish on FIXED, so the
-    trace row is the only equality.  Raises ConvergenceError if the
-    program has no strictly feasible start.
+    Only the objective depends on alpha; the cone forms and the solver
+    setup are the program's, cached for t and shared read-only.  The
+    clone-symmetry rows vanish on FIXED, so the trace row is the only
+    equality.  Raises ConvergenceError if the program has no strictly
+    feasible start.
     """
-    trace_row, _ = constraint_matrices(t)
-    f = FIXED.T @ fidelity_coefficients(alpha, t).reshape(-1)
     cones, setup = _program(t, with_ppt)
-    return SdpProblem(objective=f, eq_matrix=(trace_row @ FIXED)[None, :], eq_rhs=np.ones(1), cones=cones, setup=setup)
+    f = setup.basis.T @ fidelity_coefficients(alpha, t).reshape(-1)
+    eq = (constraint_matrices(t)[0] @ setup.basis)[None, :]
+    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=cones, setup=setup)
 
 
-def _certificate(problem: SdpProblem, forms: np.ndarray, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
-    """The primal iterate x and the dual point whose blocks are zs; y solves A^T y = r in
-    least squares, which for the one trace row e is y = e.r / e.e."""
-    r = (problem.objective + np.einsum("nbe,nbep->p", zs * _FORM_WEIGHTS, forms)).astype(float)
+def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
+    """The primal iterate x and the dual point zs; y = e.r / e.e solves A^T y = r in least squares."""
+    setup = problem.setup
+    r = (problem.objective + np.einsum("be,bep->p", zs * (setup.copies * _FORM_WEIGHTS), setup.forms)).astype(float)
     (e,) = problem.eq_matrix
     y = (e @ r) / (e @ e)
     x = x.astype(float)
     return SdpSolution(
-        a_star=(FIXED @ x).reshape(5, 5),
+        a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
-        min_eigenvalues=tuple(float(m) for m in _block_min(forms @ x)),
+        min_eigenvalues=(float(_block_min(setup.forms @ x)),) * setup.copies,
         iterations=iterations,
         upper_bound=float(problem.eq_rhs[0] * y),
         dual_residual=float(np.abs(e * y - r).max()),
-        min_dual_eigenvalue=float(_block_min(zs).min()),
+        min_dual_eigenvalue=float(_block_min(zs)),
     )
 
 
@@ -324,12 +326,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     """Maximize the objective; returns the final iterate, diagnostics and its dual certificate.
 
     Feasible primal-dual path following with the Nesterov-Todd direction
-    (see the module docstring).  Each iteration targets
-    tau = max(CENTRING * mu, mu_min), mu_min = tol / (2 nu), and takes
-    STEP_FRACTION of the largest step that keeps both iterates interior,
-    capped at 1.  The solve ends once every block's complementarity
-    S_k Z_k is within 1e-3 mu_min of mu_min I: the barrier path's
-    centred point at mu_min, with duality gap nu mu_min = tol / 2.
+    (see the module docstring) to the barrier path's centred point at
+    mu_min = tol / (2 nu), with duality gap nu mu_min = tol / 2.
     max_iter caps the number of iterations; the ConvergenceError raised
     past it carries the current iterate, certified like every other.
     max_iter must be a non-negative integer (Python or numpy, not bool),
@@ -354,12 +352,13 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         raise ValueError("tol is below the attainable barrier floor for this cone size")
     setup = problem.setup
     forms, dirs, dual_map, null, project = setup.forms, setup.dirs, setup.dual_map, setup.null, setup.project
+    weights = setup.copies * _FORM_WEIGHTS
     mu_min = tol / (2.0 * nu)
-    # S and Z packed as sz[0] and sz[1], their step as dsz; Z starts at y0 I / (4n) - C(h).
+    # S, Z as sz[0], sz[1] and their step dsz, so block formulas run once on both; Z starts at y0 I / (4c) - C(h).
     ch = forms @ (setup.gram_inv @ problem.objective)
     sz = np.empty((2, *ch.shape), forms.dtype)
-    sz[1] = 2.0 * abs(-_block_min(-ch).min()) * _IDENTITY - ch
-    if _block_min(sz[1]).min() <= 0.0:
+    sz[1] = 2.0 * abs(_block_min(-ch)) * _IDENTITY - ch
+    if _block_min(sz[1]) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
     dsz = np.empty_like(sz)
     x, iterations = setup.x0, 0
@@ -369,16 +368,16 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         det = _det(sz)
         if not (det.min() > 0.0 and sz[..., 0].min() > 0.0):
             raise ConvergenceError("the iterate left the cone interior")
-        mu = float(np.vdot(_FORM_WEIGHTS * s, zs)) / nu
+        mu = float(np.vdot(weights * s, zs)) / nu
         if mu <= (1.0 + 1e-3) * mu_min:
             # S_k Z_k's eigenvalues are half +- radius, half = tr(S_k Z_k) / 2, radius^2 = half^2 - det S_k det Z_k.
             half = np.dot(s * zs, _PAIRING) / 2.0
             radius = np.sqrt(np.maximum(half * half - det[0] * det[1], 0.0))
             if (np.abs(half - mu_min) + radius).max() <= 1e-3 * mu_min:
-                return _certificate(problem, forms, x, zs, iterations)
+                return _certificate(problem, x, zs, iterations)
         if iterations >= max_iter:
             raise ConvergenceError(
-                f"no convergence within {max_iter} iterations", best=_certificate(problem, forms, x, zs, iterations)
+                f"no convergence within {max_iter} iterations", best=_certificate(problem, x, zs, iterations)
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)

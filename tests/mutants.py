@@ -13,7 +13,8 @@ runs first and must pass.  A mutant is killed when the suite fails under it;
 a surviving mutant is reported as equivalent when the list states why no
 output can change, and as a survivor otherwise.  The run exits 1 if any
 mutant survives without a reason.  It uses only the standard library and
-pytest, and takes a few minutes on two cores.
+pytest, and takes about two and a half minutes on two cores.  CI runs it
+after Tier-1 on one Python version.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 SDP = "src/entclone/sdp.py"
+CLI = "src/entclone/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -56,6 +58,24 @@ MUTANTS = (
            "        dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))\n", ""),
     Mutant("sdp setup and iterates in float64, not long double", SDP,
            "a.astype(np.longdouble)", "a.astype(np.float64)"),
+    Mutant("sdp PPT copy weight 2 -> 1", SDP,
+           "np.delete(cone, _A55, axis=1), 2", "np.delete(cone, _A55, axis=1), 1"),
+    Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
+    Mutant("sdp._block_cone side block c_j Xa_i -> c_i Xa_i", SDP,
+           "xa[:, None] * c[None, :, None, None]", "xa[:, None] * c[:, None, None, None]"),
+    Mutant("sdp._block_cone corner block c_i c_j -> 2 c_i c_j", SDP, "np.outer(c, c)", "2.0 * np.outer(c, c)"),
+    Mutant("sdp._block_cone split test 1e-12 -> 1e3", SDP,
+           "np.swapaxes(blocks, 2, 3)).max()) > 1e-12", "np.swapaxes(blocks, 2, 3)).max()) > 1e3"),
+    Mutant("protocol._M_W M1's (1, 1) entry 0.5 -> 0.25", "src/entclone/protocol.py",
+           "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.5],", "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.25],"),
+    Mutant("protocol._M_V M1 signs flipped", "src/entclone/protocol.py",
+           "[[0, 0], [0, -1], [0, 1], [0, 0]],", "[[0, 0], [0, 1], [0, -1], [0, 0]],"),
+    Mutant("protocol._BRANCHES K2 = (1, 3) -> (1, 2)", "src/entclone/protocol.py",
+           "_BRANCHES = ((1, 1), (1, 3),", "_BRANCHES = ((1, 1), (1, 2),"),
+    Mutant("cli._parse_tol accepts 0", CLI, "and tol > 0.0)", "and tol >= 0.0)"),
+    Mutant("cli._int_at_least off by one", CLI, "if value < minimum:", "if value < minimum - 1:"),
+    Mutant("cli._parse_modes keeps the given order", CLI,
+           "return [mode for mode in _SWEEP_MODES if mode in modes]", "return modes"),
 )
 
 

@@ -3,8 +3,9 @@
 - Products: kron_all, choi_kron and triple_rep, written out.
 - Objective and constraints: each ti (x) tj as a 64x64 Choi operator.
 - Kraus enumeration: each Kraus operator applied alone.
-- Solver: solve's primal-dual iteration on the 64x64 operators, and the
-  Newton decrement of the dense log-barrier as a certificate of centrality.
+- Solver: solve's primal-dual iteration on the unreduced PPT program's
+  64x64 operators, and the Newton decrement of its dense log-barrier as
+  a certificate of centrality.
 """
 
 import functools
@@ -96,15 +97,13 @@ def _dense_spectra(a, t=T_OPERATORS):
     return [np.linalg.eigvalsh((m + m.conj().T) / 2) for m in _dense_operators(a, t)]
 
 
-def _dense_cones(problem, t):
-    """x -> the dense operator at a = FIXED @ x and, for a PPT problem, its partial transpose."""
-    return lambda x: _dense_operators(FIXED @ x, t)[: len(problem.cones)]
-
-
-def _null_basis(problem):
-    """Orthonormal columns spanning the null space of the problem's equalities, as solve takes them."""
-    _, sv, vh = np.linalg.svd(problem.eq_matrix)
-    return vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+def _dense_program(alpha, t):
+    """The unreduced PPT program on all 8 FIXED coordinates, from the dense references: its objective,
+    trace row, an orthonormal null basis of the trace row, and x -> both dense operators at a = FIXED @ x."""
+    f = FIXED.T @ dense_fidelity_coefficients(alpha, t).reshape(-1)
+    trace_row = FIXED.T @ dense_constraint_matrices(t)[0]
+    null = np.linalg.svd(trace_row[None, :])[2][1:].T
+    return f, trace_row, null, lambda x: _dense_operators(FIXED @ x, t)
 
 
 def _psd_root(m, power):
@@ -119,12 +118,13 @@ def _dense_step(m, dm):
     return -1.0 / low if low < 0.0 else np.inf
 
 
-def dense_nt_path(problem, t, tol=1e-7):
-    """solve's primal-dual iteration run on the dense 64x64 operators; returns (iterations, f*).
+def dense_nt_path(alpha, t, tol=1e-7):
+    """solve's primal-dual iteration run on the unreduced PPT program, both dense 64x64 operators over all
+    8 FIXED coordinates; returns (iterations, f*).
 
-    It keeps solve's null space, primal start, CENTRING, STEP_FRACTION,
-    floor mu_min = tol / (2 nu) and stop rule.  The dual start is the
-    same basis-free y0 I / (4n) - C(h), with h from the Frobenius Gram
+    It keeps solve's primal start, CENTRING, STEP_FRACTION, floor
+    mu_min = tol / (2 nu), nu = 128, and stop rule.  The dual start is
+    the same basis-free y0 I / 8 - C(h), with h from the Frobenius Gram
     matrix of the dense operators and y0 from C(h)'s largest
     eigenvalue.  The NT scaling W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2,
     the complementarity spectra and the step bounds come from eigh of
@@ -133,18 +133,17 @@ def dense_nt_path(problem, t, tol=1e-7):
     block solver cannot have, and projected onto the dual equalities in
     the Frobenius inner product.
     """
-    cones = _dense_cones(problem, t)
+    f, trace_row, null, cones = _dense_program(alpha, t)
+    nu = 128.0  # the dimensions of the two 64x64 operators
     inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
-    f = problem.objective
-    null = _null_basis(problem)
-    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(problem.eq_matrix, problem.eq_rhs, rcond=None)[0]
+    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(trace_row[None, :], np.ones(1), rcond=None)[0]
     units = [cones(e) for e in np.eye(8)]
     ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
     top = max(np.linalg.eigvalsh(c)[-1] for c in ch)
     zs = [2.0 * abs(top) * np.eye(64) - c for c in ch]
     dirs = [cones(n) for n in null.T]
     dir_gram = np.array([[inner(a, b) for b in dirs] for a in dirs])
-    mu_min, iterations = max(tol / (2.0 * problem.nu), 1e-12), 0
+    mu_min, iterations = max(tol / (2.0 * nu), 1e-12), 0
     while True:
         ss = cones(x)
         roots = [_psd_root(s, 0.5) for s in ss]
@@ -152,7 +151,7 @@ def dense_nt_path(problem, t, tol=1e-7):
         if np.abs(comp - mu_min).max() <= 1e-3 * mu_min:
             return iterations, float(f @ x)
         iterations += 1
-        tau = max(CENTRING * inner(ss, zs) / problem.nu, mu_min)
+        tau = max(CENTRING * inner(ss, zs) / nu, mu_min)
         w_inv = [np.linalg.inv(r @ _psd_root(r @ z @ r, -0.5) @ r) for r, z in zip(roots, zs)]
         scaled = [[w @ d @ w for w, d in zip(w_inv, dn)] for dn in dirs]
         target = [tau * np.linalg.inv(s) - z for s, z in zip(ss, zs)]
@@ -168,15 +167,14 @@ def dense_nt_path(problem, t, tol=1e-7):
         zs = [z + step * d for z, d in zip(zs, dzs)]
 
 
-def barrier_decrement(problem, x, mu, t=T_OPERATORS):
-    """Squared Newton decrement g^T H^-1 g at x of the dense barrier f.x + mu log det C(x), with g and H its
-    gradient and negated Hessian along the null basis of the equalities.  It is 0 on the central path, and
-    half of it bounds how far the barrier lies below its centred value (Boyd & Vandenberghe, Convex
-    Optimization, 9.5 and 11.2)."""
-    cones = _dense_cones(problem, t)
-    null = _null_basis(problem)
+def barrier_decrement(alpha, x, mu, t=T_OPERATORS):
+    """Squared Newton decrement g^T H^-1 g at x, over all 8 FIXED coordinates, of the unreduced PPT
+    program's dense barrier f.x + mu sum log det C(x), with g and H its gradient and negated Hessian along
+    the null basis of the trace row.  It is 0 on the central path, and half of it bounds how far the
+    barrier lies below its centred value (Boyd & Vandenberghe, Convex Optimization, 9.5 and 11.2)."""
+    f, _, null, cones = _dense_program(alpha, t)
     dirs = [cones(n) for n in null.T]
-    grad, hess = null.T @ problem.objective, np.zeros((null.shape[1],) * 2)
+    grad, hess = null.T @ f, np.zeros((null.shape[1],) * 2)
     for n, c in enumerate(cones(x)):
         vals, vecs = np.linalg.eigh(c)
         inv = (vecs / vals) @ vecs.conj().T

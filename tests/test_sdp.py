@@ -19,6 +19,8 @@ from entclone.sdp import (
 )
 from reference import _dense_spectra, barrier_decrement, dense_nt_path
 
+A55 = 4
+
 
 @pytest.fixture(scope="module")
 def bell_solutions():
@@ -71,31 +73,45 @@ def test_symmetry_rows_vanish_on_the_fixed_subspace():
     assert np.array_equal(problem.eq_rhs, [1.0])
 
 
+def _weighted_spectrum(forms, x):
+    """The spectrum of the full operator whose blocks are forms @ x, each block repeated by its weight."""
+    return np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weight)
+        for (p, q, r), weight in zip((forms @ x).reshape(-1, 3), BLOCK_WEIGHTS)
+    ]))
+
+
 def test_problem_shapes():
-    """Fixed-subspace shapes, real arrays, nu, k = 7, and block spectra equal to the dense operators' at a = FIXED x."""
+    """Shapes, real arrays, nu and k: the plain program on the 8 FIXED coordinates with k = 7, the PPT
+    program on the 7 without a55 with k = 6 and the plain cone counted twice.  The plain cone's spectrum,
+    and with a55 negated its partial transpose's, equal the dense operators' at a = FIXED x; on the PPT
+    slice the one cone's spectrum equals both."""
     plain = build_problem(0.4)
     ppt = build_problem(0.4, with_ppt=True)
-    assert plain.objective.shape == (8,)
-    assert plain.eq_matrix.shape[1] == 8
-    sv = np.linalg.svd(plain.eq_matrix, compute_uv=False)
-    assert 8 - int(np.sum(sv > 1e-12 * sv[0])) == 7
-    assert len(plain.cones) == 1
-    assert len(ppt.cones) == 2
-    assert all(cone.shape == (12, 8) for cone in ppt.cones)
+    assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (12, 8))
+    assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (12, 7))
+    for problem, k in ((plain, 7), (ppt, 6)):
+        sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
+        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
-    assert np.array_equal(plain.cones[0], ppt.cones[0])
+    assert (plain.setup.copies, ppt.setup.copies) == (1, 2)
+    assert plain.setup.basis is FIXED
+    assert np.array_equal(ppt.setup.basis, np.delete(FIXED, A55, axis=1))
+    assert np.array_equal(ppt.cones, np.delete(plain.cones, A55, axis=1))
+    assert np.abs(ppt.objective - np.delete(plain.objective, A55)).max() <= 1e-15
+    assert np.abs(ppt.eq_matrix - np.delete(plain.eq_matrix, A55, axis=1)).max() <= 1e-15
     for problem in (plain, ppt):
-        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, *problem.cones]
+        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
+    flip = np.where(np.arange(8) == A55, -1.0, 1.0)
     rng = np.random.default_rng(20050203)
     for _ in range(4):
         x = rng.normal(size=8)
-        for cone, expected in zip(ppt.cones, _dense_spectra(FIXED @ x)):
-            weighted = np.concatenate([
-                np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weight)
-                for (p, q, r), weight in zip((cone @ x).reshape(-1, 3), BLOCK_WEIGHTS)
-            ])
-            assert np.abs(np.sort(weighted) - expected).max() < 1e-12
+        for forms, expected in zip((plain.cones, plain.cones * flip), _dense_spectra(FIXED @ x)):
+            assert np.abs(_weighted_spectrum(forms, x) - expected).max() < 1e-12
+        x = rng.normal(size=7)
+        for expected in _dense_spectra(ppt.setup.basis @ x):
+            assert np.abs(_weighted_spectrum(ppt.cones, x) - expected).max() < 1e-12
 
 
 def test_block_split_rejects_a_t_that_breaks_parity(t_ops):
@@ -121,25 +137,28 @@ def test_max_step_keeps_a_double_root():
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
 def test_ppt_solution_matches_dense_witness(t_ops, alpha):
-    """solve's blocks against the dense operators: the same minimum eigenvalues, the same
-    primal-dual iterations and optimum, and an end point on the dense barrier's central path at
-    mu_min, certified by its Newton decrement."""
+    """solve's blocks on the a55 = 0 slice against the unreduced program's dense operators: the same
+    minimum eigenvalue of the operator and of its partial transpose, the same primal-dual iterations and
+    optimum as the two-cone path over all 8 FIXED coordinates, and an end point on that program's dense
+    barrier central path at mu_min, certified by its Newton decrement."""
     problem = build_problem(alpha, t_ops, with_ppt=True)
     sol = solve(problem)
+    assert sol.a_star[A55, A55] == 0.0
     witness = [spectrum[0] for spectrum in _dense_spectra(sol.a_star, t_ops)]
+    assert len(sol.min_eigenvalues) == len(witness) == 2
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
-    iterations, f_star = dense_nt_path(problem, t_ops)
+    iterations, f_star = dense_nt_path(alpha, t_ops)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
     mu_min = 1e-7 / (2.0 * problem.nu)
-    lam2 = barrier_decrement(problem, FIXED.T @ sol.a_star.reshape(-1), mu_min, t_ops)
+    lam2 = barrier_decrement(alpha, FIXED.T @ sol.a_star.reshape(-1), mu_min, t_ops)
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
 def test_fixed_parts_are_built_once_per_t(t_ops):
     """The same t shares the equality rows, cone forms and solver setup read-only, and keeps both
     programs across alternating builds; any other t object, even an equal one, builds its own, and
-    no t changes once built."""
+    no t changes once built.  Both programs have one cone, so one 12x12 dual projector."""
     first = build_problem(0.3, t_ops, with_ppt=True)
     plain = build_problem(0.3, t_ops)
     rows = constraint_matrices(t_ops)
@@ -149,19 +168,22 @@ def test_fixed_parts_are_built_once_per_t(t_ops):
     for alpha in (0.1, 0.4, 0.6):
         for problem, shared in ((build_problem(alpha, t_ops, with_ppt=True), first), (build_problem(alpha, t_ops), plain)):
             assert problem.setup is shared.setup
-            assert all(p is q for p, q in zip(problem.cones, shared.cones))
+            assert problem.cones is shared.cones
     assert plain.setup is not first.setup
-    assert plain.setup.project.shape == (12, 12) and first.setup.project.shape == (24, 24)
-    assert set(first.setup._fields) == {"null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
-    for arr in (*rows, *first.cones, *first.setup, *plain.cones, *plain.setup):
+    assert plain.setup.project.shape == first.setup.project.shape == (12, 12)
+    assert (plain.setup.dual_map.shape, first.setup.dual_map.shape) == ((12, 7), (12, 6))
+    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    assert set(first.setup._fields) == fields
+    arrays = [getattr(setup, name) for setup in (first.setup, plain.setup) for name in sorted(fields - {"copies"})]
+    for arr in (*rows, first.cones, plain.cones, *arrays):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
     copy = build_problem(0.3, dataclasses.replace(t_ops), with_ppt=True)
     assert copy.setup is not first.setup
-    assert all(np.array_equal(p, q) for p, q in zip((*copy.cones, *copy.setup), (*first.cones, *first.setup)))
+    assert all(np.array_equal(p, q) for p, q in zip((copy.cones, *copy.setup), (first.cones, *first.setup)))
     swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
     fresh = build_problem(0.3, swapped, with_ppt=True)
-    assert not np.array_equal(fresh.cones[0], first.cones[0])
+    assert not np.array_equal(fresh.cones, first.cones)
     assert not np.array_equal(constraint_matrices(swapped)[1], rows[1])
     assert not np.array_equal(fresh.setup.dirs, first.setup.dirs)
     assert not np.array_equal(fresh.setup.gram_inv, first.setup.gram_inv)
@@ -187,13 +209,14 @@ def test_transposition_constraint_only_tightens(bell_solutions):
 
 
 def test_solution_is_feasible(bell_solutions):
-    """The lifted a_star meets the full 25-column equality rows."""
+    """The lifted a_star meets the full 25-column equality rows, and the PPT optimum's operator and
+    partial transpose, equal on its a55 = 0 slice, have the same minimum eigenvalue."""
     sol = bell_solutions[1]
     x = sol.a_star.reshape(-1)
     trace_row, sym_rows = constraint_matrices()
     residual = np.concatenate([[trace_row @ x - 1.0], sym_rows @ x])
     assert np.abs(residual).max() < 1e-9
-    assert len(sol.min_eigenvalues) == 2
+    assert len(sol.min_eigenvalues) == 2 and sol.min_eigenvalues[0] == sol.min_eigenvalues[1]
     assert min(sol.min_eigenvalues) > -1e-8
     assert 0.0 < sol.upper_bound - sol.f_star < 1e-6
     assert sol.iterations <= 200
