@@ -15,12 +15,13 @@ only in the protocol module, which applies them itself.
 
 For a covariant cloner P = sum_ij a_ij ti (x) tj every quantity the
 program needs (the clone-fidelity functional, the output trace and the
-clone difference) factors over the two parties, so the SDP's objective
-and equality rows are built from partial traces of the 8x8 operators
-t1..t5 alone; the 64x64 Choi operator is formed only when a channel is
-actually applied.  The functional depends on alpha only through
-x = alpha^2 (1 - alpha^2): it is G0 + x G1, with the two 5x5 tables
-computed once per t and checked at a third x.
+clone difference) factors over the two parties into exact tables, which
+the module holds as read-only literals: the functional is G0 + x G1, as
+it depends on alpha only through x = alpha^2 (1 - alpha^2); the trace
+row is TRACE_ROW, and the clone-symmetry rows are SYMMETRY_ROWS.
+tests/reference.py derives each of them from the 64x64 operators
+ti (x) tj.  The 64x64 Choi operator is formed only when a channel is
+actually applied.
 
 A state passed to apply is validated on every call; local_fidelity
 builds the representative input's density matrix itself from a
@@ -29,14 +30,43 @@ checked alpha, so it needs no validation.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from entclone.analytic import ALPHA_MAX, check_alpha, schmidt_state
-from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde
+from entclone.analytic import check_alpha, schmidt_state
+from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde, check_t
 
 SYMMETRY_TOL = 1e-8
+# fidelity_coefficients = G0 + x G1, x = alpha^2 (1 - alpha^2): entry ij is
+# the symmetrized clone overlap of ti (x) tj on the representative state.
+G0 = np.array(
+    [
+        [1 / 4, 5 / 12, 1 / 3, 0, 0],
+        [5 / 12, 25 / 36, 5 / 9, 0, 0],
+        [1 / 3, 5 / 9, 4 / 9, 0, 0],
+        [0, 0, 0, 1 / 3, 0],
+        [0, 0, 0, 0, 0],
+    ]
+)
+G1 = np.array(
+    [
+        [0, -2 / 3, 2 / 3, 0, 0],
+        [-2 / 3, -4 / 9, -14 / 9, 0, 0],
+        [2 / 3, -14 / 9, 32 / 9, 0, 0],
+        [0, 0, 0, 8 / 3, 0],
+        [0, 0, 0, 0, 0],
+    ]
+)
+# Tr_out ti (x) tj = s_i s_j I4 with s = (1, 1, 2, 0, 0), over the flat a vector.
+TRACE_ROW = np.outer([1.0, 1.0, 2.0, 0.0, 0.0], [1.0, 1.0, 2.0, 0.0, 0.0]).reshape(-1)
+# The clone difference of sum_ij a_ij ti (x) tj involves only a_i4 and a_4i,
+# i = 1..3 (flat indices 3, 8, 13 and 15, 16, 17), and vanishes exactly on
+# the orthogonal complement of these three orthonormal rows.
+SYMMETRY_ROWS = np.zeros((3, 25))
+SYMMETRY_ROWS[:, [3, 8, 13, 15, 16, 17]] = np.array(
+    [[1, 3, 0, 1, 3, 0], [1, 1, 2, -1, -1, -2], [3, -1, 10, 3, -1, 10]]
+) / np.sqrt([[20.0], [12.0], [220.0]])
+for _table in (G0, G1, TRACE_ROW, SYMMETRY_ROWS):
+    _table.flags.writeable = False
 
 
 def apply_choi(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -114,116 +144,29 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     return float(np.real(f))
 
 
-@functools.lru_cache(maxsize=1)
-def _party_reductions(t: TOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-party clone reductions of t1..t5: (R1, R2, s).
-
-    On one party's (clone 1, clone 2, input) triple, R1_i = Tr_clone2 ti
-    and R2_i = Tr_clone1 ti are 4x4 operators on (clone, input), stacked
-    as (5, 4, 4); s holds the real scalars with Tr_clones ti = s_i I2.
-    None of them depends on alpha, and t is immutable, so the triple is
-    cached for the last t object and its arrays are read-only.
-    Raises RuntimeError if some Tr_clones ti is not a real multiple of
-    I2 to 1e-12.
-    """
-    ts = np.stack(t.as_list()).reshape(5, 2, 2, 2, 2, 2, 2)
-    r1 = np.einsum("iabxcbz->iaxcz", ts).reshape(5, 4, 4)
-    r2 = np.einsum("iabxadz->ibxdz", ts).reshape(5, 4, 4)
-    tr_out = np.einsum("iabxabz->ixz", ts)
-    s = np.trace(tr_out, axis1=1, axis2=2) / 2.0
-    if np.linalg.norm(tr_out - s[:, None, None] * np.eye(2), axis=(1, 2)).max() > 1e-12:
-        raise RuntimeError("basis element traced out to a non-scalar operator")
-    if np.abs(s.imag).max() > 1e-12:
-        raise RuntimeError("basis element has a complex output trace")
-    parts = r1, r2, s.real
-    for arr in parts:
-        arr.flags.writeable = False
-    return parts
-
-
 def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarray:
     """Linear functional f_ij with F(a) = sum_ij f_ij a_ij on the representative state.
 
     Each coefficient is the symmetrized clone overlap produced by the
     basis operator ti (x) tj alone, so the functional stays meaningful
-    even before the symmetry constraints are imposed.  It depends on
-    alpha only through x = alpha^2 (1 - alpha^2), and affinely, so it
-    is returned as G0 + x G1 from the tables kept for the last t (see
-    _functional_table).
+    even before the symmetry constraints are imposed.  It is
+    G0 + x G1, x = alpha^2 (1 - alpha^2), in a new array the caller
+    owns.  t must be T_OPERATORS (see covariant.check_t).
     """
+    check_t(t)
     a = check_alpha(alpha)
-    g0, g1 = _functional_table(t)
-    return g0 + (a * a * (1.0 - a * a)) * g1
-
-
-def _sandwich(alpha: float, t: TOperators) -> np.ndarray:
-    """The functional at alpha, from the per-party reductions.
-
-    Clone k of ti (x) tj is Rk_i (x) Rk_j on (clone, input) per party
-    (see _party_reductions), so with psi = phi (x) phi regrouped by
-    party, f_ij = Re sum_k <psi| Rk_i (x) Rk_j |psi> / 2; no 64x64
-    operator is formed.
-    """
-    phi = schmidt_state(alpha).reshape(2, 2)
-    # psi as a 4x4 matrix: rows (clone A, input A), columns (clone B, input B).
-    psi = np.einsum("ab,xy->axby", phi, phi).reshape(4, 4)
-    f = np.zeros((5, 5))
-    for r in _party_reductions(t)[:2]:
-        sandwich = psi.conj().T @ r @ psi
-        f += np.real(sandwich.reshape(5, 16) @ r.reshape(5, 16).T) / 2.0
-    return f
-
-
-@functools.lru_cache(maxsize=1)
-def _functional_table(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The tables (G0, G1) with fidelity_coefficients = G0 + x G1, for the last t object.
-
-    G0 is the functional at x = 0 (alpha = 0) and G1 its slope to
-    x = 1/4 (alpha = ALPHA_MAX); both arrays are read-only.
-    Raises RuntimeError if the functional at alpha = 1/2 (x = 3/16)
-    departs from G0 + x G1 by more than 1e-12.
-    """
-    g0 = _sandwich(0.0, t)
-    x_max = ALPHA_MAX * ALPHA_MAX * (1.0 - ALPHA_MAX * ALPHA_MAX)
-    g1 = (_sandwich(ALPHA_MAX, t) - g0) / x_max
-    if np.abs(_sandwich(0.5, t) - (g0 + 0.1875 * g1)).max() > 1e-12:
-        raise RuntimeError("fidelity functional is not affine in x = alpha^2 (1 - alpha^2)")
-    for arr in (g0, g1):
-        arr.flags.writeable = False
-    return g0, g1
-
-
-def _clone_products(r: np.ndarray) -> np.ndarray:
-    """Every Rk_i (x) Rk_j on (clone A, clone B, input A, input B), flattened to (25, 256)."""
-    r = r.reshape(5, 2, 2, 2, 2)
-    return np.einsum("iaxcz,jbydw->ijabxycdzw", r, r).reshape(25, 256)
+    return G0 + (a * a * (1.0 - a * a)) * G1
 
 
 def constraint_matrices(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarray]:
     """Trace-preservation row and independent clone-symmetry rows.
 
-    Returns (trace_row, symmetry_rows) against the flattened a_ij vector
-    (row-major, length 25).  The trace constraint is trace_row . a = 1;
-    every symmetry row r satisfies r . a = 0 on symmetric channels.  The
-    symmetry rows are an orthonormal basis of the row space discovered
-    by a rank-revealing SVD; their count is data, not a promise.  Both
-    come from the per-party reductions: Tr_out ti (x) tj = s_i s_j I4,
-    and the clone difference of ti (x) tj is R1_i (x) R1_j - R2_i (x) R2_j.
-    Neither depends on alpha, and t is immutable, so the pair is cached
-    for the last t object, passed or defaulted, and its arrays are
-    read-only.
+    Returns (TRACE_ROW, SYMMETRY_ROWS) against the flattened a_ij vector
+    (row-major, length 25), the same read-only arrays on every call.
+    The trace constraint is trace_row . a = 1; every symmetry row r
+    satisfies r . a = 0 on symmetric channels, and the rows are an
+    orthonormal basis of the space those conditions span.  t must be
+    T_OPERATORS (see covariant.check_t).
     """
-    return _constraint_rows(t)
-
-
-@functools.lru_cache(maxsize=1)
-def _constraint_rows(t: TOperators) -> tuple[np.ndarray, np.ndarray]:
-    r1, r2, s = _party_reductions(t)
-    d = (_clone_products(r1) - _clone_products(r2)).T
-    columns = np.vstack([d.real, d.imag])
-    _, sv, vh = np.linalg.svd(columns, full_matrices=False)
-    keep = sv > 1e-10 * max(sv[0], 1.0)
-    rows = np.outer(s, s).reshape(-1), vh[keep]
-    for arr in rows:
-        arr.flags.writeable = False
-    return rows
+    check_t(t)
+    return TRACE_ROW, SYMMETRY_ROWS

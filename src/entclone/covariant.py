@@ -10,8 +10,14 @@ constants: the isometry BLOCK_BASIS onto the two equivalent blocks and
 the M2 (+) C coordinates BLOCK_X, BLOCK_C of the five operators t1..t5
 spanning the commutant (three projectors plus the Hermitian pair built
 from the intertwiner between the two equivalent blocks).  It builds
-t1..t5 from those coordinates and assembles the full two-party operator
-sum_ij a_ij ti (x) tj.
+t1..t5 from those coordinates once, as T_OPERATORS, and assembles the
+full two-party operator sum_ij a_ij ti (x) tj.
+
+The package runs on that one operator set.  The tables channel and sdp
+hold as literals (the functional, the equality rows, the cone forms)
+describe it, and tests/reference.py derives each of them from t1..t5.
+So every t parameter defaults to T_OPERATORS, build_t_operators returns
+it, and check_t refuses any other object with ValueError.
 
 Every 64x64 operator is on the Choi order (1A,1B,2A,2B,A,B) that
 channel reads: the four output qubits, then the two inputs, so Bob's
@@ -25,7 +31,6 @@ swaps the row and column index of Bob's qubits.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +91,8 @@ class TOperators:
     anti-Hermitian-made-Hermitian combinations of the intertwiner.
     The value is immutable: construction stores read-only copies of
     t1..t5, so later edits to the caller's arrays do not reach it.
-    It compares and hashes by identity, so the parts built from it
-    (channel.constraint_matrices, the programs of sdp.build_problem)
-    are cached per object.
+    It compares and hashes by identity: the package accepts the one
+    object T_OPERATORS (see check_t), not an equal copy.
     """
 
     t1: np.ndarray
@@ -127,13 +131,22 @@ def _from_blocks(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v @ np.kron(x, np.eye(2)) @ v.T + np.asarray(c)[:, None, None] * (np.eye(8) - v @ v.T)
 
 
+# The one operator set every t parameter of the package defaults to and accepts.
+T_OPERATORS = TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
+# t1..t5 flattened to a read-only (5, 64) stack.
+_STACK = np.array(T_OPERATORS.as_list()).reshape(5, 64)
+_STACK.flags.writeable = False
+
+
 def build_t_operators() -> TOperators:
-    """Build t1..t5 from their M2 (+) C coordinates BLOCK_X, BLOCK_C."""
-    return TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
+    """The commutant generators t1..t5: T_OPERATORS, built once from BLOCK_X, BLOCK_C."""
+    return T_OPERATORS
 
 
-# The one operator set every t parameter of the package defaults to.
-T_OPERATORS = build_t_operators()
+def check_t(t: TOperators) -> None:
+    """Raise ValueError unless t is T_OPERATORS, the operator set the package's literal tables describe."""
+    if t is not T_OPERATORS:
+        raise ValueError("t must be covariant.T_OPERATORS, the operator set build_t_operators() returns")
 
 
 def _choi_order(products: np.ndarray) -> np.ndarray:
@@ -150,49 +163,19 @@ def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
     ti with their a-weighted sums gives the entries indexed (Alice row,
     Alice column) by (Bob row, Bob column), then one gather puts them on
-    the Choi order.
+    the Choi order.  t must be T_OPERATORS (see check_t).
     """
+    check_t(t)
     a = np.asarray(a, dtype=float)
     if a.shape != (5, 5):
         raise ValueError(f"parameter matrix must be 5x5, got {a.shape}")
-    ts = _flat_stack(t)
-    return _choi_order(ts.T @ (a @ ts))
-
-
-@functools.lru_cache(maxsize=1)
-def _flat_stack(t: TOperators) -> np.ndarray:
-    """t1..t5 flattened to a read-only (5, 64) stack, kept for the last t object."""
-    ts = np.array(t.as_list()).reshape(5, 64)
-    ts.flags.writeable = False
-    return ts
-
-
-def commutant_blocks(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of t1..t5 in M2 (+) C: 2x2 blocks X of shape (5, 2, 2) and scalars c of shape (5,).
-
-    Each ti is V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) with V =
-    BLOCK_BASIS: X_i is read off V^dag ti V and acts on (m1_k, m2_k)
-    alike for k = 0, 1, and c_i is Tr[(I8 - V V^dag) ti] / 4, its trace
-    on the four-dimensional complement.
-    Raises RuntimeError if t departs from that structure by more than
-    1e-12.
-    """
-    ts = np.stack(t.as_list())
-    b = BLOCK_BASIS.T @ ts @ BLOCK_BASIS
-    x = b[:, 0::2, 0::2]
-    # Exactly Hermitian blocks keep every real combination of their
-    # products exactly Hermitian, so the solver never re-symmetrizes.
-    x = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
-    c = (np.trace(ts, axis1=1, axis2=2) - np.trace(b, axis1=1, axis2=2)).real / 4
-    if np.abs(ts - _from_blocks(x, c)).max() > 1e-12:
-        raise RuntimeError("t1..t5 do not split into M2 (+) C blocks in the invariant basis")
-    return x, c
+    return _choi_order(_STACK.T @ (a @ _STACK))
 
 
 def basis_stack(t: TOperators = T_OPERATORS) -> np.ndarray:
     """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
-    ts = _flat_stack(t)
-    return _choi_order(np.einsum("ix,jy->ijxy", ts, ts).reshape(25, 64, 64))
+    check_t(t)
+    return _choi_order(np.einsum("ix,jy->ijxy", _STACK, _STACK).reshape(25, 64, 64))
 
 
 def partial_transpose_b(ptilde: np.ndarray) -> np.ndarray:

@@ -15,22 +15,25 @@ symmetric a whose only off-diagonal entries are a12, a13 and a23,
 spanned by the 8 orthonormal columns of FIXED.  There the clone-symmetry
 rows vanish, leaving the trace row and k = 7 free coordinates.
 
-No 64x64 operator is formed on the solve path: the objective and the
-equality rows are built per party (see channel.fidelity_coefficients and
-channel.constraint_matrices), and so is the cone.  Per party the
-commutant is M2 (+) C, and covariant.commutant_blocks reads the
-coordinates X_i, c_i of each ti there off t.  On the fixed subspace
-sum_ij a_ij ti (x) tj is unitarily a direct sum of sum a_ij Xi (x) Xj
-(4x4, four copies), sum a_ij c_j Xi (2x2, sixteen copies) and a33
-(sixteen copies).  In the real basis PAIR_BASIS = |00>, |11>,
+No 64x64 operator is formed on the solve path: the program is built from
+exact tables, held as read-only literals.  On the FIXED coordinates
+(a11..a55, then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the objective is
+F0 + 4x F2, x = alpha^2 (1 - alpha^2), and the equality is
+channel.TRACE_ROW.  Per party the commutant is M2 (+) C, with the
+coordinates covariant.BLOCK_X, BLOCK_C of t1..t5, so on the fixed
+subspace sum_ij a_ij ti (x) tj is unitarily a direct sum of
+sum a_ij Xi (x) Xj (4x4, four copies), sum a_ij c_j Xi (2x2, sixteen
+copies) and a33 (sixteen copies).  In the real basis |00>, |11>,
 (|01> +- |10>)/sqrt(2) the first is the 2x2 block
 [[a11, a44 - a55], [a44 - a55, a22]] plus
 diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
 and the third, taken in pairs, diag(a33, a33).  So the cone is four
 real 2x2 blocks of weights (4, 4, 16, 8), stored as their twelve linear
-forms (p, q, r of each block in turn) over the coordinates, and one
-formula serves each step of the solver on all of them; nu = sum of
-weight * block size, the dimension of the full operator, is 64.
+forms CONE_FORMS (p, q, r of each block in turn) over the coordinates,
+with entries 0, +-1 and 1/sqrt(2), and one formula serves each step of
+the solver on all of them; nu = sum of weight * block size, the
+dimension of the full operator, is 64.  tests/reference.py derives every
+table from t1..t5, and tests/test_tables.py checks that they agree.
 
 The basis covariant.BLOCK_BASIS is real, so the partial transpose over
 the second party is the same construction with Xj transposed: it flips
@@ -76,13 +79,12 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
-parts of a solve are built once per immutable covariant.TOperators and
-program, plain or PPT, and travel as SdpProblem.setup.
+parts of a solve are built once, at import, for the plain and the PPT
+program, and travel as SdpProblem.setup.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -90,8 +92,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import T_OPERATORS, TOperators, commutant_blocks
+from entclone.analytic import check_alpha
+from entclone.channel import constraint_matrices
+from entclone.covariant import T_OPERATORS, TOperators, check_t
 
 # Each iteration targets CENTRING times the current mu and takes
 # STEP_FRACTION of the largest step that stays interior.
@@ -106,9 +109,31 @@ THRESHOLD_FLOOR = 1e-7
 FIXED = np.zeros((25, 8))
 for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
     FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)
-# Columns |00>, |11>, (|01> + |10>)/sqrt(2), (|01> - |10>)/sqrt(2) of M2 (x) M2.
-PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
-for _table in (FIXED, PAIR_BASIS):
+_SQRT2 = np.sqrt(2.0)
+# The objective on the FIXED coordinates is F0 + 4x F2, x = alpha^2 (1 - alpha^2).
+F0 = np.array([1 / 4, 25 / 36, 4 / 9, 1 / 3, 0, 5 * _SQRT2 / 12, _SQRT2 / 3, 5 * _SQRT2 / 9])
+F2 = np.array([0, -1 / 9, 8 / 9, 2 / 3, 0, -_SQRT2 / 6, _SQRT2 / 6, -7 * _SQRT2 / 18])
+# The forms (p, q, r) of the cone's four 2x2 blocks over the FIXED coordinates
+# (see the module docstring).  _H, the double nearest 1/sqrt(2), turns the
+# coordinates sqrt(2) a12, sqrt(2) a13 and sqrt(2) a23 back into a12, a13 and a23.
+_H = np.sqrt(0.5)
+CONE_FORMS = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0],  # Xi (x) Xj, upper: p = a11
+        [0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55
+        [0, 1, 0, 0, 0, 0, 0, 0],  # r = a22
+        [0, 0, 0, 1, 1, _H, 0, 0],  # Xi (x) Xj, lower: p = a12 + a44 + a55
+        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
+        [0, 0, 0, -1, -1, _H, 0, 0],  # r = a12 - a44 - a55
+        [0, 0, 0, 0, 0, 0, _H, 0],  # c_j Xi: p = a13
+        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
+        [0, 0, 0, 0, 0, 0, 0, _H],  # r = a23
+        [0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: p = a33
+        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
+        [0, 0, 1, 0, 0, 0, 0, 0],  # r = a33
+    ]
+)
+for _table in (FIXED, F0, F2, CONE_FORMS):
     _table.flags.writeable = False
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
@@ -138,6 +163,7 @@ class _Setup(NamedTuple):
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
+    f0_f2: np.ndarray  # (2, m) F0 and F2 on the m coordinates
     null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (4, 3, m) the cone's blocks
@@ -190,27 +216,6 @@ class ThresholdDetectionError(ValueError):
     """Raised when a sweep has no kink above the noise floor."""
 
 
-def _block_cone(xa: np.ndarray, xb: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Linear forms over the 8 FIXED coordinates of the blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j).
-
-    The Xa_i (x) Xb_j block is rotated into PAIR_BASIS, where it splits
-    into its upper and lower 2x2 blocks; the c_j Xa_i block is the third
-    and c_i c_j times I2 the fourth.  Raises RuntimeError if the rotated
-    block does not split 2 + 2, or if any block is not real and
-    symmetric, by more than 1e-12: t then breaks the parity this
-    splitting rests on.
-    """
-    products = np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4)
-    pair = PAIR_BASIS.T @ np.tensordot(FIXED, products, axes=(0, 0)) @ PAIR_BASIS
-    side = np.tensordot(FIXED, (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2), axes=(0, 0))
-    corner = (FIXED.T @ np.outer(c, c).reshape(-1))[:, None, None] * np.eye(2)
-    blocks = np.stack([pair[:, :2, :2], pair[:, 2:, 2:], side, corner], axis=1)
-    off = max(np.abs(pair[:, :2, 2:]).max(), np.abs(pair[:, 2:, :2]).max())
-    if max(off, np.abs(blocks.imag).max(), np.abs(blocks - np.swapaxes(blocks, 2, 3)).max()) > 1e-12:
-        raise RuntimeError("the cone does not split into four real symmetric 2x2 blocks on the fixed subspace")
-    return blocks[:, :, [0, 0, 1], [0, 1, 1]].real.reshape(8, -1).T
-
-
 def _block_min(v: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the cone whose blocks (p, q, r) are v, the minimum over its 2x2 blocks."""
     return ((v[..., 0] + v[..., 2]) / 2.0 - np.hypot((v[..., 0] - v[..., 2]) / 2.0, v[..., 1])).min(axis=-1)
@@ -257,21 +262,19 @@ def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray
     return x0
 
 
-@functools.lru_cache(maxsize=2)
-def _program(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, _Setup]:
-    """The cone forms and solver setup of the plain or PPT program for t: all of it but the objective.
+def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
+    """The cone forms and solver setup of the plain or PPT program: all of it but the objective's x.
 
     The plain program runs on the 8 FIXED coordinates, the PPT program on
-    the 7 without a55 with the plain cone counted twice.  t is immutable,
-    so both are cached per t object, and every array in them is read-only.
-    Raises ConvergenceError if the equalities leave no freedom or the
-    start is not strictly feasible.
+    the 7 without a55 with the plain cone counted twice.  Every array in
+    them is read-only.  Raises ConvergenceError if the equalities leave
+    no freedom or the start is not strictly feasible.
     """
-    x, c = commutant_blocks(t)
-    basis, cone, copies = FIXED, _block_cone(x, x, c), 1
+    basis, cone, f0_f2, copies = FIXED, CONE_FORMS, np.stack([F0, F2]), 1
     if with_ppt:
-        basis, cone, copies = np.delete(basis, _A55, axis=1), np.delete(cone, _A55, axis=1), 2
-    eq = (constraint_matrices(t)[0] @ basis)[None, :]
+        basis, cone, f0_f2 = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone, f0_f2))
+        copies = 2
+    eq = (constraint_matrices()[0] @ basis)[None, :]
     _, sv, vh = np.linalg.svd(eq)
     null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
     if null.shape[1] == 0:
@@ -283,23 +286,30 @@ def _program(t: TOperators, with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     x0 = _interior_start(basis, eq, np.ones(1), forms)
     longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
-    setup = _Setup(basis, copies, *longs, np.linalg.inv(gram))
+    setup = _Setup(basis, copies, f0_f2, *longs, np.linalg.inv(gram))
     for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
     return cone, setup
 
 
+# The plain and the PPT program, indexed by with_ppt.
+_PROGRAMS = (_program(False), _program(True))
+
+
 def build_problem(alpha: float, t: TOperators = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight on its coordinates (see _program).
 
-    Only the objective depends on alpha; the cone forms and the solver
-    setup are the program's, cached for t and shared read-only.  The
-    clone-symmetry rows vanish on FIXED, so the trace row is the only
-    equality.  Raises ConvergenceError if the program has no strictly
-    feasible start.
+    Only the objective depends on alpha: it is F0 + 4x F2 on the
+    program's coordinates, x = alpha^2 (1 - alpha^2).  The cone forms and
+    the solver setup are the program's, built once and shared read-only.
+    The clone-symmetry rows vanish on FIXED, so the trace row, read
+    through channel.constraint_matrices, is the only equality; t must be
+    T_OPERATORS (see covariant.check_t).
     """
-    cones, setup = _program(t, with_ppt)
-    f = setup.basis.T @ fidelity_coefficients(alpha, t).reshape(-1)
+    a = check_alpha(alpha)
+    cones, setup = _PROGRAMS[bool(with_ppt)]
+    f0, f2 = setup.f0_f2
+    f = f0 + 4.0 * (a * a * (1.0 - a * a)) * f2
     eq = (constraint_matrices(t)[0] @ setup.basis)[None, :]
     return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=cones, setup=setup)
 
@@ -415,8 +425,10 @@ def sweep_solutions(
     """Solve the program at each alpha in turn; returns (alpha, solution) pairs.
 
     The first point that does not converge aborts the sweep with a
-    ConvergenceError naming its index and alpha.
+    ConvergenceError naming its index and alpha.  t must be T_OPERATORS
+    (see covariant.check_t), even for an empty grid.
     """
+    check_t(t)
     out = []
     for idx, alpha in enumerate(alphas):
         try:
@@ -436,6 +448,13 @@ def solve_sweep(
     """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
     sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol)
     return [(alpha, sol.f_star) for alpha, sol in sols]
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite 1-D array, without its NaN check, which imports numpy.ma on first use."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    return float(ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2.0)
 
 
 def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
@@ -470,7 +489,7 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     jumps = np.abs(np.diff(d2))
     peak = int(np.argmax(jumps))
-    med = float(np.median(np.delete(jumps, peak)))
+    med = _median(np.delete(jumps, peak))
     if jumps[peak] < max(THRESHOLD_RATIO * med, THRESHOLD_FLOOR):
         raise ThresholdDetectionError("no curvature jump above the noise floor")
     pick = peak + 1 if abs(d2[peak]) >= abs(d2[peak + 1]) else peak + 2

@@ -58,14 +58,22 @@ MUTANTS = (
            "        dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))\n", ""),
     Mutant("sdp setup and iterates in float64, not long double", SDP,
            "a.astype(np.longdouble)", "a.astype(np.float64)"),
-    Mutant("sdp PPT copy weight 2 -> 1", SDP,
-           "np.delete(cone, _A55, axis=1), 2", "np.delete(cone, _A55, axis=1), 1"),
+    Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
-    Mutant("sdp._block_cone side block c_j Xa_i -> c_i Xa_i", SDP,
-           "xa[:, None] * c[None, :, None, None]", "xa[:, None] * c[:, None, None, None]"),
-    Mutant("sdp._block_cone corner block c_i c_j -> 2 c_i c_j", SDP, "np.outer(c, c)", "2.0 * np.outer(c, c)"),
-    Mutant("sdp._block_cone split test 1e-12 -> 1e3", SDP,
-           "np.swapaxes(blocks, 2, 3)).max()) > 1e-12", "np.swapaxes(blocks, 2, 3)).max()) > 1e3"),
+    Mutant("sdp.CONE_FORMS side block p = a13 -> a23", SDP,
+           "[0, 0, 0, 0, 0, 0, _H, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, _H],  # c_j Xi: p = a13"),
+    Mutant("sdp.CONE_FORMS corner block p = a33 -> 2 a33", SDP,
+           "[0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: p = a33", "[0, 0, 2, 0, 0, 0, 0, 0],  # c_i c_j: p = a33"),
+    Mutant("sdp.CONE_FORMS q = a44 - a55 -> a44 + a55 (the partial transpose's form)", SDP,
+           "[0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55", "[0, 0, 0, 1, 1, 0, 0, 0],  # q = a44 - a55"),
+    Mutant("sdp.CONE_FORMS r = a12 - a44 - a55 with -1/sqrt(2) a12", SDP,
+           "[0, 0, 0, -1, -1, _H, 0, 0]", "[0, 0, 0, -1, -1, -_H, 0, 0]"),
+    Mutant("sdp.F2 a23 entry -7 sqrt(2)/18 -> -5 sqrt(2)/18", SDP, "-7 * _SQRT2 / 18", "-5 * _SQRT2 / 18"),
+    Mutant("channel.G1 a44 entry 8/3 -> 7/3", "src/entclone/channel.py", "[0, 0, 0, 8 / 3, 0]", "[0, 0, 0, 7 / 3, 0]"),
+    Mutant("covariant.check_t accepts any t", "src/entclone/covariant.py",
+           "if t is not T_OPERATORS:", "if False:"),
+    Mutant("sdp.detect_threshold takes np.median again", SDP,
+           "med = _median(np.delete(jumps, peak))", "med = float(np.median(np.delete(jumps, peak)))"),
     Mutant("protocol._M_W M1's (1, 1) entry 0.5 -> 0.25", "src/entclone/protocol.py",
            "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.5],", "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.25],"),
     Mutant("protocol._M_V M1 signs flipped", "src/entclone/protocol.py",

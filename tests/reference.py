@@ -2,6 +2,13 @@
 
 - Products: kron_all, choi_kron and triple_rep, written out.
 - Objective and constraints: each ti (x) tj as a 64x64 Choi operator.
+  These are the witness for channel's literal tables: functional_table
+  derives G0, G1 and dense_constraint_matrices the trace and symmetry
+  rows, each refusing (RuntimeError) operators without the structure
+  the tables rest on.
+- Cone: commutant_blocks reads the M2 (+) C coordinates of t1..t5, and
+  block_cone derives sdp.CONE_FORMS from them, refusing blocks that do
+  not split.
 - Kraus enumeration: each Kraus operator applied alone.
 - Solver: solve's primal-dual iteration on the unreduced PPT program's
   64x64 operators, and the Newton decrement of its dense log-barrier as
@@ -13,9 +20,12 @@ import functools
 import numpy as np
 
 from entclone import protocol
-from entclone.analytic import schmidt_state
-from entclone.covariant import T_OPERATORS, partial_transpose_b
+from entclone.analytic import ALPHA_MAX, schmidt_state
+from entclone.covariant import BLOCK_BASIS, T_OPERATORS, _from_blocks, partial_transpose_b
 from entclone.sdp import CENTRING, FIXED, STEP_FRACTION
+
+# Columns |00>, |11>, (|01> + |10>)/sqrt(2), (|01> - |10>)/sqrt(2) of M2 (x) M2.
+PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
 
 
 def kron_all(factors):
@@ -62,15 +72,79 @@ def dense_fidelity_coefficients(alpha, t=T_OPERATORS):
     return (np.real(phi.conj() @ reduced @ phi) / 2.0).reshape(5, 5)
 
 
+def functional_table(t=T_OPERATORS):
+    """(G0, G1) with dense_fidelity_coefficients = G0 + x G1, x = alpha^2 (1 - alpha^2).
+
+    G0 is the functional at x = 0 (alpha = 0) and G1 its slope to
+    x = 1/4 (alpha = ALPHA_MAX).  Raises RuntimeError if the functional at
+    alpha = 1/2 (x = 3/16) departs from G0 + x G1 by more than 1e-12.
+    """
+    g0 = dense_fidelity_coefficients(0.0, t)
+    g1 = (dense_fidelity_coefficients(ALPHA_MAX, t) - g0) * 4.0
+    if np.abs(dense_fidelity_coefficients(0.5, t) - (g0 + 0.1875 * g1)).max() > 1e-12:
+        raise RuntimeError("fidelity functional is not affine in x = alpha^2 (1 - alpha^2)")
+    return g0, g1
+
+
 def dense_constraint_matrices(t=T_OPERATORS):
-    """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators."""
+    """Reference trace row and symmetry rows from partial traces of the 64x64 Choi operators.
+
+    Raises RuntimeError unless every Tr_out ti (x) tj is a real multiple
+    of I4 to 1e-12, which is what makes trace preservation one row.
+    """
     stack = dense_stack(t)
-    trace_row = np.trace(stack, axis1=1, axis2=2).real / 4.0
+    tr_out = np.einsum("paiaj->pij", stack.reshape(25, 16, 4, 16, 4))
+    trace_row = np.trace(tr_out, axis1=1, axis2=2) / 4.0
+    if np.abs(tr_out - trace_row[:, None, None] * np.eye(4)).max() > 1e-12:
+        raise RuntimeError("basis element traced out to a non-scalar operator")
+    if np.abs(trace_row.imag).max() > 1e-12:
+        raise RuntimeError("basis element has a complex output trace")
+    trace_row = trace_row.real
     # Rows and columns (clone 1, clone 2, input): trace out clone 2, then clone 1.
     p7 = stack.reshape(25, 4, 4, 4, 4, 4, 4)
     d = (np.einsum("pabixbj->paixj", p7) - np.einsum("pabiayj->pbiyj", p7)).reshape(25, -1).T
     _, sv, vh = np.linalg.svd(np.vstack([d.real, d.imag]), full_matrices=False)
     return trace_row, vh[sv > 1e-10 * max(sv[0], 1.0)]
+
+
+def commutant_blocks(t=T_OPERATORS):
+    """Coefficients of t1..t5 in M2 (+) C: 2x2 blocks X of shape (5, 2, 2) and scalars c of shape (5,).
+
+    Each ti is V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) with V =
+    BLOCK_BASIS: X_i is read off V^dag ti V and acts on (m1_k, m2_k)
+    alike for k = 0, 1, and c_i is Tr[(I8 - V V^dag) ti] / 4, its trace
+    on the four-dimensional complement.  Raises RuntimeError if t
+    departs from that structure by more than 1e-12.
+    """
+    ts = np.stack(t.as_list())
+    b = BLOCK_BASIS.T @ ts @ BLOCK_BASIS
+    x = b[:, 0::2, 0::2]
+    x = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
+    c = (np.trace(ts, axis1=1, axis2=2) - np.trace(b, axis1=1, axis2=2)).real / 4
+    if np.abs(ts - _from_blocks(x, c)).max() > 1e-12:
+        raise RuntimeError("t1..t5 do not split into M2 (+) C blocks in the invariant basis")
+    return x, c
+
+
+def block_cone(xa, xb, c):
+    """Linear forms over the 8 FIXED coordinates of the blocks of sum_ij a_ij (Xa_i (+) c_i) (x) (Xb_j (+) c_j).
+
+    The Xa_i (x) Xb_j block is rotated into PAIR_BASIS, where it splits
+    into its upper and lower 2x2 blocks; the c_j Xa_i block is the third
+    and c_i c_j times I2 the fourth.  With Xb = Xa it derives
+    sdp.CONE_FORMS, with Xb = Xa^T the forms of the partial transpose.
+    Raises RuntimeError if the rotated block does not split 2 + 2, or if
+    any block is not real and symmetric, by more than 1e-12.
+    """
+    products = np.einsum("iab,jcd->ijacbd", xa, xb).reshape(25, 4, 4)
+    pair = PAIR_BASIS.T @ np.tensordot(FIXED, products, axes=(0, 0)) @ PAIR_BASIS
+    side = np.tensordot(FIXED, (xa[:, None] * c[None, :, None, None]).reshape(25, 2, 2), axes=(0, 0))
+    corner = (FIXED.T @ np.outer(c, c).reshape(-1))[:, None, None] * np.eye(2)
+    blocks = np.stack([pair[:, :2, :2], pair[:, 2:, 2:], side, corner], axis=1)
+    off = max(np.abs(pair[:, :2, 2:]).max(), np.abs(pair[:, 2:, :2]).max())
+    if max(off, np.abs(blocks.imag).max(), np.abs(blocks - np.swapaxes(blocks, 2, 3)).max()) > 1e-12:
+        raise RuntimeError("the cone does not split into four real symmetric 2x2 blocks on the fixed subspace")
+    return blocks[:, :, [0, 0, 1], [0, 1, 1]].real.reshape(8, -1).T
 
 
 def _per_branch_loop(ks, rho):

@@ -14,10 +14,11 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
-from entclone import channel
 from entclone.channel import (
-    _functional_table,
-    _party_reductions,
+    G0,
+    G1,
+    SYMMETRY_ROWS,
+    TRACE_ROW,
     apply,
     apply_choi,
     channel_from_params,
@@ -28,8 +29,10 @@ from entclone.channel import (
     local_fidelity,
     trace_output,
 )
+from entclone import channel
 from entclone.covariant import T_OPERATORS, assemble_ptilde, build_t_operators, random_su2
-from reference import dense_constraint_matrices, dense_fidelity_coefficients
+import reference
+from reference import dense_constraint_matrices, dense_fidelity_coefficients, functional_table
 
 
 def density(vec):
@@ -187,7 +190,7 @@ def test_constraint_trace_row():
 
 
 def test_party_assembly_matches_dense(t_ops):
-    """The per-party reductions give the same objective and equalities as the 64x64 operators."""
+    """The literal tables give the same objective and equalities as the 64x64 operators."""
     for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
         assert np.abs(fidelity_coefficients(alpha, t_ops) - dense_fidelity_coefficients(alpha, t_ops)).max() < 1e-14
     trace_row, sym_rows = constraint_matrices(t_ops)
@@ -197,32 +200,28 @@ def test_party_assembly_matches_dense(t_ops):
     assert np.abs(sym_rows.T @ sym_rows - dense_sym.T @ dense_sym).max() < 1e-12
 
 
-def test_party_reductions_are_built_once_per_t(t_ops):
-    """The same t shares its read-only reductions; any other t object builds its own, and the
-    objective read through the cache equals a fresh build bit for bit."""
-    parts = _party_reductions(t_ops)
-    assert all(p is q for p, q in zip(parts, _party_reductions(t_ops)))
-    for arr in parts:
+def test_constraint_rows_are_shared_and_read_only(t_ops):
+    """Every call, t passed or defaulted, returns the same two read-only literal arrays."""
+    rows = constraint_matrices()
+    assert rows[0] is TRACE_ROW and rows[1] is SYMMETRY_ROWS
+    assert all(p is q for p, q in zip(rows, constraint_matrices(t_ops)))
+    assert all(p is q for p, q in zip(rows, constraint_matrices(build_t_operators())))
+    for arr in rows:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
-    rebuilt = _party_reductions(build_t_operators())
-    assert all(p is not q and np.array_equal(p, q) for p, q in zip(rebuilt, parts))
-    swapped = _party_reductions(dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1))
-    assert not np.array_equal(swapped[0], parts[0])
-    for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
-        cached = fidelity_coefficients(alpha, t_ops)
-        _party_reductions.cache_clear()
-        _functional_table.cache_clear()
-        assert np.array_equal(fidelity_coefficients(alpha, t_ops), cached)
 
 
 def test_constraint_matrices_reject_non_covariant_operators(t_ops):
+    """channel refuses any operator set but T_OPERATORS; the witness refuses operators whose output
+    trace is not a real multiple of the identity, on which no literal trace row could rest."""
     rng = np.random.default_rng(26)
     h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    with pytest.raises(RuntimeError, match="non-scalar"):
-        constraint_matrices(dataclasses.replace(t_ops, t1=h + h.conj().T))
-    with pytest.raises(RuntimeError, match="complex output trace"):
-        constraint_matrices(dataclasses.replace(t_ops, t1=1j * t_ops.t1))
+    for bad, message in ((dataclasses.replace(t_ops, t1=h + h.conj().T), "non-scalar"),
+                         (dataclasses.replace(t_ops, t1=1j * t_ops.t1), "complex output trace")):
+        with pytest.raises(ValueError, match="T_OPERATORS"):
+            constraint_matrices(bad)
+        with pytest.raises(RuntimeError, match=message):
+            dense_constraint_matrices(bad)
 
 
 def test_families_satisfy_constraints():
@@ -266,7 +265,8 @@ def test_local_fidelity_rejects_asymmetric_channel():
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["default-t", "fresh-t"])
 def test_functional_table_matches_the_per_alpha_sandwich(fresh):
-    """G0 + x G1 equals the dense functional at each alpha; measured 6.7e-16 at worst."""
+    """G0 + x G1 equals the dense functional at each alpha, t defaulted or passed as build_t_operators()
+    (which is T_OPERATORS); measured 7.8e-16 at worst."""
     t_ops = build_t_operators() if fresh else T_OPERATORS
     worst = 0.0
     for alpha in np.linspace(0.0, ALPHA_MAX, 501):
@@ -275,24 +275,27 @@ def test_functional_table_matches_the_per_alpha_sandwich(fresh):
     assert worst <= 1e-15
 
 
-def test_functional_table_is_built_once_per_t(t_ops):
-    g0, g1 = _functional_table(t_ops)
-    assert all(p is q for p, q in zip((g0, g1), _functional_table(t_ops)))
-    for arr in (g0, g1):
+def test_functional_table_is_literal_and_read_only(t_ops):
+    """fidelity_coefficients is G0 + x G1 from the read-only literals, in a new array the caller owns."""
+    for arr in (G0, G1):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
     f = fidelity_coefficients(0.4, t_ops)
+    assert np.array_equal(f, G0 + 0.4 * 0.4 * (1.0 - 0.4 * 0.4) * G1)
     f[0, 0] = 7.0  # the caller owns the returned array; the tables are untouched
     assert np.array_equal(fidelity_coefficients(0.4, t_ops), fidelity_coefficients(0.4))
     with pytest.raises(ValueError):
         fidelity_coefficients(0.8)
+    with pytest.raises(ValueError, match="T_OPERATORS"):
+        fidelity_coefficients(0.4, dataclasses.replace(t_ops))
 
 
 def test_functional_table_rejects_a_non_affine_functional(monkeypatch):
-    sandwich = channel._sandwich
-    monkeypatch.setattr(channel, "_sandwich", lambda alpha, t: sandwich(alpha, t) + alpha**4)
+    """The witness refuses a functional that is not affine in x, on which no literal G0, G1 could rest."""
+    dense = reference.dense_fidelity_coefficients
+    monkeypatch.setattr(reference, "dense_fidelity_coefficients", lambda alpha, t: dense(alpha, t) + alpha**4)
     with pytest.raises(RuntimeError, match="not affine"):
-        fidelity_coefficients(0.3, build_t_operators())
+        functional_table(build_t_operators())
 
 
 def test_local_fidelity_needs_no_state_check(monkeypatch):

@@ -10,16 +10,15 @@ from entclone.covariant import (
     BLOCK_X,
     _PARTIES_TO_CHOI,
     _TRANSPOSE_B,
+    _STACK,
     _choi_order,
-    _flat_stack,
     assemble_ptilde,
     basis_stack,
-    commutant_blocks,
     partial_transpose_b,
     random_su2,
     two_party_rep,
 )
-from reference import choi_kron, kron_all, triple_rep
+from reference import choi_kron, commutant_blocks, kron_all, triple_rep
 
 
 def test_basis_vector_amplitudes():
@@ -63,6 +62,8 @@ def test_t4_commutes_with_triple_rep(t_ops):
 
 
 def test_commutant_blocks(t_ops):
+    """The witness reads BLOCK_X, BLOCK_C back off t1..t5, follows a relabelling of them, and refuses
+    operators that leave M2 (+) C."""
     x, c = commutant_blocks(t_ops)
     assert np.abs(x[0] - np.diag([1.0, 0.0])).max() < 1e-12
     assert np.abs(x[1] - np.diag([0.0, 1.0])).max() < 1e-12
@@ -132,19 +133,18 @@ def test_assemble_equals_kron_double_sum(t_ops):
             assemble_ptilde(np.zeros(shape))
 
 
-def test_flat_stack_is_built_once_per_t(t_ops):
-    """assemble_ptilde reads one read-only (5, 64) stack per t object, and a fresh build gives the same bits."""
-    stack = _flat_stack(t_ops)
-    assert _flat_stack(t_ops) is stack
+def test_assemble_reads_one_read_only_stack(t_ops):
+    """assemble_ptilde and basis_stack read one read-only (5, 64) stack of t1..t5, built once."""
     with pytest.raises(ValueError):
-        stack.flat[0] = 1.0
-    assert np.array_equal(stack, np.array(t_ops.as_list()).reshape(5, 64))
+        _STACK.flat[0] = 1.0
+    assert np.array_equal(_STACK, np.array(t_ops.as_list()).reshape(5, 64))
     a = params_for(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX)
-    cached = assemble_ptilde(a, t_ops)
-    _flat_stack.cache_clear()
-    assert np.array_equal(assemble_ptilde(a, t_ops), cached)
-    swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
-    assert np.array_equal(_flat_stack(swapped)[0], stack[1])
+    assert np.array_equal(assemble_ptilde(a), assemble_ptilde(a, t_ops))
+    for other in (dataclasses.replace(t_ops), dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)):
+        with pytest.raises(ValueError, match="T_OPERATORS"):
+            assemble_ptilde(a, other)
+        with pytest.raises(ValueError, match="T_OPERATORS"):
+            basis_stack(other)
 
 
 def test_family_operators_are_positive():
@@ -214,7 +214,7 @@ def test_index_tables_equal_the_12_axis_transposes():
 
 
 def test_basis_stack_is_the_outer_products_on_the_choi_order(t_ops):
-    ts = _flat_stack(t_ops)
+    ts = np.array(t_ops.as_list()).reshape(5, 64)
     expected = [_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts]
     assert np.array_equal(basis_stack(), np.array(expected))
 

@@ -1,6 +1,7 @@
-"""Every t parameter defaults to covariant.T_OPERATORS, and a call that leaves t out equals,
-bit for bit, one that passes a fresh build_t_operators()."""
+"""Every t parameter defaults to covariant.T_OPERATORS, build_t_operators() returns that object, and
+every function with a t parameter refuses any other t with ValueError."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -14,7 +15,6 @@ ALPHAS = (0.0, 0.2, alpha_critical(), ALPHA_MAX)
 DEFAULTED = (
     covariant.assemble_ptilde,
     covariant.basis_stack,
-    covariant.commutant_blocks,
     channel.channel_from_params,
     channel.fidelity_coefficients,
     channel.constraint_matrices,
@@ -24,9 +24,33 @@ DEFAULTED = (
 )
 
 
+# One call of each function in DEFAULTED with t passed: sweeps on an empty grid, so the check runs first.
+CALLS = {
+    "assemble_ptilde": lambda t: covariant.assemble_ptilde(np.zeros((5, 5)), t),
+    "basis_stack": covariant.basis_stack,
+    "channel_from_params": lambda t: channel.channel_from_params(np.zeros((5, 5)), t),
+    "fidelity_coefficients": lambda t: channel.fidelity_coefficients(0.3, t),
+    "constraint_matrices": channel.constraint_matrices,
+    "build_problem": lambda t: sdp.build_problem(0.3, t, with_ppt=True),
+    "sweep_solutions": lambda t: sdp.sweep_solutions([], False, t),
+    "solve_sweep": lambda t: sdp.solve_sweep([], t=t),
+}
+
+
 @pytest.mark.parametrize("fn", DEFAULTED, ids=lambda fn: fn.__name__)
 def test_t_defaults_to_the_module_operators(fn):
     assert inspect.signature(fn).parameters["t"].default is T_OPERATORS
+
+
+@pytest.mark.parametrize("fn", DEFAULTED, ids=lambda fn: fn.__name__)
+def test_other_t_is_refused(fn):
+    """An equal copy, a relabelled set and a non-TOperators value are all refused; T_OPERATORS is not."""
+    call = CALLS[fn.__name__]
+    call(T_OPERATORS)
+    relabelled = dataclasses.replace(T_OPERATORS, t4=T_OPERATORS.t5, t5=T_OPERATORS.t4)
+    for other in (dataclasses.replace(T_OPERATORS), relabelled, None):
+        with pytest.raises(ValueError, match="T_OPERATORS"):
+            call(other)
 
 
 def test_module_operators_are_read_only():
@@ -41,22 +65,18 @@ def assert_same_arrays(got, want):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_default_calls_equal_a_fresh_build():
-    fresh = build_t_operators()
-    assert fresh is not T_OPERATORS
+def test_build_t_operators_returns_the_module_operators():
+    """build_t_operators() is T_OPERATORS, so a call passing it equals the default call bit for bit."""
+    assert build_t_operators() is T_OPERATORS
+    t = build_t_operators()
     for alpha in ALPHAS:
         a = params_for(CloneFamily.LOCC_OPTIMAL, alpha)
-        assert np.array_equal(covariant.assemble_ptilde(a), covariant.assemble_ptilde(a, fresh))
-        assert np.array_equal(channel.channel_from_params(a), channel.channel_from_params(a, fresh))
-        assert np.array_equal(channel.fidelity_coefficients(alpha), channel.fidelity_coefficients(alpha, fresh))
+        assert np.array_equal(covariant.assemble_ptilde(a), covariant.assemble_ptilde(a, t))
+        assert np.array_equal(channel.fidelity_coefficients(alpha), channel.fidelity_coefficients(alpha, t))
         for with_ppt in (False, True):
-            got, want = sdp.build_problem(alpha, with_ppt=with_ppt), sdp.build_problem(alpha, fresh, with_ppt)
+            got, want = sdp.build_problem(alpha, with_ppt=with_ppt), sdp.build_problem(alpha, t, with_ppt)
             assert_same_arrays((got.objective, got.eq_matrix, got.eq_rhs), (want.objective, want.eq_matrix, want.eq_rhs))
-            assert_same_arrays(got.cones, want.cones)
-            assert_same_arrays(got.setup, want.setup)
-    assert np.array_equal(covariant.basis_stack(), covariant.basis_stack(fresh))
-    assert_same_arrays(covariant.commutant_blocks(), covariant.commutant_blocks(fresh))
-    assert_same_arrays(channel.constraint_matrices(), channel.constraint_matrices(fresh))
+            assert got.cones is want.cones and got.setup is want.setup
 
 
 @pytest.mark.parametrize("with_ppt", [False, True])

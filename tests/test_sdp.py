@@ -1,14 +1,22 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
 from entclone.channel import constraint_matrices, fidelity_coefficients
+from entclone.covariant import build_t_operators
 from entclone import sdp
 from entclone.sdp import (
     BLOCK_WEIGHTS,
+    CONE_FORMS,
+    F0,
+    F2,
     FIXED,
     ConvergenceError,
     ThresholdDetectionError,
@@ -17,7 +25,7 @@ from entclone.sdp import (
     solve,
     sweep_solutions,
 )
-from reference import _dense_spectra, barrier_decrement, dense_nt_path
+from reference import _dense_spectra, barrier_decrement, block_cone, commutant_blocks, dense_nt_path
 
 A55 = 4
 
@@ -115,9 +123,14 @@ def test_problem_shapes():
 
 
 def test_block_split_rejects_a_t_that_breaks_parity(t_ops):
-    """A structurally valid t whose blocks do not split into four real symmetric 2x2 blocks is refused."""
+    """A structurally valid t whose blocks do not split into four real symmetric 2x2 blocks is refused:
+    build_problem refuses every t but T_OPERATORS, and the witness refuses to derive its cone forms."""
+    breaks_parity = dataclasses.replace(t_ops, t1=t_ops.t4)
+    with pytest.raises(ValueError, match="T_OPERATORS"):
+        build_problem(0.4, breaks_parity)
+    x, c = commutant_blocks(breaks_parity)
     with pytest.raises(RuntimeError, match="four real symmetric 2x2 blocks"):
-        build_problem(0.4, dataclasses.replace(t_ops, t1=t_ops.t4))
+        block_cone(x, x, c)
 
 
 def test_max_step_keeps_a_double_root():
@@ -155,38 +168,35 @@ def test_ppt_solution_matches_dense_witness(t_ops, alpha):
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
-def test_fixed_parts_are_built_once_per_t(t_ops):
-    """The same t shares the equality rows, cone forms and solver setup read-only, and keeps both
-    programs across alternating builds; any other t object, even an equal one, builds its own, and
-    no t changes once built.  Both programs have one cone, so one 12x12 dual projector."""
-    first = build_problem(0.3, t_ops, with_ppt=True)
-    plain = build_problem(0.3, t_ops)
-    rows = constraint_matrices(t_ops)
-    assert all(p is q for p, q in zip(rows, constraint_matrices(t_ops)))
-    assert all(p is q for p, q in zip(rows, constraint_matrices()))
-    assert build_problem(0.3, with_ppt=True).setup is first.setup
-    for alpha in (0.1, 0.4, 0.6):
-        for problem, shared in ((build_problem(alpha, t_ops, with_ppt=True), first), (build_problem(alpha, t_ops), plain)):
-            assert problem.setup is shared.setup
-            assert problem.cones is shared.cones
-    assert plain.setup is not first.setup
-    assert plain.setup.project.shape == first.setup.project.shape == (12, 12)
-    assert (plain.setup.dual_map.shape, first.setup.dual_map.shape) == ((12, 7), (12, 6))
-    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
-    assert set(first.setup._fields) == fields
-    arrays = [getattr(setup, name) for setup in (first.setup, plain.setup) for name in sorted(fields - {"copies"})]
-    for arr in (*rows, first.cones, plain.cones, *arrays):
+def test_setups_are_built_once_and_read_only(t_ops):
+    """Every build of a program, t defaulted or passed, shares the cone forms and solver setup built at
+    import, read-only; only the objective is new.  Both programs have one cone, so one 12x12 dual
+    projector.  Any other t, even an equal copy, is refused, and no TOperators changes once built."""
+    plain, first = sdp._PROGRAMS[0][1], sdp._PROGRAMS[1][1]
+    for alpha in (0.1, 0.3, 0.6):
+        for with_ppt, setup in ((False, plain), (True, first)):
+            for problem in (build_problem(alpha, with_ppt=with_ppt), build_problem(alpha, t_ops, with_ppt),
+                            build_problem(alpha, build_t_operators(), with_ppt)):
+                assert problem.setup is setup
+                assert problem.cones is sdp._PROGRAMS[with_ppt][0]
+                f0, f2 = setup.f0_f2
+                assert np.array_equal(problem.objective, f0 + 4.0 * alpha * alpha * (1.0 - alpha * alpha) * f2)
+    assert sdp._PROGRAMS[0][0] is CONE_FORMS
+    assert np.array_equal(plain.f0_f2, [F0, F2])
+    assert np.array_equal(first.f0_f2, np.delete([F0, F2], A55, axis=1))
+    assert plain.project.shape == first.project.shape == (12, 12)
+    assert (plain.dual_map.shape, first.dual_map.shape) == ((12, 7), (12, 6))
+    fields = {"basis", "copies", "f0_f2", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    assert set(first._fields) == fields
+    arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
+    cones = [cone for cone, _ in sdp._PROGRAMS]
+    for arr in (*constraint_matrices(), F0, F2, FIXED, *cones, *arrays):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
-    copy = build_problem(0.3, dataclasses.replace(t_ops), with_ppt=True)
-    assert copy.setup is not first.setup
-    assert all(np.array_equal(p, q) for p, q in zip((copy.cones, *copy.setup), (first.cones, *first.setup)))
-    swapped = dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)
-    fresh = build_problem(0.3, swapped, with_ppt=True)
-    assert not np.array_equal(fresh.cones, first.cones)
-    assert not np.array_equal(constraint_matrices(swapped)[1], rows[1])
-    assert not np.array_equal(fresh.setup.dirs, first.setup.dirs)
-    assert not np.array_equal(fresh.setup.gram_inv, first.setup.gram_inv)
+    for other in (dataclasses.replace(t_ops), dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)):
+        for with_ppt in (False, True):
+            with pytest.raises(ValueError, match="T_OPERATORS"):
+                build_problem(0.3, other, with_ppt)
     source = t_ops.t1.copy()
     edited = dataclasses.replace(t_ops, t1=source)
     for op in edited.as_list():
@@ -381,6 +391,30 @@ def test_detect_threshold_input_validation():
             detect_threshold([*curve[:4], (curve[4][0], bad), *curve[5:]])
         with pytest.raises(ValueError, match="finite"):
             detect_threshold([*curve[:4], (bad, curve[4][1]), *curve[5:]])
+
+
+def test_median_equals_numpy_median():
+    """detect_threshold's median equals np.median bit for bit on both parities, ties included."""
+    rng = np.random.default_rng(24)
+    for n in range(1, 40):
+        for values in (rng.exponential(size=n), rng.integers(0, 3, size=n).astype(float)):
+            assert sdp._median(values) == float(np.median(values))
+
+
+def test_detect_threshold_leaves_numpy_ma_unimported():
+    """A first detect_threshold call imports nothing that np.median's NaN check would (numpy.ma, ~14 ms)."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from entclone.analytic import fidelity_locc\n"
+        "from entclone.sdp import detect_threshold\n"
+        "detect_threshold([(a, fidelity_locc(a)) for a in 0.30 + 0.002 * np.arange(36)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("ratio, kinked", [(5.0, False), (20.0, True)])

@@ -1,13 +1,14 @@
-"""The literal tables the program reduces to, reproduced by its numerical derivation.
+"""The literal tables the program is built from, reproduced by their derivation from t1..t5.
 
 The program depends on alpha only through x = alpha^2 (1 - alpha^2),
-and every table it is built from is exact.  On the FIXED coordinates
-(a11..a55, then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the objective is
-F0 + 4x F2 and the trace row is TRACE_ROW; every cone form entry is 0,
-+-1 or 1/sqrt(2), and the PPT cone is the plain cone with its a55
-column negated.  The threshold is x0 = 1/10, since
-1 - 10 alpha^2 + 10 alpha^4 = 1 - 10x.  These tests witness that today's
-derivation from t1..t5 reproduces the tables.
+and every table it is built from is exact, so channel and sdp hold them
+as literals: the functional G0 + x G1, the trace row and the symmetry
+rows over the flat a vector; on the FIXED coordinates (a11..a55, then
+sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the objective F0 + 4x F2 and the
+cone forms, whose entries are 0, +-1 and 1/sqrt(2).  The PPT cone is the
+plain cone with its a55 column negated.  The threshold is x0 = 1/10,
+since 1 - 10 alpha^2 + 10 alpha^4 = 1 - 10x.  These tests witness that
+the numerical derivation in tests/reference.py reproduces every literal.
 
 They also check the three premises on which the PPT program is solved on
 its a55 = 0 slice (see the sdp module docstring): the objective's a55
@@ -20,48 +21,76 @@ import math
 import numpy as np
 
 from entclone.analytic import ALPHA_MAX, alpha_critical
-from entclone.covariant import commutant_blocks
-from entclone.sdp import _block_cone, build_problem
+from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
+from entclone.covariant import BLOCK_C, BLOCK_X
+from entclone.sdp import CONE_FORMS, F0, F2, FIXED, build_problem
+from reference import block_cone, dense_constraint_matrices, dense_fidelity_coefficients, functional_table
 
 SQRT2 = math.sqrt(2.0)
-F0 = np.array([1 / 4, 25 / 36, 4 / 9, 1 / 3, 0.0, 5 * SQRT2 / 12, SQRT2 / 3, 5 * SQRT2 / 9])
-F2 = np.array([0.0, -1 / 9, 8 / 9, 2 / 3, 0.0, -SQRT2 / 6, SQRT2 / 6, -7 * SQRT2 / 18])
-TRACE_ROW = np.array([1.0, 1.0, 4.0, 0.0, 0.0, SQRT2, 2 * SQRT2, 2 * SQRT2])
-FORM_ENTRIES = np.array([0.0, 1.0, -1.0, 1 / SQRT2])
+FORM_ENTRIES = np.array([0.0, 1.0, -1.0, math.sqrt(0.5)])
 A55 = 4
 
 
+def test_functional_is_g0_plus_x_g1():
+    """G0 and G1 against the witness's; G1 scaled by the x range [0, 1/4] it is read off over."""
+    g0, g1 = functional_table()
+    assert np.abs(g0 - G0).max() <= 1e-15
+    assert np.abs(g1 - G1).max() / 4.0 <= 1e-15
+    for table in (G0, G1):
+        assert np.array_equal(table, table.T)
+
+
 def test_objective_is_f0_plus_4x_f2():
+    """The objective and the functional against the dense witness on 501 alphas; measured 7.8e-16."""
     worst = worst_a55 = 0.0
     for alpha in np.linspace(0.0, ALPHA_MAX, 501):
         x = alpha * alpha * (1.0 - alpha * alpha)
+        dense = dense_fidelity_coefficients(alpha)
         objective = build_problem(alpha).objective
-        worst = max(worst, np.abs(objective - (F0 + 4.0 * x * F2)).max())
-        worst_a55 = max(worst_a55, abs(objective[A55]))
+        assert np.array_equal(objective, F0 + 4.0 * x * F2)
+        worst = max(worst, np.abs(objective - FIXED.T @ dense.reshape(-1)).max())
+        worst = max(worst, np.abs(fidelity_coefficients(alpha) - dense).max())
+        worst_a55 = max(worst_a55, abs((FIXED.T @ dense.reshape(-1))[A55]))
     assert worst <= 1e-15
     assert worst_a55 <= 1e-15
+    assert F0[A55] == F2[A55] == 0.0
+    assert np.abs(F0 - FIXED.T @ G0.reshape(-1)).max() <= 1e-15
+    assert np.abs(4.0 * F2 - FIXED.T @ G1.reshape(-1)).max() <= 1e-15
 
 
 def test_trace_row_is_literal():
+    trace_row, _ = dense_constraint_matrices()
+    assert np.abs(trace_row - TRACE_ROW).max() <= 1e-15
+    expected = np.array([1.0, 1.0, 4.0, 0.0, 0.0, SQRT2, 2 * SQRT2, 2 * SQRT2])
     for alpha in (0.0, 0.3, ALPHA_MAX):
         row = build_problem(alpha).eq_matrix[0]
-        assert np.abs(row - TRACE_ROW).max() <= 1e-15
+        assert np.abs(row - expected).max() <= 1e-15
+        assert np.abs(row - FIXED.T @ trace_row).max() <= 1e-15
         assert row[A55] == 0.0
 
 
+def test_symmetry_rows_are_literal():
+    """SYMMETRY_ROWS is orthonormal and spans the witness's row space: equal projectors to 1e-15."""
+    _, sym_rows = dense_constraint_matrices()
+    assert SYMMETRY_ROWS.shape == sym_rows.shape == (3, 25)
+    assert np.abs(SYMMETRY_ROWS @ SYMMETRY_ROWS.T - np.eye(3)).max() <= 1e-15
+    assert np.abs(SYMMETRY_ROWS.T @ SYMMETRY_ROWS - sym_rows.T @ sym_rows).max() <= 1e-15
+
+
 def test_cone_forms_are_literal_and_ppt_flips_a55():
-    """The PPT forms are derived here, from the partial transpose's blocks; the PPT program's one
-    cone is the plain cone without its a55 column."""
-    plain = build_problem(0.3).cones
-    x, c = commutant_blocks()
-    ppt = _block_cone(x, np.swapaxes(x, 1, 2), c)
-    for cone in (plain, ppt):
-        # Measured: 1.3e-15 at worst.
-        assert np.abs(cone[..., None] - FORM_ENTRIES).min(axis=-1).max() <= 2e-15
-    assert np.abs(plain[:, A55]).max() > 0.5
-    assert np.array_equal(ppt[:, A55], -plain[:, A55])
-    assert np.array_equal(np.delete(ppt, A55, axis=1), np.delete(plain, A55, axis=1))
-    assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(plain, A55, axis=1))
+    """The witness derives the plain forms from the M2 (+) C blocks of t1..t5 (read off t1..t5 in
+    test_covariant.test_commutant_blocks) and the PPT forms from those of the partial transpose; the PPT
+    program's one cone is the plain cone without its a55 column."""
+    plain = block_cone(BLOCK_X, BLOCK_X, BLOCK_C)
+    ppt = block_cone(BLOCK_X, np.swapaxes(BLOCK_X, 1, 2), BLOCK_C)
+    flipped = CONE_FORMS * np.where(np.arange(8) == A55, -1.0, 1.0)
+    # Measured: 2.2e-16 for both.
+    assert np.abs(plain - CONE_FORMS).max() <= 1e-15
+    assert np.abs(ppt - flipped).max() <= 1e-15
+    assert np.isin(CONE_FORMS, FORM_ENTRIES).all()
+    assert np.abs(CONE_FORMS[:, A55]).max() > 0.5
+    assert build_problem(0.3).cones is CONE_FORMS
+    assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(CONE_FORMS, A55, axis=1))
 
 
 def test_threshold_is_x0_one_tenth():
