@@ -19,7 +19,6 @@ from entclone.analytic import (
     params_for,
     schmidt_state,
 )
-from entclone.covariant import build_t_operators
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,6 @@ __all__ = [
     "ALPHA_MAX",
     "CloneFamily",
     "alpha_critical",
-    "build_t_operators",
     "fidelity_bh",
     "fidelity_global",
     "fidelity_locc",

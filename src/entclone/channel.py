@@ -18,7 +18,9 @@ program needs (the clone-fidelity functional, the output trace and the
 clone difference) factors over the two parties into exact tables, which
 the module holds as read-only literals: the functional is G0 + x G1, as
 it depends on alpha only through x = alpha^2 (1 - alpha^2); the trace
-row is TRACE_ROW, and the clone-symmetry rows are SYMMETRY_ROWS.
+row is TRACE_ROW, and the clone-symmetry rows are SYMMETRY_ROWS.  They
+are the program's only copy of them: sdp reads its objective through
+fidelity_coefficients and its trace row through constraint_matrices.
 tests/reference.py derives each of them from the 64x64 operators
 ti (x) tj.  The 64x64 Choi operator is formed only when a channel is
 actually applied.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from entclone.analytic import check_alpha, schmidt_state
-from entclone.covariant import T_OPERATORS, TOperators, assemble_ptilde, check_t
+from entclone.covariant import T_OPERATORS, assemble_ptilde, check_t
 
 SYMMETRY_TOL = 1e-8
 # fidelity_coefficients = G0 + x G1, x = alpha^2 (1 - alpha^2): entry ij is
@@ -105,7 +107,7 @@ def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return apply_choi(p_e, check_state(rho))
 
 
-def channel_from_params(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
+def channel_from_params(a: np.ndarray, t: np.ndarray = T_OPERATORS) -> np.ndarray:
     """64x64 Choi operator, on (output, input), of the covariant channel with parameter matrix a.
 
     It is covariant.assemble_ptilde under the channel's name, kept a
@@ -144,7 +146,7 @@ def local_fidelity(p_e: np.ndarray, alpha: float) -> float:
     return float(np.real(f))
 
 
-def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarray:
+def fidelity_coefficients(alpha: float, t: np.ndarray = T_OPERATORS) -> np.ndarray:
     """Linear functional f_ij with F(a) = sum_ij f_ij a_ij on the representative state.
 
     Each coefficient is the symmetrized clone overlap produced by the
@@ -158,15 +160,13 @@ def fidelity_coefficients(alpha: float, t: TOperators = T_OPERATORS) -> np.ndarr
     return G0 + (a * a * (1.0 - a * a)) * G1
 
 
-def constraint_matrices(t: TOperators = T_OPERATORS) -> tuple[np.ndarray, np.ndarray]:
+def constraint_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Trace-preservation row and independent clone-symmetry rows.
 
     Returns (TRACE_ROW, SYMMETRY_ROWS) against the flattened a_ij vector
     (row-major, length 25), the same read-only arrays on every call.
     The trace constraint is trace_row . a = 1; every symmetry row r
     satisfies r . a = 0 on symmetric channels, and the rows are an
-    orthonormal basis of the space those conditions span.  t must be
-    T_OPERATORS (see covariant.check_t).
+    orthonormal basis of the space those conditions span.
     """
-    check_t(t)
     return TRACE_ROW, SYMMETRY_ROWS

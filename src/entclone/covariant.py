@@ -10,14 +10,18 @@ constants: the isometry BLOCK_BASIS onto the two equivalent blocks and
 the M2 (+) C coordinates BLOCK_X, BLOCK_C of the five operators t1..t5
 spanning the commutant (three projectors plus the Hermitian pair built
 from the intertwiner between the two equivalent blocks).  It builds
-t1..t5 from those coordinates once, as T_OPERATORS, and assembles the
-full two-party operator sum_ij a_ij ti (x) tj.
+t1..t5 from those coordinates once, as the read-only (5, 8, 8) array
+T_OPERATORS, and assembles the full two-party operator
+sum_ij a_ij ti (x) tj.
 
 The package runs on that one operator set.  The tables channel and sdp
 hold as literals (the functional, the equality rows, the cone forms)
 describe it, and tests/reference.py derives each of them from t1..t5.
-So every t parameter defaults to T_OPERATORS, build_t_operators returns
-it, and check_t refuses any other object with ValueError.
+A t parameter is left only on the five functions the benchmark passes
+one to (assemble_ptilde, channel_from_params, fidelity_coefficients,
+build_problem and solve_sweep); each defaults to T_OPERATORS,
+build_t_operators returns it, and check_t refuses any other object,
+an equal copy included, with ValueError.
 
 Every 64x64 operator is on the Choi order (1A,1B,2A,2B,A,B) that
 channel reads: the four output qubits, then the two inputs, so Bob's
@@ -30,8 +34,6 @@ swaps the row and column index of Bob's qubits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,35 +84,6 @@ for _table in (BLOCK_BASIS, BLOCK_X, BLOCK_C):
     _table.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
-class TOperators:
-    """Commutant generators on one party's triple.
-
-    t1, t2, t3 are the orthogonal projectors onto the two equivalent
-    blocks and the remainder; t4 and t5 are the Hermitian and
-    anti-Hermitian-made-Hermitian combinations of the intertwiner.
-    The value is immutable: construction stores read-only copies of
-    t1..t5, so later edits to the caller's arrays do not reach it.
-    It compares and hashes by identity: the package accepts the one
-    object T_OPERATORS (see check_t), not an equal copy.
-    """
-
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    t4: np.ndarray
-    t5: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("t1", "t2", "t3", "t4", "t5"):
-            op = np.array(getattr(self, name))
-            op.flags.writeable = False
-            object.__setattr__(self, name, op)
-
-    def as_list(self) -> list[np.ndarray]:
-        return [self.t1, self.t2, self.t3, self.t4, self.t5]
-
-
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element from a normalized normal quaternion."""
     q = rng.normal(size=4)
@@ -131,19 +104,22 @@ def _from_blocks(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v @ np.kron(x, np.eye(2)) @ v.T + np.asarray(c)[:, None, None] * (np.eye(8) - v @ v.T)
 
 
-# The one operator set every t parameter of the package defaults to and accepts.
-T_OPERATORS = TOperators(*_from_blocks(BLOCK_X, BLOCK_C))
-# t1..t5 flattened to a read-only (5, 64) stack.
-_STACK = np.array(T_OPERATORS.as_list()).reshape(5, 64)
-_STACK.flags.writeable = False
+# The commutant generators on one party's triple, a read-only (5, 8, 8) array:
+# t1, t2, t3 project onto the two equivalent blocks and the remainder, and t4,
+# t5 are the intertwiner made Hermitian.  Every t parameter defaults to it and
+# accepts it alone.
+T_OPERATORS = _from_blocks(BLOCK_X, BLOCK_C)
+T_OPERATORS.flags.writeable = False
+# t1..t5 flattened: a read-only (5, 64) view of T_OPERATORS.
+_STACK = T_OPERATORS.reshape(5, 64)
 
 
-def build_t_operators() -> TOperators:
+def build_t_operators() -> np.ndarray:
     """The commutant generators t1..t5: T_OPERATORS, built once from BLOCK_X, BLOCK_C."""
     return T_OPERATORS
 
 
-def check_t(t: TOperators) -> None:
+def check_t(t: np.ndarray) -> None:
     """Raise ValueError unless t is T_OPERATORS, the operator set the package's literal tables describe."""
     if t is not T_OPERATORS:
         raise ValueError("t must be covariant.T_OPERATORS, the operator set build_t_operators() returns")
@@ -157,7 +133,7 @@ def _choi_order(products: np.ndarray) -> np.ndarray:
     return products.reshape(*products.shape[:-2], 4096)[..., _CHOI_INDEX]
 
 
-def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
+def assemble_ptilde(a: np.ndarray, t: np.ndarray = T_OPERATORS) -> np.ndarray:
     """Assemble sum_ij a_ij ti (x) tj, Alice's ti and Bob's tj, on the Choi order.
 
     The sum is sum_i ti (x) (sum_j a_ij tj): one product of the flattened
@@ -172,9 +148,8 @@ def assemble_ptilde(a: np.ndarray, t: TOperators = T_OPERATORS) -> np.ndarray:
     return _choi_order(_STACK.T @ (a @ _STACK))
 
 
-def basis_stack(t: TOperators = T_OPERATORS) -> np.ndarray:
+def basis_stack() -> np.ndarray:
     """All 25 products ti (x) tj on the Choi order as a (25, 64, 64) stack, row-major in (i, j)."""
-    check_t(t)
     return _choi_order(np.einsum("ix,jy->ijxy", _STACK, _STACK).reshape(25, 64, 64))
 
 

@@ -16,10 +16,11 @@ spanned by the 8 orthonormal columns of FIXED.  There the clone-symmetry
 rows vanish, leaving the trace row and k = 7 free coordinates.
 
 No 64x64 operator is formed on the solve path: the program is built from
-exact tables, held as read-only literals.  On the FIXED coordinates
-(a11..a55, then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the objective is
-F0 + 4x F2, x = alpha^2 (1 - alpha^2), and the equality is
-channel.TRACE_ROW.  Per party the commutant is M2 (+) C, with the
+exact tables, held as read-only literals.  The objective is
+channel.fidelity_coefficients, G0 + x G1 with x = alpha^2 (1 - alpha^2),
+and the equality is channel.TRACE_ROW, both read on the FIXED
+coordinates (a11..a55, then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23); the
+cone forms are held here.  Per party the commutant is M2 (+) C, with the
 coordinates covariant.BLOCK_X, BLOCK_C of t1..t5, so on the fixed
 subspace sum_ij a_ij ti (x) tj is unitarily a direct sum of
 sum a_ij Xi (x) Xj (4x4, four copies), sum a_ij c_j Xi (2x2, sixteen
@@ -92,9 +93,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from entclone.analytic import check_alpha
-from entclone.channel import constraint_matrices
-from entclone.covariant import T_OPERATORS, TOperators, check_t
+from entclone.channel import constraint_matrices, fidelity_coefficients
+from entclone.covariant import T_OPERATORS, check_t
 
 # Each iteration targets CENTRING times the current mu and takes
 # STEP_FRACTION of the largest step that stays interior.
@@ -109,10 +109,6 @@ THRESHOLD_FLOOR = 1e-7
 FIXED = np.zeros((25, 8))
 for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
     FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)
-_SQRT2 = np.sqrt(2.0)
-# The objective on the FIXED coordinates is F0 + 4x F2, x = alpha^2 (1 - alpha^2).
-F0 = np.array([1 / 4, 25 / 36, 4 / 9, 1 / 3, 0, 5 * _SQRT2 / 12, _SQRT2 / 3, 5 * _SQRT2 / 9])
-F2 = np.array([0, -1 / 9, 8 / 9, 2 / 3, 0, -_SQRT2 / 6, _SQRT2 / 6, -7 * _SQRT2 / 18])
 # The forms (p, q, r) of the cone's four 2x2 blocks over the FIXED coordinates
 # (see the module docstring).  _H, the double nearest 1/sqrt(2), turns the
 # coordinates sqrt(2) a12, sqrt(2) a13 and sqrt(2) a23 back into a12, a13 and a23.
@@ -133,7 +129,7 @@ CONE_FORMS = np.array(
         [0, 0, 1, 0, 0, 0, 0, 0],  # r = a33
     ]
 )
-for _table in (FIXED, F0, F2, CONE_FORMS):
+for _table in (FIXED, CONE_FORMS):
     _table.flags.writeable = False
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
@@ -163,7 +159,6 @@ class _Setup(NamedTuple):
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
-    f0_f2: np.ndarray  # (2, m) F0 and F2 on the m coordinates
     null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (4, 3, m) the cone's blocks
@@ -270,9 +265,9 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     them is read-only.  Raises ConvergenceError if the equalities leave
     no freedom or the start is not strictly feasible.
     """
-    basis, cone, f0_f2, copies = FIXED, CONE_FORMS, np.stack([F0, F2]), 1
+    basis, cone, copies = FIXED, CONE_FORMS, 1
     if with_ppt:
-        basis, cone, f0_f2 = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone, f0_f2))
+        basis, cone = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone))
         copies = 2
     eq = (constraint_matrices()[0] @ basis)[None, :]
     _, sv, vh = np.linalg.svd(eq)
@@ -286,7 +281,7 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     x0 = _interior_start(basis, eq, np.ones(1), forms)
     longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
-    setup = _Setup(basis, copies, f0_f2, *longs, np.linalg.inv(gram))
+    setup = _Setup(basis, copies, *longs, np.linalg.inv(gram))
     for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
     return cone, setup
@@ -296,21 +291,20 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
 _PROGRAMS = (_program(False), _program(True))
 
 
-def build_problem(alpha: float, t: TOperators = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
+def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight on its coordinates (see _program).
 
-    Only the objective depends on alpha: it is F0 + 4x F2 on the
-    program's coordinates, x = alpha^2 (1 - alpha^2).  The cone forms and
-    the solver setup are the program's, built once and shared read-only.
-    The clone-symmetry rows vanish on FIXED, so the trace row, read
-    through channel.constraint_matrices, is the only equality; t must be
-    T_OPERATORS (see covariant.check_t).
+    Only the objective depends on alpha: it is
+    channel.fidelity_coefficients(alpha, t) read on the program's
+    coordinates, which checks alpha and t (t must be T_OPERATORS, see
+    covariant.check_t).  The cone forms and the solver setup are the
+    program's, built once and shared read-only.  The clone-symmetry rows
+    vanish on FIXED, so the trace row, read through
+    channel.constraint_matrices, is the only equality.
     """
-    a = check_alpha(alpha)
     cones, setup = _PROGRAMS[bool(with_ppt)]
-    f0, f2 = setup.f0_f2
-    f = f0 + 4.0 * (a * a * (1.0 - a * a)) * f2
-    eq = (constraint_matrices(t)[0] @ setup.basis)[None, :]
+    f = fidelity_coefficients(alpha, t).reshape(-1) @ setup.basis
+    eq = (constraint_matrices()[0] @ setup.basis)[None, :]
     return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=cones, setup=setup)
 
 
@@ -419,20 +413,16 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         sz[1] += step * dsz[1]
 
 
-def sweep_solutions(
-    alphas: Sequence[float], with_ppt: bool, t: TOperators = T_OPERATORS, tol: float = 1e-7
-) -> list[tuple[float, SdpSolution]]:
+def sweep_solutions(alphas: Sequence[float], with_ppt: bool, tol: float = 1e-7) -> list[tuple[float, SdpSolution]]:
     """Solve the program at each alpha in turn; returns (alpha, solution) pairs.
 
     The first point that does not converge aborts the sweep with a
-    ConvergenceError naming its index and alpha.  t must be T_OPERATORS
-    (see covariant.check_t), even for an empty grid.
+    ConvergenceError naming its index and alpha.
     """
-    check_t(t)
     out = []
     for idx, alpha in enumerate(alphas):
         try:
-            sol = solve(build_problem(alpha, t, with_ppt), tol=tol)
+            sol = solve(build_problem(alpha, with_ppt=with_ppt), tol=tol)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"sweep point {idx} (alpha={alpha:.6f}) did not converge: {err}",
@@ -443,10 +433,14 @@ def sweep_solutions(
 
 
 def solve_sweep(
-    alphas: Sequence[float], with_ppt: bool = False, *, t: TOperators = T_OPERATORS, tol: float = 1e-7
+    alphas: Sequence[float], with_ppt: bool = False, *, t: np.ndarray = T_OPERATORS, tol: float = 1e-7
 ) -> list[tuple[float, float]]:
-    """Solve the program on a grid; returns (alpha, best fidelity) pairs."""
-    sols = sweep_solutions(alphas, with_ppt, t=t, tol=tol)
+    """Solve the program on a grid; returns (alpha, best fidelity) pairs.
+
+    t must be T_OPERATORS (see covariant.check_t), even for an empty grid.
+    """
+    check_t(t)
+    sols = sweep_solutions(alphas, with_ppt, tol=tol)
     return [(alpha, sol.f_star) for alpha, sol in sols]
 
 

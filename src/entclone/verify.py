@@ -189,7 +189,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         return worst <= 1e-12, f"worst measurement identity dev {_fmt(worst)} (tol 1e-12)"
 
     def criterion_9() -> tuple[bool, str]:
-        ts = T_OPERATORS.as_list()
+        ts = T_OPERATORS
         algebra = max(
             float(np.max(np.abs(ts[i] @ ts[i] - ts[i]))) for i in range(3)
         )

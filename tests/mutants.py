@@ -68,8 +68,12 @@ MUTANTS = (
            "[0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55", "[0, 0, 0, 1, 1, 0, 0, 0],  # q = a44 - a55"),
     Mutant("sdp.CONE_FORMS r = a12 - a44 - a55 with -1/sqrt(2) a12", SDP,
            "[0, 0, 0, -1, -1, _H, 0, 0]", "[0, 0, 0, -1, -1, -_H, 0, 0]"),
-    Mutant("sdp.F2 a23 entry -7 sqrt(2)/18 -> -5 sqrt(2)/18", SDP, "-7 * _SQRT2 / 18", "-5 * _SQRT2 / 18"),
+    Mutant("channel.G1 a32 entry -14/9 -> -10/9", "src/entclone/channel.py",
+           "[2 / 3, -14 / 9, 32 / 9, 0, 0]", "[2 / 3, -10 / 9, 32 / 9, 0, 0]"),
     Mutant("channel.G1 a44 entry 8/3 -> 7/3", "src/entclone/channel.py", "[0, 0, 0, 8 / 3, 0]", "[0, 0, 0, 7 / 3, 0]"),
+    Mutant("covariant.BLOCK_X t4 block [[0, 1], [1, 0]] -> [[0, 2], [2, 0]]", "src/entclone/covariant.py",
+           "[[0, 1], [1, 0]]", "[[0, 2], [2, 0]]"),
+    Mutant("sdp.FIXED off-diagonal weight 1/sqrt(2) -> 1/2", SDP, "1.0 / np.sqrt(2.0)", "0.5"),
     Mutant("covariant.check_t accepts any t", "src/entclone/covariant.py",
            "if t is not T_OPERATORS:", "if False:"),
     Mutant("sdp.detect_threshold takes np.median again", SDP,

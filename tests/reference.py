@@ -47,19 +47,28 @@ def triple_rep(u):
     return np.kron(np.kron(u, u), u.conj())
 
 
+def _key(t):
+    """t1..t5, a (5, 8, 8) array, as the bytes the caches below are keyed on."""
+    return np.asarray(t, dtype=complex).reshape(5, 8, 8).tobytes()
+
+
 @functools.lru_cache(maxsize=2)
-def dense_stack(t):
-    """The 25 products choi_kron(ti, tj) as a read-only (25, 64, 64) stack, row-major in (i, j)."""
-    ts = t.as_list()
+def _dense_stack(key):
+    ts = np.frombuffer(key, dtype=complex).reshape(5, 8, 8)
     stack = np.array([choi_kron(ti, tj) for ti in ts for tj in ts])
     stack.flags.writeable = False
     return stack
 
 
+def dense_stack(t=T_OPERATORS):
+    """The 25 products choi_kron(ti, tj) of t1..t5 as a read-only (25, 64, 64) stack, row-major in (i, j)."""
+    return _dense_stack(_key(t))
+
+
 @functools.lru_cache(maxsize=2)
-def _dense_maps(t):
+def _dense_maps(key):
     """dense_stack as read-only linear maps on vec(rho): entry ((p, a, b), (i, j)) is <a| E_p(|i><j|) |b>."""
-    maps = dense_stack(t).reshape(25, 16, 4, 16, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16)
+    maps = _dense_stack(key).reshape(25, 16, 4, 16, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16)
     maps.flags.writeable = False
     return maps
 
@@ -67,7 +76,7 @@ def _dense_maps(t):
 def dense_fidelity_coefficients(alpha, t=T_OPERATORS):
     """Reference f: each ti (x) tj as a 64x64 Choi operator applied to the representative state, all 25 at once."""
     phi = schmidt_state(alpha)
-    clones = (_dense_maps(t) @ np.outer(phi, phi.conj()).reshape(-1)).reshape(25, 4, 4, 4, 4)
+    clones = (_dense_maps(_key(t)) @ np.outer(phi, phi.conj()).reshape(-1)).reshape(25, 4, 4, 4, 4)
     reduced = np.einsum("pabcb->pac", clones) + np.einsum("pabad->pbd", clones)
     return (np.real(phi.conj() @ reduced @ phi) / 2.0).reshape(5, 5)
 
@@ -116,7 +125,7 @@ def commutant_blocks(t=T_OPERATORS):
     on the four-dimensional complement.  Raises RuntimeError if t
     departs from that structure by more than 1e-12.
     """
-    ts = np.stack(t.as_list())
+    ts = np.asarray(t)
     b = BLOCK_BASIS.T @ ts @ BLOCK_BASIS
     x = b[:, 0::2, 0::2]
     x = (x + np.conj(np.swapaxes(x, 1, 2))) / 2
@@ -171,7 +180,7 @@ def _dense_spectra(a, t=T_OPERATORS):
     return [np.linalg.eigvalsh((m + m.conj().T) / 2) for m in _dense_operators(a, t)]
 
 
-def _dense_program(alpha, t):
+def _dense_program(alpha, t=T_OPERATORS):
     """The unreduced PPT program on all 8 FIXED coordinates, from the dense references: its objective,
     trace row, an orthonormal null basis of the trace row, and x -> both dense operators at a = FIXED @ x."""
     f = FIXED.T @ dense_fidelity_coefficients(alpha, t).reshape(-1)
@@ -192,7 +201,7 @@ def _dense_step(m, dm):
     return -1.0 / low if low < 0.0 else np.inf
 
 
-def dense_nt_path(alpha, t, tol=1e-7):
+def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7):
     """solve's primal-dual iteration run on the unreduced PPT program, both dense 64x64 operators over all
     8 FIXED coordinates; returns (iterations, f*).
 

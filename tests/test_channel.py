@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -189,37 +188,40 @@ def test_constraint_trace_row():
     assert sym_rows.shape[0] >= 1
 
 
-def test_party_assembly_matches_dense(t_ops):
+def test_party_assembly_matches_dense():
     """The literal tables give the same objective and equalities as the 64x64 operators."""
     for alpha in (0.0, 0.2, alpha_critical(), 0.5, ALPHA_MAX):
-        assert np.abs(fidelity_coefficients(alpha, t_ops) - dense_fidelity_coefficients(alpha, t_ops)).max() < 1e-14
-    trace_row, sym_rows = constraint_matrices(t_ops)
-    dense_trace, dense_sym = dense_constraint_matrices(t_ops)
+        assert np.abs(fidelity_coefficients(alpha) - dense_fidelity_coefficients(alpha)).max() < 1e-14
+    trace_row, sym_rows = constraint_matrices()
+    dense_trace, dense_sym = dense_constraint_matrices()
     assert np.abs(trace_row - dense_trace).max() < 1e-14
     assert sym_rows.shape == dense_sym.shape
     assert np.abs(sym_rows.T @ sym_rows - dense_sym.T @ dense_sym).max() < 1e-12
 
 
-def test_constraint_rows_are_shared_and_read_only(t_ops):
-    """Every call, t passed or defaulted, returns the same two read-only literal arrays."""
+def test_constraint_rows_are_shared_and_read_only():
+    """Every call returns the same two read-only literal arrays."""
     rows = constraint_matrices()
     assert rows[0] is TRACE_ROW and rows[1] is SYMMETRY_ROWS
-    assert all(p is q for p, q in zip(rows, constraint_matrices(t_ops)))
-    assert all(p is q for p, q in zip(rows, constraint_matrices(build_t_operators())))
+    assert all(p is q for p, q in zip(rows, constraint_matrices()))
     for arr in rows:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
 
 
-def test_constraint_matrices_reject_non_covariant_operators(t_ops):
-    """channel refuses any operator set but T_OPERATORS; the witness refuses operators whose output
-    trace is not a real multiple of the identity, on which no literal trace row could rest."""
+def test_constraint_matrices_reject_non_covariant_operators():
+    """channel's functions that take t refuse any operator set but T_OPERATORS; the witness refuses
+    operators whose output trace is not a real multiple of the identity, on which no literal trace row
+    could rest."""
     rng = np.random.default_rng(26)
     h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    for bad, message in ((dataclasses.replace(t_ops, t1=h + h.conj().T), "non-scalar"),
-                         (dataclasses.replace(t_ops, t1=1j * t_ops.t1), "complex output trace")):
+    for t1, message in ((h + h.conj().T, "non-scalar"), (1j * T_OPERATORS[0], "complex output trace")):
+        bad = T_OPERATORS.copy()
+        bad[0] = t1
         with pytest.raises(ValueError, match="T_OPERATORS"):
-            constraint_matrices(bad)
+            fidelity_coefficients(0.4, bad)
+        with pytest.raises(ValueError, match="T_OPERATORS"):
+            channel_from_params(np.zeros((5, 5)), bad)
         with pytest.raises(RuntimeError, match=message):
             dense_constraint_matrices(bad)
 
@@ -267,27 +269,27 @@ def test_local_fidelity_rejects_asymmetric_channel():
 def test_functional_table_matches_the_per_alpha_sandwich(fresh):
     """G0 + x G1 equals the dense functional at each alpha, t defaulted or passed as build_t_operators()
     (which is T_OPERATORS); measured 7.8e-16 at worst."""
-    t_ops = build_t_operators() if fresh else T_OPERATORS
+    t = build_t_operators() if fresh else T_OPERATORS
     worst = 0.0
     for alpha in np.linspace(0.0, ALPHA_MAX, 501):
-        got = fidelity_coefficients(alpha, t_ops)
-        worst = max(worst, np.abs(got - dense_fidelity_coefficients(alpha, t_ops)).max())
+        got = fidelity_coefficients(alpha, t)
+        worst = max(worst, np.abs(got - dense_fidelity_coefficients(alpha, t)).max())
     assert worst <= 1e-15
 
 
-def test_functional_table_is_literal_and_read_only(t_ops):
+def test_functional_table_is_literal_and_read_only():
     """fidelity_coefficients is G0 + x G1 from the read-only literals, in a new array the caller owns."""
     for arr in (G0, G1):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
-    f = fidelity_coefficients(0.4, t_ops)
+    f = fidelity_coefficients(0.4, T_OPERATORS)
     assert np.array_equal(f, G0 + 0.4 * 0.4 * (1.0 - 0.4 * 0.4) * G1)
     f[0, 0] = 7.0  # the caller owns the returned array; the tables are untouched
-    assert np.array_equal(fidelity_coefficients(0.4, t_ops), fidelity_coefficients(0.4))
+    assert np.array_equal(fidelity_coefficients(0.4, T_OPERATORS), fidelity_coefficients(0.4))
     with pytest.raises(ValueError):
         fidelity_coefficients(0.8)
     with pytest.raises(ValueError, match="T_OPERATORS"):
-        fidelity_coefficients(0.4, dataclasses.replace(t_ops))
+        fidelity_coefficients(0.4, T_OPERATORS.copy())
 
 
 def test_functional_table_rejects_a_non_affine_functional(monkeypatch):

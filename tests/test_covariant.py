@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from entclone.covariant import (
     BLOCK_BASIS,
     BLOCK_C,
     BLOCK_X,
+    T_OPERATORS,
     _PARTIES_TO_CHOI,
     _TRANSPOSE_B,
     _STACK,
@@ -32,14 +31,14 @@ def test_basis_vector_amplitudes():
     assert abs(second[5] - 1.0 / np.sqrt(6.0)) < 1e-15
 
 
-def test_basis_is_orthonormal_and_complete(t_ops):
+def test_basis_is_orthonormal_and_complete():
     v = BLOCK_BASIS
     assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-15
-    assert np.abs(v @ v.conj().T - (t_ops.t1 + t_ops.t2)).max() < 1e-15
+    assert np.abs(v @ v.conj().T - (T_OPERATORS[0] + T_OPERATORS[1])).max() < 1e-15
 
 
-def test_t_operator_algebra(t_ops):
-    t1, t2, t3, t4, t5 = t_ops.as_list()
+def test_t_operator_algebra():
+    t1, t2, t3, t4, t5 = T_OPERATORS
     for proj, rank in ((t1, 2), (t2, 2), (t3, 4)):
         assert np.abs(proj @ proj - proj).max() < 1e-12
         assert abs(np.trace(proj).real - rank) < 1e-12
@@ -51,36 +50,37 @@ def test_t_operator_algebra(t_ops):
         assert abs(np.trace(op)) < 1e-12
 
 
-def test_t4_commutes_with_triple_rep(t_ops):
+def test_t4_commutes_with_triple_rep():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(20):
         rep = triple_rep(random_su2(rng))
-        for op in (t_ops.t4, t_ops.t5):
+        for op in T_OPERATORS[3:]:
             worst = max(worst, np.abs(op @ rep - rep @ op).max())
     assert worst < 1e-10
 
 
-def test_commutant_blocks(t_ops):
+def test_commutant_blocks():
     """The witness reads BLOCK_X, BLOCK_C back off t1..t5, follows a relabelling of them, and refuses
     operators that leave M2 (+) C."""
-    x, c = commutant_blocks(t_ops)
+    x, c = commutant_blocks()
     assert np.abs(x[0] - np.diag([1.0, 0.0])).max() < 1e-12
     assert np.abs(x[1] - np.diag([0.0, 1.0])).max() < 1e-12
     assert np.abs(x[2]).max() < 1e-12
     assert np.abs(c - [0.0, 0.0, 1.0, 0.0, 0.0]).max() < 1e-12
     assert np.abs(x - BLOCK_X).max() < 1e-15
     assert np.abs(c - BLOCK_C).max() < 1e-15
-    swapped_x, swapped_c = commutant_blocks(dataclasses.replace(t_ops, t4=t_ops.t5, t5=t_ops.t4))
+    swapped_x, swapped_c = commutant_blocks(T_OPERATORS[[0, 1, 2, 4, 3]])
     assert np.abs(swapped_x - BLOCK_X[[0, 1, 2, 4, 3]]).max() < 1e-15
     assert np.abs(swapped_c - BLOCK_C).max() < 1e-15
-    stray = np.zeros((8, 8))
-    stray[0, 1] = stray[1, 0] = 1e-9
+    strayed = T_OPERATORS.copy()
+    strayed[3, 0, 1] += 1e-9
+    strayed[3, 1, 0] += 1e-9
     with pytest.raises(RuntimeError):
-        commutant_blocks(dataclasses.replace(t_ops, t4=t_ops.t4 + stray))
+        commutant_blocks(strayed)
 
 
-def test_t_operators_span_commutant(t_ops):
+def test_t_operators_span_commutant():
     """The closed-form t1..t5 span the numerical commutant of seeded group draws."""
     rng = np.random.default_rng(720517)
     eye = np.eye(8)
@@ -93,12 +93,12 @@ def test_t_operators_span_commutant(t_ops):
     vals, vecs = np.linalg.eigh(gram)
     null = vecs[:, vals < 1e-9 * vals[-1]]
     assert null.shape[1] == 5
-    span, _ = np.linalg.qr(np.stack([ti.reshape(-1) for ti in t_ops.as_list()], axis=1))
-    for ti in t_ops.as_list():
+    span, _ = np.linalg.qr(T_OPERATORS.reshape(5, 64).T)
+    for ti in T_OPERATORS:
         v = ti.reshape(-1)
         assert np.linalg.norm(v - null @ (null.conj().T @ v)) < 1e-12 * np.linalg.norm(v)
     assert np.abs(null - span @ (span.conj().T @ null)).max() < 1e-12
-    t12 = (t_ops.t4 - 1j * t_ops.t5) / 2
+    t12 = (T_OPERATORS[3] - 1j * T_OPERATORS[4]) / 2
     lead = BLOCK_BASIS[:, 2].conj() @ t12 @ BLOCK_BASIS[:, 0]
     assert abs(lead.imag) < 1e-15 and lead.real > 0
 
@@ -120,10 +120,10 @@ def test_assemble_is_linear_in_basis():
     assert np.abs(assemble_ptilde(a) - direct).max() < 1e-13
 
 
-def test_assemble_equals_kron_double_sum(t_ops):
+def test_assemble_equals_kron_double_sum():
     """The single contraction equals the 25-term double sum of a_ij ti (x) tj, zero terms included."""
     rng = np.random.default_rng(50)
-    ts = t_ops.as_list()
+    ts = T_OPERATORS
     for k in range(50):
         a = rng.standard_normal((5, 5)) * (rng.uniform(size=(5, 5)) < 0.5 if k % 2 else 1.0)
         expected = sum(a[i, j] * choi_kron(ts[i], ts[j]) for i in range(5) for j in range(5))
@@ -133,18 +133,17 @@ def test_assemble_equals_kron_double_sum(t_ops):
             assemble_ptilde(np.zeros(shape))
 
 
-def test_assemble_reads_one_read_only_stack(t_ops):
-    """assemble_ptilde and basis_stack read one read-only (5, 64) stack of t1..t5, built once."""
+def test_assemble_reads_one_read_only_stack():
+    """assemble_ptilde and basis_stack read one read-only (5, 64) stack of t1..t5: a view of T_OPERATORS."""
     with pytest.raises(ValueError):
         _STACK.flat[0] = 1.0
-    assert np.array_equal(_STACK, np.array(t_ops.as_list()).reshape(5, 64))
+    assert _STACK.base is T_OPERATORS
+    assert np.array_equal(_STACK, T_OPERATORS.reshape(5, 64))
     a = params_for(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX)
-    assert np.array_equal(assemble_ptilde(a), assemble_ptilde(a, t_ops))
-    for other in (dataclasses.replace(t_ops), dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)):
+    assert np.array_equal(assemble_ptilde(a), assemble_ptilde(a, T_OPERATORS))
+    for other in (T_OPERATORS.copy(), T_OPERATORS[[1, 0, 2, 3, 4]]):
         with pytest.raises(ValueError, match="T_OPERATORS"):
             assemble_ptilde(a, other)
-        with pytest.raises(ValueError, match="T_OPERATORS"):
-            basis_stack(other)
 
 
 def test_family_operators_are_positive():
@@ -166,12 +165,12 @@ def test_covariance_under_local_unitaries():
         assert np.abs(rep @ ptilde @ rep.conj().T - ptilde).max() < 1e-10
 
 
-def test_b_side_transpose_structure(t_ops):
+def test_b_side_transpose_structure():
     """Transposing every B factor maps T_i x T_j to T_i x T_j^T."""
     rng = np.random.default_rng(14)
     a = rng.standard_normal((5, 5))
     flipped = partial_transpose_b(assemble_ptilde(a))
-    ts = t_ops.as_list()
+    ts = T_OPERATORS
     direct = sum(a[i, j] * choi_kron(ts[i], ts[j].T) for i in range(5) for j in range(5))
     assert np.abs(flipped - direct).max() < 1e-12
 
@@ -192,9 +191,9 @@ def test_two_party_rep_is_on_the_choi_order():
         assert np.abs(two_party_rep(u_a, u_b) - expected).max() < 1e-15
 
 
-def test_assemble_unit_matrices_on_the_choi_order(t_ops):
+def test_assemble_unit_matrices_on_the_choi_order():
     """assemble_ptilde(e_ij) is Alice's ti tensor Bob's tj written out on the Choi order."""
-    ts = t_ops.as_list()
+    ts = T_OPERATORS
     for i in range(5):
         for j in range(5):
             unit = np.zeros((5, 5))
@@ -213,8 +212,8 @@ def test_index_tables_equal_the_12_axis_transposes():
     assert np.array_equal(_choi_order(stack), np.array([_choi_order(m) for m in stack]))
 
 
-def test_basis_stack_is_the_outer_products_on_the_choi_order(t_ops):
-    ts = np.array(t_ops.as_list()).reshape(5, 64)
+def test_basis_stack_is_the_outer_products_on_the_choi_order():
+    ts = T_OPERATORS.reshape(5, 64)
     expected = [_choi_order(np.outer(ti, tj)) for ti in ts for tj in ts]
     assert np.array_equal(basis_stack(), np.array(expected))
 

@@ -1,7 +1,7 @@
-"""Every t parameter defaults to covariant.T_OPERATORS, build_t_operators() returns that object, and
-every function with a t parameter refuses any other t with ValueError."""
+"""A t parameter is left only on the five functions the benchmark passes one to.  Each defaults to
+covariant.T_OPERATORS, build_t_operators() returns that array, and each refuses any other t with
+ValueError."""
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -14,27 +14,33 @@ from entclone.covariant import T_OPERATORS, build_t_operators
 ALPHAS = (0.0, 0.2, alpha_critical(), ALPHA_MAX)
 DEFAULTED = (
     covariant.assemble_ptilde,
-    covariant.basis_stack,
     channel.channel_from_params,
     channel.fidelity_coefficients,
-    channel.constraint_matrices,
     sdp.build_problem,
-    sdp.sweep_solutions,
     sdp.solve_sweep,
 )
 
 
-# One call of each function in DEFAULTED with t passed: sweeps on an empty grid, so the check runs first.
+# One call of each function in DEFAULTED with t passed: the sweep runs on an empty grid, so the check runs first.
 CALLS = {
     "assemble_ptilde": lambda t: covariant.assemble_ptilde(np.zeros((5, 5)), t),
-    "basis_stack": covariant.basis_stack,
     "channel_from_params": lambda t: channel.channel_from_params(np.zeros((5, 5)), t),
     "fidelity_coefficients": lambda t: channel.fidelity_coefficients(0.3, t),
-    "constraint_matrices": channel.constraint_matrices,
     "build_problem": lambda t: sdp.build_problem(0.3, t, with_ppt=True),
-    "sweep_solutions": lambda t: sdp.sweep_solutions([], False, t),
     "solve_sweep": lambda t: sdp.solve_sweep([], t=t),
 }
+
+
+def test_only_the_bench_held_functions_take_t():
+    """The public functions of covariant, channel and sdp with a t parameter are exactly DEFAULTED and
+    check_t, the check they share: the t parameters left to remove once the benchmark stops passing t."""
+    with_t = {
+        f"{module.__name__}.{name}"
+        for module in (covariant, channel, sdp)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and not name.startswith("_") and "t" in inspect.signature(fn).parameters
+    }
+    assert with_t == {f"{fn.__module__}.{fn.__name__}" for fn in (*DEFAULTED, covariant.check_t)}
 
 
 @pytest.mark.parametrize("fn", DEFAULTED, ids=lambda fn: fn.__name__)
@@ -44,18 +50,18 @@ def test_t_defaults_to_the_module_operators(fn):
 
 @pytest.mark.parametrize("fn", DEFAULTED, ids=lambda fn: fn.__name__)
 def test_other_t_is_refused(fn):
-    """An equal copy, a relabelled set and a non-TOperators value are all refused; T_OPERATORS is not."""
+    """An equal copy, a relabelled array and None are all refused; T_OPERATORS is not."""
     call = CALLS[fn.__name__]
     call(T_OPERATORS)
-    relabelled = dataclasses.replace(T_OPERATORS, t4=T_OPERATORS.t5, t5=T_OPERATORS.t4)
-    for other in (dataclasses.replace(T_OPERATORS), relabelled, None):
+    for other in (T_OPERATORS.copy(), T_OPERATORS[[0, 1, 2, 4, 3]], None):
         with pytest.raises(ValueError, match="T_OPERATORS"):
             call(other)
 
 
 def test_module_operators_are_read_only():
-    for op in T_OPERATORS.as_list():
-        assert not op.flags.writeable
+    assert isinstance(T_OPERATORS, np.ndarray) and T_OPERATORS.shape == (5, 8, 8)
+    assert not T_OPERATORS.flags.writeable
+    for op in T_OPERATORS:
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
 
@@ -72,6 +78,7 @@ def test_build_t_operators_returns_the_module_operators():
     for alpha in ALPHAS:
         a = params_for(CloneFamily.LOCC_OPTIMAL, alpha)
         assert np.array_equal(covariant.assemble_ptilde(a), covariant.assemble_ptilde(a, t))
+        assert np.array_equal(channel.channel_from_params(a), channel.channel_from_params(a, t))
         assert np.array_equal(channel.fidelity_coefficients(alpha), channel.fidelity_coefficients(alpha, t))
         for with_ppt in (False, True):
             got, want = sdp.build_problem(alpha, with_ppt=with_ppt), sdp.build_problem(alpha, t, with_ppt)
@@ -81,10 +88,8 @@ def test_build_t_operators_returns_the_module_operators():
 
 @pytest.mark.parametrize("with_ppt", [False, True])
 def test_default_sweeps_equal_a_fresh_build(with_ppt):
+    """solve_sweep passed build_t_operators() equals the default sweep and sweep_solutions' f* bit for bit."""
     fresh = build_t_operators()
-    got, want = sdp.sweep_solutions(ALPHAS, with_ppt), sdp.sweep_solutions(ALPHAS, with_ppt, fresh)
-    assert [alpha for alpha, _ in got] == [alpha for alpha, _ in want]
-    for (_, sol), (_, ref) in zip(got, want):
-        assert sol.f_star == ref.f_star and sol.iterations == ref.iterations
-        assert np.array_equal(sol.a_star, ref.a_star)
-    assert sdp.solve_sweep(ALPHAS, with_ppt) == sdp.solve_sweep(ALPHAS, with_ppt, t=fresh)
+    got = sdp.solve_sweep(ALPHAS, with_ppt, t=fresh)
+    assert got == sdp.solve_sweep(ALPHAS, with_ppt)
+    assert got == [(alpha, sol.f_star) for alpha, sol in sdp.sweep_solutions(ALPHAS, with_ppt)]

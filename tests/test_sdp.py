@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -10,13 +9,11 @@ import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
 from entclone.channel import constraint_matrices, fidelity_coefficients
-from entclone.covariant import build_t_operators
+from entclone.covariant import T_OPERATORS, build_t_operators
 from entclone import sdp
 from entclone.sdp import (
     BLOCK_WEIGHTS,
     CONE_FORMS,
-    F0,
-    F2,
     FIXED,
     ConvergenceError,
     ThresholdDetectionError,
@@ -122,10 +119,10 @@ def test_problem_shapes():
             assert np.abs(_weighted_spectrum(ppt.cones, x) - expected).max() < 1e-12
 
 
-def test_block_split_rejects_a_t_that_breaks_parity(t_ops):
+def test_block_split_rejects_a_t_that_breaks_parity():
     """A structurally valid t whose blocks do not split into four real symmetric 2x2 blocks is refused:
     build_problem refuses every t but T_OPERATORS, and the witness refuses to derive its cone forms."""
-    breaks_parity = dataclasses.replace(t_ops, t1=t_ops.t4)
+    breaks_parity = T_OPERATORS[[3, 1, 2, 3, 4]]
     with pytest.raises(ValueError, match="T_OPERATORS"):
         build_problem(0.4, breaks_parity)
     x, c = commutant_blocks(breaks_parity)
@@ -149,61 +146,52 @@ def test_max_step_keeps_a_double_root():
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
-def test_ppt_solution_matches_dense_witness(t_ops, alpha):
+def test_ppt_solution_matches_dense_witness(alpha):
     """solve's blocks on the a55 = 0 slice against the unreduced program's dense operators: the same
     minimum eigenvalue of the operator and of its partial transpose, the same primal-dual iterations and
     optimum as the two-cone path over all 8 FIXED coordinates, and an end point on that program's dense
     barrier central path at mu_min, certified by its Newton decrement."""
-    problem = build_problem(alpha, t_ops, with_ppt=True)
+    problem = build_problem(alpha, with_ppt=True)
     sol = solve(problem)
     assert sol.a_star[A55, A55] == 0.0
-    witness = [spectrum[0] for spectrum in _dense_spectra(sol.a_star, t_ops)]
+    witness = [spectrum[0] for spectrum in _dense_spectra(sol.a_star)]
     assert len(sol.min_eigenvalues) == len(witness) == 2
     assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
-    iterations, f_star = dense_nt_path(alpha, t_ops)
+    iterations, f_star = dense_nt_path(alpha)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
     mu_min = 1e-7 / (2.0 * problem.nu)
-    lam2 = barrier_decrement(alpha, FIXED.T @ sol.a_star.reshape(-1), mu_min, t_ops)
+    lam2 = barrier_decrement(alpha, FIXED.T @ sol.a_star.reshape(-1), mu_min)
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
-def test_setups_are_built_once_and_read_only(t_ops):
+def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the cone forms and solver setup built at
-    import, read-only; only the objective is new.  Both programs have one cone, so one 12x12 dual
-    projector.  Any other t, even an equal copy, is refused, and no TOperators changes once built."""
+    import, read-only; only the objective is new, channel's functional on the program's coordinates.
+    Both programs have one cone, so one 12x12 dual projector.  Any other t, even an equal copy, is
+    refused."""
     plain, first = sdp._PROGRAMS[0][1], sdp._PROGRAMS[1][1]
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
-            for problem in (build_problem(alpha, with_ppt=with_ppt), build_problem(alpha, t_ops, with_ppt),
+            for problem in (build_problem(alpha, with_ppt=with_ppt), build_problem(alpha, T_OPERATORS, with_ppt),
                             build_problem(alpha, build_t_operators(), with_ppt)):
                 assert problem.setup is setup
                 assert problem.cones is sdp._PROGRAMS[with_ppt][0]
-                f0, f2 = setup.f0_f2
-                assert np.array_equal(problem.objective, f0 + 4.0 * alpha * alpha * (1.0 - alpha * alpha) * f2)
+                assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
     assert sdp._PROGRAMS[0][0] is CONE_FORMS
-    assert np.array_equal(plain.f0_f2, [F0, F2])
-    assert np.array_equal(first.f0_f2, np.delete([F0, F2], A55, axis=1))
     assert plain.project.shape == first.project.shape == (12, 12)
     assert (plain.dual_map.shape, first.dual_map.shape) == ((12, 7), (12, 6))
-    fields = {"basis", "copies", "f0_f2", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
     cones = [cone for cone, _ in sdp._PROGRAMS]
-    for arr in (*constraint_matrices(), F0, F2, FIXED, *cones, *arrays):
+    for arr in (*constraint_matrices(), FIXED, *cones, *arrays):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
-    for other in (dataclasses.replace(t_ops), dataclasses.replace(t_ops, t1=t_ops.t2, t2=t_ops.t1)):
+    for other in (T_OPERATORS.copy(), T_OPERATORS[[1, 0, 2, 3, 4]]):
         for with_ppt in (False, True):
             with pytest.raises(ValueError, match="T_OPERATORS"):
                 build_problem(0.3, other, with_ppt)
-    source = t_ops.t1.copy()
-    edited = dataclasses.replace(t_ops, t1=source)
-    for op in edited.as_list():
-        with pytest.raises(ValueError):
-            op[...] = t_ops.t2
-    source[...] = t_ops.t2
-    assert np.array_equal(edited.t1, t_ops.t1)
 
 
 def test_bell_state_optima(bell_solutions):

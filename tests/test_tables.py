@@ -3,9 +3,10 @@
 The program depends on alpha only through x = alpha^2 (1 - alpha^2),
 and every table it is built from is exact, so channel and sdp hold them
 as literals: the functional G0 + x G1, the trace row and the symmetry
-rows over the flat a vector; on the FIXED coordinates (a11..a55, then
-sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the objective F0 + 4x F2 and the
-cone forms, whose entries are 0, +-1 and 1/sqrt(2).  The PPT cone is the
+rows over the flat a vector, and on the FIXED coordinates (a11..a55,
+then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the cone forms, whose entries
+are 0, +-1 and 1/sqrt(2).  The objective is the functional read on those
+coordinates.  The PPT cone is the
 plain cone with its a55 column negated.  The threshold is x0 = 1/10,
 since 1 - 10 alpha^2 + 10 alpha^4 = 1 - 10x.  These tests witness that
 the numerical derivation in tests/reference.py reproduces every literal.
@@ -23,7 +24,7 @@ import numpy as np
 from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
-from entclone.sdp import CONE_FORMS, F0, F2, FIXED, build_problem
+from entclone.sdp import CONE_FORMS, FIXED, build_problem
 from reference import block_cone, dense_constraint_matrices, dense_fidelity_coefficients, functional_table
 
 SQRT2 = math.sqrt(2.0)
@@ -40,22 +41,25 @@ def test_functional_is_g0_plus_x_g1():
         assert np.array_equal(table, table.T)
 
 
-def test_objective_is_f0_plus_4x_f2():
-    """The objective and the functional against the dense witness on 501 alphas; measured 7.8e-16."""
+def test_objective_is_the_channel_functional():
+    """Both programs' objective is fidelity_coefficients on their coordinates, bit for bit, and matches
+    the dense witness on 501 alphas (measured 7.8e-16); the plain objective's a55 entry is exactly 0."""
+    assert G0[A55, A55] == G1[A55, A55] == 0.0
     worst = worst_a55 = 0.0
     for alpha in np.linspace(0.0, ALPHA_MAX, 501):
-        x = alpha * alpha * (1.0 - alpha * alpha)
-        dense = dense_fidelity_coefficients(alpha)
-        objective = build_problem(alpha).objective
-        assert np.array_equal(objective, F0 + 4.0 * x * F2)
-        worst = max(worst, np.abs(objective - FIXED.T @ dense.reshape(-1)).max())
-        worst = max(worst, np.abs(fidelity_coefficients(alpha) - dense).max())
-        worst_a55 = max(worst_a55, abs((FIXED.T @ dense.reshape(-1))[A55]))
+        witness = dense_fidelity_coefficients(alpha)
+        dense = FIXED.T @ witness.reshape(-1)
+        functional = fidelity_coefficients(alpha).reshape(-1)
+        for with_ppt in (False, True):
+            problem = build_problem(alpha, with_ppt=with_ppt)
+            assert np.array_equal(problem.objective, functional @ problem.setup.basis)
+            want = np.delete(dense, A55) if with_ppt else dense
+            worst = max(worst, np.abs(problem.objective - want).max())
+        assert build_problem(alpha).objective[A55] == 0.0
+        worst = max(worst, np.abs(functional - witness.reshape(-1)).max())
+        worst_a55 = max(worst_a55, abs(dense[A55]))
     assert worst <= 1e-15
     assert worst_a55 <= 1e-15
-    assert F0[A55] == F2[A55] == 0.0
-    assert np.abs(F0 - FIXED.T @ G0.reshape(-1)).max() <= 1e-15
-    assert np.abs(4.0 * F2 - FIXED.T @ G1.reshape(-1)).max() <= 1e-15
 
 
 def test_trace_row_is_literal():
