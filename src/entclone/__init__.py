@@ -18,6 +18,7 @@ from entclone.analytic import (
     fidelity_locc,
     params_for,
     schmidt_state,
+    x_of_alpha,
 )
 
 __version__ = "0.1.0"
@@ -31,5 +32,6 @@ __all__ = [
     "fidelity_locc",
     "params_for",
     "schmidt_state",
+    "x_of_alpha",
     "__version__",
 ]

@@ -7,6 +7,16 @@ cloners are provided: the unconstrained optimum, the tensor square of
 the optimal single-qubit cloner (no communication between the parties),
 and the one-bit LOCC optimum, which coincides with the no-communication
 family below the critical weight returned by alpha_critical().
+
+Every curve depends on alpha only through x = alpha^2 (1 - alpha^2) in
+[0, 1/4], and x_of_alpha is its one owner (channel's functional reads it
+too).  With c = sqrt(73 + 16x + 640x^2):
+
+    F_bh     = (25 - 16x) / 36
+    F_global = (17 - 8x + c) / 36
+    F_locc   = (3 + 16x + 8x^2) / (4 (1 + 8x))  for x > 1/10, else F_bh
+
+The threshold alpha_critical() is where x = x0 = 1/10.
 """
 
 from __future__ import annotations
@@ -39,6 +49,12 @@ def check_alpha(alpha: float) -> float:
     return min(max(alpha, 0.0), ALPHA_MAX)
 
 
+def x_of_alpha(alpha: float) -> float:
+    """x = alpha^2 (1 - alpha^2) in [0, 1/4] of a checked alpha, the one variable of every curve."""
+    a = check_alpha(alpha)
+    return a * a * (1.0 - a * a)
+
+
 def schmidt_state(alpha: float) -> np.ndarray:
     """Representative input a|00> + sqrt(1-a^2)|11> as a 4-vector on (A, B)."""
     alpha = check_alpha(alpha)
@@ -49,78 +65,58 @@ def schmidt_state(alpha: float) -> np.ndarray:
 
 
 def c_of_alpha(alpha: float) -> float:
-    """Discriminant entering the unconstrained optimum."""
-    alpha = check_alpha(alpha)
-    a2 = alpha * alpha
-    return math.sqrt(73.0 + 16.0 * a2 * (1.0 - a2) * (1.0 + 40.0 * a2 - 40.0 * a2 * a2))
+    """Discriminant c = sqrt(73 + 16x + 640x^2) entering the unconstrained optimum."""
+    x = x_of_alpha(alpha)
+    return math.sqrt(73.0 + 16.0 * x + 640.0 * x * x)
 
 
 def fidelity_global(alpha: float) -> float:
     """Best clone fidelity over all joint operations."""
-    alpha = check_alpha(alpha)
-    a2 = alpha * alpha
-    return (16.0 + (1.0 - 4.0 * a2) ** 2 - 8.0 * a2 * a2 + c_of_alpha(alpha)) / 36.0
+    return (17.0 - 8.0 * x_of_alpha(alpha) + c_of_alpha(alpha)) / 36.0
 
 
 def fidelity_bh(alpha: float) -> float:
     """Clone fidelity of two independent optimal local cloners."""
-    alpha = check_alpha(alpha)
-    a2 = alpha * alpha
-    return (25.0 - 16.0 * a2 + 16.0 * a2 * a2) / 36.0
+    return (25.0 - 16.0 * x_of_alpha(alpha)) / 36.0
 
 
 def alpha_critical() -> float:
-    """Schmidt weight below which one bit of communication stops helping."""
+    """Schmidt weight below which one bit of communication stops helping, where x = 1/10."""
     return math.sqrt(0.5 - math.sqrt(15.0) / 10.0)
-
-
-def _locc_sqrt_a11(alpha: float) -> float:
-    # Above the critical weight 1 - 10 a^2 + 10 a^4 is negative.
-    a2 = alpha * alpha
-    return abs(1.0 - 10.0 * a2 + 10.0 * a2 * a2) / (2.0 * (1.0 + 8.0 * a2 - 8.0 * a2 * a2))
 
 
 def fidelity_locc(alpha: float) -> float:
     """Best clone fidelity for local operations plus one classical bit."""
-    alpha = check_alpha(alpha)
-    if alpha <= alpha_critical():
+    x = x_of_alpha(alpha)
+    if x <= 0.1:
         return fidelity_bh(alpha)
-    a2 = alpha * alpha
-    num = 3.0 + 8.0 * a2 * (1.0 - a2) * (2.0 + a2 - a2 * a2)
-    den = 4.0 * (1.0 + 8.0 * a2 - 8.0 * a2 * a2)
-    return num / den
+    return (3.0 + 16.0 * x + 8.0 * x * x) / (4.0 * (1.0 + 8.0 * x))
 
 
 def params_for(family: CloneFamily, alpha: float) -> np.ndarray:
     """Covariant parameter matrix a_ij (5x5, real) of the requested family.
 
-    Every returned matrix satisfies the trace-preservation equality; the
-    LOCC family is piecewise and returns the no-communication point at
-    and below the critical weight.
+    Every returned matrix satisfies the trace-preservation equality.  The
+    LOCC family has sqrt(a11) = max(10x - 1, 0)/(2(1 + 8x)), so it returns
+    the no-communication point at and below x = 1/10.
     """
-    alpha = check_alpha(alpha)
+    x = x_of_alpha(alpha)
     a = np.zeros((5, 5))
     if family is CloneFamily.GLOBAL_OPTIMAL:
-        a2 = alpha * alpha
-        a11 = 0.5 - 4.0 * (1.0 - a2 + a2 * a2) / c_of_alpha(alpha)
-        a22 = 1.0 - a11
-        a44 = math.sqrt(a11 * a22) / 2.0
-        a[0, 0] = a11
-        a[1, 1] = a22
-        a[3, 3] = a44
-        a[4, 4] = -a44
+        c = c_of_alpha(alpha)
+        a[0, 0] = 0.5 - 4.0 * (1.0 - x) / c
+        a[1, 1] = 1.0 - a[0, 0]
+        a[3, 3] = (3.0 + 24.0 * x) / (4.0 * c)
+        a[4, 4] = -a[3, 3]
     elif family is CloneFamily.BUZEK_HILLERY_SQUARED:
         a[1, 1] = 1.0
     elif family is CloneFamily.LOCC_OPTIMAL:
-        if alpha <= alpha_critical():
-            a[1, 1] = 1.0
-        else:
-            s = _locc_sqrt_a11(alpha)
-            t = 1.0 - s
-            a[0, 0] = s * s
-            a[1, 1] = t * t
-            a[0, 1] = a[1, 0] = s * t
-            a[3, 3] = s * t
+        s = max(10.0 * x - 1.0, 0.0) / (2.0 * (1.0 + 8.0 * x))
+        t = 1.0 - s
+        a[0, 0] = s * s
+        a[1, 1] = t * t
+        a[0, 1] = a[1, 0] = s * t
+        a[3, 3] = s * t
     else:
         raise ValueError(f"unknown family {family!r}")
     return a

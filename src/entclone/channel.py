@@ -17,13 +17,15 @@ For a covariant cloner P = sum_ij a_ij ti (x) tj every quantity the
 program needs (the clone-fidelity functional, the output trace and the
 clone difference) factors over the two parties into exact tables, which
 the module holds as read-only literals: the functional is G0 + x G1, as
-it depends on alpha only through x = alpha^2 (1 - alpha^2); the trace
-row is TRACE_ROW, and the clone-symmetry rows are SYMMETRY_ROWS.  They
-are the program's only copy of them: sdp reads its objective through
-fidelity_coefficients and its trace row through constraint_matrices.
-tests/reference.py derives each of them from the 64x64 operators
-ti (x) tj.  The 64x64 Choi operator is formed only when a channel is
-actually applied.
+it depends on alpha only through x = alpha^2 (1 - alpha^2), read from its
+one owner analytic.x_of_alpha; the closed forms are short in x too, as
+F_bh = (25 - 16x)/36, and one bit helps only above x0 = 1/10 (analytic
+states all three curves).  The trace row is TRACE_ROW, and the
+clone-symmetry rows are SYMMETRY_ROWS.  They are the program's only copy
+of them: sdp reads its objective through fidelity_coefficients and its
+trace row through constraint_matrices.  tests/reference.py derives each
+of them from the 64x64 operators ti (x) tj.  The 64x64 Choi operator is
+formed only when a channel is actually applied.
 
 A state passed to apply is validated on every call; local_fidelity
 builds the representative input's density matrix itself from a
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entclone.analytic import check_alpha, schmidt_state
+from entclone.analytic import schmidt_state, x_of_alpha
 from entclone.covariant import T_OPERATORS, assemble_ptilde, check_t
 
 SYMMETRY_TOL = 1e-8
@@ -152,12 +154,11 @@ def fidelity_coefficients(alpha: float, t: np.ndarray = T_OPERATORS) -> np.ndarr
     Each coefficient is the symmetrized clone overlap produced by the
     basis operator ti (x) tj alone, so the functional stays meaningful
     even before the symmetry constraints are imposed.  It is
-    G0 + x G1, x = alpha^2 (1 - alpha^2), in a new array the caller
-    owns.  t must be T_OPERATORS (see covariant.check_t).
+    G0 + x G1, x = analytic.x_of_alpha(alpha), in a new array the
+    caller owns.  t must be T_OPERATORS (see covariant.check_t).
     """
     check_t(t)
-    a = check_alpha(alpha)
-    return G0 + (a * a * (1.0 - a * a)) * G1
+    return G0 + x_of_alpha(alpha) * G1
 
 
 def constraint_matrices() -> tuple[np.ndarray, np.ndarray]:

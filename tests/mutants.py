@@ -13,7 +13,7 @@ runs first and must pass.  A mutant is killed when the suite fails under it;
 a surviving mutant is reported as equivalent when the list states why no
 output can change, and as a survivor otherwise.  The run exits 1 if any
 mutant survives without a reason.  It uses only the standard library and
-pytest, and takes about two and a half minutes on two cores.  CI runs it
+pytest, and takes about three minutes on two cores.  CI runs it
 after Tier-1 on one Python version.
 """
 
@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml")
+ANALYTIC = "src/entclone/analytic.py"
 SDP = "src/entclone/sdp.py"
 CLI = "src/entclone/cli.py"
 
@@ -42,8 +43,16 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("analytic._ALPHA_SLACK 1e-12 -> 1e-6", "src/entclone/analytic.py",
+    Mutant("analytic._ALPHA_SLACK 1e-12 -> 1e-6", ANALYTIC,
            "_ALPHA_SLACK = 1e-12", "_ALPHA_SLACK = 1e-6"),
+    Mutant("analytic.x_of_alpha skips check_alpha", ANALYTIC,
+           "    a = check_alpha(alpha)\n    return a * a", "    a = float(alpha)\n    return a * a"),
+    Mutant("analytic.c_of_alpha 640x^2 -> 64x^2", ANALYTIC, "640.0 * x * x", "64.0 * x * x"),
+    Mutant("analytic global a44 (3 + 24x) -> (3 + 20x)", ANALYTIC, "24.0 * x", "20.0 * x"),
+    Mutant("analytic.fidelity_locc 8x^2 -> 9x^2", ANALYTIC, "8.0 * x * x", "9.0 * x * x"),
+    Mutant("analytic.fidelity_locc threshold x <= 1/10 -> x <= 0.099", ANALYTIC, "if x <= 0.1:", "if x <= 0.099:"),
+    Mutant("analytic LOCC sqrt(a11) not clipped at 0 below the threshold", ANALYTIC,
+           "max(10.0 * x - 1.0, 0.0)", "abs(10.0 * x - 1.0)"),
     Mutant("protocol.KRAUS_TOL 1e-10 -> 1e-1", "src/entclone/protocol.py", "KRAUS_TOL = 1e-10", "KRAUS_TOL = 1e-1"),
     Mutant("protocol.PROBABILITY_FLOOR 1e-14 -> 1e-3", "src/entclone/protocol.py",
            "PROBABILITY_FLOOR = 1e-14", "PROBABILITY_FLOOR = 1e-3"),

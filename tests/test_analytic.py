@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from entclone.analytic import (
     fidelity_locc,
     params_for,
     schmidt_state,
+    x_of_alpha,
 )
 
 
@@ -53,11 +56,95 @@ def test_locc_fidelity_values():
     assert abs(fidelity_locc(alpha) - expected) < 1e-15
 
 
+def ulp_neighbours(alpha: float, count: int) -> list[float]:
+    """alpha and the count floats on each side of it."""
+    below, above, out = alpha, alpha, [alpha]
+    for _ in range(count):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
 def test_locc_matches_bh_below_threshold():
     a0 = alpha_critical()
     for alpha in (0.0, 0.1, 0.2, 0.3, a0):
         assert fidelity_locc(alpha) == fidelity_bh(alpha)
     assert abs(fidelity_locc(a0 + 1e-9) - fidelity_bh(a0)) < 1e-8
+    # The closed forms branch on x <= 1/10; it must pick the same side as alpha <= alpha_critical().
+    assert x_of_alpha(a0) <= 0.1
+    bh_point = params_for(CloneFamily.BUZEK_HILLERY_SQUARED, 0.0)
+    for alpha in ulp_neighbours(a0, 50):
+        below = alpha <= a0
+        assert (x_of_alpha(alpha) <= 0.1) == below, alpha
+        assert np.array_equal(params_for(CloneFamily.LOCC_OPTIMAL, alpha), bh_point) == below, alpha
+        assert not below or fidelity_locc(alpha) == fidelity_bh(alpha), alpha
+    grid = np.linspace(0.0, ALPHA_MAX, 200_001)
+    assert [x_of_alpha(alpha) <= 0.1 for alpha in grid] == list(grid <= a0)
+
+
+def exact_alpha_forms(alpha: float) -> dict:
+    """x, c, the three curves and the GLOBAL and LOCC parameter matrices in their alpha^2, alpha^4 forms,
+    evaluated exactly at the float alpha: rational parts as Fractions, and c and the global a44 =
+    sqrt(a11 a22)/2 as Decimals to 50 digits.  The LOCC branch is taken on the exact sign of
+    1 - 10 a^2 + 10 a^4."""
+
+    def dec(q: Fraction) -> Decimal:
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a2 = Fraction(alpha) ** 2
+        a4 = a2 * a2
+        c = dec(73 + 16 * a2 * (1 - a2) * (1 + 40 * a2 - 40 * a4)).sqrt()
+        f_bh = dec((25 - 16 * a2 + 16 * a4) / 36)
+        gap = 1 - 10 * a2 + 10 * a4
+        den = 1 + 8 * a2 - 8 * a4
+        f_locc = dec((3 + 8 * a2 * (1 - a2) * (2 + a2 - a4)) / (4 * den)) if gap < 0 else f_bh
+        a11 = Decimal(1) / 2 - 4 * dec(1 - a2 + a4) / c
+        a44 = (a11 * (1 - a11)).sqrt() / 2
+        glob = [[Decimal(0)] * 5 for _ in range(5)]
+        glob[0][0], glob[1][1], glob[3][3], glob[4][4] = a11, 1 - a11, a44, -a44
+        s = -gap / (2 * den) if gap < 0 else Fraction(0)
+        locc = [[Decimal(0)] * 5 for _ in range(5)]
+        locc[0][0], locc[1][1] = dec(s * s), dec((1 - s) ** 2)
+        locc[0][1] = locc[1][0] = locc[3][3] = dec(s * (1 - s))
+        return {
+            "x": dec(a2 * (1 - a2)),
+            "c": c,
+            "f_global": (dec(16 + (1 - 4 * a2) ** 2 - 8 * a4) + c) / 36,
+            "f_bh": f_bh,
+            "f_locc": f_locc,
+            "global": glob,
+            "locc": locc,
+        }
+
+
+def test_closed_forms_match_the_exact_alpha_forms():
+    """Every closed form lies within 2^-51 of its alpha^2, alpha^4 form evaluated exactly.
+
+    The bound is absolute on [-1, 1], where every quantity but c lies; c >= sqrt(73) carries half
+    an ulp of 8.9e-16 from its final rounding alone, so its bound is 2^-51 c, about 2.5 ulp.
+    Absolute, not in ulps: near alpha_critical() the LOCC a11 -> 0 through the cancellation in
+    1 - 10x, so its relative error is large in any float form.
+    """
+    bound = Decimal(2) ** -51
+    grid = [*np.linspace(0.0, ALPHA_MAX, 50), alpha_critical(), *np.linspace(0.0, ALPHA_MAX, 401)]
+    for alpha in map(float, grid):
+        want = exact_alpha_forms(alpha)
+        got = {
+            "x": x_of_alpha(alpha),
+            "c": c_of_alpha(alpha),
+            "f_global": fidelity_global(alpha),
+            "f_bh": fidelity_bh(alpha),
+            "f_locc": fidelity_locc(alpha),
+        }
+        for name, value in got.items():
+            assert abs(Decimal(value) - want[name]) <= bound * max(1, abs(want[name])), (name, alpha)
+        for name, family in (("global", CloneFamily.GLOBAL_OPTIMAL), ("locc", CloneFamily.LOCC_OPTIMAL)):
+            a = params_for(family, alpha)
+            for i in range(5):
+                for j in range(5):
+                    assert abs(Decimal(a[i, j]) - want[name][i][j]) <= bound, (name, i, j, alpha)
 
 
 def test_fidelity_ordering_on_grid():
@@ -116,7 +203,7 @@ def test_params_trace_normalization():
 
 
 def test_domain_validation():
-    for fn in (c_of_alpha, fidelity_global, fidelity_bh, fidelity_locc):
+    for fn in (x_of_alpha, c_of_alpha, fidelity_global, fidelity_bh, fidelity_locc):
         with pytest.raises(ValueError):
             fn(-0.01)
         with pytest.raises(ValueError):
