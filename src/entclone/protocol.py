@@ -16,8 +16,7 @@ representative state at that alpha are kept as one tuple of scored
 transcripts that run_protocol_exact and run_protocol_sampled both read.
 Every transcript carries its probability, its read-only post-state and
 its clone fidelity on the representative state, scored once from the
-batched post-state stack.  An explicit input state is validated and
-enumerated, and its branches scored, afresh on each call.
+batched post-state stack.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from entclone.analytic import CloneFamily, params_for, schmidt_state
-from entclone.channel import check_state, clone_reductions
+from entclone.channel import clone_reductions
 
 KRAUS_TOL = 1e-10
 PROBABILITY_FLOOR = 1e-14
@@ -144,32 +143,29 @@ def kraus_to_choi(ks: LocalKrausSet) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def run_protocol_exact(alpha: float, state: np.ndarray | None = None) -> list[ProtocolTranscript]:
-    """Enumerate all eight (alice, bob) branches on the given input state.
+def run_protocol_exact(alpha: float) -> list[ProtocolTranscript]:
+    """Enumerate all eight (alice, bob) branches on the representative pure state at this alpha.
 
-    state defaults to the representative pure state at this alpha, whose
-    branches come from the table kept for the last alpha; an explicit
-    state is validated first.  The eight raw branch states Ki rho Ki^dag
-    are one batched product over the stacked Ki.  Each transcript
-    carries the normalized, read-only post-measurement state (a zero
-    matrix for a branch of negligible probability) and its clone
-    fidelity on the representative state at this alpha.
+    The branches come from the table kept for the last alpha.  Each
+    transcript carries the normalized, read-only post-measurement state
+    (a zero matrix for a branch of negligible probability) and its clone
+    fidelity on that state.
     """
-    if state is None:
-        return list(_branch_table(float(alpha)))
-    return list(_enumerate_branches(alpha, check_state(state)))
+    return list(_branch_table(float(alpha)))
 
 
-def _enumerate_branches(alpha: float, rho: np.ndarray) -> tuple[ProtocolTranscript, ...]:
-    """The eight branches on a validated rho, probabilities clipped at 0, each scored once."""
+@functools.lru_cache(maxsize=1)
+def _branch_table(alpha: float) -> tuple[ProtocolTranscript, ...]:
+    """The eight branches on the representative state at alpha, from one batched Ki rho Ki^dag, each scored once."""
     k = build_kraus(alpha).k
-    raw = k @ rho @ k.conj().transpose(0, 2, 1)
+    phi = schmidt_state(alpha)
+    raw = k @ np.outer(phi, phi.conj()) @ k.conj().transpose(0, 2, 1)
     probs = np.trace(raw, axis1=1, axis2=2).real
     kept = (probs > PROBABILITY_FLOOR)[:, None, None]
     posts = np.divide(raw, probs[:, None, None], out=np.zeros_like(raw), where=kept)
     posts.flags.writeable = False
     probs = np.maximum(probs, 0.0)
-    scores = _stack_scores(probs, posts, schmidt_state(alpha))
+    scores = _stack_scores(probs, posts, phi)
     return tuple(
         ProtocolTranscript(
             alice_outcome=ai,
@@ -181,13 +177,6 @@ def _enumerate_branches(alpha: float, rho: np.ndarray) -> tuple[ProtocolTranscri
         )
         for (ai, bi), prob, post, score in zip(_BRANCHES, probs, posts, scores)
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _branch_table(alpha: float) -> tuple[ProtocolTranscript, ...]:
-    """The eight scored branches on the representative state at alpha, read by both run_protocol functions."""
-    phi = schmidt_state(alpha)
-    return _enumerate_branches(alpha, np.outer(phi, phi.conj()))
 
 
 def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
@@ -248,7 +237,7 @@ def run_protocol_sampled(alpha: float, trials: int = 100_000, seed: int = 7) -> 
     if trials < 1:
         raise ValueError("trials must be at least 1")
     table = _branch_table(float(alpha))
-    probs = np.clip([tr.joint_probability for tr in table], 0.0, None)
+    probs = np.array([tr.joint_probability for tr in table])
     scores = np.array([tr.fidelity for tr in table])
     total = probs.sum()
     if not np.all(np.isfinite(probs)) or total == 0.0:

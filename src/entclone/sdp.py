@@ -56,15 +56,15 @@ equalities through an orthonormal null-space basis N.  The dual iterate
 is four 2x2 blocks Z_k, standing for the same copies as the primal
 blocks; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
-exists and U = b^T y bounds the optimum from above whenever every
+exists and U = b y = y bounds the optimum from above whenever every
 Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
 weighted central path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
  - Start: x0 is alpha-independent (see _interior_start).  The dual
    starts at y0 I / (4c) - C(h) for c copies of the cone: h solves the
-   weighted Gram system G h = f and the copies' traces sum to 4c times
-   the trace row, so the stationarity residual is zero; y0 / (4c) is
-   twice |lambda_max(C(h))|, which puts Z inside the cone.
+   weighted Gram system G h = f, G diagonal, and the copies' traces sum
+   to 4c times the trace row, so the stationarity residual is zero;
+   y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
    closed-form NT scaling W = S # Z^-1 of every block, whose packed 3x3
@@ -165,17 +165,16 @@ class _Setup(NamedTuple):
     dirs: np.ndarray  # (4, 3, k) the forms along the null basis
     dual_map: np.ndarray  # (12, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
     project: np.ndarray  # (12, 12) orthogonal projector onto the null space of dual_map^T
-    gram_inv: np.ndarray  # (m, m) inverse of the weighted Gram matrix copies sum forms^T diag(_FORM_WEIGHTS) forms
+    gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram copies sum forms^T diag(_FORM_WEIGHTS) forms
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, equality rows, and the (12, m) forms of the block cone over the program's
-    coordinates (see _program), with the solver's alpha-independent setup for them."""
+    """Linear objective, the equality row (its right-hand side is 1), and the (12, m) forms of the block
+    cone over the program's coordinates (see _program), with the solver's alpha-independent setup for them."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
     cones: np.ndarray
     setup: _Setup
 
@@ -242,7 +241,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray, c: np.ndarray) -> float:
     return 2.0 / top if top > 0.0 else np.inf
 
 
-def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray, forms: np.ndarray) -> np.ndarray:
+def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Strictly feasible start: the no-communication point pushed inward.
 
     It is 0.9 times the no-communication point a = e_22 (basis[6], as
@@ -250,8 +249,8 @@ def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray
     the equalities (the maximally mixed feasible point).  Neither depends
     on alpha; the mix clears the cone by 2.8e-3.
     """
-    x0 = 0.9 * basis[6] + 0.1 * np.linalg.lstsq(eq_matrix, eq_rhs, rcond=None)[0]
-    feasible = np.linalg.norm(eq_matrix @ x0 - eq_rhs) <= 1e-9
+    x0 = 0.9 * basis[6] + 0.1 * np.linalg.lstsq(eq_matrix, np.ones(1), rcond=None)[0]
+    feasible = np.linalg.norm(eq_matrix @ x0 - 1.0) <= 1e-9
     if not feasible or _block_min(forms @ x0) <= 1e-8:
         raise ConvergenceError("could not find a strictly feasible starting point")
     return x0
@@ -277,11 +276,11 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
     dirs = forms @ null
     dual_map = (dirs * (copies * _FORM_WEIGHTS)[..., None]).reshape(-1, null.shape[1])
-    gram = np.einsum("bep,be,beq->pq", forms, copies * _FORM_WEIGHTS, forms)
+    gram_inv = 1.0 / np.einsum("bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
-    x0 = _interior_start(basis, eq, np.ones(1), forms)
+    x0 = _interior_start(basis, eq, forms)
     longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
-    setup = _Setup(basis, copies, *longs, np.linalg.inv(gram))
+    setup = _Setup(basis, copies, *longs, gram_inv)
     for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
     return cone, setup
@@ -305,7 +304,7 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     cones, setup = _PROGRAMS[bool(with_ppt)]
     f = fidelity_coefficients(alpha, t).reshape(-1) @ setup.basis
     eq = (constraint_matrices()[0] @ setup.basis)[None, :]
-    return SdpProblem(objective=f, eq_matrix=eq, eq_rhs=np.ones(1), cones=cones, setup=setup)
+    return SdpProblem(objective=f, eq_matrix=eq, cones=cones, setup=setup)
 
 
 def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
@@ -320,7 +319,7 @@ def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations:
         f_star=float(problem.objective @ x),
         min_eigenvalues=(float(_block_min(setup.forms @ x)),) * setup.copies,
         iterations=iterations,
-        upper_bound=float(problem.eq_rhs[0] * y),
+        upper_bound=float(y),
         dual_residual=float(np.abs(e * y - r).max()),
         min_dual_eigenvalue=float(_block_min(zs)),
     )
@@ -359,7 +358,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     weights = setup.copies * _FORM_WEIGHTS
     mu_min = tol / (2.0 * nu)
     # S, Z as sz[0], sz[1] and their step dsz, so block formulas run once on both; Z starts at y0 I / (4c) - C(h).
-    ch = forms @ (setup.gram_inv @ problem.objective)
+    ch = forms @ (setup.gram_inv * problem.objective)
     sz = np.empty((2, *ch.shape), forms.dtype)
     sz[1] = 2.0 * abs(_block_min(-ch)) * _IDENTITY - ch
     if _block_min(sz[1]) <= 0.0:

@@ -69,6 +69,8 @@ MUTANTS = (
            "a.astype(np.longdouble)", "a.astype(np.float64)"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
+    Mutant("sdp PPT Gram without its copies factor", SDP,
+           '"bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms', '"bep,be,bep->p", forms, _FORM_WEIGHTS, forms'),
     Mutant("sdp.CONE_FORMS side block p = a13 -> a23", SDP,
            "[0, 0, 0, 0, 0, 0, _H, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, _H],  # c_j Xi: p = a13"),
     Mutant("sdp.CONE_FORMS corner block p = a33 -> 2 a33", SDP,

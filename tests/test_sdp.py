@@ -75,7 +75,6 @@ def test_symmetry_rows_vanish_on_the_fixed_subspace():
     assert np.abs(sym_rows @ FIXED).max() <= 1e-15
     problem = build_problem(0.4)
     assert np.array_equal(problem.eq_matrix, (trace_row @ FIXED)[None, :])
-    assert np.array_equal(problem.eq_rhs, [1.0])
 
 
 def _weighted_spectrum(forms, x):
@@ -106,7 +105,7 @@ def test_problem_shapes():
     assert np.abs(ppt.objective - np.delete(plain.objective, A55)).max() <= 1e-15
     assert np.abs(ppt.eq_matrix - np.delete(plain.eq_matrix, A55, axis=1)).max() <= 1e-15
     for problem in (plain, ppt):
-        arrays = [problem.objective, problem.eq_matrix, problem.eq_rhs, problem.cones]
+        arrays = [problem.objective, problem.eq_matrix, problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     flip = np.where(np.arange(8) == A55, -1.0, 1.0)
     rng = np.random.default_rng(20050203)

@@ -14,7 +14,8 @@ the numerical derivation in tests/reference.py reproduces every literal.
 They also check the three premises on which the PPT program is solved on
 its a55 = 0 slice (see the sdp module docstring): the objective's a55
 coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
-forms are the plain ones with the a55 column negated.
+forms are the plain ones with the a55 column negated; and the premise of
+the dual start, that each program's weighted Gram matrix is diagonal.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
-from entclone.sdp import CONE_FORMS, FIXED, build_problem
+from entclone.sdp import BLOCK_WEIGHTS, CONE_FORMS, FIXED, build_problem
 from reference import block_cone, dense_constraint_matrices, dense_fidelity_coefficients, functional_table
 
 SQRT2 = math.sqrt(2.0)
@@ -100,3 +101,22 @@ def test_cone_forms_are_literal_and_ppt_flips_a55():
 def test_threshold_is_x0_one_tenth():
     a0 = alpha_critical()
     assert abs(a0 * a0 * (1.0 - a0 * a0) - 0.1) <= 1e-16
+
+
+def test_weighted_gram_is_diagonal():
+    """copies sum forms^T diag(weights) forms, each block's forms weighted by its copies and q counted
+    twice, is exactly diagonal, with entries 4, 4, 16, 16, 16, 4, 8, 8 (plain) and 8, 8, 32, 32, 8, 16, 16
+    (PPT), those of the sqrt(2) a_ij coordinates times 2 h^2 = 1 + 2^-52, h the double nearest
+    1/sqrt(2).  So setup.gram_inv, its reciprocal diagonal, is np.linalg.inv of it bit for bit."""
+    weights = np.outer(BLOCK_WEIGHTS, [1.0, 2.0, 1.0])
+    h2 = math.sqrt(0.5) ** 2
+    assert 2.0 * h2 == 1.0 + 2.0**-52
+    for with_ppt, diagonal in ((False, [4, 4, 16, 16, 16, 4, 8, 8]), (True, [8, 8, 32, 32, 8, 16, 16])):
+        setup = build_problem(0.3, with_ppt=with_ppt).setup
+        cone = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
+        forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
+        gram = setup.copies * np.einsum("bep,be,beq->pq", forms, weights, forms)
+        diagonal = np.array(diagonal, dtype=float)
+        diagonal[-3:] *= 2.0 * h2
+        assert np.array_equal(gram, np.diag(diagonal))
+        assert np.array_equal(np.linalg.inv(gram), np.diag(setup.gram_inv))
