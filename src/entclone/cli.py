@@ -53,6 +53,8 @@ _SWEEP_MODES = {
     "sdp": ("f_sdp", lambda alpha, tol: solve(build_problem(alpha), tol=tol).f_star),
     "sdp-ppt": ("f_sdp_ppt", lambda alpha, tol: solve(build_problem(alpha, with_ppt=True), tol=tol).f_star),
 }
+# The program, as build_problem's with_ppt, that each solving mode solves.
+_SOLVED = {"sdp": False, "sdp-ppt": True}
 
 
 def _parse_alpha(text: str) -> float:
@@ -115,6 +117,20 @@ def _resolve_seed(value: int | None) -> int:
     if value < 0:
         raise ValueError(f"seed must be a non-negative integer, got {value}")
     return value
+
+
+def _check_tol_floor(args: argparse.Namespace) -> None:
+    """Refuse a --tol below the solver's floor for the programs the command solves: verify solves both,
+    a sweep those of its solving modes.  Raises ValueError."""
+    if args.command == "verify":
+        solved = [False, True]
+    else:
+        solved = [_SOLVED[mode] for mode in getattr(args, "modes", ()) if mode in _SOLVED]
+    if not solved:
+        return
+    floor = max(build_problem(0.0, with_ppt=with_ppt).tol_floor for with_ppt in solved)
+    if args.tol < floor:
+        raise ValueError(f"tol must be at least the solver's floor {floor:.3g}, got {args.tol:g}")
 
 
 def _fmt_value(value) -> str:
@@ -301,6 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.seed = _resolve_seed(args.seed)
         if "alpha_min" in args and args.alpha_min > args.alpha_max:
             raise ValueError(f"alpha range must satisfy min <= max, got [{args.alpha_min}, {args.alpha_max}]")
+        _check_tol_floor(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,7 @@ exists and U = b y = y bounds the optimum from above whenever every
 Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
 weighted central path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
- - Start: x0 is alpha-independent (see _interior_start).  The dual
+ - Start: x0 is alpha-independent (see _program).  The dual
    starts at y0 I / (4c) - C(h) for c copies of the cone: h solves the
    weighted Gram system G h = f, G diagonal, and the copies' traces sum
    to 4c times the trace row, so the stationarity residual is zero;
@@ -81,7 +81,9 @@ Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
 parts of a solve are built once, at import, for the plain and the PPT
-program, and travel as SdpProblem.setup.
+program, and travel as SdpProblem.setup: the null basis and the start are
+closed forms in the trace row, and the one factorization is the dual
+projector's np.linalg.solve, one per program.
 """
 
 from __future__ import annotations
@@ -183,6 +185,11 @@ class SdpProblem:
         """Barrier parameter: the summed dimension of the full operators the cone stands for."""
         return float(self.setup.copies * 2 * sum(BLOCK_WEIGHTS))
 
+    @property
+    def tol_floor(self) -> float:
+        """The smallest tol solve accepts, 2 nu 1e-12 (mu_min >= 1e-12): 1.28e-10 plain, 2.56e-10 PPT."""
+        return 2.0 * self.nu * 1e-12
+
 
 @dataclass(frozen=True)
 class SdpSolution:
@@ -241,44 +248,36 @@ def _max_step(v: np.ndarray, dv: np.ndarray, c: np.ndarray) -> float:
     return 2.0 / top if top > 0.0 else np.inf
 
 
-def _interior_start(basis: np.ndarray, eq_matrix: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """Strictly feasible start: the no-communication point pushed inward.
-
-    It is 0.9 times the no-communication point a = e_22 (basis[6], as
-    a_22 sits at flat index 6) plus 0.1 times the least-squares point of
-    the equalities (the maximally mixed feasible point).  Neither depends
-    on alpha; the mix clears the cone by 2.8e-3.
-    """
-    x0 = 0.9 * basis[6] + 0.1 * np.linalg.lstsq(eq_matrix, np.ones(1), rcond=None)[0]
-    feasible = np.linalg.norm(eq_matrix @ x0 - 1.0) <= 1e-9
-    if not feasible or _block_min(forms @ x0) <= 1e-8:
-        raise ConvergenceError("could not find a strictly feasible starting point")
-    return x0
-
-
 def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     """The cone forms and solver setup of the plain or PPT program: all of it but the objective's x.
 
     The plain program runs on the 8 FIXED coordinates, the PPT program on
-    the 7 without a55 with the plain cone counted twice.  Every array in
-    them is read-only.  Raises ConvergenceError if the equalities leave
-    no freedom or the start is not strictly feasible.
+    the 7 without a55 with the plain cone counted twice.  The trace row e
+    is the one equality, so its null space and its minimum-norm point are
+    closed forms: the null basis is the last m - 1 columns of the
+    Householder reflection I - h h^T / h_0, h = e / |e| + e_1, which maps
+    e_1 to -e / |e|, and the point is e / (e.e), the maximally mixed
+    feasible point.  The start x0 is 0.9 times the no-communication point
+    a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times that
+    point; it does not depend on alpha, and it clears the cone by 2.8e-3.
+    Every array in the setup is read-only.  Raises ConvergenceError if x0
+    misses the equality or the cone's interior.
     """
     basis, cone, copies = FIXED, CONE_FORMS, 1
     if with_ppt:
         basis, cone = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone))
         copies = 2
-    eq = (constraint_matrices()[0] @ basis)[None, :]
-    _, sv, vh = np.linalg.svd(eq)
-    null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
-    if null.shape[1] == 0:
-        raise ConvergenceError("equality constraints leave no degrees of freedom")
+    e = constraint_matrices()[0] @ basis
+    h = e / np.sqrt(e @ e) + np.eye(len(e))[0]
+    null = (np.eye(len(e)) - np.outer(h, h) / h[0])[:, 1:]
     forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
+    x0 = 0.9 * basis[6] + 0.1 * e / (e @ e)
+    if not (abs(e @ x0 - 1.0) <= 1e-9 and _block_min(forms @ x0) > 1e-8):
+        raise ConvergenceError("could not find a strictly feasible starting point")
     dirs = forms @ null
     dual_map = (dirs * (copies * _FORM_WEIGHTS)[..., None]).reshape(-1, null.shape[1])
     gram_inv = 1.0 / np.einsum("bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
-    x0 = _interior_start(basis, eq, forms)
     longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
     setup = _Setup(basis, copies, *longs, gram_inv)
     for arr in (cone, basis, *setup[2:]):
@@ -351,7 +350,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     nu = problem.nu
-    if tol < 2.0 * nu * 1e-12:
+    if tol < problem.tol_floor:
         raise ValueError("tol is below the attainable barrier floor for this cone size")
     setup = problem.setup
     forms, dirs, dual_map, null, project = setup.forms, setup.dirs, setup.dual_map, setup.null, setup.project

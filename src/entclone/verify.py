@@ -204,16 +204,14 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
             w = two_party_rep(random_su2(rng), random_su2(rng))
             cov = max(cov, float(np.max(np.abs(w @ ptilde @ w.conj().T - ptilde))))
 
+        # The trace row e and the orthonormal symmetry rows S have disjoint
+        # supports, so P projects onto the null space of all four rows and
+        # e / (e.e) + P g is feasible for every g.
         eq, sym_rows = constraint_matrices()
-        rows = np.vstack([eq[None, :], sym_rows])
-        rhs = np.zeros(rows.shape[0])
-        rhs[0] = 1.0
-        x_part = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-        _, sv, vh = np.linalg.svd(rows)
-        null = vh[int(np.sum(sv > 1e-12 * sv[0])):].T
+        project = np.eye(len(eq)) - np.outer(eq, eq) / (eq @ eq) - sym_rows.T @ sym_rows
         feas = 0.0
         for _ in range(5):
-            x = x_part + null @ (0.3 * rng.normal(size=null.shape[1]))
+            x = eq / (eq @ eq) + project @ (0.3 * rng.normal(size=len(eq)))
             choi = assemble_ptilde(x.reshape(5, 5))
             feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))))
             for _ in range(2):

@@ -85,6 +85,16 @@ MUTANTS = (
     Mutant("covariant.BLOCK_X t4 block [[0, 1], [1, 0]] -> [[0, 2], [2, 0]]", "src/entclone/covariant.py",
            "[[0, 1], [1, 0]]", "[[0, 2], [2, 0]]"),
     Mutant("sdp.FIXED off-diagonal weight 1/sqrt(2) -> 1/2", SDP, "1.0 / np.sqrt(2.0)", "0.5"),
+    Mutant("sdp null-basis reflection without its + e_1", SDP,
+           "h = e / np.sqrt(e @ e) + np.eye(len(e))[0]", "h = e / np.sqrt(e @ e)"),
+    Mutant("sdp null-basis reflection I - h h^T / h_0 -> I - h h^T / (h.h)", SDP,
+           "np.outer(h, h) / h[0]", "np.outer(h, h) / (h @ h)"),
+    Mutant("sdp start's min-norm point e / (e.e) -> e / |e|", SDP,
+           "0.1 * e / (e @ e)", "0.1 * e / np.sqrt(e @ e)"),
+    Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,
+           "return 2.0 * self.nu * 1e-12", "return self.nu * 1e-12"),
+    Mutant("verify criterion 9 projector without its S^T S term", "src/entclone/verify.py",
+           " - sym_rows.T @ sym_rows", ""),
     Mutant("covariant.check_t accepts any t", "src/entclone/covariant.py",
            "if t is not T_OPERATORS:", "if False:"),
     Mutant("sdp.detect_threshold takes np.median again", SDP,
@@ -99,6 +109,10 @@ MUTANTS = (
     Mutant("cli._int_at_least off by one", CLI, "if value < minimum:", "if value < minimum - 1:"),
     Mutant("cli._parse_modes keeps the given order", CLI,
            "return [mode for mode in _SWEEP_MODES if mode in modes]", "return modes"),
+    Mutant("cli tol floor: sdp-ppt read as the plain program", CLI,
+           '_SOLVED = {"sdp": False, "sdp-ppt": True}', '_SOLVED = {"sdp": False, "sdp-ppt": False}'),
+    Mutant("cli tol floor: verify checked against the plain program only", CLI,
+           "        solved = [False, True]\n", "        solved = [False]\n"),
 )
 
 

@@ -9,6 +9,7 @@ import pytest
 from entclone.analytic import ALPHA_MAX, fidelity_bh, fidelity_global, fidelity_locc
 from entclone import cli
 from entclone.cli import main
+from entclone.sdp import build_problem, solve
 
 
 def run_cli(capsys, *argv):
@@ -100,14 +101,18 @@ def test_sweep_reports_missing_kink(capsys):
     assert "kink detection skipped" in err
 
 
-def test_sweep_solver_failure_sets_error_column(capsys):
-    code, out, _ = run_cli(
+def test_sweep_solver_failure_sets_error_column(capsys, monkeypatch):
+    """A solve that stops at its iteration cap aborts the sweep with exit 3 and its message in the error column."""
+    monkeypatch.setattr(cli, "solve", lambda problem, tol: solve(problem, tol=tol, max_iter=1))
+    code, out, err = run_cli(
         capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
-        "--modes", "sdp", "--format", "csv", "--tol", "1e-30",
+        "--modes", "sdp", "--format", "csv",
     )
     assert code == 3
     _, rows = parse_csv(out)
-    assert rows[0][1] == "" and rows[0][2] != ""
+    assert len(rows) == 1
+    assert rows[0][1] == "" and rows[0][2] == "solver failure: no convergence within 1 iterations"
+    assert err == "error: sweep aborted: no convergence within 1 iterations\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7", "tiny"])
@@ -287,10 +292,58 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
-def test_verify_rejects_unattainable_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--tol", "1e-30")
-    assert code == 1
-    assert "[FAIL]" in out
+def test_verify_rejects_unattainable_tolerance(capsys, monkeypatch):
+    """A tol below the PPT program's floor is a usage error: verify solves both programs."""
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("verification ran"))
+    code, out, err = run_cli(capsys, "verify", "--tol", "1e-30")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be at least the solver's floor 2.56e-10, got 1e-30\n"
+
+
+@pytest.mark.parametrize(
+    "argv, floor",
+    [
+        (("verify", "--tol", "2e-10"), "2.56e-10"),
+        (("sweep", "--modes", "sdp-ppt", "--tol", "2e-10"), "2.56e-10"),
+        (("sweep", "--modes", "sdp,bh", "--tol", "1.2e-10"), "1.28e-10"),
+        (("sweep", "--modes", "sdp,sdp-ppt", "--tol", "2e-10"), "2.56e-10"),
+    ],
+)
+def test_tol_below_the_solver_floor_is_a_usage_error(capsys, monkeypatch, argv, floor):
+    """A finite, positive --tol below the floor of a program the command solves is refused with one error
+    line and exit 2, before any solve, verification or output."""
+    for name in ("solve", "run_all"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tol must be at least the solver's floor {floor}, got {argv[-1]}\n"
+
+
+def test_tol_floor_is_the_solvers_own():
+    """The CLI reads each program's floor from the problem, whose floor solve enforces: 2 nu 1e-12."""
+    for with_ppt, floor in ((False, 1.28e-10), (True, 2.56e-10)):
+        problem = build_problem(0.3, with_ppt=with_ppt)
+        assert math.isclose(problem.tol_floor, floor, rel_tol=1e-15)
+        sol = solve(problem, tol=problem.tol_floor)
+        assert 0.0 < sol.upper_bound - sol.f_star <= problem.tol_floor
+        with pytest.raises(ValueError, match="floor"):
+            solve(problem, tol=problem.tol_floor * (1.0 - 2.0**-52))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--modes", "sdp", "--steps", "3", "--tol", "2e-10"), ("sweep", "--modes", "global", "--tol", "1e-30")],
+)
+def test_tol_above_the_solved_programs_floor_runs(capsys, argv):
+    """The floor is that of the programs the sweep solves: 2e-10 clears the plain program's, and a sweep of
+    closed forms solves nothing, so any finite, positive tol runs."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    _, rows = parse_csv(out)
+    assert rows and all(row[-1] == "" for row in rows)
 
 
 @pytest.mark.parametrize("command", ["sweep", "params"])

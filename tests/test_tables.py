@@ -14,8 +14,11 @@ the numerical derivation in tests/reference.py reproduces every literal.
 They also check the three premises on which the PPT program is solved on
 its a55 = 0 slice (see the sdp module docstring): the objective's a55
 coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
-forms are the plain ones with the a55 column negated; and the premise of
-the dual start, that each program's weighted Gram matrix is diagonal.
+forms are the plain ones with the a55 column negated; the premise of
+the dual start, that each program's weighted Gram matrix is diagonal; the
+closed forms of the primal null basis and start; and the premise of
+criterion 9's feasible points, that the trace row and the symmetry rows
+have disjoint supports.
 """
 
 import math
@@ -26,7 +29,13 @@ from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
 from entclone.sdp import BLOCK_WEIGHTS, CONE_FORMS, FIXED, build_problem
-from reference import block_cone, dense_constraint_matrices, dense_fidelity_coefficients, functional_table
+from reference import (
+    _dense_spectra,
+    block_cone,
+    dense_constraint_matrices,
+    dense_fidelity_coefficients,
+    functional_table,
+)
 
 SQRT2 = math.sqrt(2.0)
 FORM_ENTRIES = np.array([0.0, 1.0, -1.0, math.sqrt(0.5)])
@@ -120,3 +129,49 @@ def test_weighted_gram_is_diagonal():
         diagonal[-3:] *= 2.0 * h2
         assert np.array_equal(gram, np.diag(diagonal))
         assert np.array_equal(np.linalg.inv(gram), np.diag(setup.gram_inv))
+
+
+def test_null_basis_is_the_trace_rows_reflection():
+    """Each program's null basis is the last m - 1 columns of the Householder reflection I - h h^T / h_0,
+    h = e / |e| + e_1, of its trace row e (e.e = 36): orthonormal, orthogonal to e, and equal to the
+    complement np.linalg.svd finds, all to 1e-15 (measured 2.2e-16, 8.9e-16 and 0).  The SVD is only the
+    reference here: bit-equality with it depends on the numpy and LAPACK build, so it is not asserted."""
+    for with_ppt in (False, True):
+        problem = build_problem(0.3, with_ppt=with_ppt)
+        (e,) = problem.eq_matrix
+        null = problem.setup.null.astype(float)
+        m = len(e)
+        assert e @ e == 36.0
+        h = e / 6.0 + np.eye(m)[0]
+        assert np.abs(null - (np.eye(m) - np.outer(h, h) / h[0])[:, 1:]).max() <= 1e-15
+        assert np.abs(null.T @ null - np.eye(m - 1)).max() <= 1e-15
+        assert np.abs(e @ null).max() <= 1e-15
+        assert np.abs(null - np.linalg.svd(e[None, :])[2][1:].T).max() <= 1e-15
+
+
+def test_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
+    """x0 = 0.9 e_22 + 0.1 e / (e.e): e / (e.e) is the equality's least-squares point (to 1e-16) and lifts to
+    TRACE_ROW / 36, x0 meets the equality, and both dense operators at x0 clear 0 by 1/360 = 2.8e-3."""
+    for with_ppt in (False, True):
+        problem = build_problem(0.3, with_ppt=with_ppt)
+        (e,) = problem.eq_matrix
+        basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
+        min_norm = e / (e @ e)
+        assert np.abs(min_norm - np.linalg.lstsq(e[None, :], np.ones(1), rcond=None)[0]).max() <= 1e-16
+        assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * min_norm)
+        no_communication = np.eye(25)[6]  # a = e_22
+        assert np.abs(basis @ x0 - (0.9 * no_communication + 0.1 * TRACE_ROW / 36.0)).max() <= 1e-16
+        assert abs(e @ x0 - 1.0) <= 1e-15
+        for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
+            assert abs(spectrum[0] - 1.0 / 360.0) <= 1e-15
+
+
+def test_trace_row_and_symmetry_rows_have_disjoint_supports():
+    """No flat index carries both TRACE_ROW and a symmetry row, so e is orthogonal to the orthonormal rows S
+    exactly and I - e e^T / (e.e) - S^T S, criterion 9's projector, projects onto the null space of all four
+    rows: it equals the projector from np.linalg.svd's complement to 1e-15."""
+    assert not np.any((TRACE_ROW != 0.0) & np.any(SYMMETRY_ROWS != 0.0, axis=0))
+    assert np.array_equal(SYMMETRY_ROWS @ TRACE_ROW, np.zeros(3))
+    project = np.eye(25) - np.outer(TRACE_ROW, TRACE_ROW) / (TRACE_ROW @ TRACE_ROW) - SYMMETRY_ROWS.T @ SYMMETRY_ROWS
+    null = np.linalg.svd(np.vstack([TRACE_ROW, SYMMETRY_ROWS]))[2][4:].T
+    assert np.abs(project - null @ null.T).max() <= 1e-15
