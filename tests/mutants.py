@@ -90,7 +90,9 @@ MUTANTS = (
     Mutant("sdp null-basis reflection I - h h^T / h_0 -> I - h h^T / (h.h)", SDP,
            "np.outer(h, h) / h[0]", "np.outer(h, h) / (h @ h)"),
     Mutant("sdp start's min-norm point e / (e.e) -> e / |e|", SDP,
-           "0.1 * e / (e @ e)", "0.1 * e / np.sqrt(e @ e)"),
+           "min_norm = e / (e @ e)", "min_norm = e / np.sqrt(e @ e)"),
+    Mutant("sdp plain start back at 0.9 e_22 + 0.1 e / (e.e)", SDP,
+           "0.1 * min_norm if with_ppt else min_norm", "0.1 * min_norm"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,
            "return 2.0 * self.nu * 1e-12", "return self.nu * 1e-12"),
     Mutant("verify criterion 9 projector without its S^T S term", "src/entclone/verify.py",

@@ -10,9 +10,9 @@
   block_cone derives sdp.CONE_FORMS from them, refusing blocks that do
   not split.
 - Kraus enumeration: each Kraus operator applied alone.
-- Solver: solve's primal-dual iteration on the unreduced PPT program's
-  64x64 operators, and the Newton decrement of its dense log-barrier as
-  a certificate of centrality.
+- Solver: solve's primal-dual iteration on the unreduced plain or PPT
+  program's 64x64 operators, and the Newton decrement of the PPT
+  program's dense log-barrier as a certificate of centrality.
 """
 
 import functools
@@ -201,13 +201,15 @@ def _dense_step(m, dm):
     return -1.0 / low if low < 0.0 else np.inf
 
 
-def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7):
-    """solve's primal-dual iteration run on the unreduced PPT program, both dense 64x64 operators over all
-    8 FIXED coordinates; returns (iterations, f*).
+def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7, with_ppt=True):
+    """solve's primal-dual iteration run on the unreduced program over all 8 FIXED coordinates: the dense
+    64x64 operator and, for the PPT program, its partial transpose; returns (iterations, f*).
 
-    It keeps solve's primal start, CENTRING, STEP_FRACTION, floor
-    mu_min = tol / (2 nu), nu = 128, and stop rule.  The dual start is
-    the same basis-free y0 I / 8 - C(h), with h from the Frobenius Gram
+    It keeps solve's primal start (the trace row's least-squares point,
+    pulled to 0.9 e_22 + 0.1 times it for the PPT program), CENTRING,
+    STEP_FRACTION, floor mu_min = tol / (2 nu), nu = 64 per operator,
+    and stop rule.  The dual start is the same basis-free
+    y0 I / (4c) - C(h) for c operators, with h from the Frobenius Gram
     matrix of the dense operators and y0 from C(h)'s largest
     eigenvalue.  The NT scaling W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2,
     the complementarity spectra and the step bounds come from eigh of
@@ -216,10 +218,14 @@ def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7):
     block solver cannot have, and projected onto the dual equalities in
     the Frobenius inner product.
     """
-    f, trace_row, null, cones = _dense_program(alpha, t)
-    nu = 128.0  # the dimensions of the two 64x64 operators
+    f, trace_row, null, both = _dense_program(alpha, t)
+    count = 2 if with_ppt else 1
+    cones = lambda x: both(x)[:count]  # noqa: E731
+    nu = 64.0 * count  # the dimensions of the 64x64 operators
     inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
-    x = 0.9 * FIXED[6] + 0.1 * np.linalg.lstsq(trace_row[None, :], np.ones(1), rcond=None)[0]
+    x = np.linalg.lstsq(trace_row[None, :], np.ones(1), rcond=None)[0]
+    if with_ppt:
+        x = 0.9 * FIXED[6] + 0.1 * x
     units = [cones(e) for e in np.eye(8)]
     ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
     top = max(np.linalg.eigvalsh(c)[-1] for c in ch)

@@ -164,6 +164,19 @@ def test_ppt_solution_matches_dense_witness(alpha):
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
+def test_plain_solution_matches_dense_witness(alpha):
+    """solve's blocks on the plain program against its dense 64x64 operator: the same minimum eigenvalue,
+    and the same primal-dual iterations and optimum as the one-cone path from the min-norm start
+    (measured: 7 iterations each and |df*| <= 2.2e-16)."""
+    sol = solve(build_problem(alpha))
+    assert len(sol.min_eigenvalues) == 1
+    assert abs(sol.min_eigenvalues[0] - _dense_spectra(sol.a_star)[0][0]) < 1e-10
+    iterations, f_star = dense_nt_path(alpha, with_ppt=False)
+    assert sol.iterations == iterations == 7
+    assert abs(sol.f_star - f_star) < 1e-12
+
+
 def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the cone forms and solver setup built at
     import, read-only; only the objective is new, channel's functional on the program's coordinates.
@@ -239,11 +252,10 @@ def test_solver_is_deterministic():
     assert abs(first.f_star - fidelity_locc(0.5)) < 1e-6
 
 
-# Iterations at each alpha of verify's 50-point grid at the default tol, as the solver took them
-# before its iterates were packed into one array: a faster loop must walk the same path.
+# Iterations at each alpha of verify's 50-point grid at the default tol: a faster loop must walk the
+# same path.  The plain program, started at its trace row's min-norm point, takes 7 at every alpha.
 PATH_ITERATIONS = {
-    False: (9, 9, 10, 10, 9, 9, 9, 9, 10, 9, 8, 10, 10, 9, 8, 9, 11, 11, 11, 10, 9, 10, 10, 10, 10,
-            10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12, 12, 12, 12, 12, 12, 11, 11, 12, 12, 12, 12, 12, 12, 12),
+    False: (7,) * 50,
     True: (10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 11, 11, 11, 11, 10, 9, 8, 9, 10, 10, 11,
            11, 10, 11, 11, 11, 12, 13, 14, 14, 14, 14, 14, 14, 14, 14, 13, 14, 11, 11, 10, 13, 13, 12, 13, 13),
 }
@@ -254,6 +266,17 @@ def test_iteration_counts_are_pinned(with_ppt):
     """Every solve on verify's grid takes the pinned number of iterations."""
     grid = np.linspace(0.0, ALPHA_MAX, 50)
     assert tuple(sol.iterations for _, sol in sweep_solutions(grid, with_ppt)) == PATH_ITERATIONS[with_ppt]
+
+
+# The tolerance tests' 88 alphas: the 51-point grid on [0, 1/sqrt(2)], alpha0 and the 36-point kink grid.
+FLOOR_GRID = [*np.linspace(0.0, ALPHA_MAX, 51), alpha_critical(), *np.arange(0.30, 0.37 + 1e-12, 0.002)]
+
+
+@pytest.mark.parametrize("tol, iterations", [(1e-5, 6), (1e-7, 7), (1e-8, 8), (1e-9, 9), (1.28e-10, 9)])
+def test_plain_iterations_do_not_depend_on_alpha(tol, iterations):
+    """From the min-norm start, every plain solve on the floor test's 88-point grid takes the same
+    number of iterations at a given tol."""
+    assert {solve(build_problem(alpha), tol=tol).iterations for alpha in FLOOR_GRID} == {iterations}
 
 
 def test_solve_rejects_bad_tolerances():
@@ -312,19 +335,23 @@ def test_every_iterate_is_certified(alpha, with_ppt):
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 def test_solve_converges_at_the_tolerance_floor(with_ppt):
-    """Down to tol near its floor 2 nu 1e-12, every solve on the 51-point grid, the 36-point kink
-    grid and alpha0 returns a certified optimum: f* <= F_closed <= U, U - f* <= tol, a
-    rounding-level dual residual and a positive definite Z.  Each plain solve takes at most 24
-    iterations: 16 at most with the NT direction refined in long double, up to 35 without."""
+    """Down to tol near its floor 2 nu 1e-12, every solve on FLOOR_GRID returns a certified optimum:
+    f* <= F_closed <= U, U - f* <= tol, a rounding-level dual residual and a positive definite Z.
+    Each plain solve takes 9 iterations, with or without the NT direction refined in long double.
+    The PPT solves take 1169 in all; without the refinement they take 1219."""
     tol = 1.3e-10 if not with_ppt else 2.6e-10
-    grid = [*np.linspace(0.0, ALPHA_MAX, 51), alpha_critical(), *np.arange(0.30, 0.37 + 1e-12, 0.002)]
-    for alpha in grid:
+    iterations = []
+    for alpha in FLOOR_GRID:
         closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
         sol = solve(build_problem(alpha, with_ppt=with_ppt), tol=tol)
         assert sol.f_star <= closed <= sol.upper_bound <= sol.f_star + tol
         assert sol.dual_residual <= 1e-12
         assert sol.min_dual_eigenvalue > 0.0
-        assert with_ppt or sol.iterations <= 24
+        iterations.append(sol.iterations)
+    if with_ppt:
+        assert sum(iterations) == 1169
+    else:
+        assert set(iterations) == {9}
 
 
 def test_sweep_failure_names_its_point(monkeypatch):

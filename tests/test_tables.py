@@ -16,9 +16,9 @@ its a55 = 0 slice (see the sdp module docstring): the objective's a55
 coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
 forms are the plain ones with the a55 column negated; the premise of
 the dual start, that each program's weighted Gram matrix is diagonal; the
-closed forms of the primal null basis and start; and the premise of
-criterion 9's feasible points, that the trace row and the symmetry rows
-have disjoint supports.
+closed forms of the primal null basis and of each program's start; and
+the premise of criterion 9's feasible points, that the trace row and the
+symmetry rows have disjoint supports.
 """
 
 import math
@@ -149,21 +149,33 @@ def test_null_basis_is_the_trace_rows_reflection():
         assert np.abs(null - np.linalg.svd(e[None, :])[2][1:].T).max() <= 1e-15
 
 
-def test_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
-    """x0 = 0.9 e_22 + 0.1 e / (e.e): e / (e.e) is the equality's least-squares point (to 1e-16) and lifts to
-    TRACE_ROW / 36, x0 meets the equality, and both dense operators at x0 clear 0 by 1/360 = 2.8e-3."""
-    for with_ppt in (False, True):
-        problem = build_problem(0.3, with_ppt=with_ppt)
-        (e,) = problem.eq_matrix
-        basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
-        min_norm = e / (e @ e)
-        assert np.abs(min_norm - np.linalg.lstsq(e[None, :], np.ones(1), rcond=None)[0]).max() <= 1e-16
-        assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * min_norm)
-        no_communication = np.eye(25)[6]  # a = e_22
-        assert np.abs(basis @ x0 - (0.9 * no_communication + 0.1 * TRACE_ROW / 36.0)).max() <= 1e-16
-        assert abs(e @ x0 - 1.0) <= 1e-15
-        for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
-            assert abs(spectrum[0] - 1.0 / 360.0) <= 1e-15
+def test_plain_start_is_the_min_norm_point():
+    """The plain program's x0 is e / (e.e) bit for bit, the equality's least-squares point (to 1e-16); it
+    lifts to TRACE_ROW / 36, meets the equality, and both dense operators there have the spectrum
+    {1, 2, 4} / 36 with multiplicities 16, 32, 16, so they clear 0 by 1/36 = 2.8e-2."""
+    problem = build_problem(0.3)
+    (e,) = problem.eq_matrix
+    basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
+    assert np.array_equal(x0, e / (e @ e))
+    assert np.abs(x0 - np.linalg.lstsq(e[None, :], np.ones(1), rcond=None)[0]).max() <= 1e-16
+    assert np.abs(basis @ x0 - TRACE_ROW / 36.0).max() <= 1e-16
+    assert abs(e @ x0 - 1.0) <= 1e-15
+    for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
+        assert np.abs(spectrum - np.repeat([1.0, 2.0, 4.0], [16, 32, 16]) / 36.0).max() <= 1e-15
+
+
+def test_ppt_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
+    """The PPT program's x0 = 0.9 e_22 + 0.1 e / (e.e) lifts to 0.9 e_22 + 0.1 TRACE_ROW / 36, meets the
+    equality, and both dense operators at x0 clear 0 by 1/360 = 2.8e-3."""
+    problem = build_problem(0.3, with_ppt=True)
+    (e,) = problem.eq_matrix
+    basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
+    assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * (e / (e @ e)))
+    no_communication = np.eye(25)[6]  # a = e_22
+    assert np.abs(basis @ x0 - (0.9 * no_communication + 0.1 * TRACE_ROW / 36.0)).max() <= 1e-16
+    assert abs(e @ x0 - 1.0) <= 1e-15
+    for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
+        assert abs(spectrum[0] - 1.0 / 360.0) <= 1e-15
 
 
 def test_trace_row_and_symmetry_rows_have_disjoint_supports():
