@@ -32,6 +32,7 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 ANALYTIC = "src/entclone/analytic.py"
 SDP = "src/entclone/sdp.py"
 CLI = "src/entclone/cli.py"
+VERIFY = "src/entclone/verify.py"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +64,9 @@ MUTANTS = (
     Mutant("sdp.STEP_FRACTION 0.99 -> 0.95", SDP, "STEP_FRACTION = 0.99", "STEP_FRACTION = 0.95"),
     Mutant("sdp.solve stop test 1e-3 mu_min -> 1e-1 mu_min", SDP,
            "radius).max() <= 1e-3 * mu_min", "radius).max() <= 1e-1 * mu_min"),
+    Mutant("sdp.solve without the dual projection", SDP,
+           "np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)",
+           "target - (scaling @ dsz[0][..., None])[..., 0]"),
     Mutant("sdp.solve without the refinement solve", SDP,
            "        dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))\n", ""),
     Mutant("sdp setup and iterates in float64, not long double", SDP,
@@ -95,8 +99,16 @@ MUTANTS = (
            "0.1 * min_norm if with_ppt else min_norm", "0.1 * min_norm"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,
            "return 2.0 * self.nu * 1e-12", "return self.nu * 1e-12"),
-    Mutant("verify criterion 9 projector without its S^T S term", "src/entclone/verify.py",
-           " - sym_rows.T @ sym_rows", ""),
+    Mutant("verify criterion 9 projector without its S^T S term", VERIFY, " - sym_rows.T @ sym_rows", ""),
+    Mutant("verify tol check flipped to >=", VERIFY, '"tol": operator.le', '"tol": operator.ge'),
+    Mutant("verify cap check flipped to >=", VERIFY, '"cap": operator.le', '"cap": operator.ge'),
+    Mutant("verify need check flipped to <=", VERIFY, '"need": operator.ge', '"need": operator.le'),
+    Mutant("verify floor check flipped to <", VERIFY, '"floor": operator.gt', '"floor": operator.lt'),
+    Mutant("verify floor check not strict", VERIFY, '"floor": operator.gt', '"floor": operator.ge'),
+    Mutant("verify criterion 10 dual residual bound 1e-12 -> 1e-16", VERIFY,
+           '("max dual residual", max(s.dual_residual for s, _ in solved), "tol", "1e-12")',
+           '("max dual residual", max(s.dual_residual for s, _ in solved), "tol", "1e-16")'),
+    Mutant("verify shared sweeps solved at each read", VERIFY, "    @functools.cache\n", ""),
     Mutant("covariant.check_t accepts any t", "src/entclone/covariant.py",
            "if t is not T_OPERATORS:", "if False:"),
     Mutant("sdp.detect_threshold takes np.median again", SDP,

@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from entclone import verify
+from entclone import cli, verify
 from entclone.analytic import ALPHA_MAX
 from entclone.protocol import run_protocol_exact
-from entclone.verify import COVERAGE_BAR, FALSE_ALARM_RATE, _criterion_7, format_report, run_all
+from entclone.sdp import ConvergenceError
+from entclone.verify import COVERAGE_BAR, FALSE_ALARM_RATE, _criterion_7, _verdict, format_report, run_all
 
 CRITERION_IDS = [
     "1-closed-form-endpoints",
@@ -68,5 +69,65 @@ def test_criterion_7_bar(monkeypatch, seed, bias, coverage):
         return est + bias, err
 
     monkeypatch.setattr(verify, "run_protocol_sampled", shifted)
-    passed, detail = _criterion_7(seed)
-    assert passed == (bias == 0.0) and f"coverage {coverage}/100" in detail, detail
+    passed, detail = _verdict(_criterion_7(seed))
+    assert passed == (bias == 0.0) and f"coverage {coverage} (need {COVERAGE_BAR})" in detail, detail
+
+
+@pytest.mark.parametrize(
+    "value, kind, passes",
+    [
+        (1e-12, "tol", True), (2e-12, "tol", False), (1e-12, "cap", True), (2e-12, "cap", False),
+        (1e-12, "need", True), (5e-13, "need", False), (1e-12, "floor", False), (2e-12, "floor", True),
+    ],
+)
+def test_verdict_reads_each_check_off_its_printed_bound(value, kind, passes):
+    """tol and cap hold at or below the bound, need at or above it, floor strictly above it; notes pass through."""
+    passed, detail = _verdict(["note", ("x", value, kind, "1e-12"), ("count", 3, "cap", "3")])
+    assert passed == passes
+    assert detail == f"note, x {value:.3e} ({kind} 1e-12), count 3 (cap 3)"
+
+
+# A shared sweep, by (points, with_ppt), made to fail; the criteria that read it; and the sweeps then called,
+# in order.  _C and _P are the 50-point plain and PPT sweeps, which criteria 3 and 10 read in that order;
+# _F and _S the 36-point PPT sweep and its smooth plain twin, which criterion 4 reads in that order; and
+# criterion 5 solves 4 points of its own.  A criterion stops at its first failing read, and a sweep that
+# raised is attempted again by its next reader.
+_C, _P, _F, _S = (50, False), (50, True), (36, True), (36, False)
+
+
+@pytest.mark.parametrize("failing, readers, calls", [
+    (_C, (3, 10), [_C, _F, _S, (4, True), _C]),
+    (_P, (3, 10), [_C, _P, _F, _S, (4, True), _P]),
+    (_F, (4,), [_C, _P, _F, (4, True)]),
+    (_S, (4,), [_C, _P, _F, _S, (4, True)]),
+], ids=["coarse-plain", "coarse-ppt", "fine-ppt", "fine-plain"])
+def test_a_failing_sweep_fails_only_its_readers(monkeypatch, capsys, failing, readers, calls):
+    """A shared sweep that raises fails each criterion that reads it, and only those; every other criterion
+    still runs and passes, and entclone verify exits 1.  A sweep that succeeds is solved once, when first read."""
+    solve, called = verify.sweep_solutions, []
+
+    def sweep_or_fail(alphas, with_ppt, tol):
+        called.append((len(alphas), with_ppt))
+        if called[-1] == failing:
+            raise ConvergenceError("forced")
+        return solve(alphas, with_ppt, tol=tol)
+
+    monkeypatch.setattr(verify, "sweep_solutions", sweep_or_fail)
+    monkeypatch.delenv("CLONER_SEED", raising=False)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for number, line in enumerate(lines[:10], start=1):
+        assert line.startswith(f"[{'FAIL' if number in readers else 'PASS'}] criterion {number}: "), line
+        assert line.endswith(" -- exception: forced") == (number in readers), line
+    assert lines[10:] == [f"{10 - len(readers)}/10 criteria passed"]
+    assert called == calls
+
+
+def test_a_kink_in_the_smooth_sweep_fails_criterion_4(monkeypatch):
+    """Criterion 4 fails, and names the kink, when the plain sweep on the fine grid shows one."""
+    solve = verify.sweep_solutions
+    monkeypatch.setattr(verify, "sweep_solutions", lambda alphas, with_ppt, tol: solve(
+        alphas, with_ppt or len(alphas) == 36, tol=tol))
+    results = run_all()
+    assert [r.number for r in results if not r.passed] == [4]
+    assert results[3].detail.endswith(", smooth sweep kinks 1 (cap 0), at 0.3360"), results[3].detail

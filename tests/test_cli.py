@@ -92,13 +92,18 @@ def test_sweep_with_solver_column(capsys):
     assert "kink" not in err
 
 
-def test_sweep_reports_missing_kink(capsys):
+@pytest.mark.parametrize("alpha_min, alpha_max, steps, note", [
+    ("0.31", "0.316", "4", "kink detection skipped: threshold detection needs at least seven sweep points"),
+    ("0.45", "max", "36", "no kink detected"),
+], ids=["too-few-points", "smooth-curve"])
+def test_sweep_reports_missing_kink(capsys, alpha_min, alpha_max, steps, note):
+    """A PPT sweep too short to judge, or one wholly above the threshold, exits 0 with one note on stderr."""
     code, _, err = run_cli(
-        capsys, "sweep", "--alpha-min", "0.31", "--alpha-max", "0.316", "--steps", "4",
+        capsys, "sweep", "--alpha-min", alpha_min, "--alpha-max", alpha_max, "--steps", steps,
         "--modes", "sdp-ppt", "--format", "csv",
     )
     assert code == 0
-    assert "kink detection skipped" in err
+    assert err == note + "\n"
 
 
 def test_sweep_solver_failure_sets_error_column(capsys, monkeypatch):
