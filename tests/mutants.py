@@ -76,27 +76,31 @@ MUTANTS = (
     Mutant("sdp PPT Gram without its copies factor", SDP,
            '"bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms', '"bep,be,bep->p", forms, _FORM_WEIGHTS, forms'),
     Mutant("sdp.CONE_FORMS side block p = a13 -> a23", SDP,
-           "[0, 0, 0, 0, 0, 0, _H, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, _H],  # c_j Xi: p = a13"),
+           "[0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, 1],  # c_j Xi: p = a13"),
     Mutant("sdp.CONE_FORMS corner block p = a33 -> 2 a33", SDP,
            "[0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: p = a33", "[0, 0, 2, 0, 0, 0, 0, 0],  # c_i c_j: p = a33"),
     Mutant("sdp.CONE_FORMS q = a44 - a55 -> a44 + a55 (the partial transpose's form)", SDP,
            "[0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55", "[0, 0, 0, 1, 1, 0, 0, 0],  # q = a44 - a55"),
-    Mutant("sdp.CONE_FORMS r = a12 - a44 - a55 with -1/sqrt(2) a12", SDP,
-           "[0, 0, 0, -1, -1, _H, 0, 0]", "[0, 0, 0, -1, -1, -_H, 0, 0]"),
+    Mutant("sdp.CONE_FORMS r = a12 - a44 - a55 -> -a12 - a44 - a55", SDP,
+           "[0, 0, 0, -1, -1, 1, 0, 0]", "[0, 0, 0, -1, -1, -1, 0, 0]"),
     Mutant("channel.G1 a32 entry -14/9 -> -10/9", "src/entclone/channel.py",
            "[2 / 3, -14 / 9, 32 / 9, 0, 0]", "[2 / 3, -10 / 9, 32 / 9, 0, 0]"),
     Mutant("channel.G1 a44 entry 8/3 -> 7/3", "src/entclone/channel.py", "[0, 0, 0, 8 / 3, 0]", "[0, 0, 0, 7 / 3, 0]"),
     Mutant("covariant.BLOCK_X t4 block [[0, 1], [1, 0]] -> [[0, 2], [2, 0]]", "src/entclone/covariant.py",
            "[[0, 1], [1, 0]]", "[[0, 2], [2, 0]]"),
-    Mutant("sdp.FIXED off-diagonal weight 1/sqrt(2) -> 1/2", SDP, "1.0 / np.sqrt(2.0)", "0.5"),
+    Mutant("sdp.FIXED off-diagonal selection 1 -> 1/sqrt(2), the orthonormal column", SDP,
+           "    FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0\n",
+           "    FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)\n"),
     Mutant("sdp null-basis reflection without its + e_1", SDP,
            "h = e / np.sqrt(e @ e) + np.eye(len(e))[0]", "h = e / np.sqrt(e @ e)"),
     Mutant("sdp null-basis reflection I - h h^T / h_0 -> I - h h^T / (h.h)", SDP,
            "np.outer(h, h) / h[0]", "np.outer(h, h) / (h @ h)"),
-    Mutant("sdp start's min-norm point e / (e.e) -> e / |e|", SDP,
-           "min_norm = e / (e @ e)", "min_norm = e / np.sqrt(e @ e)"),
-    Mutant("sdp plain start back at 0.9 e_22 + 0.1 e / (e.e)", SDP,
-           "0.1 * min_norm if with_ppt else min_norm", "0.1 * min_norm"),
+    Mutant("sdp start s s^T / 36 -> e / (e.e) = e / 54 on the raw coordinates", SDP,
+           "FIXED, CONE_FORMS, _MIXED, 1", "FIXED, CONE_FORMS, TRACE_ROW @ FIXED / 54.0, 1"),
+    Mutant("sdp start literal s s^T / 36 -> a feasible interior point with a12 moved to a11 and a22", SDP,
+           "[1.0, 1.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0]", "[1.5, 1.5, 4.0, 0.0, 0.0, 0.5, 2.0, 2.0]"),
+    Mutant("sdp plain start back at 0.9 e_22 + 0.1 s s^T / 36", SDP,
+           "0.1 * mixed if with_ppt else mixed", "0.1 * mixed"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,
            "return 2.0 * self.nu * 1e-12", "return self.nu * 1e-12"),
     Mutant("verify criterion 9 projector without its S^T S term", VERIFY, " - sym_rows.T @ sym_rows", ""),

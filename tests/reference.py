@@ -26,6 +26,11 @@ from entclone.sdp import CENTRING, FIXED, STEP_FRACTION
 
 # Columns |00>, |11>, (|01> + |10>)/sqrt(2), (|01> - |10>)/sqrt(2) of M2 (x) M2.
 PAIR_BASIS = np.array([[1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [0, 1, 0, 0]]) / np.sqrt([1, 1, 2, 2])
+# The dense witness's own coordinates on the fixed subspace: the orthonormal columns e_ii, then
+# (e_ij + e_ji)/sqrt(2) for (1,2), (1,3), (2,3), so it shares neither sdp's coordinates nor its start.
+ORTHONORMAL = np.zeros((25, 8))
+for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
+    ORTHONORMAL[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)
 
 
 def kron_all(factors):
@@ -181,12 +186,12 @@ def _dense_spectra(a, t=T_OPERATORS):
 
 
 def _dense_program(alpha, t=T_OPERATORS):
-    """The unreduced PPT program on all 8 FIXED coordinates, from the dense references: its objective,
-    trace row, an orthonormal null basis of the trace row, and x -> both dense operators at a = FIXED @ x."""
-    f = FIXED.T @ dense_fidelity_coefficients(alpha, t).reshape(-1)
-    trace_row = FIXED.T @ dense_constraint_matrices(t)[0]
+    """The unreduced PPT program on the 8 ORTHONORMAL coordinates, from the dense references: its objective,
+    trace row, an orthonormal null basis of the trace row, and x -> both dense operators at a = ORTHONORMAL @ x."""
+    f = ORTHONORMAL.T @ dense_fidelity_coefficients(alpha, t).reshape(-1)
+    trace_row = ORTHONORMAL.T @ dense_constraint_matrices(t)[0]
     null = np.linalg.svd(trace_row[None, :])[2][1:].T
-    return f, trace_row, null, lambda x: _dense_operators(FIXED @ x, t)
+    return f, trace_row, null, lambda x: _dense_operators(ORTHONORMAL @ x, t)
 
 
 def _psd_root(m, power):
@@ -202,11 +207,12 @@ def _dense_step(m, dm):
 
 
 def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7, with_ppt=True):
-    """solve's primal-dual iteration run on the unreduced program over all 8 FIXED coordinates: the dense
-    64x64 operator and, for the PPT program, its partial transpose; returns (iterations, f*).
+    """solve's primal-dual iteration run on the unreduced program over the 8 ORTHONORMAL coordinates: the
+    dense 64x64 operator and, for the PPT program, its partial transpose; returns (iterations, f*).
 
-    It keeps solve's primal start (the trace row's least-squares point,
-    pulled to 0.9 e_22 + 0.1 times it for the PPT program), CENTRING,
+    It keeps solve's primal start, here the trace row's least-squares
+    point, a = s s^T / 36 with s = (1, 1, 2, 0, 0) (pulled to
+    0.9 e_22 + 0.1 times it for the PPT program), CENTRING,
     STEP_FRACTION, floor mu_min = tol / (2 nu), nu = 64 per operator,
     and stop rule.  The dual start is the same basis-free
     y0 I / (4c) - C(h) for c operators, with h from the Frobenius Gram
@@ -225,7 +231,7 @@ def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7, with_ppt=True):
     inner = lambda a, b: sum(np.vdot(p, q).real for p, q in zip(a, b))  # noqa: E731
     x = np.linalg.lstsq(trace_row[None, :], np.ones(1), rcond=None)[0]
     if with_ppt:
-        x = 0.9 * FIXED[6] + 0.1 * x
+        x = 0.9 * ORTHONORMAL[6] + 0.1 * x
     units = [cones(e) for e in np.eye(8)]
     ch = cones(np.linalg.solve([[inner(a, b) for b in units] for a in units], f))
     top = max(np.linalg.eigvalsh(c)[-1] for c in ch)
@@ -256,12 +262,14 @@ def dense_nt_path(alpha, t=T_OPERATORS, tol=1e-7, with_ppt=True):
         zs = [z + step * d for z, d in zip(zs, dzs)]
 
 
-def barrier_decrement(alpha, x, mu, t=T_OPERATORS):
-    """Squared Newton decrement g^T H^-1 g at x, over all 8 FIXED coordinates, of the unreduced PPT
-    program's dense barrier f.x + mu sum log det C(x), with g and H its gradient and negated Hessian along
-    the null basis of the trace row.  It is 0 on the central path, and half of it bounds how far the
-    barrier lies below its centred value (Boyd & Vandenberghe, Convex Optimization, 9.5 and 11.2)."""
+def barrier_decrement(alpha, a, mu, t=T_OPERATORS):
+    """Squared Newton decrement g^T H^-1 g at the 5x5 point a of the fixed subspace, over the 8 ORTHONORMAL
+    coordinates, of the unreduced PPT program's dense barrier f.x + mu sum log det C(x), with g and H its
+    gradient and negated Hessian along the null basis of the trace row.  It is 0 on the central path, and
+    half of it bounds how far the barrier lies below its centred value (Boyd & Vandenberghe, Convex
+    Optimization, 9.5 and 11.2)."""
     f, _, null, cones = _dense_program(alpha, t)
+    x = ORTHONORMAL.T @ np.reshape(a, -1)
     dirs = [cones(n) for n in null.T]
     grad, hess = null.T @ f, np.zeros((null.shape[1],) * 2)
     for n, c in enumerate(cones(x)):

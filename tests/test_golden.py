@@ -2,9 +2,10 @@
 
 Each run goes through cli.main.  Its stdout is compared with the golden
 file, and its stderr with the file of the same stem ending in .stderr,
-or with nothing when there is none.  The comparison reads parsed
-values, not bytes, because CI runs two numpy builds (Python 3.10 and
-3.12) whose last bits may differ:
+or with nothing when there is none.  On the build the goldens are
+written on, numpy 2.4.6 on CPython 3.11 with an 80-bit np.longdouble
+(PINNED_BUILD), the comparison is byte for byte.  On every other build,
+whose last bits may differ, it reads parsed values:
 
 - closed forms (alpha, f_global, f_bh, f_locc) and the params fields
   agree to 1 ulp;
@@ -13,10 +14,10 @@ values, not bytes, because CI runs two numpy builds (Python 3.10 and
   a "(tol X)", "(cap X)", "(floor X)" or "(need X)" is checked against
   that bound, and every other number agrees to 1e-13 absolute.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py --regen``.
-It rewrites only the files whose run no longer matches them, so a file
-that still passes keeps its committed bytes, and it prints every value
-that moved; list those in CHANGES.md.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py --regen``
+on the pinned build.  It rewrites only the files whose run no longer
+matches them, so on the pinned build any byte difference rewrites a
+file, and it prints every value that moved; list those in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import re
 import sys
 from pathlib import Path
@@ -37,6 +39,13 @@ import pytest
 from entclone import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+# The build the goldens are written on, on which they must match to the byte.
+PINNED_BUILD = (
+    np.__version__ == "2.4.6"
+    and platform.python_implementation() == "CPython"
+    and sys.version_info[:2] == (3, 11)
+    and np.finfo(np.longdouble).nmant == 63
+)
 RUNS = {
     "sweep.csv": ["sweep", "--steps", "50", "--modes", "global,bh,locc,sdp,sdp-ppt"],
     "sweep_kink.csv": ["sweep", "--alpha-min", "0.30", "--alpha-max", "0.37", "--steps", "36", "--modes", "sdp-ppt"],
@@ -63,7 +72,9 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def same_field(field: str, got, want) -> bool:
+def same_field(field: str, got, want, exact: bool) -> bool:
+    if exact:
+        return got == want
     if field in ULP_FIELDS and want != "":
         return abs(float(got) - float(want)) <= np.spacing(abs(float(want)))
     if field in ABS_FIELDS and want != "":
@@ -89,9 +100,14 @@ def records(name: str, text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text))) if name.endswith(".csv") else json.loads(text)["records"]
 
 
-def moved_values(name: str, got: str, want: str) -> list[str]:
+def moved_values(name: str, got: str, want: str, exact: bool = PINNED_BUILD) -> list[str]:
     """Each value of the output got of run name that moved from its golden text want by more than
-    the rules above allow, or what changed shape; empty when they match."""
+    the rules above allow (any change when exact), or what changed shape; empty when they match."""
+    moved = _moved_values(name, got, want, exact)
+    return ["bytes differ"] if exact and got != want and not moved else moved
+
+
+def _moved_values(name: str, got: str, want: str, exact: bool) -> list[str]:
     if not name.endswith((".csv", ".json")):
         lines, ref_lines = got.splitlines(), want.splitlines()
         if len(lines) != len(ref_lines):
@@ -99,6 +115,7 @@ def moved_values(name: str, got: str, want: str) -> list[str]:
         moved = []
         for line, ref_line in zip(lines, ref_lines):
             try:
+                assert not exact or line == ref_line
                 compare_verify_line(line, ref_line)
             except AssertionError:
                 moved.append(f"{ref_line} -> {line}")
@@ -110,7 +127,7 @@ def moved_values(name: str, got: str, want: str) -> list[str]:
     if [list(row) for row in rows] != [list(ref) for ref in refs]:
         return [*moved, f"{len(refs)} records -> {len(rows)} records, or their fields changed"]
     return moved + [f"row {i} {field}: {ref[field]} -> {row[field]}" for i, (row, ref) in enumerate(zip(rows, refs))
-                    for field in ref if not same_field(field, row[field], ref[field])]
+                    for field in ref if not same_field(field, row[field], ref[field], exact)]
 
 
 def stderr_file(name: str) -> Path:
@@ -118,10 +135,10 @@ def stderr_file(name: str) -> Path:
     return GOLDEN / f"{Path(name).stem}.stderr"
 
 
-def check(name: str) -> None:
+def check(name: str, exact: bool = PINNED_BUILD) -> None:
     code, out, err = run(RUNS[name])
     assert code == 0
-    moved = moved_values(name, out, (GOLDEN / name).read_text(encoding="utf-8"))
+    moved = moved_values(name, out, (GOLDEN / name).read_text(encoding="utf-8"), exact)
     assert not moved, moved
     stderr = stderr_file(name)
     assert err == (stderr.read_text(encoding="utf-8") if stderr.exists() else "")
@@ -135,7 +152,8 @@ def test_output_matches_golden(monkeypatch, name):
 
 @pytest.mark.parametrize("shift, passes", [("ulp", True), (1e-12, False)])
 def test_golden_check_passes_one_ulp_and_catches_1e_12(monkeypatch, shift, passes):
-    """Moving build_problem's objective by one ulp keeps the sweep golden; moving it by 1e-12 does not."""
+    """Off the pinned build, moving build_problem's objective by one ulp keeps the sweep golden; moving it
+    by 1e-12 does not."""
     build = cli.build_problem
 
     def shifted(*args, **kwargs):
@@ -146,15 +164,32 @@ def test_golden_check_passes_one_ulp_and_catches_1e_12(monkeypatch, shift, passe
     monkeypatch.delenv("CLONER_SEED", raising=False)
     monkeypatch.setattr(cli, "build_problem", shifted)
     if passes:
-        check("sweep.csv")
+        check("sweep.csv", exact=False)
     else:
         with pytest.raises(AssertionError):
-            check("sweep.csv")
+            check("sweep.csv", exact=False)
 
 
-def test_regen_keeps_matching_files_and_rewrites_moved_ones(monkeypatch, tmp_path, capsys):
-    """A golden file its run still matches keeps its bytes, even bytes a rewrite would change; a file
-    with a moved value is rewritten from the run, and regen prints that value."""
+def test_exact_comparison_catches_one_ulp_and_any_byte():
+    """The pinned build's comparison reports a value moved by one ulp, a verify number moved in its last
+    printed digit and a byte that changes no parsed value, each of which the parsed rules let pass."""
+    sweep = (GOLDEN / "sweep.csv").read_text(encoding="utf-8")
+    value = next(csv.DictReader(io.StringIO(sweep)))["f_sdp"]
+    nudged = sweep.replace(value, repr(float(np.nextafter(float(value), np.inf))), 1)
+    verify = (GOLDEN / "verify.txt").read_text(encoding="utf-8")
+    digit = re.search(r"\d(?= \((tol|cap|floor|need) )", verify)
+    last = verify[: digit.start()] + str((int(digit.group()) + 1) % 10) + verify[digit.end():]
+    for name, got, want in (("sweep.csv", nudged, sweep), ("verify.txt", last, verify),
+                            ("sweep.csv", sweep.replace("\n", "\r\n"), sweep)):
+        assert got != want
+        assert moved_values(name, got, want, exact=True)
+    assert not moved_values("sweep.csv", nudged, sweep, exact=False)
+    assert not moved_values("sweep.csv", sweep.replace("\n", "\r\n"), sweep, exact=False)
+
+
+def _regen_a_kept_and_a_moved_file(monkeypatch, tmp_path, exact: bool) -> tuple[str, str]:
+    """Regen on copies of params.csv with a byte change that keeps every value and of protocol_max.json
+    with a moved value, on the pinned build or off it; returns params.csv's golden and changed text."""
     params, protocol = ((GOLDEN / name).read_text(encoding="utf-8") for name in ("params.csv", "protocol_max.json"))
     kept = params.replace("0.014430750636460153,", "1.4430750636460153e-02,")
     moved = protocol.replace('"probability": 0.125', '"probability": 0.126', 1)
@@ -162,18 +197,38 @@ def test_regen_keeps_matching_files_and_rewrites_moved_ones(monkeypatch, tmp_pat
     (tmp_path / "params.csv").write_text(kept, encoding="utf-8")
     (tmp_path / "protocol_max.json").write_text(moved, encoding="utf-8")
     monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.setitem(globals(), "PINNED_BUILD", exact)
     regen(["params.csv", "protocol_max.json"])
-    assert (tmp_path / "params.csv").read_text(encoding="utf-8") == kept
     assert (tmp_path / "protocol_max.json").read_text(encoding="utf-8") == run(RUNS["protocol_max.json"])[1]
-    assert capsys.readouterr().out == "protocol_max.json: row 0 probability: 0.126 -> 0.125\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["params.csv", "protocol_max.json"]
+    return params, kept
+
+
+def test_regen_keeps_matching_files_and_rewrites_moved_ones(monkeypatch, tmp_path, capsys):
+    """Off the pinned build, a golden file its run still matches keeps its bytes, even bytes a rewrite
+    would change; a file with a moved value is rewritten from the run, and regen prints that value."""
+    _, kept = _regen_a_kept_and_a_moved_file(monkeypatch, tmp_path, exact=False)
+    assert (tmp_path / "params.csv").read_text(encoding="utf-8") == kept
+    assert capsys.readouterr().out == "protocol_max.json: row 0 probability: 0.126 -> 0.125\n"
+
+
+def test_regen_on_the_pinned_build_rewrites_any_byte_difference(monkeypatch, tmp_path, capsys):
+    """On the pinned build, a byte change that keeps every parsed value rewrites the file too, and regen
+    prints the changed text."""
+    params, _ = _regen_a_kept_and_a_moved_file(monkeypatch, tmp_path, exact=True)
+    assert (tmp_path / "params.csv").read_text(encoding="utf-8") == params
+    assert capsys.readouterr().out == (
+        "params.csv: row 1 alpha: 1.4430750636460153e-02 -> 0.014430750636460153\n"
+        "protocol_max.json: row 0 probability: 0.126 -> 0.125\n"
+    )
 
 
 def regen(names=tuple(RUNS)) -> None:
     """Rewrite the golden files of each named run that no longer matches them, printing what moved.
 
     A file whose run still matches keeps its committed bytes, so a regen of
-    an unchanged program rewrites nothing.
+    an unchanged program rewrites nothing; on the pinned build that means
+    the same bytes.
     """
     os.environ.pop("CLONER_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
@@ -182,7 +237,8 @@ def regen(names=tuple(RUNS)) -> None:
         if code != 0:
             raise SystemExit(f"{name}: entclone {' '.join(RUNS[name])} exited {code}")
         golden, stderr = GOLDEN / name, stderr_file(name)
-        moved = moved_values(name, out, golden.read_text(encoding="utf-8")) if golden.exists() else ["new file"]
+        want = golden.read_text(encoding="utf-8") if golden.exists() else None
+        moved = moved_values(name, out, want, PINNED_BUILD) if want is not None else ["new file"]
         old_err = stderr.read_text(encoding="utf-8") if stderr.exists() else ""
         if err != old_err:
             moved.append(f"stderr {old_err!r} -> {err!r}")

@@ -40,9 +40,13 @@ def test_program_is_invariant_under_swap_and_conjugation():
     Party swap acts as a -> a^T, complex conjugation as a_i5 -> -a_i5
     for i != 5, and the parity flip as a_i4 -> -a_i4 for i != 4; the
     objective, the equality row space and both cones' spectra must be
-    invariant under each, and FIXED must be orthonormal.
+    invariant under each.  FIXED's columns are the 0/1 selections e_ii
+    and e_ij + e_ji: symmetric, with disjoint supports of sizes 1 and 2.
     """
-    assert np.abs(FIXED.T @ FIXED - np.eye(8)).max() < 1e-15
+    assert set(np.unique(FIXED)) == {0.0, 1.0}
+    assert np.array_equal(FIXED.T @ FIXED, np.diag([1.0] * 5 + [2.0] * 3))
+    columns = FIXED.T.reshape(8, 5, 5)
+    assert np.array_equal(columns, np.swapaxes(columns, 1, 2))
     flips = []
     for axis in (4, 3):
         flip = np.ones((5, 5))
@@ -74,7 +78,7 @@ def test_symmetry_rows_vanish_on_the_fixed_subspace():
     trace_row, sym_rows = constraint_matrices()
     assert np.abs(sym_rows @ FIXED).max() <= 1e-15
     problem = build_problem(0.4)
-    assert np.array_equal(problem.eq_matrix, (trace_row @ FIXED)[None, :])
+    assert np.array_equal(problem.setup.trace, trace_row @ FIXED)
 
 
 def _weighted_spectrum(forms, x):
@@ -92,20 +96,20 @@ def test_problem_shapes():
     slice the one cone's spectrum equals both."""
     plain = build_problem(0.4)
     ppt = build_problem(0.4, with_ppt=True)
-    assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (12, 8))
-    assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (12, 7))
+    assert (plain.objective.shape, plain.setup.trace.shape, plain.cones.shape) == ((8,), (8,), (12, 8))
+    assert (ppt.objective.shape, ppt.setup.trace.shape, ppt.cones.shape) == ((7,), (7,), (12, 7))
     for problem, k in ((plain, 7), (ppt, 6)):
-        sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
-        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
+        sv = np.linalg.svd(problem.setup.trace[None, :], compute_uv=False)
+        assert len(problem.setup.trace) - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert (plain.setup.copies, ppt.setup.copies) == (1, 2)
     assert plain.setup.basis is FIXED
     assert np.array_equal(ppt.setup.basis, np.delete(FIXED, A55, axis=1))
     assert np.array_equal(ppt.cones, np.delete(plain.cones, A55, axis=1))
     assert np.abs(ppt.objective - np.delete(plain.objective, A55)).max() <= 1e-15
-    assert np.abs(ppt.eq_matrix - np.delete(plain.eq_matrix, A55, axis=1)).max() <= 1e-15
+    assert np.array_equal(ppt.setup.trace, np.delete(plain.setup.trace, A55))
     for problem in (plain, ppt):
-        arrays = [problem.objective, problem.eq_matrix, problem.cones]
+        arrays = [problem.objective, problem.setup.trace, problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     flip = np.where(np.arange(8) == A55, -1.0, 1.0)
     rng = np.random.default_rng(20050203)
@@ -148,7 +152,7 @@ def test_max_step_keeps_a_double_root():
 def test_ppt_solution_matches_dense_witness(alpha):
     """solve's blocks on the a55 = 0 slice against the unreduced program's dense operators: the same
     minimum eigenvalue of the operator and of its partial transpose, the same primal-dual iterations and
-    optimum as the two-cone path over all 8 FIXED coordinates, and an end point on that program's dense
+    optimum as the two-cone path over all 8 fixed-subspace coordinates, and an end point on that program's dense
     barrier central path at mu_min, certified by its Newton decrement."""
     problem = build_problem(alpha, with_ppt=True)
     sol = solve(problem)
@@ -160,7 +164,7 @@ def test_ppt_solution_matches_dense_witness(alpha):
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
     mu_min = 1e-7 / (2.0 * problem.nu)
-    lam2 = barrier_decrement(alpha, FIXED.T @ sol.a_star.reshape(-1), mu_min)
+    lam2 = barrier_decrement(alpha, sol.a_star, mu_min)
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
 
@@ -193,7 +197,7 @@ def test_setups_are_built_once_and_read_only():
     assert sdp._PROGRAMS[0][0] is CONE_FORMS
     assert plain.project.shape == first.project.shape == (12, 12)
     assert (plain.dual_map.shape, first.dual_map.shape) == ((12, 7), (12, 6))
-    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    fields = {"basis", "copies", "trace", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
     cones = [cone for cone, _ in sdp._PROGRAMS]

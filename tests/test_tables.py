@@ -3,10 +3,10 @@
 The program depends on alpha only through x = alpha^2 (1 - alpha^2),
 and every table it is built from is exact, so channel and sdp hold them
 as literals: the functional G0 + x G1, the trace row and the symmetry
-rows over the flat a vector, and on the FIXED coordinates (a11..a55,
-then sqrt(2) a12, sqrt(2) a13, sqrt(2) a23) the cone forms, whose entries
-are 0, +-1 and 1/sqrt(2).  The objective is the functional read on those
-coordinates.  The PPT cone is the
+rows over the flat a vector, and on the raw FIXED coordinates a11, a22,
+a33, a44, a55, a12, a13, a23 the cone forms, whose entries are 0 and +-1,
+and the trace row (1, 1, 4, 0, 0, 2, 4, 4).  The objective is the
+functional read on those coordinates.  The PPT cone is the
 plain cone with its a55 column negated.  The threshold is x0 = 1/10,
 since 1 - 10 alpha^2 + 10 alpha^4 = 1 - 10x.  These tests witness that
 the numerical derivation in tests/reference.py reproduces every literal.
@@ -15,20 +15,25 @@ They also check the three premises on which the PPT program is solved on
 its a55 = 0 slice (see the sdp module docstring): the objective's a55
 coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
 forms are the plain ones with the a55 column negated; the premise of
-the dual start, that each program's weighted Gram matrix is diagonal; the
-closed forms of the primal null basis and of each program's start; and
+the dual start, that each program's weighted Gram matrix is diagonal and
+integer; the closed forms of the primal null basis and of each program's
+start; that the solution's a_star holds the iterate's coordinates as they
+are; that build_problem reads no table per call; and
 the premise of criterion 9's feasible points, that the trace row and the
 symmetry rows have disjoint supports.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from entclone import channel, sdp
 from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
-from entclone.sdp import BLOCK_WEIGHTS, CONE_FORMS, FIXED, build_problem
+from entclone.sdp import BLOCK_WEIGHTS, CONE_FORMS, FIXED, build_problem, solve
 from reference import (
     _dense_spectra,
     block_cone,
@@ -37,9 +42,12 @@ from reference import (
     functional_table,
 )
 
-SQRT2 = math.sqrt(2.0)
-FORM_ENTRIES = np.array([0.0, 1.0, -1.0, math.sqrt(0.5)])
 A55 = 4
+# The trace row on the raw coordinates: Tr_out ti (x) tj = s_i s_j I4, s = (1, 1, 2, 0, 0), with each
+# off-diagonal coordinate counted at ij and ji.
+TRACE = np.array([1.0, 1.0, 4.0, 0.0, 0.0, 2.0, 4.0, 4.0])
+# a = s s^T / 36 on the raw coordinates: the plain program's start.
+MIXED = np.array([1.0, 1.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0]) / 36.0
 
 
 def test_functional_is_g0_plus_x_g1():
@@ -73,14 +81,32 @@ def test_objective_is_the_channel_functional():
 
 
 def test_trace_row_is_literal():
+    """Each program's setup holds the literal integer trace row bit for bit (the PPT one without a55), the
+    dense witness's row on the FIXED coordinates to 1e-15, with e.e = 54."""
     trace_row, _ = dense_constraint_matrices()
     assert np.abs(trace_row - TRACE_ROW).max() <= 1e-15
-    expected = np.array([1.0, 1.0, 4.0, 0.0, 0.0, SQRT2, 2 * SQRT2, 2 * SQRT2])
     for alpha in (0.0, 0.3, ALPHA_MAX):
-        row = build_problem(alpha).eq_matrix[0]
-        assert np.abs(row - expected).max() <= 1e-15
+        for with_ppt in (False, True):
+            row = build_problem(alpha, with_ppt=with_ppt).setup.trace
+            assert np.array_equal(row, np.delete(TRACE, A55) if with_ppt else TRACE)
+        row = build_problem(alpha).setup.trace
         assert np.abs(row - FIXED.T @ trace_row).max() <= 1e-15
-        assert row[A55] == 0.0
+        assert row @ row == 54.0
+
+
+def test_build_problem_reads_no_constraint_table(monkeypatch):
+    """The trace row is read once per program, at import: build_problem works with
+    channel.constraint_matrices raising, and sdp holds no name of it."""
+
+    def refuse():
+        raise AssertionError("constraint_matrices called")
+
+    monkeypatch.setattr(channel, "constraint_matrices", refuse)
+    assert not hasattr(sdp, "constraint_matrices")
+    for with_ppt in (False, True):
+        problem = build_problem(0.3, with_ppt=with_ppt)
+        assert problem.setup is sdp._PROGRAMS[with_ppt][1]
+        assert solve(problem).iterations > 0
 
 
 def test_symmetry_rows_are_literal():
@@ -101,7 +127,7 @@ def test_cone_forms_are_literal_and_ppt_flips_a55():
     # Measured: 2.2e-16 for both.
     assert np.abs(plain - CONE_FORMS).max() <= 1e-15
     assert np.abs(ppt - flipped).max() <= 1e-15
-    assert np.isin(CONE_FORMS, FORM_ENTRIES).all()
+    assert np.isin(CONE_FORMS, (0.0, 1.0, -1.0)).all()
     assert np.abs(CONE_FORMS[:, A55]).max() > 0.5
     assert build_problem(0.3).cones is CONE_FORMS
     assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(CONE_FORMS, A55, axis=1))
@@ -114,35 +140,32 @@ def test_threshold_is_x0_one_tenth():
 
 def test_weighted_gram_is_diagonal():
     """copies sum forms^T diag(weights) forms, each block's forms weighted by its copies and q counted
-    twice, is exactly diagonal, with entries 4, 4, 16, 16, 16, 4, 8, 8 (plain) and 8, 8, 32, 32, 8, 16, 16
-    (PPT), those of the sqrt(2) a_ij coordinates times 2 h^2 = 1 + 2^-52, h the double nearest
-    1/sqrt(2).  So setup.gram_inv, its reciprocal diagonal, is np.linalg.inv of it bit for bit."""
+    twice, is exactly diagonal and integer, with entries 4, 4, 16, 16, 16, 8, 16, 16 (plain) and 8, 8, 32,
+    32, 16, 32, 32 (PPT).  setup.gram_inv is its correctly rounded reciprocal diagonal; the entries are
+    powers of two, so it is exact, and np.linalg.inv of the Gram matrix bit for bit."""
     weights = np.outer(BLOCK_WEIGHTS, [1.0, 2.0, 1.0])
-    h2 = math.sqrt(0.5) ** 2
-    assert 2.0 * h2 == 1.0 + 2.0**-52
-    for with_ppt, diagonal in ((False, [4, 4, 16, 16, 16, 4, 8, 8]), (True, [8, 8, 32, 32, 8, 16, 16])):
+    for with_ppt, diagonal in ((False, [4, 4, 16, 16, 16, 8, 16, 16]), (True, [8, 8, 32, 32, 16, 32, 32])):
         setup = build_problem(0.3, with_ppt=with_ppt).setup
         cone = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
         forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
         gram = setup.copies * np.einsum("bep,be,beq->pq", forms, weights, forms)
-        diagonal = np.array(diagonal, dtype=float)
-        diagonal[-3:] *= 2.0 * h2
-        assert np.array_equal(gram, np.diag(diagonal))
+        assert np.array_equal(gram, np.diag(np.array(diagonal, dtype=float)))
+        assert [Fraction(float(g)) for g in setup.gram_inv] == [Fraction(1, d) for d in diagonal]
         assert np.array_equal(np.linalg.inv(gram), np.diag(setup.gram_inv))
 
 
 def test_null_basis_is_the_trace_rows_reflection():
     """Each program's null basis is the last m - 1 columns of the Householder reflection I - h h^T / h_0,
-    h = e / |e| + e_1, of its trace row e (e.e = 36): orthonormal, orthogonal to e, and equal to the
+    h = e / |e| + e_1, of its trace row e (e.e = 54): orthonormal, orthogonal to e, and equal to the
     complement np.linalg.svd finds, all to 1e-15 (measured 2.2e-16, 8.9e-16 and 0).  The SVD is only the
     reference here: bit-equality with it depends on the numpy and LAPACK build, so it is not asserted."""
     for with_ppt in (False, True):
         problem = build_problem(0.3, with_ppt=with_ppt)
-        (e,) = problem.eq_matrix
+        e = problem.setup.trace
         null = problem.setup.null.astype(float)
         m = len(e)
-        assert e @ e == 36.0
-        h = e / 6.0 + np.eye(m)[0]
+        assert e @ e == 54.0
+        h = e / math.sqrt(54.0) + np.eye(m)[0]
         assert np.abs(null - (np.eye(m) - np.outer(h, h) / h[0])[:, 1:]).max() <= 1e-15
         assert np.abs(null.T @ null - np.eye(m - 1)).max() <= 1e-15
         assert np.abs(e @ null).max() <= 1e-15
@@ -150,32 +173,56 @@ def test_null_basis_is_the_trace_rows_reflection():
 
 
 def test_plain_start_is_the_min_norm_point():
-    """The plain program's x0 is e / (e.e) bit for bit, the equality's least-squares point (to 1e-16); it
-    lifts to TRACE_ROW / 36, meets the equality, and both dense operators there have the spectrum
-    {1, 2, 4} / 36 with multiplicities 16, 32, 16, so they clear 0 by 1/36 = 2.8e-2."""
+    """The plain program's x0 is a = s s^T / 36, s = (1, 1, 2, 0, 0), on the raw coordinates, bit for
+    bit; it lifts exactly to TRACE_ROW / 36 = TRACE_ROW / (TRACE_ROW . TRACE_ROW), the flat equality's
+    minimum-norm point (on the raw coordinates that is not e / (e.e) = e / 54), meets the equality, and
+    both dense operators there have the spectrum {1, 2, 4} / 36 with multiplicities 16, 32, 16, so they
+    clear 0 by 1/36 = 2.8e-2."""
     problem = build_problem(0.3)
-    (e,) = problem.eq_matrix
+    e = problem.setup.trace
     basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
-    assert np.array_equal(x0, e / (e @ e))
-    assert np.abs(x0 - np.linalg.lstsq(e[None, :], np.ones(1), rcond=None)[0]).max() <= 1e-16
-    assert np.abs(basis @ x0 - TRACE_ROW / 36.0).max() <= 1e-16
+    assert np.array_equal(x0, MIXED)
+    assert np.array_equal(basis @ x0, TRACE_ROW / 36.0)
+    assert TRACE_ROW @ TRACE_ROW == 36.0
     assert abs(e @ x0 - 1.0) <= 1e-15
     for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
         assert np.abs(spectrum - np.repeat([1.0, 2.0, 4.0], [16, 32, 16]) / 36.0).max() <= 1e-15
 
 
 def test_ppt_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
-    """The PPT program's x0 = 0.9 e_22 + 0.1 e / (e.e) lifts to 0.9 e_22 + 0.1 TRACE_ROW / 36, meets the
+    """The PPT program's x0 = 0.9 e_22 + 0.1 s s^T / 36 lifts to 0.9 e_22 + 0.1 TRACE_ROW / 36, meets the
     equality, and both dense operators at x0 clear 0 by 1/360 = 2.8e-3."""
     problem = build_problem(0.3, with_ppt=True)
-    (e,) = problem.eq_matrix
+    e = problem.setup.trace
     basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
-    assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * (e / (e @ e)))
+    assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * np.delete(MIXED, A55))
     no_communication = np.eye(25)[6]  # a = e_22
     assert np.abs(basis @ x0 - (0.9 * no_communication + 0.1 * TRACE_ROW / 36.0)).max() <= 1e-16
     assert abs(e @ x0 - 1.0) <= 1e-15
     for spectrum in _dense_spectra((basis @ x0).reshape(5, 5)):
         assert abs(spectrum[0] - 1.0 / 360.0) <= 1e-15
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_star_holds_the_iterate_coordinates(monkeypatch, with_ppt):
+    """a_star = FIXED x holds each coordinate of the final iterate x as it is: a_star[0, 1] == a_star[1, 0]
+    equals the a12 coordinate bit for bit, and likewise every other entry of the fixed subspace."""
+    finals = []
+    certificate = sdp._certificate
+
+    def record(problem, x, zs, iterations):
+        finals.append(x.astype(float))
+        return certificate(problem, x, zs, iterations)
+
+    monkeypatch.setattr(sdp, "_certificate", record)
+    sol = solve(build_problem(0.5, with_ppt=with_ppt))
+    (x,) = finals
+    if with_ppt:
+        x = np.insert(x, A55, 0.0)
+    assert sol.a_star[0, 1] == sol.a_star[1, 0] == x[5] != 0.0
+    upper = sol.a_star[[0, 1, 2, 3, 4, 0, 0, 1], [0, 1, 2, 3, 4, 1, 2, 2]]
+    assert np.array_equal(upper, x)
+    assert np.array_equal(sol.a_star, sol.a_star.T)
 
 
 def test_trace_row_and_symmetry_rows_have_disjoint_supports():
