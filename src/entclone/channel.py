@@ -23,7 +23,7 @@ F_bh = (25 - 16x)/36, and one bit helps only above x0 = 1/10 (analytic
 states all three curves).  The trace row is TRACE_ROW, and the
 clone-symmetry rows are SYMMETRY_ROWS.  They are the program's only copy
 of them: sdp reads its objective through fidelity_coefficients and its
-trace row as TRACE_ROW, once per program.  tests/reference.py derives each
+trace row through constraint_matrices.  tests/reference.py derives each
 of them from the 64x64 operators ti (x) tj.  The 64x64 Choi operator is
 formed only when a channel is actually applied.
 

@@ -12,21 +12,20 @@ for i != 5) and under a_i4 -> -a_i4 for i != 4.  The program is convex,
 so averaging an optimum over the three maps gives one in their fixed
 subspace, and the central path, being unique, lies there too: real
 symmetric a whose only off-diagonal entries are a12, a13 and a23,
-spanned by the 0/1 columns e_ii and e_ij + e_ji of FIXED, whose
-coordinates are the entries a11..a55, a12, a13, a23 themselves.  There
-the clone-symmetry rows vanish, leaving the trace row and k = 7.
+spanned by FIXED's 0/1 columns e_ii and e_ij + e_ji, whose coordinates
+are those entries.  There only the trace row remains: k = 7.
 
 No 64x64 operator is formed on the solve path: the program is built from
 exact tables, held as read-only literals.  The objective is
 channel.fidelity_coefficients, G0 + x G1 with x = alpha^2 (1 - alpha^2),
 and the equality is channel.TRACE_ROW, both read on the FIXED
-coordinates, the trace row e = (1, 1, 4, 0, 0, 2, 4, 4) once per
-program, into its setup; the cone forms are held here.  Per party the
-commutant is M2 (+) C, with the coordinates covariant.BLOCK_X, BLOCK_C
-of t1..t5, so on the fixed subspace sum_ij a_ij ti (x) tj is unitarily
-a direct sum of sum a_ij Xi (x) Xj (4x4, four copies),
-sum a_ij c_j Xi (2x2, sixteen copies) and a33 (sixteen copies).  In the
-real basis |00>, |11>, (|01> +- |10>)/sqrt(2) the first is the 2x2 block
+coordinates, where the trace row is e = (1, 1, 4, 0, 0, 2, 4, 4); the
+cone forms are held here.  Per party the commutant is M2 (+) C, with the
+coordinates covariant.BLOCK_X, BLOCK_C of t1..t5, so on the fixed
+subspace sum_ij a_ij ti (x) tj is unitarily a direct sum of
+sum a_ij Xi (x) Xj (4x4, four copies), sum a_ij c_j Xi (2x2, sixteen
+copies) and a33 (sixteen copies).  In the real basis |00>, |11>,
+(|01> +- |10>)/sqrt(2) the first is the 2x2 block
 [[a11, a44 - a55], [a44 - a55, a22]] plus
 diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
 and the third, taken in pairs, diag(a33, a33).  So the cone is four
@@ -63,9 +62,8 @@ weighted central path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
  - Start: x0 is alpha-independent: a = s s^T / 36, s = (1, 1, 2, 0, 0),
    for the plain program, that point pulled towards the no-communication
-   point for the PPT program (see _program).  The NT direction does not
-   depend on the primal coordinates, so from the same start any basis
-   of the fixed subspace walks the same path.  The dual starts at
+   point for the PPT program (see _program); the NT path depends on the
+   start, not on the fixed subspace's basis.  The dual starts at
    y0 I / (4c) - C(h) for c copies of the cone: h solves the weighted
    Gram system G h = f, G diagonal and integer, and the copies' traces
    sum to 4c times the trace row, so the stationarity residual is zero;
@@ -100,7 +98,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from entclone.channel import TRACE_ROW, fidelity_coefficients
+from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone.covariant import T_OPERATORS, check_t
 
 # Each iteration targets CENTRING times the current mu and takes
@@ -134,8 +132,7 @@ CONE_FORMS = np.array(
     ],
     dtype=float,
 )
-_MIXED = np.array([1.0, 1.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0]) / 36.0  # the plain start a = s s^T / 36, s = (1, 1, 2, 0, 0)
-for _table in (FIXED, CONE_FORMS, _MIXED):
+for _table in (FIXED, CONE_FORMS):
     _table.flags.writeable = False
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
@@ -165,7 +162,6 @@ class _Setup(NamedTuple):
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
-    trace: np.ndarray  # (m,) the one equality row, trace . x = 1: (1, 1, 4, 0, 0, 2, 4, 4) without a55 for PPT
     null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (4, 3, m) the cone's blocks
@@ -177,10 +173,11 @@ class _Setup(NamedTuple):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective and the (12, m) forms of the block cone over the program's coordinates (see
-    _program), with the solver's alpha-independent setup for them, the equality row among it."""
+    """Linear objective, the equality row (its right-hand side is 1), and the (12, m) forms of the block
+    cone over the program's coordinates (see _program), with the solver's alpha-independent setup for them."""
 
     objective: np.ndarray
+    eq_matrix: np.ndarray
     cones: np.ndarray
     setup: _Setup
 
@@ -260,26 +257,28 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     is the one equality, so its null basis is a closed form: the last
     m - 1 columns of the Householder reflection I - h h^T / h_0,
     h = e / |e| + e_1, which maps e_1 to -e / |e|.  The start x0 does not
-    depend on alpha.  The plain program starts at a = s s^T / 36, which
-    is TRACE_ROW / 36, the maximally mixed feasible point (not e / (e.e)
-    = e / 54 on these coordinates); the dense operator's spectrum there
-    is {1, 2, 4} / 36, so it clears the cone by 1/36, and every alpha
+    depend on alpha.  The plain program starts at a = s s^T / 36,
+    s = (1, 1, 2, 0, 0), the maximally mixed feasible point TRACE_ROW / 36,
+    whose coordinates are e over each column's entry count, over 36 (not
+    e / (e.e) = e / 54); there the dense operator's spectrum is
+    {1, 2, 4} / 36, so it clears the cone by 1/36, and every alpha
     measured takes the same number of iterations at a given tol, 7 at the
     default.  The PPT program starts at 0.9 times the no-communication
-    point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1
-    times that point, which clears the cone by 1/360 but takes fewer
-    iterations than the mixed point.
+    point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times
+    that point, which clears the cone by 1/360 but takes fewer iterations
+    than the mixed point.
     Every array in the setup is read-only.  Raises ConvergenceError if x0
     misses the equality or the cone's interior.
     """
-    basis, cone, mixed, copies = FIXED, CONE_FORMS, _MIXED, 1
+    basis, cone, copies = FIXED, CONE_FORMS, 1
     if with_ppt:
-        basis, cone, mixed = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone, mixed))
+        basis, cone = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone))
         copies = 2
-    e = TRACE_ROW @ basis
+    e = constraint_matrices()[0] @ basis
     h = e / np.sqrt(e @ e) + np.eye(len(e))[0]
     null = (np.eye(len(e)) - np.outer(h, h) / h[0])[:, 1:]
     forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
+    mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
     if not (abs(e @ x0 - 1.0) <= 1e-9 and _block_min(forms @ x0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
@@ -288,7 +287,7 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     gram_inv = 1.0 / np.einsum("bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms)
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     longs = (a.astype(np.longdouble) for a in (null, x0, forms, dirs, dual_map, project))
-    setup = _Setup(basis, copies, e, *longs, gram_inv)
+    setup = _Setup(basis, copies, *longs, gram_inv)
     for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
     return cone, setup
@@ -305,19 +304,21 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     channel.fidelity_coefficients(alpha, t) read on the program's
     coordinates, which checks alpha and t (t must be T_OPERATORS, see
     covariant.check_t).  The cone forms and the solver setup are the
-    program's, built once and shared read-only, the trace row among them:
-    the clone-symmetry rows vanish on FIXED, so it is the only equality.
+    program's, built once and shared read-only.  The clone-symmetry rows
+    vanish on FIXED, so the trace row, read through
+    channel.constraint_matrices, is the only equality.
     """
     cones, setup = _PROGRAMS[bool(with_ppt)]
     f = fidelity_coefficients(alpha, t).reshape(-1) @ setup.basis
-    return SdpProblem(objective=f, cones=cones, setup=setup)
+    eq = (constraint_matrices()[0] @ setup.basis)[None, :]
+    return SdpProblem(objective=f, eq_matrix=eq, cones=cones, setup=setup)
 
 
 def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
     """The primal iterate x and the dual point zs; y = e.r / e.e solves A^T y = r in least squares."""
     setup = problem.setup
     r = (problem.objective + np.einsum("be,bep->p", zs * (setup.copies * _FORM_WEIGHTS), setup.forms)).astype(float)
-    e = setup.trace
+    (e,) = problem.eq_matrix
     y = (e @ r) / (e @ e)
     x = x.astype(float)
     return SdpSolution(

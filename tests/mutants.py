@@ -96,9 +96,7 @@ MUTANTS = (
     Mutant("sdp null-basis reflection I - h h^T / h_0 -> I - h h^T / (h.h)", SDP,
            "np.outer(h, h) / h[0]", "np.outer(h, h) / (h @ h)"),
     Mutant("sdp start s s^T / 36 -> e / (e.e) = e / 54 on the raw coordinates", SDP,
-           "FIXED, CONE_FORMS, _MIXED, 1", "FIXED, CONE_FORMS, TRACE_ROW @ FIXED / 54.0, 1"),
-    Mutant("sdp start literal s s^T / 36 -> a feasible interior point with a12 moved to a11 and a22", SDP,
-           "[1.0, 1.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0]", "[1.5, 1.5, 4.0, 0.0, 0.0, 0.5, 2.0, 2.0]"),
+           "mixed = e / basis.sum(axis=0) / 36.0", "mixed = e / (e @ e)"),
     Mutant("sdp plain start back at 0.9 e_22 + 0.1 s s^T / 36", SDP,
            "0.1 * mixed if with_ppt else mixed", "0.1 * mixed"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,

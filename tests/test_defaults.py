@@ -82,7 +82,7 @@ def test_build_t_operators_returns_the_module_operators():
         assert np.array_equal(channel.fidelity_coefficients(alpha), channel.fidelity_coefficients(alpha, t))
         for with_ppt in (False, True):
             got, want = sdp.build_problem(alpha, with_ppt=with_ppt), sdp.build_problem(alpha, t, with_ppt)
-            assert_same_arrays((got.objective,), (want.objective,))
+            assert_same_arrays((got.objective, got.eq_matrix), (want.objective, want.eq_matrix))
             assert got.cones is want.cones and got.setup is want.setup
 
 

@@ -78,7 +78,7 @@ def test_symmetry_rows_vanish_on_the_fixed_subspace():
     trace_row, sym_rows = constraint_matrices()
     assert np.abs(sym_rows @ FIXED).max() <= 1e-15
     problem = build_problem(0.4)
-    assert np.array_equal(problem.setup.trace, trace_row @ FIXED)
+    assert np.array_equal(problem.eq_matrix, (trace_row @ FIXED)[None, :])
 
 
 def _weighted_spectrum(forms, x):
@@ -96,20 +96,20 @@ def test_problem_shapes():
     slice the one cone's spectrum equals both."""
     plain = build_problem(0.4)
     ppt = build_problem(0.4, with_ppt=True)
-    assert (plain.objective.shape, plain.setup.trace.shape, plain.cones.shape) == ((8,), (8,), (12, 8))
-    assert (ppt.objective.shape, ppt.setup.trace.shape, ppt.cones.shape) == ((7,), (7,), (12, 7))
+    assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (12, 8))
+    assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (12, 7))
     for problem, k in ((plain, 7), (ppt, 6)):
-        sv = np.linalg.svd(problem.setup.trace[None, :], compute_uv=False)
-        assert len(problem.setup.trace) - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
+        sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
+        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert (plain.setup.copies, ppt.setup.copies) == (1, 2)
     assert plain.setup.basis is FIXED
     assert np.array_equal(ppt.setup.basis, np.delete(FIXED, A55, axis=1))
     assert np.array_equal(ppt.cones, np.delete(plain.cones, A55, axis=1))
     assert np.abs(ppt.objective - np.delete(plain.objective, A55)).max() <= 1e-15
-    assert np.array_equal(ppt.setup.trace, np.delete(plain.setup.trace, A55))
+    assert np.array_equal(ppt.eq_matrix, np.delete(plain.eq_matrix, A55, axis=1))
     for problem in (plain, ppt):
-        arrays = [problem.objective, problem.setup.trace, problem.cones]
+        arrays = [problem.objective, problem.eq_matrix, problem.cones]
         assert all(arr.dtype == np.float64 for arr in arrays)
     flip = np.where(np.arange(8) == A55, -1.0, 1.0)
     rng = np.random.default_rng(20050203)
@@ -197,7 +197,7 @@ def test_setups_are_built_once_and_read_only():
     assert sdp._PROGRAMS[0][0] is CONE_FORMS
     assert plain.project.shape == first.project.shape == (12, 12)
     assert (plain.dual_map.shape, first.dual_map.shape) == ((12, 7), (12, 6))
-    fields = {"basis", "copies", "trace", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
     cones = [cone for cone, _ in sdp._PROGRAMS]

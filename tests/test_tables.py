@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entclone import channel, sdp
+from entclone import sdp
 from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
@@ -81,32 +81,17 @@ def test_objective_is_the_channel_functional():
 
 
 def test_trace_row_is_literal():
-    """Each program's setup holds the literal integer trace row bit for bit (the PPT one without a55), the
+    """Each problem's equality is the literal integer trace row bit for bit (the PPT one without a55), the
     dense witness's row on the FIXED coordinates to 1e-15, with e.e = 54."""
     trace_row, _ = dense_constraint_matrices()
     assert np.abs(trace_row - TRACE_ROW).max() <= 1e-15
     for alpha in (0.0, 0.3, ALPHA_MAX):
         for with_ppt in (False, True):
-            row = build_problem(alpha, with_ppt=with_ppt).setup.trace
+            (row,) = build_problem(alpha, with_ppt=with_ppt).eq_matrix
             assert np.array_equal(row, np.delete(TRACE, A55) if with_ppt else TRACE)
-        row = build_problem(alpha).setup.trace
+        (row,) = build_problem(alpha).eq_matrix
         assert np.abs(row - FIXED.T @ trace_row).max() <= 1e-15
         assert row @ row == 54.0
-
-
-def test_build_problem_reads_no_constraint_table(monkeypatch):
-    """The trace row is read once per program, at import: build_problem works with
-    channel.constraint_matrices raising, and sdp holds no name of it."""
-
-    def refuse():
-        raise AssertionError("constraint_matrices called")
-
-    monkeypatch.setattr(channel, "constraint_matrices", refuse)
-    assert not hasattr(sdp, "constraint_matrices")
-    for with_ppt in (False, True):
-        problem = build_problem(0.3, with_ppt=with_ppt)
-        assert problem.setup is sdp._PROGRAMS[with_ppt][1]
-        assert solve(problem).iterations > 0
 
 
 def test_symmetry_rows_are_literal():
@@ -161,7 +146,7 @@ def test_null_basis_is_the_trace_rows_reflection():
     reference here: bit-equality with it depends on the numpy and LAPACK build, so it is not asserted."""
     for with_ppt in (False, True):
         problem = build_problem(0.3, with_ppt=with_ppt)
-        e = problem.setup.trace
+        (e,) = problem.eq_matrix
         null = problem.setup.null.astype(float)
         m = len(e)
         assert e @ e == 54.0
@@ -179,7 +164,7 @@ def test_plain_start_is_the_min_norm_point():
     both dense operators there have the spectrum {1, 2, 4} / 36 with multiplicities 16, 32, 16, so they
     clear 0 by 1/36 = 2.8e-2."""
     problem = build_problem(0.3)
-    e = problem.setup.trace
+    (e,) = problem.eq_matrix
     basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
     assert np.array_equal(x0, MIXED)
     assert np.array_equal(basis @ x0, TRACE_ROW / 36.0)
@@ -193,7 +178,7 @@ def test_ppt_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
     """The PPT program's x0 = 0.9 e_22 + 0.1 s s^T / 36 lifts to 0.9 e_22 + 0.1 TRACE_ROW / 36, meets the
     equality, and both dense operators at x0 clear 0 by 1/360 = 2.8e-3."""
     problem = build_problem(0.3, with_ppt=True)
-    e = problem.setup.trace
+    (e,) = problem.eq_matrix
     basis, x0 = problem.setup.basis, problem.setup.x0.astype(float)
     assert np.array_equal(x0, 0.9 * basis[6] + 0.1 * np.delete(MIXED, A55))
     no_communication = np.eye(25)[6]  # a = e_22
