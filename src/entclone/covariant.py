@@ -84,20 +84,6 @@ for _table in (BLOCK_BASIS, BLOCK_X, BLOCK_C):
     _table.flags.writeable = False
 
 
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(2) element from a normalized normal quaternion."""
-    q = rng.normal(size=4)
-    q = q / np.linalg.norm(q)
-    a, b, c, d = q
-    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
-
-
-def two_party_rep(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """Joint action on the Choi order (1A,1B,2A,2B,A,B): ab (x) ab (x) ab* with ab = u_a (x) u_b."""
-    ab = np.kron(u_a, u_b)
-    return np.kron(np.kron(ab, ab), ab.conj())
-
-
 def _from_blocks(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Operators V (X_i (x) I2) V^dag + c_i (I8 - V V^dag) as an (n, 8, 8) stack."""
     v = BLOCK_BASIS

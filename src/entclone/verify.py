@@ -31,8 +31,8 @@ from entclone.analytic import (
     fidelity_locc,
     params_for,
 )
-from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output
-from entclone.covariant import T_OPERATORS, assemble_ptilde, partial_transpose_b, random_su2, two_party_rep
+from entclone.channel import clone_reductions, constraint_matrices, trace_output
+from entclone.covariant import T_OPERATORS, assemble_ptilde, partial_transpose_b
 from entclone.protocol import (
     build_dilations,
     build_kraus,
@@ -63,6 +63,8 @@ COVERAGE_BAR, FALSE_ALARM_RATE = 97, 1.7e-4
 
 Check = tuple[str, float, str, str]
 _HOLDS = {"tol": operator.le, "cap": operator.le, "need": operator.ge, "floor": operator.gt}
+# X, Y, Z: their images under U (x) U (x) U* generate each party's symmetry group (criterion 9).
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _GRIDS = {"coarse": np.linspace(0.0, ALPHA_MAX, 50), "fine": np.arange(0.30, 0.37 + 1e-12, 0.002)}
 
 
@@ -101,9 +103,9 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
     """Run the ten acceptance criteria; returns one result per criterion.
 
     tol is handed to every semidefinite solve; the pass thresholds of
-    the criteria themselves are fixed.  seed controls the random draws
-    of the structural checks and the sampling seeds, so repeated calls
-    with the same seed give identical reports.
+    the criteria themselves are fixed.  seed seeds only criterion 7's
+    protocol sampler; every other criterion draws nothing, so reports
+    differ across seeds on criterion 7 alone.
     """
     a0 = alpha_critical()
 
@@ -188,28 +190,25 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         algebra = max(algebra, float(np.max(np.abs(ts[0] + ts[1] + ts[2] - np.eye(8)))))
         algebra = max(algebra, float(np.max(np.abs(ts[3] @ ts[0] @ ts[3] - ts[1]))))
 
-        rng = np.random.default_rng(seed)
+        # SU(2) is connected, so an operator commuting with the generators s (x) I (x) I + I (x) s (x) I
+        # - I (x) I (x) s*, s = X, Y, Z, of U (x) U (x) U* on (clone 1, clone 2, input) commutes with the
+        # whole group; then every sum_ij a_ij ti (x) tj commutes with both parties' actions.
         cov = 0.0
-        for _ in range(20):
-            ptilde = assemble_ptilde(rng.normal(size=(5, 5)))
-            w = two_party_rep(random_su2(rng), random_su2(rng))
-            cov = max(cov, float(np.max(np.abs(w @ ptilde @ w.conj().T - ptilde))))
+        for s in _PAULIS:
+            gen = np.kron(s, np.eye(4)) + np.kron(np.kron(np.eye(2), s), np.eye(2)) - np.kron(np.eye(4), s.conj())
+            cov = max(cov, float(np.max(np.abs(ts @ gen - gen @ ts))))
 
         # The trace row e and the orthonormal symmetry rows S have disjoint
         # supports, so P projects onto the null space of all four rows and
-        # e / (e.e) + P g is feasible for every g.
+        # e / (e.e) + P g is feasible for every g.  Both constraints are affine, so g = 0 and
+        # g = e_j, j = 1..25, cover every feasible a, and the outputs on the 16 matrix units every input.
         eq, sym_rows = constraint_matrices()
         project = np.eye(len(eq)) - np.outer(eq, eq) / (eq @ eq) - sym_rows.T @ sym_rows
         feas = 0.0
-        for _ in range(5):
-            x = eq / (eq @ eq) + project @ (0.3 * rng.normal(size=len(eq)))
+        for x in eq / (eq @ eq) + np.vstack([np.zeros(len(eq)), project]):
             choi = assemble_ptilde(x.reshape(5, 5))
-            feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))))
-            for _ in range(2):
-                g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                g = (g + g.conj().T) / 2.0
-                r1, r2 = clone_reductions(apply_choi(choi, g))
-                feas = max(feas, float(np.max(np.abs(r1 - r2))))
+            r1, r2 = clone_reductions(choi.reshape(16, 4, 16, 4).transpose(1, 3, 0, 2))
+            feas = max(feas, float(np.max(np.abs(trace_output(choi) - np.eye(4)))), float(np.max(np.abs(r1 - r2))))
 
         ppt_eig = 0.0
         for family in (CloneFamily.BUZEK_HILLERY_SQUARED, CloneFamily.LOCC_OPTIMAL):

@@ -102,6 +102,10 @@ MUTANTS = (
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-12 -> nu 1e-12", SDP,
            "return 2.0 * self.nu * 1e-12", "return self.nu * 1e-12"),
     Mutant("verify criterion 9 projector without its S^T S term", VERIFY, " - sym_rows.T @ sym_rows", ""),
+    Mutant("verify criterion 9 generators act as U on the input, not U*", VERIFY,
+           "np.kron(np.eye(4), s.conj())", "np.kron(np.eye(4), s)"),
+    Mutant("verify criterion 9 feasibility read at e / (e.e) alone", VERIFY,
+           "np.vstack([np.zeros(len(eq)), project])", "np.zeros((1, len(eq)))"),
     Mutant("verify tol check flipped to >=", VERIFY, '"tol": operator.le', '"tol": operator.ge'),
     Mutant("verify cap check flipped to >=", VERIFY, '"cap": operator.le', '"cap": operator.ge'),
     Mutant("verify need check flipped to <=", VERIFY, '"need": operator.ge', '"need": operator.le'),

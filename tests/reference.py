@@ -1,6 +1,6 @@
 """Dense references for the tests, one per layer; pytest does not collect this module.
 
-- Products: kron_all, choi_kron and triple_rep, written out.
+- Products: kron_all, choi_kron and triple_rep, written out, and random_su2 to draw their unitaries.
 - Objective and constraints: each ti (x) tj as a 64x64 Choi operator.
   These are the witness for channel's literal tables: functional_table
   derives G0, G1 and dense_constraint_matrices the trace and symmetry
@@ -50,6 +50,14 @@ def choi_kron(x, y):
 def triple_rep(u):
     """Action of a local unitary on (clone 1, clone 2, input): u (x) u (x) u*."""
     return np.kron(np.kron(u, u), u.conj())
+
+
+def random_su2(rng):
+    """Haar-random SU(2) element from a normalized normal quaternion."""
+    q = rng.normal(size=4)
+    q = q / np.linalg.norm(q)
+    a, b, c, d = q
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
 def _key(t):

@@ -131,3 +131,38 @@ def test_a_kink_in_the_smooth_sweep_fails_criterion_4(monkeypatch):
     results = run_all()
     assert [r.number for r in results if not r.passed] == [4]
     assert results[3].detail.endswith(", smooth sweep kinks 1 (cap 0), at 0.3360"), results[3].detail
+
+
+def _broken(detail):
+    """The labels of the checks a criterion's detail prints broken against their own bounds."""
+    checks = re.findall(r"(?:^|, )([^,]+?) (\S+) \((tol|cap|need|floor) (\S+)\)", detail)
+    return [label for label, value, kind, bound in checks if not verify._HOLDS[kind](float(value), float(bound))]
+
+
+def test_turned_t_operators_fail_criterion_9_on_covariance(monkeypatch):
+    """t1..t5 turned by a Hadamard on the input qubit keep their algebra but no longer commute with
+    U (x) U (x) U*, and criterion 9 fails on its covariance check alone."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    turn = np.kron(np.eye(4), h)
+    monkeypatch.setattr(verify, "T_OPERATORS", turn @ verify.T_OPERATORS @ turn)
+    results = run_all()
+    assert [r.number for r in results if not r.passed] == [9]
+    assert _broken(results[8].detail) == ["covariance"], results[8].detail
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_a_dropped_symmetry_row_fails_criterion_9_on_feasibility(monkeypatch, dropped):
+    """Without one clone-symmetry row the projected points leave the feasible set, and criterion 9's
+    feasibility check, which reads every such point and every input, fails alone."""
+    eq, sym_rows = verify.constraint_matrices()
+    monkeypatch.setattr(verify, "constraint_matrices", lambda: (eq, np.delete(sym_rows, dropped, axis=0)))
+    results = run_all()
+    assert [r.number for r in results if not r.passed] == [9]
+    assert _broken(results[8].detail) == ["feasibility dev"], results[8].detail
+
+
+def test_only_criterion_7_reads_the_seed(results):
+    """Seeds 7 and 316 give the same report on every criterion but the sampled one, which they change."""
+    other = run_all(seed=316)
+    assert [r for r in other if r.number != 7] == [r for r in results if r.number != 7]
+    assert other[6] != results[6]

@@ -29,9 +29,9 @@ from entclone.channel import (
     trace_output,
 )
 from entclone import channel
-from entclone.covariant import T_OPERATORS, assemble_ptilde, build_t_operators, random_su2
+from entclone.covariant import T_OPERATORS, assemble_ptilde, build_t_operators
 import reference
-from reference import dense_constraint_matrices, dense_fidelity_coefficients, functional_table
+from reference import dense_constraint_matrices, dense_fidelity_coefficients, functional_table, random_su2
 
 
 def density(vec):

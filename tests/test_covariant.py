@@ -14,10 +14,8 @@ from entclone.covariant import (
     assemble_ptilde,
     basis_stack,
     partial_transpose_b,
-    random_su2,
-    two_party_rep,
 )
-from reference import choi_kron, commutant_blocks, kron_all, triple_rep
+from reference import choi_kron, commutant_blocks, kron_all, random_su2, triple_rep
 
 
 def test_basis_vector_amplitudes():
@@ -161,7 +159,7 @@ def test_covariance_under_local_unitaries():
     rng = np.random.default_rng(13)
     ptilde = assemble_ptilde(params_for(CloneFamily.GLOBAL_OPTIMAL, 0.45))
     for _ in range(10):
-        rep = two_party_rep(random_su2(rng), random_su2(rng))
+        rep = choi_kron(triple_rep(random_su2(rng)), triple_rep(random_su2(rng)))
         assert np.abs(rep @ ptilde @ rep.conj().T - ptilde).max() < 1e-10
 
 
@@ -181,14 +179,6 @@ def test_choi_kron_writes_out_the_choi_order():
     f = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(6)]
     choi = kron_all(f)
     assert np.abs(choi_kron(kron_all(f[0::2]), kron_all(f[1::2])) - choi).max() < 1e-14 * np.abs(choi).max()
-
-
-def test_two_party_rep_is_on_the_choi_order():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        u_a, u_b = random_su2(rng), random_su2(rng)
-        expected = choi_kron(triple_rep(u_a), triple_rep(u_b))
-        assert np.abs(two_party_rep(u_a, u_b) - expected).max() < 1e-15
 
 
 def test_assemble_unit_matrices_on_the_choi_order():

@@ -9,15 +9,16 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, schmidt_state  # noqa: E402
 from entclone.channel import apply_choi, clone_reductions, constraint_matrices, trace_output  # noqa: E402
-from entclone.covariant import assemble_ptilde, two_party_rep  # noqa: E402
+from entclone.covariant import assemble_ptilde  # noqa: E402
 from entclone.protocol import run_protocol_exact  # noqa: E402
+from reference import choi_kron, triple_rep  # noqa: E402
 
 unit = st.floats(min_value=-1.0, max_value=1.0)
 
 
 @st.composite
 def su2(draw) -> np.ndarray:
-    """An SU(2) element from a normalized quaternion, as covariant.random_su2 builds it."""
+    """An SU(2) element from a normalized quaternion, as reference.random_su2 builds it."""
     q = np.array(draw(st.lists(unit, min_size=4, max_size=4)))
     assume(np.linalg.norm(q) > 0.1)
     a, b, c, d = q / np.linalg.norm(q)
@@ -39,7 +40,7 @@ def test_random_parameters_are_covariant_and_stay_feasible(entries, u_a, u_b, al
     input, and rotating the input rotates both clones alike.
     """
     a = np.array(entries).reshape(5, 5)
-    rep = two_party_rep(u_a, u_b)
+    rep = choi_kron(triple_rep(u_a), triple_rep(u_b))
     ptilde = assemble_ptilde(a)
     assert np.abs(rep @ ptilde @ rep.conj().T - ptilde).max() < 1e-12
 
