@@ -8,13 +8,15 @@ file, as its name has no test_ prefix):
 Each mutant is one exact string replacement in one package file, and its
 text must occur there exactly once.  It is applied to a fresh copy of
 src/, tests/ and bench/ in a temporary directory, whose Tier-1 suite then
-runs with -x and the copy's src/ first on the path.  The unmutated copy
-runs first and must pass.  A mutant is killed when the suite fails under it;
-a surviving mutant is reported as equivalent when the list states why no
-output can change, and as a survivor otherwise.  The run exits 1 if any
-mutant survives without a reason.  It uses only the standard library and
-pytest, and takes about three minutes on two cores.  CI runs it
-after Tier-1 on one Python version.
+runs with -x, one BLAS thread and the copy's src/ first on the path.  The
+unmutated copy runs first and must pass.  The mutants then run on
+min(2, os.cpu_count()) workers, and their verdicts print in list order.
+A mutant is killed when the suite fails under it; a surviving mutant is
+reported as equivalent when the list states why no output can change, and
+as a survivor otherwise.  The run exits 1 if any mutant survives without a
+reason.  It uses only the standard library and pytest, and takes about
+two and a half minutes on two cores.  CI runs it after Tier-1 on one
+Python version.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +36,8 @@ ANALYTIC = "src/entclone/analytic.py"
 SDP = "src/entclone/sdp.py"
 CLI = "src/entclone/cli.py"
 VERIFY = "src/entclone/verify.py"
+# Each child suite runs on one BLAS thread, so the parallel workers do not oversubscribe the cores.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Mutant(NamedTuple):
@@ -68,9 +73,13 @@ MUTANTS = (
            "np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)",
            "target - (scaling @ dsz[0][..., None])[..., 0]"),
     Mutant("sdp.solve without the refinement solve", SDP,
-           "        dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))\n", ""),
-    Mutant("sdp setup and iterates in float64, not long double", SDP,
+           "            dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))\n", ""),
+    Mutant("sdp steps that target mu_min cast to float64, not long double", SDP,
            "a.astype(np.longdouble)", "a.astype(np.float64)"),
+    Mutant("sdp.solve never switches to long double", SDP,
+           "if tau == mu_min and not extended:", "if False:"),
+    Mutant("sdp.solve switches to long double at mu <= (1 + 1e-3) mu_min, not at tau = mu_min", SDP,
+           "if tau == mu_min and not extended:", "if mu <= (1.0 + 1e-3) * mu_min and not extended:"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,
@@ -147,7 +156,8 @@ def apply(mutant: Mutant, root: Path) -> None:
 
 def tier1(root: Path) -> tuple[bool, str]:
     """Run the Tier-1 suite of the copy at root with -x: (passed, the first failure's summary line)."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           **dict.fromkeys(BLAS_THREADS, "1")}
     env.pop("CLONER_SEED", None)
     where = subprocess.run([sys.executable, "-c", "import entclone; print(entclone.__file__)"],
                            cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
@@ -179,15 +189,15 @@ def main() -> int:
     if not passed:
         raise SystemExit(f"the unmutated copy fails Tier-1: {detail}")
     survivors = 0
-    for mutant in MUTANTS:
-        passed, detail = run(mutant)
-        if not passed:
-            verdict = f"killed by {detail}"
-        elif mutant.equivalent:
-            verdict = f"equivalent: {mutant.equivalent}"
-        else:
-            verdict, survivors = "SURVIVED", survivors + 1
-        print(f"{mutant.name}: {verdict}", flush=True)
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        for mutant, (passed, detail) in zip(MUTANTS, pool.map(run, MUTANTS)):
+            if not passed:
+                verdict = f"killed by {detail}"
+            elif mutant.equivalent:
+                verdict = f"equivalent: {mutant.equivalent}"
+            else:
+                verdict, survivors = "SURVIVED", survivors + 1
+            print(f"{mutant.name}: {verdict}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed or equivalent")
     return 1 if survivors else 0
 

@@ -341,9 +341,11 @@ def test_every_iterate_is_certified(alpha, with_ppt):
 def test_solve_converges_at_the_tolerance_floor(with_ppt):
     """Down to tol near its floor 2 nu 1e-12, every solve on FLOOR_GRID returns a certified optimum:
     f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z.
-    The residual stays below 9e-16 because each dual step is projected back onto the dual equalities;
-    without that projection the PPT residual reaches 3.4e-14.  Each plain solve takes 9 iterations, with or without the NT direction refined in long double.
-    The PPT solves take 1169 in all; without the refinement they take 1219."""
+    The residual stays below 2e-15 because each dual step is projected back onto the dual equalities;
+    without that projection the PPT residual reaches 2.2e-11.  Each plain solve takes 9 iterations, with or
+    without the refinement of the steps that target mu_min; in double throughout, 5 do not converge.
+    The PPT solves take 1170 in all (alpha = 0.37 takes 15, 14 in long double throughout); without the
+    refinement the 87 that converge take 1270, and alpha = 0.35 leaves the cone interior."""
     tol = 1.3e-10 if not with_ppt else 2.6e-10
     iterations = []
     for alpha in FLOOR_GRID:
@@ -354,9 +356,27 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt):
         assert sol.min_dual_eigenvalue > 0.0
         iterations.append(sol.iterations)
     if with_ppt:
-        assert sum(iterations) == 1169
+        assert sum(iterations) == 1170
     else:
         assert set(iterations) == {9}
+
+
+@pytest.mark.parametrize("with_ppt, iterations, calls", [(False, 7, 8), (True, 14, 18)], ids=["plain", "ppt"])
+def test_only_the_steps_that_target_mu_min_are_refined(monkeypatch, with_ppt, iterations, calls):
+    """Each step makes one np.linalg.solve call until the first step that targets mu_min; that step and
+    the centring steps after it are refined, a second call each.  At alpha = 0.5 that is the plain
+    solve's last step and the PPT solve's last four."""
+    problem = build_problem(0.5, with_ppt=with_ppt)
+    inner, solved = np.linalg.solve, []
+
+    def counted(a, b):
+        solved.append(a.dtype)
+        return inner(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    sol = solve(problem, tol=1e-7)
+    assert (sol.iterations, len(solved)) == (iterations, calls)
+    assert set(solved) == {np.dtype(np.float64)}
 
 
 def test_sweep_failure_names_its_point(monkeypatch):
