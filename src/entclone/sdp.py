@@ -76,9 +76,11 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    iterates move by STEP_FRACTION of the largest step that keeps every
    block positive definite (one quadratic per block), capped at 1.
    There is no line search.
- - Precision: the iterates and the step run in double up to the first
-   step that targets tau = mu_min; that step and the centring steps
-   after it run in long double, each refined once (see solve).
+ - Precision: the iterates and the step run in double.  Only when
+   mu_min is below LONG_DOUBLE_MU_MIN = 1e-10, tol below 1.28e-8 (plain)
+   or 2.56e-8 (PPT), do the first step that targets tau = mu_min and the
+   centring steps after it run in long double, each refined once (see
+   solve); every solve at the default tol is double throughout.
  - Stop: once every block's complementarity is within 1e-3 mu_min of
    mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
    centred point at mu_min, so f*'s error is a smooth function of
@@ -108,6 +110,9 @@ from entclone.covariant import T_OPERATORS, check_t
 # STEP_FRACTION of the largest step that stays interior.
 CENTRING = 0.03
 STEP_FRACTION = 0.99
+# The steps that target mu_min run in long double only when mu_min is below this bar
+# (see solve): tol below 1.28e-8 for the plain program, 2.56e-8 for the PPT program.
+LONG_DOUBLE_MU_MIN = 1e-10
 # detect_threshold's bar for a curvature jump, tuned for grid steps near
 # 0.002 and solver tolerances near 1e-7.
 THRESHOLD_RATIO = 10.0
@@ -161,8 +166,8 @@ for _table in (_PAIRING, _FORM_WEIGHTS, _IDENTITY, _FLIP, _NT_LEFT, _NT_RIGHT, _
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup.  Every array is float64; solve casts the ones it steps with to long double
-    for its last steps."""
+    and carried as SdpProblem.setup.  Every array is float64; below LONG_DOUBLE_MU_MIN solve casts the ones it
+    steps with to long double for its last steps."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
@@ -350,19 +355,30 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     produce identical output.
 
     Iterates and step arithmetic are double, with one np.linalg.solve of
-    the k x k system per step, up to the first step whose target tau is
-    mu_min.  There the iterate and the setup are cast to long double and
-    S and its determinants recomputed; from there on every step's system
-    is factored in double and refined once against its long-double
-    residual.  At mu_min near 1e-12 a 2x2 block's small eigenvalue is
-    ~1e-12 of its entries, which double leaves only 4 digits of, and
-    the system's condition reaches ~1e11, so steps computed in double
-    can leave the interior there or stall short of the stop test.  The
-    earlier steps target CENTRING mu > mu_min, which leaves the next
-    step room to correct them.  Measured against long double and
-    refinement on every step, over 474 alphas at tol 1e-3 to 1e-8 in
-    both programs (3,792 solves), one iteration count moves (a stop test
-    read within 0.3% of its bar), and f* moves by at most 1.5e-14.
+    the k x k system per step.  Only when mu_min < LONG_DOUBLE_MU_MIN,
+    at the first step whose target tau is mu_min, are the iterate and
+    the setup cast to long double and S and its determinants recomputed;
+    from there on every step's system is factored in double and refined
+    once against its long-double residual.  At mu_min near 1e-12 a 2x2
+    block's small eigenvalue is ~1e-12 of its entries, which double
+    leaves only 4 digits of, and the system's condition reaches ~1e11,
+    so steps computed in double can leave the interior there or stall
+    short of the stop test.  The earlier steps target CENTRING mu >
+    mu_min, which leaves the next step room to correct them.  Measured
+    against long double and refinement on every step, over 474 alphas at
+    tol 1e-3 to 1e-8 in both programs (3,792 solves), the steps that
+    target mu_min alone in long double move one iteration count (a stop
+    test read within 0.3% of its bar), and f* by at most 1.5e-14.
+    The bar rests on a ladder of 52 tols from the floor to 1e-6 on the
+    floor test's 88 alphas, every step in double: the largest mu_min at
+    which a solve in either program fails to converge, loses its
+    certificate or moves a plain iteration count is 7.0e-12 (plain, tol
+    9e-10), and the bar is above ten times that.  From mu_min = 1e-10 up
+    to 8e-10 (tol 1e-7 gives 7.8e-10 plain, 3.9e-10 PPT) every solve
+    converges certified, no plain count moves, two of 1,232 PPT counts
+    move by one, and f* moves by at most 8.7e-14.  So only a tol below
+    the bar depends on the platform's np.longdouble, which is double on
+    some platforms.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -402,8 +418,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        if tau == mu_min and not extended:
-            # The steps that target mu_min, and only they, run in long double (see the docstring).
+        if tau == mu_min and mu_min < LONG_DOUBLE_MU_MIN and not extended:
+            # Below the bar, the steps that target mu_min, and only they, run in long double (see the docstring).
             arrays = (forms, dirs, dual_map, null, project, x, sz)
             forms, dirs, dual_map, null, project, x, sz = (a.astype(np.longdouble) for a in arrays)
             dsz, extended = np.empty_like(sz), True

@@ -77,9 +77,11 @@ MUTANTS = (
     Mutant("sdp steps that target mu_min cast to float64, not long double", SDP,
            "a.astype(np.longdouble)", "a.astype(np.float64)"),
     Mutant("sdp.solve never switches to long double", SDP,
-           "if tau == mu_min and not extended:", "if False:"),
+           "if tau == mu_min and mu_min < LONG_DOUBLE_MU_MIN and not extended:", "if False:"),
     Mutant("sdp.solve switches to long double at mu <= (1 + 1e-3) mu_min, not at tau = mu_min", SDP,
-           "if tau == mu_min and not extended:", "if mu <= (1.0 + 1e-3) * mu_min and not extended:"),
+           "if tau == mu_min and mu_min <", "if mu <= (1.0 + 1e-3) * mu_min and mu_min <"),
+    Mutant("sdp.LONG_DOUBLE_MU_MIN 1e-10 -> 1e-9, above both programs' mu_min at tol 1e-7", SDP,
+           "\nLONG_DOUBLE_MU_MIN = 1e-10\n", "\nLONG_DOUBLE_MU_MIN = 1e-9\n"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,

@@ -337,16 +337,21 @@ def test_every_iterate_is_certified(alpha, with_ppt):
         assert best.min_dual_eigenvalue > 0.0
 
 
-@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
-def test_solve_converges_at_the_tolerance_floor(with_ppt):
+@pytest.mark.parametrize(
+    "with_ppt, tol, pinned",
+    [(False, 1.3e-10, 9), (True, 2.6e-10, 1170), (False, 1.28e-8, 8), (True, 2.56e-8, 971)],
+    ids=["plain", "ppt", "plain-double", "ppt-double"],
+)
+def test_solve_converges_at_the_tolerance_floor(with_ppt, tol, pinned):
     """Down to tol near its floor 2 nu 1e-12, every solve on FLOOR_GRID returns a certified optimum:
     f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z.
     The residual stays below 2e-15 because each dual step is projected back onto the dual equalities;
     without that projection the PPT residual reaches 2.2e-11.  Each plain solve takes 9 iterations, with or
     without the refinement of the steps that target mu_min; in double throughout, 5 do not converge.
     The PPT solves take 1170 in all (alpha = 0.37 takes 15, 14 in long double throughout); without the
-    refinement the 87 that converge take 1270, and alpha = 0.35 leaves the cone interior."""
-    tol = 1.3e-10 if not with_ppt else 2.6e-10
+    refinement the 87 that converge take 1270, and alpha = 0.35 leaves the cone interior.
+    The double cases run at 2 nu sdp.LONG_DOUBLE_MU_MIN, the smallest tol whose solves never leave
+    double: every plain solve there takes 8 iterations and the PPT solves 971 in all."""
     iterations = []
     for alpha in FLOOR_GRID:
         closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
@@ -356,16 +361,21 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt):
         assert sol.min_dual_eigenvalue > 0.0
         iterations.append(sol.iterations)
     if with_ppt:
-        assert sum(iterations) == 1170
+        assert sum(iterations) == pinned
     else:
-        assert set(iterations) == {9}
+        assert set(iterations) == {pinned}
 
 
-@pytest.mark.parametrize("with_ppt, iterations, calls", [(False, 7, 8), (True, 14, 18)], ids=["plain", "ppt"])
-def test_only_the_steps_that_target_mu_min_are_refined(monkeypatch, with_ppt, iterations, calls):
-    """Each step makes one np.linalg.solve call until the first step that targets mu_min; that step and
-    the centring steps after it are refined, a second call each.  At alpha = 0.5 that is the plain
-    solve's last step and the PPT solve's last four."""
+@pytest.mark.parametrize(
+    "with_ppt, tol, iterations, calls",
+    [(False, 1e-8, 8, 9), (True, 1e-8, 15, 19), (False, 1e-7, 7, 7), (True, 1e-7, 14, 14)],
+    ids=["plain", "ppt", "plain-default", "ppt-default"],
+)
+def test_only_the_steps_that_target_mu_min_are_refined(monkeypatch, with_ppt, tol, iterations, calls):
+    """Each step makes one float64 np.linalg.solve call.  Below sdp.LONG_DOUBLE_MU_MIN, the first step
+    that targets mu_min and the centring steps after it are refined, a second call each: at tol 1e-8,
+    alpha = 0.5, the plain solve's last step and the PPT solve's last four.  At the default tol 1e-7
+    mu_min is above the bar in both programs, so no step is refined and no long double is used."""
     problem = build_problem(0.5, with_ppt=with_ppt)
     inner, solved = np.linalg.solve, []
 
@@ -374,7 +384,7 @@ def test_only_the_steps_that_target_mu_min_are_refined(monkeypatch, with_ppt, it
         return inner(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    sol = solve(problem, tol=1e-7)
+    sol = solve(problem, tol=tol)
     assert (sol.iterations, len(solved)) == (iterations, calls)
     assert set(solved) == {np.dtype(np.float64)}
 
