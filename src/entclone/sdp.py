@@ -76,11 +76,9 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    iterates move by STEP_FRACTION of the largest step that keeps every
    block positive definite (one quadratic per block), capped at 1.
    There is no line search.
- - Precision: the iterates and the step run in double.  Only when
-   mu_min is below LONG_DOUBLE_MU_MIN = 1e-10, tol below 1.28e-8 (plain)
-   or 2.56e-8 (PPT), do the first step that targets tau = mu_min and the
-   centring steps after it run in long double, each refined once (see
-   solve); every solve at the default tol is double throughout.
+ - Precision: double throughout, one np.linalg.solve per step.  The tol
+   floor 2 nu 1e-10 (mu_min >= 1e-10) is where double suffices: the
+   largest mu_min at which a double solve fails is 7.0e-12 (see solve).
  - Stop: once every block's complementarity is within 1e-3 mu_min of
    mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
    centred point at mu_min, so f*'s error is a smooth function of
@@ -110,9 +108,6 @@ from entclone.covariant import T_OPERATORS, check_t
 # STEP_FRACTION of the largest step that stays interior.
 CENTRING = 0.03
 STEP_FRACTION = 0.99
-# The steps that target mu_min run in long double only when mu_min is below this bar
-# (see solve): tol below 1.28e-8 for the plain program, 2.56e-8 for the PPT program.
-LONG_DOUBLE_MU_MIN = 1e-10
 # detect_threshold's bar for a curvature jump, tuned for grid steps near
 # 0.002 and solver tolerances near 1e-7.
 THRESHOLD_RATIO = 10.0
@@ -166,8 +161,7 @@ for _table in (_PAIRING, _FORM_WEIGHTS, _IDENTITY, _FLIP, _NT_LEFT, _NT_RIGHT, _
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup.  Every array is float64; below LONG_DOUBLE_MU_MIN solve casts the ones it
-    steps with to long double for its last steps."""
+    and carried as SdpProblem.setup; every array is float64, as is every step of solve."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
@@ -197,8 +191,8 @@ class SdpProblem:
 
     @property
     def tol_floor(self) -> float:
-        """The smallest tol solve accepts, 2 nu 1e-12 (mu_min >= 1e-12): 1.28e-10 plain, 2.56e-10 PPT."""
-        return 2.0 * self.nu * 1e-12
+        """The smallest tol solve accepts, 2 nu 1e-10 (mu_min >= 1e-10): 1.28e-8 plain, 2.56e-8 PPT."""
+        return 2.0 * self.nu * 1e-10
 
 
 @dataclass(frozen=True)
@@ -325,10 +319,9 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
 def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
     """The primal iterate x and the dual point zs; y = e.r / e.e solves A^T y = r in least squares."""
     setup = problem.setup
-    r = (problem.objective + np.einsum("be,bep->p", zs * (setup.copies * _FORM_WEIGHTS), setup.forms)).astype(float)
+    r = problem.objective + np.einsum("be,bep->p", zs * (setup.copies * _FORM_WEIGHTS), setup.forms)
     (e,) = problem.eq_matrix
     y = (e @ r) / (e @ e)
-    x = x.astype(float)
     return SdpSolution(
         a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
@@ -349,36 +342,21 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     max_iter caps the number of iterations; the ConvergenceError raised
     past it carries the current iterate, certified like every other.
     max_iter must be a non-negative integer (Python or numpy, not bool),
-    and tol finite and positive, else ValueError.
+    and tol finite, positive and at least problem.tol_floor, else ValueError.
     An iterate that rounding put on the cone boundary raises a
     ConvergenceError that carries no iterate.  Identical inputs always
     produce identical output.
 
-    Iterates and step arithmetic are double, with one np.linalg.solve of
-    the k x k system per step.  Only when mu_min < LONG_DOUBLE_MU_MIN,
-    at the first step whose target tau is mu_min, are the iterate and
-    the setup cast to long double and S and its determinants recomputed;
-    from there on every step's system is factored in double and refined
-    once against its long-double residual.  At mu_min near 1e-12 a 2x2
-    block's small eigenvalue is ~1e-12 of its entries, which double
-    leaves only 4 digits of, and the system's condition reaches ~1e11,
-    so steps computed in double can leave the interior there or stall
-    short of the stop test.  The earlier steps target CENTRING mu >
-    mu_min, which leaves the next step room to correct them.  Measured
-    against long double and refinement on every step, over 474 alphas at
-    tol 1e-3 to 1e-8 in both programs (3,792 solves), the steps that
-    target mu_min alone in long double move one iteration count (a stop
-    test read within 0.3% of its bar), and f* by at most 1.5e-14.
-    The bar rests on a ladder of 52 tols from the floor to 1e-6 on the
-    floor test's 88 alphas, every step in double: the largest mu_min at
-    which a solve in either program fails to converge, loses its
-    certificate or moves a plain iteration count is 7.0e-12 (plain, tol
-    9e-10), and the bar is above ten times that.  From mu_min = 1e-10 up
-    to 8e-10 (tol 1e-7 gives 7.8e-10 plain, 3.9e-10 PPT) every solve
-    converges certified, no plain count moves, two of 1,232 PPT counts
-    move by one, and f* moves by at most 8.7e-14.  So only a tol below
-    the bar depends on the platform's np.longdouble, which is double on
-    some platforms.
+    Iterates and steps are double throughout, with one np.linalg.solve of
+    the k x k system per step.  The floor keeps mu_min where double
+    suffices.  At mu_min near 1e-12 a 2x2 block's small eigenvalue is
+    ~1e-12 of its entries, which double leaves only 4 digits of, and the
+    system's condition reaches ~1e11, so steps can leave the interior or
+    stall short of the stop test.  On a ladder of 52 tols from 2 nu 1e-12
+    to 1e-6 on the floor test's 88 alphas, the largest mu_min at which a
+    solve in either program fails to converge, loses its certificate or
+    moves a plain iteration count is 7.0e-12 (plain, tol 9e-10); the
+    floor's mu_min, 1e-10, is above ten times that.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -386,7 +364,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     nu = problem.nu
     if tol < problem.tol_floor:
-        raise ValueError("tol is below the attainable barrier floor for this cone size")
+        raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
     forms, dirs, dual_map, null, project = setup.forms, setup.dirs, setup.dual_map, setup.null, setup.project
     weights = setup.copies * _FORM_WEIGHTS
@@ -398,7 +376,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     if _block_min(sz[1]) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
     dsz = np.empty_like(sz)
-    x, iterations, extended = setup.x0, 0, False
+    x, iterations = setup.x0, 0
     while True:
         np.dot(forms, x, out=sz[0])
         s, zs = sz
@@ -418,14 +396,6 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        if tau == mu_min and mu_min < LONG_DOUBLE_MU_MIN and not extended:
-            # Below the bar, the steps that target mu_min, and only they, run in long double (see the docstring).
-            arrays = (forms, dirs, dual_map, null, project, x, sz)
-            forms, dirs, dual_map, null, project, x, sz = (a.astype(np.longdouble) for a in arrays)
-            dsz, extended = np.empty_like(sz), True
-            np.dot(forms, x, out=sz[0])
-            s, zs = sz
-            det = _det(sz)
         # NT scaling of each block, W = S # Z^-1 (W Z W = S), in closed form:
         # with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
         # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The packed
@@ -444,12 +414,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
         target = (tau / det[0])[..., None] * _adj(s) - zs
         system = np.dot(dual_map.T, (scaling @ dirs).reshape(len(dual_map), -1))
         rhs = np.dot(dual_map.T, target.reshape(-1))
-        if extended:
-            factored = system.astype(float)
-            dz = np.linalg.solve(factored, rhs.astype(float)).astype(forms.dtype)
-            dz += np.linalg.solve(factored, (rhs - np.dot(system, dz)).astype(float))
-        else:
-            dz = np.linalg.solve(system, rhs)
+        dz = np.linalg.solve(system, rhs)
         np.dot(dirs, dz, out=dsz[0])
         dsz[1] = np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
         step = min(1.0, STEP_FRACTION * _max_step(sz, dsz, det))

@@ -303,16 +303,16 @@ def test_verify_rejects_unattainable_tolerance(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--tol", "1e-30")
     assert code == 2
     assert out == ""
-    assert err == "error: tol must be at least the solver's floor 2.56e-10, got 1e-30\n"
+    assert err == "error: tol must be at least the solver's floor 2.56e-08, got 1e-30\n"
 
 
 @pytest.mark.parametrize(
     "argv, floor",
     [
-        (("verify", "--tol", "2e-10"), "2.56e-10"),
-        (("sweep", "--modes", "sdp-ppt", "--tol", "2e-10"), "2.56e-10"),
-        (("sweep", "--modes", "sdp,bh", "--tol", "1.2e-10"), "1.28e-10"),
-        (("sweep", "--modes", "sdp,sdp-ppt", "--tol", "2e-10"), "2.56e-10"),
+        (("verify", "--tol", "2e-08"), "2.56e-08"),
+        (("sweep", "--modes", "sdp-ppt", "--tol", "2e-08"), "2.56e-08"),
+        (("sweep", "--modes", "sdp,bh", "--tol", "1.2e-08"), "1.28e-08"),
+        (("sweep", "--modes", "sdp,sdp-ppt", "--tol", "2e-08"), "2.56e-08"),
     ],
 )
 def test_tol_below_the_solver_floor_is_a_usage_error(capsys, monkeypatch, argv, floor):
@@ -327,22 +327,26 @@ def test_tol_below_the_solver_floor_is_a_usage_error(capsys, monkeypatch, argv, 
 
 
 def test_tol_floor_is_the_solvers_own():
-    """The CLI reads each program's floor from the problem, whose floor solve enforces: 2 nu 1e-12."""
-    for with_ppt, floor in ((False, 1.28e-10), (True, 2.56e-10)):
+    """The CLI reads each program's floor from the problem, whose floor solve enforces: 2 nu 1e-10.
+    solve's error names the floor and the tol in the CLI's words."""
+    for with_ppt, floor in ((False, "1.28e-08"), (True, "2.56e-08")):
         problem = build_problem(0.3, with_ppt=with_ppt)
-        assert math.isclose(problem.tol_floor, floor, rel_tol=1e-15)
+        assert math.isclose(problem.tol_floor, float(floor), rel_tol=1e-15)
         sol = solve(problem, tol=problem.tol_floor)
         assert 0.0 < sol.upper_bound - sol.f_star <= problem.tol_floor
-        with pytest.raises(ValueError, match="floor"):
-            solve(problem, tol=problem.tol_floor * (1.0 - 2.0**-52))
+        below = problem.tol_floor * (1.0 - 2.0**-52)
+        with pytest.raises(ValueError, match=rf"^tol must be at least the solver's floor {floor}, got {below:g}$"):
+            solve(problem, tol=below)
+        with pytest.raises(ValueError, match=rf"^tol must be at least the solver's floor {floor}, got 1e-09$"):
+            solve(problem, tol=1e-9)
 
 
 @pytest.mark.parametrize(
     "argv",
-    [("sweep", "--modes", "sdp", "--steps", "3", "--tol", "2e-10"), ("sweep", "--modes", "global", "--tol", "1e-30")],
+    [("sweep", "--modes", "sdp", "--steps", "3", "--tol", "2e-8"), ("sweep", "--modes", "global", "--tol", "1e-30")],
 )
 def test_tol_above_the_solved_programs_floor_runs(capsys, argv):
-    """The floor is that of the programs the sweep solves: 2e-10 clears the plain program's, and a sweep of
+    """The floor is that of the programs the sweep solves: 2e-8 clears the plain program's, and a sweep of
     closed forms solves nothing, so any finite, positive tol runs."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0

@@ -5,9 +5,9 @@ file, and its stderr with the file of the same stem ending in .stderr,
 or with nothing when there is none.  On the build the goldens are
 written on (PINNED_BUILD: numpy 2.4.6 on CPython 3.11, OpenBLAS running
 its SkylakeX kernels, and numpy's SIMD dispatch up to AVX512_SPR), the
-comparison is byte for byte.  Every run solves at the default tol, where
-no solver step runs in long double, so np.longdouble is not pinned.  On
-every other build, whose last bits may differ, it reads parsed values:
+comparison is byte for byte.  The solver runs in double throughout, so
+np.longdouble is not part of the pin.  On every other build, whose last
+bits may differ, it reads parsed values:
 
 - closed forms (alpha, f_global, f_bh, f_locc) and the params fields
   agree to 1 ulp;
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entclone import cli, sdp
+from entclone import cli
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -166,14 +166,6 @@ def check(name: str, exact: bool = PINNED_BUILD) -> None:
 def test_output_matches_golden(monkeypatch, name):
     monkeypatch.delenv("CLONER_SEED", raising=False)
     check(name)
-
-
-def test_no_golden_run_takes_a_long_double_step():
-    """PINNED_BUILD leaves np.longdouble out: every run solves at the default tol, whose mu_min is at
-    or above sdp.LONG_DOUBLE_MU_MIN in both programs, so no golden value passes through long double."""
-    assert not any("--tol" in argv for argv in RUNS.values())
-    for with_ppt in (False, True):
-        assert cli.DEFAULT_TOL / (2.0 * sdp.build_problem(0.0, with_ppt=with_ppt).nu) >= sdp.LONG_DOUBLE_MU_MIN
 
 
 @pytest.mark.parametrize("shift, passes", [("ulp", True), (1e-12, False)])
