@@ -337,7 +337,7 @@ def test_every_iterate_is_certified(alpha, with_ppt):
         assert best.min_dual_eigenvalue > 0.0
 
 
-@pytest.mark.parametrize("with_ppt, pinned", [(False, 8), (True, 971)], ids=["plain", "ppt"])
+@pytest.mark.parametrize("with_ppt, pinned", [(False, 8), (True, 971)], ids=["plain-double", "ppt-double"])
 def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
     """At tol = the floor 2 nu 1e-10, every solve on FLOOR_GRID returns a certified optimum:
     f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z.
