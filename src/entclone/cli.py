@@ -3,7 +3,7 @@
 Commands write machine-readable CSV or JSON to stdout or a file; any
 human-oriented notes (such as the curvature-jump report of a PPT sweep)
 go to stderr so the data stream stays clean.  Outputs are byte-identical
-across runs with identical flags and seed.  Exit codes: 0 success,
+across runs with identical arguments.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 solver failure.
 """
 
@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -104,21 +103,6 @@ def _parse_modes(text: str) -> list[str]:
     return [mode for mode in _SWEEP_MODES if mode in modes]
 
 
-def _resolve_seed(value: int | None) -> int:
-    """The --seed value, else CLONER_SEED, else DEFAULT_SEED; a seed must be a non-negative integer."""
-    if value is None:
-        env = os.environ.get("CLONER_SEED")
-        if env is None:
-            return DEFAULT_SEED
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"CLONER_SEED must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value}")
-    return value
-
-
 def _check_tol_floor(args: argparse.Namespace) -> None:
     """Refuse a --tol below the solver's floor for the programs the command solves: verify solves both,
     a sweep those of its solving modes.  Raises ValueError."""
@@ -166,13 +150,10 @@ def _write(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _metadata(seed: int, tol: float) -> dict:
-    return {
-        "version": __version__,
-        "seed": seed,
-        "tol": tol,
-        "sign_convention": "t12",
-    }
+def _metadata(args: argparse.Namespace) -> dict:
+    """What produced the output: the version, the seed and tol when the command takes them, the sign convention."""
+    used = {key: getattr(args, key) for key in ("seed", "tol") if key in args}
+    return {"version": __version__, **used, "sign_convention": "t12"}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -192,7 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if failure:
             break
 
-    status = _write(_render(records, columns, args.format, _metadata(args.seed, args.tol)), args.out)
+    status = _write(_render(records, columns, args.format, _metadata(args)), args.out)
     if status:
         return status
     if failure:
@@ -221,7 +202,7 @@ def cmd_params(args: argparse.Namespace) -> int:
                 rec[name] = float(a[i, j])
         records.append(rec)
     columns = ["alpha"] + [name for name, _, _ in labels]
-    return _write(_render(records, columns, args.format, _metadata(args.seed, DEFAULT_TOL)), args.out)
+    return _write(_render(records, columns, args.format, _metadata(args)), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -258,7 +239,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         "fidelity",
         "stderr",
     ]
-    return _write(_render(records, columns, args.format, _metadata(args.seed, DEFAULT_TOL)), args.out)
+    return _write(_render(records, columns, args.format, _metadata(args)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None)
+    seed.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
 
     sweep = sub.add_parser(
-        "sweep", parents=[grid, output, tol, seed], help="tabulate fidelity curves over a Schmidt-weight grid"
+        "sweep", parents=[grid, output, tol], help="tabulate fidelity curves over a Schmidt-weight grid"
     )
     sweep.add_argument(
         "--modes",
@@ -293,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=cmd_sweep)
 
-    params = sub.add_parser(
-        "params", parents=[grid, output, seed], help="tabulate the optimal one-bit family parameters"
-    )
+    params = sub.add_parser("params", parents=[grid, output], help="tabulate the optimal one-bit family parameters")
     params.set_defaults(func=cmd_params)
 
     verify = sub.add_parser("verify", parents=[tol, seed], help="run the acceptance criteria and report pass/fail")
@@ -314,7 +293,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.seed = _resolve_seed(args.seed)
         if "alpha_min" in args and args.alpha_min > args.alpha_max:
             raise ValueError(f"alpha range must satisfy min <= max, got [{args.alpha_min}, {args.alpha_max}]")
         _check_tol_floor(args)

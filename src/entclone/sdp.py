@@ -473,8 +473,8 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     ThresholdDetectionError is raised.  The reported alpha is the grid
     point with the larger second-difference magnitude among the two that
     straddle the jump.  A non-finite alpha or value, fewer than seven
-    points, or steps whose spread exceeds 1e-9 of the smallest raise
-    ValueError.
+    points, a repeated alpha, or steps whose spread exceeds 1e-9 of the
+    smallest raise ValueError.
     """
     pts = [(float(a), float(v)) for a, v in sweep]
     if not np.isfinite(pts).all():
@@ -488,7 +488,7 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     # Grids from arange or linspace spread by ~1e-14 relative; a
     # non-uniform step bends a straight line's differences like a kink.
     if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.min():
-        raise ValueError("sweep grid must be uniform")
+        raise ValueError("sweep alphas must increase in equal steps")
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     jumps = np.abs(np.diff(d2))
     peak = int(np.argmax(jumps))

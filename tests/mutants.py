@@ -130,6 +130,9 @@ MUTANTS = (
            "_BRANCHES = ((1, 1), (1, 3),", "_BRANCHES = ((1, 1), (1, 2),"),
     Mutant("cli._parse_tol accepts 0", CLI, "and tol > 0.0)", "and tol >= 0.0)"),
     Mutant("cli._int_at_least off by one", CLI, "if value < minimum:", "if value < minimum - 1:"),
+    Mutant("cli --seed accepts -1", CLI,
+           "type=_int_at_least(0), default=DEFAULT_SEED", "type=_int_at_least(-1), default=DEFAULT_SEED"),
+    Mutant("cli metadata drops the tol", CLI, 'for key in ("seed", "tol")', 'for key in ("seed",)'),
     Mutant("cli._parse_modes keeps the given order", CLI,
            "return [mode for mode in _SWEEP_MODES if mode in modes]", "return modes"),
     Mutant("cli tol floor: sdp-ppt read as the plain program", CLI,
@@ -152,7 +155,6 @@ def tier1(root: Path) -> tuple[bool, str]:
     """Run the Tier-1 suite of the copy at root with -x: (passed, the first failure's summary line)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            **dict.fromkeys(BLAS_THREADS, "1")}
-    env.pop("CLONER_SEED", None)
     where = subprocess.run([sys.executable, "-c", "import entclone; print(entclone.__file__)"],
                            cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
     if not Path(where).resolve().is_relative_to(root.resolve()):

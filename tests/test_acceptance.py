@@ -113,7 +113,6 @@ def test_a_failing_sweep_fails_only_its_readers(monkeypatch, capsys, failing, re
         return solve(alphas, with_ppt, tol=tol)
 
     monkeypatch.setattr(verify, "sweep_solutions", sweep_or_fail)
-    monkeypatch.delenv("CLONER_SEED", raising=False)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     for number, line in enumerate(lines[:10], start=1):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, fidelity_bh, fidelity_global, fidelity_locc
-from entclone import cli
+from entclone import __version__, cli
 from entclone.cli import main
 from entclone.sdp import build_problem, solve
 
@@ -54,19 +54,22 @@ def test_sweep_single_point(capsys):
     assert abs(float(rows[0][1]) - 25.0 / 36.0) < 1e-15
 
 
-def test_sweep_json_metadata(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "--alpha-min", "0.1", "--alpha-max", "0.3", "--steps", "3",
-        "--modes", "global", "--format", "json", "--seed", "11",
-    )
+@pytest.mark.parametrize("argv, metadata", [
+    (("sweep", "--alpha-min", "0.1", "--alpha-max", "0.3", "--steps", "3", "--modes", "global", "--tol", "1e-6"),
+     {"version": __version__, "tol": 1e-6, "sign_convention": "t12"}),
+    (("params", "--alpha-min", "0.1", "--alpha-max", "0.3", "--steps", "3"),
+     {"version": __version__, "sign_convention": "t12"}),
+    (("protocol", "--alpha", "0.1", "--seed", "11"),
+     {"version": __version__, "seed": 11, "sign_convention": "t12"}),
+], ids=["sweep", "params", "protocol"])
+def test_json_metadata_names_the_options_the_command_takes(capsys, argv, metadata):
+    """JSON metadata holds the version, then the seed and tol only when the command takes them, then the
+    sign convention."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"metadata", "records"}
-    meta = payload["metadata"]
-    assert set(meta) == {"version", "seed", "tol", "sign_convention"}
-    assert meta["seed"] == 11
-    assert len(payload["records"]) == 3
-    assert payload["records"][0]["alpha"] == 0.1
+    assert list(payload["metadata"].items()) == list(metadata.items())
 
 
 def test_sweep_mode_order_is_canonical(capsys):
@@ -95,9 +98,11 @@ def test_sweep_with_solver_column(capsys):
 @pytest.mark.parametrize("alpha_min, alpha_max, steps, note", [
     ("0.31", "0.316", "4", "kink detection skipped: threshold detection needs at least seven sweep points"),
     ("0.45", "max", "36", "no kink detected"),
-], ids=["too-few-points", "smooth-curve"])
+    ("0.3", "0.3", "7", "kink detection skipped: sweep alphas must increase in equal steps"),
+], ids=["too-few-points", "smooth-curve", "repeated-alpha"])
 def test_sweep_reports_missing_kink(capsys, alpha_min, alpha_max, steps, note):
-    """A PPT sweep too short to judge, or one wholly above the threshold, exits 0 with one note on stderr."""
+    """A PPT sweep too short to judge, one wholly above the threshold, or one that repeats a single alpha
+    exits 0 with one note on stderr."""
     code, _, err = run_cli(
         capsys, "sweep", "--alpha-min", alpha_min, "--alpha-max", alpha_max, "--steps", steps,
         "--modes", "sdp-ppt", "--format", "csv",
@@ -135,25 +140,6 @@ def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
     assert code == 2
     assert out == ""
     assert "error:" in err and "tol must be finite and positive" in err
-
-
-@pytest.mark.parametrize(
-    "argv", [("protocol", "--alpha", "0.5", "--trials", "5", "--seed", "-1"), ("verify", "--seed", "-1")]
-)
-def test_negative_seed_flag_is_a_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("verification ran"))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: seed must be a non-negative integer, got -1\n"
-
-
-def test_negative_env_seed_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CLONER_SEED", "-4")
-    code, out, err = run_cli(capsys, "protocol", "--alpha", "0.5", "--trials", "5")
-    assert code == 2
-    assert out == ""
-    assert err == "error: seed must be a non-negative integer, got -4\n"
 
 
 def test_two_solver_modes_match_single_mode_sweeps(capsys):
@@ -239,31 +225,18 @@ def test_protocol_command_sampled_json(capsys):
     assert np.abs(np.sort(bits[0]) - np.sort(bits[1])).max() < 1e-12
 
 
-def test_env_seed_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("CLONER_SEED", "99")
-    code, out, _ = run_cli(
-        capsys, "sweep", "--alpha-min", "0", "--alpha-max", "0", "--steps", "1",
-        "--modes", "bh", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["metadata"]["seed"] == 99
-
-
-def test_env_seed_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("CLONER_SEED", "pi")
-    code, _, err = run_cli(capsys, "sweep", "--alpha-min", "0", "--alpha-max", "0", "--steps", "1", "--modes", "bh")
-    assert code == 2
-    assert err != ""
-
-
-def test_seed_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("CLONER_SEED", "99")
-    code, out, _ = run_cli(
-        capsys, "sweep", "--alpha-min", "0", "--alpha-max", "0", "--steps", "1",
-        "--modes", "bh", "--format", "json", "--seed", "3",
-    )
-    assert code == 0
-    assert json.loads(out)["metadata"]["seed"] == 3
+@pytest.mark.parametrize("argv", [
+    ("protocol", "--alpha", "0.2", "--trials", "1000", "--seed", "9", "--format", "json"),
+    ("sweep", "--modes", "bh", "--format", "json"),
+], ids=["protocol", "sweep"])
+def test_output_depends_on_the_arguments_alone(capsys, monkeypatch, argv):
+    """Setting CLONER_SEED, to a number or to garbage, changes no byte of a run's output."""
+    monkeypatch.delenv("CLONER_SEED", raising=False)
+    unset = run_cli(capsys, *argv)
+    assert unset[0] == 0
+    for value in ("99", "pi"):
+        monkeypatch.setenv("CLONER_SEED", value)
+        assert run_cli(capsys, *argv) == unset
 
 
 @pytest.mark.parametrize(
@@ -278,6 +251,10 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
         ("protocol", "--alpha", "0.3", "--trials", "-1"),
         ("protocol", "--alpha", "2.0"),
         ("bogus-command",),
+        ("protocol", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
+        ("sweep", "--seed", "3"),
+        ("params", "--seed", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, argv):

@@ -30,7 +30,6 @@ import ctypes
 import dataclasses
 import io
 import json
-import os
 import platform
 import re
 import sys
@@ -163,8 +162,7 @@ def check(name: str, exact: bool = PINNED_BUILD) -> None:
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_output_matches_golden(monkeypatch, name):
-    monkeypatch.delenv("CLONER_SEED", raising=False)
+def test_output_matches_golden(name):
     check(name)
 
 
@@ -179,7 +177,6 @@ def test_golden_check_passes_one_ulp_and_catches_1e_12(monkeypatch, shift, passe
         moved = np.nextafter(problem.objective, np.inf) if shift == "ulp" else problem.objective + shift
         return dataclasses.replace(problem, objective=moved)
 
-    monkeypatch.delenv("CLONER_SEED", raising=False)
     monkeypatch.setattr(cli, "build_problem", shifted)
     if passes:
         check("sweep.csv", exact=False)
@@ -248,7 +245,6 @@ def regen(names=tuple(RUNS)) -> None:
     an unchanged program rewrites nothing; on the pinned build that means
     the same bytes.
     """
-    os.environ.pop("CLONER_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     for name in names:
         code, out, err = run(RUNS[name])

@@ -422,7 +422,7 @@ def test_detect_threshold_input_validation():
     grid = 0.30 + 0.002 * np.arange(36)
     # So is a grid with one step 1.4 times the others: on it a straight line has a "kink" at 0.338.
     stretched = grid + 0.0008 * (np.arange(36) > 19)
-    with pytest.raises(ValueError, match="uniform"):
+    with pytest.raises(ValueError, match="equal steps"):
         detect_threshold([(a, 0.6 + 0.1 * a) for a in stretched])
     with pytest.raises(ThresholdDetectionError):
         detect_threshold([(a, 0.6 + 0.1 * a) for a in grid])
