@@ -70,15 +70,17 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
-   closed-form NT scaling W = S # Z^-1 of every block, whose packed 3x3
-   map X -> W^-1 X W^-1 is read off W^-1's entries.  The dual step
-   is projected onto the null space of the dual equalities, and both
-   iterates move by STEP_FRACTION of the largest step that keeps every
-   block positive definite (one quadratic per block), capped at 1.
-   There is no line search.
- - Precision: double throughout, one np.linalg.solve per step.  The tol
-   floor 2 nu 1e-10 (mu_min >= 1e-10) is where double suffices: the
-   largest mu_min at which a double solve fails is 7.0e-12 (see solve).
+   closed-form NT scaling W = S # Z^-1 of every block (_nt_scaling),
+   whose packed 3x3 map X -> W^-1 X W^-1 is read off W^-1's entries.
+   The dual step is projected onto the null space of the dual
+   equalities, and both iterates move by STEP_FRACTION of the largest
+   step that keeps every block positive definite (one quadratic per
+   block, _step_bound), capped at 1.  There is no line search.
+ - Precision: double throughout, one np.linalg.solve per step.  Sums
+   over the coordinates or the twelve forms are numpy calls; the few
+   products per 2x2 block run on Python floats, without a call's cost.
+   The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double suffices:
+   the largest mu_min at which a double solve fails is 7.0e-12 (see solve).
  - Stop: once every block's complementarity is within 1e-3 mu_min of
    mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
    centred point at mu_min, so f*'s error is a smooth function of
@@ -135,27 +137,16 @@ CONE_FORMS = np.array(
     ],
     dtype=float,
 )
-for _table in (FIXED, CONE_FORMS):
-    _table.flags.writeable = False
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
 BLOCK_WEIGHTS = (4, 4, 16, 8)
 # The weight of each form in sum over copies of <Z, block>: a block holds
 # q twice, so tr(X Y) of two blocks is their dot with _PAIRING.  The
-# identity's forms are _IDENTITY, and the adjugate (r, -q, p) of a block
-# (p, q, r) is its reverse times _FLIP.
+# identity's forms are _IDENTITY.
 _PAIRING = np.array([1.0, 2.0, 1.0])
 _FORM_WEIGHTS = np.outer(BLOCK_WEIGHTS, _PAIRING)
 _IDENTITY = np.array([1.0, 0.0, 1.0])
-_FLIP = np.array([1.0, -1.0, 1.0])
-# X -> V X V for V = [[a, b], [b, c]], packed, is the 3x3 matrix
-# [[a^2, 2ab, b^2], [ab, ac + b^2, bc], [b^2, 2bc, c^2]]: row by row, the
-# products of (a, b, c)[_NT_LEFT] and (a, b, c)[_NT_RIGHT] times _NT_TWICE,
-# plus b^2 in the middle entry.
-_NT_LEFT = np.array([0, 0, 1, 0, 0, 1, 1, 1, 2])
-_NT_RIGHT = np.array([0, 1, 1, 1, 2, 2, 1, 2, 2])
-_NT_TWICE = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
-for _table in (_PAIRING, _FORM_WEIGHTS, _IDENTITY, _FLIP, _NT_LEFT, _NT_RIGHT, _NT_TWICE):
+for _table in (FIXED, CONE_FORMS, _PAIRING, _FORM_WEIGHTS, _IDENTITY):
     _table.flags.writeable = False
 
 
@@ -226,30 +217,36 @@ def _block_min(v: np.ndarray) -> np.ndarray:
     return ((v[..., 0] + v[..., 2]) / 2.0 - np.hypot((v[..., 0] - v[..., 2]) / 2.0, v[..., 1])).min(axis=-1)
 
 
-def _det(v: np.ndarray) -> np.ndarray:
-    """Determinant of each 2x2 block (p, q, r) along the last axis of v."""
-    return v[..., 0] * v[..., 2] - v[..., 1] * v[..., 1]
+def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: float) -> tuple[float, ...]:
+    """Row by row, the packed 3x3 map X -> W^-1 X W^-1 of the NT scaling W = S # Z^-1 (W Z W = S) of one block.
 
-
-def _adj(v: np.ndarray) -> np.ndarray:
-    """Adjugate (r, -q, p) of each 2x2 block (p, q, r) along the last axis of v."""
-    return v[..., ::-1] * _FLIP
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray, c: np.ndarray) -> float:
-    """Largest s with every block of v + s dv positive definite, given c = _det(v).
-
-    It is the smallest positive root of det(block + s dblock) = a s^2 + b s + c,
-    c > 0, over every block.  Both roots are real, -1 over the
-    eigenvalues of B^-1/2 dB B^-1/2, so b^2 - 4ac is clamped at 0
-    against rounding (a double root, as on the fourth block, is the
-    common case).  The largest reciprocal is (sqrt(b^2 - 4ac) - b) / (2c);
-    it is positive exactly when a positive root exists, and then it is
-    the reciprocal of the smallest one.
+    With M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M)
+    = V = [[a, b], [b, c]], and X -> V X V is [[a^2, 2ab, b^2], [ab, ac + b^2, bc], [b^2, 2bc, c^2]].
+    det_s, det_z > 0; a det M that rounding left non-positive raises ConvergenceError.
     """
-    b = np.dot(_adj(v) * dv, _PAIRING)  # tr(adj(B) dB)
-    top = float(((np.sqrt(np.maximum(b * b - 4.0 * _det(dv) * c, 0.0)) - b) / c).max())
-    return 2.0 / top if top > 0.0 else np.inf
+    (sp, sq, sr), (zp, zq, zr), root_s, root_z = s, z, math.sqrt(det_s), math.sqrt(det_z)
+    mp, mq, mr = sp / root_s + zr / root_z, sq / root_s - zq / root_z, sr / root_s + zp / root_z
+    det_m = mp * mr - mq * mq
+    if not det_m > 0.0:
+        raise ConvergenceError("the iterate left the cone interior")
+    g = math.sqrt(root_z / root_s / det_m)
+    a, b, c = mr * g, -mq * g, mp * g
+    ab, bb, bc = a * b, b * b, b * c
+    return (a * a, 2.0 * ab, bb, ab, a * c + bb, bc, bb, 2.0 * bc, c * c)
+
+
+def _step_bound(v: Sequence[float], dv: Sequence[float], det: float) -> float:
+    """Twice the reciprocal of the largest s with the block v + s dv positive definite, given det = det(v) > 0.
+
+    det(v + s dv) = a s^2 + b s + det, b = tr(adj(v) dv), has real roots, -1 over the eigenvalues
+    of v^-1/2 dv v^-1/2, so b^2 - 4 a det is clamped at 0 against rounding (a double root, as on
+    the fourth block, is the common case).  (sqrt(b^2 - 4 a det) - b) / det is positive exactly
+    when a positive root exists, and is then twice the reciprocal of the smallest one; it is NaN
+    when dv is not finite.
+    """
+    (p, q, r), (dp, dq, dr) = v, dv
+    b = r * dp - 2.0 * (q * dq) + p * dr
+    return (math.sqrt(max(b * b - 4.0 * (dp * dr - dq * dq) * det, 0.0)) - b) / det
 
 
 def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
@@ -347,16 +344,15 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     ConvergenceError that carries no iterate.  Identical inputs always
     produce identical output.
 
-    Iterates and steps are double throughout, with one np.linalg.solve of
-    the k x k system per step.  The floor keeps mu_min where double
-    suffices.  At mu_min near 1e-12 a 2x2 block's small eigenvalue is
-    ~1e-12 of its entries, which double leaves only 4 digits of, and the
-    system's condition reaches ~1e11, so steps can leave the interior or
-    stall short of the stop test.  On a ladder of 52 tols from 2 nu 1e-12
-    to 1e-6 on the floor test's 88 alphas, the largest mu_min at which a
-    solve in either program fails to converge, loses its certificate or
-    moves a plain iteration count is 7.0e-12 (plain, tol 9e-10); the
-    floor's mu_min, 1e-10, is above ten times that.
+    The floor keeps mu_min where double suffices.  At mu_min near 1e-12 a
+    2x2 block's small eigenvalue is ~1e-12 of its entries, which double
+    leaves only 4 digits of, and the system's condition reaches ~1e11, so
+    steps can leave the interior or stall short of the stop test.  On a
+    ladder of 52 tols from 2 nu 1e-12 to 1e-6 on the floor test's 88
+    alphas, the largest mu_min at which a solve in either program fails to
+    converge, loses its certificate or moves a plain iteration count is
+    7.0e-12 (plain, tol 9e-10); the floor's mu_min, 1e-10, is above ten
+    times that.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -380,15 +376,19 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     while True:
         np.dot(forms, x, out=sz[0])
         s, zs = sz
-        det = _det(sz)
-        if not (det.min() > 0.0 and sz[..., 0].min() > 0.0):
+        # The per-block formulas run on Python floats, cheaper than a numpy call
+        # each: blocks holds S's four (p, q, r), then Z's, with their determinants.
+        blocks = sz.reshape(-1, 3).tolist()
+        dets = [p * r - q * q for p, q, r in blocks]
+        if not (all(d > 0.0 for d in dets) and all(v[0] > 0.0 for v in blocks)):
             raise ConvergenceError("the iterate left the cone interior")
+        pairs = list(zip(blocks[:4], blocks[4:], dets[:4], dets[4:]))
         mu = float(np.vdot(weights * s, zs)) / nu
+        # S_k Z_k's eigenvalues are half +- radius, half = tr(S_k Z_k) / 2, radius^2 = half^2 - det S_k det Z_k.
         if mu <= (1.0 + 1e-3) * mu_min:
-            # S_k Z_k's eigenvalues are half +- radius, half = tr(S_k Z_k) / 2, radius^2 = half^2 - det S_k det Z_k.
-            half = np.dot(s * zs, _PAIRING) / 2.0
-            radius = np.sqrt(np.maximum(half * half - det[0] * det[1], 0.0))
-            if (np.abs(half - mu_min) + radius).max() <= 1e-3 * mu_min:
+            halves = [(sp * zp + 2.0 * (sq * zq) + sr * zr) / 2.0 for (sp, sq, sr), (zp, zq, zr), _, _ in pairs]
+            if all(abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= 1e-3 * mu_min
+                   for half, (_, _, det_s, det_z) in zip(halves, pairs)):
                 return _certificate(problem, x, zs, iterations)
         if iterations >= max_iter:
             raise ConvergenceError(
@@ -396,28 +396,26 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        # NT scaling of each block, W = S # Z^-1 (W Z W = S), in closed form:
-        # with M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and
-        # g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M).  The packed
-        # matrix of X -> W^-1 X W^-1 is read off W^-1's entries (see _NT_TWICE).
-        root = np.sqrt(det)
-        scaled = sz / root[..., None]
-        m = scaled[0] + _adj(scaled[1])
-        w = _adj(m) * np.sqrt(root[1] / root[0] / _det(m))[..., None]
-        scaling = w[..., _NT_LEFT] * w[..., _NT_RIGHT] * _NT_TWICE
-        scaling[..., 4] += scaling[..., 2]
-        scaling = scaling.reshape(*m.shape, 3)
         # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
         # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
         # back onto the dual equalities so rounding cannot build up in the
-        # residual.
-        target = (tau / det[0])[..., None] * _adj(s) - zs
+        # residual.  tau S^-1 = tau adj(S) / det S.
+        target = np.array([(tau / det_s * sr - zp, -(tau / det_s * sq) - zq, tau / det_s * sp - zr)
+                           for (sp, sq, sr), (zp, zq, zr), det_s, _ in pairs])
+        # The blocks are scaling's fastest axis, strides (8, 96, 32): on that layout
+        # matmul runs numpy's own loop, while a C-contiguous scaling would go to
+        # BLAS, whose other summation order moves f*'s last bits.
+        scaling = np.array([_nt_scaling(*pair) for pair in pairs], order="F").reshape(-1, 3, 3)
         system = np.dot(dual_map.T, (scaling @ dirs).reshape(len(dual_map), -1))
         rhs = np.dot(dual_map.T, target.reshape(-1))
         dz = np.linalg.solve(system, rhs)
         np.dot(dirs, dz, out=dsz[0])
         dsz[1] = np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
-        step = min(1.0, STEP_FRACTION * _max_step(sz, dsz, det))
+        bounds = [_step_bound(*args) for args in zip(blocks, dsz.reshape(-1, 3).tolist(), dets)]
+        if any(map(math.isnan, bounds)):
+            raise ConvergenceError("the iterate left the cone interior")
+        top = max(bounds)
+        step = min(1.0, STEP_FRACTION * (2.0 / top)) if top > 0.0 else 1.0
         x = x + step * np.dot(null, dz)
         sz[1] += step * dsz[1]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -137,15 +138,79 @@ def test_max_step_keeps_a_double_root():
     """v + s dv with dv = -c v is singular at s = 1/c, a double root of the block's determinant.
     Rounding can make b^2 - 4ac slightly negative there; the limit must still be 1/c, not inf."""
     rng = np.random.default_rng(7450)
-    # One cone's S and Z blocks, all the identity and fixed but for S's first block.
-    v = np.tile([1.0, 0.0, 1.0], (2, 4, 1))
-    dv = np.zeros_like(v)
     for _ in range(2000):
         m = rng.normal(size=(2, 2))
         c = rng.uniform(0.1, 10.0)
-        v[0, 0] = (m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]]
-        dv[0, 0] = -c * v[0, 0]
-        assert abs(sdp._max_step(v, dv, sdp._det(v)) * c - 1.0) < 1e-6
+        v = (m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]].tolist()
+        dv = [-c * entry for entry in v]
+        assert abs(2.0 / sdp._step_bound(v, dv, v[0] * v[2] - v[1] * v[1]) * c - 1.0) < 1e-6
+
+
+def test_nt_scaling_maps_s_to_z():
+    """On seeded random positive definite blocks, the packed map X -> W^-1 X W^-1 of W = S # Z^-1 takes S to Z."""
+    rng = np.random.default_rng(3802)
+    for _ in range(2000):
+        s, z = ((m @ m.T + 0.01 * np.eye(2))[[0, 0, 1], [0, 1, 1]] for m in rng.normal(size=(2, 2, 2)))
+        dets = [p * r - q * q for p, q, r in (s, z)]
+        packed = np.array(sdp._nt_scaling(s.tolist(), z.tolist(), *dets)).reshape(3, 3)
+        assert np.abs(packed @ s - z).max() <= 1e-12 * np.abs(z).max()
+
+
+def test_nt_scaling_refuses_a_block_rounding_left_singular():
+    """Z with eigenvalues 1e17 and 1e-17 (det 1) at 45 degrees: in double S + adj(Z) has determinant 0,
+    and the scaling raises ConvergenceError rather than dividing by it or taking the root of a negative."""
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        sdp._nt_scaling([1.0, 0.0, 1.0], [5e16, 5e16, 5e16], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_objective_raises_convergence_error(bad, with_ppt):
+    """An objective with a NaN or infinite coefficient puts a NaN in the dual start, and solve raises
+    ConvergenceError, not a math domain error; numpy's invalid-value warnings on the way are expected."""
+    problem = build_problem(0.4, with_ppt=with_ppt)
+    objective = problem.objective.copy()
+    objective[2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(dataclasses.replace(problem, objective=objective))
+
+
+def test_a_nan_direction_raises_convergence_error(monkeypatch):
+    """A step towards a NaN direction is refused: solve raises ConvergenceError."""
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, math.nan))
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(build_problem(0.4))
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_dual_step_past_the_boundary_raises_convergence_error(monkeypatch, with_ppt):
+    """With Z's four blocks left out of the step bound, the first step takes Z out of the cone while S stays
+    inside: the interior test must raise ConvergenceError before any square root of a negative determinant."""
+    inner, calls = sdp._step_bound, []
+
+    def bound_s_only(v, dv, det):
+        calls.append(det)
+        return inner(v, dv, det) if (len(calls) - 1) % 8 < 4 else -1.0
+
+    monkeypatch.setattr(sdp, "_step_bound", bound_s_only)
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(build_problem(0.4, with_ppt=with_ppt))
+    assert len(calls) == 8
+
+
+def test_a_nan_step_bound_is_not_skipped(monkeypatch):
+    """Python's max drops a NaN that is not its first argument; one NaN block bound must stop the solve
+    with ConvergenceError, not let it step by the other blocks' bounds."""
+    inner, calls = sdp._step_bound, []
+
+    def nan_on_the_second_block(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else inner(*args)
+
+    monkeypatch.setattr(sdp, "_step_bound", nan_on_the_second_block)
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(build_problem(0.4))
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
@@ -248,11 +313,14 @@ def test_ppt_below_threshold_recovers_product_family():
 
 
 def test_solver_is_deterministic():
+    """Identical inputs give bit-identical output: iterations, f*, U, a_star's bytes and the dual residual."""
     problem = build_problem(0.5, with_ppt=True)
     first = solve(problem)
     second = solve(problem)
     assert first.iterations == second.iterations
-    assert abs(first.f_star - second.f_star) < 1e-12
+    assert first.f_star.hex() == second.f_star.hex() and first.upper_bound.hex() == second.upper_bound.hex()
+    assert first.a_star.tobytes() == second.a_star.tobytes()
+    assert first.dual_residual.hex() == second.dual_residual.hex()
     assert abs(first.f_star - fidelity_locc(0.5)) < 1e-6
 
 
