@@ -28,13 +28,20 @@ copies) and a33 (sixteen copies).  In the real basis |00>, |11>,
 (|01> +- |10>)/sqrt(2) the first is the 2x2 block
 [[a11, a44 - a55], [a44 - a55, a22]] plus
 diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
-and the third, taken in pairs, diag(a33, a33).  So the cone is four
-real 2x2 blocks of weights (4, 4, 16, 8), stored as their twelve linear
+and the third, taken in pairs, diag(a33, a33).  So the operator is four
+real 2x2 blocks of weights (4, 4, 16, 8), held as their twelve linear
 forms CONE_FORMS (p, q, r of each block in turn) over the coordinates,
-with entries 0 and +-1, and one formula serves each step of the solver
-on all of them; nu = sum of weight * block size, the dimension of the
-full operator, is 64.  tests/reference.py derives every table from
-t1..t5, and tests/test_tables.py checks that they agree.
+with entries 0 and +-1.  Only the first block is a genuine 2x2 block:
+the q forms of the other three are 0, and the fourth's p and r are one
+form, so the solver runs on the split into irreducible pieces
+(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004): the 2x2 block
+(a11, a44 - a55, a22) of weight 4 and five nonnegative scalars,
+a12 + a44 + a55 and a12 - a44 - a55 of weight 4, a13 and a23 of weight
+16, and a33 of weight 8 x 2 = 16.  _program reads them off CONE_FORMS
+and refuses a table that does not split so.  nu = sum of weight * size,
+the dimension of the full operator, is 2 * 4 + 4 + 4 + 16 + 16 + 16 =
+64.  tests/reference.py derives every table from t1..t5, and
+tests/test_tables.py checks that they agree.
 
 The basis covariant.BLOCK_BASIS is real, so the partial transpose over
 the second party is the same construction with Xj transposed: it flips
@@ -53,12 +60,14 @@ The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
 Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers", 2010).  The primal iterate x = x0 + N z stays on the
 equalities through an orthonormal null-space basis N.  The dual iterate
-is four 2x2 blocks Z_k, standing for the same copies as the primal
-blocks; it stays on the dual equalities
+is one 2x2 block and five scalars Z_k, standing for the same copies as
+the primal's; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
 exists and U = b y = y bounds the optimum from above whenever every
-Z_k > 0.  With mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the
-weighted central path S_k Z_k = mu I is the log-barrier central path of
+Z_k > 0; Z stands for the 64x64 dual whose blocks 2-4 are diagonal,
+with the scalars on their diagonals.  With
+mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the weighted central
+path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
  - Start: x0 is alpha-independent: a = s s^T / 36, s = (1, 1, 2, 0, 0),
    for the plain program, that point pulled towards the no-communication
@@ -70,21 +79,29 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
  - Step: each iteration solves one k x k system for the NT direction
    towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
-   closed-form NT scaling W = S # Z^-1 of every block (_nt_scaling),
-   whose packed 3x3 map X -> W^-1 X W^-1 is read off W^-1's entries.
-   The dual step is projected onto the null space of the dual
-   equalities, and both iterates move by STEP_FRACTION of the largest
-   step that keeps every block positive definite (one quadratic per
-   block, _step_bound), capped at 1.  There is no line search.
- - Precision: double throughout, one np.linalg.solve per step.  Sums
-   over the coordinates or the twelve forms are numpy calls; the few
-   products per 2x2 block run on Python floats, without a call's cost.
+   closed-form NT scaling W = S # Z^-1 of the block (_nt_scaling),
+   whose packed 3x3 map X -> W^-1 X W^-1 is read off W^-1's entries,
+   and X -> (z / s) X on each scalar, with no square root.  The system
+   and its right side are one product: _program's table times the 9
+   entries of that map, the 5 ratios z / s and the 8 entries of the
+   target tau S^-1 - Z.  The dual step is projected onto the null space
+   of the dual equalities, and both iterates move by STEP_FRACTION of
+   the largest step that keeps the block positive definite and every
+   scalar positive (one quadratic for each of S's and Z's block,
+   _step_bound, and -2 ds / s per scalar, _scalar_bounds), capped at 1.
+   There is no line search.
+ - Precision: double throughout, one np.linalg.solve per step.  The
+   products over the coordinates are numpy calls: S = forms x, the
+   table's product, the lift [N; forms N] dz of the direction to the
+   steps of x and S, and the dual projection.  The few products of the
+   block and of each scalar run on Python floats, without a call's cost.
    The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double suffices:
    the largest mu_min at which a double solve fails is 7.0e-12 (see solve).
- - Stop: once every block's complementarity is within 1e-3 mu_min of
-   mu_min I, mu_min = tol / (2 nu).  The end point is the barrier's
-   centred point at mu_min, so f*'s error is a smooth function of
-   alpha, and U - f* = nu mu_min = tol / 2.
+ - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
+   mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
+   mu_min = tol / (2 nu); on a diagonal block the two tests agree.  The
+   end point is the barrier's centred point at mu_min, so f*'s error is
+   a smooth function of alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
@@ -119,7 +136,8 @@ THRESHOLD_FLOOR = 1e-7
 FIXED = np.zeros((25, 8))
 for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
     FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0
-# The forms (p, q, r) of the cone's four 2x2 blocks over the coordinates (see the module docstring).
+# The forms (p, q, r) of the cone's four 2x2 blocks over the coordinates (see the module docstring);
+# _program reads the solver's one 2x2 block and five scalars off them.
 CONE_FORMS = np.array(
     [
         [1, 0, 0, 0, 0, 0, 0, 0],  # Xi (x) Xj, upper: p = a11
@@ -140,13 +158,14 @@ CONE_FORMS = np.array(
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
 BLOCK_WEIGHTS = (4, 4, 16, 8)
-# The weight of each form in sum over copies of <Z, block>: a block holds
-# q twice, so tr(X Y) of two blocks is their dot with _PAIRING.  The
-# identity's forms are _IDENTITY.
-_PAIRING = np.array([1.0, 2.0, 1.0])
-_FORM_WEIGHTS = np.outer(BLOCK_WEIGHTS, _PAIRING)
-_IDENTITY = np.array([1.0, 0.0, 1.0])
-for _table in (FIXED, CONE_FORMS, _PAIRING, _FORM_WEIGHTS, _IDENTITY):
+# The weights of the solver's five scalars, the diagonals of blocks 2-4 (see _program); block 4's p and
+# r are one form, a33, of weight 8 x 2.
+_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)
+# The weight of each of the solver's eight forms, the 2x2 block's (p, q, r) and then the scalars, in
+# sum over copies of <Z, S>: the block holds q twice.  The identity's forms are _IDENTITY.
+_FORM_WEIGHTS = np.array([BLOCK_WEIGHTS[0], 2 * BLOCK_WEIGHTS[0], BLOCK_WEIGHTS[0], *_SCALAR_WEIGHTS], dtype=float)
+_IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY):
     _table.flags.writeable = False
 
 
@@ -158,11 +177,12 @@ class _Setup(NamedTuple):
     copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
     null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
-    forms: np.ndarray  # (4, 3, m) the cone's blocks
-    dirs: np.ndarray  # (4, 3, k) the forms along the null basis
-    dual_map: np.ndarray  # (12, k) G_w N: N^T sum_k w_k A_k*(Z) = dual_map^T Z
-    project: np.ndarray  # (12, 12) orthogonal projector onto the null space of dual_map^T
-    gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram copies sum forms^T diag(_FORM_WEIGHTS) forms
+    forms: np.ndarray  # (8, m) the 2x2 block's p, q, r, then the five scalars
+    weights: np.ndarray  # (8,) copies * _FORM_WEIGHTS: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
+    lift: np.ndarray  # (m + 8, k) [null; forms @ null]: a direction dz to the steps of x and of S
+    table: np.ndarray  # (k k + k, 22) the system and its right side, linear in the scaling, z / s and target
+    project: np.ndarray  # (8, 8) orthogonal projector onto the null space of the dual equalities
+    gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram matrix forms^T diag(weights) forms
 
 
 @dataclass(frozen=True)
@@ -177,8 +197,9 @@ class SdpProblem:
 
     @property
     def nu(self) -> float:
-        """Barrier parameter: the summed dimension of the full operators the cone stands for."""
-        return float(self.setup.copies * 2 * sum(BLOCK_WEIGHTS))
+        """Barrier parameter: the summed dimension of the full operators the cone stands for, the weighted
+        trace of the identity."""
+        return float(self.setup.weights @ _IDENTITY)
 
     @property
     def tol_floor(self) -> float:
@@ -212,9 +233,11 @@ class ThresholdDetectionError(ValueError):
     """Raised when a sweep has no kink above the noise floor."""
 
 
-def _block_min(v: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the cone whose blocks (p, q, r) are v, the minimum over its 2x2 blocks."""
-    return ((v[..., 0] + v[..., 2]) / 2.0 - np.hypot((v[..., 0] - v[..., 2]) / 2.0, v[..., 1])).min(axis=-1)
+def _cone_min(v: np.ndarray) -> float:
+    """Smallest eigenvalue of the cone whose 2x2 block is v[:3] = (p, q, r) and whose scalars are v[3:];
+    NaN if any entry is."""
+    p, q, r = v[:3]
+    return float(np.min([(p + r) / 2.0 - np.hypot((p - r) / 2.0, q), *v[3:]]))
 
 
 def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: float) -> tuple[float, ...]:
@@ -239,14 +262,20 @@ def _step_bound(v: Sequence[float], dv: Sequence[float], det: float) -> float:
     """Twice the reciprocal of the largest s with the block v + s dv positive definite, given det = det(v) > 0.
 
     det(v + s dv) = a s^2 + b s + det, b = tr(adj(v) dv), has real roots, -1 over the eigenvalues
-    of v^-1/2 dv v^-1/2, so b^2 - 4 a det is clamped at 0 against rounding (a double root, as on
-    the fourth block, is the common case).  (sqrt(b^2 - 4 a det) - b) / det is positive exactly
-    when a positive root exists, and is then twice the reciprocal of the smallest one; it is NaN
-    when dv is not finite.
+    of v^-1/2 dv v^-1/2, so b^2 - 4 a det is clamped at 0 against rounding (at a double root, as
+    when dv is a multiple of v, it is 0 in exact arithmetic).  (sqrt(b^2 - 4 a det) - b) / det is
+    positive exactly when a positive root exists, and is then twice the reciprocal of the smallest
+    one; it is NaN when dv is not finite.
     """
     (p, q, r), (dp, dq, dr) = v, dv
     b = r * dp - 2.0 * (q * dq) + p * dr
     return (math.sqrt(max(b * b - 4.0 * (dp * dr - dq * dq) * det, 0.0)) - b) / det
+
+
+def _scalar_bounds(v: Sequence[float], dv: Sequence[float]) -> list[float]:
+    """_step_bound of each scalar v_i > 0: -2 dv_i / v_i, positive exactly when v_i + s dv_i reaches 0 at some
+    s > 0, and NaN when dv_i is."""
+    return [-2.0 * d / s for s, d in zip(v, dv)]
 
 
 def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
@@ -267,6 +296,12 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
+    The solver's cone is CONE_FORMS's first block and the diagonals of the
+    other three as scalars, block 4's p and r as one; a table whose q forms
+    of blocks 2-4 are not 0, or whose block 4 p and r differ, raises
+    ValueError.  The table's rows are the system dual_map^T W^-1 dirs and its
+    right side dual_map^T target, dual_map = diag(weights) dirs, as linear
+    maps of the step's 22 numbers.
     Every array in the setup is read-only.  Raises ConvergenceError if x0
     misses the equality or the cone's interior.
     """
@@ -274,19 +309,29 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     if with_ppt:
         basis, cone = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone))
         copies = 2
+    blocks = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
+    if blocks[1:, 1].any() or not np.array_equal(blocks[3, 0], blocks[3, 2]):
+        raise ValueError("CONE_FORMS does not split into one 2x2 block and five scalars")
+    forms = np.vstack([blocks[0], blocks[1:, [0, 2]].reshape(6, -1)[:5]])
     e = constraint_matrices()[0] @ basis
     h = e / np.sqrt(e @ e) + np.eye(len(e))[0]
     null = (np.eye(len(e)) - np.outer(h, h) / h[0])[:, 1:]
-    forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
     mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
-    if not (abs(e @ x0 - 1.0) <= 1e-9 and _block_min(forms @ x0) > 1e-8):
+    if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(forms @ x0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
+    weights = copies * _FORM_WEIGHTS
     dirs = forms @ null
-    dual_map = (dirs * (copies * _FORM_WEIGHTS)[..., None]).reshape(-1, null.shape[1])
-    gram_inv = 1.0 / np.einsum("bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms)
+    dual_map = weights[:, None] * dirs
+    k = null.shape[1]
+    table = np.block([
+        [np.einsum("ei,fj->ijef", dual_map[:3], dirs[:3]).reshape(k * k, 9),
+         np.einsum("si,sj->ijs", dual_map[3:], dirs[3:]).reshape(k * k, 5), np.zeros((k * k, 8))],
+        [np.zeros((k, 14)), dual_map.T],
+    ])
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
-    setup = _Setup(basis, copies, null, x0, forms, dirs, dual_map, project, gram_inv)
+    gram_inv = 1.0 / (weights @ (forms * forms))
+    setup = _Setup(basis, copies, null, x0, forms, weights, np.vstack([null, dirs]), table, project, gram_inv)
     for arr in (cone, basis, *setup[2:]):
         arr.flags.writeable = False
     return cone, setup
@@ -313,20 +358,20 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     return SdpProblem(objective=f, eq_matrix=eq, cones=cones, setup=setup)
 
 
-def _certificate(problem: SdpProblem, x: np.ndarray, zs: np.ndarray, iterations: int) -> SdpSolution:
-    """The primal iterate x and the dual point zs; y = e.r / e.e solves A^T y = r in least squares."""
-    setup = problem.setup
-    r = problem.objective + np.einsum("be,bep->p", zs * (setup.copies * _FORM_WEIGHTS), setup.forms)
+def _certificate(problem: SdpProblem, x: np.ndarray, z: Sequence[float], iterations: int) -> SdpSolution:
+    """The primal iterate x and the dual point z; y = e.r / e.e solves A^T y = r in least squares."""
+    setup, zs = problem.setup, np.array(z)
+    r = problem.objective + np.dot(setup.weights * zs, setup.forms)
     (e,) = problem.eq_matrix
     y = (e @ r) / (e @ e)
     return SdpSolution(
         a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
-        min_eigenvalues=(float(_block_min(setup.forms @ x)),) * setup.copies,
+        min_eigenvalues=(_cone_min(setup.forms @ x),) * setup.copies,
         iterations=iterations,
         upper_bound=float(y),
         dual_residual=float(np.abs(e * y - r).max()),
-        min_dual_eigenvalue=float(_block_min(zs)),
+        min_dual_eigenvalue=_cone_min(zs),
     )
 
 
@@ -362,62 +407,66 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
-    forms, dirs, dual_map, null, project = setup.forms, setup.dirs, setup.dual_map, setup.null, setup.project
-    weights = setup.copies * _FORM_WEIGHTS
+    forms, lift, table, project = setup.forms, setup.lift, setup.table, setup.project
+    (wp, wq, wr, *ws), m, k = setup.weights.tolist(), len(setup.x0), setup.null.shape[1]
     mu_min = tol / (2.0 * nu)
-    # S, Z as sz[0], sz[1] and their step dsz, so block formulas run once on both; Z starts at y0 I / (4c) - C(h).
+    bar = 1e-3 * mu_min
+    # Z starts at y0 I / (4c) - C(h).
     ch = forms @ (setup.gram_inv * problem.objective)
-    sz = np.empty((2, *ch.shape))
-    sz[1] = 2.0 * abs(_block_min(-ch)) * _IDENTITY - ch
-    if _block_min(sz[1]) <= 0.0:
+    z = 2.0 * abs(_cone_min(-ch)) * _IDENTITY - ch
+    if _cone_min(z) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
-    dsz = np.empty_like(sz)
-    x, iterations = setup.x0, 0
+    # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products
+    # each run without a numpy call's cost; x stays an array, read and moved by numpy products.
+    z, x, iterations = z.tolist(), setup.x0, 0
     while True:
-        np.dot(forms, x, out=sz[0])
-        s, zs = sz
-        # The per-block formulas run on Python floats, cheaper than a numpy call
-        # each: blocks holds S's four (p, q, r), then Z's, with their determinants.
-        blocks = sz.reshape(-1, 3).tolist()
-        dets = [p * r - q * q for p, q, r in blocks]
-        if not (all(d > 0.0 for d in dets) and all(v[0] > 0.0 for v in blocks)):
+        (sp, sq, sr, *ss), (zp, zq, zr, *zs) = np.dot(forms, x).tolist(), z
+        det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
+        if not all(v > 0.0 for v in (det_s, det_z, sp, zp, *ss, *zs)):
             raise ConvergenceError("the iterate left the cone interior")
-        pairs = list(zip(blocks[:4], blocks[4:], dets[:4], dets[4:]))
-        mu = float(np.vdot(weights * s, zs)) / nu
-        # S_k Z_k's eigenvalues are half +- radius, half = tr(S_k Z_k) / 2, radius^2 = half^2 - det S_k det Z_k.
+        gaps = [a * b for a, b in zip(ss, zs)]
+        mu = wp * sp * zp + wq * sq * zq + wr * sr * zr
+        for w, gap in zip(ws, gaps):
+            mu += w * gap
+        mu /= nu
+        # The block's S Z has eigenvalues half +- radius, half = tr(S Z) / 2, radius^2 = half^2 - det S det Z.
         if mu <= (1.0 + 1e-3) * mu_min:
-            halves = [(sp * zp + 2.0 * (sq * zq) + sr * zr) / 2.0 for (sp, sq, sr), (zp, zq, zr), _, _ in pairs]
-            if all(abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= 1e-3 * mu_min
-                   for half, (_, _, det_s, det_z) in zip(halves, pairs)):
-                return _certificate(problem, x, zs, iterations)
+            half = (sp * zp + 2.0 * (sq * zq) + sr * zr) / 2.0
+            if (abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= bar
+                    and all(abs(gap - mu_min) <= bar for gap in gaps)):
+                return _certificate(problem, x, z, iterations)
         if iterations >= max_iter:
             raise ConvergenceError(
-                f"no convergence within {max_iter} iterations", best=_certificate(problem, x, zs, iterations)
+                f"no convergence within {max_iter} iterations", best=_certificate(problem, x, z, iterations)
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
         # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
         # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
         # back onto the dual equalities so rounding cannot build up in the
-        # residual.  tau S^-1 = tau adj(S) / det S.
-        target = np.array([(tau / det_s * sr - zp, -(tau / det_s * sq) - zq, tau / det_s * sp - zr)
-                           for (sp, sq, sr), (zp, zq, zr), det_s, _ in pairs])
-        # The blocks are scaling's fastest axis, strides (8, 96, 32): on that layout
-        # matmul runs numpy's own loop, while a C-contiguous scaling would go to
-        # BLAS, whose other summation order moves f*'s last bits.
-        scaling = np.array([_nt_scaling(*pair) for pair in pairs], order="F").reshape(-1, 3, 3)
-        system = np.dot(dual_map.T, (scaling @ dirs).reshape(len(dual_map), -1))
-        rhs = np.dot(dual_map.T, target.reshape(-1))
-        dz = np.linalg.solve(system, rhs)
-        np.dot(dirs, dz, out=dsz[0])
-        dsz[1] = np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)
-        bounds = [_step_bound(*args) for args in zip(blocks, dsz.reshape(-1, 3).tolist(), dets)]
+        # residual.  On the block tau S^-1 = tau adj(S) / det S; on a scalar W^-1 X W^-1 = (z / s) X.
+        inv = tau / det_s
+        target = [inv * sr - zp, -(inv * sq) - zq, inv * sp - zr, *[tau / a - b for a, b in zip(ss, zs)]]
+        scaling = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
+        ratios = [b / a for a, b in zip(ss, zs)]
+        coefficients = np.dot(table, [*scaling, *ratios, *target])
+        dz = np.linalg.solve(coefficients[: k * k].reshape(k, k), coefficients[k * k:])
+        lifted = np.dot(lift, dz)
+        dsp, dsq, dsr, *dss = lifted[m:].tolist()
+        # The dual step before its projection, target - W^-1 dS W^-1, through the packed map's rows.
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = scaling
+        dual = [target[0] - (p0 * dsp + p1 * dsq + p2 * dsr), target[1] - (p3 * dsp + p4 * dsq + p5 * dsr),
+                target[2] - (p6 * dsp + p7 * dsq + p8 * dsr), *[g - r * d for g, r, d in zip(target[3:], ratios, dss)]]
+        dzp, dzq, dzr, *dzs = dual = np.dot(project, dual).tolist()
+        bounds = [_step_bound((sp, sq, sr), (dsp, dsq, dsr), det_s),
+                  _step_bound((zp, zq, zr), (dzp, dzq, dzr), det_z),
+                  *_scalar_bounds([*ss, *zs], [*dss, *dzs])]
         if any(map(math.isnan, bounds)):
             raise ConvergenceError("the iterate left the cone interior")
         top = max(bounds)
         step = min(1.0, STEP_FRACTION * (2.0 / top)) if top > 0.0 else 1.0
-        x = x + step * np.dot(null, dz)
-        sz[1] += step * dsz[1]
+        x = x + step * lifted[:m]
+        z = [a + step * d for a, d in zip(z, dual)]
 
 
 def sweep_solutions(alphas: Sequence[float], with_ppt: bool, tol: float = 1e-7) -> list[tuple[float, SdpSolution]]:

@@ -67,30 +67,39 @@ MUTANTS = (
     Mutant("sdp.THRESHOLD_FLOOR 1e-7 -> 1e-4", SDP, "THRESHOLD_FLOOR = 1e-7", "THRESHOLD_FLOOR = 1e-4"),
     Mutant("sdp.CENTRING 0.03 -> 0.1", SDP, "CENTRING = 0.03", "CENTRING = 0.1"),
     Mutant("sdp.STEP_FRACTION 0.99 -> 0.95", SDP, "STEP_FRACTION = 0.99", "STEP_FRACTION = 0.95"),
-    Mutant("sdp.solve stop test 1e-3 mu_min -> 1e-1 mu_min", SDP, "<= 1e-3 * mu_min", "<= 1e-1 * mu_min"),
-    Mutant("sdp.solve stop test counts the off-diagonal of tr(S Z) once", SDP,
+    Mutant("sdp.solve stop test 1e-3 mu_min -> 1e-1 mu_min", SDP, "bar = 1e-3 * mu_min", "bar = 1e-1 * mu_min"),
+    Mutant("sdp.solve stop test counts the block's off-diagonal of tr(S Z) once", SDP,
            "sp * zp + 2.0 * (sq * zq) + sr * zr", "sp * zp + sq * zq + sr * zr"),
-    Mutant("sdp.solve interior test without Z's blocks", SDP,
-           "all(d > 0.0 for d in dets) and all(v[0] > 0.0 for v in blocks)",
-           "all(d > 0.0 for d in dets[:4]) and all(v[0] > 0.0 for v in blocks[:4])"),
+    Mutant("sdp.solve stop test without its scalar arm", SDP,
+           "\n                    and all(abs(gap - mu_min) <= bar for gap in gaps)", ""),
+    Mutant("sdp.solve interior test without Z", SDP, "(det_s, det_z, sp, zp, *ss, *zs)", "(det_s, sp, *ss)"),
+    Mutant("sdp.solve interior test without the scalars", SDP,
+           "(det_s, det_z, sp, zp, *ss, *zs)", "(det_s, det_z, sp, zp)"),
     Mutant("sdp._nt_scaling off-diagonal 2ab -> ab", SDP, "(a * a, 2.0 * ab, bb,", "(a * a, ab, bb,"),
     Mutant("sdp._nt_scaling middle entry ac + b^2 -> ac", SDP, "a * c + bb, bc", "a * c, bc"),
     Mutant("sdp._nt_scaling without its det M guard", SDP, "if not det_m > 0.0:", "if False:"),
+    Mutant("sdp.solve scalar scaling z / s -> s / z", SDP,
+           "ratios = [b / a for a, b in zip(ss, zs)]", "ratios = [a / b for a, b in zip(ss, zs)]"),
+    Mutant("sdp.solve scalar target tau / s - z -> tau / z - s", SDP,
+           "*[tau / a - b for a, b in zip(ss, zs)]", "*[tau / b - a for a, b in zip(ss, zs)]"),
     Mutant("sdp._step_bound b = tr(adj(v) dv) with q dq counted once", SDP,
            "r * dp - 2.0 * (q * dq) + p * dr", "r * dp - q * dq + p * dr"),
-    Mutant("sdp.solve steps past a NaN block bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
-    Mutant("sdp.solve scaling C-contiguous, not block-fastest", SDP,
-           '[_nt_scaling(*pair) for pair in pairs], order="F")', "[_nt_scaling(*pair) for pair in pairs])",
-           equivalent="moves last bits only, as matmul then sums through BLAS in another order: on 4,500 solves f*"
-                      " moved by <= 3.7e-14, U by <= 5.0e-13 and one iteration count, off every pinned grid; only the"
-                      " goldens' byte comparison sees that, on the pinned build alone"),
+    Mutant("sdp._scalar_bounds -2 dv / v -> -dv / v", SDP,
+           "return [-2.0 * d / s for s, d in zip(v, dv)]", "return [-d / s for s, d in zip(v, dv)]"),
+    Mutant("sdp.solve steps past a NaN bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
     Mutant("sdp.solve without the dual projection", SDP,
-           "np.dot(project, (target - (scaling @ dsz[0][..., None])[..., 0]).reshape(-1)).reshape(zs.shape)",
-           "target - (scaling @ dsz[0][..., None])[..., 0]"),
+           "np.dot(project, dual).tolist()", "dual"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,
-           '"bep,be,bep->p", forms, copies * _FORM_WEIGHTS, forms', '"bep,be,bep->p", forms, _FORM_WEIGHTS, forms'),
+           "gram_inv = 1.0 / (weights @ (forms * forms))", "gram_inv = 1.0 / (_FORM_WEIGHTS @ (forms * forms))"),
+    Mutant("sdp scalar weight of a33 8 x 2 -> 8", SDP,
+           "_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)", "_SCALAR_WEIGHTS = (4, 4, 16, 16, 8)"),
+    Mutant("sdp scalar weights permuted, nu kept", SDP,
+           "_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)", "_SCALAR_WEIGHTS = (16, 16, 4, 4, 16)"),
+    Mutant("sdp._program accepts non-zero q forms in blocks 2-4", SDP, "blocks[1:, 1].any() or ", ""),
+    Mutant("sdp._program accepts a block 4 whose p and r forms differ", SDP,
+           " or not np.array_equal(blocks[3, 0], blocks[3, 2])", ""),
     Mutant("sdp.CONE_FORMS side block p = a13 -> a23", SDP,
            "[0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, 1],  # c_j Xi: p = a13"),
     Mutant("sdp.CONE_FORMS corner block p = a33 -> 2 a33", SDP,

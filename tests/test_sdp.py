@@ -146,6 +146,20 @@ def test_max_step_keeps_a_double_root():
         assert abs(2.0 / sdp._step_bound(v, dv, v[0] * v[2] - v[1] * v[1]) * c - 1.0) < 1e-6
 
 
+def test_scalar_bounds_are_the_diagonal_blocks_step_bound():
+    """On a diagonal block (p, 0, r) with step (dp, 0, dr), the larger of the two scalar bounds is the block's
+    _step_bound, and on a33's block (p = r) the one scalar's bound is: both are max(-2 dp / p, -2 dr / r) in
+    exact arithmetic.  The quadratic's discriminant (r dp - p dr)^2 cancels near its double root and keeps
+    about half the digits there (measured: 1.9e-8 relative at worst on these draws), so the bound is 1e-7."""
+    rng = np.random.default_rng(3904)
+    for _ in range(2000):
+        p, r = rng.uniform(0.1, 10.0, size=2)
+        dp, dr = rng.normal(size=2)
+        for v, dv in (((p, 0.0, r), (dp, 0.0, dr)), ((p, 0.0, p), (dp, 0.0, dp))):
+            block = sdp._step_bound(v, dv, v[0] * v[2])
+            assert abs(max(sdp._scalar_bounds(v[::2], dv[::2])) - block) <= 1e-7 * max(abs(block), 1.0)
+
+
 def test_nt_scaling_maps_s_to_z():
     """On seeded random positive definite blocks, the packed map X -> W^-1 X W^-1 of W = S # Z^-1 takes S to Z."""
     rng = np.random.default_rng(3802)
@@ -182,35 +196,64 @@ def test_a_nan_direction_raises_convergence_error(monkeypatch):
         solve(build_problem(0.4))
 
 
-@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
-def test_a_dual_step_past_the_boundary_raises_convergence_error(monkeypatch, with_ppt):
-    """With Z's four blocks left out of the step bound, the first step takes Z out of the cone while S stays
-    inside: the interior test must raise ConvergenceError before any square root of a negative determinant."""
-    inner, calls = sdp._step_bound, []
+def _count_bounds(monkeypatch, block=None, scalars=None):
+    """Patch solve's step bounds to record their calls: _step_bound's (the block of S, then of Z, each
+    iteration) and the lists _scalar_bounds returns (S's five scalars, then Z's).  block(n, bound) and
+    scalars(bounds) may replace what the n-th block call and each scalar call return."""
+    inner_block, inner_scalars, calls = sdp._step_bound, sdp._scalar_bounds, {"block": 0, "scalar": []}
 
-    def bound_s_only(v, dv, det):
-        calls.append(det)
-        return inner(v, dv, det) if (len(calls) - 1) % 8 < 4 else -1.0
+    def counted_block(*args):
+        calls["block"] += 1
+        bound = inner_block(*args)
+        return bound if block is None else block(calls["block"], bound)
 
-    monkeypatch.setattr(sdp, "_step_bound", bound_s_only)
+    def counted_scalars(v, dv):
+        bounds = inner_scalars(v, dv)
+        calls["scalar"].append(len(bounds))
+        return bounds if scalars is None else scalars(bounds)
+
+    monkeypatch.setattr(sdp, "_step_bound", counted_block)
+    monkeypatch.setattr(sdp, "_scalar_bounds", counted_scalars)
+    return calls
+
+
+@pytest.mark.parametrize("with_ppt, alpha", [(False, 0.4), (True, 0.2)], ids=["plain", "ppt"])
+def test_a_dual_step_past_the_boundary_raises_convergence_error(monkeypatch, with_ppt, alpha):
+    """With Z's 2x2 block left out of the step bound, the first step takes Z out of the cone while S stays
+    inside: the interior test must raise ConvergenceError before any square root of a negative determinant.
+    The one iteration bounds 2 blocks and 10 scalars.  (Measured: the first step leaves the cone at every
+    plain alpha in 0.1, 0.2, ..., 0.7, and at PPT alphas up to 0.3.)"""
+    calls = _count_bounds(monkeypatch, block=lambda n, bound: bound if n % 2 else -1.0)
     with pytest.raises(ConvergenceError, match="left the cone interior"):
-        solve(build_problem(0.4, with_ppt=with_ppt))
-    assert len(calls) == 8
+        solve(build_problem(alpha, with_ppt=with_ppt))
+    assert calls == {"block": 2, "scalar": [10]}
+
+
+def test_a_dual_step_past_a_scalar_boundary_raises_convergence_error(monkeypatch):
+    """With Z's five scalars left out of the step bound, the PPT program's first step at alpha = 0.4 takes a
+    scalar of Z below 0 (measured: at every PPT alpha in 0.4, 0.5, 0.6, 0.7; on the plain program Z's scalars
+    never bind), and the interior test raises ConvergenceError."""
+    calls = _count_bounds(monkeypatch, scalars=lambda bounds: [*bounds[:5], *[-1.0] * 5])
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(build_problem(0.4, with_ppt=True))
+    assert calls == {"block": 2, "scalar": [10]}
 
 
 def test_a_nan_step_bound_is_not_skipped(monkeypatch):
-    """Python's max drops a NaN that is not its first argument; one NaN block bound must stop the solve
-    with ConvergenceError, not let it step by the other blocks' bounds."""
-    inner, calls = sdp._step_bound, []
-
-    def nan_on_the_second_block(*args):
-        calls.append(args)
-        return math.nan if len(calls) == 2 else inner(*args)
-
-    monkeypatch.setattr(sdp, "_step_bound", nan_on_the_second_block)
+    """Python's max drops a NaN that is not its first argument; a NaN bound of Z's block must stop the solve
+    with ConvergenceError, not let it step by the other bounds."""
+    calls = _count_bounds(monkeypatch, block=lambda n, bound: math.nan if n == 2 else bound)
     with pytest.raises(ConvergenceError, match="left the cone interior"):
         solve(build_problem(0.4))
-    assert len(calls) == 8
+    assert calls == {"block": 2, "scalar": [10]}
+
+
+def test_a_nan_scalar_bound_is_not_skipped(monkeypatch):
+    """Likewise a NaN bound of one scalar, the fourth of S's, in the middle of the list max reads."""
+    calls = _count_bounds(monkeypatch, scalars=lambda bounds: [*bounds[:3], math.nan, *bounds[4:]])
+    with pytest.raises(ConvergenceError, match="left the cone interior"):
+        solve(build_problem(0.4))
+    assert calls == {"block": 2, "scalar": [10]}
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
@@ -249,8 +292,9 @@ def test_plain_solution_matches_dense_witness(alpha):
 def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the cone forms and solver setup built at
     import, read-only; only the objective is new, channel's functional on the program's coordinates.
-    Both programs have one cone, so one 12x12 dual projector.  Any other t, even an equal copy, is
-    refused."""
+    Both programs solve on one 2x2 block and five scalars, so their dual projector is 8x8, and the table of
+    the k x k system and its right side has k k + k rows over 22 numbers.  Any other t, even an equal copy,
+    is refused."""
     plain, first = sdp._PROGRAMS[0][1], sdp._PROGRAMS[1][1]
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -260,9 +304,10 @@ def test_setups_are_built_once_and_read_only():
                 assert problem.cones is sdp._PROGRAMS[with_ppt][0]
                 assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
     assert sdp._PROGRAMS[0][0] is CONE_FORMS
-    assert plain.project.shape == first.project.shape == (12, 12)
-    assert (plain.dual_map.shape, first.dual_map.shape) == ((12, 7), (12, 6))
-    fields = {"basis", "copies", "null", "x0", "forms", "dirs", "dual_map", "gram_inv", "project"}
+    assert plain.project.shape == first.project.shape == (8, 8)
+    assert (plain.table.shape, first.table.shape) == ((56, 22), (42, 22))
+    assert (plain.lift.shape, first.lift.shape) == ((16, 7), (15, 6))
+    fields = {"basis", "copies", "null", "x0", "forms", "weights", "lift", "table", "project", "gram_inv"}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
     cones = [cone for cone, _ in sdp._PROGRAMS]

@@ -118,6 +118,51 @@ def test_cone_forms_are_literal_and_ppt_flips_a55():
     assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(CONE_FORMS, A55, axis=1))
 
 
+def test_blocks_2_to_4_are_diagonal_and_block_4_is_one_scalar():
+    """The premise of the solver's split into one 2x2 block and five scalars, derived by the witness for the
+    plain cone and for its partial transpose: the q forms of blocks 2-4 are 0 and block 4's p and r are
+    one form (measured: exactly 0 and equal)."""
+    for xb in (BLOCK_X, np.swapaxes(BLOCK_X, 1, 2)):
+        blocks = block_cone(BLOCK_X, xb, BLOCK_C).reshape(4, 3, -1)
+        assert np.abs(blocks[1:, 1]).max() <= 1e-15
+        assert np.abs(blocks[3, 0] - blocks[3, 2]).max() <= 1e-15
+        assert np.abs(blocks[3, 0]).max() > 0.5
+
+
+@pytest.mark.parametrize("row, entry", [(4, 5), (7, 0), (10, 2), (11, 7)], ids=["q2", "q3", "q4", "r4"])
+def test_program_refuses_forms_that_do_not_split(monkeypatch, row, entry):
+    """_program refuses a CONE_FORMS with a non-zero q form in blocks 2-4, or whose block 4 r form is not its
+    p form, in both programs: its scalars would not stand for those blocks."""
+    cone = CONE_FORMS.copy()
+    cone[row, entry] += 1.0
+    monkeypatch.setattr(sdp, "CONE_FORMS", cone)
+    for with_ppt in (False, True):
+        with pytest.raises(ValueError, match="one 2x2 block and five scalars"):
+            sdp._program(with_ppt)
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_solver_cone_is_one_block_and_five_scalars(with_ppt):
+    """The solver's eight forms are CONE_FORMS's block 1 (p, q, r), the p and r of blocks 2 and 3, and block 4's
+    p; their weights are (4, 8, 4) on the block, q counted twice, and (4, 4, 16, 16, 16) on the scalars, per
+    copy, so nu = 64 per copy.  Each scalar repeated by its weight and the block's eigenvalues 4 times per copy
+    are the spectrum of the dense operators at a = basis x (measured 5.0e-15)."""
+    problem = build_problem(0.3, with_ppt=with_ppt)
+    setup = problem.setup
+    cone = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
+    assert np.array_equal(setup.forms, cone[[0, 1, 2, 3, 5, 6, 8, 9]])
+    assert np.array_equal(setup.weights, setup.copies * np.array([4.0, 8.0, 4.0, 4.0, 4.0, 16.0, 16.0, 16.0]))
+    assert problem.nu == 64.0 * setup.copies
+    rng = np.random.default_rng(3903)
+    for _ in range(4):
+        x = rng.normal(size=setup.forms.shape[1])
+        (p, q, r), scalars = np.split(setup.forms @ x, [3])
+        per_copy = [*np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), 4),
+                    *np.repeat(scalars, (setup.weights[3:] / setup.copies).astype(int))]
+        for spectrum in _dense_spectra((setup.basis @ x).reshape(5, 5))[: setup.copies]:
+            assert np.abs(np.sort(per_copy) - spectrum).max() <= 1e-12
+
+
 def test_threshold_is_x0_one_tenth():
     a0 = alpha_critical()
     assert abs(a0 * a0 * (1.0 - a0 * a0) - 0.1) <= 1e-16
