@@ -29,18 +29,18 @@ copies) and a33 (sixteen copies).  In the real basis |00>, |11>,
 [[a11, a44 - a55], [a44 - a55, a22]] plus
 diag(a12 + a44 + a55, a12 - a44 - a55); the second is diag(a13, a23),
 and the third, taken in pairs, diag(a33, a33).  So the operator is four
-real 2x2 blocks of weights (4, 4, 16, 8), held as their twelve linear
-forms CONE_FORMS (p, q, r of each block in turn) over the coordinates,
-with entries 0 and +-1.  Only the first block is a genuine 2x2 block:
-the q forms of the other three are 0, and the fourth's p and r are one
-form, so the solver runs on the split into irreducible pieces
-(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004): the 2x2 block
-(a11, a44 - a55, a22) of weight 4 and five nonnegative scalars,
-a12 + a44 + a55 and a12 - a44 - a55 of weight 4, a13 and a23 of weight
-16, and a33 of weight 8 x 2 = 16.  _program reads them off CONE_FORMS
-and refuses a table that does not split so.  nu = sum of weight * size,
-the dimension of the full operator, is 2 * 4 + 4 + 4 + 16 + 16 + 16 =
-64.  tests/reference.py derives every table from t1..t5, and
+real 2x2 blocks of weights (4, 4, 16, 8), of which only the first is a
+genuine 2x2 block: the other three are diagonal, and the fourth's two
+diagonal entries are one form.  The cone therefore splits into
+irreducible pieces (Gatermann & Parrilo, J. Pure Appl. Algebra 192,
+2004): the 2x2 block (p, q, r) = (a11, a44 - a55, a22) of weight 4 and
+five nonnegative scalars, a12 + a44 + a55 and a12 - a44 - a55 of weight
+4, a13 and a23 of weight 16, and a33 of weight 8 x 2 = 16.  CONE_FORMS
+holds these eight linear forms over the coordinates, with entries 0 and
++-1, and _FORM_WEIGHTS their weights, q counted twice as it sits twice
+in the block.  nu = sum of weight * size, the dimension of the full
+operator, is 2 * 4 + 4 + 4 + 16 + 16 + 16 = 64.  tests/reference.py
+derives the four blocks and every other table from t1..t5, and
 tests/test_tables.py checks that they agree.
 
 The basis covariant.BLOCK_BASIS is real, so the partial transpose over
@@ -114,7 +114,6 @@ projector's np.linalg.solve, one per program.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -127,6 +126,8 @@ from entclone.covariant import T_OPERATORS, check_t
 # STEP_FRACTION of the largest step that stays interior.
 CENTRING = 0.03
 STEP_FRACTION = 0.99
+# solve's cap on the number of iterations.
+MAX_ITERATIONS = 200
 # detect_threshold's bar for a curvature jump, tuned for grid steps near
 # 0.002 and solver tolerances near 1e-7.
 THRESHOLD_RATIO = 10.0
@@ -136,34 +137,25 @@ THRESHOLD_FLOOR = 1e-7
 FIXED = np.zeros((25, 8))
 for _h, (_i, _j) in enumerate([(i, i) for i in range(5)] + [(0, 1), (0, 2), (1, 2)]):
     FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0
-# The forms (p, q, r) of the cone's four 2x2 blocks over the coordinates (see the module docstring);
-# _program reads the solver's one 2x2 block and five scalars off them.
+# The forms of the cone over the coordinates (see the module docstring): the 2x2 block's p, q, r, then the
+# five scalars.
 CONE_FORMS = np.array(
     [
-        [1, 0, 0, 0, 0, 0, 0, 0],  # Xi (x) Xj, upper: p = a11
+        [1, 0, 0, 0, 0, 0, 0, 0],  # Xi (x) Xj, upper block: p = a11
         [0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55
         [0, 1, 0, 0, 0, 0, 0, 0],  # r = a22
-        [0, 0, 0, 1, 1, 1, 0, 0],  # Xi (x) Xj, lower: p = a12 + a44 + a55
-        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
-        [0, 0, 0, -1, -1, 1, 0, 0],  # r = a12 - a44 - a55
-        [0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi: p = a13
-        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
-        [0, 0, 0, 0, 0, 0, 0, 1],  # r = a23
-        [0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: p = a33
-        [0, 0, 0, 0, 0, 0, 0, 0],  # q = 0
-        [0, 0, 1, 0, 0, 0, 0, 0],  # r = a33
+        [0, 0, 0, 1, 1, 1, 0, 0],  # Xi (x) Xj, lower diagonal: a12 + a44 + a55
+        [0, 0, 0, -1, -1, 1, 0, 0],  # a12 - a44 - a55
+        [0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi diagonal: a13
+        [0, 0, 0, 0, 0, 0, 0, 1],  # a23
+        [0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: a33
     ],
     dtype=float,
 )
 _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
-# The copies of each 2x2 block in a cone's 64x64 operator (see the module docstring).
-BLOCK_WEIGHTS = (4, 4, 16, 8)
-# The weights of the solver's five scalars, the diagonals of blocks 2-4 (see _program); block 4's p and
-# r are one form, a33, of weight 8 x 2.
-_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)
-# The weight of each of the solver's eight forms, the 2x2 block's (p, q, r) and then the scalars, in
-# sum over copies of <Z, S>: the block holds q twice.  The identity's forms are _IDENTITY.
-_FORM_WEIGHTS = np.array([BLOCK_WEIGHTS[0], 2 * BLOCK_WEIGHTS[0], BLOCK_WEIGHTS[0], *_SCALAR_WEIGHTS], dtype=float)
+# The weight of each form in sum over copies of <Z, S>, per copy of the 64x64 operator: the block's 4 copies
+# with q counted twice, then the scalars, a33 being 8 copies x 2.  The identity's forms are _IDENTITY.
+_FORM_WEIGHTS = np.array((4, 8, 4, 4, 4, 16, 16, 16), dtype=float)
 _IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY):
     _table.flags.writeable = False
@@ -174,11 +166,10 @@ class _Setup(NamedTuple):
     and carried as SdpProblem.setup; every array is float64, as is every step of solve."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
-    copies: int  # operators the cone stands for: 1, or 2 (the PPT program's, equal on its slice)
     null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
-    forms: np.ndarray  # (8, m) the 2x2 block's p, q, r, then the five scalars
-    weights: np.ndarray  # (8,) copies * _FORM_WEIGHTS: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
+    forms: np.ndarray  # (8, m) CONE_FORMS on the m coordinates
+    weights: np.ndarray  # (8,) _FORM_WEIGHTS, twice them for PPT: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
     lift: np.ndarray  # (m + 8, k) [null; forms @ null]: a direction dz to the steps of x and of S
     table: np.ndarray  # (k k + k, 22) the system and its right side, linear in the scaling, z / s and target
     project: np.ndarray  # (8, 8) orthogonal projector onto the null space of the dual equalities
@@ -187,13 +178,17 @@ class _Setup(NamedTuple):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Linear objective, the equality row (its right-hand side is 1), and the (12, m) forms of the block
-    cone over the program's coordinates (see _program), with the solver's alpha-independent setup for them."""
+    """Linear objective and the equality row (its right-hand side is 1) over the program's coordinates,
+    with the solver's alpha-independent setup for them (see _program)."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
-    cones: np.ndarray
     setup: _Setup
+
+    @property
+    def cones(self) -> np.ndarray:
+        """The (8, m) cone forms the solver runs on, setup.forms; the benchmark sizes them as sdp.cone_bytes."""
+        return self.setup.forms
 
     @property
     def nu(self) -> float:
@@ -214,7 +209,7 @@ class SdpSolution:
 
     a_star: np.ndarray
     f_star: float
-    min_eigenvalues: tuple[float, ...]
+    min_eigenvalue: float
     iterations: int
     upper_bound: float
     dual_residual: float
@@ -278,8 +273,8 @@ def _scalar_bounds(v: Sequence[float], dv: Sequence[float]) -> list[float]:
     return [-2.0 * d / s for s, d in zip(v, dv)]
 
 
-def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
-    """The cone forms and solver setup of the plain or PPT program: all of it but the objective's x.
+def _program(with_ppt: bool) -> _Setup:
+    """The solver setup of the plain or PPT program: all of it but the objective's x.
 
     The plain program runs on the 8 FIXED coordinates, the PPT program on
     the 7 without a55 with the plain cone counted twice.  The trace row e
@@ -296,23 +291,16 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
-    The solver's cone is CONE_FORMS's first block and the diagonals of the
-    other three as scalars, block 4's p and r as one; a table whose q forms
-    of blocks 2-4 are not 0, or whose block 4 p and r differ, raises
-    ValueError.  The table's rows are the system dual_map^T W^-1 dirs and its
-    right side dual_map^T target, dual_map = diag(weights) dirs, as linear
-    maps of the step's 22 numbers.
+    The table's rows are the system dual_map^T W^-1 dirs and its right side
+    dual_map^T target, dirs = forms N and dual_map = diag(weights) dirs, as
+    linear maps of the step's 22 numbers.
     Every array in the setup is read-only.  Raises ConvergenceError if x0
     misses the equality or the cone's interior.
     """
-    basis, cone, copies = FIXED, CONE_FORMS, 1
+    basis, forms, weights = FIXED, CONE_FORMS, _FORM_WEIGHTS
     if with_ppt:
-        basis, cone = (np.delete(arr, _A55, axis=-1) for arr in (basis, cone))
-        copies = 2
-    blocks = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
-    if blocks[1:, 1].any() or not np.array_equal(blocks[3, 0], blocks[3, 2]):
-        raise ValueError("CONE_FORMS does not split into one 2x2 block and five scalars")
-    forms = np.vstack([blocks[0], blocks[1:, [0, 2]].reshape(6, -1)[:5]])
+        basis, forms = (np.delete(arr, _A55, axis=-1) for arr in (basis, forms))
+        weights = 2.0 * _FORM_WEIGHTS
     e = constraint_matrices()[0] @ basis
     h = e / np.sqrt(e @ e) + np.eye(len(e))[0]
     null = (np.eye(len(e)) - np.outer(h, h) / h[0])[:, 1:]
@@ -320,7 +308,6 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
     if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(forms @ x0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
-    weights = copies * _FORM_WEIGHTS
     dirs = forms @ null
     dual_map = weights[:, None] * dirs
     k = null.shape[1]
@@ -331,13 +318,13 @@ def _program(with_ppt: bool) -> tuple[np.ndarray, _Setup]:
     ])
     project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     gram_inv = 1.0 / (weights @ (forms * forms))
-    setup = _Setup(basis, copies, null, x0, forms, weights, np.vstack([null, dirs]), table, project, gram_inv)
-    for arr in (cone, basis, *setup[2:]):
+    setup = _Setup(basis, null, x0, forms, weights, np.vstack([null, dirs]), table, project, gram_inv)
+    for arr in setup:
         arr.flags.writeable = False
-    return cone, setup
+    return setup
 
 
-# The plain and the PPT program, indexed by with_ppt.
+# The setups of the plain and the PPT program, indexed by with_ppt.
 _PROGRAMS = (_program(False), _program(True))
 
 
@@ -352,10 +339,10 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     vanish on FIXED, so the trace row, read through
     channel.constraint_matrices, is the only equality.
     """
-    cones, setup = _PROGRAMS[bool(with_ppt)]
+    setup = _PROGRAMS[bool(with_ppt)]
     f = fidelity_coefficients(alpha, t).reshape(-1) @ setup.basis
     eq = (constraint_matrices()[0] @ setup.basis)[None, :]
-    return SdpProblem(objective=f, eq_matrix=eq, cones=cones, setup=setup)
+    return SdpProblem(objective=f, eq_matrix=eq, setup=setup)
 
 
 def _certificate(problem: SdpProblem, x: np.ndarray, z: Sequence[float], iterations: int) -> SdpSolution:
@@ -367,7 +354,7 @@ def _certificate(problem: SdpProblem, x: np.ndarray, z: Sequence[float], iterati
     return SdpSolution(
         a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
-        min_eigenvalues=(_cone_min(setup.forms @ x),) * setup.copies,
+        min_eigenvalue=_cone_min(setup.forms @ x),
         iterations=iterations,
         upper_bound=float(y),
         dual_residual=float(np.abs(e * y - r).max()),
@@ -375,16 +362,15 @@ def _certificate(problem: SdpProblem, x: np.ndarray, z: Sequence[float], iterati
     )
 
 
-def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     """Maximize the objective; returns the final iterate, diagnostics and its dual certificate.
 
     Feasible primal-dual path following with the Nesterov-Todd direction
     (see the module docstring) to the barrier path's centred point at
     mu_min = tol / (2 nu), with duality gap nu mu_min = tol / 2.
-    max_iter caps the number of iterations; the ConvergenceError raised
-    past it carries the current iterate, certified like every other.
-    max_iter must be a non-negative integer (Python or numpy, not bool),
-    and tol finite, positive and at least problem.tol_floor, else ValueError.
+    MAX_ITERATIONS caps the number of iterations; the ConvergenceError
+    raised past it carries the current iterate, certified like every other.
+    tol must be finite, positive and at least problem.tol_floor, else ValueError.
     An iterate that rounding put on the cone boundary raises a
     ConvergenceError that carries no iterate.  Identical inputs always
     produce identical output.
@@ -401,8 +387,6 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     nu = problem.nu
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
@@ -435,9 +419,9 @@ def solve(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSol
             if (abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= bar
                     and all(abs(gap - mu_min) <= bar for gap in gaps)):
                 return _certificate(problem, x, z, iterations)
-        if iterations >= max_iter:
+        if iterations >= MAX_ITERATIONS:
             raise ConvergenceError(
-                f"no convergence within {max_iter} iterations", best=_certificate(problem, x, z, iterations)
+                f"no convergence within {MAX_ITERATIONS} iterations", best=_certificate(problem, x, z, iterations)
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)

@@ -41,6 +41,7 @@ from entclone.protocol import (
     run_protocol_sampled,
 )
 from entclone.sdp import (
+    MAX_ITERATIONS,
     SdpSolution,
     ThresholdDetectionError,
     detect_threshold,
@@ -137,7 +138,7 @@ def run_all(tol: float = 1e-7, seed: int = 7) -> list[CriterionResult]:
         return [
             ("sup err plain", max(abs(s.f_star - fidelity_global(a)) for a, s in plain), "tol", "1e-6"),
             ("ppt", max(abs(s.f_star - fidelity_locc(a)) for a, s in ppt), "tol", "1e-6"),
-            ("max iterations", max(s.iterations for _, s in plain + ppt), "cap", "200"),
+            ("max iterations", max(s.iterations for _, s in plain + ppt), "cap", str(MAX_ITERATIONS)),
         ]
 
     def criterion_4() -> list[Check | str]:

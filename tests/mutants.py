@@ -89,25 +89,28 @@ MUTANTS = (
     Mutant("sdp.solve steps past a NaN bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
     Mutant("sdp.solve without the dual projection", SDP,
            "np.dot(project, dual).tolist()", "dual"),
-    Mutant("sdp PPT copy weight 2 -> 1", SDP, "        copies = 2\n", "        copies = 1\n"),
+    Mutant("sdp PPT copy weight 2 -> 1", SDP,
+           "        weights = 2.0 * _FORM_WEIGHTS\n", "        weights = 1.0 * _FORM_WEIGHTS\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,
            "gram_inv = 1.0 / (weights @ (forms * forms))", "gram_inv = 1.0 / (_FORM_WEIGHTS @ (forms * forms))"),
     Mutant("sdp scalar weight of a33 8 x 2 -> 8", SDP,
-           "_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)", "_SCALAR_WEIGHTS = (4, 4, 16, 16, 8)"),
+           "(4, 8, 4, 4, 4, 16, 16, 16)", "(4, 8, 4, 4, 4, 16, 16, 8)"),
     Mutant("sdp scalar weights permuted, nu kept", SDP,
-           "_SCALAR_WEIGHTS = (4, 4, 16, 16, 16)", "_SCALAR_WEIGHTS = (16, 16, 4, 4, 16)"),
-    Mutant("sdp._program accepts non-zero q forms in blocks 2-4", SDP, "blocks[1:, 1].any() or ", ""),
-    Mutant("sdp._program accepts a block 4 whose p and r forms differ", SDP,
-           " or not np.array_equal(blocks[3, 0], blocks[3, 2])", ""),
-    Mutant("sdp.CONE_FORMS side block p = a13 -> a23", SDP,
-           "[0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi: p = a13", "[0, 0, 0, 0, 0, 0, 0, 1],  # c_j Xi: p = a13"),
-    Mutant("sdp.CONE_FORMS corner block p = a33 -> 2 a33", SDP,
-           "[0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: p = a33", "[0, 0, 2, 0, 0, 0, 0, 0],  # c_i c_j: p = a33"),
+           "(4, 8, 4, 4, 4, 16, 16, 16)", "(4, 8, 4, 16, 16, 4, 4, 16)"),
+    Mutant("sdp block weight q counted once", SDP,
+           "(4, 8, 4, 4, 4, 16, 16, 16)", "(4, 4, 4, 4, 4, 16, 16, 16)"),
+    Mutant("sdp.CONE_FORMS scalar a13 -> a23", SDP,
+           "[0, 0, 0, 0, 0, 0, 1, 0],  # c_j Xi diagonal: a13", "[0, 0, 0, 0, 0, 0, 0, 1],  # c_j Xi diagonal: a13"),
+    Mutant("sdp.CONE_FORMS scalar a33 -> 2 a33", SDP,
+           "[0, 0, 1, 0, 0, 0, 0, 0],  # c_i c_j: a33", "[0, 0, 2, 0, 0, 0, 0, 0],  # c_i c_j: a33"),
     Mutant("sdp.CONE_FORMS q = a44 - a55 -> a44 + a55 (the partial transpose's form)", SDP,
            "[0, 0, 0, 1, -1, 0, 0, 0],  # q = a44 - a55", "[0, 0, 0, 1, 1, 0, 0, 0],  # q = a44 - a55"),
-    Mutant("sdp.CONE_FORMS r = a12 - a44 - a55 -> -a12 - a44 - a55", SDP,
+    Mutant("sdp.CONE_FORMS scalar a12 - a44 - a55 -> -a12 - a44 - a55", SDP,
            "[0, 0, 0, -1, -1, 1, 0, 0]", "[0, 0, 0, -1, -1, -1, 0, 0]"),
+    Mutant("sdp.MAX_ITERATIONS 200 -> 100", SDP, "MAX_ITERATIONS = 200", "MAX_ITERATIONS = 100"),
+    Mutant("sdp.solve stops one iteration past its cap", SDP,
+           "if iterations >= MAX_ITERATIONS:", "if iterations > MAX_ITERATIONS:"),
     Mutant("channel.G1 a32 entry -14/9 -> -10/9", "src/entclone/channel.py",
            "[2 / 3, -14 / 9, 32 / 9, 0, 0]", "[2 / 3, -10 / 9, 32 / 9, 0, 0]"),
     Mutant("channel.G1 a44 entry 8/3 -> 7/3", "src/entclone/channel.py", "[0, 0, 0, 8 / 3, 0]", "[0, 0, 0, 7 / 3, 0]"),

@@ -7,8 +7,9 @@
   rows, each refusing (RuntimeError) operators without the structure
   the tables rest on.
 - Cone: commutant_blocks reads the M2 (+) C coordinates of t1..t5, and
-  block_cone derives sdp.CONE_FORMS from them, refusing blocks that do
-  not split.
+  block_cone derives from them the forms of the cone's four 2x2 blocks,
+  refusing blocks that do not split; sdp.CONE_FORMS is the first block
+  and the diagonals of the other three.
 - Kraus enumeration: each Kraus operator applied alone.
 - Solver: solve's primal-dual iteration on the unreduced plain or PPT
   program's 64x64 operators, and the Newton decrement of the PPT
@@ -153,8 +154,9 @@ def block_cone(xa, xb, c):
 
     The Xa_i (x) Xb_j block is rotated into PAIR_BASIS, where it splits
     into its upper and lower 2x2 blocks; the c_j Xa_i block is the third
-    and c_i c_j times I2 the fourth.  With Xb = Xa it derives
-    sdp.CONE_FORMS, with Xb = Xa^T the forms of the partial transpose.
+    and c_i c_j times I2 the fourth.  With Xb = Xa it derives the blocks
+    sdp.CONE_FORMS splits into one 2x2 block and five scalars, with
+    Xb = Xa^T those of the partial transpose.
     Raises RuntimeError if the rotated block does not split 2 + 2, or if
     any block is not real and symmetric, by more than 1e-12.
     """

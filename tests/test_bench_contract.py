@@ -1,8 +1,13 @@
-"""The benchmark's tracer wraps package functions by name; every traced name must exist."""
+"""What the benchmark reads of the package: the tracer wraps package functions by name, so every traced
+name must exist, and the solve observer sizes each problem's cones."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from entclone.sdp import build_problem
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -18,3 +23,11 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"entclone.{layer}"), name, None))
     ]
     assert not missing
+
+
+def test_problems_carry_cone_forms():
+    """The benchmark sizes each problem's cones with getattr(problem, "cones", ()), so a missing attribute
+    would read as 0 bytes instead of failing: both programs carry a non-empty float array there."""
+    for with_ppt in (False, True):
+        cones = build_problem(0.3, with_ppt=with_ppt).cones
+        assert isinstance(cones, np.ndarray) and cones.dtype == np.float64 and cones.size > 0

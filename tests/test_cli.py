@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, fidelity_bh, fidelity_global, fidelity_locc
-from entclone import __version__, cli
+from entclone import __version__, cli, sdp
 from entclone.cli import main
 from entclone.sdp import build_problem, solve
 
@@ -113,7 +113,7 @@ def test_sweep_reports_missing_kink(capsys, alpha_min, alpha_max, steps, note):
 
 def test_sweep_solver_failure_sets_error_column(capsys, monkeypatch):
     """A solve that stops at its iteration cap aborts the sweep with exit 3 and its message in the error column."""
-    monkeypatch.setattr(cli, "solve", lambda problem, tol: solve(problem, tol=tol, max_iter=1))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
     code, out, err = run_cli(
         capsys, "sweep", "--alpha-min", "0.2", "--alpha-max", "0.4", "--steps", "2",
         "--modes", "sdp", "--format", "csv",

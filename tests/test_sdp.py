@@ -13,7 +13,6 @@ from entclone.channel import constraint_matrices, fidelity_coefficients
 from entclone.covariant import T_OPERATORS, build_t_operators
 from entclone import sdp
 from entclone.sdp import (
-    BLOCK_WEIGHTS,
     CONE_FORMS,
     FIXED,
     ConvergenceError,
@@ -83,27 +82,30 @@ def test_symmetry_rows_vanish_on_the_fixed_subspace():
 
 
 def _weighted_spectrum(forms, x):
-    """The spectrum of the full operator whose blocks are forms @ x, each block repeated by its weight."""
-    return np.sort(np.concatenate([
-        np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weight)
-        for (p, q, r), weight in zip((forms @ x).reshape(-1, 3), BLOCK_WEIGHTS)
-    ]))
+    """The spectrum of one full operator whose cone is forms @ x: the 2x2 block's eigenvalues repeated by
+    its weight, then each scalar by its weight, as the per-copy weights sdp._FORM_WEIGHTS give them."""
+    (p, q, r), scalars = np.split(forms @ x, [3])
+    weights = sdp._FORM_WEIGHTS.astype(int)
+    return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), weights[0]),
+                                   np.repeat(scalars, weights[3:])]))
 
 
 def test_problem_shapes():
-    """Shapes, real arrays, nu and k: the plain program on the 8 FIXED coordinates with k = 7, the PPT
-    program on the 7 without a55 with k = 6 and the plain cone counted twice.  The plain cone's spectrum,
+    """Fields, shapes, real arrays, nu and k: the plain program on the 8 FIXED coordinates with k = 7, the PPT
+    program on the 7 without a55 with k = 6 and the plain cone's weights counted twice.  The plain cone's spectrum,
     and with a55 negated its partial transpose's, equal the dense operators' at a = FIXED x; on the PPT
     slice the one cone's spectrum equals both."""
     plain = build_problem(0.4)
     ppt = build_problem(0.4, with_ppt=True)
-    assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (12, 8))
-    assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (12, 7))
+    assert [field.name for field in dataclasses.fields(plain)] == ["objective", "eq_matrix", "setup"]
+    assert plain.cones is plain.setup.forms and ppt.cones is ppt.setup.forms
+    assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (8, 8))
+    assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (8, 7))
     for problem, k in ((plain, 7), (ppt, 6)):
         sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
         assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
-    assert (plain.setup.copies, ppt.setup.copies) == (1, 2)
+    assert np.array_equal(ppt.setup.weights, 2.0 * plain.setup.weights)
     assert plain.setup.basis is FIXED
     assert np.array_equal(ppt.setup.basis, np.delete(FIXED, A55, axis=1))
     assert np.array_equal(ppt.cones, np.delete(plain.cones, A55, axis=1))
@@ -266,8 +268,8 @@ def test_ppt_solution_matches_dense_witness(alpha):
     sol = solve(problem)
     assert sol.a_star[A55, A55] == 0.0
     witness = [spectrum[0] for spectrum in _dense_spectra(sol.a_star)]
-    assert len(sol.min_eigenvalues) == len(witness) == 2
-    assert np.abs(np.array(sol.min_eigenvalues) - witness).max() < 1e-10
+    assert isinstance(sol.min_eigenvalue, float) and len(witness) == 2
+    assert np.abs(sol.min_eigenvalue - np.array(witness)).max() < 1e-10
     iterations, f_star = dense_nt_path(alpha)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
@@ -282,36 +284,34 @@ def test_plain_solution_matches_dense_witness(alpha):
     and the same primal-dual iterations and optimum as the one-cone path from the min-norm start
     (measured: 7 iterations each and |df*| <= 2.2e-16)."""
     sol = solve(build_problem(alpha))
-    assert len(sol.min_eigenvalues) == 1
-    assert abs(sol.min_eigenvalues[0] - _dense_spectra(sol.a_star)[0][0]) < 1e-10
+    assert isinstance(sol.min_eigenvalue, float)
+    assert abs(sol.min_eigenvalue - _dense_spectra(sol.a_star)[0][0]) < 1e-10
     iterations, f_star = dense_nt_path(alpha, with_ppt=False)
     assert sol.iterations == iterations == 7
     assert abs(sol.f_star - f_star) < 1e-12
 
 
 def test_setups_are_built_once_and_read_only():
-    """Every build of a program, t defaulted or passed, shares the cone forms and solver setup built at
-    import, read-only; only the objective is new, channel's functional on the program's coordinates.
+    """Every build of a program, t defaulted or passed, shares the solver setup built at import, whose
+    forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars, so their dual projector is 8x8, and the table of
     the k x k system and its right side has k k + k rows over 22 numbers.  Any other t, even an equal copy,
     is refused."""
-    plain, first = sdp._PROGRAMS[0][1], sdp._PROGRAMS[1][1]
+    plain, first = sdp._PROGRAMS
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
             for problem in (build_problem(alpha, with_ppt=with_ppt), build_problem(alpha, T_OPERATORS, with_ppt),
                             build_problem(alpha, build_t_operators(), with_ppt)):
                 assert problem.setup is setup
-                assert problem.cones is sdp._PROGRAMS[with_ppt][0]
+                assert problem.cones is setup.forms
                 assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
-    assert sdp._PROGRAMS[0][0] is CONE_FORMS
+    assert plain.forms is CONE_FORMS
     assert plain.project.shape == first.project.shape == (8, 8)
     assert (plain.table.shape, first.table.shape) == ((56, 22), (42, 22))
     assert (plain.lift.shape, first.lift.shape) == ((16, 7), (15, 6))
-    fields = {"basis", "copies", "null", "x0", "forms", "weights", "lift", "table", "project", "gram_inv"}
+    fields = {"basis", "null", "x0", "forms", "weights", "lift", "table", "project", "gram_inv"}
     assert set(first._fields) == fields
-    arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"copies"})]
-    cones = [cone for cone, _ in sdp._PROGRAMS]
-    for arr in (*constraint_matrices(), FIXED, *cones, *arrays):
+    for arr in (*constraint_matrices(), FIXED, CONE_FORMS, *first, *plain):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
     for other in (T_OPERATORS.copy(), T_OPERATORS[[1, 0, 2, 3, 4]]):
@@ -334,14 +334,15 @@ def test_transposition_constraint_only_tightens(bell_solutions):
 
 def test_solution_is_feasible(bell_solutions):
     """The lifted a_star meets the full 25-column equality rows, and the PPT optimum's operator and
-    partial transpose, equal on its a55 = 0 slice, have the same minimum eigenvalue."""
+    partial transpose, equal on its a55 = 0 slice, have the same minimum eigenvalue, the solution's."""
     sol = bell_solutions[1]
     x = sol.a_star.reshape(-1)
     trace_row, sym_rows = constraint_matrices()
     residual = np.concatenate([[trace_row @ x - 1.0], sym_rows @ x])
     assert np.abs(residual).max() < 1e-9
-    assert len(sol.min_eigenvalues) == 2 and sol.min_eigenvalues[0] == sol.min_eigenvalues[1]
-    assert min(sol.min_eigenvalues) > -1e-8
+    operator, transpose = _dense_spectra(sol.a_star)
+    assert abs(operator[0] - sol.min_eigenvalue) < 1e-10 and abs(transpose[0] - sol.min_eigenvalue) < 1e-10
+    assert sol.min_eigenvalue > -1e-8
     assert 0.0 < sol.upper_bound - sol.f_star < 1e-6
     assert sol.iterations <= 200
 
@@ -409,25 +410,23 @@ def test_solve_rejects_bad_tolerances():
             solve(problem, tol=tol)
 
 
-@pytest.mark.parametrize("max_iter", [-1, True, False, 2.0, 1.5, "5", None])
-def test_solve_rejects_a_bad_iteration_cap(max_iter):
-    """A negative, bool or non-integer max_iter is refused before any iteration."""
-    with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
-        solve(build_problem(0.4), max_iter=max_iter)
-
-
-def test_solve_accepts_a_zero_or_numpy_iteration_cap():
+def test_solve_accepts_a_zero_or_numpy_iteration_cap(monkeypatch):
+    """MAX_ITERATIONS = 0 only checks the start point; a numpy integer cap solves as the default does."""
     problem = build_problem(0.4)
+    default = solve(problem).f_star
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 0)
     with pytest.raises(ConvergenceError) as info:
-        solve(problem, max_iter=0)
+        solve(problem)
     assert info.value.best.iterations == 0
-    assert solve(problem, max_iter=np.int64(200)).f_star == solve(problem).f_star
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", np.int64(200))
+    assert solve(problem).f_star == default
 
 
-def test_solve_reports_convergence_failure():
+def test_solve_reports_convergence_failure(monkeypatch):
     problem = build_problem(0.4)
-    with pytest.raises(ConvergenceError) as info:
-        solve(problem, max_iter=1)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="no convergence within 1 iterations") as info:
+        solve(problem)
     assert info.value.best is not None
     assert info.value.best.dual_residual <= 1e-12
     assert math.isfinite(info.value.best.upper_bound)
@@ -435,14 +434,15 @@ def test_solve_reports_convergence_failure():
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 @pytest.mark.parametrize("alpha", [0.2, alpha_critical(), 0.6])
-def test_every_iterate_is_certified(alpha, with_ppt):
+def test_every_iterate_is_certified(monkeypatch, alpha, with_ppt):
     """The iterate a ConvergenceError carries after 1..5 iterations brackets the closed form:
     f* <= F_closed <= U, with a rounding-level dual residual and a positive definite Z."""
     closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
     problem = build_problem(alpha, with_ppt=with_ppt)
     for max_iter in range(1, 6):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", max_iter)
         with pytest.raises(ConvergenceError) as info:
-            solve(problem, max_iter=max_iter)
+            solve(problem)
         best = info.value.best
         assert best.iterations == max_iter
         assert best.f_star <= closed <= best.upper_bound

@@ -33,7 +33,7 @@ from entclone import sdp
 from entclone.analytic import ALPHA_MAX, alpha_critical
 from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coefficients
 from entclone.covariant import BLOCK_C, BLOCK_X
-from entclone.sdp import BLOCK_WEIGHTS, CONE_FORMS, FIXED, build_problem, solve
+from entclone.sdp import CONE_FORMS, FIXED, build_problem, solve
 from reference import (
     _dense_spectra,
     block_cone,
@@ -48,6 +48,11 @@ A55 = 4
 TRACE = np.array([1.0, 1.0, 4.0, 0.0, 0.0, 2.0, 4.0, 4.0])
 # a = s s^T / 36 on the raw coordinates: the plain program's start.
 MIXED = np.array([1.0, 1.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0]) / 36.0
+# The copies of the cone's four 2x2 blocks in one 64x64 operator (see the sdp module docstring), and the
+# per-copy weights of CONE_FORMS's rows they give: the 2x2 block's (p, q, r) with q counted twice, then the
+# diagonals of blocks 2-4 as five scalars, block 4's two (one form, a33) as one of weight 8 x 2.
+BLOCK_COPIES = (4, 4, 16, 8)
+WEIGHTS = np.array([4.0, 8.0, 4.0, 4.0, 4.0, 16.0, 16.0, 16.0])
 
 
 def test_functional_is_g0_plus_x_g1():
@@ -103,63 +108,50 @@ def test_symmetry_rows_are_literal():
 
 
 def test_cone_forms_are_literal_and_ppt_flips_a55():
-    """The witness derives the plain forms from the M2 (+) C blocks of t1..t5 (read off t1..t5 in
-    test_covariant.test_commutant_blocks) and the PPT forms from those of the partial transpose; the PPT
-    program's one cone is the plain cone without its a55 column."""
-    plain = block_cone(BLOCK_X, BLOCK_X, BLOCK_C)
-    ppt = block_cone(BLOCK_X, np.swapaxes(BLOCK_X, 1, 2), BLOCK_C)
-    flipped = CONE_FORMS * np.where(np.arange(8) == A55, -1.0, 1.0)
-    # Measured: 2.2e-16 for both.
-    assert np.abs(plain - CONE_FORMS).max() <= 1e-15
-    assert np.abs(ppt - flipped).max() <= 1e-15
+    """The witness derives the four 2x2 blocks of the plain cone from the M2 (+) C blocks of t1..t5 (read off
+    t1..t5 in test_covariant.test_commutant_blocks), and those of its partial transpose.  For both, with
+    CONE_FORMS's a55 column negated for the partial transpose: block 1 is CONE_FORMS's (p, q, r); the q forms
+    of blocks 2-4 are 0; block 4's p and r are one form; and the diagonals of blocks 2-4, each repeated by its
+    block's copies, are CONE_FORMS's five scalars repeated by their weights (measured: 2.2e-17 on the
+    forms, 8.9e-16 on the values).  The PPT program's one cone is the plain cone without its a55 column."""
+    assert np.array_equal(sdp._FORM_WEIGHTS, WEIGHTS)
+    assert np.array_equal(WEIGHTS[:3], np.array([1, 2, 1]) * BLOCK_COPIES[0])
+    assert 2 * sum(BLOCK_COPIES) == WEIGHTS @ [1, 0, 1, 1, 1, 1, 1, 1] == 64
+    rng = np.random.default_rng(4005)
+    for xb, flip in ((BLOCK_X, 1.0), (np.swapaxes(BLOCK_X, 1, 2), -1.0)):
+        forms = CONE_FORMS * np.where(np.arange(8) == A55, flip, 1.0)
+        blocks = block_cone(BLOCK_X, xb, BLOCK_C).reshape(4, 3, -1)
+        assert np.abs(blocks[0] - forms[:3]).max() <= 1e-15
+        assert np.abs(blocks[1:, 1]).max() <= 1e-15
+        assert np.abs(blocks[3, 0] - blocks[3, 2]).max() <= 1e-15
+        assert np.abs(blocks[3, 0]).max() > 0.5
+        diagonals, copies = blocks[1:, [0, 2]].reshape(6, -1), np.repeat(BLOCK_COPIES[1:], 2)
+        for x in rng.normal(size=(4, 8)):
+            derived = np.sort(np.repeat(diagonals @ x, copies))
+            assert np.abs(derived - np.sort(np.repeat(forms[3:] @ x, WEIGHTS[3:].astype(int)))).max() <= 1e-14
     assert np.isin(CONE_FORMS, (0.0, 1.0, -1.0)).all()
     assert np.abs(CONE_FORMS[:, A55]).max() > 0.5
     assert build_problem(0.3).cones is CONE_FORMS
     assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(CONE_FORMS, A55, axis=1))
 
 
-def test_blocks_2_to_4_are_diagonal_and_block_4_is_one_scalar():
-    """The premise of the solver's split into one 2x2 block and five scalars, derived by the witness for the
-    plain cone and for its partial transpose: the q forms of blocks 2-4 are 0 and block 4's p and r are
-    one form (measured: exactly 0 and equal)."""
-    for xb in (BLOCK_X, np.swapaxes(BLOCK_X, 1, 2)):
-        blocks = block_cone(BLOCK_X, xb, BLOCK_C).reshape(4, 3, -1)
-        assert np.abs(blocks[1:, 1]).max() <= 1e-15
-        assert np.abs(blocks[3, 0] - blocks[3, 2]).max() <= 1e-15
-        assert np.abs(blocks[3, 0]).max() > 0.5
-
-
-@pytest.mark.parametrize("row, entry", [(4, 5), (7, 0), (10, 2), (11, 7)], ids=["q2", "q3", "q4", "r4"])
-def test_program_refuses_forms_that_do_not_split(monkeypatch, row, entry):
-    """_program refuses a CONE_FORMS with a non-zero q form in blocks 2-4, or whose block 4 r form is not its
-    p form, in both programs: its scalars would not stand for those blocks."""
-    cone = CONE_FORMS.copy()
-    cone[row, entry] += 1.0
-    monkeypatch.setattr(sdp, "CONE_FORMS", cone)
-    for with_ppt in (False, True):
-        with pytest.raises(ValueError, match="one 2x2 block and five scalars"):
-            sdp._program(with_ppt)
-
-
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 def test_solver_cone_is_one_block_and_five_scalars(with_ppt):
-    """The solver's eight forms are CONE_FORMS's block 1 (p, q, r), the p and r of blocks 2 and 3, and block 4's
-    p; their weights are (4, 8, 4) on the block, q counted twice, and (4, 4, 16, 16, 16) on the scalars, per
-    copy, so nu = 64 per copy.  Each scalar repeated by its weight and the block's eigenvalues 4 times per copy
-    are the spectrum of the dense operators at a = basis x (measured 5.0e-15)."""
+    """The solver's eight forms are CONE_FORMS, without its a55 column for PPT; their weights are WEIGHTS per
+    copy of the cone, one copy plain and two PPT, so nu = 64 per copy.  Each scalar repeated by its weight and
+    the block's eigenvalues 4 times per copy are the spectrum of the dense operators at a = basis x (measured
+    5.0e-15)."""
     problem = build_problem(0.3, with_ppt=with_ppt)
-    setup = problem.setup
-    cone = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
-    assert np.array_equal(setup.forms, cone[[0, 1, 2, 3, 5, 6, 8, 9]])
-    assert np.array_equal(setup.weights, setup.copies * np.array([4.0, 8.0, 4.0, 4.0, 4.0, 16.0, 16.0, 16.0]))
-    assert problem.nu == 64.0 * setup.copies
+    setup, copies = problem.setup, 2 if with_ppt else 1
+    assert np.array_equal(setup.forms, np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS)
+    assert np.array_equal(setup.weights, copies * WEIGHTS)
+    assert problem.nu == 64.0 * copies
     rng = np.random.default_rng(3903)
     for _ in range(4):
         x = rng.normal(size=setup.forms.shape[1])
         (p, q, r), scalars = np.split(setup.forms @ x, [3])
-        per_copy = [*np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), 4),
-                    *np.repeat(scalars, (setup.weights[3:] / setup.copies).astype(int))]
-        for spectrum in _dense_spectra((setup.basis @ x).reshape(5, 5))[: setup.copies]:
+        per_copy = [*np.repeat(np.linalg.eigvalsh([[p, q], [q, r]]), 4), *np.repeat(scalars, WEIGHTS[3:].astype(int))]
+        for spectrum in _dense_spectra((setup.basis @ x).reshape(5, 5))[:copies]:
             assert np.abs(np.sort(per_copy) - spectrum).max() <= 1e-12
 
 
@@ -169,16 +161,14 @@ def test_threshold_is_x0_one_tenth():
 
 
 def test_weighted_gram_is_diagonal():
-    """copies sum forms^T diag(weights) forms, each block's forms weighted by its copies and q counted
-    twice, is exactly diagonal and integer, with entries 4, 4, 16, 16, 16, 8, 16, 16 (plain) and 8, 8, 32,
-    32, 16, 32, 32 (PPT).  setup.gram_inv is its correctly rounded reciprocal diagonal; the entries are
-    powers of two, so it is exact, and np.linalg.inv of the Gram matrix bit for bit."""
-    weights = np.outer(BLOCK_WEIGHTS, [1.0, 2.0, 1.0])
+    """copies CONE_FORMS^T diag(WEIGHTS) CONE_FORMS, without the a55 column and with two copies for PPT, is
+    exactly diagonal and integer, with entries 4, 4, 16, 16, 16, 8, 16, 16 (plain) and 8, 8, 32, 32, 16, 32,
+    32 (PPT).  setup.gram_inv is its correctly rounded reciprocal diagonal; the entries are powers of two, so
+    it is exact, and np.linalg.inv of the Gram matrix bit for bit."""
     for with_ppt, diagonal in ((False, [4, 4, 16, 16, 16, 8, 16, 16]), (True, [8, 8, 32, 32, 16, 32, 32])):
         setup = build_problem(0.3, with_ppt=with_ppt).setup
-        cone = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
-        forms = cone.reshape(len(BLOCK_WEIGHTS), 3, -1)
-        gram = setup.copies * np.einsum("bep,be,beq->pq", forms, weights, forms)
+        forms = np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS
+        gram = (2 if with_ppt else 1) * np.einsum("fp,f,fq->pq", forms, WEIGHTS, forms)
         assert np.array_equal(gram, np.diag(np.array(diagonal, dtype=float)))
         assert [Fraction(float(g)) for g in setup.gram_inv] == [Fraction(1, d) for d in diagonal]
         assert np.array_equal(np.linalg.inv(gram), np.diag(setup.gram_inv))
