@@ -110,10 +110,11 @@ def test_symmetry_rows_are_literal():
 def test_cone_forms_are_literal_and_ppt_flips_a55():
     """The witness derives the four 2x2 blocks of the plain cone from the M2 (+) C blocks of t1..t5 (read off
     t1..t5 in test_covariant.test_commutant_blocks), and those of its partial transpose.  For both, with
-    CONE_FORMS's a55 column negated for the partial transpose: block 1 is CONE_FORMS's (p, q, r); the q forms
-    of blocks 2-4 are 0; block 4's p and r are one form; and the diagonals of blocks 2-4, each repeated by its
-    block's copies, are CONE_FORMS's five scalars repeated by their weights (measured: 2.2e-17 on the
-    forms, 8.9e-16 on the values).  The PPT program's one cone is the plain cone without its a55 column."""
+    CONE_FORMS's a55 column negated for the partial transpose: block 1 is CONE_FORMS's (p, q, r), and the
+    diagonals of blocks 2-4, each repeated by its block's copies, are CONE_FORMS's five scalars repeated by
+    their weights (measured: 2.2e-17 on the forms, 8.9e-16 on the values); that blocks 2-4 are diagonal is
+    test_blocks_2_to_4_are_diagonal_and_block_4_is_one_scalar.  The PPT program's one cone is the plain cone
+    without its a55 column."""
     assert np.array_equal(sdp._FORM_WEIGHTS, WEIGHTS)
     assert np.array_equal(WEIGHTS[:3], np.array([1, 2, 1]) * BLOCK_COPIES[0])
     assert 2 * sum(BLOCK_COPIES) == WEIGHTS @ [1, 0, 1, 1, 1, 1, 1, 1] == 64
@@ -122,9 +123,6 @@ def test_cone_forms_are_literal_and_ppt_flips_a55():
         forms = CONE_FORMS * np.where(np.arange(8) == A55, flip, 1.0)
         blocks = block_cone(BLOCK_X, xb, BLOCK_C).reshape(4, 3, -1)
         assert np.abs(blocks[0] - forms[:3]).max() <= 1e-15
-        assert np.abs(blocks[1:, 1]).max() <= 1e-15
-        assert np.abs(blocks[3, 0] - blocks[3, 2]).max() <= 1e-15
-        assert np.abs(blocks[3, 0]).max() > 0.5
         diagonals, copies = blocks[1:, [0, 2]].reshape(6, -1), np.repeat(BLOCK_COPIES[1:], 2)
         for x in rng.normal(size=(4, 8)):
             derived = np.sort(np.repeat(diagonals @ x, copies))
@@ -133,6 +131,17 @@ def test_cone_forms_are_literal_and_ppt_flips_a55():
     assert np.abs(CONE_FORMS[:, A55]).max() > 0.5
     assert build_problem(0.3).cones is CONE_FORMS
     assert np.array_equal(build_problem(0.3, with_ppt=True).cones, np.delete(CONE_FORMS, A55, axis=1))
+
+
+def test_blocks_2_to_4_are_diagonal_and_block_4_is_one_scalar():
+    """The premise of CONE_FORMS's split into one 2x2 block and five scalars, derived by the witness for the
+    plain cone and for its partial transpose: the q forms of blocks 2-4 are 0 and block 4's p and r are
+    one form (measured: exactly 0 and equal)."""
+    for xb in (BLOCK_X, np.swapaxes(BLOCK_X, 1, 2)):
+        blocks = block_cone(BLOCK_X, xb, BLOCK_C).reshape(4, 3, -1)
+        assert np.abs(blocks[1:, 1]).max() <= 1e-15
+        assert np.abs(blocks[3, 0] - blocks[3, 2]).max() <= 1e-15
+        assert np.abs(blocks[3, 0]).max() > 0.5
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
