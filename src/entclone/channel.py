@@ -26,10 +26,6 @@ of them: sdp reads its objective through fidelity_coefficients and its
 trace row through constraint_matrices.  tests/reference.py derives each
 of them from the 64x64 operators ti (x) tj.  The 64x64 Choi operator is
 formed only when a channel is actually applied.
-
-A state passed to apply is validated on every call; local_fidelity
-builds the representative input's density matrix itself from a
-checked alpha, so it needs no validation.
 """
 
 from __future__ import annotations
@@ -82,31 +78,6 @@ def apply_choi(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def trace_output(p_e: np.ndarray) -> np.ndarray:
     """Tr_out of a Choi operator: the 4x4 operator left on the input (A, B)."""
     return np.einsum("aiaj->ij", np.asarray(p_e).reshape(16, 4, 16, 4))
-
-
-def check_state(rho: np.ndarray) -> np.ndarray:
-    """Validate a two-qubit density matrix and return it as a complex array.
-
-    Raises ValueError unless rho is finite, 4x4, Hermitian, positive
-    semidefinite and of unit trace, the last three to 1e-10.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise ValueError("input state has non-finite entries")
-    if rho.shape != (4, 4):
-        raise ValueError(f"input state must be 4x4, got {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
-        raise ValueError("input state is not Hermitian")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-10:
-        raise ValueError("input state has a negative eigenvalue")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError("input state does not have unit trace")
-    return rho
-
-
-def apply(p_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel with Choi operator p_e to a two-qubit density matrix, output on (1A,1B,2A,2B)."""
-    return apply_choi(p_e, check_state(rho))
 
 
 def channel_from_params(a: np.ndarray, t: np.ndarray = T_OPERATORS) -> np.ndarray:

@@ -105,14 +105,15 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
-parts of a solve are built once, at import, for the plain and the PPT
-program, and travel as SdpProblem.setup: the null basis and the start are
-closed forms in the trace row, and the one factorization is the dual
-projector's np.linalg.solve, one per program.
+parts of a solve are built once per program, on its first build_problem,
+and travel as SdpProblem.setup: the null basis and the start are closed
+forms in the trace row, and the one factorization is the dual projector's
+np.linalg.solve, one per program.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -273,6 +274,7 @@ def _scalar_bounds(v: Sequence[float], dv: Sequence[float]) -> list[float]:
     return [-2.0 * d / s for s, d in zip(v, dv)]
 
 
+@functools.cache
 def _program(with_ppt: bool) -> _Setup:
     """The solver setup of the plain or PPT program: all of it but the objective's x.
 
@@ -294,8 +296,9 @@ def _program(with_ppt: bool) -> _Setup:
     The table's rows are the system dual_map^T W^-1 dirs and its right side
     dual_map^T target, dirs = forms N and dual_map = diag(weights) dirs, as
     linear maps of the step's 22 numbers.
-    Every array in the setup is read-only.  Raises ConvergenceError if x0
-    misses the equality or the cone's interior.
+    Each program's setup is built on its first call and shared after it;
+    every array in it is read-only.  Raises ConvergenceError if x0 misses
+    the equality or the cone's interior.
     """
     basis, forms, weights = FIXED, CONE_FORMS, _FORM_WEIGHTS
     if with_ppt:
@@ -324,10 +327,6 @@ def _program(with_ppt: bool) -> _Setup:
     return setup
 
 
-# The setups of the plain and the PPT program, indexed by with_ppt.
-_PROGRAMS = (_program(False), _program(True))
-
-
 def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = False) -> SdpProblem:
     """Assemble the program for one Schmidt weight on its coordinates (see _program).
 
@@ -335,11 +334,11 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     channel.fidelity_coefficients(alpha, t) read on the program's
     coordinates, which checks alpha and t (t must be T_OPERATORS, see
     covariant.check_t).  The cone forms and the solver setup are the
-    program's, built once and shared read-only.  The clone-symmetry rows
-    vanish on FIXED, so the trace row, read through
+    program's, built on its first build and shared read-only.  The
+    clone-symmetry rows vanish on FIXED, so the trace row, read through
     channel.constraint_matrices, is the only equality.
     """
-    setup = _PROGRAMS[bool(with_ppt)]
+    setup = _program(bool(with_ppt))
     f = fidelity_coefficients(alpha, t).reshape(-1) @ setup.basis
     eq = (constraint_matrices()[0] @ setup.basis)[None, :]
     return SdpProblem(objective=f, eq_matrix=eq, setup=setup)

@@ -127,6 +127,7 @@ MUTANTS = (
            "mixed = e / basis.sum(axis=0) / 36.0", "mixed = e / (e @ e)"),
     Mutant("sdp plain start back at 0.9 e_22 + 0.1 s s^T / 36", SDP,
            "0.1 * mixed if with_ppt else mixed", "0.1 * mixed"),
+    Mutant("sdp._program builds a new setup at each build_problem", SDP, "@functools.cache\n", ""),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-10 -> nu 1e-10", SDP,
            "return 2.0 * self.nu * 1e-10", "return self.nu * 1e-10"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-10 -> 2 nu 1e-11, ten times closer to where double solves stall", SDP,

@@ -18,17 +18,14 @@ from entclone.channel import (
     G1,
     SYMMETRY_ROWS,
     TRACE_ROW,
-    apply,
     apply_choi,
     channel_from_params,
-    check_state,
     clone_reductions,
     constraint_matrices,
     fidelity_coefficients,
     local_fidelity,
     trace_output,
 )
-from entclone import channel
 from entclone.covariant import T_OPERATORS, assemble_ptilde, build_t_operators
 import reference
 from reference import dense_constraint_matrices, dense_fidelity_coefficients, functional_table, random_su2
@@ -95,7 +92,7 @@ def test_choi_is_trace_preserving():
 def test_bh_channel_on_product_input():
     ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.3)
     rho_in = density(np.array([1.0, 0.0, 0.0, 0.0]))
-    rho_out = apply(ch, rho_in)
+    rho_out = apply_choi(ch, rho_in)
     assert abs(np.trace(rho_out) - 1.0) < 1e-10
     clone_1, clone_2 = clone_reductions(rho_out)
     for clone in (clone_1, clone_2):
@@ -106,7 +103,7 @@ def test_bh_channel_on_product_input():
 def test_locc_channel_on_bell_input():
     ch = family_channel(CloneFamily.LOCC_OPTIMAL, ALPHA_MAX)
     bell = density(schmidt_state(ALPHA_MAX))
-    clone_1, clone_2 = clone_reductions(apply(ch, bell))
+    clone_1, clone_2 = clone_reductions(apply_choi(ch, bell))
     for clone in (clone_1, clone_2):
         assert abs(np.real(np.trace(clone @ bell)) - 5.0 / 8.0) < 1e-10
 
@@ -152,7 +149,7 @@ def test_rotated_inputs_give_same_fidelity():
     for _ in range(10):
         u = np.kron(random_su2(rng), random_su2(rng))
         rotated = u @ base @ u.conj().T
-        clone_1, clone_2 = clone_reductions(apply(ch, rotated))
+        clone_1, clone_2 = clone_reductions(apply_choi(ch, rotated))
         overlap = np.real(np.trace(clone_1 @ rotated) + np.trace(clone_2 @ rotated)) / 2.0
         assert abs(overlap - reference) < 1e-10
 
@@ -235,19 +232,6 @@ def test_families_satisfy_constraints():
             assert np.abs(sym_rows @ a).max() < 1e-12
 
 
-def test_apply_validates_input():
-    ch = family_channel(CloneFamily.BUZEK_HILLERY_SQUARED, 0.2)
-    with pytest.raises(ValueError):
-        apply(ch, np.eye(4))
-    with pytest.raises(ValueError):
-        apply(ch, np.diag([1.5, -0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        apply(ch, np.eye(3) / 3.0)
-    for bad in (np.diag([np.nan, 1.0, 0.0, 0.0]), np.full((4, 4), np.nan)):
-        with pytest.raises(ValueError, match="non-finite"):
-            apply(ch, bad)
-
-
 def test_local_fidelity_rejects_asymmetric_channel():
     """A map that parks clone 2 in a fixed state is not clone symmetric, nor is a symmetric channel
     mixed with 1e-6 of it; 1e-10 of it stays inside the symmetry tolerance."""
@@ -300,19 +284,16 @@ def test_functional_table_rejects_a_non_affine_functional(monkeypatch):
         functional_table(build_t_operators())
 
 
-def test_local_fidelity_needs_no_state_check(monkeypatch):
-    """The representative density of a checked alpha always passes check_state unchanged, so
-    local_fidelity skips the check and scores the same bits as apply does on that density."""
+def test_local_fidelity_scores_apply_choi_on_the_representative_density():
+    """local_fidelity scores the same bits as apply_choi does on the density of schmidt_state(alpha),
+    over 402 alphas, and checks its alpha."""
     grid = [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]
     p_e = family_channel(CloneFamily.LOCC_OPTIMAL, 0.45)
     expected = []
     for alpha in grid:
         phi = schmidt_state(alpha)
-        rho = density(phi)
-        assert np.array_equal(check_state(rho), rho)
-        r1, r2 = clone_reductions(apply(p_e, rho))
+        r1, r2 = clone_reductions(apply_choi(p_e, density(phi)))
         expected.append(float(np.real(phi.conj() @ ((r1 + r2) / 2.0) @ phi)))
-    monkeypatch.setattr(channel, "check_state", lambda rho: pytest.fail("state checked"))
     assert [local_fidelity(p_e, alpha) for alpha in grid] == expected
     assert local_fidelity(p_e, np.float64(0.45)) == local_fidelity(p_e, 0.45)
     with pytest.raises(ValueError):

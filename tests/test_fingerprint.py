@@ -1,0 +1,24 @@
+"""The same-bits command sees a one-ulp move of one value, and nothing on an unchanged tree."""
+
+import copy
+import math
+
+from entclone.analytic import alpha_critical
+from fingerprint import digest, fingerprint, moves
+
+
+def test_fingerprint_reports_an_objective_moved_by_one_ulp():
+    grid = {"three": [0.1, alpha_critical(), 0.6]}
+    ours = fingerprint(grid)
+    assert len(ours) == 6 and all(len(group["points"]) == 3 for group in ours.values())
+    assert fingerprint(grid) == ours
+    assert moves(ours, copy.deepcopy(ours)) == ([], [])
+    theirs = copy.deepcopy(ours)
+    key = "ppt tol=1e-07 three"
+    point = theirs[key]["points"][1]
+    f_star = float.fromhex(point["f_star"])
+    point["f_star"] = math.nextafter(f_star, math.inf).hex()
+    assert moves(ours, theirs) == ([f"{key} alpha=0.335711: f_star |delta| = {math.ulp(f_star):.3g}"], [])
+    assert [k for k in ours if digest(ours[k]) != digest(theirs[k])] == [key]
+    theirs[key]["points"][1]["iterations"] += 1
+    assert moves(ours, theirs)[1] == [f"{key} alpha=0.335711: iterations {point['iterations']} -> {point['iterations'] - 1}"]

@@ -292,12 +292,12 @@ def test_plain_solution_matches_dense_witness(alpha):
 
 
 def test_setups_are_built_once_and_read_only():
-    """Every build of a program, t defaulted or passed, shares the solver setup built at import, whose
+    """Every build of a program, t defaulted or passed, shares the solver setup built on first use, whose
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars, so their dual projector is 8x8, and the table of
     the k x k system and its right side has k k + k rows over 22 numbers.  Any other t, even an equal copy,
     is refused."""
-    plain, first = sdp._PROGRAMS
+    plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
             for problem in (build_problem(alpha, with_ppt=with_ppt), build_problem(alpha, T_OPERATORS, with_ppt),
@@ -319,6 +319,22 @@ def test_setups_are_built_once_and_read_only():
             with pytest.raises(ValueError, match="T_OPERATORS"):
                 build_problem(0.3, other, with_ppt)
 
+
+def test_setups_are_built_on_first_use():
+    """Importing the CLI builds no solver setup; in-process, two builds of a program share one setup object,
+    and the two programs' setups differ."""
+    code = "import entclone.cli\nfrom entclone import sdp\nprint(sdp._program.cache_info().currsize)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
+    setups = []
+    for with_ppt in (False, True):
+        first, second = (build_problem(alpha, with_ppt=with_ppt) for alpha in (0.2, 0.5))
+        assert first.setup is second.setup
+        setups.append(first.setup)
+    assert setups[0] is not setups[1]
+    assert sdp._program.cache_info().currsize == 2
 
 def test_bell_state_optima(bell_solutions):
     plain, ppt = bell_solutions
