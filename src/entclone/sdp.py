@@ -58,10 +58,10 @@ are checked in tests/test_tables.py.
 
 The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
 Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
-program solvers", 2010).  The primal iterate x = x0 + N z stays on the
-equalities through an orthonormal null-space basis N.  The dual iterate
-is one 2x2 block and five scalars Z_k, standing for the same copies as
-the primal's; it stays on the dual equalities
+program solvers", 2010).  The primal iterate x stays on the equality:
+its steps lie in the trace row's null space, spanned by some N.  The
+dual iterate is one 2x2 block and five scalars Z_k, standing for the
+same copies as the primal's; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
 exists and U = b y = y bounds the optimum from above whenever every
 Z_k > 0; Z stands for the 64x64 dual whose blocks 2-4 are diagonal,
@@ -77,26 +77,32 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    Gram system G h = f, G diagonal and integer, and the copies' traces
    sum to 4c times the trace row, so the stationarity residual is zero;
    y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
- - Step: each iteration solves one k x k system for the NT direction
-   towards S_k Z_k = tau I, tau = max(CENTRING mu, mu_min), with the
-   closed-form NT scaling W = S # Z^-1 of the block (_nt_scaling),
-   whose packed 3x3 map X -> W^-1 X W^-1 is read off W^-1's entries,
-   and X -> (z / s) X on each scalar, with no square root.  The system
-   and its right side are one product: _program's table times the 9
-   entries of that map, the 5 ratios z / s and the 8 entries of the
-   target tau S^-1 - Z.  The dual step is projected onto the null space
-   of the dual equalities, and both iterates move by STEP_FRACTION of
-   the largest step that keeps the block positive definite and every
-   scalar positive (one quadratic for each of S's and Z's block,
-   _step_bound, and -2 ds / s per scalar, _scalar_bounds), capped at 1.
-   There is no line search.
- - Precision: double throughout, one np.linalg.solve per step.  The
-   products over the coordinates are numpy calls: S = forms x, the
-   table's product, the lift [N; forms N] dz of the direction to the
-   steps of x and S, and the dual projection.  The few products of the
-   block and of each scalar run on Python floats, without a call's cost.
-   The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double suffices:
-   the largest mu_min at which a double solve fails is 7.0e-12 (see solve).
+ - Step: each iteration takes the NT direction towards S_k Z_k = tau I,
+   tau = max(CENTRING mu, mu_min), on the dual's free directions
+   (_nt_direction).  The dual equalities leave Z only 8 - k of them,
+   the columns of C (the rows of setup.free): the identity on the plain
+   program, the identity and c2 on the PPT slice (see _program).  So
+   dZ = C lam and
+   dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the block, with the
+   closed-form NT scaling W = S # Z^-1 (_nt_scaling), and s / z on each
+   scalar, and M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2 system
+   (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in closed form;
+   this is the direction of the k x k system B^T D M B dz = B^T D t,
+   B = forms N, without forming it.  dS's rounding-level parts along the
+   rows of D C are removed, which keeps dS in the range of B, and x
+   moves by left dS, left being an exact left inverse of the forms.  Both
+   iterates move by STEP_FRACTION of the largest step that keeps the
+   block positive definite and every scalar positive (one quadratic for
+   each of S's and Z's block, _step_bound, and -2 ds / s per scalar,
+   _scalar_bounds), capped at 1.  There is no line search.
+ - Precision: double throughout, with no np.linalg call in a step.  Only
+   the products over the coordinates are numpy calls: S = forms x and
+   the step left dS of x.  The products of the block, of each scalar and
+   of the one or two free directions run on Python floats, without a
+   call's cost; their sums are math.fsum, correctly rounded on every
+   Python version.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where
+   double suffices: the largest mu_min at which a double solve fails is
+   4.9e-12 (see solve).
  - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
    mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
    mu_min = tol / (2 nu); on a diagonal block the two tests agree.  The
@@ -106,9 +112,8 @@ Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
 parts of a solve are built once per program, on its first build_problem,
-and travel as SdpProblem.setup: the null basis and the start are closed
-forms in the trace row, and the one factorization is the dual projector's
-np.linalg.solve, one per program.
+and travel as SdpProblem.setup: the start, the left inverse and the free
+directions are closed forms, and no setup factorizes a matrix.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -158,7 +165,23 @@ _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # with q counted twice, then the scalars, a33 being 8 copies x 2.  The identity's forms are _IDENTITY.
 _FORM_WEIGHTS = np.array((4, 8, 4, 4, 4, 16, 16, 16), dtype=float)
 _IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY):
+# The directions the dual equalities leave Z (see _program): the identity, and on the PPT slice also c2,
+# the block's q against the scalars a12 + a44 + a55 and a12 - a44 - a55.
+_FREE = np.array([_IDENTITY, [0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]])
+# The exact inverse of CONE_FORMS, forms to coordinates: a12 = (s3 + s4) / 2, a44 +- a55 = (s3 - s4) / 4 +- q / 2.
+_LEFT = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0],  # a11 = p
+        [0, 0, 1, 0, 0, 0, 0, 0],  # a22 = r
+        [0, 0, 0, 0, 0, 0, 0, 1],  # a33
+        [0, 0.5, 0, 0.25, -0.25, 0, 0, 0],  # a44
+        [0, -0.5, 0, 0.25, -0.25, 0, 0, 0],  # a55
+        [0, 0, 0, 0.5, 0.5, 0, 0, 0],  # a12
+        [0, 0, 0, 0, 0, 1, 0, 0],  # a13
+        [0, 0, 0, 0, 0, 0, 1, 0],  # a23
+    ]
+)
+for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _FREE, _LEFT):
     _table.flags.writeable = False
 
 
@@ -167,13 +190,11 @@ class _Setup(NamedTuple):
     and carried as SdpProblem.setup; every array is float64, as is every step of solve."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
-    null: np.ndarray  # (m, k) orthonormal basis of the equalities' null space
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (8, m) CONE_FORMS on the m coordinates
+    left: np.ndarray  # (m, 8) exact left inverse of forms: a step of S to the step of x
     weights: np.ndarray  # (8,) _FORM_WEIGHTS, twice them for PPT: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
-    lift: np.ndarray  # (m + 8, k) [null; forms @ null]: a direction dz to the steps of x and of S
-    table: np.ndarray  # (k k + k, 22) the system and its right side, linear in the scaling, z / s and target
-    project: np.ndarray  # (8, 8) orthogonal projector onto the null space of the dual equalities
+    free: np.ndarray  # (8 - k, 8) the rows of _FREE that span the dual's steps, k = m - 1
     gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram matrix forms^T diag(weights) forms
 
 
@@ -236,11 +257,10 @@ def _cone_min(v: np.ndarray) -> float:
     return float(np.min([(p + r) / 2.0 - np.hypot((p - r) / 2.0, q), *v[3:]]))
 
 
-def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: float) -> tuple[float, ...]:
-    """Row by row, the packed 3x3 map X -> W^-1 X W^-1 of the NT scaling W = S # Z^-1 (W Z W = S) of one block.
+def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: float) -> tuple[float, float, float]:
+    """The NT scaling W = S # Z^-1 of one block, the positive definite W with W Z W = S, as its (p, q, r).
 
-    With M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and g = sqrt(det Z / det S), W^-1 = adj(M) sqrt(g / det M)
-    = V = [[a, b], [b, c]], and X -> V X V is [[a^2, 2ab, b^2], [ab, ac + b^2, bc], [b^2, 2bc, c^2]].
+    With M = S / sqrt(det S) + adj(Z) / sqrt(det Z) and g = sqrt(det Z / det S), W = M / sqrt(g det M).
     det_s, det_z > 0; a det M that rounding left non-positive raises ConvergenceError.
     """
     (sp, sq, sr), (zp, zq, zr), root_s, root_z = s, z, math.sqrt(det_s), math.sqrt(det_z)
@@ -248,10 +268,62 @@ def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: flo
     det_m = mp * mr - mq * mq
     if not det_m > 0.0:
         raise ConvergenceError("the iterate left the cone interior")
-    g = math.sqrt(root_z / root_s / det_m)
-    a, b, c = mr * g, -mq * g, mp * g
-    ab, bb, bc = a * b, b * b, b * c
-    return (a * a, 2.0 * ab, bb, ab, a * c + bb, bc, bb, 2.0 * bc, c * c)
+    h = 1.0 / math.sqrt(root_z / root_s * det_m)
+    return mp * h, mq * h, mr * h
+
+
+def _free_directions(setup: _Setup) -> list[tuple[list[float], list[float], list[float]]]:
+    """Per free direction c of the dual (setup.free), the triple (c, D c, D c / |D c|^2) that _nt_direction
+    reads, as Python floats; D = diag(setup.weights)."""
+    along = setup.weights * setup.free
+    return list(zip(setup.free.tolist(), along.tolist(), (along / (along * along).sum(axis=1)[:, None]).tolist()))
+
+
+def _nt_direction(
+    s: Sequence[float], z: Sequence[float], det_s: float, det_z: float, tau: float, free: Sequence
+) -> tuple[list[float], list[float]]:
+    """The NT direction (dS, dZ) towards S Z = tau I on the block and s z = tau on each scalar.
+
+    s and z are the cone's 8 numbers, det_s and det_z > 0 the blocks' determinants.  free holds, per
+    free direction c of the dual, the triple (c, D c, D c / |D c|^2), D = diag(weights).  The step is
+    dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the block, W = S # Z^-1
+    (_nt_scaling), and s / z on each scalar, so that M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2
+    system (C^T D M^-1 C) lam = C^T D M^-1 t, which makes C^T D dS = 0: dS lies in the range of forms N,
+    where N spans the trace row's null space.  Rounding leaves in dS parts along the rows D C, which are
+    orthogonal; they are removed, so that the step of x, left dS, keeps x on the trace row.  A system
+    that rounding left singular (det <= 0 or NaN) raises ConvergenceError.
+    """
+    (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
+    a, b, c = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
+    aa, ab, bb, bc, cc, mid = a * a, a * b, b * b, b * c, c * c, a * c + b * b
+    ratios = list(map(truediv, ss, zs))
+    inv = tau / det_z
+    goal = [inv * zr - sp, -(inv * zq) - sq, inv * zp - sr, *[tau / v - u for u, v in zip(ss, zs)]]
+    # M^-1 c for each free direction c: W C W on the block, s / z times each scalar.
+    moved = [[aa * cp + 2.0 * (ab * cq) + bb * cr, ab * cp + mid * cq + bc * cr, bb * cp + 2.0 * (bc * cq) + cc * cr,
+              *map(mul, ratios, cs)] for (cp, cq, cr, *cs), _, _ in free]
+    if len(free) == 1:
+        ((c1, d1, _),), (u1,) = free, moved
+        det = fsum(map(mul, d1, u1))
+        if not det > 0.0:
+            raise ConvergenceError("the iterate left the cone interior")
+        l1 = fsum(map(mul, d1, goal)) / det
+        ds = [g - l1 * u for g, u in zip(goal, u1)]
+        dz = [l1 * v for v in c1]
+    else:
+        ((c1, d1, _), (c2, d2, _)), (u1, u2) = free, moved
+        g11, g12, g22 = fsum(map(mul, d1, u1)), fsum(map(mul, d1, u2)), fsum(map(mul, d2, u2))
+        det = g11 * g22 - g12 * g12
+        if not det > 0.0:
+            raise ConvergenceError("the iterate left the cone interior")
+        r1, r2 = fsum(map(mul, d1, goal)), fsum(map(mul, d2, goal))
+        l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+        ds = [g - l1 * u - l2 * v for g, u, v in zip(goal, u1, u2)]
+        dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]
+    for _, dc, unit in free:
+        part = fsum(map(mul, unit, ds))
+        ds = [d - part * v for d, v in zip(ds, dc)]
+    return ds, dz
 
 
 def _step_bound(v: Sequence[float], dv: Sequence[float], det: float) -> float:
@@ -280,48 +352,40 @@ def _program(with_ppt: bool) -> _Setup:
 
     The plain program runs on the 8 FIXED coordinates, the PPT program on
     the 7 without a55 with the plain cone counted twice.  The trace row e
-    is the one equality, so its null basis is a closed form: the last
-    m - 1 columns of the Householder reflection I - h h^T / h_0,
-    h = e / |e| + e_1, which maps e_1 to -e / |e|.  The start x0 does not
-    depend on alpha.  The plain program starts at a = s s^T / 36,
-    s = (1, 1, 2, 0, 0), the maximally mixed feasible point TRACE_ROW / 36,
-    whose coordinates are e over each column's entry count, over 36 (not
-    e / (e.e) = e / 54); there the dense operator's spectrum is
+    is the one equality, so the primal moves in its (m - 1)-dimensional
+    null space, spanned by some N, and S by B = forms N.  The dual
+    equalities N^T (f + forms^T D z) = 0, D = diag(weights), leave Z the
+    8 - k = 9 - m directions of the null space of B^T D, the c with
+    forms^T D c in span(e): the identity, whose forms^T D c is 4 copies
+    times e, and on the PPT slice also _FREE's c2, whose forms^T D c2 is 0
+    once a55's column is gone.  solve needs no N: a step of S in the range
+    of B is taken to the step of x by left, _LEFT (CONE_FORMS's exact
+    inverse) without a55's row, so left forms = I exactly.
+    The start x0 does not depend on alpha.  The plain program starts at
+    a = s s^T / 36, s = (1, 1, 2, 0, 0), the maximally mixed feasible
+    point TRACE_ROW / 36, whose coordinates are e over each column's entry
+    count, over 36 (not e / (e.e) = e / 54); there the dense operator's spectrum is
     {1, 2, 4} / 36, so it clears the cone by 1/36, and every alpha
     measured takes the same number of iterations at a given tol, 7 at the
     default.  The PPT program starts at 0.9 times the no-communication
     point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
-    The table's rows are the system dual_map^T W^-1 dirs and its right side
-    dual_map^T target, dirs = forms N and dual_map = diag(weights) dirs, as
-    linear maps of the step's 22 numbers.
     Each program's setup is built on its first call and shared after it;
     every array in it is read-only.  Raises ConvergenceError if x0 misses
     the equality or the cone's interior.
     """
-    basis, forms, weights = FIXED, CONE_FORMS, _FORM_WEIGHTS
+    basis, forms, left, weights, free = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS, _FREE[:1]
     if with_ppt:
         basis, forms = (np.delete(arr, _A55, axis=-1) for arr in (basis, forms))
-        weights = 2.0 * _FORM_WEIGHTS
+        left, weights, free = np.delete(_LEFT, _A55, axis=0), 2.0 * _FORM_WEIGHTS, _FREE
     e = constraint_matrices()[0] @ basis
-    h = e / np.sqrt(e @ e) + np.eye(len(e))[0]
-    null = (np.eye(len(e)) - np.outer(h, h) / h[0])[:, 1:]
     mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
     if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(forms @ x0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
-    dirs = forms @ null
-    dual_map = weights[:, None] * dirs
-    k = null.shape[1]
-    table = np.block([
-        [np.einsum("ei,fj->ijef", dual_map[:3], dirs[:3]).reshape(k * k, 9),
-         np.einsum("si,sj->ijs", dual_map[3:], dirs[3:]).reshape(k * k, 5), np.zeros((k * k, 8))],
-        [np.zeros((k, 14)), dual_map.T],
-    ])
-    project = np.eye(len(dual_map)) - dual_map @ np.linalg.solve(dual_map.T @ dual_map, dual_map.T)
     gram_inv = 1.0 / (weights @ (forms * forms))
-    setup = _Setup(basis, null, x0, forms, weights, np.vstack([null, dirs]), table, project, gram_inv)
+    setup = _Setup(basis, x0, forms, left, weights, free, gram_inv)
     for arr in setup:
         arr.flags.writeable = False
     return setup
@@ -376,13 +440,13 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
 
     The floor keeps mu_min where double suffices.  At mu_min near 1e-12 a
     2x2 block's small eigenvalue is ~1e-12 of its entries, which double
-    leaves only 4 digits of, and the system's condition reaches ~1e11, so
-    steps can leave the interior or stall short of the stop test.  On a
-    ladder of 52 tols from 2 nu 1e-12 to 1e-6 on the floor test's 88
-    alphas, the largest mu_min at which a solve in either program fails to
-    converge, loses its certificate or moves a plain iteration count is
-    7.0e-12 (plain, tol 9e-10); the floor's mu_min, 1e-10, is above ten
-    times that.
+    leaves only 4 digits of, so steps can leave the interior or stall
+    short of the stop test.  On a ladder of 52 tols, geometric from
+    2 nu 1e-12 to 1e-6, on the floor test's 88 alphas, the largest mu_min
+    at which a solve in either program fails to converge, loses its
+    certificate or moves a plain iteration count is 4.9e-12 (plain, tol
+    6.2e-10), as it was for the k x k system solved in double; the
+    floor's mu_min, 1e-10, is above ten times that.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -390,8 +454,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
-    forms, lift, table, project = setup.forms, setup.lift, setup.table, setup.project
-    (wp, wq, wr, *ws), m, k = setup.weights.tolist(), len(setup.x0), setup.null.shape[1]
+    forms, left, free = setup.forms, setup.left, _free_directions(setup)
+    wp, wq, wr, *ws = setup.weights.tolist()
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
     # Z starts at y0 I / (4c) - C(h).
@@ -403,7 +467,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     # each run without a numpy call's cost; x stays an array, read and moved by numpy products.
     z, x, iterations = z.tolist(), setup.x0, 0
     while True:
-        (sp, sq, sr, *ss), (zp, zq, zr, *zs) = np.dot(forms, x).tolist(), z
+        s = np.dot(forms, x).tolist()
+        (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
         det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
         if not all(v > 0.0 for v in (det_s, det_z, sp, zp, *ss, *zs)):
             raise ConvergenceError("the iterate left the cone interior")
@@ -424,23 +489,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        # The NT direction: N^T sum_k w_k A_k*(W^-1 dS W^-1) = N^T sum_k w_k A_k*(tau S^-1 - Z)
-        # for dS = C(N dz), then dZ = tau S^-1 - Z - W^-1 dS W^-1, projected
-        # back onto the dual equalities so rounding cannot build up in the
-        # residual.  On the block tau S^-1 = tau adj(S) / det S; on a scalar W^-1 X W^-1 = (z / s) X.
-        inv = tau / det_s
-        target = [inv * sr - zp, -(inv * sq) - zq, inv * sp - zr, *[tau / a - b for a, b in zip(ss, zs)]]
-        scaling = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
-        ratios = [b / a for a, b in zip(ss, zs)]
-        coefficients = np.dot(table, [*scaling, *ratios, *target])
-        dz = np.linalg.solve(coefficients[: k * k].reshape(k, k), coefficients[k * k:])
-        lifted = np.dot(lift, dz)
-        dsp, dsq, dsr, *dss = lifted[m:].tolist()
-        # The dual step before its projection, target - W^-1 dS W^-1, through the packed map's rows.
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = scaling
-        dual = [target[0] - (p0 * dsp + p1 * dsq + p2 * dsr), target[1] - (p3 * dsp + p4 * dsq + p5 * dsr),
-                target[2] - (p6 * dsp + p7 * dsq + p8 * dsr), *[g - r * d for g, r, d in zip(target[3:], ratios, dss)]]
-        dzp, dzq, dzr, *dzs = dual = np.dot(project, dual).tolist()
+        ds, dual = _nt_direction(s, z, det_s, det_z, tau, free)
+        (dsp, dsq, dsr, *dss), (dzp, dzq, dzr, *dzs) = ds, dual
         bounds = [_step_bound((sp, sq, sr), (dsp, dsq, dsr), det_s),
                   _step_bound((zp, zq, zr), (dzp, dzq, dzr), det_z),
                   *_scalar_bounds([*ss, *zs], [*dss, *dzs])]
@@ -448,7 +498,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             raise ConvergenceError("the iterate left the cone interior")
         top = max(bounds)
         step = min(1.0, STEP_FRACTION * (2.0 / top)) if top > 0.0 else 1.0
-        x = x + step * lifted[:m]
+        x = x + step * np.dot(left, ds)
         z = [a + step * d for a, d in zip(z, dual)]
 
 

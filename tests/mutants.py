@@ -75,22 +75,41 @@ MUTANTS = (
     Mutant("sdp.solve interior test without Z", SDP, "(det_s, det_z, sp, zp, *ss, *zs)", "(det_s, sp, *ss)"),
     Mutant("sdp.solve interior test without the scalars", SDP,
            "(det_s, det_z, sp, zp, *ss, *zs)", "(det_s, det_z, sp, zp)"),
-    Mutant("sdp._nt_scaling off-diagonal 2ab -> ab", SDP, "(a * a, 2.0 * ab, bb,", "(a * a, ab, bb,"),
-    Mutant("sdp._nt_scaling middle entry ac + b^2 -> ac", SDP, "a * c + bb, bc", "a * c, bc"),
+    Mutant("sdp._nt_scaling W = M / sqrt(g det M) -> M / sqrt(det M / g)", SDP,
+           "math.sqrt(root_z / root_s * det_m)", "math.sqrt(root_s / root_z * det_m)"),
     Mutant("sdp._nt_scaling without its det M guard", SDP, "if not det_m > 0.0:", "if False:"),
-    Mutant("sdp.solve scalar scaling z / s -> s / z", SDP,
-           "ratios = [b / a for a, b in zip(ss, zs)]", "ratios = [a / b for a, b in zip(ss, zs)]"),
-    Mutant("sdp.solve scalar target tau / s - z -> tau / z - s", SDP,
-           "*[tau / a - b for a, b in zip(ss, zs)]", "*[tau / b - a for a, b in zip(ss, zs)]"),
+    Mutant("sdp._nt_direction W C W off-diagonal 2ab -> ab", SDP,
+           "aa * cp + 2.0 * (ab * cq) + bb * cr", "aa * cp + ab * cq + bb * cr"),
+    Mutant("sdp._nt_direction W C W middle entry ac + b^2 -> ac", SDP, "c * c, a * c + b * b", "c * c, a * c"),
+    Mutant("sdp._nt_direction scalar scaling s / z -> z / s", SDP,
+           "ratios = list(map(truediv, ss, zs))", "ratios = list(map(truediv, zs, ss))"),
+    Mutant("sdp._nt_direction scalar goal tau / z - s -> tau / s - z", SDP,
+           "*[tau / v - u for u, v in zip(ss, zs)]", "*[tau / u - v for u, v in zip(ss, zs)]"),
+    Mutant("sdp._nt_direction 2x2 system without its off-diagonal term in lam", SDP,
+           "l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det",
+           "l1, l2 = g22 * r1 / det, g11 * r2 / det"),
+    Mutant("sdp._nt_direction 2x2 det without its off-diagonal term", SDP,
+           "det = g11 * g22 - g12 * g12", "det = g11 * g22"),
+    Mutant("sdp._nt_direction without the 1x1 det guard", SDP,
+           "det = fsum(map(mul, d1, u1))\n        if not det > 0.0:", "det = fsum(map(mul, d1, u1))\n        if False:"),
+    Mutant("sdp._nt_direction without the 2x2 det guard", SDP,
+           "det = g11 * g22 - g12 * g12\n        if not det > 0.0:", "det = g11 * g22 - g12 * g12\n        if False:"),
+    Mutant("sdp._nt_direction keeps dS's parts along D C", SDP,
+           "    for _, dc, unit in free:\n        part = fsum(map(mul, unit, ds))\n"
+           "        ds = [d - part * v for d, v in zip(ds, dc)]\n", ""),
+    Mutant("sdp._FREE c2 with its scalars' signs swapped", SDP,
+           "[0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]", "[0.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0]"),
+    Mutant("sdp PPT program without c2, the identity its one free direction", SDP,
+           "2.0 * _FORM_WEIGHTS, _FREE\n", "2.0 * _FORM_WEIGHTS, _FREE[:1]\n"),
+    Mutant("sdp._LEFT a44 = (s3 - s4) / 4 + q / 2 -> q, right on the PPT slice only", SDP,
+           "[0, 0.5, 0, 0.25, -0.25, 0, 0, 0],  # a44", "[0, 1, 0, 0, 0, 0, 0, 0],  # a44"),
     Mutant("sdp._step_bound b = tr(adj(v) dv) with q dq counted once", SDP,
            "r * dp - 2.0 * (q * dq) + p * dr", "r * dp - q * dq + p * dr"),
     Mutant("sdp._scalar_bounds -2 dv / v -> -dv / v", SDP,
            "return [-2.0 * d / s for s, d in zip(v, dv)]", "return [-d / s for s, d in zip(v, dv)]"),
     Mutant("sdp.solve steps past a NaN bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
-    Mutant("sdp.solve without the dual projection", SDP,
-           "np.dot(project, dual).tolist()", "dual"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP,
-           "        weights = 2.0 * _FORM_WEIGHTS\n", "        weights = 1.0 * _FORM_WEIGHTS\n"),
+           "axis=0), 2.0 * _FORM_WEIGHTS,", "axis=0), 1.0 * _FORM_WEIGHTS,"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,
            "gram_inv = 1.0 / (weights @ (forms * forms))", "gram_inv = 1.0 / (_FORM_WEIGHTS @ (forms * forms))"),
@@ -119,10 +138,6 @@ MUTANTS = (
     Mutant("sdp.FIXED off-diagonal selection 1 -> 1/sqrt(2), the orthonormal column", SDP,
            "    FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0\n",
            "    FIXED[[5 * _i + _j, 5 * _j + _i], _h] = 1.0 if _i == _j else 1.0 / np.sqrt(2.0)\n"),
-    Mutant("sdp null-basis reflection without its + e_1", SDP,
-           "h = e / np.sqrt(e @ e) + np.eye(len(e))[0]", "h = e / np.sqrt(e @ e)"),
-    Mutant("sdp null-basis reflection I - h h^T / h_0 -> I - h h^T / (h.h)", SDP,
-           "np.outer(h, h) / h[0]", "np.outer(h, h) / (h @ h)"),
     Mutant("sdp start s s^T / 36 -> e / (e.e) = e / 54 on the raw coordinates", SDP,
            "mixed = e / basis.sum(axis=0) / 36.0", "mixed = e / (e @ e)"),
     Mutant("sdp plain start back at 0.9 e_22 + 0.1 s s^T / 36", SDP,

@@ -14,13 +14,17 @@
 - Solver: solve's primal-dual iteration on the unreduced plain or PPT
   program's 64x64 operators, and the Newton decrement of the PPT
   program's dense log-barrier as a certificate of centrality.
+- Solver step and path: the k x k Newton system solve's direction once
+  came from, as one dense step (kxk_direction) and as solve's whole path
+  in 40-digit decimal arithmetic (decimal_nt_path).
 """
 
 import functools
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from entclone import protocol
+from entclone import protocol, sdp
 from entclone.analytic import ALPHA_MAX, schmidt_state
 from entclone.covariant import BLOCK_BASIS, T_OPERATORS, _from_blocks, partial_transpose_b
 from entclone.sdp import CENTRING, FIXED, STEP_FRACTION
@@ -289,3 +293,152 @@ def barrier_decrement(alpha, a, mu, t=T_OPERATORS):
         grad += mu * np.einsum("hii->h", prods).real
         hess += mu * np.einsum("hij,gji->hg", prods, prods).real
     return float(grad @ np.linalg.solve(hess, grad))
+
+
+def _packed(m):
+    """A real symmetric 2x2 matrix as its (p, q, r)."""
+    return np.array([m[0][0], m[0][1], m[1][1]])
+
+
+def _unpacked(v):
+    p, q, r = v
+    return np.array([[p, q], [q, r]])
+
+
+def kxk_direction(problem, s, z, tau):
+    """The NT direction (dS, dZ) of one step of solve, from the k x k system the solver once solved.
+
+    On the cone's 8 numbers s and z (the block's (p, q, r), then the five
+    scalars): B = forms N for an orthonormal null basis N of the trace row
+    (np.linalg.svd), D = diag(weights), M the map X -> W^-1 X W^-1 on the
+    block, W = S^1/2 (S^1/2 Z S^1/2)^-1/2 S^1/2 from eigh, and z / s on each
+    scalar, and t = tau S^-1 - Z.  dz solves B^T D M B dz = B^T D t, then
+    dS = B dz and dZ = t - M dS, all in dense float64 numpy.
+    """
+    setup = problem.setup
+    s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
+    root = _psd_root(_unpacked(s[:3]), 0.5)
+    w_inv = np.linalg.inv(root @ _psd_root(root @ _unpacked(z[:3]) @ root, -0.5) @ root)
+    m = np.diag(np.concatenate([np.zeros(3), z[3:] / s[3:]]))
+    m[:3, :3] = np.array([_packed(w_inv @ _unpacked(unit) @ w_inv) for unit in np.eye(3)]).T
+    t = np.concatenate([_packed(tau * np.linalg.inv(_unpacked(s[:3])) - _unpacked(z[:3])), tau / s[3:] - z[3:]])
+    null = np.linalg.svd(problem.eq_matrix)[2][1:].T
+    b = setup.forms @ null
+    bd = b.T * setup.weights
+    ds = b @ np.linalg.solve(bd @ m @ b, bd @ t)
+    return ds, t - m @ ds
+
+
+def _gauss_solve(a, b):
+    """a x = b by Gaussian elimination with partial pivoting, on lists of Decimals."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(col + 1, n):
+            factor = rows[i][col] / rows[col][col]
+            rows[i] = [u - factor * v for u, v in zip(rows[i], rows[col])]
+    x = [Decimal(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum((rows[i][j] * x[j] for j in range(i + 1, n)), Decimal(0))) / rows[i][i]
+    return x
+
+
+def decimal_nt_path(problem, tol, digits=40):
+    """solve's path in decimal arithmetic of the given digits, on the k x k system it once solved: returns
+    (iterations, f*, U, a_star) as floats, a_star (5, 5).
+
+    It reads the problem's objective, trace row, forms, weights, start and
+    Gram inverse exactly (each float is a dyadic rational, and the Gram
+    inverse's entries are powers of two), and keeps solve's dual start,
+    CENTRING, STEP_FRACTION, mu_min = tol / (2 nu), step bounds, stop test
+    and MAX_ITERATIONS, each float constant read exactly.  The step is the
+    NT direction of the k x k system B^T D M B dz = B^T D t, B = forms N,
+    for the integer null basis N of the trace row e whose columns are
+    e_j - e_j e_0 (e_0 = 1), solved by Gaussian elimination; there,
+    M X = V X V on the block, V = W^-1 = adj(P) sqrt(g / det P),
+    P = S / sqrt(det S) + adj(Z) / sqrt(det Z) and g = sqrt(det Z / det S),
+    and z / s on each scalar; t = tau S^-1 - Z, dS = B dz, dx = N dz and
+    dZ = t - M dS.  No dual projection is needed at this precision.
+    Raises RuntimeError if an iterate leaves the interior or the cap is
+    reached.  Uses only the standard library's decimal.
+    """
+    setup = problem.setup
+    with localcontext() as ctx:
+        ctx.prec = digits
+        dec = lambda arr: [Decimal(float(v)) for v in arr]  # noqa: E731
+        forms = [dec(row) for row in setup.forms]
+        weights, f, (e,) = dec(setup.weights), dec(problem.objective), [dec(row) for row in problem.eq_matrix]
+        identity = dec(sdp._IDENTITY)
+        m, zero, one, two = len(f), Decimal(0), Decimal(1), Decimal(2)
+        dot = lambda u, v: sum((a * b for a, b in zip(u, v)), zero)  # noqa: E731
+        apply = lambda rows, v: [dot(row, v) for row in rows]  # noqa: E731
+        if e[0] != one:
+            raise RuntimeError("the integer null basis needs the trace row's first entry to be 1")
+        null = [[(one if i == j else zero) - (e[j] if i == 0 else zero) for j in range(1, m)] for i in range(m)]
+        b = [apply(forms, col) for col in zip(*null)]  # the columns of B = forms N
+        nu = dot(weights, identity)
+        mu_min = Decimal(tol) / (two * nu)
+        bar = Decimal(1e-3) * mu_min
+
+        def cone_min(v):
+            p, q, r = v[:3]
+            return min([(p + r) / two - (((p - r) / two) ** 2 + q * q).sqrt(), *v[3:]])
+
+        def step_bound(v, dv, det):
+            (p, q, r), (dp, dq, dr) = v, dv
+            lin = r * dp - two * q * dq + p * dr
+            return (max(lin * lin - 4 * (dp * dr - dq * dq) * det, zero).sqrt() - lin) / det
+
+        ch = apply(forms, [g * c for g, c in zip(dec(setup.gram_inv), f)])
+        top = abs(cone_min([-c for c in ch]))
+        z = [two * top * i - c for i, c in zip(identity, ch)]
+        x, iterations = dec(setup.x0), 0
+        while True:
+            s = apply(forms, x)
+            (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
+            det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
+            if not all(v > 0 for v in (det_s, det_z, sp, zp, *ss, *zs)):
+                raise RuntimeError("the iterate left the cone interior")
+            gaps = [a * c for a, c in zip(ss, zs)]
+            mu = dot(weights, [a * c for a, c in zip(s, z)]) / nu
+            if mu <= (one + Decimal(1e-3)) * mu_min:
+                half = (sp * zp + two * sq * zq + sr * zr) / two
+                if (abs(half - mu_min) + max(half * half - det_s * det_z, zero).sqrt() <= bar
+                        and all(abs(gap - mu_min) <= bar for gap in gaps)):
+                    break
+            if iterations >= sdp.MAX_ITERATIONS:
+                raise RuntimeError("no convergence within the cap")
+            iterations += 1
+            tau = max(Decimal(CENTRING) * mu, mu_min)
+            root_s, root_z = det_s.sqrt(), det_z.sqrt()
+            pp, pq, pr = sp / root_s + zr / root_z, sq / root_s - zq / root_z, sr / root_s + zp / root_z
+            det_p = pp * pr - pq * pq
+            scale = (root_z / root_s / det_p).sqrt()
+            va, vb, vc = pr * scale, -pq * scale, pp * scale
+
+            def apply_m(d):
+                dp, dq, dr, *dsc = d
+                return [va * va * dp + two * va * vb * dq + vb * vb * dr,
+                        va * vb * dp + (va * vc + vb * vb) * dq + vb * vc * dr,
+                        vb * vb * dp + two * vb * vc * dq + vc * vc * dr,
+                        *[c / a * v for a, c, v in zip(ss, zs, dsc)]]
+
+            target = [tau * sr / det_s - zp, -tau * sq / det_s - zq, tau * sp / det_s - zr,
+                      *[tau / a - c for a, c in zip(ss, zs)]]
+            weighted = [[w * v for w, v in zip(weights, col)] for col in b]
+            mapped = [apply_m(col) for col in b]
+            dz = _gauss_solve([[dot(row, col) for col in mapped] for row in weighted], [dot(row, target) for row in weighted])
+            ds = [dot(row, dz) for row in zip(*b)]
+            dual = [t - v for t, v in zip(target, apply_m(ds))]
+            bounds = [step_bound(s[:3], ds[:3], det_s), step_bound(z[:3], dual[:3], det_z),
+                      *[-two * d / v for v, d in zip([*ss, *zs], [*ds[3:], *dual[3:]])]]
+            top = max(bounds)
+            step = min(one, Decimal(STEP_FRACTION) * (two / top)) if top > 0 else one
+            x = [a + step * v for a, v in zip(x, apply(null, dz))]
+            z = [a + step * d for a, d in zip(z, dual)]
+        r = [c + dot([w * v for w, v in zip(weights, z)], col) for c, col in zip(f, zip(*forms))]
+        upper = dot(e, r) / dot(e, e)
+        a_star = np.array([float(v) for v in apply([dec(row) for row in setup.basis], x)]).reshape(5, 5)
+        return iterations, float(dot(f, x)), float(upper), a_star

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entclone.analytic import ALPHA_MAX, alpha_critical, fidelity_bh, fidelity_global, fidelity_locc
-from entclone.channel import constraint_matrices, fidelity_coefficients
+from entclone.channel import TRACE_ROW, constraint_matrices, fidelity_coefficients
 from entclone.covariant import T_OPERATORS, build_t_operators
 from entclone import sdp
 from entclone.sdp import (
@@ -22,7 +22,15 @@ from entclone.sdp import (
     solve,
     sweep_solutions,
 )
-from reference import _dense_spectra, barrier_decrement, block_cone, commutant_blocks, dense_nt_path
+from reference import (
+    _dense_spectra,
+    barrier_decrement,
+    block_cone,
+    commutant_blocks,
+    decimal_nt_path,
+    dense_nt_path,
+    kxk_direction,
+)
 
 A55 = 4
 
@@ -103,7 +111,7 @@ def test_problem_shapes():
     assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (8, 7))
     for problem, k in ((plain, 7), (ppt, 6)):
         sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
-        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == problem.setup.null.shape[1]
+        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == 8 - len(problem.setup.free)
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert np.array_equal(ppt.setup.weights, 2.0 * plain.setup.weights)
     assert plain.setup.basis is FIXED
@@ -163,13 +171,16 @@ def test_scalar_bounds_are_the_diagonal_blocks_step_bound():
 
 
 def test_nt_scaling_maps_s_to_z():
-    """On seeded random positive definite blocks, the packed map X -> W^-1 X W^-1 of W = S # Z^-1 takes S to Z."""
+    """On seeded random positive definite blocks, the NT scaling W = S # Z^-1 is positive definite and
+    W Z W = S, so W^-1 S W^-1 = Z."""
     rng = np.random.default_rng(3802)
     for _ in range(2000):
-        s, z = ((m @ m.T + 0.01 * np.eye(2))[[0, 0, 1], [0, 1, 1]] for m in rng.normal(size=(2, 2, 2)))
-        dets = [p * r - q * q for p, q, r in (s, z)]
-        packed = np.array(sdp._nt_scaling(s.tolist(), z.tolist(), *dets)).reshape(3, 3)
-        assert np.abs(packed @ s - z).max() <= 1e-12 * np.abs(z).max()
+        s, z = (m @ m.T + 0.01 * np.eye(2) for m in rng.normal(size=(2, 2, 2)))
+        p, q, r = sdp._nt_scaling(s[[0, 0, 1], [0, 1, 1]].tolist(), z[[0, 0, 1], [0, 1, 1]].tolist(),
+                                  np.linalg.det(s), np.linalg.det(z))
+        w = np.array([[p, q], [q, r]])
+        assert p > 0.0 and p * r - q * q > 0.0
+        assert np.abs(w @ z @ w - s).max() <= 1e-12 * np.abs(s).max()
 
 
 def test_nt_scaling_refuses_a_block_rounding_left_singular():
@@ -192,10 +203,67 @@ def test_a_non_finite_objective_raises_convergence_error(bad, with_ppt):
 
 
 def test_a_nan_direction_raises_convergence_error(monkeypatch):
-    """A step towards a NaN direction is refused: solve raises ConvergenceError."""
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, math.nan))
-    with pytest.raises(ConvergenceError, match="left the cone interior"):
-        solve(build_problem(0.4))
+    """A step towards a NaN direction is refused: solve raises ConvergenceError, on both programs.  A NaN
+    CENTRING makes tau, and so the right side of the free directions' system and lam, NaN, while the
+    system's det stays positive; the NaN reaches dZ = C lam, dS and the step bounds."""
+    directions = []
+
+    def recorded(*args):
+        directions.append(inner(*args))
+        return directions[-1]
+
+    inner = sdp._nt_direction
+    monkeypatch.setattr(sdp, "_nt_direction", recorded)
+    monkeypatch.setattr(sdp, "CENTRING", math.nan)
+    for with_ppt in (False, True):
+        directions.clear()
+        with pytest.raises(ConvergenceError, match="left the cone interior"):
+            solve(build_problem(0.4, with_ppt=with_ppt))
+        (ds, dz), = directions
+        assert math.isnan(dz[0]) and all(map(math.isnan, ds))
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_singular_free_system_raises_convergence_error(with_ppt):
+    """The 1x1 or 2x2 system of the dual's free directions must have det > 0: a zero direction (1x1) or a
+    direction repeated (2x2), both det 0 exactly, and a NaN det raise ConvergenceError, not ZeroDivisionError."""
+    problem = build_problem(0.4, with_ppt=with_ppt)
+    s, z = (problem.setup.forms @ problem.setup.x0).tolist(), sdp._IDENTITY.tolist()
+    dets = (s[0] * s[2] - s[1] * s[1], 1.0)
+    free = sdp._free_directions(problem.setup)
+    assert sdp._nt_direction(s, z, *dets, 1e-3, free)
+    first = free[0]
+    singular = [([0.0] * 8, [0.0] * 8, [0.0] * 8)] if len(free) == 1 else [first, first]
+    nan = [(first[0], [math.nan] * 8, first[2]), *free[1:]]
+    for bad in (singular, nan):
+        with pytest.raises(ConvergenceError, match="left the cone interior"):
+            sdp._nt_direction(s, z, *dets, 1e-3, bad)
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_nt_direction_matches_the_kxk_system(with_ppt):
+    """At seeded interior points of each program, dS and dZ from the dual's free directions equal the
+    direction of the k x k system B^T D M B dz = B^T D t (tests/reference.py) to a relative 1e-10
+    (measured 3e-13), and dZ lies in the span of the free directions."""
+    problem = build_problem(0.35, with_ppt=with_ppt)
+    setup, free = problem.setup, sdp._free_directions(problem.setup)
+    rng = np.random.default_rng(4201)
+    checked = 0
+    while checked < 50:
+        s = setup.forms @ (setup.x0 + 0.05 * rng.normal(size=len(setup.x0)))
+        if sdp._cone_min(s) <= 0.0:
+            continue
+        p, r = rng.uniform(0.2, 2.0, size=2)
+        z = np.array([p, rng.uniform(-0.9, 0.9) * math.sqrt(p * r), r, *rng.uniform(0.2, 2.0, size=5)])
+        tau = 10.0 ** rng.uniform(-10.0, -1.0)
+        det_s, det_z = s[0] * s[2] - s[1] ** 2, z[0] * z[2] - z[1] ** 2
+        ds, dz = (np.array(v) for v in sdp._nt_direction(s.tolist(), z.tolist(), det_s, det_z, tau, free))
+        ref_ds, ref_dz = kxk_direction(problem, s, z, tau)
+        assert np.abs(ds - ref_ds).max() <= 1e-10 * np.abs(ref_ds).max()
+        assert np.abs(dz - ref_dz).max() <= 1e-10 * np.abs(ref_dz).max()
+        coef = np.linalg.lstsq(setup.free.T, dz, rcond=None)[0]
+        assert np.abs(setup.free.T @ coef - dz).max() <= 1e-15 * np.abs(dz).max()
+        checked += 1
 
 
 def _count_bounds(monkeypatch, block=None, scalars=None):
@@ -294,9 +362,9 @@ def test_plain_solution_matches_dense_witness(alpha):
 def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the solver setup built on first use, whose
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
-    Both programs solve on one 2x2 block and five scalars, so their dual projector is 8x8, and the table of
-    the k x k system and its right side has k k + k rows over 22 numbers.  Any other t, even an equal copy,
-    is refused."""
+    Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
+    dual's free directions are the identity (plain) and the identity and c2 (PPT).  Any other t, even an
+    equal copy, is refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -306,10 +374,9 @@ def test_setups_are_built_once_and_read_only():
                 assert problem.cones is setup.forms
                 assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
     assert plain.forms is CONE_FORMS
-    assert plain.project.shape == first.project.shape == (8, 8)
-    assert (plain.table.shape, first.table.shape) == ((56, 22), (42, 22))
-    assert (plain.lift.shape, first.lift.shape) == ((16, 7), (15, 6))
-    fields = {"basis", "null", "x0", "forms", "weights", "lift", "table", "project", "gram_inv"}
+    assert (plain.left.shape, first.left.shape) == ((8, 8), (7, 8))
+    assert np.array_equal(plain.free, sdp._FREE[:1]) and np.array_equal(first.free, sdp._FREE)
+    fields = {"basis", "x0", "forms", "left", "weights", "free", "gram_inv"}
     assert set(first._fields) == fields
     for arr in (*constraint_matrices(), FIXED, CONE_FORMS, *first, *plain):
         with pytest.raises(ValueError):
@@ -469,10 +536,11 @@ def test_every_iterate_is_certified(monkeypatch, alpha, with_ppt):
 @pytest.mark.parametrize("with_ppt, pinned", [(False, 8), (True, 971)], ids=["plain-double", "ppt-double"])
 def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
     """At tol = the floor 2 nu 1e-10, every solve on FLOOR_GRID returns a certified optimum:
-    f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z.
-    The residual stays below 2e-15 because each dual step is projected back onto the dual equalities;
-    without that projection the PPT residual reaches 2.2e-11.  Each plain solve takes 8 iterations,
-    and the PPT solves take 971 in all."""
+    f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z, and
+    a_star meets the trace row to 1e-15.  Each dual step is C lam, on the dual's free directions, so it
+    leaves the dual equalities' residual at rounding level (at most 1.4e-15 measured).  Each primal step
+    has its parts along D C removed, so x stays on the trace row (within 4.4e-16 measured; 1.2e-12 on PPT
+    without that removal).  Each plain solve takes 8 iterations, and the PPT solves take 971 in all."""
     iterations = []
     for alpha in FLOOR_GRID:
         closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
@@ -482,6 +550,7 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
         assert sol.f_star <= closed <= sol.upper_bound <= sol.f_star + tol
         assert sol.dual_residual <= 1e-14
         assert sol.min_dual_eigenvalue > 0.0
+        assert abs(TRACE_ROW @ sol.a_star.reshape(-1) - 1.0) <= 1e-15
         iterations.append(sol.iterations)
     if with_ppt:
         assert sum(iterations) == pinned
@@ -489,25 +558,36 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
         assert set(iterations) == {pinned}
 
 
-@pytest.mark.parametrize(
-    "with_ppt, at_floor",
-    [(False, True), (True, True), (False, False), (True, False)],
-    ids=["plain", "ppt", "plain-default", "ppt-default"],
-)
-def test_each_step_makes_one_float64_solve(monkeypatch, with_ppt, at_floor):
-    """Every step, at the floor as at the default tol 1e-7, makes exactly one np.linalg.solve call,
-    on a float64 system: solves at alpha = 0.5 make as many calls as they take iterations."""
-    problem = build_problem(0.5, with_ppt=with_ppt)
-    inner, solved = np.linalg.solve, []
+def test_solve_makes_no_linalg_call(monkeypatch):
+    """A solve at the floor and at the default tol 1e-7, on both programs, calls nothing in np.linalg: each
+    step solves its 1x1 or 2x2 system in closed form."""
+    problems = [build_problem(0.5, with_ppt=with_ppt) for with_ppt in (False, True)]
+    called = []
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: called.append(_name))
+    for problem in problems:
+        for tol in (problem.tol_floor, 1e-7):
+            assert solve(problem, tol=tol).iterations > 0
+    assert called == []
 
-    def counted(a, b):
-        solved.append((a.dtype, b.dtype))
-        return inner(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    sol = solve(problem, tol=problem.tol_floor if at_floor else 1e-7)
-    assert sol.iterations == len(solved) > 0
-    assert set(solved) == {(np.dtype(np.float64),) * 2}
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+@pytest.mark.parametrize("at_floor", [False, True], ids=["default", "floor"])
+def test_solve_follows_the_40_digit_path(with_ppt, at_floor):
+    """On every eighth alpha of the 51-point grid and at alpha0, solve takes the same iterations as the
+    same NT path run on the k x k system in 40-digit decimal arithmetic (tests/reference.py), and its f*,
+    U and a_star are within 1e-13 of that path's.  Measured on FLOOR_GRID's 88 alphas: a_star within
+    8.8e-14 (PPT, floor; 1.7e-14 at alpha = 0.3394, where the k x k system solved in double was 5.7e-9
+    off), f* and U within 3.3e-16."""
+    for alpha in [*np.linspace(0.0, ALPHA_MAX, 51)[::8], alpha_critical()]:
+        problem = build_problem(alpha, with_ppt=with_ppt)
+        tol = problem.tol_floor if at_floor else 1e-7
+        sol = solve(problem, tol=tol)
+        iterations, f_star, upper, a_star = decimal_nt_path(problem, tol)
+        assert sol.iterations == iterations
+        assert abs(sol.f_star - f_star) <= 1e-13 and abs(sol.upper_bound - upper) <= 1e-13
+        assert np.abs(sol.a_star - a_star).max() <= 1e-13
 
 
 def test_sweep_failure_names_its_point(monkeypatch):

@@ -16,9 +16,10 @@ its a55 = 0 slice (see the sdp module docstring): the objective's a55
 coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
 forms are the plain ones with the a55 column negated; the premise of
 the dual start, that each program's weighted Gram matrix is diagonal and
-integer; the closed forms of the primal null basis and of each program's
-start; that the solution's a_star holds the iterate's coordinates as they
-are; that build_problem reads no table per call; and
+integer; the exact left inverse of the forms and the dual's free
+directions; the closed form of each program's start; that the
+solution's a_star holds the iterate's coordinates as they are; that
+build_problem reads no table per call; and
 the premise of criterion 9's feasible points, that the trace row and the
 symmetry rows have disjoint supports.
 """
@@ -183,22 +184,40 @@ def test_weighted_gram_is_diagonal():
         assert np.array_equal(np.linalg.inv(gram), np.diag(setup.gram_inv))
 
 
-def test_null_basis_is_the_trace_rows_reflection():
-    """Each program's null basis is the last m - 1 columns of the Householder reflection I - h h^T / h_0,
-    h = e / |e| + e_1, of its trace row e (e.e = 54): orthonormal, orthogonal to e, and equal to the
-    complement np.linalg.svd finds, all to 1e-15 (measured 2.2e-16, 8.9e-16 and 0).  The SVD is only the
-    reference here: bit-equality with it depends on the numpy and LAPACK build, so it is not asserted."""
+def test_left_inverts_the_forms_exactly():
+    """Each program's setup.left is an exact left inverse of its forms: left @ forms is the identity bit for
+    bit, and so in exact arithmetic, as every entry of left is 0, +-1/4, +-1/2 or 1.  The plain left is
+    CONE_FORMS's inverse and the PPT left is it without a55's row."""
     for with_ppt in (False, True):
+        setup = build_problem(0.3, with_ppt=with_ppt).setup
+        m = setup.forms.shape[1]
+        assert np.array_equal(setup.left @ setup.forms, np.eye(m))
+        assert set(np.unique(setup.left * 4.0)) <= {-2.0, -1.0, 0.0, 1.0, 2.0, 4.0}
+        product = [[sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(row, col)) for col in setup.forms.T]
+                   for row in setup.left]
+        assert product == np.eye(m).tolist()
+
+
+def test_free_directions_span_the_dual_steps():
+    """The dual equalities N^T (f + forms^T D z) = 0 (N a null basis of the trace row e, D = diag(weights))
+    leave Z the null space of B^T D, B = forms N, and setup.free spans it.  In integers, forms^T (w * c) is
+    an integer multiple of e for each free direction c: 4 e for the plain identity, 8 e for the PPT one and
+    0 for c2.  The free directions are independent, their number is 8 - k = 8 - rank(B), and the rows
+    D c are orthogonal, which lets the step remove its parts along them one by one."""
+    for with_ppt, multiples in ((False, [4]), (True, [8, 0])):
         problem = build_problem(0.3, with_ppt=with_ppt)
-        (e,) = problem.eq_matrix
-        null = problem.setup.null.astype(float)
-        m = len(e)
-        assert e @ e == 54.0
-        h = e / math.sqrt(54.0) + np.eye(m)[0]
-        assert np.abs(null - (np.eye(m) - np.outer(h, h) / h[0])[:, 1:]).max() <= 1e-15
-        assert np.abs(null.T @ null - np.eye(m - 1)).max() <= 1e-15
-        assert np.abs(e @ null).max() <= 1e-15
-        assert np.abs(null - np.linalg.svd(e[None, :])[2][1:].T).max() <= 1e-15
+        setup, (e,) = problem.setup, problem.eq_matrix
+        forms, weights, free = (arr.astype(int) for arr in (setup.forms, setup.weights, setup.free))
+        assert np.array_equal(forms, setup.forms) and np.array_equal(free, setup.free)
+        for c, multiple in zip(free, multiples):
+            assert np.array_equal(forms.T @ (weights * c), multiple * e.astype(int))
+        null = np.linalg.svd(e[None, :])[2][1:].T
+        b = setup.forms @ null
+        assert np.abs((b.T * setup.weights) @ setup.free.T).max() <= 1e-13
+        assert np.linalg.matrix_rank(setup.free) == len(free) == 8 - np.linalg.matrix_rank(b)
+        along = weights * free
+        gram = along @ along.T
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
 
 
 def test_plain_start_is_the_min_norm_point():
