@@ -558,17 +558,30 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
         assert set(iterations) == {pinned}
 
 
-def test_solve_makes_no_linalg_call(monkeypatch):
-    """A solve at the floor and at the default tol 1e-7, on both programs, calls nothing in np.linalg: each
-    step solves its 1x1 or 2x2 system in closed form."""
-    problems = [build_problem(0.5, with_ppt=with_ppt) for with_ppt in (False, True)]
-    called = []
+@pytest.mark.parametrize(
+    "with_ppt, at_floor",
+    [(False, True), (True, True), (False, False), (True, False)],
+    ids=["plain", "ppt", "plain-default", "ppt-default"],
+)
+def test_each_step_makes_one_float64_solve(monkeypatch, with_ppt, at_floor):
+    """Every step, at the floor as at the default tol 1e-7, solves one float64 system, the 1x1 or 2x2
+    system of the dual's free directions, in closed form: solves at alpha = 0.5 make as many
+    _nt_direction calls as they take iterations, on float64 operands, and call nothing in np.linalg."""
+    problem = build_problem(0.5, with_ppt=with_ppt)
+    inner, solved, called = sdp._nt_direction, [], []
+
+    def counted(s, z, det_s, det_z, tau, free):
+        ds, dz = inner(s, z, det_s, det_z, tau, free)
+        solved.append({np.asarray(v).dtype for v in (*s, *z, det_s, det_z, tau, *ds, *dz)})
+        return ds, dz
+
+    monkeypatch.setattr(sdp, "_nt_direction", counted)
     for name in np.linalg.__all__:
         if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: called.append(_name))
-    for problem in problems:
-        for tol in (problem.tol_floor, 1e-7):
-            assert solve(problem, tol=tol).iterations > 0
+    sol = solve(problem, tol=problem.tol_floor if at_floor else 1e-7)
+    assert sol.iterations == len(solved) > 0
+    assert all(dtypes == {np.dtype(np.float64)} for dtypes in solved)
     assert called == []
 
 
