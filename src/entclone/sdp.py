@@ -58,10 +58,11 @@ are checked in tests/test_tables.py.
 
 The solver follows a feasible primal-dual path (Nesterov & Todd, Math.
 Oper. Res. 1997; Vandenberghe, "The CVXOPT linear and quadratic cone
-program solvers", 2010).  The primal iterate x stays on the equality:
-its steps lie in the trace row's null space, spanned by some N.  The
-dual iterate is one 2x2 block and five scalars Z_k, standing for the
-same copies as the primal's; it stays on the dual equalities
+program solvers", 2010).  The primal iterate is S = forms x, the cone's
+eight numbers, on the equality: its steps lie in the range of
+B = forms N, N spanning the trace row's null space.  The dual iterate is
+one 2x2 block and five scalars Z_k, standing for the same copies as the
+primal's; it stays on the dual equalities
 N^T (f + sum_k w_k A_k*(Z_k)) = 0, so y with A^T y = f + sum_k w_k A_k*(Z_k)
 exists and U = b y = y bounds the optimum from above whenever every
 Z_k > 0; Z stands for the 64x64 dual whose blocks 2-4 are diagonal,
@@ -80,29 +81,29 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
  - Step: each iteration takes the NT direction towards S_k Z_k = tau I,
    tau = max(CENTRING mu, mu_min), on the dual's free directions
    (_nt_direction).  The dual equalities leave Z only 8 - k of them,
-   the columns of C (the rows of setup.free): the identity on the plain
+   the columns of C (the c of setup.free): the identity on the plain
    program, the identity and c2 on the PPT slice (see _program).  So
-   dZ = C lam and
-   dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the block, with the
-   closed-form NT scaling W = S # Z^-1 (_nt_scaling), and s / z on each
-   scalar, and M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2 system
-   (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in closed form;
-   this is the direction of the k x k system B^T D M B dz = B^T D t,
-   B = forms N, without forming it.  dS's rounding-level parts along the
-   rows of D C are removed, which keeps dS in the range of B, and x
-   moves by left dS, left being an exact left inverse of the forms.  Both
-   iterates move by STEP_FRACTION of the largest step that keeps the
-   block positive definite and every scalar positive (one quadratic for
-   each of S's and Z's block, _step_bound, and -2 ds / s per scalar,
-   _scalar_bounds), capped at 1.  There is no line search.
- - Precision: double throughout, with no np.linalg call in a step.  Only
-   the products over the coordinates are numpy calls: S = forms x and
-   the step left dS of x.  The products of the block, of each scalar and
-   of the one or two free directions run on Python floats, without a
-   call's cost; their sums are math.fsum, correctly rounded on every
-   Python version.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where
-   double suffices: the largest mu_min at which a double solve fails is
-   4.9e-12 (see solve).
+   dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the
+   block, with the closed-form NT scaling W = S # Z^-1 (_nt_scaling), and
+   s / z on each scalar, and M^-1 t = tau Z^-1 - S.  lam solves the 1x1
+   or 2x2 system (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in
+   closed form; this is the direction of the k x k system
+   B^T D M B dz = B^T D t without forming it.  dS's rounding-level parts
+   along the orthogonal rows of D C are removed.  Both iterates move by
+   STEP_FRACTION of the largest step that keeps the block positive
+   definite and every scalar positive (one quadratic for each of S's and
+   Z's block, _step_bound, and -2 ds / s per scalar, _scalar_bounds),
+   capped at 1; there is no line search.  S is then put back on its
+   affine set: each (D c) . S is reset along D c / |D c|^2 to its start
+   value, 4 e.x0 = 4 (plain) or 8 (PPT) for the identity and 0 for c2.
+ - Precision: double throughout, and an iteration makes no numpy call:
+   S and Z are Python floats, and the products of the block, of each
+   scalar and of the free directions run without a call's cost; their
+   sums are math.fsum, correctly rounded on every Python version.  The
+   coordinates are read once, at the end, as x = left S, left an exact
+   left inverse of the forms.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10)
+   is where double suffices: the largest mu_min at which a double solve
+   fails is 4.9e-12 (see solve).
  - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
    mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
    mu_min = tol / (2 nu); on a diagonal block the two tests agree.  The
@@ -168,6 +169,8 @@ _IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 # The directions the dual equalities leave Z (see _program): the identity, and on the PPT slice also c2,
 # the block's q against the scalars a12 + a44 + a55 and a12 - a44 - a55.
 _FREE = np.array([_IDENTITY, [0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]])
+# The null (c, M^-1 c) that pads one free direction to two: lam 0 adds -0.0 to dZ and takes 0.0 from dS, exactly.
+_NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)
 # The exact inverse of CONE_FORMS, forms to coordinates: a12 = (s3 + s4) / 2, a44 +- a55 = (s3 - s4) / 4 +- q / 2.
 _LEFT = np.array(
     [
@@ -187,14 +190,14 @@ for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _FREE, _LEFT):
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup; every array is float64, as is every step of solve."""
+    and carried as SdpProblem.setup; every array is float64 and read-only, and free is tuples of floats."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (8, m) CONE_FORMS on the m coordinates
-    left: np.ndarray  # (m, 8) exact left inverse of forms: a step of S to the step of x
+    left: np.ndarray  # (m, 8) exact left inverse of forms: the final S to its coordinates x
     weights: np.ndarray  # (8,) _FORM_WEIGHTS, twice them for PPT: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
-    free: np.ndarray  # (8 - k, 8) the rows of _FREE that span the dual's steps, k = m - 1
+    free: tuple  # (c, D c, D c / |D c|^2), D = diag(weights), per row c of _FREE that spans the dual's steps
     gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram matrix forms^T diag(weights) forms
 
 
@@ -272,13 +275,6 @@ def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: flo
     return mp * h, mq * h, mr * h
 
 
-def _free_directions(setup: _Setup) -> list[tuple[list[float], list[float], list[float]]]:
-    """Per free direction c of the dual (setup.free), the triple (c, D c, D c / |D c|^2) that _nt_direction
-    reads, as Python floats; D = diag(setup.weights)."""
-    along = setup.weights * setup.free
-    return list(zip(setup.free.tolist(), along.tolist(), (along / (along * along).sum(axis=1)[:, None]).tolist()))
-
-
 def _nt_direction(
     s: Sequence[float], z: Sequence[float], det_s: float, det_z: float, tau: float, free: Sequence
 ) -> tuple[list[float], list[float]]:
@@ -290,8 +286,8 @@ def _nt_direction(
     (_nt_scaling), and s / z on each scalar, so that M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2
     system (C^T D M^-1 C) lam = C^T D M^-1 t, which makes C^T D dS = 0: dS lies in the range of forms N,
     where N spans the trace row's null space.  Rounding leaves in dS parts along the rows D C, which are
-    orthogonal; they are removed, so that the step of x, left dS, keeps x on the trace row.  A system
-    that rounding left singular (det <= 0 or NaN) raises ConvergenceError.
+    orthogonal; they are removed.  A system that rounding left singular (det <= 0 or NaN) raises
+    ConvergenceError.
     """
     (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
     a, b, c = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
@@ -307,9 +303,7 @@ def _nt_direction(
         det = fsum(map(mul, d1, u1))
         if not det > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
-        l1 = fsum(map(mul, d1, goal)) / det
-        ds = [g - l1 * u for g, u in zip(goal, u1)]
-        dz = [l1 * v for v in c1]
+        l1, l2, c2, u2 = fsum(map(mul, d1, goal)) / det, 0.0, *_NULL_DIRECTION
     else:
         ((c1, d1, _), (c2, d2, _)), (u1, u2) = free, moved
         g11, g12, g22 = fsum(map(mul, d1, u1)), fsum(map(mul, d1, u2)), fsum(map(mul, d2, u2))
@@ -318,8 +312,8 @@ def _nt_direction(
             raise ConvergenceError("the iterate left the cone interior")
         r1, r2 = fsum(map(mul, d1, goal)), fsum(map(mul, d2, goal))
         l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
-        ds = [g - l1 * u - l2 * v for g, u, v in zip(goal, u1, u2)]
-        dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]
+    ds = [g - l1 * u - l2 * v for g, u, v in zip(goal, u1, u2)]
+    dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]
     for _, dc, unit in free:
         part = fsum(map(mul, unit, ds))
         ds = [d - part * v for d, v in zip(ds, dc)]
@@ -358,9 +352,8 @@ def _program(with_ppt: bool) -> _Setup:
     8 - k = 9 - m directions of the null space of B^T D, the c with
     forms^T D c in span(e): the identity, whose forms^T D c is 4 copies
     times e, and on the PPT slice also _FREE's c2, whose forms^T D c2 is 0
-    once a55's column is gone.  solve needs no N: a step of S in the range
-    of B is taken to the step of x by left, _LEFT (CONE_FORMS's exact
-    inverse) without a55's row, so left forms = I exactly.
+    once a55's column is gone.  solve needs no N: the final S is read as
+    x = left S, left = _LEFT without a55's row, so left forms = I exactly.
     The start x0 does not depend on alpha.  The plain program starts at
     a = s s^T / 36, s = (1, 1, 2, 0, 0), the maximally mixed feasible
     point TRACE_ROW / 36, whose coordinates are e over each column's entry
@@ -372,8 +365,8 @@ def _program(with_ppt: bool) -> _Setup:
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
     Each program's setup is built on its first call and shared after it;
-    every array in it is read-only.  Raises ConvergenceError if x0 misses
-    the equality or the cone's interior.
+    every array in it is read-only and free holds tuples.  Raises
+    ConvergenceError if x0 misses the equality or the cone's interior.
     """
     basis, forms, left, weights, free = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS, _FREE[:1]
     if with_ppt:
@@ -385,9 +378,12 @@ def _program(with_ppt: bool) -> _Setup:
     if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(forms @ x0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
     gram_inv = 1.0 / (weights @ (forms * forms))
-    setup = _Setup(basis, x0, forms, left, weights, free, gram_inv)
+    along = weights * free
+    triples = zip(*(map(tuple, arr.tolist()) for arr in (free, along, along / (along * along).sum(axis=1)[:, None])))
+    setup = _Setup(basis, x0, forms, left, weights, tuple(triples), gram_inv)
     for arr in setup:
-        arr.flags.writeable = False
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return setup
 
 
@@ -408,16 +404,17 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
     return SdpProblem(objective=f, eq_matrix=eq, setup=setup)
 
 
-def _certificate(problem: SdpProblem, x: np.ndarray, z: Sequence[float], iterations: int) -> SdpSolution:
-    """The primal iterate x and the dual point z; y = e.r / e.e solves A^T y = r in least squares."""
-    setup, zs = problem.setup, np.array(z)
+def _certificate(problem: SdpProblem, s: Sequence[float], z: Sequence[float], iterations: int) -> SdpSolution:
+    """The iterates s and z, read at x = left s; y = e.r / e.e solves A^T y = r in least squares."""
+    setup, ss, zs = problem.setup, np.array(s), np.array(z)
+    x = setup.left @ ss
     r = problem.objective + np.dot(setup.weights * zs, setup.forms)
     (e,) = problem.eq_matrix
     y = (e @ r) / (e @ e)
     return SdpSolution(
         a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
-        min_eigenvalue=_cone_min(setup.forms @ x),
+        min_eigenvalue=_cone_min(ss),
         iterations=iterations,
         upper_bound=float(y),
         dual_residual=float(np.abs(e * y - r).max()),
@@ -454,7 +451,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
-    forms, left, free = setup.forms, setup.left, _free_directions(setup)
+    forms, free = setup.forms, setup.free
     wp, wq, wr, *ws = setup.weights.tolist()
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
@@ -463,11 +460,11 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     z = 2.0 * abs(_cone_min(-ch)) * _IDENTITY - ch
     if _cone_min(z) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
-    # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products
-    # each run without a numpy call's cost; x stays an array, read and moved by numpy products.
-    z, x, iterations = z.tolist(), setup.x0, 0
+    # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products each
+    # run without a numpy call's cost; each step of S is put back where every (D c) . S has its start value.
+    s, z, iterations = (forms @ setup.x0).tolist(), z.tolist(), 0
+    starts = [fsum(map(mul, dc, s)) for _, dc, _ in free]
     while True:
-        s = np.dot(forms, x).tolist()
         (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
         det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
         if not all(v > 0.0 for v in (det_s, det_z, sp, zp, *ss, *zs)):
@@ -482,10 +479,10 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             half = (sp * zp + 2.0 * (sq * zq) + sr * zr) / 2.0
             if (abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= bar
                     and all(abs(gap - mu_min) <= bar for gap in gaps)):
-                return _certificate(problem, x, z, iterations)
+                return _certificate(problem, s, z, iterations)
         if iterations >= MAX_ITERATIONS:
             raise ConvergenceError(
-                f"no convergence within {MAX_ITERATIONS} iterations", best=_certificate(problem, x, z, iterations)
+                f"no convergence within {MAX_ITERATIONS} iterations", best=_certificate(problem, s, z, iterations)
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
@@ -498,7 +495,10 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             raise ConvergenceError("the iterate left the cone interior")
         top = max(bounds)
         step = min(1.0, STEP_FRACTION * (2.0 / top)) if top > 0.0 else 1.0
-        x = x + step * np.dot(left, ds)
+        s = [a + step * d for a, d in zip(s, ds)]
+        for (_, dc, unit), start in zip(free, starts):
+            part = fsum(map(mul, dc, s)) - start
+            s = [a - part * u for a, u in zip(s, unit)]
         z = [a + step * d for a, d in zip(z, dual)]
 
 

@@ -17,9 +17,10 @@ the repository: the check compares two trees on one machine.
 
 --against TREE solves this tree and TREE (a checkout with its own src/),
 each in a fresh interpreter with one BLAS thread.  It prints this tree's
-hashes, each followed by TREE's where the two differ, and then every value
-that moved from TREE to this tree with its |delta|, and every iteration
-count or outcome that moved.  It exits 1 if anything moved.
+hashes, each followed by TREE's where the two differ, then every value
+that moved from TREE to this tree with its |delta|, every iteration count
+or outcome that moved, and, per program and field, how many values moved
+and the largest |delta|.  It exits 1 if anything moved.
 The grids are built here, with numpy and the tree's own ALPHA_MAX and
 alpha_critical, so each tree solves the alphas it would itself produce.
 It uses numpy and the standard library only.
@@ -93,22 +94,24 @@ def _delta(ours: str, theirs: str) -> float:
     return abs(float.fromhex(ours) - float.fromhex(theirs))
 
 
-def moves(ours: dict[str, dict], theirs: dict[str, dict]) -> tuple[list[str], list[str]]:
-    """(moved values with their |delta|, moved counts and outcomes) from theirs to ours, one line each."""
+def _diff(ours: dict[str, dict], theirs: dict[str, dict]) -> tuple[list[tuple[str, str, float, str]], list[str]]:
+    """(each moved value as (program, field, |delta|, line), each moved count or outcome as a line), theirs to ours."""
     values, counts = [], []
     for key in sorted(ours.keys() | theirs.keys()):
         if key not in ours or key not in theirs:
             counts.append(f"{key}: only in {'this tree' if key in ours else 'the other tree'}")
             continue
-        mine, other = ours[key], theirs[key]
+        mine, other, program = ours[key], theirs[key], key.split()[0]
         if mine["tol"] != other["tol"]:
-            values.append(f"{key}: tol |delta| = {_delta(mine['tol'], other['tol']):.3g}")
+            delta = _delta(mine["tol"], other["tol"])
+            values.append((program, "tol", delta, f"{key}: tol |delta| = {delta:.3g}"))
         if len(mine["points"]) != len(other["points"]):
             counts.append(f"{key}: {len(other['points'])} -> {len(mine['points'])} points")
         for a, b in zip(mine["points"], other["points"]):
             at = f"{key} alpha={float.fromhex(a['alpha']):.6f}"
             if a["alpha"] != b["alpha"]:
-                values.append(f"{at}: alpha |delta| = {_delta(a['alpha'], b['alpha']):.3g}")
+                delta = _delta(a["alpha"], b["alpha"])
+                values.append((program, "alpha", delta, f"{at}: alpha |delta| = {delta:.3g}"))
             if "error" in a or "error" in b:
                 if a.get("error") != b.get("error"):
                     counts.append(f"{at}: outcome {b.get('error', 'solved')!r} -> {a.get('error', 'solved')!r}")
@@ -117,13 +120,35 @@ def moves(ours: dict[str, dict], theirs: dict[str, dict]) -> tuple[list[str], li
                 counts.append(f"{at}: iterations {b['iterations']} -> {a['iterations']}")
             for name in FLOATS:
                 if a[name] != b[name]:
-                    values.append(f"{at}: {name} |delta| = {_delta(a[name], b[name]):.3g}")
+                    delta = _delta(a[name], b[name])
+                    values.append((program, name, delta, f"{at}: {name} |delta| = {delta:.3g}"))
             if a["a_star"] != b["a_star"]:
                 mine_a, other_a = (np.frombuffer(bytes.fromhex(x["a_star"]), dtype=np.float64) for x in (a, b))
                 changed = mine_a.view(np.uint64) != other_a.view(np.uint64)
-                values.append(f"{at}: a_star {int(changed.sum())} entries, max |delta| = "
-                              f"{float(np.abs(mine_a - other_a).max()):.3g}")
+                delta = float(np.abs(mine_a - other_a).max())
+                values.append((program, "a_star", delta,
+                               f"{at}: a_star {int(changed.sum())} entries, max |delta| = {delta:.3g}"))
     return values, counts
+
+
+def moves(ours: dict[str, dict], theirs: dict[str, dict]) -> tuple[list[str], list[str]]:
+    """(moved values with their |delta|, moved counts and outcomes) from theirs to ours, one line each."""
+    values, counts = _diff(ours, theirs)
+    return [line for *_, line in values], counts
+
+
+def summary(ours: dict[str, dict], theirs: dict[str, dict]) -> list[str]:
+    """Per program and field, how many of this tree's solves moved that value from theirs and the largest |delta|."""
+    values, _ = _diff(ours, theirs)
+    lines = []
+    for program in dict.fromkeys(key.split()[0] for key in ours):
+        solves = sum("error" not in point for key, group in ours.items() if key.split()[0] == program
+                     for point in group["points"])
+        for field in dict.fromkeys([*FLOATS, "a_star", *(name for prog, name, _, _ in values if prog == program)]):
+            deltas = [delta for prog, name, delta, _ in values if (prog, name) == (program, field)]
+            lines.append(f"{program} {field}: {len(deltas)} of {solves} moved, "
+                         f"max |delta| = {max(deltas, default=0.0):.3g}")
+    return lines
 
 
 def _tree_fingerprint(tree: Path) -> dict[str, dict]:
@@ -167,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     ours, theirs = _tree_fingerprint(ROOT), _tree_fingerprint(args.against.resolve())
     _print_hashes(ours, theirs)
     values, counts = moves(ours, theirs)
-    for line in values + counts:
+    for line in values + counts + summary(ours, theirs):
         print(line)
     print(f"{len(values)} values and {len(counts)} counts or outcomes moved")
     return 1 if values or counts else 0

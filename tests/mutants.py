@@ -88,6 +88,10 @@ MUTANTS = (
     Mutant("sdp._nt_direction 2x2 system without its off-diagonal term in lam", SDP,
            "l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det",
            "l1, l2 = g22 * r1 / det, g11 * r2 / det"),
+    Mutant("sdp._nt_direction dZ without its second direction's term", SDP,
+           "dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]", "dz = [l1 * u for u, v in zip(c1, c2)]"),
+    Mutant("sdp._NULL_DIRECTION c -0.0 -> 0.0, which turns dZ's -0.0 entries to 0.0", SDP,
+           "_NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)", "_NULL_DIRECTION = ((0.0,) * 8, (0.0,) * 8)"),
     Mutant("sdp._nt_direction 2x2 det without its off-diagonal term", SDP,
            "det = g11 * g22 - g12 * g12", "det = g11 * g22"),
     Mutant("sdp._nt_direction without the 1x1 det guard", SDP,
@@ -97,6 +101,14 @@ MUTANTS = (
     Mutant("sdp._nt_direction keeps dS's parts along D C", SDP,
            "    for _, dc, unit in free:\n        part = fsum(map(mul, unit, ds))\n"
            "        ds = [d - part * v for d, v in zip(ds, dc)]\n", ""),
+    Mutant("sdp.solve leaves S off its affine set (no re-projection)", SDP,
+           "        for (_, dc, unit), start in zip(free, starts):\n"
+           "            part = fsum(map(mul, dc, s)) - start\n"
+           "            s = [a - part * u for a, u in zip(s, unit)]\n", ""),
+    Mutant("sdp.solve re-projection targets read as 0", SDP,
+           "starts = [fsum(map(mul, dc, s)) for _, dc, _ in free]", "starts = [0.0 for _ in free]"),
+    Mutant("sdp._program triples' D c / |D c|^2 with the norm unsquared", SDP,
+           "along / (along * along).sum(axis=1)[:, None]", "along / np.sqrt((along * along).sum(axis=1))[:, None]"),
     Mutant("sdp._FREE c2 with its scalars' signs swapped", SDP,
            "[0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]", "[0.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0]"),
     Mutant("sdp PPT program without c2, the identity its one free direction", SDP,

@@ -4,7 +4,7 @@ import copy
 import math
 
 from entclone.analytic import alpha_critical
-from fingerprint import digest, fingerprint, moves
+from fingerprint import FLOATS, digest, fingerprint, moves, summary
 
 
 def test_fingerprint_reports_an_objective_moved_by_one_ulp():
@@ -19,6 +19,10 @@ def test_fingerprint_reports_an_objective_moved_by_one_ulp():
     f_star = float.fromhex(point["f_star"])
     point["f_star"] = math.nextafter(f_star, math.inf).hex()
     assert moves(ours, theirs) == ([f"{key} alpha=0.335711: f_star |delta| = {math.ulp(f_star):.3g}"], [])
+    lines = summary(ours, theirs)
+    assert len(lines) == 2 * (len(FLOATS) + 1)
+    assert f"ppt f_star: 1 of 9 moved, max |delta| = {math.ulp(f_star):.3g}" in lines
+    assert sum(line.endswith(": 0 of 9 moved, max |delta| = 0") for line in lines) == len(lines) - 1
     assert [k for k in ours if digest(ours[k]) != digest(theirs[k])] == [key]
     theirs[key]["points"][1]["iterations"] += 1
     assert moves(ours, theirs)[1] == [f"{key} alpha=0.335711: iterations {point['iterations']} -> {point['iterations'] - 1}"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -229,8 +230,7 @@ def test_a_singular_free_system_raises_convergence_error(with_ppt):
     direction repeated (2x2), both det 0 exactly, and a NaN det raise ConvergenceError, not ZeroDivisionError."""
     problem = build_problem(0.4, with_ppt=with_ppt)
     s, z = (problem.setup.forms @ problem.setup.x0).tolist(), sdp._IDENTITY.tolist()
-    dets = (s[0] * s[2] - s[1] * s[1], 1.0)
-    free = sdp._free_directions(problem.setup)
+    dets, free = (s[0] * s[2] - s[1] * s[1], 1.0), problem.setup.free
     assert sdp._nt_direction(s, z, *dets, 1e-3, free)
     first = free[0]
     singular = [([0.0] * 8, [0.0] * 8, [0.0] * 8)] if len(free) == 1 else [first, first]
@@ -246,7 +246,8 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
     direction of the k x k system B^T D M B dz = B^T D t (tests/reference.py) to a relative 1e-10
     (measured 3e-13), and dZ lies in the span of the free directions."""
     problem = build_problem(0.35, with_ppt=with_ppt)
-    setup, free = problem.setup, sdp._free_directions(problem.setup)
+    setup, free = problem.setup, problem.setup.free
+    directions = np.array([c for c, _, _ in free])
     rng = np.random.default_rng(4201)
     checked = 0
     while checked < 50:
@@ -261,9 +262,25 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
         ref_ds, ref_dz = kxk_direction(problem, s, z, tau)
         assert np.abs(ds - ref_ds).max() <= 1e-10 * np.abs(ref_ds).max()
         assert np.abs(dz - ref_dz).max() <= 1e-10 * np.abs(ref_dz).max()
-        coef = np.linalg.lstsq(setup.free.T, dz, rcond=None)[0]
-        assert np.abs(setup.free.T @ coef - dz).max() <= 1e-15 * np.abs(dz).max()
+        coef = np.linalg.lstsq(directions.T, dz, rcond=None)[0]
+        assert np.abs(directions.T @ coef - dz).max() <= 1e-15 * np.abs(dz).max()
         checked += 1
+
+
+def test_one_free_direction_steps_along_it_exactly():
+    """The plain program's one free direction is padded with a null second so that dS and dZ are formed on one
+    path; the pad changes no bit: at seeded interior points dZ is lam c, c the identity, entry for entry,
+    signed zeros included (lam < 0 gives a -0.0 in dZ's q entry at 49 of the 50 points)."""
+    setup, ((c, _, _),) = sdp._program(False), sdp._program(False).free
+    rng, negative = np.random.default_rng(4302), 0
+    for _ in range(50):
+        s = (setup.forms @ setup.x0 * rng.uniform(0.5, 2.0, size=8)).tolist()
+        z = [1.0, rng.uniform(-0.5, 0.5), 1.0, *rng.uniform(0.2, 2.0, size=5)]
+        dets = (s[0] * s[2] - s[1] * s[1], z[0] * z[2] - z[1] * z[1])
+        _, dz = sdp._nt_direction(s, z, *dets, 10.0 ** rng.uniform(-8.0, -1.0), setup.free)
+        assert [v.hex() for v in dz] == [(dz[0] * v).hex() for v in c]
+        negative += math.copysign(1.0, dz[1]) < 0.0
+    assert negative > 0
 
 
 def _count_bounds(monkeypatch, block=None, scalars=None):
@@ -363,8 +380,8 @@ def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the solver setup built on first use, whose
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
-    dual's free directions are the identity (plain) and the identity and c2 (PPT).  Any other t, even an
-    equal copy, is refused."""
+    dual's free directions are the identity (plain) and the identity and c2 (PPT), held as tuples of floats.
+    Any other t, even an equal copy, is refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -375,10 +392,15 @@ def test_setups_are_built_once_and_read_only():
                 assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
     assert plain.forms is CONE_FORMS
     assert (plain.left.shape, first.left.shape) == ((8, 8), (7, 8))
-    assert np.array_equal(plain.free, sdp._FREE[:1]) and np.array_equal(first.free, sdp._FREE)
+    for setup, rows in ((plain, sdp._FREE[:1]), (first, sdp._FREE)):
+        assert np.array_equal([c for c, _, _ in setup.free], rows)
+        assert type(setup.free) is tuple
+        assert all(type(part) is tuple for triple in setup.free for part in (triple, *triple))
+        assert {type(v) for triple in setup.free for part in triple for v in part} == {float}
     fields = {"basis", "x0", "forms", "left", "weights", "free", "gram_inv"}
     assert set(first._fields) == fields
-    for arr in (*constraint_matrices(), FIXED, CONE_FORMS, *first, *plain):
+    arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"free"})]
+    for arr in (*constraint_matrices(), FIXED, CONE_FORMS, *arrays):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
     for other in (T_OPERATORS.copy(), T_OPERATORS[[1, 0, 2, 3, 4]]):
@@ -539,8 +561,9 @@ def test_solve_converges_at_the_tolerance_floor(with_ppt, pinned):
     f* <= F_closed <= U, U - f* <= tol, a dual residual within 1e-14 and a positive definite Z, and
     a_star meets the trace row to 1e-15.  Each dual step is C lam, on the dual's free directions, so it
     leaves the dual equalities' residual at rounding level (at most 1.4e-15 measured).  Each primal step
-    has its parts along D C removed, so x stays on the trace row (within 4.4e-16 measured; 1.2e-12 on PPT
-    without that removal).  Each plain solve takes 8 iterations, and the PPT solves take 971 in all."""
+    has its parts along D C removed, and S is put back on its affine set after it, so x = left S stays on
+    the trace row (within 2.2e-16 measured).  Each plain solve takes 8 iterations, and the PPT solves take
+    971 in all."""
     iterations = []
     for alpha in FLOOR_GRID:
         closed = fidelity_locc(alpha) if with_ppt else fidelity_global(alpha)
@@ -585,15 +608,74 @@ def test_each_step_makes_one_float64_solve(monkeypatch, with_ppt, at_floor):
     assert called == []
 
 
+def _numpy_calls(problem, tol):
+    """(iterations, the numpy functions and methods one solve calls): the C calls whose function, its type
+    or the object it is bound to is numpy's, and the Python calls into numpy's own files."""
+    root, calls = os.path.dirname(np.__file__), []
+
+    def numpys(obj):
+        return any((getattr(o, "__module__", None) or "").startswith("numpy")
+                   for o in (obj, type(obj), type(getattr(obj, "__self__", None))))
+
+    def profile(frame, event, arg):
+        if event == "c_call" and numpys(arg):
+            calls.append(getattr(arg, "__qualname__", repr(arg)))
+        elif event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        sol = solve(problem, tol=tol)
+    finally:
+        sys.setprofile(None)
+    return sol.iterations, calls
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_an_iteration_makes_no_numpy_call(with_ppt):
+    """S and Z are Python floats and x is read once, by the certificate, so the numpy calls of a solve do
+    not grow with its iterations: at alpha = 0.5, tol 1e-5 and the floor take different numbers of
+    iterations (6 and 8 plain, 13 and 14 PPT) and make the same numpy calls."""
+    problem = build_problem(0.5, with_ppt=with_ppt)
+    (few, coarse), (many, fine) = (_numpy_calls(problem, tol) for tol in (1e-5, problem.tol_floor))
+    assert few < many and coarse and sorted(coarse) == sorted(fine)
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_the_final_s_lies_on_its_affine_set(monkeypatch, with_ppt):
+    """Each step of S is put back on S's affine set, so the final S of every solve on FLOOR_GRID, at tol
+    1e-7 and at the floor, is the forms of its coordinates, forms (left S) = S, and each (D c) . S, c a free
+    direction, is its start value 4 e.x0 = 4 (plain) or 8 (PPT) for the identity and 0 for c2, each within
+    1e-15 (measured: 5.6e-17, 8.9e-16 and 2.7e-16)."""
+    finals, certificate = [], sdp._certificate
+
+    def record(problem, s, z, iterations):
+        finals.append(list(s))
+        return certificate(problem, s, z, iterations)
+
+    monkeypatch.setattr(sdp, "_certificate", record)
+    targets = [8.0, 0.0] if with_ppt else [4.0]
+    for alpha in FLOOR_GRID:
+        problem = build_problem(alpha, with_ppt=with_ppt)
+        setup = problem.setup
+        for tol in (1e-7, problem.tol_floor):
+            finals.clear()
+            solve(problem, tol=tol)
+            (s,) = finals
+            assert np.abs(setup.forms @ (setup.left @ np.array(s)) - s).max() <= 1e-15
+            for (_, dc, _), target in zip(setup.free, targets, strict=True):
+                assert abs(math.fsum(map(operator.mul, dc, s)) - target) <= 1e-15
+
+
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 @pytest.mark.parametrize("at_floor", [False, True], ids=["default", "floor"])
 def test_solve_follows_the_40_digit_path(with_ppt, at_floor):
-    """On every eighth alpha of the 51-point grid and at alpha0, solve takes the same iterations as the
-    same NT path run on the k x k system in 40-digit decimal arithmetic (tests/reference.py), and its f*,
-    U and a_star are within 1e-13 of that path's.  Measured on FLOOR_GRID's 88 alphas: a_star within
-    8.8e-14 (PPT, floor; 1.7e-14 at alpha = 0.3394, where the k x k system solved in double was 5.7e-9
-    off), f* and U within 3.3e-16."""
-    for alpha in [*np.linspace(0.0, ALPHA_MAX, 51)[::8], alpha_critical()]:
+    """On FLOOR_GRID's 88 alphas, solve takes the same iterations as the same NT path run on the k x k
+    system in 40-digit decimal arithmetic (tests/reference.py), and its f*, U and a_star are within 1e-13
+    of that path's.  Measured: a_star within 1.7e-14 (PPT, floor, at alpha0; 9.2e-15 PPT at tol 1e-7 and
+    3.3e-16 plain), f* and U within 2.2e-16.  Without the re-projection of S, a_star was 2.4e-13 off at
+    alpha = 0.6081 (PPT, floor); the k x k system solved in double was 5.7e-9 off at alpha = 0.3394."""
+    for alpha in FLOOR_GRID:
         problem = build_problem(alpha, with_ppt=with_ppt)
         tol = problem.tol_floor if at_floor else 1e-7
         sol = solve(problem, tol=tol)

@@ -203,21 +203,26 @@ def test_free_directions_span_the_dual_steps():
     leave Z the null space of B^T D, B = forms N, and setup.free spans it.  In integers, forms^T (w * c) is
     an integer multiple of e for each free direction c: 4 e for the plain identity, 8 e for the PPT one and
     0 for c2.  The free directions are independent, their number is 8 - k = 8 - rank(B), and the rows
-    D c are orthogonal, which lets the step remove its parts along them one by one."""
+    D c are orthogonal, which lets the step remove its parts along them one by one.  Each setup triple
+    (c, D c, u) holds D c exactly and u = D c / |D c|^2, so u . D c = 1 to rounding."""
     for with_ppt, multiples in ((False, [4]), (True, [8, 0])):
         problem = build_problem(0.3, with_ppt=with_ppt)
         setup, (e,) = problem.setup, problem.eq_matrix
-        forms, weights, free = (arr.astype(int) for arr in (setup.forms, setup.weights, setup.free))
-        assert np.array_equal(forms, setup.forms) and np.array_equal(free, setup.free)
+        directions = np.array([c for c, _, _ in setup.free])
+        forms, weights, free = (arr.astype(int) for arr in (setup.forms, setup.weights, directions))
+        assert np.array_equal(forms, setup.forms) and np.array_equal(free, directions)
         for c, multiple in zip(free, multiples):
             assert np.array_equal(forms.T @ (weights * c), multiple * e.astype(int))
         null = np.linalg.svd(e[None, :])[2][1:].T
         b = setup.forms @ null
-        assert np.abs((b.T * setup.weights) @ setup.free.T).max() <= 1e-13
-        assert np.linalg.matrix_rank(setup.free) == len(free) == 8 - np.linalg.matrix_rank(b)
+        assert np.abs((b.T * setup.weights) @ directions.T).max() <= 1e-13
+        assert np.linalg.matrix_rank(directions) == len(free) == 8 - np.linalg.matrix_rank(b)
         along = weights * free
         gram = along @ along.T
         assert np.array_equal(gram, np.diag(np.diag(gram)))
+        for (_, dc, unit), row in zip(setup.free, along):
+            assert np.array_equal(dc, row)
+            assert abs(math.fsum(u * d for u, d in zip(unit, dc)) - 1.0) <= 2.2e-16
 
 
 def test_plain_start_is_the_min_norm_point():
@@ -253,14 +258,14 @@ def test_ppt_start_is_the_no_communication_point_pushed_to_the_min_norm_point():
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 def test_a_star_holds_the_iterate_coordinates(monkeypatch, with_ppt):
-    """a_star = FIXED x holds each coordinate of the final iterate x as it is: a_star[0, 1] == a_star[1, 0]
-    equals the a12 coordinate bit for bit, and likewise every other entry of the fixed subspace."""
+    """a_star = FIXED x holds each coordinate of x = left S, S the final iterate, as it is: a_star[0, 1] ==
+    a_star[1, 0] equals the a12 coordinate bit for bit, and likewise every other entry of the fixed subspace."""
     finals = []
     certificate = sdp._certificate
 
-    def record(problem, x, zs, iterations):
-        finals.append(x.astype(float))
-        return certificate(problem, x, zs, iterations)
+    def record(problem, s, zs, iterations):
+        finals.append(problem.setup.left @ np.array(s))
+        return certificate(problem, s, zs, iterations)
 
     monkeypatch.setattr(sdp, "_certificate", record)
     sol = solve(build_problem(0.5, with_ppt=with_ppt))
