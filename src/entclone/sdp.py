@@ -113,8 +113,10 @@ Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
 parts of a solve are built once per program, on its first build_problem,
-and travel as SdpProblem.setup: the start, the left inverse and the free
-directions are closed forms, and no setup factorizes a matrix.
+and travel as SdpProblem.setup: the start x0 and S's start forms x0, the
+left inverse, the free directions and each (D c) . S's start value, nu
+and e.e.  They are closed forms, and no setup factorizes a matrix; a
+solve's own numpy calls are the dual start's and the certificate's.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _FREE, _LEFT):
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup; every array is float64 and read-only, and free is tuples of floats."""
+    and carried as SdpProblem.setup; every array is float64 and read-only, free, s0 and starts are tuples of
+    floats, and nu and ee are floats."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     x0: np.ndarray  # (m,) strictly feasible primal start
@@ -199,6 +202,10 @@ class _Setup(NamedTuple):
     weights: np.ndarray  # (8,) _FORM_WEIGHTS, twice them for PPT: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
     free: tuple  # (c, D c, D c / |D c|^2), D = diag(weights), per row c of _FREE that spans the dual's steps
     gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram matrix forms^T diag(weights) forms
+    s0: tuple  # forms x0, the start of S
+    starts: tuple  # (D c) . s0 per free direction c: 4 (plain), or 8 and 0 (PPT), S's affine set
+    nu: float  # weights . _IDENTITY, the barrier parameter: 64 (plain), 128 (PPT)
+    ee: float  # e . e, e the trace row on the coordinates: 54 on both programs
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,7 @@ class SdpProblem:
     def nu(self) -> float:
         """Barrier parameter: the summed dimension of the full operators the cone stands for, the weighted
         trace of the identity."""
-        return float(self.setup.weights @ _IDENTITY)
+        return self.setup.nu
 
     @property
     def tol_floor(self) -> float:
@@ -253,11 +260,15 @@ class ThresholdDetectionError(ValueError):
     """Raised when a sweep has no kink above the noise floor."""
 
 
-def _cone_min(v: np.ndarray) -> float:
+def _cone_min(v: Sequence[float]) -> float:
     """Smallest eigenvalue of the cone whose 2x2 block is v[:3] = (p, q, r) and whose scalars are v[3:];
-    NaN if any entry is."""
-    p, q, r = v[:3]
-    return float(np.min([(p + r) / 2.0 - np.hypot((p - r) / 2.0, q), *v[3:]]))
+    NaN if any entry is, tested first as Python's min skips a NaN that is not its first argument.  The
+    block's is (p + r) / 2 - hypot((p - r) / 2, q) with numpy's scalar hypot, libm's: math.hypot rounds
+    some pairs differently, which would move the dual start."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    p, q, r, *scalars = v
+    return min((p + r) / 2.0 - float(np.hypot((p - r) / 2.0, q)), *scalars)
 
 
 def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: float) -> tuple[float, float, float]:
@@ -365,7 +376,8 @@ def _program(with_ppt: bool) -> _Setup:
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
     Each program's setup is built on its first call and shared after it;
-    every array in it is read-only and free holds tuples.  Raises
+    every array in it is read-only, free, s0 and starts hold tuples, and
+    nu and e.e are floats.  Raises
     ConvergenceError if x0 misses the equality or the cone's interior.
     """
     basis, forms, left, weights, free = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS, _FREE[:1]
@@ -375,12 +387,16 @@ def _program(with_ppt: bool) -> _Setup:
     e = constraint_matrices()[0] @ basis
     mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
-    if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(forms @ x0) > 1e-8):
+    s0 = tuple((forms @ x0).tolist())
+    if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(s0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
     gram_inv = 1.0 / (weights @ (forms * forms))
     along = weights * free
-    triples = zip(*(map(tuple, arr.tolist()) for arr in (free, along, along / (along * along).sum(axis=1)[:, None])))
-    setup = _Setup(basis, x0, forms, left, weights, tuple(triples), gram_inv)
+    units = along / (along * along).sum(axis=1)[:, None]
+    triples = tuple(zip(*(map(tuple, arr.tolist()) for arr in (free, along, units))))
+    starts = tuple(fsum(map(mul, dc, s0)) for _, dc, _ in triples)
+    setup = _Setup(basis, x0, forms, left, weights, triples, gram_inv, s0, starts, float(weights @ _IDENTITY),
+                   float(e @ e))
     for arr in setup:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -406,19 +422,19 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
 
 def _certificate(problem: SdpProblem, s: Sequence[float], z: Sequence[float], iterations: int) -> SdpSolution:
     """The iterates s and z, read at x = left s; y = e.r / e.e solves A^T y = r in least squares."""
-    setup, ss, zs = problem.setup, np.array(s), np.array(z)
-    x = setup.left @ ss
-    r = problem.objective + np.dot(setup.weights * zs, setup.forms)
+    setup = problem.setup
+    x = setup.left @ s
+    r = problem.objective + np.dot(setup.weights * z, setup.forms)
     (e,) = problem.eq_matrix
-    y = (e @ r) / (e @ e)
+    y = (e @ r) / setup.ee
     return SdpSolution(
         a_star=(setup.basis @ x).reshape(5, 5),
         f_star=float(problem.objective @ x),
-        min_eigenvalue=_cone_min(ss),
+        min_eigenvalue=_cone_min(s),
         iterations=iterations,
         upper_bound=float(y),
         dual_residual=float(np.abs(e * y - r).max()),
-        min_dual_eigenvalue=_cone_min(zs),
+        min_dual_eigenvalue=_cone_min(z),
     )
 
 
@@ -447,23 +463,21 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    nu = problem.nu
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
-    forms, free = setup.forms, setup.free
+    forms, free, nu = setup.forms, setup.free, setup.nu
     wp, wq, wr, *ws = setup.weights.tolist()
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
     # Z starts at y0 I / (4c) - C(h).
     ch = forms @ (setup.gram_inv * problem.objective)
-    z = 2.0 * abs(_cone_min(-ch)) * _IDENTITY - ch
+    z = (2.0 * abs(_cone_min((-ch).tolist())) * _IDENTITY - ch).tolist()
     if _cone_min(z) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
     # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products each
     # run without a numpy call's cost; each step of S is put back where every (D c) . S has its start value.
-    s, z, iterations = (forms @ setup.x0).tolist(), z.tolist(), 0
-    starts = [fsum(map(mul, dc, s)) for _, dc, _ in free]
+    s, starts, iterations = setup.s0, setup.starts, 0
     while True:
         (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
         det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq

@@ -105,8 +105,15 @@ MUTANTS = (
            "        for (_, dc, unit), start in zip(free, starts):\n"
            "            part = fsum(map(mul, dc, s)) - start\n"
            "            s = [a - part * u for a, u in zip(s, unit)]\n", ""),
-    Mutant("sdp.solve re-projection targets read as 0", SDP,
-           "starts = [fsum(map(mul, dc, s)) for _, dc, _ in free]", "starts = [0.0 for _ in free]"),
+    Mutant("sdp._program re-projection targets read as 0", SDP,
+           "starts = tuple(fsum(map(mul, dc, s0)) for _, dc, _ in triples)", "starts = tuple(0.0 for _ in triples)"),
+    Mutant("sdp._program S0 from the mixed point, not the PPT program's x0", SDP,
+           "s0 = tuple((forms @ x0).tolist())", "s0 = tuple((forms @ mixed).tolist())"),
+    Mutant("sdp._program nu without the PPT program's copies", SDP,
+           "float(weights @ _IDENTITY)", "float(_FORM_WEIGHTS @ _IDENTITY)"),
+    Mutant("sdp._program e.e -> the sum of e", SDP, "float(e @ e)", "float(e.sum())"),
+    Mutant("sdp._cone_min without its NaN return", SDP,
+           "    if any(map(math.isnan, v)):\n        return math.nan\n", ""),
     Mutant("sdp._program triples' D c / |D c|^2 with the norm unsquared", SDP,
            "along / (along * along).sum(axis=1)[:, None]", "along / np.sqrt((along * along).sum(axis=1))[:, None]"),
     Mutant("sdp._FREE c2 with its scalars' signs swapped", SDP,

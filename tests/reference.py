@@ -16,7 +16,8 @@
   program's dense log-barrier as a certificate of centrality.
 - Solver step and path: the k x k Newton system solve's direction once
   came from, as one dense step (kxk_direction) and as solve's whole path
-  in 40-digit decimal arithmetic (decimal_nt_path).
+  in 40-digit decimal arithmetic (decimal_nt_path), and the cone's
+  smallest eigenvalue as numpy once took it (numpy_cone_min).
 """
 
 import functools
@@ -303,6 +304,14 @@ def _packed(m):
 def _unpacked(v):
     p, q, r = v
     return np.array([[p, q], [q, r]])
+
+
+def numpy_cone_min(v):
+    """The smallest eigenvalue of the cone with 2x2 block v[:3] = (p, q, r) and scalars v[3:], as sdp._cone_min
+    once took it: np.min over (p + r) / 2 - np.hypot((p - r) / 2, q) and the scalars, on a float64 array."""
+    v = np.asarray(v, dtype=float)
+    p, q, r = v[:3]
+    return float(np.min([(p + r) / 2.0 - np.hypot((p - r) / 2.0, q), *v[3:]]))
 
 
 def kxk_direction(problem, s, z, tau):

@@ -31,6 +31,7 @@ from reference import (
     decimal_nt_path,
     dense_nt_path,
     kxk_direction,
+    numpy_cone_min,
 )
 
 A55 = 4
@@ -283,6 +284,35 @@ def test_one_free_direction_steps_along_it_exactly():
     assert negative > 0
 
 
+def test_cone_min_matches_the_numpy_formula():
+    """_cone_min on Python floats returns the bits of the numpy formula it replaced (tests/reference.py) on
+    12,000 seeded cones: interior ones, ones whose block has det ~1e-15 to 1e-1 of p r, and ones with a scalar
+    of 1e-16 to 1e-1, some of each with a negative scalar.  numpy's scalar hypot is libm's; math.hypot, which
+    rounds differently on about 0.6% of pairs, would fail this."""
+    rng = np.random.default_rng(4401)
+    for kind in range(12_000):
+        p, r = 10.0 ** rng.uniform(-3.0, 1.0, size=2)
+        shrink = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if kind % 3 == 1 else rng.uniform(0.0, 1.0)
+        scalars = 10.0 ** rng.uniform(-3.0, 1.0, size=5)
+        if kind % 3 == 2:
+            scalars[rng.integers(5)] = 10.0 ** rng.uniform(-16.0, -1.0)
+        if kind % 7 == 0:
+            scalars[rng.integers(5)] *= -1.0
+        v = [p, rng.choice([-1.0, 1.0]) * shrink * math.sqrt(p * r), r, *scalars.tolist()]
+        assert sdp._cone_min(v).hex() == numpy_cone_min(v).hex()
+
+
+def test_cone_min_is_nan_when_any_entry_is():
+    """A NaN in any of the cone's 8 numbers makes _cone_min NaN, though Python's min skips a NaN past its
+    first argument: checked on an interior cone and on one whose a33 scalar, -1, is its minimum."""
+    for cone in ([1.0, 0.5, 2.0, 0.3, 0.4, 0.5, 0.6, 0.7], [1.0, 0.5, 2.0, 0.3, 0.4, 0.5, 0.6, -1.0]):
+        for entry in range(8):
+            v = list(cone)
+            v[entry] = math.nan
+            assert math.isnan(sdp._cone_min(v))
+            assert math.isnan(sdp._cone_min(tuple(v)))
+
+
 def _count_bounds(monkeypatch, block=None, scalars=None):
     """Patch solve's step bounds to record their calls: _step_bound's (the block of S, then of Z, each
     iteration) and the lists _scalar_bounds returns (S's five scalars, then Z's).  block(n, bound) and
@@ -376,12 +406,19 @@ def test_plain_solution_matches_dense_witness(alpha):
     assert abs(sol.f_star - f_star) < 1e-12
 
 
+def _bits(values):
+    """The exact bits of each float, signed zeros told apart."""
+    return [float(v).hex() for v in values]
+
+
 def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the solver setup built on first use, whose
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
     dual's free directions are the identity (plain) and the identity and c2 (PPT), held as tuples of floats.
-    Any other t, even an equal copy, is refused."""
+    The per-solve constants are held too, each bit for bit: S's start forms x0 and the start value of each
+    (D c) . S as tuples of floats, nu = 64 or 128 and e . e as floats.  Any other t, even an equal copy, is
+    refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -397,9 +434,18 @@ def test_setups_are_built_once_and_read_only():
         assert type(setup.free) is tuple
         assert all(type(part) is tuple for triple in setup.free for part in (triple, *triple))
         assert {type(v) for triple in setup.free for part in triple for v in part} == {float}
-    fields = {"basis", "x0", "forms", "left", "weights", "free", "gram_inv"}
+    for setup, nu in ((plain, 64.0), (first, 128.0)):
+        e = constraint_matrices()[0] @ setup.basis
+        assert type(setup.s0) is type(setup.starts) is tuple and type(setup.nu) is type(setup.ee) is float
+        assert {type(v) for v in (*setup.s0, *setup.starts)} == {float}
+        assert _bits(setup.s0) == _bits((setup.forms @ setup.x0).tolist())
+        assert _bits(setup.starts) == _bits(math.fsum(map(operator.mul, dc, setup.s0)) for _, dc, _ in setup.free)
+        assert _bits((setup.nu, setup.ee)) == _bits((nu, e @ e)) and setup.ee == 54.0
+    assert _bits(plain.starts + first.starts) == _bits((4.0, 8.0, 0.0))
+    held = {"free", "s0", "starts", "nu", "ee"}
+    fields = {"basis", "x0", "forms", "left", "weights", "gram_inv", *held}
     assert set(first._fields) == fields
-    arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - {"free"})]
+    arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - held)]
     for arr in (*constraint_matrices(), FIXED, CONE_FORMS, *arrays):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
@@ -639,6 +685,15 @@ def test_an_iteration_makes_no_numpy_call(with_ppt):
     problem = build_problem(0.5, with_ppt=with_ppt)
     (few, coarse), (many, fine) = (_numpy_calls(problem, tol) for tol in (1e-5, problem.tol_floor))
     assert few < many and coarse and sorted(coarse) == sorted(fine)
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_solve_makes_at_most_11_numpy_calls(with_ppt):
+    """A whole solve's numpy calls, the dual start and the certificate, are at most 11 on either program
+    (measured: 8; 30 when _cone_min took np.min of an 8-entry list four times a solve), and none is min."""
+    problem = build_problem(alpha_critical(), with_ppt=with_ppt)
+    _, calls = _numpy_calls(problem, 1e-7)
+    assert 0 < len(calls) <= 11 and not any("min" in call for call in calls)
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
