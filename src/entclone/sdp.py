@@ -89,7 +89,10 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    or 2x2 system (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in
    closed form; this is the direction of the k x k system
    B^T D M B dz = B^T D t without forming it.  dS's rounding-level parts
-   along the orthogonal rows of D C are removed.  Both iterates move by
+   along the orthogonal rows of D C are removed.  The direction is formed
+   on the cone's eight numbers, each a named float computed term by term;
+   with one free direction it is dZ = lam c and dS = M^-1 t - lam M^-1 c,
+   with no second direction padded in.  Both iterates move by
    STEP_FRACTION of the largest step that keeps the block positive
    definite and every scalar positive (one quadratic for each of S's and
    Z's block, _step_bound, and -2 ds / s per scalar, _scalar_bounds),
@@ -98,12 +101,14 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    value, 4 e.x0 = 4 (plain) or 8 (PPT) for the identity and 0 for c2.
  - Precision: double throughout, and an iteration makes no numpy call:
    S and Z are Python floats, and the products of the block, of each
-   scalar and of the free directions run without a call's cost; their
-   sums are math.fsum, correctly rounded on every Python version.  The
-   coordinates are read once, at the end, as x = left S, left an exact
-   left inverse of the forms.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10)
-   is where double suffices: the largest mu_min at which a double solve
-   fails is 4.9e-12 (see solve).
+   scalar and of the free directions run without a call's cost, on named
+   floats with no list, zip or map over the eight numbers in the
+   direction; each dot product is math.fsum over an explicit 8-tuple,
+   correctly rounded on every Python version.  The coordinates are read
+   once, at the end, as x = left S, left an exact left inverse of the
+   forms.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double
+   suffices: the largest mu_min at which a double solve fails is 4.9e-12
+   (see solve).
  - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
    mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
    mu_min = tol / (2 nu); on a diagonal block the two tests agree.  The
@@ -114,9 +119,10 @@ the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
 parts of a solve are built once per program, on its first build_problem,
 and travel as SdpProblem.setup: the start x0 and S's start forms x0, the
-left inverse, the free directions and each (D c) . S's start value, nu
-and e.e.  They are closed forms, and no setup factorizes a matrix; a
-solve's own numpy calls are the dual start's and the certificate's.
+left inverse, the free directions and each (D c) . S's start value, nu,
+e.e and the weights as floats.  They are closed forms, and no setup
+factorizes a matrix; a solve's own numpy calls are the dual start's and
+the certificate's.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import fsum
-from operator import mul, truediv
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -171,8 +177,6 @@ _IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 # The directions the dual equalities leave Z (see _program): the identity, and on the PPT slice also c2,
 # the block's q against the scalars a12 + a44 + a55 and a12 - a44 - a55.
 _FREE = np.array([_IDENTITY, [0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]])
-# The null (c, M^-1 c) that pads one free direction to two: lam 0 adds -0.0 to dZ and takes 0.0 from dS, exactly.
-_NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)
 # The exact inverse of CONE_FORMS, forms to coordinates: a12 = (s3 + s4) / 2, a44 +- a55 = (s3 - s4) / 4 +- q / 2.
 _LEFT = np.array(
     [
@@ -192,8 +196,8 @@ for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _FREE, _LEFT):
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup; every array is float64 and read-only, free, s0 and starts are tuples of
-    floats, and nu and ee are floats."""
+    and carried as SdpProblem.setup; every array is float64 and read-only, free, s0, starts and weight_floats
+    are tuples of floats, and nu and ee are floats."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     x0: np.ndarray  # (m,) strictly feasible primal start
@@ -206,6 +210,7 @@ class _Setup(NamedTuple):
     starts: tuple  # (D c) . s0 per free direction c: 4 (plain), or 8 and 0 (PPT), S's affine set
     nu: float  # weights . _IDENTITY, the barrier parameter: 64 (plain), 128 (PPT)
     ee: float  # e . e, e the trace row on the coordinates: 54 on both programs
+    weight_floats: tuple  # weights as a tuple of floats, as solve's mu reads them
 
 
 @dataclass(frozen=True)
@@ -299,36 +304,58 @@ def _nt_direction(
     where N spans the trace row's null space.  Rounding leaves in dS parts along the rows D C, which are
     orthogonal; they are removed.  A system that rounding left singular (det <= 0 or NaN) raises
     ConvergenceError.
+
+    Every number is a named float, each entry of the cone's eight formed term by term: the goal t, M^-1 c
+    as u (and as v for the PPT program's second direction k), dS as x; each dot product is one fsum.  With
+    one free direction dS = t - lam u and dZ = lam c, with no second direction padded in.
     """
-    (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
+    sp, sq, sr, s3, s4, s5, s6, s7 = s
+    zp, zq, zr, z3, z4, z5, z6, z7 = z
     a, b, c = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
     aa, ab, bb, bc, cc, mid = a * a, a * b, b * b, b * c, c * c, a * c + b * b
-    ratios = list(map(truediv, ss, zs))
+    m3, m4, m5, m6, m7 = s3 / z3, s4 / z4, s5 / z5, s6 / z6, s7 / z7
     inv = tau / det_z
-    goal = [inv * zr - sp, -(inv * zq) - sq, inv * zp - sr, *[tau / v - u for u, v in zip(ss, zs)]]
-    # M^-1 c for each free direction c: W C W on the block, s / z times each scalar.
-    moved = [[aa * cp + 2.0 * (ab * cq) + bb * cr, ab * cp + mid * cq + bc * cr, bb * cp + 2.0 * (bc * cq) + cc * cr,
-              *map(mul, ratios, cs)] for (cp, cq, cr, *cs), _, _ in free]
+    t0, t1, t2 = inv * zr - sp, -(inv * zq) - sq, inv * zp - sr
+    t3, t4, t5, t6, t7 = tau / z3 - s3, tau / z4 - s4, tau / z5 - s5, tau / z6 - s6, tau / z7 - s7
+    # The first free direction c, D c and D c / |D c|^2, and M^-1 c: W C W on the block, s / z times each scalar.
+    (c0, c1, c2, c3, c4, c5, c6, c7), (d0, d1, d2, d3, d4, d5, d6, d7), (n0, n1, n2, n3, n4, n5, n6, n7) = free[0]
+    u0, u1, u2 = aa * c0 + 2.0 * (ab * c1) + bb * c2, ab * c0 + mid * c1 + bc * c2, bb * c0 + 2.0 * (bc * c1) + cc * c2
+    u3, u4, u5, u6, u7 = m3 * c3, m4 * c4, m5 * c5, m6 * c6, m7 * c7
+    g11 = fsum((d0 * u0, d1 * u1, d2 * u2, d3 * u3, d4 * u4, d5 * u5, d6 * u6, d7 * u7))
     if len(free) == 1:
-        ((c1, d1, _),), (u1,) = free, moved
-        det = fsum(map(mul, d1, u1))
-        if not det > 0.0:
+        if not g11 > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
-        l1, l2, c2, u2 = fsum(map(mul, d1, goal)) / det, 0.0, *_NULL_DIRECTION
+        l1 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7)) / g11
+        x0, x1, x2, x3 = t0 - l1 * u0, t1 - l1 * u1, t2 - l1 * u2, t3 - l1 * u3
+        x4, x5, x6, x7 = t4 - l1 * u4, t5 - l1 * u5, t6 - l1 * u6, t7 - l1 * u7
+        dz = [l1 * c0, l1 * c1, l1 * c2, l1 * c3, l1 * c4, l1 * c5, l1 * c6, l1 * c7]
     else:
-        ((c1, d1, _), (c2, d2, _)), (u1, u2) = free, moved
-        g11, g12, g22 = fsum(map(mul, d1, u1)), fsum(map(mul, d1, u2)), fsum(map(mul, d2, u2))
+        # The second, k, f = D k and h = f / |f|^2, and v = M^-1 k.
+        (k0, k1, k2, k3, k4, k5, k6, k7), (f0, f1, f2, f3, f4, f5, f6, f7), (h0, h1, h2, h3, h4, h5, h6, h7) = free[1]
+        v0, v1 = aa * k0 + 2.0 * (ab * k1) + bb * k2, ab * k0 + mid * k1 + bc * k2
+        v2 = bb * k0 + 2.0 * (bc * k1) + cc * k2
+        v3, v4, v5, v6, v7 = m3 * k3, m4 * k4, m5 * k5, m6 * k6, m7 * k7
+        g12 = fsum((d0 * v0, d1 * v1, d2 * v2, d3 * v3, d4 * v4, d5 * v5, d6 * v6, d7 * v7))
+        g22 = fsum((f0 * v0, f1 * v1, f2 * v2, f3 * v3, f4 * v4, f5 * v5, f6 * v6, f7 * v7))
         det = g11 * g22 - g12 * g12
         if not det > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
-        r1, r2 = fsum(map(mul, d1, goal)), fsum(map(mul, d2, goal))
+        r1 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7))
+        r2 = fsum((f0 * t0, f1 * t1, f2 * t2, f3 * t3, f4 * t4, f5 * t5, f6 * t6, f7 * t7))
         l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
-    ds = [g - l1 * u - l2 * v for g, u, v in zip(goal, u1, u2)]
-    dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]
-    for _, dc, unit in free:
-        part = fsum(map(mul, unit, ds))
-        ds = [d - part * v for d, v in zip(ds, dc)]
-    return ds, dz
+        x0, x1, x2, x3 = t0 - l1 * u0 - l2 * v0, t1 - l1 * u1 - l2 * v1, t2 - l1 * u2 - l2 * v2, t3 - l1 * u3 - l2 * v3
+        x4, x5, x6, x7 = t4 - l1 * u4 - l2 * v4, t5 - l1 * u5 - l2 * v5, t6 - l1 * u6 - l2 * v6, t7 - l1 * u7 - l2 * v7
+        dz = [l1 * c0 + l2 * k0, l1 * c1 + l2 * k1, l1 * c2 + l2 * k2, l1 * c3 + l2 * k3,
+              l1 * c4 + l2 * k4, l1 * c5 + l2 * k5, l1 * c6 + l2 * k6, l1 * c7 + l2 * k7]
+    # dS's parts along D c, then along D k.
+    part = fsum((n0 * x0, n1 * x1, n2 * x2, n3 * x3, n4 * x4, n5 * x5, n6 * x6, n7 * x7))
+    x0, x1, x2, x3 = x0 - part * d0, x1 - part * d1, x2 - part * d2, x3 - part * d3
+    x4, x5, x6, x7 = x4 - part * d4, x5 - part * d5, x6 - part * d6, x7 - part * d7
+    if len(free) == 2:
+        part = fsum((h0 * x0, h1 * x1, h2 * x2, h3 * x3, h4 * x4, h5 * x5, h6 * x6, h7 * x7))
+        x0, x1, x2, x3 = x0 - part * f0, x1 - part * f1, x2 - part * f2, x3 - part * f3
+        x4, x5, x6, x7 = x4 - part * f4, x5 - part * f5, x6 - part * f6, x7 - part * f7
+    return [x0, x1, x2, x3, x4, x5, x6, x7], dz
 
 
 def _step_bound(v: Sequence[float], dv: Sequence[float], det: float) -> float:
@@ -376,8 +403,8 @@ def _program(with_ppt: bool) -> _Setup:
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
     Each program's setup is built on its first call and shared after it;
-    every array in it is read-only, free, s0 and starts hold tuples, and
-    nu and e.e are floats.  Raises
+    every array in it is read-only, free, s0, starts and the weights' floats
+    hold tuples, and nu and e.e are floats.  Raises
     ConvergenceError if x0 misses the equality or the cone's interior.
     """
     basis, forms, left, weights, free = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS, _FREE[:1]
@@ -396,7 +423,7 @@ def _program(with_ppt: bool) -> _Setup:
     triples = tuple(zip(*(map(tuple, arr.tolist()) for arr in (free, along, units))))
     starts = tuple(fsum(map(mul, dc, s0)) for _, dc, _ in triples)
     setup = _Setup(basis, x0, forms, left, weights, triples, gram_inv, s0, starts, float(weights @ _IDENTITY),
-                   float(e @ e))
+                   float(e @ e), tuple(weights.tolist()))
     for arr in setup:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -433,7 +460,7 @@ def _certificate(problem: SdpProblem, s: Sequence[float], z: Sequence[float], it
         min_eigenvalue=_cone_min(s),
         iterations=iterations,
         upper_bound=float(y),
-        dual_residual=float(np.abs(e * y - r).max()),
+        dual_residual=float(max(map(abs, (e * y - r).tolist()))),
         min_dual_eigenvalue=_cone_min(z),
     )
 
@@ -467,7 +494,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
     forms, free, nu = setup.forms, setup.free, setup.nu
-    wp, wq, wr, *ws = setup.weights.tolist()
+    wp, wq, wr, *ws = setup.weight_floats
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
     # Z starts at y0 I / (4c) - C(h).

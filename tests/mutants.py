@@ -15,7 +15,7 @@ A mutant is killed when the suite fails under it; a surviving mutant is
 reported as equivalent when the list states why no output can change, and
 as a survivor otherwise.  The run exits 1 if any mutant survives without a
 reason.  It uses only the standard library and pytest, and takes about
-two and a half minutes on two cores.  CI runs it after Tier-1 on one
+three minutes on two cores.  CI runs it after Tier-1 on one
 Python version.
 """
 
@@ -79,28 +79,51 @@ MUTANTS = (
            "math.sqrt(root_z / root_s * det_m)", "math.sqrt(root_s / root_z * det_m)"),
     Mutant("sdp._nt_scaling without its det M guard", SDP, "if not det_m > 0.0:", "if False:"),
     Mutant("sdp._nt_direction W C W off-diagonal 2ab -> ab", SDP,
-           "aa * cp + 2.0 * (ab * cq) + bb * cr", "aa * cp + ab * cq + bb * cr"),
+           "aa * c0 + 2.0 * (ab * c1) + bb * c2", "aa * c0 + ab * c1 + bb * c2"),
+    Mutant("sdp._nt_direction W K W off-diagonal 2bc -> bc, on the PPT program's second direction", SDP,
+           "bb * k0 + 2.0 * (bc * k1) + cc * k2", "bb * k0 + bc * k1 + cc * k2"),
     Mutant("sdp._nt_direction W C W middle entry ac + b^2 -> ac", SDP, "c * c, a * c + b * b", "c * c, a * c"),
     Mutant("sdp._nt_direction scalar scaling s / z -> z / s", SDP,
-           "ratios = list(map(truediv, ss, zs))", "ratios = list(map(truediv, zs, ss))"),
+           "m3, m4, m5, m6, m7 = s3 / z3, s4 / z4, s5 / z5, s6 / z6, s7 / z7",
+           "m3, m4, m5, m6, m7 = z3 / s3, z4 / s4, z5 / s5, z6 / s6, z7 / s7"),
+    Mutant("sdp._nt_direction M^-1 c's a12 - a44 - a55 entry read with the a12 + a44 + a55 ratio", SDP,
+           "u3, u4, u5, u6, u7 = m3 * c3, m4 * c4,", "u3, u4, u5, u6, u7 = m3 * c3, m3 * c4,"),
     Mutant("sdp._nt_direction scalar goal tau / z - s -> tau / s - z", SDP,
-           "*[tau / v - u for u, v in zip(ss, zs)]", "*[tau / u - v for u, v in zip(ss, zs)]"),
+           "tau / z3 - s3, tau / z4 - s4, tau / z5 - s5, tau / z6 - s6, tau / z7 - s7",
+           "tau / s3 - z3, tau / s4 - z4, tau / s5 - z5, tau / s6 - z6, tau / s7 - z7"),
+    Mutant("sdp._nt_direction block goal's q entry -tau adj(Z)_q / det Z -> +", SDP,
+           "-(inv * zq) - sq", "inv * zq - sq"),
+    Mutant("sdp._nt_direction g12 read with D c2 in place of D c1", SDP,
+           "g12 = fsum((d0 * v0, d1 * v1, d2 * v2, d3 * v3, d4 * v4, d5 * v5, d6 * v6, d7 * v7))",
+           "g12 = fsum((f0 * v0, f1 * v1, f2 * v2, f3 * v3, f4 * v4, f5 * v5, f6 * v6, f7 * v7))"),
+    Mutant("sdp._nt_direction r2 read with D c1 in place of D c2", SDP,
+           "r2 = fsum((f0 * t0, f1 * t1, f2 * t2, f3 * t3, f4 * t4, f5 * t5, f6 * t6, f7 * t7))",
+           "r2 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7))"),
     Mutant("sdp._nt_direction 2x2 system without its off-diagonal term in lam", SDP,
            "l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det",
            "l1, l2 = g22 * r1 / det, g11 * r2 / det"),
+    Mutant("sdp._nt_direction one direction's dZ q entry 0.0, not lam 0.0, which is -0.0 when lam < 0", SDP,
+           "dz = [l1 * c0, l1 * c1, l1 * c2,", "dz = [l1 * c0, 0.0, l1 * c2,"),
     Mutant("sdp._nt_direction dZ without its second direction's term", SDP,
-           "dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]", "dz = [l1 * u for u, v in zip(c1, c2)]"),
-    Mutant("sdp._NULL_DIRECTION c -0.0 -> 0.0, which turns dZ's -0.0 entries to 0.0", SDP,
-           "_NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)", "_NULL_DIRECTION = ((0.0,) * 8, (0.0,) * 8)"),
+           "dz = [l1 * c0 + l2 * k0, l1 * c1 + l2 * k1, l1 * c2 + l2 * k2, l1 * c3 + l2 * k3,\n"
+           "              l1 * c4 + l2 * k4, l1 * c5 + l2 * k5, l1 * c6 + l2 * k6, l1 * c7 + l2 * k7]",
+           "dz = [l1 * c0, l1 * c1, l1 * c2, l1 * c3, l1 * c4, l1 * c5, l1 * c6, l1 * c7]"),
     Mutant("sdp._nt_direction 2x2 det without its off-diagonal term", SDP,
            "det = g11 * g22 - g12 * g12", "det = g11 * g22"),
-    Mutant("sdp._nt_direction without the 1x1 det guard", SDP,
-           "det = fsum(map(mul, d1, u1))\n        if not det > 0.0:", "det = fsum(map(mul, d1, u1))\n        if False:"),
+    Mutant("sdp._nt_direction without the 1x1 det guard", SDP, "if not g11 > 0.0:", "if False:"),
     Mutant("sdp._nt_direction without the 2x2 det guard", SDP,
            "det = g11 * g22 - g12 * g12\n        if not det > 0.0:", "det = g11 * g22 - g12 * g12\n        if False:"),
     Mutant("sdp._nt_direction keeps dS's parts along D C", SDP,
-           "    for _, dc, unit in free:\n        part = fsum(map(mul, unit, ds))\n"
-           "        ds = [d - part * v for d, v in zip(ds, dc)]\n", ""),
+           "    part = fsum((n0 * x0, n1 * x1, n2 * x2, n3 * x3, n4 * x4, n5 * x5, n6 * x6, n7 * x7))\n"
+           "    x0, x1, x2, x3 = x0 - part * d0, x1 - part * d1, x2 - part * d2, x3 - part * d3\n"
+           "    x4, x5, x6, x7 = x4 - part * d4, x5 - part * d5, x6 - part * d6, x7 - part * d7\n"
+           "    if len(free) == 2:\n"
+           "        part = fsum((h0 * x0, h1 * x1, h2 * x2, h3 * x3, h4 * x4, h5 * x5, h6 * x6, h7 * x7))\n"
+           "        x0, x1, x2, x3 = x0 - part * f0, x1 - part * f1, x2 - part * f2, x3 - part * f3\n"
+           "        x4, x5, x6, x7 = x4 - part * f4, x5 - part * f5, x6 - part * f6, x7 - part * f7\n", ""),
+    Mutant("sdp._nt_direction removal along D c drops its a12 + a44 + a55 entry", SDP,
+           "x3 - part * d3", "x3"),
+    Mutant("sdp._nt_direction removal along D c2 drops its q entry", SDP, "x1 - part * f1", "x1"),
     Mutant("sdp.solve leaves S off its affine set (no re-projection)", SDP,
            "        for (_, dc, unit), start in zip(free, starts):\n"
            "            part = fsum(map(mul, dc, s)) - start\n"

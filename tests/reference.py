@@ -16,12 +16,16 @@
   program's dense log-barrier as a certificate of centrality.
 - Solver step and path: the k x k Newton system solve's direction once
   came from, as one dense step (kxk_direction) and as solve's whole path
-  in 40-digit decimal arithmetic (decimal_nt_path), and the cone's
-  smallest eigenvalue as numpy once took it (numpy_cone_min).
+  in 40-digit decimal arithmetic (decimal_nt_path), the direction as the
+  table-driven loops over the cone's eight numbers once formed it
+  (table_nt_direction), and the cone's smallest eigenvalue as numpy once
+  took it (numpy_cone_min).
 """
 
 import functools
 from decimal import Decimal, localcontext
+from math import fsum
+from operator import mul, truediv
 
 import numpy as np
 
@@ -336,6 +340,44 @@ def kxk_direction(problem, s, z, tau):
     bd = b.T * setup.weights
     ds = b @ np.linalg.solve(bd @ m @ b, bd @ t)
     return ds, t - m @ ds
+
+
+# The null (c, M^-1 c) that pads one free direction to two: lam 0 adds -0.0 to dZ and takes 0.0 from dS, exactly.
+_NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)
+
+
+def table_nt_direction(s, z, det_s, det_z, tau, free):
+    """sdp._nt_direction as it was formed with lists, zip and map over the cone's eight numbers, the one free
+    direction padded with _NULL_DIRECTION to two: the same (dS, dZ) as lists, from the same arguments, and the
+    same ConvergenceError on a system that rounding left singular."""
+    (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
+    a, b, c = sdp._nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
+    aa, ab, bb, bc, cc, mid = a * a, a * b, b * b, b * c, c * c, a * c + b * b
+    ratios = list(map(truediv, ss, zs))
+    inv = tau / det_z
+    goal = [inv * zr - sp, -(inv * zq) - sq, inv * zp - sr, *[tau / v - u for u, v in zip(ss, zs)]]
+    moved = [[aa * cp + 2.0 * (ab * cq) + bb * cr, ab * cp + mid * cq + bc * cr, bb * cp + 2.0 * (bc * cq) + cc * cr,
+              *map(mul, ratios, cs)] for (cp, cq, cr, *cs), _, _ in free]
+    if len(free) == 1:
+        ((c1, d1, _),), (u1,) = free, moved
+        det = fsum(map(mul, d1, u1))
+        if not det > 0.0:
+            raise sdp.ConvergenceError("the iterate left the cone interior")
+        l1, l2, c2, u2 = fsum(map(mul, d1, goal)) / det, 0.0, *_NULL_DIRECTION
+    else:
+        ((c1, d1, _), (c2, d2, _)), (u1, u2) = free, moved
+        g11, g12, g22 = fsum(map(mul, d1, u1)), fsum(map(mul, d1, u2)), fsum(map(mul, d2, u2))
+        det = g11 * g22 - g12 * g12
+        if not det > 0.0:
+            raise sdp.ConvergenceError("the iterate left the cone interior")
+        r1, r2 = fsum(map(mul, d1, goal)), fsum(map(mul, d2, goal))
+        l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+    ds = [g - l1 * u - l2 * v for g, u, v in zip(goal, u1, u2)]
+    dz = [l1 * u + l2 * v for u, v in zip(c1, c2)]
+    for _, dc, unit in free:
+        part = fsum(map(mul, unit, ds))
+        ds = [d - part * v for d, v in zip(ds, dc)]
+    return ds, dz
 
 
 def _gauss_solve(a, b):

@@ -32,6 +32,7 @@ from reference import (
     dense_nt_path,
     kxk_direction,
     numpy_cone_min,
+    table_nt_direction,
 )
 
 A55 = 4
@@ -228,17 +229,19 @@ def test_a_nan_direction_raises_convergence_error(monkeypatch):
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 def test_a_singular_free_system_raises_convergence_error(with_ppt):
     """The 1x1 or 2x2 system of the dual's free directions must have det > 0: a zero direction (1x1) or a
-    direction repeated (2x2), both det 0 exactly, and a NaN det raise ConvergenceError, not ZeroDivisionError."""
+    direction repeated (2x2), both det 0 exactly, and a NaN det raise ConvergenceError, not ZeroDivisionError,
+    from the direction and from the table-driven one it replaced (tests/reference.py) alike."""
     problem = build_problem(0.4, with_ppt=with_ppt)
     s, z = (problem.setup.forms @ problem.setup.x0).tolist(), sdp._IDENTITY.tolist()
     dets, free = (s[0] * s[2] - s[1] * s[1], 1.0), problem.setup.free
-    assert sdp._nt_direction(s, z, *dets, 1e-3, free)
     first = free[0]
     singular = [([0.0] * 8, [0.0] * 8, [0.0] * 8)] if len(free) == 1 else [first, first]
     nan = [(first[0], [math.nan] * 8, first[2]), *free[1:]]
-    for bad in (singular, nan):
-        with pytest.raises(ConvergenceError, match="left the cone interior"):
-            sdp._nt_direction(s, z, *dets, 1e-3, bad)
+    for direction in (sdp._nt_direction, table_nt_direction):
+        assert direction(s, z, *dets, 1e-3, free)
+        for bad in (singular, nan):
+            with pytest.raises(ConvergenceError, match="left the cone interior"):
+                direction(s, z, *dets, 1e-3, bad)
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
@@ -268,10 +271,48 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
         checked += 1
 
 
+@pytest.mark.parametrize("with_ppt, order", [(False, 1), (True, 1), (True, -1)], ids=["plain", "ppt", "ppt-swapped"])
+def test_nt_direction_keeps_the_table_driven_bits(with_ppt, order):
+    """The direction on named floats returns the bits of the table-driven one it replaced (tests/reference.py),
+    every dS and dZ entry by float.hex, signed zeros included, on the program's setup.free at 10,000 seeded
+    (S, Z, tau): a third interior, a third with S's block or Z's block at det ~1e-15 to 1e-1 of p r, and a third
+    with a scalar of S or Z at 1e-16 to 1e-1, tau from 1e-12 to 1e-1.  Where one raises ConvergenceError the
+    other must too (none does here: every system's det is positive).  The PPT program's two directions are also
+    taken in the other order, so that the first direction's q entry is not 0 and every term of M^-1 c shows."""
+    free = sdp._program(with_ppt).free[::order]
+    rng = np.random.default_rng(4501)
+    kind = raised = 0
+    while kind < 10_000:
+        cones = []
+        for near in rng.permutation([kind % 3 != 0, False]):
+            p, r = 10.0 ** rng.uniform(-3.0, 1.0, size=2)
+            shrink = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if near and kind % 3 == 1 else rng.uniform(0.0, 1.0)
+            scalars = 10.0 ** rng.uniform(-3.0, 1.0, size=5)
+            if near and kind % 3 == 2:
+                scalars[rng.integers(5)] = 10.0 ** rng.uniform(-16.0, -1.0)
+            q = rng.choice([-1.0, 1.0]) * shrink * math.sqrt(p * r)
+            cones.append([p, q, r, *scalars.tolist()])
+        s, z = cones
+        dets = (s[0] * s[2] - s[1] * s[1], z[0] * z[2] - z[1] * z[1])
+        if not min(dets) > 0.0:
+            continue
+        kind += 1
+        tau = 10.0 ** rng.uniform(-12.0, -1.0)
+        found = []
+        for direction in (sdp._nt_direction, table_nt_direction):
+            try:
+                found.append([_bits(part) for part in direction(s, z, *dets, tau, free)])
+            except ConvergenceError:
+                found.append("ConvergenceError")
+        assert found[0] == found[1], (s, z, tau)
+        raised += found[0] == "ConvergenceError"
+    assert raised == 0
+
+
 def test_one_free_direction_steps_along_it_exactly():
-    """The plain program's one free direction is padded with a null second so that dS and dZ are formed on one
-    path; the pad changes no bit: at seeded interior points dZ is lam c, c the identity, entry for entry,
-    signed zeros included (lam < 0 gives a -0.0 in dZ's q entry at 49 of the 50 points)."""
+    """The plain program's one free direction forms dZ as lam c with no second direction padded in: at seeded
+    interior points dZ is lam c, c the identity, entry for entry, signed zeros included (lam < 0 gives a -0.0
+    in dZ's q entry at 49 of the 50 points)."""
     setup, ((c, _, _),) = sdp._program(False), sdp._program(False).free
     rng, negative = np.random.default_rng(4302), 0
     for _ in range(50):
@@ -416,9 +457,9 @@ def test_setups_are_built_once_and_read_only():
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
     dual's free directions are the identity (plain) and the identity and c2 (PPT), held as tuples of floats.
-    The per-solve constants are held too, each bit for bit: S's start forms x0 and the start value of each
-    (D c) . S as tuples of floats, nu = 64 or 128 and e . e as floats.  Any other t, even an equal copy, is
-    refused."""
+    The per-solve constants are held too, each bit for bit: S's start forms x0, the start value of each
+    (D c) . S and the weights as tuples of floats, nu = 64 or 128 and e . e as floats.  Any other t, even an
+    equal copy, is refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -436,13 +477,15 @@ def test_setups_are_built_once_and_read_only():
         assert {type(v) for triple in setup.free for part in triple for v in part} == {float}
     for setup, nu in ((plain, 64.0), (first, 128.0)):
         e = constraint_matrices()[0] @ setup.basis
-        assert type(setup.s0) is type(setup.starts) is tuple and type(setup.nu) is type(setup.ee) is float
-        assert {type(v) for v in (*setup.s0, *setup.starts)} == {float}
+        assert type(setup.s0) is type(setup.starts) is type(setup.weight_floats) is tuple
+        assert type(setup.nu) is type(setup.ee) is float
+        assert {type(v) for v in (*setup.s0, *setup.starts, *setup.weight_floats)} == {float}
+        assert _bits(setup.weight_floats) == _bits(setup.weights.tolist())
         assert _bits(setup.s0) == _bits((setup.forms @ setup.x0).tolist())
         assert _bits(setup.starts) == _bits(math.fsum(map(operator.mul, dc, setup.s0)) for _, dc, _ in setup.free)
         assert _bits((setup.nu, setup.ee)) == _bits((nu, e @ e)) and setup.ee == 54.0
     assert _bits(plain.starts + first.starts) == _bits((4.0, 8.0, 0.0))
-    held = {"free", "s0", "starts", "nu", "ee"}
+    held = {"free", "s0", "starts", "nu", "ee", "weight_floats"}
     fields = {"basis", "x0", "forms", "left", "weights", "gram_inv", *held}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - held)]
@@ -688,12 +731,14 @@ def test_an_iteration_makes_no_numpy_call(with_ppt):
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
-def test_a_solve_makes_at_most_11_numpy_calls(with_ppt):
-    """A whole solve's numpy calls, the dual start and the certificate, are at most 11 on either program
-    (measured: 8; 30 when _cone_min took np.min of an 8-entry list four times a solve), and none is min."""
+def test_a_solve_makes_at_most_5_numpy_calls(with_ppt):
+    """A whole solve's numpy calls, the dual start and the certificate, are at most 5 on either program
+    (measured: 5; 8 when solve converted the weights on every solve and the certificate took the residual's
+    maximum with ndarray.max, 30 when _cone_min also took np.min of an 8-entry list four times a solve), and
+    none is min or max."""
     problem = build_problem(alpha_critical(), with_ppt=with_ppt)
     _, calls = _numpy_calls(problem, 1e-7)
-    assert 0 < len(calls) <= 11 and not any("min" in call for call in calls)
+    assert 0 < len(calls) <= 5 and not any("min" in call or "max" in call for call in calls)
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
