@@ -80,30 +80,31 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
  - Step: each iteration takes the NT direction towards S_k Z_k = tau I,
    tau = max(CENTRING mu, mu_min), on the dual's free directions
-   (_nt_direction).  The dual equalities leave Z only 8 - k of them,
-   the columns of C (the c of setup.free): the identity on the plain
-   program, the identity and c2 on the PPT slice (see _program).  So
+   (_nt_direction): the dual equalities leave Z only 8 - k, the columns
+   of C, the identity and on the PPT slice also c2 (see _program).  So
    dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the
    block, with the closed-form NT scaling W = S # Z^-1 (_nt_scaling), and
    s / z on each scalar, and M^-1 t = tau Z^-1 - S.  lam solves the 1x1
    or 2x2 system (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in
    closed form; this is the direction of the k x k system
    B^T D M B dz = B^T D t without forming it.  dS's rounding-level parts
-   along the orthogonal rows of D C are removed.  The direction is formed
-   on the cone's eight numbers, each a named float computed term by term;
-   with one free direction it is dZ = lam c and dS = M^-1 t - lam M^-1 c,
-   with no second direction padded in.  Both iterates move by
-   STEP_FRACTION of the largest step that keeps the block positive
-   definite and every scalar positive (one quadratic for each of S's and
-   Z's block, _step_bound, and -2 ds / s per scalar, _scalar_bounds),
-   capped at 1; there is no line search.  S is then put back on its
-   affine set: each (D c) . S is reset along D c / |D c|^2 to its start
-   value, 4 e.x0 = 4 (plain) or 8 (PPT) for the identity and 0 for c2.
+   along the orthogonal rows of D C are removed.  Scaling D by a power of
+   two scales every product and fsum exactly and cancels in lam and in
+   the removed parts, so both programs take the weights over 4 (plain) or
+   8 (PPT), with the same bits: D I = (1, 0, 1, 1, 1, 4, 4, 4) and
+   D c2 = (0, 2, 0, -1, 1, 0, 0, 0), with 1/52, 4/52, 1/6 and 2/6 in
+   D c / |D c|^2.  Both iterates move by STEP_FRACTION of the largest
+   step that keeps the block positive definite and every scalar positive
+   (one quadratic for each of S's and Z's block, _step_bound, and
+   -2 ds / s per scalar, _scalar_bounds), capped at 1; there is no line
+   search.  S is then put back on its affine set along the same rows:
+   D I . S = e.x (forms^T D I is 4 or 8 times e) to 1, and on the PPT
+   slice D c2 . S (forms^T D c2 = 0) to 0.
  - Precision: double throughout, and an iteration makes no numpy call:
    S and Z are Python floats, and the products of the block, of each
    scalar and of the free directions run without a call's cost, on named
    floats with no list, zip or map over the eight numbers in the
-   direction; each dot product is math.fsum over an explicit 8-tuple,
+   direction; each dot product is math.fsum over an explicit tuple,
    correctly rounded on every Python version.  The coordinates are read
    once, at the end, as x = left S, left an exact left inverse of the
    forms.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double
@@ -116,11 +117,12 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    a smooth function of alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
-min_dual_eigenvalue are read off the dual iterate.  The alpha-independent
-parts of a solve are built once per program, on its first build_problem,
-and travel as SdpProblem.setup: the start x0 and S's start forms x0, the
-left inverse, the free directions and each (D c) . S's start value, nu,
-e.e and the weights as floats.  They are closed forms, and no setup
+min_dual_eigenvalue are read off the dual iterate, and the solution
+carries both final iterates as s and z.  The alpha-independent parts of a
+solve are built once per program, on its first build_problem, and travel
+as SdpProblem.setup: the start x0 and S's start forms x0, the left
+inverse, nu, e.e, the weights as floats and the bool ppt, which picks
+the dual's free directions.  They are closed forms, and no setup
 factorizes a matrix; a solve's own numpy calls are the dual start's and
 the certificate's.
 """
@@ -131,7 +133,6 @@ import functools
 import math
 from dataclasses import dataclass
 from math import fsum
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -174,9 +175,9 @@ _A55 = 4  # the FIXED coordinate of a55, which the PPT program's slice drops
 # with q counted twice, then the scalars, a33 being 8 copies x 2.  The identity's forms are _IDENTITY.
 _FORM_WEIGHTS = np.array((4, 8, 4, 4, 4, 16, 16, 16), dtype=float)
 _IDENTITY = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-# The directions the dual equalities leave Z (see _program): the identity, and on the PPT slice also c2,
-# the block's q against the scalars a12 + a44 + a55 and a12 - a44 - a55.
-_FREE = np.array([_IDENTITY, [0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]])
+# The entries of D c / |D c|^2 for the dual's free directions (see _program), D = diag(weights) over 4 (plain) or 8
+# (PPT): 1/52 and 4/52 of D I = (1, 0, 1, 1, 1, 4, 4, 4), 1/6 and 2/6 of D c2 = (0, 2, 0, -1, 1, 0, 0, 0).
+_I_1, _I_4, _C2_1, _C2_2 = 1 / 52, 4 / 52, 1 / 6, 2 / 6
 # The exact inverse of CONE_FORMS, forms to coordinates: a12 = (s3 + s4) / 2, a44 +- a55 = (s3 - s4) / 4 +- q / 2.
 _LEFT = np.array(
     [
@@ -190,24 +191,23 @@ _LEFT = np.array(
         [0, 0, 0, 0, 0, 0, 1, 0],  # a23
     ]
 )
-for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _FREE, _LEFT):
+for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _LEFT):
     _table.flags.writeable = False
 
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup; every array is float64 and read-only, free, s0, starts and weight_floats
-    are tuples of floats, and nu and ee are floats."""
+    and carried as SdpProblem.setup; every array is float64 and read-only, s0 and weight_floats are tuples of
+    floats, nu and ee are floats, and ppt is the one bool that picks the dual's free directions."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     x0: np.ndarray  # (m,) strictly feasible primal start
     forms: np.ndarray  # (8, m) CONE_FORMS on the m coordinates
     left: np.ndarray  # (m, 8) exact left inverse of forms: the final S to its coordinates x
     weights: np.ndarray  # (8,) _FORM_WEIGHTS, twice them for PPT: sum_f weights_f Z_f S_f = sum over copies of <Z, S>
-    free: tuple  # (c, D c, D c / |D c|^2), D = diag(weights), per row c of _FREE that spans the dual's steps
+    ppt: bool  # the PPT slice, whose dual has c2 as a second free direction beside the identity
     gram_inv: np.ndarray  # (m,) the diagonal inverse of the weighted Gram matrix forms^T diag(weights) forms
-    s0: tuple  # forms x0, the start of S
-    starts: tuple  # (D c) . s0 per free direction c: 4 (plain), or 8 and 0 (PPT), S's affine set
+    s0: tuple  # forms x0, the start of S, on its affine set e.x = D I . S = 1 and, for PPT, D c2 . S = 0
     nu: float  # weights . _IDENTITY, the barrier parameter: 64 (plain), 128 (PPT)
     ee: float  # e . e, e the trace row on the coordinates: 54 on both programs
     weight_floats: tuple  # weights as a tuple of floats, as solve's mu reads them
@@ -251,6 +251,8 @@ class SdpSolution:
     upper_bound: float
     dual_residual: float
     min_dual_eigenvalue: float
+    s: tuple  # the primal iterate S, the cone's 8 numbers as floats in CONE_FORMS row order
+    z: tuple  # the dual iterate Z, likewise
 
 
 class ConvergenceError(RuntimeError):
@@ -292,69 +294,61 @@ def _nt_scaling(s: Sequence[float], z: Sequence[float], det_s: float, det_z: flo
 
 
 def _nt_direction(
-    s: Sequence[float], z: Sequence[float], det_s: float, det_z: float, tau: float, free: Sequence
+    s: Sequence[float], z: Sequence[float], det_s: float, det_z: float, tau: float, ppt: bool
 ) -> tuple[list[float], list[float]]:
     """The NT direction (dS, dZ) towards S Z = tau I on the block and s z = tau on each scalar.
 
-    s and z are the cone's 8 numbers, det_s and det_z > 0 the blocks' determinants.  free holds, per
-    free direction c of the dual, the triple (c, D c, D c / |D c|^2), D = diag(weights).  The step is
-    dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the block, W = S # Z^-1
-    (_nt_scaling), and s / z on each scalar, so that M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2
-    system (C^T D M^-1 C) lam = C^T D M^-1 t, which makes C^T D dS = 0: dS lies in the range of forms N,
-    where N spans the trace row's null space.  Rounding leaves in dS parts along the rows D C, which are
-    orthogonal; they are removed.  A system that rounding left singular (det <= 0 or NaN) raises
-    ConvergenceError.
+    s and z are the cone's 8 numbers, det_s and det_z > 0 the blocks' determinants; ppt picks the PPT slice's
+    two free directions of the dual, the identity and c2, over the plain program's one, the identity.  The step
+    is dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the block, W = S # Z^-1 (_nt_scaling),
+    and s / z on each scalar, so that M^-1 t = tau Z^-1 - S.  lam solves the 1x1 or 2x2 system
+    (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), which makes C^T D dS = 0: dS lies in the range of
+    forms N, where N spans the trace row's null space.  Rounding leaves in dS parts along the rows D C, which
+    are orthogonal; they are removed.  The system is positive definite in exact arithmetic, the Gram matrix of
+    independent directions; a det that rounding or a NaN left not positive raises ConvergenceError.
 
-    Every number is a named float, each entry of the cone's eight formed term by term: the goal t, M^-1 c
-    as u (and as v for the PPT program's second direction k), dS as x; each dot product is one fsum.  With
-    one free direction dS = t - lam u and dZ = lam c, with no second direction padded in.
+    D enters as D I = (1, 0, 1, 1, 1, 4, 4, 4), D c2 = (0, 2, 0, -1, 1, 0, 0, 0) and D c / |D c|^2, the weights
+    over 4 (plain) or 8 (PPT), which give the bits of D itself (see the module docstring).  Each number is a
+    named float, formed term by term: the goal t, u = M^-1 I (W^2 on the block, m = s / z on each scalar),
+    v = M^-1 c2 (W (0 1; 1 0) W, -m3, m4, then 0), dS as x; each dot product is one fsum.  The plain dZ's q is
+    0.0 lam, -0.0 when lam < 0 as in lam c; the PPT one is l2, never -0.0 (an underflow aside) as r2's t4 is not.
     """
     sp, sq, sr, s3, s4, s5, s6, s7 = s
     zp, zq, zr, z3, z4, z5, z6, z7 = z
     a, b, c = _nt_scaling((sp, sq, sr), (zp, zq, zr), det_s, det_z)
-    aa, ab, bb, bc, cc, mid = a * a, a * b, b * b, b * c, c * c, a * c + b * b
+    aa, ab, bb, bc, cc = a * a, a * b, b * b, b * c, c * c
     m3, m4, m5, m6, m7 = s3 / z3, s4 / z4, s5 / z5, s6 / z6, s7 / z7
     inv = tau / det_z
     t0, t1, t2 = inv * zr - sp, -(inv * zq) - sq, inv * zp - sr
     t3, t4, t5, t6, t7 = tau / z3 - s3, tau / z4 - s4, tau / z5 - s5, tau / z6 - s6, tau / z7 - s7
-    # The first free direction c, D c and D c / |D c|^2, and M^-1 c: W C W on the block, s / z times each scalar.
-    (c0, c1, c2, c3, c4, c5, c6, c7), (d0, d1, d2, d3, d4, d5, d6, d7), (n0, n1, n2, n3, n4, n5, n6, n7) = free[0]
-    u0, u1, u2 = aa * c0 + 2.0 * (ab * c1) + bb * c2, ab * c0 + mid * c1 + bc * c2, bb * c0 + 2.0 * (bc * c1) + cc * c2
-    u3, u4, u5, u6, u7 = m3 * c3, m4 * c4, m5 * c5, m6 * c6, m7 * c7
-    g11 = fsum((d0 * u0, d1 * u1, d2 * u2, d3 * u3, d4 * u4, d5 * u5, d6 * u6, d7 * u7))
-    if len(free) == 1:
+    u0, u1, u2 = aa + bb, ab + bc, bb + cc
+    g11 = fsum((u0, u2, m3, m4, 4.0 * m5, 4.0 * m6, 4.0 * m7))
+    r1 = fsum((t0, t2, t3, t4, 4.0 * t5, 4.0 * t6, 4.0 * t7))
+    if not ppt:
         if not g11 > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
-        l1 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7)) / g11
-        x0, x1, x2, x3 = t0 - l1 * u0, t1 - l1 * u1, t2 - l1 * u2, t3 - l1 * u3
-        x4, x5, x6, x7 = t4 - l1 * u4, t5 - l1 * u5, t6 - l1 * u6, t7 - l1 * u7
-        dz = [l1 * c0, l1 * c1, l1 * c2, l1 * c3, l1 * c4, l1 * c5, l1 * c6, l1 * c7]
+        l1 = r1 / g11
+        x0, x1, x2, x3, x4 = t0 - l1 * u0, t1 - l1 * u1, t2 - l1 * u2, t3 - l1 * m3, t4 - l1 * m4
+        dz = [l1, 0.0 * l1, l1, l1, l1, l1, l1, l1]
     else:
-        # The second, k, f = D k and h = f / |f|^2, and v = M^-1 k.
-        (k0, k1, k2, k3, k4, k5, k6, k7), (f0, f1, f2, f3, f4, f5, f6, f7), (h0, h1, h2, h3, h4, h5, h6, h7) = free[1]
-        v0, v1 = aa * k0 + 2.0 * (ab * k1) + bb * k2, ab * k0 + mid * k1 + bc * k2
-        v2 = bb * k0 + 2.0 * (bc * k1) + cc * k2
-        v3, v4, v5, v6, v7 = m3 * k3, m4 * k4, m5 * k5, m6 * k6, m7 * k7
-        g12 = fsum((d0 * v0, d1 * v1, d2 * v2, d3 * v3, d4 * v4, d5 * v5, d6 * v6, d7 * v7))
-        g22 = fsum((f0 * v0, f1 * v1, f2 * v2, f3 * v3, f4 * v4, f5 * v5, f6 * v6, f7 * v7))
+        v0, v1, v2 = 2.0 * ab, a * c + bb, 2.0 * bc
+        g12, g22 = fsum((v0, v2, -m3, m4)), fsum((2.0 * v1, m3, m4))
         det = g11 * g22 - g12 * g12
         if not det > 0.0:
             raise ConvergenceError("the iterate left the cone interior")
-        r1 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7))
-        r2 = fsum((f0 * t0, f1 * t1, f2 * t2, f3 * t3, f4 * t4, f5 * t5, f6 * t6, f7 * t7))
+        r2 = fsum((2.0 * t1, -t3, t4))
         l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
-        x0, x1, x2, x3 = t0 - l1 * u0 - l2 * v0, t1 - l1 * u1 - l2 * v1, t2 - l1 * u2 - l2 * v2, t3 - l1 * u3 - l2 * v3
-        x4, x5, x6, x7 = t4 - l1 * u4 - l2 * v4, t5 - l1 * u5 - l2 * v5, t6 - l1 * u6 - l2 * v6, t7 - l1 * u7 - l2 * v7
-        dz = [l1 * c0 + l2 * k0, l1 * c1 + l2 * k1, l1 * c2 + l2 * k2, l1 * c3 + l2 * k3,
-              l1 * c4 + l2 * k4, l1 * c5 + l2 * k5, l1 * c6 + l2 * k6, l1 * c7 + l2 * k7]
-    # dS's parts along D c, then along D k.
-    part = fsum((n0 * x0, n1 * x1, n2 * x2, n3 * x3, n4 * x4, n5 * x5, n6 * x6, n7 * x7))
-    x0, x1, x2, x3 = x0 - part * d0, x1 - part * d1, x2 - part * d2, x3 - part * d3
-    x4, x5, x6, x7 = x4 - part * d4, x5 - part * d5, x6 - part * d6, x7 - part * d7
-    if len(free) == 2:
-        part = fsum((h0 * x0, h1 * x1, h2 * x2, h3 * x3, h4 * x4, h5 * x5, h6 * x6, h7 * x7))
-        x0, x1, x2, x3 = x0 - part * f0, x1 - part * f1, x2 - part * f2, x3 - part * f3
-        x4, x5, x6, x7 = x4 - part * f4, x5 - part * f5, x6 - part * f6, x7 - part * f7
+        x0, x1, x2 = t0 - l1 * u0 - l2 * v0, t1 - l1 * u1 - l2 * v1, t2 - l1 * u2 - l2 * v2
+        x3, x4 = t3 - l1 * m3 + l2 * m3, t4 - l1 * m4 - l2 * m4
+        dz = [l1, l2, l1, l1 - l2, l1 + l2, l1, l1, l1]
+    x5, x6, x7 = t5 - l1 * m5, t6 - l1 * m6, t7 - l1 * m7
+    # dS's parts along D I, then along D c2.
+    part = fsum((_I_1 * x0, _I_1 * x2, _I_1 * x3, _I_1 * x4, _I_4 * x5, _I_4 * x6, _I_4 * x7))
+    x0, x2, x3, x4 = x0 - part, x2 - part, x3 - part, x4 - part
+    x5, x6, x7 = x5 - 4.0 * part, x6 - 4.0 * part, x7 - 4.0 * part
+    if ppt:
+        part = fsum((_C2_2 * x1, -(_C2_1 * x3), _C2_1 * x4))
+        x1, x3, x4 = x1 - 2.0 * part, x3 + part, x4 - part
     return [x0, x1, x2, x3, x4, x5, x6, x7], dz
 
 
@@ -389,9 +383,11 @@ def _program(with_ppt: bool) -> _Setup:
     equalities N^T (f + forms^T D z) = 0, D = diag(weights), leave Z the
     8 - k = 9 - m directions of the null space of B^T D, the c with
     forms^T D c in span(e): the identity, whose forms^T D c is 4 copies
-    times e, and on the PPT slice also _FREE's c2, whose forms^T D c2 is 0
-    once a55's column is gone.  solve needs no N: the final S is read as
-    x = left S, left = _LEFT without a55's row, so left forms = I exactly.
+    times e, and on the PPT slice also c2 = (0, 1, 0, -1, 1, 0, 0, 0), the
+    block's q against the scalars a12 +- (a44 + a55), whose forms^T D c2 is
+    0 once a55's column is gone.  _nt_direction and solve write both out,
+    and the setup holds only the bool ppt.  solve needs no N: the final S
+    is read as x = left S, left = _LEFT without a55's row, so left forms = I.
     The start x0 does not depend on alpha.  The plain program starts at
     a = s s^T / 36, s = (1, 1, 2, 0, 0), the maximally mixed feasible
     point TRACE_ROW / 36, whose coordinates are e over each column's entry
@@ -403,14 +399,14 @@ def _program(with_ppt: bool) -> _Setup:
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
     Each program's setup is built on its first call and shared after it;
-    every array in it is read-only, free, s0, starts and the weights' floats
-    hold tuples, and nu and e.e are floats.  Raises
+    every array in it is read-only, s0 and the weights' floats hold
+    tuples, and nu and e.e are floats.  Raises
     ConvergenceError if x0 misses the equality or the cone's interior.
     """
-    basis, forms, left, weights, free = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS, _FREE[:1]
+    basis, forms, left, weights = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS
     if with_ppt:
         basis, forms = (np.delete(arr, _A55, axis=-1) for arr in (basis, forms))
-        left, weights, free = np.delete(_LEFT, _A55, axis=0), 2.0 * _FORM_WEIGHTS, _FREE
+        left, weights = np.delete(_LEFT, _A55, axis=0), 2.0 * _FORM_WEIGHTS
     e = constraint_matrices()[0] @ basis
     mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
@@ -418,12 +414,8 @@ def _program(with_ppt: bool) -> _Setup:
     if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(s0) > 1e-8):
         raise ConvergenceError("could not find a strictly feasible starting point")
     gram_inv = 1.0 / (weights @ (forms * forms))
-    along = weights * free
-    units = along / (along * along).sum(axis=1)[:, None]
-    triples = tuple(zip(*(map(tuple, arr.tolist()) for arr in (free, along, units))))
-    starts = tuple(fsum(map(mul, dc, s0)) for _, dc, _ in triples)
-    setup = _Setup(basis, x0, forms, left, weights, triples, gram_inv, s0, starts, float(weights @ _IDENTITY),
-                   float(e @ e), tuple(weights.tolist()))
+    setup = _Setup(basis, x0, forms, left, weights, with_ppt, gram_inv, s0, float(weights @ _IDENTITY), float(e @ e),
+                   tuple(weights.tolist()))
     for arr in setup:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -448,7 +440,7 @@ def build_problem(alpha: float, t: np.ndarray = T_OPERATORS, with_ppt: bool = Fa
 
 
 def _certificate(problem: SdpProblem, s: Sequence[float], z: Sequence[float], iterations: int) -> SdpSolution:
-    """The iterates s and z, read at x = left s; y = e.r / e.e solves A^T y = r in least squares."""
+    """The solution at the iterates s and z, read at x = left s; y = e.r / e.e solves A^T y = r in least squares."""
     setup = problem.setup
     x = setup.left @ s
     r = problem.objective + np.dot(setup.weights * z, setup.forms)
@@ -462,6 +454,8 @@ def _certificate(problem: SdpProblem, s: Sequence[float], z: Sequence[float], it
         upper_bound=float(y),
         dual_residual=float(max(map(abs, (e * y - r).tolist()))),
         min_dual_eigenvalue=_cone_min(z),
+        s=tuple(s),
+        z=tuple(z),
     )
 
 
@@ -493,7 +487,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     if tol < problem.tol_floor:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
-    forms, free, nu = setup.forms, setup.free, setup.nu
+    forms, ppt, nu = setup.forms, setup.ppt, setup.nu
     wp, wq, wr, *ws = setup.weight_floats
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
@@ -503,8 +497,8 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     if _cone_min(z) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
     # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products each
-    # run without a numpy call's cost; each step of S is put back where every (D c) . S has its start value.
-    s, starts, iterations = setup.s0, setup.starts, 0
+    # run without a numpy call's cost; each step of S is put back on e.x = D I . S = 1 and, for PPT, D c2 . S = 0.
+    s, iterations = setup.s0, 0
     while True:
         (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
         det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
@@ -527,7 +521,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             )
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
-        ds, dual = _nt_direction(s, z, det_s, det_z, tau, free)
+        ds, dual = _nt_direction(s, z, det_s, det_z, tau, ppt)
         (dsp, dsq, dsr, *dss), (dzp, dzq, dzr, *dzs) = ds, dual
         bounds = [_step_bound((sp, sq, sr), (dsp, dsq, dsr), det_s),
                   _step_bound((zp, zq, zr), (dzp, dzq, dzr), det_z),
@@ -536,10 +530,14 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
             raise ConvergenceError("the iterate left the cone interior")
         top = max(bounds)
         step = min(1.0, STEP_FRACTION * (2.0 / top)) if top > 0.0 else 1.0
-        s = [a + step * d for a, d in zip(s, ds)]
-        for (_, dc, unit), start in zip(free, starts):
-            part = fsum(map(mul, dc, s)) - start
-            s = [a - part * u for a, u in zip(s, unit)]
+        s0, s1, s2, s3, s4, s5, s6, s7 = (a + step * d for a, d in zip(s, ds))
+        part = fsum((s0, s2, s3, s4, 4.0 * s5, 4.0 * s6, 4.0 * s7)) - 1.0
+        s0, s2, s3, s4 = s0 - part * _I_1, s2 - part * _I_1, s3 - part * _I_1, s4 - part * _I_1
+        s5, s6, s7 = s5 - part * _I_4, s6 - part * _I_4, s7 - part * _I_4
+        if ppt:
+            part = fsum((2.0 * s1, -s3, s4))
+            s1, s3, s4 = s1 - part * _C2_2, s3 + part * _C2_1, s4 - part * _C2_1
+        s = [s0, s1, s2, s3, s4, s5, s6, s7]
         z = [a + step * d for a, d in zip(z, dual)]
 
 

@@ -78,58 +78,75 @@ MUTANTS = (
     Mutant("sdp._nt_scaling W = M / sqrt(g det M) -> M / sqrt(det M / g)", SDP,
            "math.sqrt(root_z / root_s * det_m)", "math.sqrt(root_s / root_z * det_m)"),
     Mutant("sdp._nt_scaling without its det M guard", SDP, "if not det_m > 0.0:", "if False:"),
-    Mutant("sdp._nt_direction W C W off-diagonal 2ab -> ab", SDP,
-           "aa * c0 + 2.0 * (ab * c1) + bb * c2", "aa * c0 + ab * c1 + bb * c2"),
-    Mutant("sdp._nt_direction W K W off-diagonal 2bc -> bc, on the PPT program's second direction", SDP,
-           "bb * k0 + 2.0 * (bc * k1) + cc * k2", "bb * k0 + bc * k1 + cc * k2"),
-    Mutant("sdp._nt_direction W C W middle entry ac + b^2 -> ac", SDP, "c * c, a * c + b * b", "c * c, a * c"),
+    Mutant("sdp._nt_direction M^-1 I's p entry aa + bb -> aa", SDP, "u0, u1, u2 = aa + bb,", "u0, u1, u2 = aa,"),
+    Mutant("sdp._nt_direction M^-1 I's q entry ab + bc -> ab", SDP, "aa + bb, ab + bc, bb", "aa + bb, ab, bb"),
+    Mutant("sdp._nt_direction M^-1 I's r entry bb + cc -> cc", SDP, "ab + bc, bb + cc", "ab + bc, cc"),
+    Mutant("sdp._nt_direction M^-1 c2's p entry 2ab -> ab", SDP, "v0, v1, v2 = 2.0 * ab,", "v0, v1, v2 = ab,"),
+    Mutant("sdp._nt_direction M^-1 c2's r entry 2bc -> bc, on the PPT program's second direction", SDP,
+           "a * c + bb, 2.0 * bc", "a * c + bb, bc"),
+    Mutant("sdp._nt_direction M^-1 c2's q entry ac + b^2 -> ac", SDP, "a * c + bb, 2.0", "a * c, 2.0"),
+    Mutant("sdp._nt_direction M^-1 c2's a12 + a44 + a55 entry -m3 -> m3 in g12", SDP,
+           "g12, g22 = fsum((v0, v2, -m3, m4))", "g12, g22 = fsum((v0, v2, m3, m4))"),
+    Mutant("sdp._nt_direction M^-1 c2's a12 + a44 + a55 entry -m3 -> m3 in dS", SDP,
+           "t3 - l1 * m3 + l2 * m3", "t3 - l1 * m3 - l2 * m3"),
     Mutant("sdp._nt_direction scalar scaling s / z -> z / s", SDP,
            "m3, m4, m5, m6, m7 = s3 / z3, s4 / z4, s5 / z5, s6 / z6, s7 / z7",
            "m3, m4, m5, m6, m7 = z3 / s3, z4 / s4, z5 / s5, z6 / s6, z7 / s7"),
-    Mutant("sdp._nt_direction M^-1 c's a12 - a44 - a55 entry read with the a12 + a44 + a55 ratio", SDP,
-           "u3, u4, u5, u6, u7 = m3 * c3, m4 * c4,", "u3, u4, u5, u6, u7 = m3 * c3, m3 * c4,"),
+    Mutant("sdp._nt_direction M^-1 I's a12 - a44 - a55 entry read with the a12 + a44 + a55 ratio", SDP,
+           "g11 = fsum((u0, u2, m3, m4,", "g11 = fsum((u0, u2, m3, m3,"),
+    Mutant("sdp._nt_direction D I's a13 weight 4.0 -> 1.0 in g11", SDP, "m4, 4.0 * m5,", "m4, m5,"),
+    Mutant("sdp._nt_direction D I's a13 weight 4.0 -> 1.0 in r1", SDP, "t4, 4.0 * t5,", "t4, t5,"),
+    Mutant("sdp._nt_direction D c2's q weight 2.0 -> 1.0 in g22", SDP,
+           "fsum((2.0 * v1, m3, m4))", "fsum((v1, m3, m4))"),
+    Mutant("sdp._nt_direction D c2's q weight 2.0 -> 1.0 in r2", SDP, "r2 = fsum((2.0 * t1,", "r2 = fsum((t1,"),
     Mutant("sdp._nt_direction scalar goal tau / z - s -> tau / s - z", SDP,
            "tau / z3 - s3, tau / z4 - s4, tau / z5 - s5, tau / z6 - s6, tau / z7 - s7",
            "tau / s3 - z3, tau / s4 - z4, tau / s5 - z5, tau / s6 - z6, tau / s7 - z7"),
     Mutant("sdp._nt_direction block goal's q entry -tau adj(Z)_q / det Z -> +", SDP,
            "-(inv * zq) - sq", "inv * zq - sq"),
-    Mutant("sdp._nt_direction g12 read with D c2 in place of D c1", SDP,
-           "g12 = fsum((d0 * v0, d1 * v1, d2 * v2, d3 * v3, d4 * v4, d5 * v5, d6 * v6, d7 * v7))",
-           "g12 = fsum((f0 * v0, f1 * v1, f2 * v2, f3 * v3, f4 * v4, f5 * v5, f6 * v6, f7 * v7))"),
-    Mutant("sdp._nt_direction r2 read with D c1 in place of D c2", SDP,
-           "r2 = fsum((f0 * t0, f1 * t1, f2 * t2, f3 * t3, f4 * t4, f5 * t5, f6 * t6, f7 * t7))",
-           "r2 = fsum((d0 * t0, d1 * t1, d2 * t2, d3 * t3, d4 * t4, d5 * t5, d6 * t6, d7 * t7))"),
+    Mutant("sdp._nt_direction g12 read with D c2 in place of D I", SDP,
+           "g12, g22 = fsum((v0, v2, -m3, m4))", "g12, g22 = fsum((2.0 * v1, m3, m4))"),
+    Mutant("sdp._nt_direction r2 read with D I in place of D c2", SDP,
+           "r2 = fsum((2.0 * t1, -t3, t4))", "r2 = fsum((t0, t2, t3, t4, 4.0 * t5, 4.0 * t6, 4.0 * t7))"),
     Mutant("sdp._nt_direction 2x2 system without its off-diagonal term in lam", SDP,
            "l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det",
            "l1, l2 = g22 * r1 / det, g11 * r2 / det"),
-    Mutant("sdp._nt_direction one direction's dZ q entry 0.0, not lam 0.0, which is -0.0 when lam < 0", SDP,
-           "dz = [l1 * c0, l1 * c1, l1 * c2,", "dz = [l1 * c0, 0.0, l1 * c2,"),
+    Mutant("sdp._nt_direction one direction's dZ q entry 0.0, not 0.0 lam, which is -0.0 when lam < 0", SDP,
+           "dz = [l1, 0.0 * l1, l1,", "dz = [l1, 0.0, l1,"),
+    Mutant("sdp._nt_direction two directions' dZ q entry l2 -> -l2", SDP, "dz = [l1, l2, l1,", "dz = [l1, -l2, l1,"),
     Mutant("sdp._nt_direction dZ without its second direction's term", SDP,
-           "dz = [l1 * c0 + l2 * k0, l1 * c1 + l2 * k1, l1 * c2 + l2 * k2, l1 * c3 + l2 * k3,\n"
-           "              l1 * c4 + l2 * k4, l1 * c5 + l2 * k5, l1 * c6 + l2 * k6, l1 * c7 + l2 * k7]",
-           "dz = [l1 * c0, l1 * c1, l1 * c2, l1 * c3, l1 * c4, l1 * c5, l1 * c6, l1 * c7]"),
+           "dz = [l1, l2, l1, l1 - l2, l1 + l2, l1, l1, l1]", "dz = [l1, 0.0 * l1, l1, l1, l1, l1, l1, l1]"),
+    Mutant("sdp._nt_direction dZ with c2's scalars' signs swapped", SDP, "l1 - l2, l1 + l2", "l1 + l2, l1 - l2"),
     Mutant("sdp._nt_direction 2x2 det without its off-diagonal term", SDP,
            "det = g11 * g22 - g12 * g12", "det = g11 * g22"),
     Mutant("sdp._nt_direction without the 1x1 det guard", SDP, "if not g11 > 0.0:", "if False:"),
     Mutant("sdp._nt_direction without the 2x2 det guard", SDP,
            "det = g11 * g22 - g12 * g12\n        if not det > 0.0:", "det = g11 * g22 - g12 * g12\n        if False:"),
     Mutant("sdp._nt_direction keeps dS's parts along D C", SDP,
-           "    part = fsum((n0 * x0, n1 * x1, n2 * x2, n3 * x3, n4 * x4, n5 * x5, n6 * x6, n7 * x7))\n"
-           "    x0, x1, x2, x3 = x0 - part * d0, x1 - part * d1, x2 - part * d2, x3 - part * d3\n"
-           "    x4, x5, x6, x7 = x4 - part * d4, x5 - part * d5, x6 - part * d6, x7 - part * d7\n"
-           "    if len(free) == 2:\n"
-           "        part = fsum((h0 * x0, h1 * x1, h2 * x2, h3 * x3, h4 * x4, h5 * x5, h6 * x6, h7 * x7))\n"
-           "        x0, x1, x2, x3 = x0 - part * f0, x1 - part * f1, x2 - part * f2, x3 - part * f3\n"
-           "        x4, x5, x6, x7 = x4 - part * f4, x5 - part * f5, x6 - part * f6, x7 - part * f7\n", ""),
-    Mutant("sdp._nt_direction removal along D c drops its a12 + a44 + a55 entry", SDP,
-           "x3 - part * d3", "x3"),
-    Mutant("sdp._nt_direction removal along D c2 drops its q entry", SDP, "x1 - part * f1", "x1"),
+           "    part = fsum((_I_1 * x0, _I_1 * x2, _I_1 * x3, _I_1 * x4, _I_4 * x5, _I_4 * x6, _I_4 * x7))\n"
+           "    x0, x2, x3, x4 = x0 - part, x2 - part, x3 - part, x4 - part\n"
+           "    x5, x6, x7 = x5 - 4.0 * part, x6 - 4.0 * part, x7 - 4.0 * part\n"
+           "    if ppt:\n"
+           "        part = fsum((_C2_2 * x1, -(_C2_1 * x3), _C2_1 * x4))\n"
+           "        x1, x3, x4 = x1 - 2.0 * part, x3 + part, x4 - part\n", ""),
+    Mutant("sdp._nt_direction removal along D I drops its a12 + a44 + a55 entry", SDP,
+           "x3 - part, x4 - part", "x3, x4 - part"),
+    Mutant("sdp._nt_direction removal along D I with its a13 weight 4.0 -> 1.0", SDP,
+           "x5 - 4.0 * part,", "x5 - part,"),
+    Mutant("sdp._nt_direction removal along D c2 drops its q entry", SDP, "x1 - 2.0 * part", "x1"),
+    Mutant("sdp._nt_direction removal along D c2 with its q weight 2.0 -> 1.0", SDP, "x1 - 2.0 * part", "x1 - part"),
     Mutant("sdp.solve leaves S off its affine set (no re-projection)", SDP,
-           "        for (_, dc, unit), start in zip(free, starts):\n"
-           "            part = fsum(map(mul, dc, s)) - start\n"
-           "            s = [a - part * u for a, u in zip(s, unit)]\n", ""),
-    Mutant("sdp._program re-projection targets read as 0", SDP,
-           "starts = tuple(fsum(map(mul, dc, s0)) for _, dc, _ in triples)", "starts = tuple(0.0 for _ in triples)"),
+           "        part = fsum((s0, s2, s3, s4, 4.0 * s5, 4.0 * s6, 4.0 * s7)) - 1.0\n"
+           "        s0, s2, s3, s4 = s0 - part * _I_1, s2 - part * _I_1, s3 - part * _I_1, s4 - part * _I_1\n"
+           "        s5, s6, s7 = s5 - part * _I_4, s6 - part * _I_4, s7 - part * _I_4\n"
+           "        if ppt:\n"
+           "            part = fsum((2.0 * s1, -s3, s4))\n"
+           "            s1, s3, s4 = s1 - part * _C2_2, s3 + part * _C2_1, s4 - part * _C2_1\n", ""),
+    Mutant("sdp.solve re-projection's affine level e.x = 1 read as 0", SDP,
+           "4.0 * s7)) - 1.0\n", "4.0 * s7))\n"),
+    Mutant("sdp.solve re-projection with D I's a13 weight 4.0 -> 1.0", SDP, "s4, 4.0 * s5,", "s4, s5,"),
+    Mutant("sdp.solve re-projection with D c2's q weight 2.0 -> 1.0", SDP,
+           "part = fsum((2.0 * s1, -s3, s4))", "part = fsum((s1, -s3, s4))"),
     Mutant("sdp._program S0 from the mixed point, not the PPT program's x0", SDP,
            "s0 = tuple((forms @ x0).tolist())", "s0 = tuple((forms @ mixed).tolist())"),
     Mutant("sdp._program nu without the PPT program's copies", SDP,
@@ -137,12 +154,14 @@ MUTANTS = (
     Mutant("sdp._program e.e -> the sum of e", SDP, "float(e @ e)", "float(e.sum())"),
     Mutant("sdp._cone_min without its NaN return", SDP,
            "    if any(map(math.isnan, v)):\n        return math.nan\n", ""),
-    Mutant("sdp._program triples' D c / |D c|^2 with the norm unsquared", SDP,
-           "along / (along * along).sum(axis=1)[:, None]", "along / np.sqrt((along * along).sum(axis=1))[:, None]"),
-    Mutant("sdp._FREE c2 with its scalars' signs swapped", SDP,
-           "[0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0]", "[0.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0]"),
+    Mutant("sdp D I / |D I|^2's entry 1/52 -> 1/51", SDP, "= 1 / 52,", "= 1 / 51,"),
+    Mutant("sdp D I / |D I|^2's entry 4/52 -> 4/51", SDP, "4 / 52,", "4 / 51,"),
+    Mutant("sdp D c2 / |D c2|^2's entry 1/6 -> 1/5", SDP, "1 / 6, 2 / 6", "1 / 5, 2 / 6"),
+    Mutant("sdp D c2 / |D c2|^2's entry 2/6 -> 2/5", SDP, "1 / 6, 2 / 6", "1 / 6, 2 / 5"),
     Mutant("sdp PPT program without c2, the identity its one free direction", SDP,
-           "2.0 * _FORM_WEIGHTS, _FREE\n", "2.0 * _FORM_WEIGHTS, _FREE[:1]\n"),
+           "weights, with_ppt, gram_inv", "weights, False, gram_inv"),
+    Mutant("sdp._certificate returns the final S and Z swapped", SDP,
+           "s=tuple(s),\n        z=tuple(z),", "s=tuple(z),\n        z=tuple(s),"),
     Mutant("sdp._LEFT a44 = (s3 - s4) / 4 + q / 2 -> q, right on the PPT slice only", SDP,
            "[0, 0.5, 0, 0.25, -0.25, 0, 0, 0],  # a44", "[0, 1, 0, 0, 0, 0, 0, 0],  # a44"),
     Mutant("sdp._step_bound b = tr(adj(v) dv) with q dq counted once", SDP,
@@ -151,7 +170,7 @@ MUTANTS = (
            "return [-2.0 * d / s for s, d in zip(v, dv)]", "return [-d / s for s, d in zip(v, dv)]"),
     Mutant("sdp.solve steps past a NaN bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP,
-           "axis=0), 2.0 * _FORM_WEIGHTS,", "axis=0), 1.0 * _FORM_WEIGHTS,"),
+           "axis=0), 2.0 * _FORM_WEIGHTS\n", "axis=0), 1.0 * _FORM_WEIGHTS\n"),
     Mutant("sdp PPT slice drops a44, not a55", SDP, "_A55 = 4", "_A55 = 3"),
     Mutant("sdp PPT Gram without its copies factor", SDP,
            "gram_inv = 1.0 / (weights @ (forms * forms))", "gram_inv = 1.0 / (_FORM_WEIGHTS @ (forms * forms))"),

@@ -344,6 +344,19 @@ def kxk_direction(problem, s, z, tau):
 
 # The null (c, M^-1 c) that pads one free direction to two: lam 0 adds -0.0 to dZ and takes 0.0 from dS, exactly.
 _NULL_DIRECTION = ((-0.0,) * 8, (0.0,) * 8)
+# The dual's free directions as rows over the cone's eight numbers: the identity, and on the PPT slice also c2, the
+# block's q against the scalars a12 + a44 + a55 and a12 - a44 - a55.
+FREE_ROWS = ((1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0))
+
+
+def free_triples(with_ppt):
+    """The triples (c, D c, D c / |D c|^2) table_nt_direction reads, D = diag(weights), the weights
+    sdp._FORM_WEIGHTS, twice them for PPT: one per row of FREE_ROWS the program's dual has, built as the solver's
+    setup once built them, each a tuple of floats."""
+    free = np.array(FREE_ROWS[: 1 + bool(with_ppt)])
+    along = (2.0 if with_ppt else 1.0) * sdp._FORM_WEIGHTS * free
+    units = along / (along * along).sum(axis=1)[:, None]
+    return tuple(zip(*(map(tuple, arr.tolist()) for arr in (free, along, units))))
 
 
 def table_nt_direction(s, z, det_s, det_z, tau, free):

@@ -24,12 +24,14 @@ from entclone.sdp import (
     sweep_solutions,
 )
 from reference import (
+    FREE_ROWS,
     _dense_spectra,
     barrier_decrement,
     block_cone,
     commutant_blocks,
     decimal_nt_path,
     dense_nt_path,
+    free_triples,
     kxk_direction,
     numpy_cone_min,
     table_nt_direction,
@@ -112,9 +114,9 @@ def test_problem_shapes():
     assert plain.cones is plain.setup.forms and ppt.cones is ppt.setup.forms
     assert (plain.objective.shape, plain.eq_matrix.shape, plain.cones.shape) == ((8,), (1, 8), (8, 8))
     assert (ppt.objective.shape, ppt.eq_matrix.shape, ppt.cones.shape) == ((7,), (1, 7), (8, 7))
-    for problem, k in ((plain, 7), (ppt, 6)):
+    for problem, k, free in ((plain, 7, 1), (ppt, 6, 2)):
         sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
-        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == 8 - len(problem.setup.free)
+        assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == 8 - free
     assert (plain.nu, ppt.nu) == (64.0, 128.0)
     assert np.array_equal(ppt.setup.weights, 2.0 * plain.setup.weights)
     assert plain.setup.basis is FIXED
@@ -228,20 +230,24 @@ def test_a_nan_direction_raises_convergence_error(monkeypatch):
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
 def test_a_singular_free_system_raises_convergence_error(with_ppt):
-    """The 1x1 or 2x2 system of the dual's free directions must have det > 0: a zero direction (1x1) or a
-    direction repeated (2x2), both det 0 exactly, and a NaN det raise ConvergenceError, not ZeroDivisionError,
-    from the direction and from the table-driven one it replaced (tests/reference.py) alike."""
+    """The 1x1 or 2x2 system of the dual's free directions must have det > 0, and a NaN det raises
+    ConvergenceError, not ZeroDivisionError or a NaN step, from the direction and from the table-driven one it
+    replaced (tests/reference.py) alike.  With the directions in closed form an exactly singular system cannot
+    be reached from a finite interior point (g11 sums positive terms, and the 2x2 system is the Gram matrix of
+    two independent directions, so its det is positive by Cauchy-Schwarz), so the system is made singular by a
+    NaN in one scalar of S or of Z, each of the five in turn, which leaves the block's scaling finite."""
     problem = build_problem(0.4, with_ppt=with_ppt)
     s, z = (problem.setup.forms @ problem.setup.x0).tolist(), sdp._IDENTITY.tolist()
-    dets, free = (s[0] * s[2] - s[1] * s[1], 1.0), problem.setup.free
-    first = free[0]
-    singular = [([0.0] * 8, [0.0] * 8, [0.0] * 8)] if len(free) == 1 else [first, first]
-    nan = [(first[0], [math.nan] * 8, first[2]), *free[1:]]
-    for direction in (sdp._nt_direction, table_nt_direction):
-        assert direction(s, z, *dets, 1e-3, free)
-        for bad in (singular, nan):
-            with pytest.raises(ConvergenceError, match="left the cone interior"):
-                direction(s, z, *dets, 1e-3, bad)
+    dets, free = (s[0] * s[2] - s[1] * s[1], 1.0), free_triples(with_ppt)
+    for direction, program in ((sdp._nt_direction, with_ppt), (table_nt_direction, free)):
+        assert direction(s, z, *dets, 1e-3, program)
+        for entry in range(3, 8):
+            for cone in (s, z):
+                bad = list(cone)
+                bad[entry] = math.nan
+                args = (bad, z) if cone is s else (s, bad)
+                with pytest.raises(ConvergenceError, match="left the cone interior"):
+                    direction(*args, *dets, 1e-3, program)
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
@@ -250,8 +256,7 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
     direction of the k x k system B^T D M B dz = B^T D t (tests/reference.py) to a relative 1e-10
     (measured 3e-13), and dZ lies in the span of the free directions."""
     problem = build_problem(0.35, with_ppt=with_ppt)
-    setup, free = problem.setup, problem.setup.free
-    directions = np.array([c for c, _, _ in free])
+    setup, directions = problem.setup, np.array(FREE_ROWS[: 1 + with_ppt])
     rng = np.random.default_rng(4201)
     checked = 0
     while checked < 50:
@@ -262,7 +267,7 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
         z = np.array([p, rng.uniform(-0.9, 0.9) * math.sqrt(p * r), r, *rng.uniform(0.2, 2.0, size=5)])
         tau = 10.0 ** rng.uniform(-10.0, -1.0)
         det_s, det_z = s[0] * s[2] - s[1] ** 2, z[0] * z[2] - z[1] ** 2
-        ds, dz = (np.array(v) for v in sdp._nt_direction(s.tolist(), z.tolist(), det_s, det_z, tau, free))
+        ds, dz = (np.array(v) for v in sdp._nt_direction(s.tolist(), z.tolist(), det_s, det_z, tau, with_ppt))
         ref_ds, ref_dz = kxk_direction(problem, s, z, tau)
         assert np.abs(ds - ref_ds).max() <= 1e-10 * np.abs(ref_ds).max()
         assert np.abs(dz - ref_dz).max() <= 1e-10 * np.abs(ref_dz).max()
@@ -271,15 +276,15 @@ def test_nt_direction_matches_the_kxk_system(with_ppt):
         checked += 1
 
 
-@pytest.mark.parametrize("with_ppt, order", [(False, 1), (True, 1), (True, -1)], ids=["plain", "ppt", "ppt-swapped"])
-def test_nt_direction_keeps_the_table_driven_bits(with_ppt, order):
-    """The direction on named floats returns the bits of the table-driven one it replaced (tests/reference.py),
-    every dS and dZ entry by float.hex, signed zeros included, on the program's setup.free at 10,000 seeded
-    (S, Z, tau): a third interior, a third with S's block or Z's block at det ~1e-15 to 1e-1 of p r, and a third
-    with a scalar of S or Z at 1e-16 to 1e-1, tau from 1e-12 to 1e-1.  Where one raises ConvergenceError the
-    other must too (none does here: every system's det is positive).  The PPT program's two directions are also
-    taken in the other order, so that the first direction's q entry is not 0 and every term of M^-1 c shows."""
-    free = sdp._program(with_ppt).free[::order]
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_nt_direction_keeps_the_table_driven_bits(with_ppt):
+    """The direction in closed form returns the bits of the table-driven one it replaced (tests/reference.py),
+    every dS and dZ entry by float.hex, signed zeros included, on the program's free directions (the triples
+    reference.free_triples builds from the literal rows and the weights) at 10,000 seeded (S, Z, tau): a third
+    interior, a third with S's block or Z's block at det ~1e-15 to 1e-1 of p r, and a third with a scalar of S
+    or Z at 1e-16 to 1e-1, tau from 1e-12 to 1e-1.  Where one raises ConvergenceError the other must too (none
+    does here: every system's det is positive)."""
+    free = free_triples(with_ppt)
     rng = np.random.default_rng(4501)
     kind = raised = 0
     while kind < 10_000:
@@ -299,9 +304,9 @@ def test_nt_direction_keeps_the_table_driven_bits(with_ppt, order):
         kind += 1
         tau = 10.0 ** rng.uniform(-12.0, -1.0)
         found = []
-        for direction in (sdp._nt_direction, table_nt_direction):
+        for direction, program in ((sdp._nt_direction, with_ppt), (table_nt_direction, free)):
             try:
-                found.append([_bits(part) for part in direction(s, z, *dets, tau, free)])
+                found.append([_bits(part) for part in direction(s, z, *dets, tau, program)])
             except ConvergenceError:
                 found.append("ConvergenceError")
         assert found[0] == found[1], (s, z, tau)
@@ -313,13 +318,13 @@ def test_one_free_direction_steps_along_it_exactly():
     """The plain program's one free direction forms dZ as lam c with no second direction padded in: at seeded
     interior points dZ is lam c, c the identity, entry for entry, signed zeros included (lam < 0 gives a -0.0
     in dZ's q entry at 49 of the 50 points)."""
-    setup, ((c, _, _),) = sdp._program(False), sdp._program(False).free
+    setup, c = sdp._program(False), FREE_ROWS[0]
     rng, negative = np.random.default_rng(4302), 0
     for _ in range(50):
         s = (setup.forms @ setup.x0 * rng.uniform(0.5, 2.0, size=8)).tolist()
         z = [1.0, rng.uniform(-0.5, 0.5), 1.0, *rng.uniform(0.2, 2.0, size=5)]
         dets = (s[0] * s[2] - s[1] * s[1], z[0] * z[2] - z[1] * z[1])
-        _, dz = sdp._nt_direction(s, z, *dets, 10.0 ** rng.uniform(-8.0, -1.0), setup.free)
+        _, dz = sdp._nt_direction(s, z, *dets, 10.0 ** rng.uniform(-8.0, -1.0), False)
         assert [v.hex() for v in dz] == [(dz[0] * v).hex() for v in c]
         negative += math.copysign(1.0, dz[1]) < 0.0
     assert negative > 0
@@ -456,10 +461,9 @@ def test_setups_are_built_once_and_read_only():
     """Every build of a program, t defaulted or passed, shares the solver setup built on first use, whose
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
-    dual's free directions are the identity (plain) and the identity and c2 (PPT), held as tuples of floats.
-    The per-solve constants are held too, each bit for bit: S's start forms x0, the start value of each
-    (D c) . S and the weights as tuples of floats, nu = 64 or 128 and e . e as floats.  Any other t, even an
-    equal copy, is refused."""
+    bool ppt, False (plain) or True (PPT), picks the dual's free directions.  The per-solve constants are held
+    too, each bit for bit: S's start forms x0 and the weights as tuples of floats, nu = 64 or 128 and e . e as
+    floats.  Any other t, even an equal copy, is refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -470,22 +474,16 @@ def test_setups_are_built_once_and_read_only():
                 assert np.array_equal(problem.objective, fidelity_coefficients(alpha).reshape(-1) @ setup.basis)
     assert plain.forms is CONE_FORMS
     assert (plain.left.shape, first.left.shape) == ((8, 8), (7, 8))
-    for setup, rows in ((plain, sdp._FREE[:1]), (first, sdp._FREE)):
-        assert np.array_equal([c for c, _, _ in setup.free], rows)
-        assert type(setup.free) is tuple
-        assert all(type(part) is tuple for triple in setup.free for part in (triple, *triple))
-        assert {type(v) for triple in setup.free for part in triple for v in part} == {float}
+    assert (plain.ppt, first.ppt) == (False, True) and type(plain.ppt) is type(first.ppt) is bool
     for setup, nu in ((plain, 64.0), (first, 128.0)):
         e = constraint_matrices()[0] @ setup.basis
-        assert type(setup.s0) is type(setup.starts) is type(setup.weight_floats) is tuple
+        assert type(setup.s0) is type(setup.weight_floats) is tuple
         assert type(setup.nu) is type(setup.ee) is float
-        assert {type(v) for v in (*setup.s0, *setup.starts, *setup.weight_floats)} == {float}
+        assert {type(v) for v in (*setup.s0, *setup.weight_floats)} == {float}
         assert _bits(setup.weight_floats) == _bits(setup.weights.tolist())
         assert _bits(setup.s0) == _bits((setup.forms @ setup.x0).tolist())
-        assert _bits(setup.starts) == _bits(math.fsum(map(operator.mul, dc, setup.s0)) for _, dc, _ in setup.free)
         assert _bits((setup.nu, setup.ee)) == _bits((nu, e @ e)) and setup.ee == 54.0
-    assert _bits(plain.starts + first.starts) == _bits((4.0, 8.0, 0.0))
-    held = {"free", "s0", "starts", "nu", "ee", "weight_floats"}
+    held = {"ppt", "s0", "nu", "ee", "weight_floats"}
     fields = {"basis", "x0", "forms", "left", "weights", "gram_inv", *held}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - held)]
@@ -682,8 +680,8 @@ def test_each_step_makes_one_float64_solve(monkeypatch, with_ppt, at_floor):
     problem = build_problem(0.5, with_ppt=with_ppt)
     inner, solved, called = sdp._nt_direction, [], []
 
-    def counted(s, z, det_s, det_z, tau, free):
-        ds, dz = inner(s, z, det_s, det_z, tau, free)
+    def counted(s, z, det_s, det_z, tau, ppt):
+        ds, dz = inner(s, z, det_s, det_z, tau, ppt)
         solved.append({np.asarray(v).dtype for v in (*s, *z, det_s, det_z, tau, *ds, *dz)})
         return ds, dz
 
@@ -742,29 +740,48 @@ def test_a_solve_makes_at_most_5_numpy_calls(with_ppt):
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
-def test_the_final_s_lies_on_its_affine_set(monkeypatch, with_ppt):
+def test_the_final_s_lies_on_its_affine_set(with_ppt):
     """Each step of S is put back on S's affine set, so the final S of every solve on FLOOR_GRID, at tol
-    1e-7 and at the floor, is the forms of its coordinates, forms (left S) = S, and each (D c) . S, c a free
-    direction, is its start value 4 e.x0 = 4 (plain) or 8 (PPT) for the identity and 0 for c2, each within
-    1e-15 (measured: 5.6e-17, 8.9e-16 and 2.7e-16)."""
-    finals, certificate = [], sdp._certificate
-
-    def record(problem, s, z, iterations):
-        finals.append(list(s))
-        return certificate(problem, s, z, iterations)
-
-    monkeypatch.setattr(sdp, "_certificate", record)
-    targets = [8.0, 0.0] if with_ppt else [4.0]
+    1e-7 and at the floor, is the forms of its coordinates, forms (left S) = S, its coordinates meet the trace
+    row, e.x = 1, and on the PPT slice D c2 . S = 0, D = diag(weights), each within 1e-15 (measured: 5.6e-17,
+    2.2e-16 and 2.4e-16)."""
     for alpha in FLOOR_GRID:
         problem = build_problem(alpha, with_ppt=with_ppt)
-        setup = problem.setup
+        setup, (e,) = problem.setup, problem.eq_matrix
         for tol in (1e-7, problem.tol_floor):
-            finals.clear()
-            solve(problem, tol=tol)
-            (s,) = finals
-            assert np.abs(setup.forms @ (setup.left @ np.array(s)) - s).max() <= 1e-15
-            for (_, dc, _), target in zip(setup.free, targets, strict=True):
-                assert abs(math.fsum(map(operator.mul, dc, s)) - target) <= 1e-15
+            s = solve(problem, tol=tol).s
+            x = setup.left @ np.array(s)
+            assert np.abs(setup.forms @ x - s).max() <= 1e-15
+            assert abs(math.fsum(map(operator.mul, e, x)) - 1.0) <= 1e-15
+            if with_ppt:
+                assert abs(math.fsum(map(operator.mul, setup.weights * FREE_ROWS[1], s))) <= 1e-15
+
+
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_solution_carries_its_final_iterates(monkeypatch, with_ppt):
+    """SdpSolution.s and .z are the final iterates, the cone's eight numbers as tuples of floats: s is the forms
+    of the solution's coordinates, forms (left s) = s within 1e-15, and a_star is basis (left s) bit for bit;
+    z reproduces upper_bound and dual_residual bit for bit, as the certificate reads them, and each cone's
+    smallest eigenvalue is the solution's.  Checked on converged solves and on the iterate a ConvergenceError
+    carries after 2 iterations."""
+    problems = [build_problem(alpha, with_ppt=with_ppt) for alpha in (0.2, 0.5, alpha_critical())]
+    solved = [(problem, solve(problem)) for problem in problems]
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError) as info:
+        solve(problems[-1])
+    solved.append((problems[-1], info.value.best))
+    for problem, sol in solved:
+        setup, (e,) = problem.setup, problem.eq_matrix
+        assert type(sol.s) is type(sol.z) is tuple and len(sol.s) == len(sol.z) == 8
+        assert {type(v) for v in (*sol.s, *sol.z)} == {float}
+        x = setup.left @ np.array(sol.s)
+        assert np.abs(setup.forms @ x - sol.s).max() <= 1e-15
+        assert sol.a_star.tobytes() == (setup.basis @ x).reshape(5, 5).tobytes()
+        r = problem.objective + np.dot(setup.weights * np.array(sol.z), setup.forms)
+        y = (e @ r) / setup.ee
+        assert float(y).hex() == sol.upper_bound.hex()
+        assert max(map(abs, (e * y - r).tolist())).hex() == sol.dual_residual.hex()
+        assert (sdp._cone_min(sol.s), sdp._cone_min(sol.z)) == (sol.min_eigenvalue, sol.min_dual_eigenvalue)
 
 
 @pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])

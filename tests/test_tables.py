@@ -36,6 +36,7 @@ from entclone.channel import G0, G1, SYMMETRY_ROWS, TRACE_ROW, fidelity_coeffici
 from entclone.covariant import BLOCK_C, BLOCK_X
 from entclone.sdp import CONE_FORMS, FIXED, build_problem, solve
 from reference import (
+    FREE_ROWS,
     _dense_spectra,
     block_cone,
     dense_constraint_matrices,
@@ -198,31 +199,38 @@ def test_left_inverts_the_forms_exactly():
         assert product == np.eye(m).tolist()
 
 
+# The rows sdp._nt_direction and sdp.solve write out: D I and D c2, D = diag(weights), over 4 (plain) or 8 (PPT).
+HELD_ROWS = ((1, 0, 1, 1, 1, 4, 4, 4), (0, 2, 0, -1, 1, 0, 0, 0))
+
+
 def test_free_directions_span_the_dual_steps():
     """The dual equalities N^T (f + forms^T D z) = 0 (N a null basis of the trace row e, D = diag(weights))
-    leave Z the null space of B^T D, B = forms N, and setup.free spans it.  In integers, forms^T (w * c) is
-    an integer multiple of e for each free direction c: 4 e for the plain identity, 8 e for the PPT one and
-    0 for c2.  The free directions are independent, their number is 8 - k = 8 - rank(B), and the rows
-    D c are orthogonal, which lets the step remove its parts along them one by one.  Each setup triple
-    (c, D c, u) holds D c exactly and u = D c / |D c|^2, so u . D c = 1 to rounding."""
-    for with_ppt, multiples in ((False, [4]), (True, [8, 0])):
+    leave Z the null space of B^T D, B = forms N, spanned by the identity and, on the PPT slice, c2.  In
+    integers, on each program's forms, weights and e: forms^T (w * c) is 4 e (plain) or 8 e (PPT) for the
+    identity and 0 for c2, so D I . S / 4 or 8 is e.x and D c2 . S is 0 on S's affine set; D I and D c2 are
+    the rows the solver holds times 4 (plain) or 8 (PPT), the scale that leaves the direction's bits unchanged;
+    the two rows are orthogonal, which lets the step remove its parts along them one by one.  The directions
+    are independent and their number is 8 - k = 8 - rank(B).  The held reciprocals D c / |D c|^2, scaled the
+    same way, are the correctly rounded 1/52 and 4/52 (|D I|^2 = 52), and 1/6 and 2/6 (|D c2|^2 = 6)."""
+    identity, c2 = (np.array(row, dtype=int) for row in FREE_ROWS)
+    held = np.array(HELD_ROWS)
+    assert (held @ held.T).tolist() == [[52, 0], [0, 6]]
+    assert (sdp._I_1, sdp._I_4) == (float(Fraction(1, 52)), float(Fraction(4, 52)))
+    assert (sdp._C2_1, sdp._C2_2) == (float(Fraction(1, 6)), float(Fraction(2, 6)))
+    for with_ppt, scale in ((False, 4), (True, 8)):
         problem = build_problem(0.3, with_ppt=with_ppt)
         setup, (e,) = problem.setup, problem.eq_matrix
-        directions = np.array([c for c, _, _ in setup.free])
-        forms, weights, free = (arr.astype(int) for arr in (setup.forms, setup.weights, directions))
-        assert np.array_equal(forms, setup.forms) and np.array_equal(free, directions)
-        for c, multiple in zip(free, multiples):
-            assert np.array_equal(forms.T @ (weights * c), multiple * e.astype(int))
+        forms, weights, e_int = (arr.astype(int) for arr in (setup.forms, setup.weights, e))
+        assert np.array_equal(forms, setup.forms) and np.array_equal(weights, setup.weights)
+        assert np.array_equal(e_int, e)
+        directions = [identity, c2][: 1 + with_ppt]
+        for c, row, multiple in zip(directions, held, (scale, 0)):
+            assert np.array_equal(forms.T @ (weights * c), multiple * e_int)
+            assert np.array_equal(weights * c, scale * row)
         null = np.linalg.svd(e[None, :])[2][1:].T
         b = setup.forms @ null
-        assert np.abs((b.T * setup.weights) @ directions.T).max() <= 1e-13
-        assert np.linalg.matrix_rank(directions) == len(free) == 8 - np.linalg.matrix_rank(b)
-        along = weights * free
-        gram = along @ along.T
-        assert np.array_equal(gram, np.diag(np.diag(gram)))
-        for (_, dc, unit), row in zip(setup.free, along):
-            assert np.array_equal(dc, row)
-            assert abs(math.fsum(u * d for u, d in zip(unit, dc)) - 1.0) <= 2.2e-16
+        assert np.abs((b.T * setup.weights) @ np.array(directions).T).max() <= 1e-13
+        assert np.linalg.matrix_rank(np.array(directions)) == len(directions) == 8 - np.linalg.matrix_rank(b)
 
 
 def test_plain_start_is_the_min_norm_point():
