@@ -95,9 +95,9 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    D c2 = (0, 2, 0, -1, 1, 0, 0, 0), with 1/52, 4/52, 1/6 and 2/6 in
    D c / |D c|^2.  Both iterates move by STEP_FRACTION of the largest
    step that keeps the block positive definite and every scalar positive
-   (one quadratic for each of S's and Z's block, _step_bound, and
-   -2 ds / s per scalar, _scalar_bounds), capped at 1; there is no line
-   search.  S is then put back on its affine set along the same rows:
+   (_step_bounds, once for S and once for Z: one quadratic for the block
+   and -2 ds / s per scalar), capped at 1; there is no line search.  S
+   is then put back on its affine set along the same rows:
    D I . S = e.x (forms^T D I is 4 or 8 times e) to 1, and on the PPT
    slice D c2 . S (forms^T D c2 = 0) to 0.
  - Precision: double throughout, and an iteration makes no numpy call:
@@ -112,8 +112,11 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    (see solve).
  - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
    mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
-   mu_min = tol / (2 nu); on a diagonal block the two tests agree.  The
-   end point is the barrier's centred point at mu_min, so f*'s error is
+   mu_min = tol / (2 nu); on a diagonal block the two tests agree.  mu
+   and the stop test read the weights over 4 or 8 too, (1, 2, 1, 1, 1, 4,
+   4, 4) with nu over them 16, which gives the same bits: each product and
+   partial sum scales exactly, and 4A / 64 and 8A / 128 round as A / 16.
+   The end point is the barrier's centred point at mu_min, so f*'s error is
    a smooth function of alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
 the last, is certified: the solution's upper_bound, dual_residual and
@@ -121,10 +124,9 @@ min_dual_eigenvalue are read off the dual iterate, and the solution
 carries both final iterates as s and z.  The alpha-independent parts of a
 solve are built once per program, on its first build_problem, and travel
 as SdpProblem.setup: the start x0 and S's start forms x0, the left
-inverse, nu, e.e, the weights as floats and the bool ppt, which picks
-the dual's free directions.  They are closed forms, and no setup
-factorizes a matrix; a solve's own numpy calls are the dual start's and
-the certificate's.
+inverse, nu, e.e and the bool ppt, which picks the dual's free
+directions.  They are closed forms, and no setup factorizes a matrix;
+a solve's own numpy calls are the dual start's and the certificate's.
 """
 
 from __future__ import annotations
@@ -197,8 +199,8 @@ for _table in (FIXED, CONE_FORMS, _FORM_WEIGHTS, _IDENTITY, _LEFT):
 
 class _Setup(NamedTuple):
     """The parts of solve that do not depend on alpha, built once per program by _program
-    and carried as SdpProblem.setup; every array is float64 and read-only, s0 and weight_floats are tuples of
-    floats, nu and ee are floats, and ppt is the one bool that picks the dual's free directions."""
+    and carried as SdpProblem.setup; every array is float64 and read-only, s0 is a tuple of floats, nu and ee
+    are floats, and ppt is the one bool that picks the dual's free directions."""
 
     basis: np.ndarray  # (25, m) the columns of FIXED the m coordinates stand for
     x0: np.ndarray  # (m,) strictly feasible primal start
@@ -210,7 +212,6 @@ class _Setup(NamedTuple):
     s0: tuple  # forms x0, the start of S, on its affine set e.x = D I . S = 1 and, for PPT, D c2 . S = 0
     nu: float  # weights . _IDENTITY, the barrier parameter: 64 (plain), 128 (PPT)
     ee: float  # e . e, e the trace row on the coordinates: 54 on both programs
-    weight_floats: tuple  # weights as a tuple of floats, as solve's mu reads them
 
 
 @dataclass(frozen=True)
@@ -352,24 +353,22 @@ def _nt_direction(
     return [x0, x1, x2, x3, x4, x5, x6, x7], dz
 
 
-def _step_bound(v: Sequence[float], dv: Sequence[float], det: float) -> float:
-    """Twice the reciprocal of the largest s with the block v + s dv positive definite, given det = det(v) > 0.
+def _step_bounds(v: Sequence[float], dv: Sequence[float], det: float) -> tuple[float, ...]:
+    """The step bounds of the cone's 8 numbers v along dv: the block's, then each scalar's.
 
-    det(v + s dv) = a s^2 + b s + det, b = tr(adj(v) dv), has real roots, -1 over the eigenvalues
-    of v^-1/2 dv v^-1/2, so b^2 - 4 a det is clamped at 0 against rounding (at a double root, as
-    when dv is a multiple of v, it is 0 in exact arithmetic).  (sqrt(b^2 - 4 a det) - b) / det is
-    positive exactly when a positive root exists, and is then twice the reciprocal of the smallest
-    one; it is NaN when dv is not finite.
+    Each bound is twice the reciprocal of the largest s with v + s dv inside that piece of the cone,
+    when it is positive; it is positive exactly when the piece's boundary lies at some s > 0, and NaN
+    when dv is not finite.  The block's takes det = det(v) > 0: det(v + s dv) = a s^2 + b s + det,
+    b = tr(adj(v) dv), has real roots, -1 over the eigenvalues of v^-1/2 dv v^-1/2, so b^2 - 4 a det
+    is clamped at 0 against rounding (at a double root, as when dv is a multiple of v, it is 0 in
+    exact arithmetic), and (sqrt(b^2 - 4 a det) - b) / det is twice the reciprocal of the smallest
+    positive root.  Each scalar v_i > 0 gives -2 dv_i / v_i.
     """
-    (p, q, r), (dp, dq, dr) = v, dv
+    p, q, r, v3, v4, v5, v6, v7 = v
+    dp, dq, dr, d3, d4, d5, d6, d7 = dv
     b = r * dp - 2.0 * (q * dq) + p * dr
-    return (math.sqrt(max(b * b - 4.0 * (dp * dr - dq * dq) * det, 0.0)) - b) / det
-
-
-def _scalar_bounds(v: Sequence[float], dv: Sequence[float]) -> list[float]:
-    """_step_bound of each scalar v_i > 0: -2 dv_i / v_i, positive exactly when v_i + s dv_i reaches 0 at some
-    s > 0, and NaN when dv_i is."""
-    return [-2.0 * d / s for s, d in zip(v, dv)]
+    return ((math.sqrt(max(b * b - 4.0 * (dp * dr - dq * dq) * det, 0.0)) - b) / det,
+            -2.0 * d3 / v3, -2.0 * d4 / v4, -2.0 * d5 / v5, -2.0 * d6 / v6, -2.0 * d7 / v7)
 
 
 @functools.cache
@@ -399,9 +398,9 @@ def _program(with_ppt: bool) -> _Setup:
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
     Each program's setup is built on its first call and shared after it;
-    every array in it is read-only, s0 and the weights' floats hold
-    tuples, and nu and e.e are floats.  Raises
-    ConvergenceError if x0 misses the equality or the cone's interior.
+    every array in it is read-only, s0 is a tuple, and nu and e.e are
+    floats.  x0 is a constant of the program, on the equality and inside
+    the cone; tests/test_sdp.py checks both.
     """
     basis, forms, left, weights = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS
     if with_ppt:
@@ -411,11 +410,8 @@ def _program(with_ppt: bool) -> _Setup:
     mixed = e / basis.sum(axis=0) / 36.0
     x0 = 0.9 * basis[6] + 0.1 * mixed if with_ppt else mixed
     s0 = tuple((forms @ x0).tolist())
-    if not (abs(e @ x0 - 1.0) <= 1e-9 and _cone_min(s0) > 1e-8):
-        raise ConvergenceError("could not find a strictly feasible starting point")
     gram_inv = 1.0 / (weights @ (forms * forms))
-    setup = _Setup(basis, x0, forms, left, weights, with_ppt, gram_inv, s0, float(weights @ _IDENTITY), float(e @ e),
-                   tuple(weights.tolist()))
+    setup = _Setup(basis, x0, forms, left, weights, with_ppt, gram_inv, s0, float(weights @ _IDENTITY), float(e @ e))
     for arr in setup:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -488,7 +484,6 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
         raise ValueError(f"tol must be at least the solver's floor {problem.tol_floor:.3g}, got {tol:g}")
     setup = problem.setup
     forms, ppt, nu = setup.forms, setup.ppt, setup.nu
-    wp, wq, wr, *ws = setup.weight_floats
     mu_min = tol / (2.0 * nu)
     bar = 1e-3 * mu_min
     # Z starts at y0 I / (4c) - C(h).
@@ -504,14 +499,13 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
         det_s, det_z = sp * sr - sq * sq, zp * zr - zq * zq
         if not all(v > 0.0 for v in (det_s, det_z, sp, zp, *ss, *zs)):
             raise ConvergenceError("the iterate left the cone interior")
-        gaps = [a * b for a, b in zip(ss, zs)]
-        mu = wp * sp * zp + wq * sq * zq + wr * sr * zr
-        for w, gap in zip(ws, gaps):
-            mu += w * gap
-        mu /= nu
+        g3, g4, g5, g6, g7 = gaps = [a * b for a, b in zip(ss, zs)]
+        # mu on the weights over 4 (plain) or 8 (PPT), (1, 2, 1, 1, 1, 4, 4, 4), and nu over them, 16.
+        trace = sp * zp + 2.0 * (sq * zq) + sr * zr
+        mu = (trace + g3 + g4 + 4.0 * g5 + 4.0 * g6 + 4.0 * g7) / 16.0
         # The block's S Z has eigenvalues half +- radius, half = tr(S Z) / 2, radius^2 = half^2 - det S det Z.
         if mu <= (1.0 + 1e-3) * mu_min:
-            half = (sp * zp + 2.0 * (sq * zq) + sr * zr) / 2.0
+            half = trace / 2.0
             if (abs(half - mu_min) + math.sqrt(max(half * half - det_s * det_z, 0.0)) <= bar
                     and all(abs(gap - mu_min) <= bar for gap in gaps)):
                 return _certificate(problem, s, z, iterations)
@@ -522,10 +516,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
         iterations += 1
         tau = max(CENTRING * mu, mu_min)
         ds, dual = _nt_direction(s, z, det_s, det_z, tau, ppt)
-        (dsp, dsq, dsr, *dss), (dzp, dzq, dzr, *dzs) = ds, dual
-        bounds = [_step_bound((sp, sq, sr), (dsp, dsq, dsr), det_s),
-                  _step_bound((zp, zq, zr), (dzp, dzq, dzr), det_z),
-                  *_scalar_bounds([*ss, *zs], [*dss, *dzs])]
+        bounds = (*_step_bounds(s, ds, det_s), *_step_bounds(z, dual, det_z))
         if any(map(math.isnan, bounds)):
             raise ConvergenceError("the iterate left the cone interior")
         top = max(bounds)

@@ -11,9 +11,10 @@ It solves both programs at tol 1e-7, 1e-5 and the program's floor
 tests' 88 (test_sdp.FLOOR_GRID) and the 36-point kink grid of
 `entclone sweep --alpha-min 0.30 --alpha-max 0.37 --steps 36`.  For each
 solve it records the iteration count, f*, U, the dual residual, both
-minimum eigenvalues and the bytes of a_star, or the error a failed solve
-raised.  The bits depend on the numpy and BLAS build, so no hash is kept in
-the repository: the check compares two trees on one machine.
+minimum eigenvalues, the bytes of a_star and the final iterates s and z
+(the cone's eight numbers each), or the error a failed solve raised.  The
+bits depend on the numpy and BLAS build, so no hash is kept in the
+repository: the check compares two trees on one machine.
 
 --against TREE solves this tree and TREE (a checkout with its own src/),
 each in a fresh interpreter with one BLAS thread.  It prints this tree's
@@ -41,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TOLS = ("1e-07", "1e-05", "floor")
 FLOATS = ("f_star", "upper_bound", "dual_residual", "min_eigenvalue", "min_dual_eigenvalue")
+ITERATES = ("s", "z")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -57,7 +59,8 @@ def grids() -> dict[str, list[float]]:
 
 
 def record(alpha: float, with_ppt: bool, tol: float) -> dict:
-    """One solve as exact text: floats by float.hex, a_star by its bytes, or the error it raised."""
+    """One solve as exact text: floats by float.hex, a_star by its bytes, s and z by float.hex per entry, or the
+    error it raised."""
     from entclone.sdp import ConvergenceError, build_problem, solve
 
     out = {"alpha": alpha.hex()}
@@ -68,6 +71,7 @@ def record(alpha: float, with_ppt: bool, tol: float) -> dict:
     out["iterations"] = sol.iterations
     out.update((name, float(getattr(sol, name)).hex()) for name in FLOATS)
     out["a_star"] = np.ascontiguousarray(sol.a_star, dtype=np.float64).tobytes().hex()
+    out.update((name, [float(v).hex() for v in getattr(sol, name)]) for name in ITERATES)
     return out
 
 
@@ -128,6 +132,12 @@ def _diff(ours: dict[str, dict], theirs: dict[str, dict]) -> tuple[list[tuple[st
                 delta = float(np.abs(mine_a - other_a).max())
                 values.append((program, "a_star", delta,
                                f"{at}: a_star {int(changed.sum())} entries, max |delta| = {delta:.3g}"))
+            for name in ITERATES:
+                if a[name] != b[name]:
+                    moved = [_delta(x, y) for x, y in zip(a[name], b[name]) if x != y]
+                    delta = max(moved, default=0.0)
+                    values.append((program, name, delta,
+                                   f"{at}: {name} {len(moved)} entries, max |delta| = {delta:.3g}"))
     return values, counts
 
 
@@ -144,7 +154,8 @@ def summary(ours: dict[str, dict], theirs: dict[str, dict]) -> list[str]:
     for program in dict.fromkeys(key.split()[0] for key in ours):
         solves = sum("error" not in point for key, group in ours.items() if key.split()[0] == program
                      for point in group["points"])
-        for field in dict.fromkeys([*FLOATS, "a_star", *(name for prog, name, _, _ in values if prog == program)]):
+        moved = (name for prog, name, _, _ in values if prog == program)
+        for field in dict.fromkeys([*FLOATS, "a_star", *ITERATES, *moved]):
             deltas = [delta for prog, name, delta, _ in values if (prog, name) == (program, field)]
             lines.append(f"{program} {field}: {len(deltas)} of {solves} moved, "
                          f"max |delta| = {max(deltas, default=0.0):.3g}")

@@ -68,8 +68,14 @@ MUTANTS = (
     Mutant("sdp.CENTRING 0.03 -> 0.1", SDP, "CENTRING = 0.03", "CENTRING = 0.1"),
     Mutant("sdp.STEP_FRACTION 0.99 -> 0.95", SDP, "STEP_FRACTION = 0.99", "STEP_FRACTION = 0.95"),
     Mutant("sdp.solve stop test 1e-3 mu_min -> 1e-1 mu_min", SDP, "bar = 1e-3 * mu_min", "bar = 1e-1 * mu_min"),
-    Mutant("sdp.solve stop test counts the block's off-diagonal of tr(S Z) once", SDP,
+    Mutant("sdp.solve tr(S Z), read by mu and the stop test, counts the block's off-diagonal once", SDP,
            "sp * zp + 2.0 * (sq * zq) + sr * zr", "sp * zp + sq * zq + sr * zr"),
+    Mutant("sdp.solve mu without s3 z3", SDP, "(trace + g3 + g4", "(trace + g4"),
+    Mutant("sdp.solve mu with a13's weight 4.0 -> 1.0", SDP, "4.0 * g5", "g5"),
+    Mutant("sdp.solve mu with a23's weight 4.0 -> 1.0", SDP, "4.0 * g6", "g6"),
+    Mutant("sdp.solve mu with a33's weight 4.0 -> 1.0", SDP, "4.0 * g7", "g7"),
+    Mutant("sdp.solve mu over nu / 4 or 8 = 16 -> 32", SDP, "4.0 * g7) / 16.0", "4.0 * g7) / 32.0"),
+    Mutant("sdp.solve stop test's half = tr(S Z) / 2 -> tr(S Z)", SDP, "half = trace / 2.0", "half = trace"),
     Mutant("sdp.solve stop test without its scalar arm", SDP,
            "\n                    and all(abs(gap - mu_min) <= bar for gap in gaps)", ""),
     Mutant("sdp.solve interior test without Z", SDP, "(det_s, det_z, sp, zp, *ss, *zs)", "(det_s, sp, *ss)"),
@@ -164,10 +170,13 @@ MUTANTS = (
            "s=tuple(s),\n        z=tuple(z),", "s=tuple(z),\n        z=tuple(s),"),
     Mutant("sdp._LEFT a44 = (s3 - s4) / 4 + q / 2 -> q, right on the PPT slice only", SDP,
            "[0, 0.5, 0, 0.25, -0.25, 0, 0, 0],  # a44", "[0, 1, 0, 0, 0, 0, 0, 0],  # a44"),
-    Mutant("sdp._step_bound b = tr(adj(v) dv) with q dq counted once", SDP,
+    Mutant("sdp._step_bounds block's b = tr(adj(v) dv) with q dq counted once", SDP,
            "r * dp - 2.0 * (q * dq) + p * dr", "r * dp - q * dq + p * dr"),
-    Mutant("sdp._scalar_bounds -2 dv / v -> -dv / v", SDP,
-           "return [-2.0 * d / s for s, d in zip(v, dv)]", "return [-d / s for s, d in zip(v, dv)]"),
+    Mutant("sdp._step_bounds a12 + a44 + a55's -2 dv / v -> -dv / v", SDP, "-2.0 * d3 / v3", "-d3 / v3"),
+    Mutant("sdp._step_bounds a12 - a44 - a55's -2 dv / v -> -dv / v", SDP, "-2.0 * d4 / v4", "-d4 / v4"),
+    Mutant("sdp._step_bounds a13's -2 dv / v -> -dv / v", SDP, "-2.0 * d5 / v5", "-d5 / v5"),
+    Mutant("sdp._step_bounds a23's -2 dv / v -> -dv / v", SDP, "-2.0 * d6 / v6", "-d6 / v6"),
+    Mutant("sdp._step_bounds a33's -2 dv / v -> -dv / v", SDP, "-2.0 * d7 / v7", "-d7 / v7"),
     Mutant("sdp.solve steps past a NaN bound", SDP, "if any(map(math.isnan, bounds)):", "if False:"),
     Mutant("sdp PPT copy weight 2 -> 1", SDP,
            "axis=0), 2.0 * _FORM_WEIGHTS\n", "axis=0), 1.0 * _FORM_WEIGHTS\n"),

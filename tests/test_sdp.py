@@ -151,28 +151,36 @@ def test_block_split_rejects_a_t_that_breaks_parity():
 
 def test_max_step_keeps_a_double_root():
     """v + s dv with dv = -c v is singular at s = 1/c, a double root of the block's determinant.
-    Rounding can make b^2 - 4ac slightly negative there; the limit must still be 1/c, not inf."""
+    Rounding can make b^2 - 4ac slightly negative there; the block's limit must still be 1/c, not inf,
+    and so must each scalar's, all six of _step_bounds's bounds."""
     rng = np.random.default_rng(7450)
     for _ in range(2000):
         m = rng.normal(size=(2, 2))
         c = rng.uniform(0.1, 10.0)
-        v = (m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]].tolist()
+        v = [*(m @ m.T + 0.1 * np.eye(2))[[0, 0, 1], [0, 1, 1]].tolist(), *rng.uniform(0.1, 10.0, size=5).tolist()]
         dv = [-c * entry for entry in v]
-        assert abs(2.0 / sdp._step_bound(v, dv, v[0] * v[2] - v[1] * v[1]) * c - 1.0) < 1e-6
+        bounds = sdp._step_bounds(v, dv, v[0] * v[2] - v[1] * v[1])
+        assert len(bounds) == 6
+        for bound in bounds:
+            assert abs(2.0 / bound * c - 1.0) < 1e-6
 
 
 def test_scalar_bounds_are_the_diagonal_blocks_step_bound():
-    """On a diagonal block (p, 0, r) with step (dp, 0, dr), the larger of the two scalar bounds is the block's
-    _step_bound, and on a33's block (p = r) the one scalar's bound is: both are max(-2 dp / p, -2 dr / r) in
-    exact arithmetic.  The quadratic's discriminant (r dp - p dr)^2 cancels near its double root and keeps
-    about half the digits there (measured: 1.9e-8 relative at worst on these draws), so the bound is 1e-7."""
+    """_step_bounds on a cone whose block is diagonal, (p, 0, r) with step (dp, 0, dr), and whose five scalars
+    are p, r, p, r, p with steps dp, dr, dp, dr, dp: each scalar's bound is -2 d / v bit for bit, and the block's
+    is the larger of p's and r's, and on a33's block (p = r) the one scalar's: both are
+    max(-2 dp / p, -2 dr / r) in exact arithmetic.  The quadratic's discriminant (r dp - p dr)^2 cancels near
+    its double root and keeps about half the digits there (measured: 1.9e-8 relative at worst on these draws),
+    so the bound is 1e-7."""
     rng = np.random.default_rng(3904)
     for _ in range(2000):
         p, r = rng.uniform(0.1, 10.0, size=2)
         dp, dr = rng.normal(size=2)
-        for v, dv in (((p, 0.0, r), (dp, 0.0, dr)), ((p, 0.0, p), (dp, 0.0, dp))):
-            block = sdp._step_bound(v, dv, v[0] * v[2])
-            assert abs(max(sdp._scalar_bounds(v[::2], dv[::2])) - block) <= 1e-7 * max(abs(block), 1.0)
+        for a, b, da, db in ((p, r, dp, dr), (p, p, dp, dp)):
+            scalars, steps = (a, b, a, b, a), (da, db, da, db, da)
+            block, *bounds = sdp._step_bounds((a, 0.0, b, *scalars), (da, 0.0, db, *steps), a * b)
+            assert bounds == [-2.0 * d / s for s, d in zip(scalars, steps)]
+            assert abs(max(bounds) - block) <= 1e-7 * max(abs(block), 1.0)
 
 
 def test_nt_scaling_maps_s_to_z():
@@ -359,24 +367,17 @@ def test_cone_min_is_nan_when_any_entry_is():
             assert math.isnan(sdp._cone_min(tuple(v)))
 
 
-def _count_bounds(monkeypatch, block=None, scalars=None):
-    """Patch solve's step bounds to record their calls: _step_bound's (the block of S, then of Z, each
-    iteration) and the lists _scalar_bounds returns (S's five scalars, then Z's).  block(n, bound) and
-    scalars(bounds) may replace what the n-th block call and each scalar call return."""
-    inner_block, inner_scalars, calls = sdp._step_bound, sdp._scalar_bounds, {"block": 0, "scalar": []}
+def _count_bounds(monkeypatch, change):
+    """Patch solve's step bounds to record the length of what each _step_bounds call returns (S's block and
+    five scalars, then Z's, each iteration); change(n, bounds) replaces what the n-th call returns."""
+    inner, calls = sdp._step_bounds, []
 
-    def counted_block(*args):
-        calls["block"] += 1
-        bound = inner_block(*args)
-        return bound if block is None else block(calls["block"], bound)
+    def counted(*args):
+        bounds = inner(*args)
+        calls.append(len(bounds))
+        return change(len(calls), bounds)
 
-    def counted_scalars(v, dv):
-        bounds = inner_scalars(v, dv)
-        calls["scalar"].append(len(bounds))
-        return bounds if scalars is None else scalars(bounds)
-
-    monkeypatch.setattr(sdp, "_step_bound", counted_block)
-    monkeypatch.setattr(sdp, "_scalar_bounds", counted_scalars)
+    monkeypatch.setattr(sdp, "_step_bounds", counted)
     return calls
 
 
@@ -384,39 +385,39 @@ def _count_bounds(monkeypatch, block=None, scalars=None):
 def test_a_dual_step_past_the_boundary_raises_convergence_error(monkeypatch, with_ppt, alpha):
     """With Z's 2x2 block left out of the step bound, the first step takes Z out of the cone while S stays
     inside: the interior test must raise ConvergenceError before any square root of a negative determinant.
-    The one iteration bounds 2 blocks and 10 scalars.  (Measured: the first step leaves the cone at every
-    plain alpha in 0.1, 0.2, ..., 0.7, and at PPT alphas up to 0.3.)"""
-    calls = _count_bounds(monkeypatch, block=lambda n, bound: bound if n % 2 else -1.0)
+    The one iteration bounds S's and Z's block and five scalars each.  (Measured: the first step leaves the
+    cone at every plain alpha in 0.1, 0.2, ..., 0.7, and at PPT alphas up to 0.3.)"""
+    calls = _count_bounds(monkeypatch, lambda n, bounds: bounds if n % 2 else (-1.0, *bounds[1:]))
     with pytest.raises(ConvergenceError, match="left the cone interior"):
         solve(build_problem(alpha, with_ppt=with_ppt))
-    assert calls == {"block": 2, "scalar": [10]}
+    assert calls == [6, 6]
 
 
 def test_a_dual_step_past_a_scalar_boundary_raises_convergence_error(monkeypatch):
     """With Z's five scalars left out of the step bound, the PPT program's first step at alpha = 0.4 takes a
     scalar of Z below 0 (measured: at every PPT alpha in 0.4, 0.5, 0.6, 0.7; on the plain program Z's scalars
     never bind), and the interior test raises ConvergenceError."""
-    calls = _count_bounds(monkeypatch, scalars=lambda bounds: [*bounds[:5], *[-1.0] * 5])
+    calls = _count_bounds(monkeypatch, lambda n, bounds: bounds if n % 2 else (bounds[0], *[-1.0] * 5))
     with pytest.raises(ConvergenceError, match="left the cone interior"):
         solve(build_problem(0.4, with_ppt=True))
-    assert calls == {"block": 2, "scalar": [10]}
+    assert calls == [6, 6]
 
 
 def test_a_nan_step_bound_is_not_skipped(monkeypatch):
     """Python's max drops a NaN that is not its first argument; a NaN bound of Z's block must stop the solve
     with ConvergenceError, not let it step by the other bounds."""
-    calls = _count_bounds(monkeypatch, block=lambda n, bound: math.nan if n == 2 else bound)
+    calls = _count_bounds(monkeypatch, lambda n, bounds: (math.nan, *bounds[1:]) if n == 2 else bounds)
     with pytest.raises(ConvergenceError, match="left the cone interior"):
         solve(build_problem(0.4))
-    assert calls == {"block": 2, "scalar": [10]}
+    assert calls == [6, 6]
 
 
 def test_a_nan_scalar_bound_is_not_skipped(monkeypatch):
-    """Likewise a NaN bound of one scalar, the fourth of S's, in the middle of the list max reads."""
-    calls = _count_bounds(monkeypatch, scalars=lambda bounds: [*bounds[:3], math.nan, *bounds[4:]])
+    """Likewise a NaN bound of one scalar, the fourth of S's, in the middle of the twelve bounds max reads."""
+    calls = _count_bounds(monkeypatch, lambda n, bounds: (*bounds[:4], math.nan, *bounds[5:]) if n == 1 else bounds)
     with pytest.raises(ConvergenceError, match="left the cone interior"):
         solve(build_problem(0.4))
-    assert calls == {"block": 2, "scalar": [10]}
+    assert calls == [6, 6]
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, ALPHA_MAX, alpha_critical()])
@@ -462,8 +463,9 @@ def test_setups_are_built_once_and_read_only():
     forms are its cones, read-only; only the objective is new, channel's functional on the program's coordinates.
     Both programs solve on one 2x2 block and five scalars: the left inverse of the forms is m x 8, and the
     bool ppt, False (plain) or True (PPT), picks the dual's free directions.  The per-solve constants are held
-    too, each bit for bit: S's start forms x0 and the weights as tuples of floats, nu = 64 or 128 and e . e as
-    floats.  Any other t, even an equal copy, is refused."""
+    too, each bit for bit: S's start forms x0 as a tuple of floats, nu = 64 or 128 and e . e as floats.  The
+    start is strictly feasible: x0 is on the equality and S's start inside the cone.  Any other t, even an
+    equal copy, is refused."""
     plain, first = sdp._program(False), sdp._program(True)
     for alpha in (0.1, 0.3, 0.6):
         for with_ppt, setup in ((False, plain), (True, first)):
@@ -477,13 +479,13 @@ def test_setups_are_built_once_and_read_only():
     assert (plain.ppt, first.ppt) == (False, True) and type(plain.ppt) is type(first.ppt) is bool
     for setup, nu in ((plain, 64.0), (first, 128.0)):
         e = constraint_matrices()[0] @ setup.basis
-        assert type(setup.s0) is type(setup.weight_floats) is tuple
+        assert type(setup.s0) is tuple
         assert type(setup.nu) is type(setup.ee) is float
-        assert {type(v) for v in (*setup.s0, *setup.weight_floats)} == {float}
-        assert _bits(setup.weight_floats) == _bits(setup.weights.tolist())
+        assert {type(v) for v in setup.s0} == {float}
         assert _bits(setup.s0) == _bits((setup.forms @ setup.x0).tolist())
         assert _bits((setup.nu, setup.ee)) == _bits((nu, e @ e)) and setup.ee == 54.0
-    held = {"ppt", "s0", "nu", "ee", "weight_floats"}
+        assert abs(e @ setup.x0 - 1.0) <= 1e-9 and sdp._cone_min(setup.s0) > 1e-8
+    held = {"ppt", "s0", "nu", "ee"}
     fields = {"basis", "x0", "forms", "left", "weights", "gram_inv", *held}
     assert set(first._fields) == fields
     arrays = [getattr(setup, name) for setup in (first, plain) for name in sorted(fields - held)]

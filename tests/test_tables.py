@@ -17,9 +17,9 @@ coefficient is 0 to rounding, the trace row's a55 entry is 0, and the PPT
 forms are the plain ones with the a55 column negated; the premise of
 the dual start, that each program's weighted Gram matrix is diagonal and
 integer; the exact left inverse of the forms and the dual's free
-directions; the closed form of each program's start; that the
-solution's a_star holds the iterate's coordinates as they are; that
-build_problem reads no table per call; and
+directions; the weights mu reads; the closed form of each program's
+start; that the solution's a_star holds the iterate's coordinates as
+they are; that build_problem reads no table per call; and
 the premise of criterion 9's feasible points, that the trace row and the
 symmetry rows have disjoint supports.
 """
@@ -231,6 +231,26 @@ def test_free_directions_span_the_dual_steps():
         b = setup.forms @ null
         assert np.abs((b.T * setup.weights) @ np.array(directions).T).max() <= 1e-13
         assert np.linalg.matrix_rank(np.array(directions)) == len(directions) == 8 - np.linalg.matrix_rank(b)
+
+
+# The weights sdp.solve's mu and stop test read: the weights over 4 (plain) or 8 (PPT), q counted twice.
+MU_WEIGHTS = (1, 2, 1, 1, 1, 4, 4, 4)
+
+
+def test_mu_reads_the_weights_over_4_or_8():
+    """solve forms mu = sum_f w_f s_f z_f / nu with the weights w over 4 (plain) or 8 (PPT) and nu over the
+    same, 16.  In integers: MU_WEIGHTS times 4 is _FORM_WEIGHTS, times 8 it is the PPT weights, and 16 times 4
+    and 8 are the programs' nu, so every product and partial sum of the weighted mu is 4 or 8 times the one
+    solve forms, exactly, and the quotient rounds the same."""
+    mu_weights = np.array(MU_WEIGHTS)
+    assert int(mu_weights @ [1, 0, 1, 1, 1, 1, 1, 1]) == 16
+    assert np.array_equal(4 * mu_weights, sdp._FORM_WEIGHTS)
+    for with_ppt, scale in ((False, 4), (True, 8)):
+        setup = build_problem(0.3, with_ppt=with_ppt).setup
+        weights = setup.weights.astype(int)
+        assert np.array_equal(weights, setup.weights)
+        assert np.array_equal(scale * mu_weights, weights)
+        assert 16 * scale == setup.nu == weights @ [1, 0, 1, 1, 1, 1, 1, 1]
 
 
 def test_plain_start_is_the_min_norm_point():
