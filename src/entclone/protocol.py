@@ -83,7 +83,7 @@ class ProtocolTranscript:
     """One measurement branch: outcomes, the communicated bit, and the result.
 
     fidelity is the branch's clone fidelity on schmidt_state(alpha), as
-    branch_scores gives it; 0 for a branch of zero probability.
+    average_clone_fidelity weighs it; 0 for a branch of zero probability.
     """
 
     alice_outcome: int
@@ -179,24 +179,10 @@ def _branch_table(alpha: float) -> tuple[ProtocolTranscript, ...]:
     )
 
 
-def branch_scores(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> np.ndarray:
-    """Mean overlap of the two clones of each branch with a pure reference, as one array.
-
-    Both clone reductions of every branch come from one batched trace,
-    and each overlap <ref| r |ref> is a (1, 4) @ (4, 4) @ (4, 1) product per
-    branch, so a branch scores the same bits alone as in the stack.
-    Branches of zero probability score 0.  The reference must be finite
-    and of unit norm to 1e-10, else ValueError.
-    """
-    # A non-finite entry makes the norm nan or inf, which fails this test too.
-    if not (abs(np.linalg.norm(reference) - 1.0) <= 1e-10):
-        raise ValueError("reference must be a finite state vector of unit norm")
-    probs = np.array([tr.joint_probability for tr in transcripts])
-    return _stack_scores(probs, np.array([tr.post_state for tr in transcripts]), reference)
-
-
 def _stack_scores(probs: np.ndarray, posts: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """branch_scores of the branches with these probabilities and (n, 16, 16) post-states."""
+    """Mean overlap of the two clones of each branch, given its probability and (16, 16) post-state, with a pure
+    reference; 0 for a branch of zero probability.  The reductions come from one batched trace and each overlap
+    is a (1, 4) @ (4, 4) @ (4, 1) product per branch, so a branch scores the same bits alone as in the stack."""
     ref = np.asarray(reference, dtype=complex).reshape(-1)
     if ref.shape != (4,):
         raise ValueError("reference must be a two-qubit state vector")
@@ -206,8 +192,13 @@ def _stack_scores(probs: np.ndarray, posts: np.ndarray, reference: np.ndarray) -
 
 
 def average_clone_fidelity(transcripts: Sequence[ProtocolTranscript], reference: np.ndarray) -> float:
-    """Probability-weighted mean branch fidelity against a pure reference."""
-    scores = branch_scores(transcripts, reference)
+    """Probability-weighted mean branch fidelity against a pure reference; one not finite and of unit norm to
+    1e-10 raises ValueError."""
+    # A non-finite entry makes the norm nan or inf, which fails this test too.
+    if not (abs(np.linalg.norm(reference) - 1.0) <= 1e-10):
+        raise ValueError("reference must be a finite state vector of unit norm")
+    probs = np.array([tr.joint_probability for tr in transcripts])
+    scores = _stack_scores(probs, np.array([tr.post_state for tr in transcripts]), reference)
     return float(sum(tr.joint_probability * score for tr, score in zip(transcripts, scores)))
 
 

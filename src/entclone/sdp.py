@@ -70,34 +70,26 @@ with the scalars on their diagonals.  With
 mu = sum_k w_k <Z_k, S_k> / nu = (U - f.x) / nu, the weighted central
 path S_k Z_k = mu I is the log-barrier central path of
 f.x + mu log det C(x), the path of the dense 64x64 program.
- - Start: x0 is alpha-independent: a = s s^T / 36, s = (1, 1, 2, 0, 0),
-   for the plain program, that point pulled towards the no-communication
-   point for the PPT program (see _program); the NT path depends on the
-   start, not on the fixed subspace's basis.  The dual starts at
-   y0 I / (4c) - C(h) for c copies of the cone: h solves the weighted
-   Gram system G h = f, G diagonal and integer, and the copies' traces
-   sum to 4c times the trace row, so the stationarity residual is zero;
-   y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the cone.
+ - Start: x0 does not depend on alpha (see _program); the NT path
+   depends on the start, not on the fixed subspace's basis.  The dual
+   starts at y0 I / (4c) - C(h) for c copies of the cone: h solves the
+   weighted Gram system G h = f, G diagonal and integer, and the copies'
+   traces sum to 4c times the trace row, so the stationarity residual is
+   zero; y0 / (4c) is twice |lambda_max(C(h))|, which puts Z inside the
+   cone.
  - Step: each iteration takes the NT direction towards S_k Z_k = tau I,
-   tau = max(CENTRING mu, mu_min), on the dual's free directions
-   (_nt_direction): the dual equalities leave Z only 8 - k, the columns
-   of C, the identity and on the PPT slice also c2 (see _program).  So
-   dZ = C lam and dS = M^-1 (t - C lam), where M^-1 is X -> W X W on the
-   block, with the closed-form NT scaling W = S # Z^-1 (_nt_scaling), and
-   s / z on each scalar, and M^-1 t = tau Z^-1 - S.  lam solves the 1x1
-   or 2x2 system (C^T D M^-1 C) lam = C^T D M^-1 t, D = diag(weights), in
-   closed form; this is the direction of the k x k system
-   B^T D M B dz = B^T D t without forming it.  dS's rounding-level parts
-   along the orthogonal rows of D C are removed.  Scaling D by a power of
-   two scales every product and fsum exactly and cancels in lam and in
-   the removed parts, so both programs take the weights over 4 (plain) or
-   8 (PPT), with the same bits: D I = (1, 0, 1, 1, 1, 4, 4, 4) and
-   D c2 = (0, 2, 0, -1, 1, 0, 0, 0), with 1/52, 4/52, 1/6 and 2/6 in
-   D c / |D c|^2.  Both iterates move by STEP_FRACTION of the largest
+   tau = max(CENTRING mu, mu_min), on the dual's free directions C, which
+   the dual equalities leave Z (_program), in closed form (_nt_direction,
+   which defines M, t and lam); this is the direction of the k x k system
+   B^T D M B dz = B^T D t, D = diag(weights), without forming it.  dS's
+   rounding-level parts along the orthogonal rows of D C are removed.
+   Scaling D by a power of two scales every product and fsum exactly and
+   cancels in lam and in the removed parts, so both programs take the
+   weights over 4 (plain) or 8 (PPT), with the same bits (the comment at
+   _I_1 gives them).  Both iterates move by STEP_FRACTION of the largest
    step that keeps the block positive definite and every scalar positive
-   (_step_bounds, once for S and once for Z: one quadratic for the block
-   and -2 ds / s per scalar), capped at 1; there is no line search.  S
-   is then put back on its affine set along the same rows:
+   (_step_bounds, once for S and once for Z), capped at 1; there is no
+   line search.  S is then put back on its affine set along the same rows:
    D I . S = e.x (forms^T D I is 4 or 8 times e) to 1, and on the PPT
    slice D c2 . S (forms^T D c2 = 0) to 0.
  - Precision: double throughout, and an iteration makes no numpy call:
@@ -107,15 +99,14 @@ f.x + mu log det C(x), the path of the dense 64x64 program.
    direction; each dot product is math.fsum over an explicit tuple,
    correctly rounded on every Python version.  The coordinates are read
    once, at the end, as x = left S, left an exact left inverse of the
-   forms.  The tol floor 2 nu 1e-10 (mu_min >= 1e-10) is where double
-   suffices: the largest mu_min at which a double solve fails is 4.9e-12
+   forms.  The tol floor (SdpProblem.tol_floor) is where double suffices
    (see solve).
  - Stop: once the block's complementarity S Z is within 1e-3 mu_min of
    mu_min I and every scalar's s z within 1e-3 mu_min of mu_min,
    mu_min = tol / (2 nu); on a diagonal block the two tests agree.  mu
-   and the stop test read the weights over 4 or 8 too, (1, 2, 1, 1, 1, 4,
-   4, 4) with nu over them 16, which gives the same bits: each product and
-   partial sum scales exactly, and 4A / 64 and 8A / 128 round as A / 16.
+   and the stop test read the weights over 4 or 8 too, with the same bits:
+   each product and partial sum scales exactly, and 4A / 64 and 8A / 128
+   round as A / 16.
    The end point is the barrier's centred point at mu_min, so f*'s error is
    a smooth function of alpha, and U - f* = nu mu_min = tol / 2.
 Every iterate is interior and dual feasible, so every iterate, not only
@@ -123,16 +114,16 @@ the last, is certified: the solution's upper_bound, dual_residual and
 min_dual_eigenvalue are read off the dual iterate, and the solution
 carries both final iterates as s and z.  The alpha-independent parts of a
 solve are built once per program, on its first build_problem, and travel
-as SdpProblem.setup: the start x0 and S's start forms x0, the left
-inverse, nu, e.e and the bool ppt, which picks the dual's free
-directions.  They are closed forms, and no setup factorizes a matrix;
-a solve's own numpy calls are the dual start's and the certificate's.
+as SdpProblem.setup (_Setup).  They are closed forms, and no setup
+factorizes a matrix; a solve's own numpy calls are the dual start's and
+the certificate's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple, Sequence
@@ -229,15 +220,9 @@ class SdpProblem:
         return self.setup.forms
 
     @property
-    def nu(self) -> float:
-        """Barrier parameter: the summed dimension of the full operators the cone stands for, the weighted
-        trace of the identity."""
-        return self.setup.nu
-
-    @property
     def tol_floor(self) -> float:
         """The smallest tol solve accepts, 2 nu 1e-10 (mu_min >= 1e-10): 1.28e-8 plain, 2.56e-8 PPT."""
-        return 2.0 * self.nu * 1e-10
+        return 2.0 * self.setup.nu * 1e-10
 
 
 @dataclass(frozen=True)
@@ -308,8 +293,7 @@ def _nt_direction(
     are orthogonal; they are removed.  The system is positive definite in exact arithmetic, the Gram matrix of
     independent directions; a det that rounding or a NaN left not positive raises ConvergenceError.
 
-    D enters as D I = (1, 0, 1, 1, 1, 4, 4, 4), D c2 = (0, 2, 0, -1, 1, 0, 0, 0) and D c / |D c|^2, the weights
-    over 4 (plain) or 8 (PPT), which give the bits of D itself (see the module docstring).  Each number is a
+    D enters as the weights over 4 (plain) or 8 (PPT), as the comment at _I_1 gives them.  Each number is a
     named float, formed term by term: the goal t, u = M^-1 I (W^2 on the block, m = s / z on each scalar),
     v = M^-1 c2 (W (0 1; 1 0) W, -m3, m4, then 0), dS as x; each dot product is one fsum.  The plain dZ's q is
     0.0 lam, -0.0 when lam < 0 as in lam c; the PPT one is l2, never -0.0 (an underflow aside) as r2's t4 is not.
@@ -397,10 +381,9 @@ def _program(with_ppt: bool) -> _Setup:
     point a = e_22 (basis[6], as a_22 sits at flat index 6) plus 0.1 times
     that point, which clears the cone by 1/360 but takes fewer iterations
     than the mixed point.
-    Each program's setup is built on its first call and shared after it;
-    every array in it is read-only, s0 is a tuple, and nu and e.e are
-    floats.  x0 is a constant of the program, on the equality and inside
-    the cone; tests/test_sdp.py checks both.
+    Each program's setup is built on its first call and shared after it.
+    x0 is a constant of the program, on the equality and inside the cone;
+    tests/test_sdp.py checks both.
     """
     basis, forms, left, weights = FIXED, CONE_FORMS, _LEFT, _FORM_WEIGHTS
     if with_ppt:
@@ -475,8 +458,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     2 nu 1e-12 to 1e-6, on the floor test's 88 alphas, the largest mu_min
     at which a solve in either program fails to converge, loses its
     certificate or moves a plain iteration count is 4.9e-12 (plain, tol
-    6.2e-10), as it was for the k x k system solved in double; the
-    floor's mu_min, 1e-10, is above ten times that.
+    6.2e-10); the floor's mu_min, 1e-10, is above ten times that.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -491,8 +473,6 @@ def solve(problem: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     z = (2.0 * abs(_cone_min((-ch).tolist())) * _IDENTITY - ch).tolist()
     if _cone_min(z) <= 0.0:
         raise ConvergenceError("could not find a strictly feasible dual start")
-    # S and Z are Python floats, the block's (p, q, r) and then the scalars, so their few products each
-    # run without a numpy call's cost; each step of S is put back on e.x = D I . S = 1 and, for PPT, D c2 . S = 0.
     s, iterations = setup.s0, 0
     while True:
         (sp, sq, sr, *ss), (zp, zq, zr, *zs) = s, z
@@ -563,13 +543,6 @@ def solve_sweep(
     return [(alpha, sol.f_star) for alpha, sol in sols]
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a finite 1-D array, without its NaN check, which imports numpy.ma on first use."""
-    ordered = np.sort(values)
-    half = len(ordered) // 2
-    return float(ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2.0)
-
-
 def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     """Locate the constraint-activation threshold of a swept fidelity curve.
 
@@ -602,7 +575,7 @@ def detect_threshold(sweep: Sequence[tuple[float, float]]) -> float:
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     jumps = np.abs(np.diff(d2))
     peak = int(np.argmax(jumps))
-    med = _median(np.delete(jumps, peak))
+    med = statistics.median(np.delete(jumps, peak).tolist())
     if jumps[peak] < max(THRESHOLD_RATIO * med, THRESHOLD_FLOOR):
         raise ThresholdDetectionError("no curvature jump above the noise floor")
     pick = peak + 1 if abs(d2[peak]) >= abs(d2[peak + 1]) else peak + 2

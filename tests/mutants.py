@@ -214,9 +214,9 @@ MUTANTS = (
            "0.1 * mixed if with_ppt else mixed", "0.1 * mixed"),
     Mutant("sdp._program builds a new setup at each build_problem", SDP, "@functools.cache\n", ""),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-10 -> nu 1e-10", SDP,
-           "return 2.0 * self.nu * 1e-10", "return self.nu * 1e-10"),
+           "return 2.0 * self.setup.nu * 1e-10", "return self.setup.nu * 1e-10"),
     Mutant("sdp.SdpProblem.tol_floor 2 nu 1e-10 -> 2 nu 1e-11, ten times closer to where double solves stall", SDP,
-           "return 2.0 * self.nu * 1e-10", "return 2.0 * self.nu * 1e-11"),
+           "return 2.0 * self.setup.nu * 1e-10", "return 2.0 * self.setup.nu * 1e-11"),
     Mutant("verify criterion 9 projector without its S^T S term", VERIFY, " - sym_rows.T @ sym_rows", ""),
     Mutant("verify criterion 9 generators act as U on the input, not U*", VERIFY,
            "np.kron(np.eye(4), s.conj())", "np.kron(np.eye(4), s)"),
@@ -234,7 +234,8 @@ MUTANTS = (
     Mutant("covariant.check_t accepts any t", "src/entclone/covariant.py",
            "if t is not T_OPERATORS:", "if False:"),
     Mutant("sdp.detect_threshold takes np.median again", SDP,
-           "med = _median(np.delete(jumps, peak))", "med = float(np.median(np.delete(jumps, peak)))"),
+           "med = statistics.median(np.delete(jumps, peak).tolist())",
+           "med = float(np.median(np.delete(jumps, peak)))"),
     Mutant("protocol._M_W M1's (1, 1) entry 0.5 -> 0.25", "src/entclone/protocol.py",
            "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.5],", "_M_W = np.array(\n    [\n        [[1, 0], [0, 0.25],"),
     Mutant("protocol._M_V M1 signs flipped", "src/entclone/protocol.py",

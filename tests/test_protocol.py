@@ -10,7 +10,6 @@ from entclone.channel import apply_choi, channel_from_params, clone_reductions, 
 from entclone.covariant import assemble_ptilde
 from entclone.protocol import (
     average_clone_fidelity,
-    branch_scores,
     build_dilations,
     build_kraus,
     kraus_to_choi,
@@ -158,16 +157,14 @@ def test_sampled_requires_non_negative_integer_seed(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, np.nan, np.inf])
-def test_branch_scores_reject_a_reference_off_the_unit_sphere(scale):
+def test_average_clone_fidelity_rejects_a_reference_off_the_unit_sphere(scale):
     """A reference not of unit norm, or not finite, would score fidelities outside [0, 1]."""
     transcripts = run_protocol_exact(0.5)
     reference = np.array([scale, 0.0, 0.0, 1.0]) * ALPHA_MAX
     with pytest.raises(ValueError, match="unit norm"):
-        branch_scores(transcripts, reference)
-    with pytest.raises(ValueError, match="unit norm"):
         average_clone_fidelity(transcripts, reference)
     with pytest.raises(ValueError, match="unit norm"):
-        branch_scores(transcripts[:1], reference)
+        average_clone_fidelity(transcripts[:1], reference)
     assert 0.0 <= average_clone_fidelity(transcripts, (1.0 + 1e-12) * schmidt_state(ALPHA_MAX)) <= 1.0
 
 
@@ -177,10 +174,16 @@ def test_sampled_accepts_numpy_integers():
     assert run_protocol_sampled(0.5, 1000, np.int64(9)) == run_protocol_sampled(0.5, 1000, 9)
 
 
+def _scores(transcripts, reference):
+    """protocol._stack_scores on the transcripts' own probabilities and post-states."""
+    probs = np.array([tr.joint_probability for tr in transcripts])
+    return protocol._stack_scores(probs, np.array([tr.post_state for tr in transcripts]), reference)
+
+
 def _choice_sampled(alpha, trials, seed):
     """The sampler as numpy's own Generator.choice draws it: the reference for the counts."""
     transcripts = run_protocol_exact(alpha)
-    scores = branch_scores(transcripts, schmidt_state(alpha))
+    scores = _scores(transcripts, schmidt_state(alpha))
     probs = np.clip([tr.joint_probability for tr in transcripts], 0.0, None)
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).choice(len(scores), size=trials, p=probs)
@@ -286,9 +289,9 @@ GRID = [*np.linspace(0.0, ALPHA_MAX, 401), alpha_critical()]
 
 def _assert_matches_loop(transcripts, ks, rho, phi):
     """Each branch against the loop reference, its fidelity against one clone overlap per branch with phi
-    and, bit for bit, against branch_scores."""
+    and, bit for bit, against _stack_scores on the transcripts' own probabilities and post-states."""
     assert len(transcripts) == 8
-    assert np.array_equal([tr.fidelity for tr in transcripts], branch_scores(transcripts, phi))
+    assert np.array_equal([tr.fidelity for tr in transcripts], _scores(transcripts, phi))
     for (ai, bi), tr, (prob, post) in zip(protocol._BRANCHES, transcripts, _per_branch_loop(ks, rho)):
         assert (tr.alice_outcome, tr.classical_bit, tr.bob_outcome) == (ai, 0 if ai in (1, 3) else 1, bi)
         assert abs(tr.joint_probability - prob) <= 1e-15
@@ -347,18 +350,18 @@ def test_floor_branches_get_zero_post_states(monkeypatch):
         assert 0.0 <= tr.joint_probability <= protocol.PROBABILITY_FLOOR
         assert np.array_equal(tr.post_state, np.zeros((16, 16)))
         assert tr.fidelity == 0.0
-    assert np.array_equal(branch_scores(transcripts[:2], phi), [0.0, 0.0])
+    assert np.array_equal(_scores(transcripts[:2], phi), [0.0, 0.0])
     assert 1e-11 < transcripts[2].joint_probability < 1e-9 and transcripts[2].fidelity > 0.1
     for tr in transcripts[2:]:
         assert abs(np.trace(tr.post_state) - 1.0) < 1e-12
 
 
-def test_transcript_fidelity_equals_branch_scores():
-    """One trial draws the table's branch_scores against schmidt_state(alpha) as numpy's choice picks the
+def test_transcript_fidelity_equals_stack_scores():
+    """One trial draws the table's _stack_scores against schmidt_state(alpha) as numpy's choice picks the
     branch, bit for bit; _assert_matches_loop pins every transcript's fidelity to the same scores."""
     for alpha in GRID:
         table = run_protocol_exact(alpha)
-        scores = branch_scores(table, schmidt_state(alpha))
+        scores = _scores(table, schmidt_state(alpha))
         probs = np.array([tr.joint_probability for tr in table])
         for seed in range(4):
             drawn = np.random.default_rng(seed).choice(8, p=probs / probs.sum())

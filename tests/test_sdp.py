@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -117,7 +118,7 @@ def test_problem_shapes():
     for problem, k, free in ((plain, 7, 1), (ppt, 6, 2)):
         sv = np.linalg.svd(problem.eq_matrix, compute_uv=False)
         assert problem.eq_matrix.shape[1] - int(np.sum(sv > 1e-12 * sv[0])) == k == 8 - free
-    assert (plain.nu, ppt.nu) == (64.0, 128.0)
+    assert (plain.setup.nu, ppt.setup.nu) == (64.0, 128.0)
     assert np.array_equal(ppt.setup.weights, 2.0 * plain.setup.weights)
     assert plain.setup.basis is FIXED
     assert np.array_equal(ppt.setup.basis, np.delete(FIXED, A55, axis=1))
@@ -435,7 +436,7 @@ def test_ppt_solution_matches_dense_witness(alpha):
     iterations, f_star = dense_nt_path(alpha)
     assert sol.iterations == iterations
     assert abs(sol.f_star - f_star) < 1e-12
-    mu_min = 1e-7 / (2.0 * problem.nu)
+    mu_min = 1e-7 / (2.0 * problem.setup.nu)
     lam2 = barrier_decrement(alpha, sol.a_star, mu_min)
     assert lam2 / 2.0 <= 1e-3 * mu_min
 
@@ -858,11 +859,11 @@ def test_detect_threshold_input_validation():
 
 
 def test_median_equals_numpy_median():
-    """detect_threshold's median equals np.median bit for bit on both parities, ties included."""
+    """detect_threshold's median, statistics.median, equals np.median bit for bit on both parities, ties included."""
     rng = np.random.default_rng(24)
     for n in range(1, 40):
         for values in (rng.exponential(size=n), rng.integers(0, 3, size=n).astype(float)):
-            assert sdp._median(values) == float(np.median(values))
+            assert statistics.median(values.tolist()) == float(np.median(values))
 
 
 def test_detect_threshold_leaves_numpy_ma_unimported():

@@ -156,7 +156,7 @@ def test_solver_cone_is_one_block_and_five_scalars(with_ppt):
     setup, copies = problem.setup, 2 if with_ppt else 1
     assert np.array_equal(setup.forms, np.delete(CONE_FORMS, A55, axis=1) if with_ppt else CONE_FORMS)
     assert np.array_equal(setup.weights, copies * WEIGHTS)
-    assert problem.nu == 64.0 * copies
+    assert setup.nu == 64.0 * copies
     rng = np.random.default_rng(3903)
     for _ in range(4):
         x = rng.normal(size=setup.forms.shape[1])
