@@ -104,12 +104,9 @@ def _parse_modes(text: str) -> list[str]:
 
 
 def _check_tol_floor(args: argparse.Namespace) -> None:
-    """Refuse a --tol below the solver's floor for the programs the command solves: verify solves both,
-    a sweep those of its solving modes.  Raises ValueError."""
-    if args.command == "verify":
-        solved = [False, True]
-    else:
-        solved = [_SOLVED[mode] for mode in getattr(args, "modes", ()) if mode in _SOLVED]
+    """Refuse a sweep's --tol below the solver's floor for the programs its solving modes solve.
+    Raises ValueError."""
+    solved = [_SOLVED[mode] for mode in getattr(args, "modes", ()) if mode in _SOLVED]
     if not solved:
         return
     floor = max(build_problem(0.0, with_ppt=with_ppt).tol_floor for with_ppt in solved)
@@ -206,7 +203,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(tol=args.tol, seed=args.seed)
+    results = run_all(seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -258,14 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("csv", "json"), default="csv")
     output.add_argument("--out", default=None)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
 
-    sweep = sub.add_parser(
-        "sweep", parents=[grid, output, tol], help="tabulate fidelity curves over a Schmidt-weight grid"
-    )
+    sweep = sub.add_parser("sweep", parents=[grid, output], help="tabulate fidelity curves over a Schmidt-weight grid")
+    sweep.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     sweep.add_argument(
         "--modes",
         type=_parse_modes,
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     params = sub.add_parser("params", parents=[grid, output], help="tabulate the optimal one-bit family parameters")
     params.set_defaults(func=cmd_params)
 
-    verify = sub.add_parser("verify", parents=[tol, seed], help="run the acceptance criteria and report pass/fail")
+    verify = sub.add_parser("verify", parents=[seed], help="run the acceptance criteria and report pass/fail")
     verify.set_defaults(func=cmd_verify)
 
     protocol = sub.add_parser("protocol", parents=[output, seed], help="run the one-bit protocol exactly and sampled")

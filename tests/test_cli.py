@@ -126,7 +126,7 @@ def test_sweep_solver_failure_sets_error_column(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7", "tiny"])
-@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
     """A bad --tol is a usage error, raised before any solve."""
 
@@ -134,9 +134,7 @@ def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
         raise AssertionError("solver reached")
 
     monkeypatch.setattr(cli, "solve", no_solver)
-    monkeypatch.setattr(cli, "run_all", no_solver)
-    argv = ["--steps", "3", "--modes", "sdp"] if command == "sweep" else []
-    code, out, err = run_cli(capsys, command, *argv, f"--tol={tol}")
+    code, out, err = run_cli(capsys, command, "--steps", "3", "--modes", "sdp", f"--tol={tol}")
     assert code == 2
     assert out == ""
     assert "error:" in err and "tol must be finite and positive" in err
@@ -274,19 +272,19 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
-def test_verify_rejects_unattainable_tolerance(capsys, monkeypatch):
-    """A tol below the PPT program's floor is a usage error: verify solves both programs."""
+def test_verify_takes_no_tol(capsys, monkeypatch):
+    """verify solves at one fixed tolerance, so --tol is an unknown option there, refused before any run."""
     monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("verification ran"))
-    code, out, err = run_cli(capsys, "verify", "--tol", "1e-30")
+    code, out, err = run_cli(capsys, "verify", "--tol", "1e-7")
     assert code == 2
     assert out == ""
-    assert err == "error: tol must be at least the solver's floor 2.56e-08, got 1e-30\n"
+    assert err.endswith("\nentclone: error: unrecognized arguments: --tol 1e-7\n")
 
 
 @pytest.mark.parametrize(
     "argv, floor",
     [
-        (("verify", "--tol", "2e-08"), "2.56e-08"),
+        (("sweep", "--modes", "sdp", "--tol", "1e-08"), "1.28e-08"),
         (("sweep", "--modes", "sdp-ppt", "--tol", "2e-08"), "2.56e-08"),
         (("sweep", "--modes", "sdp,bh", "--tol", "1.2e-08"), "1.28e-08"),
         (("sweep", "--modes", "sdp,sdp-ppt", "--tol", "2e-08"), "2.56e-08"),

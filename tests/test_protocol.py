@@ -419,3 +419,5 @@ def test_dilations_reject_corrupted_kraus():
     for m in (1.01 * ks.m, with_nan):
         with pytest.raises(ValueError, match="POVM completeness"):
             build_dilations(dataclasses.replace(ks, m=m))
+    with pytest.raises(ValueError, match="Kraus completeness"):
+        build_dilations(dataclasses.replace(ks, k=1.01 * ks.k))

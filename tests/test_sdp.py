@@ -216,6 +216,15 @@ def test_a_non_finite_objective_raises_convergence_error(bad, with_ppt):
         solve(dataclasses.replace(problem, objective=objective))
 
 
+@pytest.mark.parametrize("with_ppt", [False, True], ids=["plain", "ppt"])
+def test_a_zero_objective_has_no_strictly_feasible_dual_start(with_ppt):
+    """A zero objective puts the dual start y0 I / (4c) - C(h) at Z = 0, on the cone's boundary, so solve
+    raises ConvergenceError before its first step."""
+    problem = build_problem(0.4, with_ppt=with_ppt)
+    with pytest.raises(ConvergenceError, match="^could not find a strictly feasible dual start$"):
+        solve(dataclasses.replace(problem, objective=np.zeros_like(problem.objective)))
+
+
 def test_a_nan_direction_raises_convergence_error(monkeypatch):
     """A step towards a NaN direction is refused: solve raises ConvergenceError, on both programs.  A NaN
     CENTRING makes tau, and so the right side of the free directions' system and lam, NaN, while the
